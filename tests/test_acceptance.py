@@ -4,13 +4,9 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Tolerances are pinned here and nowhere else.
 """
 
-import json
-
 import numpy as np
-import pytest
 
 from confpair import jet3
-from confpair.cli import run_manifest
 from confpair.conformal_calc import _kernel_dim, conformal_s_nullity, s_nullity_at
 from confpair.extension import TransferData, extension_obstruction, ruled_extension, verify_extension
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
@@ -192,23 +188,6 @@ def test_criterion_5_nullity_oracles():
         f"(matched {matched})",
     )
     assert matched >= 990  # the candidate sweep should recover the planted optimum
-
-
-# -- helpers: run the gallery manifests once, reuse everywhere ----------------
-
-
-@pytest.fixture(scope="module")
-def gallery_reports():
-    out = {}
-    for name in sorted(MANIFESTS):
-        doc = json.loads(json.dumps(MANIFESTS[name]))
-        report, code = run_manifest(doc)
-        blob = json.dumps(report, sort_keys=True, indent=2)
-        report2, code2 = run_manifest(json.loads(json.dumps(MANIFESTS[name])))
-        blob2 = json.dumps(report2, sort_keys=True, indent=2)
-        out[name] = {"report": report, "code": code, "blob": blob, "blob2": blob2,
-                     "code2": code2}
-    return out
 
 
 # -- 6: congruent pair ---------------------------------------------------------

@@ -1,0 +1,42 @@
+"""Gallery reports against the golden snapshots in tests/golden/."""
+
+import copy
+import json
+
+import pytest
+
+from confpair.gallery import MANIFESTS
+
+from golden_reports import GOLDEN_DIR, compare, load, snapshot
+
+
+def test_golden_files_cover_the_gallery():
+    assert sorted(p.stem for p in GOLDEN_DIR.glob("*.json")) == sorted(MANIFESTS)
+
+
+@pytest.mark.parametrize("name", sorted(MANIFESTS))
+def test_report_matches_golden(name, gallery_reports):
+    entry = gallery_reports[name]
+    got = snapshot(json.loads(entry["blob"]), entry["code"])
+    diffs = compare(got, load(name))
+    assert not diffs, "\n".join(diffs[:20])
+
+
+def test_comparator_rejects_one_changed_rank_name_or_residual():
+    want = load("degenerate-pair")
+    assert compare(copy.deepcopy(want), want) == []
+
+    bumped = copy.deepcopy(want)
+    bumped["report"]["results"]["regions"][0]["ranks"]["rulings"] += 1
+    assert compare(bumped, want)
+
+    renamed = copy.deepcopy(want)
+    renamed["report"]["checks"][0]["name"] += "_renamed"
+    assert compare(renamed, want)
+
+    drifted = copy.deepcopy(want)
+    residuals = drifted["report"]["results"]["regions"][0]["residuals"]
+    key = max(residuals, key=lambda k: abs(residuals[k]))
+    assert residuals[key] != 0.0
+    residuals[key] *= 1.0 + 1e-3
+    assert compare(drifted, want)
