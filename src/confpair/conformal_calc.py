@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisOutOfRange, RankJump
-from .indefinite_linalg import DEFAULT_TOL
+from .indefinite_linalg import DEFAULT_TOL, rank
 from .jets import (
     DistributionFrame,
     FundamentalData,
@@ -80,14 +80,7 @@ def conformal_sff(obj, dist: DistributionFrame, tol: float = DEFAULT_TOL) -> Con
     # spans of beta(Z_u, E_b) per point
     bz = np.einsum("pau,pabt->ptub", dist.basis, beta).reshape(p, k, -1)
     scale = max(float(np.max(np.abs(fund.alpha))), 1.0)
-
-    def rank_of(mat):
-        sv = np.linalg.svd(mat, compute_uv=False)
-        if sv.size == 0:
-            return 0
-        return int(np.sum(sv > 10 * tol * max(float(sv[0]), scale)))
-
-    ranks = np.array([rank_of(bz[q]) for q in range(p)])
+    ranks = rank(bz, 10 * tol, scale)
     if ranks.size and ranks.min() != ranks.max():
         raise RankJump(f"corrected-form span rank varies on the grid: {set(ranks.tolist())}")
     ell = int(ranks[0]) if ranks.size else 0
@@ -163,12 +156,8 @@ def _kernel_dim(alpha: np.ndarray, v: np.ndarray, zeta: np.ndarray, cluster_tol:
     paired = np.einsum("ijc,ct->ijt", alpha, v)
     zv = zeta @ v  # (s,)
     rows = paired - np.eye(n)[:, :, None] * zv[None, None, :]
-    mat = rows.reshape(n, -1).T
-    if mat.size == 0:
-        return n
-    sv = np.linalg.svd(mat, compute_uv=False)
-    scale = max(float(sv[0]) if sv.size else 0.0, float(np.max(np.abs(alpha))), 1e-12)
-    return int(np.sum(sv <= cluster_tol * scale)) + (n - len(sv) if len(sv) < n else 0)
+    floor = max(float(np.max(np.abs(alpha), initial=0.0)), 1e-12)
+    return n - rank(rows.reshape(n, -1).T, cluster_tol, floor)
 
 
 def _eig_multiplicity(sym: np.ndarray, cluster_tol: float) -> tuple[int, float]:

@@ -37,15 +37,6 @@ class RankJump(GeometryError):
     """A constructed subbundle changes rank inside a supposedly constant-rank region."""
 
 
-class ClaimViolation(GeometryError):
-    """A structural check of the degenerate-branch construction failed."""
-
-    def __init__(self, name: str, residual: float, message: str = ""):
-        self.name = name
-        self.residual = residual
-        super().__init__(f"{name}: residual {residual:.3e} {message}".strip())
-
-
 class SplitFailure(GeometryError):
     """The joint radical is not a graph over the shared part of the span."""
 

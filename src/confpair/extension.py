@@ -26,7 +26,7 @@ from .errors import (
     NotTransversal,
     RankJump,
 )
-from .indefinite_linalg import orthonormal_columns
+from .indefinite_linalg import complement, gap, kernel, orthonormal_columns
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
@@ -185,10 +185,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     dims = np.zeros(p, dtype=int)
     kers = {}
     for q in pts:
-        rows = rows_all[q].transpose(0, 2, 1).reshape(-1, n + ell)
-        _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-        rank = int(np.sum(sv > fd_tol * max(float(sv[0]) if sv.size else 0.0, scale)))
-        ker = vt[rank:].T
+        ker = kernel(rows_all[q].transpose(0, 2, 1).reshape(-1, n + ell), fd_tol, scale)
         kers[int(q)] = ker
         dims[q] = ker.shape[1]
     if int(dims[pts].min()) != int(dims[pts].max()):
@@ -208,13 +205,13 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     d = data.rulings.shape[2]
     rul_emb = np.zeros((p, n + ell, d))
     rul_emb[:, :n, :] = data.rulings
-    gap = 0.0
+    rul_gap = 0.0
     r_dim = max(s_dim - d, 0)
     fiber_spans = np.zeros((p, n + ell, r_dim))
     for q in pts:
         dq = delta[q]
         proj = dq @ np.linalg.pinv(dq)
-        gap = max(gap, float(np.max(np.abs(rul_emb[q] - proj @ rul_emb[q]))) if d else 0.0)
+        rul_gap = max(rul_gap, float(np.max(np.abs(rul_emb[q] - proj @ rul_emb[q]))) if d else 0.0)
         rows = (rul_emb[q] * mixed_eps[:, None]).T @ dq
         coeffs = np.linalg.svd(rows, full_matrices=True)[2][d:].T if d else np.eye(s_dim)
         fib = orthonormal_columns(dq @ coeffs, tol)
@@ -224,7 +221,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
         fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
     ) if r_dim else (fiber_spans, (), 0.0)
     residuals = {
-        "rulings_inside_kernel": gap,
+        "rulings_inside_kernel": rul_gap,
         "rulings_integrability": float(np.max(bracket_residual(fl, _dist_of(data.rulings))))
         if d else 0.0,
     }
@@ -232,34 +229,11 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     inter_gap = 0.0
     for q in pts:
         dq = delta[q]
-        rows = dq[n:, :]  # bundle components must vanish
-        coeffs = np.linalg.svd(rows, full_matrices=True)[2][_rank_of(rows, tol):].T if ell else np.eye(s_dim)
+        coeffs = kernel(dq[n:, :], tol, 1.0)  # bundle components must vanish
         tang = orthonormal_columns((dq @ coeffs)[:n, :], tol)
-        inter_gap = max(inter_gap, _gap(tang, data.rulings[q]))
+        inter_gap = max(inter_gap, gap(tang, data.rulings[q]))
     residuals["kernel_meets_tangent_in_rulings"] = inter_gap
     return ObstructionData(data, delta, fibers, s_dim, max(s_dim - d, 0), residuals)
-
-
-def _rank_of(mat: np.ndarray, tol: float) -> int:
-    if mat.size == 0:
-        return 0
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(sv > tol * max(float(sv[0]), 1.0)))
-
-
-def _kernel_cols_local(rows: np.ndarray, tol: float) -> np.ndarray:
-    ncols = rows.shape[1]
-    if rows.shape[0] == 0 or ncols == 0:
-        return np.eye(ncols)
-    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > tol * max(float(sv[0]) if sv.size else 0.0, 1.0)))
-    return vt[rank:].T
-
-
-def _gap(a: np.ndarray, b: np.ndarray) -> float:
-    pa = a @ a.T if a.size else np.zeros((b.shape[0], b.shape[0]))
-    pb = b @ b.T if b.size else np.zeros_like(pa)
-    return float(np.linalg.norm(pa - pb, ord=2)) if pa.size else 0.0
 
 
 def _dist_of(rulings: np.ndarray):
@@ -444,7 +418,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
             rank_seen.add(0)
             continue
         rows = pair.left.d1[q] @ gram_l @ lf_amb[qb]  # (n + r, ell)
-        coeffs = _kernel_cols_local(rows, 1e-7)
+        coeffs = kernel(rows, 1e-7, 1.0)
         rank_seen.add(coeffs.shape[1])
         take = min(coeffs.shape[1], r_tube)
         amb_l = lf_amb[qb] @ coeffs[:, :take]
@@ -506,20 +480,17 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
     for q in range(p_ext):
         kl_t = fund_l.normal_rank
         kr_t = fund_r.normal_rank
-        lperp = _complement(lf_tube[q], np.eye(kl_t), eps_l_t)
-        lperp_h = _complement(lh_tube[q], np.eye(kr_t), eps_r_t)
+        lperp = complement(lf_tube[q], np.eye(kl_t), eps_l_t, 1e-9)
+        lperp_h = complement(lh_tube[q], np.eye(kr_t), eps_r_t, 1e-9)
         rows = np.vstack([
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l_t, lperp).reshape(-1, n + r),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r_t, lperp_h).reshape(-1, n + r),
         ])
-        sv = np.linalg.svd(rows, compute_uv=False) if rows.size else np.zeros(0)
-        scale = max(float(sv[0]) if sv.size else 0.0, 1.0)
-        rank = int(np.sum(sv > fd_tol * scale))
-        ker = np.linalg.svd(rows, full_matrices=True)[2][rank:].T if rows.size else np.eye(n + r)
+        ker = kernel(rows, fd_tol, 1.0)
         # compare in frame coordinates of the tube
         lift_frame = fund_l.tangent_frame_inv[q] @ lift[q]
-        gap_inc = max(gap_inc, _gap(orthonormal_columns(ker, 1e-9),
-                                    orthonormal_columns(lift_frame, 1e-9)))
+        gap_inc = max(gap_inc, gap(orthonormal_columns(ker, 1e-9),
+                                   orthonormal_columns(lift_frame, 1e-9)))
     out["kernel_identity_gap"] = gap_inc
 
     # ruledness: the second fundamental forms of the tube vanish on the kernel
@@ -539,15 +510,6 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
             - pair.right.ambient.norm_sq(pair.right.values)
         )))
     return out
-
-
-def _complement(frames: np.ndarray, full: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    if frames.shape[1] == 0:
-        return full
-    rows = (frames * eps[:, None]).T @ full
-    _, sv, vt = np.linalg.svd(rows, full_matrices=True)
-    rank = int(np.sum(sv > 1e-9 * max(float(sv[0]), 1.0))) if sv.size else 0
-    return orthonormal_columns(full @ vt[rank:].T, 1e-9)
 
 
 # ---------------------------------------------------------------------------

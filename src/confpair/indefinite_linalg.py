@@ -1,16 +1,36 @@
-"""Exact-tolerance linear algebra over real spaces with indefinite inner products.
+"""Linear algebra over real spaces with indefinite inner products.
 
-Every subspace returned by this module carries a certified basis, meaning
+This module is the only place where singular values or eigenvalues turn into
+ranks, kernels, spans, complements, radicals or signatures.  Bases are
 columns that are orthonormal for the standard (definite) dot product on
-coordinates; geometry w.r.t. the possibly indefinite ambient product is
-recovered through Gram matrices.  All rank decisions share one knob: singular
-values (or eigenvalues) below ``tol`` times the largest magnitude count as
-zero.
+coordinates; the possibly indefinite product is the diagonal metric
+``diag(eps)`` with entries +-1, and geometry w.r.t. it is read off Gram
+matrices.
+
+The rank rule (Golub, Klema & Stewart 1976, "Rank degeneracy and least
+squares problems"): a singular value ``s`` of a matrix counts when
+
+    s > tol * max(s_max, floor)
+
+with ``s_max`` the largest singular value of that matrix.  ``floor`` is an
+argument chosen by the caller to fit its data:
+
+* ``0`` is the pure relative rule, for spanning sets of arbitrary scale;
+* ``1.0`` for rows built from dot-orthonormal bases and unit metrics (Gram
+  matrices, pairings against frames), whose natural scale is one, so that
+  roundoff below ``tol`` never counts as a direction;
+* a data scale, such as the largest entry of a sampled second fundamental
+  form, so that a point where the form nearly vanishes is not judged at its
+  own relative scale.
+
+`signature` applies the same rule to the eigenvalues of a symmetric Gram
+matrix with the floor fixed at ``1.0``: Gram matrices of dot-orthonormal
+bases under a unit metric have eigenvalues of size at most one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,69 +41,100 @@ DEFAULT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# numerical kernels
+# the rank rule and what it decides
 # ---------------------------------------------------------------------------
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def _count(s: np.ndarray, tol: float, floor: float):
+    """Singular values (descending on the last axis) that pass the rank rule."""
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=int)
+    thr = tol * np.maximum(s[..., :1], floor)
+    return np.sum(s > thr, axis=-1)
+
+
+def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
+    """Numerical rank of a matrix, or of each matrix of a (..., m, k) stack."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape[-2] == 0 or matrix.shape[-1] == 0:
+        counts = np.zeros(matrix.shape[:-2], dtype=int)
+    else:
+        counts = _count(np.linalg.svd(matrix, compute_uv=False), tol, floor)
+    return int(counts) if matrix.ndim == 2 else counts
+
+
+def kernel(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the right null space of `rows`; everything when
+    there are no rows."""
+    rows = np.asarray(rows, dtype=float)
+    ncols = rows.shape[1]
+    if rows.shape[0] == 0 or ncols == 0:
+        return np.eye(ncols)
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    return vt[int(_count(s, tol, floor)):].T
+
+
+def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis (dot product) of the column span of `vectors`."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2:
         raise ValueError("expected a matrix of column vectors")
     m = vectors.shape[0]
-    if vectors.shape[1] == 0:
+    if m == 0 or vectors.shape[1] == 0:
         return np.zeros((m, 0))
     u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0 or s[0] <= 0:
-        return np.zeros((m, 0))
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    return u[:, : int(_count(s, tol, floor))]
 
 
-def kernel(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the right null space of `matrix` (rows x cols)."""
-    matrix = np.asarray(matrix, dtype=float)
-    ncols = matrix.shape[1]
-    if matrix.shape[0] == 0 or ncols == 0:
-        return np.eye(ncols)
-    _, s, vt = np.linalg.svd(matrix, full_matrices=True)
-    if s.size == 0 or s[0] <= 0:
-        return np.eye(ncols)
-    rank = int(np.sum(s > tol * s[0]))
-    return vt[rank:].T
+def complement(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
+    """Vectors of span(`within`) orthogonal to span(`sub`) w.r.t. diag(eps)."""
+    if within.shape[1] == 0:
+        return within[:, :0]
+    if sub.shape[1] == 0:
+        return within
+    rows = (sub * eps[:, None]).T @ within  # constraints on coefficients
+    return orthonormal_columns(within @ kernel(rows, tol, 1.0), tol)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.size == 0:
-        return 0
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] <= 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def radical(basis: np.ndarray, eps: np.ndarray, tol: float, floor: float) -> np.ndarray:
+    """span(basis) intersected with its diag(eps)-orthogonal: the kernel of
+    its Gram matrix, decided at `floor`."""
+    gram = basis.T @ (basis * eps[:, None])
+    return orthonormal_columns(basis @ kernel(gram, tol, floor), tol)
 
 
-def eig_signature(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int, bool]:
-    """(positive, negative, null, marginal) inertia of a symmetric matrix.
-
-    `marginal` is set when some eigenvalue sits within a factor of ten of the
-    zero threshold, i.e. the classification should not be trusted blindly.
-    """
+def signature(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
+    """(positive, negative, null) inertia of a symmetric matrix."""
     gram = np.asarray(gram, dtype=float)
     k = gram.shape[0]
     if k == 0:
-        return 0, 0, 0, False
+        return 0, 0, 0
     vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    # bases are kept dot-orthonormal and metrics have unit entries, so the
-    # eigenvalue scale is bounded by one: flooring the scale keeps pure
-    # roundoff from being classified as a definite direction
-    scale = max(float(np.max(np.abs(vals))), 1.0)
-    thr = tol * scale
+    thr = tol * max(float(np.max(np.abs(vals))), 1.0)
     pos = int(np.sum(vals > thr))
     neg = int(np.sum(vals < -thr))
-    null = k - pos - neg
-    marginal = bool(np.any((np.abs(vals) > 0.1 * thr) & (np.abs(vals) < 10.0 * thr)))
-    return pos, neg, null, marginal
+    return pos, neg, k - pos - neg
+
+
+def gap(a: np.ndarray, b: np.ndarray) -> float:
+    """Spectral distance of the dot projectors onto two spans given by
+    orthonormal columns (1.0 signals a rank mismatch)."""
+    if a.shape[0] == 0:
+        return 0.0
+    return float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
+
+
+def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """diag(eps)-orthogonal projection of `vectors` (columns) onto span(basis).
+
+    Raises DegenerateSubspace when the Gram matrix of the basis is singular.
+    """
+    weighted = basis * eps[:, None]
+    try:
+        coeffs = np.linalg.solve(basis.T @ weighted, weighted.T @ vectors)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateSubspace("projection target has a singular Gram matrix") from exc
+    return basis @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -148,217 +199,11 @@ class ScalarProduct:
         """Ambient of the light-cone model over R^n: dim n+2, index 1, null pair."""
         return ScalarProduct(n_euclidean + 2, (-1,) + (1,) * (n_euclidean + 1), pseudo_pair=True)
 
-    def opposite(self) -> "ScalarProduct":
-        if self.pseudo_pair:
-            raise ValueError("cannot negate a pseudo-pair product in place")
-        return ScalarProduct(self.dim, tuple(-s for s in self.signature))
-
-    def direct_sum_with_opposite(self, other: "ScalarProduct") -> "ScalarProduct":
-        """Product on V (+) W with <.,.> = <.,.>_V - <.,.>_W (diagonal factors only)."""
-        if self.pseudo_pair or other.pseudo_pair:
-            raise ValueError("direct sums only supported for diagonal products")
-        return ScalarProduct(
-            self.dim + other.dim, self.signature + tuple(-s for s in other.signature)
-        )
-
     # pairings ------------------------------------------------------------
 
     def inner(self, u: np.ndarray, v: np.ndarray):
         """<u, v>; broadcasts over leading axes (vectors on the last axis)."""
         return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.gram, np.asarray(v, float))
 
-    def pairings(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Matrix of pairings a_i . b_j for columns of a and b."""
-        return np.asarray(a, float).T @ self.gram @ np.asarray(b, float)
-
-    def gram_of(self, basis: np.ndarray) -> np.ndarray:
-        return self.pairings(basis, basis)
-
     def norm_sq(self, u: np.ndarray):
         return self.inner(u, u)
-
-
-# ---------------------------------------------------------------------------
-# subspaces
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Subspace:
-    """A subspace of an ambient inner-product space with a certified basis."""
-
-    ambient: ScalarProduct
-    basis: np.ndarray  # (dim, rank), dot-orthonormal columns
-    tol: float = field(default=DEFAULT_TOL, repr=False)
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.ambient.dim
-
-    @staticmethod
-    def from_spanning(ambient: ScalarProduct, vectors: np.ndarray, tol: float = DEFAULT_TOL) -> "Subspace":
-        return Subspace(ambient, orthonormal_columns(vectors, tol), tol)
-
-    @staticmethod
-    def zero(ambient: ScalarProduct, tol: float = DEFAULT_TOL) -> "Subspace":
-        return Subspace(ambient, np.zeros((ambient.dim, 0)), tol)
-
-    @staticmethod
-    def full(ambient: ScalarProduct, tol: float = DEFAULT_TOL) -> "Subspace":
-        return Subspace(ambient, np.eye(ambient.dim), tol)
-
-    # predicates ---------------------------------------------------------
-
-    def gram(self) -> np.ndarray:
-        return self.ambient.gram_of(self.basis)
-
-    def signature(self, tol: float | None = None) -> tuple[int, int, int]:
-        pos, neg, null, _ = eig_signature(self.gram(), tol or self.tol)
-        return pos, neg, null
-
-    def signature_flagged(self, tol: float | None = None) -> tuple[int, int, int, bool]:
-        return eig_signature(self.gram(), tol or self.tol)
-
-    def is_nondegenerate(self, tol: float | None = None) -> bool:
-        return self.signature(tol)[2] == 0
-
-    def contains(self, v: np.ndarray, tol: float | None = None) -> bool:
-        return self.membership_residual(v) <= (tol or self.tol) * max(1.0, float(np.linalg.norm(v)))
-
-    def membership_residual(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        proj = self.basis @ (self.basis.T @ v)
-        return float(np.linalg.norm(v - proj))
-
-    def euclidean_projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
-
-    # constructions ------------------------------------------------------
-
-    def orthogonal_complement(self, within: "Subspace | None" = None) -> "Subspace":
-        """Vectors orthogonal (ambient product) to self, optionally inside `within`."""
-        if within is None:
-            rows = (self.ambient.gram @ self.basis).T  # <v, b_i> = 0
-            return Subspace(self.ambient, kernel(rows, self.tol), self.tol)
-        rows = self.ambient.pairings(self.basis, within.basis)  # constraints on coefficients
-        coeffs = kernel(rows, self.tol)
-        return Subspace.from_spanning(self.ambient, within.basis @ coeffs, self.tol)
-
-
-def span_of_image(beta: "BilinearSample") -> Subspace:
-    """Subspace of the target spanned by all values of a bilinear form."""
-    vals = beta.values.reshape(-1, beta.target.dim).T
-    return Subspace.from_spanning(beta.target, vals, beta.tol)
-
-
-def nullity_space(
-    beta: "BilinearSample",
-    t_sub: Subspace | None = None,
-    left: ScalarProduct | None = None,
-) -> Subspace:
-    """Left vectors X with <beta(X, Y), xi> = 0 for all Y and xi in `t_sub`.
-
-    With ``t_sub=None`` the plain nullity {X : beta(X, .) = 0} is returned.
-    Valid for degenerate `t_sub` since only pairings are used, never a
-    projection.
-    """
-    vals = beta.values  # (L, R, m)
-    if t_sub is None:
-        rows = vals.reshape(vals.shape[0], -1).T
-    else:
-        paired = np.einsum("lrm,mt->lrt", vals, beta.target.gram @ t_sub.basis)
-        rows = paired.reshape(vals.shape[0], -1).T
-    amb = left if left is not None else ScalarProduct.euclidean(vals.shape[0])
-    return Subspace(amb, kernel(rows, beta.tol), beta.tol)
-
-
-def radical(u_sub: Subspace) -> Subspace:
-    """u ^ u-perp: the kernel of the Gram matrix of the subspace."""
-    g = u_sub.gram()
-    coeffs = kernel(g, u_sub.tol)
-    return Subspace.from_spanning(u_sub.ambient, u_sub.basis @ coeffs, u_sub.tol)
-
-
-def orthogonal_projection(t_sub: Subspace, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto a nondegenerate subspace."""
-    g = t_sub.gram()
-    if t_sub.rank == 0:
-        return np.zeros_like(np.asarray(v, dtype=float))
-    pos, neg, null, _ = eig_signature(g, t_sub.tol)
-    if null > 0:
-        raise DegenerateSubspace(
-            f"projection target has radical of dimension {null}"
-        )
-    v = np.asarray(v, dtype=float)
-    rhs = t_sub.basis.T @ (t_sub.ambient.gram @ v)
-    coeff = np.linalg.solve(g, rhs)
-    return t_sub.basis @ coeff
-
-
-def projection_matrix(t_sub: Subspace) -> np.ndarray:
-    """Matrix of the orthogonal projection onto a nondegenerate subspace."""
-    if t_sub.rank == 0:
-        return np.zeros((t_sub.dim, t_sub.dim))
-    g = t_sub.gram()
-    pos, neg, null, _ = eig_signature(g, t_sub.tol)
-    if null > 0:
-        raise DegenerateSubspace("projection target has a nonzero radical")
-    return t_sub.basis @ np.linalg.solve(g, t_sub.basis.T @ t_sub.ambient.gram)
-
-
-def intersect(u_sub: Subspace, v_sub: Subspace) -> Subspace:
-    """Intersection via the kernel of the concatenated annihilator system."""
-    if u_sub.ambient.dim != v_sub.ambient.dim:
-        raise ValueError("subspaces live in different ambients")
-    tol = min(u_sub.tol, v_sub.tol)
-    dim = u_sub.dim
-    ann_u = kernel(u_sub.basis.T, tol)  # dot-complement of U
-    ann_v = kernel(v_sub.basis.T, tol)
-    rows = np.vstack([ann_u.T, ann_v.T]) if (ann_u.size or ann_v.size) else np.zeros((0, dim))
-    return Subspace(u_sub.ambient, kernel(rows, tol), tol)
-
-
-def subspace_distance(u_sub: Subspace, v_sub: Subspace) -> float:
-    """Spectral distance of the dot-orthogonal projectors (1 for a rank gap)."""
-    pu = u_sub.euclidean_projector()
-    pv = v_sub.euclidean_projector()
-    if pu.size == 0 and pv.size == 0:
-        return 0.0
-    return float(np.linalg.norm(pu - pv, ord=2))
-
-
-# ---------------------------------------------------------------------------
-# sampled bilinear forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BilinearSample:
-    """A bilinear form sampled on bases: values[l, r] is a target vector."""
-
-    target: ScalarProduct
-    values: np.ndarray  # (left_dim, right_dim, target_dim)
-    symmetric: bool = False
-    tol: float = field(default=DEFAULT_TOL, repr=False)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 3 or self.values.shape[2] != self.target.dim:
-            raise ValueError("values must have shape (left, right, target_dim)")
-
-    @property
-    def left_dim(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def right_dim(self) -> int:
-        return self.values.shape[1]
-
-    def symmetry_residual(self) -> float:
-        if self.values.shape[0] != self.values.shape[1]:
-            return float("inf")
-        return float(np.max(np.abs(self.values - np.swapaxes(self.values, 0, 1))))

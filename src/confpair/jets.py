@@ -35,7 +35,6 @@ __all__ = [
     "christoffel",
     "fundamental_data",
     "coordinate_distribution",
-    "distribution_from_spans",
     "align_frames",
     "bracket_residual",
     "leaf_mean_curvature",
@@ -456,9 +455,6 @@ class FundamentalData:
     def normal_rank(self) -> int:
         return self.normal_frame.shape[2]
 
-    def normal_gram(self) -> np.ndarray:
-        return np.diag(np.asarray(self.normal_pattern, dtype=float))
-
     def shape_pairing(self, t: int) -> np.ndarray:
         """Matrix <alpha(E_a, E_b), xi_t> per point, (P, n, n)."""
         return self.alpha[..., t] * self.normal_pattern[t]
@@ -478,10 +474,6 @@ class FundamentalData:
     def normal_ambient(self, coords: np.ndarray) -> np.ndarray:
         """Ambient vectors of per-point normal frame coordinates (..., k)."""
         return np.einsum("pat,p...t->p...a", self.normal_frame, coords)
-
-    def frame_to_coords(self, vecs: np.ndarray) -> np.ndarray:
-        """Tangent-frame components -> coordinate components (per point)."""
-        return np.einsum("pia,p...a->p...i", self.tangent_frame, vecs)
 
     def coords_to_frame(self, vecs: np.ndarray) -> np.ndarray:
         return np.einsum("pai,p...i->p...a", self.tangent_frame_inv, vecs)
@@ -585,7 +577,6 @@ class DistributionFrame:
     """Aligned per-point basis of a tangent distribution, in tangent-frame coords."""
 
     basis: np.ndarray  # (P, n, d)
-    integrability_residual: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -606,21 +597,6 @@ def coordinate_distribution(fund: FundamentalData, axes: list[int]) -> Distribut
     for q in range(p):
         basis[q] = orthonormal_columns(basis[q])
     return DistributionFrame(basis)
-
-
-def distribution_from_spans(
-    fund: FundamentalData,
-    spans: np.ndarray,
-    mask: np.ndarray | None = None,
-    tol: float = DEFAULT_TOL,
-    threshold: float = 0.5,
-) -> DistributionFrame:
-    """Aligned distribution frame from pointwise spanning sets (frame coords)."""
-    frames, _, _ = align_frames(
-        spans, np.eye(fund.metric.shape[1]), fund.jet.chart.shape, mask=mask, tol=tol,
-        threshold=threshold,
-    )
-    return DistributionFrame(frames)
 
 
 def bracket_residual(fund: FundamentalData, dist: DistributionFrame) -> np.ndarray:

@@ -99,14 +99,6 @@ class LightConeModel:
         out[..., 2:] = v
         return out
 
-    def embed_second(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Constant second derivative of the chart: -<u,v> e0."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(np.broadcast(u, v).shape[:-1] + (self.dim,))
-        out[..., 0] = -np.sum(u * v, axis=-1)
-        return out
-
     # -- jet-level maps -------------------------------------------------
 
     def lift_jet(self, jet: ImmersionJet) -> ImmersionJet:

@@ -34,7 +34,16 @@ from .errors import (
     UnsupportedDegeneracy,
 )
 from .errors import HypothesisOutOfRange
-from .indefinite_linalg import orthonormal_columns
+from .indefinite_linalg import (
+    complement,
+    gap,
+    kernel,
+    orthonormal_columns,
+    project,
+    radical,
+    rank,
+    signature,
+)
 from .jets import FundamentalData, ImmersionJet, align_frames, fundamental_data, grid_derivative
 from .lightcone import LightConeModel
 from .regions import interior_mask, label_regions, pack_profile
@@ -51,7 +60,6 @@ __all__ = [
     "transfer_residuals",
     "BoundCheck",
     "ruling_dimension_bound",
-    "conformal_ruling_bound",
 ]
 
 
@@ -65,66 +73,6 @@ class PipelineConfig:
     max_refinements: int = 4
     force_branch: str | None = None
     seed: int = 0
-
-
-# ---------------------------------------------------------------------------
-# small pointwise helpers
-# ---------------------------------------------------------------------------
-
-
-def _kernel_cols(rows: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal kernel basis with a combined relative/absolute threshold."""
-    ncols = rows.shape[1]
-    if rows.shape[0] == 0:
-        return np.eye(ncols)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    scale = max(float(s[0]) if s.size else 0.0, 1.0)
-    rank = int(np.sum(s > tol * scale))
-    return vt[rank:].T
-
-
-def _span_cols(vectors: np.ndarray, tol: float, scale: float = 1.0) -> np.ndarray:
-    if vectors.shape[1] == 0:
-        return np.zeros((vectors.shape[0], 0))
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((vectors.shape[0], 0))
-    rank = int(np.sum(s > tol * max(float(s[0]), scale)))
-    return u[:, :rank]
-
-
-def _complement_within(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
-    """Orthogonal complement of `sub` inside `within` w.r.t. diag(eps)."""
-    if within.shape[1] == 0:
-        return within[:, :0]
-    if sub.shape[1] == 0:
-        return within
-    rows = (sub * eps[:, None]).T @ within  # constraints on coefficients
-    coeffs = _kernel_cols(rows, tol)
-    return orthonormal_columns(within @ coeffs, tol)
-
-
-def _signature_of(basis: np.ndarray, eps: np.ndarray, tol: float) -> tuple[int, int, int]:
-    if basis.shape[1] == 0:
-        return (0, 0, 0)
-    gram = basis.T @ (basis * eps[:, None])
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    scale = max(float(np.max(np.abs(vals))), 1e-12)
-    pos = int(np.sum(vals > tol * scale))
-    neg = int(np.sum(vals < -tol * scale))
-    return pos, neg, basis.shape[1] - pos - neg
-
-
-def _proj_coeffs(frame: np.ndarray, pattern: np.ndarray, eps: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Coefficients of the orthogonal projection of v onto a pseudo-ON frame."""
-    return pattern * ((frame * eps[:, None]).T @ v)
-
-
-def _subspace_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral distance of dot projectors (1.0 signals a rank mismatch)."""
-    pa = a @ a.T
-    pb = b @ b.T
-    return float(np.linalg.norm(pa - pb, ord=2)) if pa.size else float(b.shape[1] > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +164,13 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
     if joint.right.jet.ambient.pseudo_pair:
         pos_right = joint.right.normal_coordinates(joint.right.jet.values)
     for q in range(p):
-        span = _span_cols(asum[q].T, tol, scale)
-        gram = span.T @ (span * eps[:, None])
-        coeffs = _kernel_cols(gram, tol)
-        omega = orthonormal_columns(span @ coeffs, tol)
+        omega = radical(orthonormal_columns(asum[q].T, tol, scale), eps, tol, 1.0)
         omega_rank[q] = omega.shape[1]
         if omega.shape[1]:
             # kernel of the left projection: radical vectors with zero left part
-            left_rows = omega[:kl, :]
-            knl = _kernel_cols(left_rows, tol * 10)
+            knl = kernel(omega[:kl, :], tol * 10, 1.0)
             lk[q] = knl.shape[1]
-            right_rows = omega[kl:, :]
-            rk[q] = _kernel_cols(right_rows, tol * 10).shape[1]
+            rk[q] = kernel(omega[kl:, :], tol * 10, 1.0).shape[1]
             if knl.shape[1]:
                 w = omega[kl:, :] @ knl[:, 0]
                 if pos_right is not None:
@@ -301,15 +244,6 @@ class PairAnalysis:
     lifted_left: ImmersionJet | None = None
 
 
-def _nullity_against(alpha: np.ndarray, eps: np.ndarray, sub: np.ndarray, tol: float) -> np.ndarray:
-    """Kernel of X -> <alpha(X, E_b), xi> over all b and xi in `sub`."""
-    n = alpha.shape[0]
-    if sub.shape[1] == 0:
-        return np.eye(n)
-    rows = np.einsum("abt,t,tw->bwa", alpha, eps, sub).reshape(-1, n)
-    return _kernel_cols(rows, tol)
-
-
 def _construct_region(
     joint: JointNormalSpace,
     mask: np.ndarray,
@@ -367,17 +301,17 @@ def _construct_region(
 
     store: dict[int, dict] = {}
     for q in pts:
-        vals = asum[q].T  # (kl+kr, n*n)
+        span_plain = orthonormal_columns(asum[q].T, tol, a_scale)
+        rad = radical(span_plain, eps_joint, tol, 1.0)
+        span_l = orthonormal_columns(alpha_l[q].reshape(-1, kl).T, tol, a_scale)
+        span_r = orthonormal_columns(alpha_r[q].reshape(-1, kr).T, tol, a_scale)
         if degenerate:
             pospair = np.concatenate([pos_left[q], pos_right[q]])
-            span_plain = _span_cols(vals, tol, a_scale)
             # position pair must be orthogonal to, but not contained in, the span
             pairing = span_plain.T @ (eps_joint * pospair)
             residuals["position_pair_orthogonal"] = max(
                 residuals["position_pair_orthogonal"], float(np.max(np.abs(pairing))) if pairing.size else 0.0
             )
-            gram = span_plain.T @ (span_plain * eps_joint[:, None])
-            rad = orthonormal_columns(span_plain @ _kernel_cols(gram, tol), tol)
             om = orthonormal_columns(np.column_stack([pospair, rad]), tol)
             if witness is not None:
                 wit_vec = np.concatenate([np.zeros(kl), witness[q]])
@@ -392,25 +326,16 @@ def _construct_region(
                 np.column_stack([pos_right[q], alpha_r[q].reshape(-1, kr).T]), tol
             )
         else:
-            span_plain = _span_cols(vals, tol, a_scale)
-            gram = span_plain.T @ (span_plain * eps_joint[:, None])
-            om = orthonormal_columns(span_plain @ _kernel_cols(gram, tol), tol)
-            aug_l = _span_cols(alpha_l[q].reshape(-1, kl).T, tol, a_scale)
-            aug_r = _span_cols(alpha_r[q].reshape(-1, kr).T, tol, a_scale)
+            om, aug_l, aug_r = rad, span_l, span_r
         gram_om = om.T @ (om * eps_joint[:, None])
         if gram_om.size:
             residuals["omega_isotropy"] = max(residuals["omega_isotropy"], float(np.max(np.abs(gram_om))))
 
-        span_l = _span_cols(alpha_l[q].reshape(-1, kl).T, tol, a_scale)
-        span_r = _span_cols(alpha_r[q].reshape(-1, kr).T, tol, a_scale)
-        om_l, om_r = om[:kl], om[kl:]
         # private parts: curvature span vectors orthogonal to the radical
-        rows_l = (om_l * eps_l[:, None]).T @ span_l
-        gamma_l = orthonormal_columns(span_l @ _kernel_cols(rows_l, tol), tol)
-        rows_r = (om_r * eps_r[:, None]).T @ span_r
-        gamma_r = orthonormal_columns(span_r @ _kernel_cols(rows_r, tol), tol)
-        shared_l_q = _complement_within(gamma_l, aug_l, eps_l, tol)
-        shared_r_q = _complement_within(gamma_r, aug_r, eps_r, tol)
+        gamma_l = complement(om[:kl], span_l, eps_l, tol)
+        gamma_r = complement(om[kl:], span_r, eps_r, tol)
+        shared_l_q = complement(gamma_l, aug_l, eps_l, tol)
+        shared_r_q = complement(gamma_r, aug_r, eps_r, tol)
 
         store[int(q)] = {
             "omega": om, "gamma_l": gamma_l, "gamma_r": gamma_r,
@@ -453,7 +378,7 @@ def _construct_region(
             wl, wr = om[:kl], om[kl:]
             residuals["graph_gap"] = max(
                 residuals["graph_gap"],
-                _subspace_gap(orthonormal_columns(wl, tol), st["shared_l"]),
+                gap(orthonormal_columns(wl, tol), st["shared_l"]),
             )
             j_mat = wr @ np.linalg.pinv(wl, rcond=1e-10)
             ident[q] = j_mat
@@ -469,16 +394,9 @@ def _construct_region(
     # identification must carry the projected forms into each other
     if r_shared:
         for q in pts:
-            sh, shr = shared_l[q], shared_r[q]
-            # use solve-based projections (frames are orthonormal only in the dot product)
-            gl = sh.T @ (sh * eps_l[:, None])
-            gr = shr.T @ (shr * eps_r[:, None])
-            al = alpha_l[q].reshape(-1, kl)
-            ar = alpha_r[q].reshape(-1, kr)
-            cl = np.linalg.solve(gl, (sh * eps_l[:, None]).T @ al.T)
-            cr = np.linalg.solve(gr, (shr * eps_r[:, None]).T @ ar.T)
-            proj_l = sh @ cl  # (kl, n*n) projection of left form onto shared part
-            proj_r = shr @ cr
+            # solve-based projections (frames are orthonormal only in the dot product)
+            proj_l = project(shared_l[q], eps_l, alpha_l[q].reshape(-1, kl).T)  # (kl, n*n)
+            proj_r = project(shared_r[q], eps_r, alpha_r[q].reshape(-1, kr).T)
             residuals["shared_sff_match"] = max(
                 residuals["shared_sff_match"],
                 float(np.max(np.abs(proj_r - ident[q] @ proj_l))),
@@ -490,7 +408,7 @@ def _construct_region(
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, private_l[q]).reshape(-1, n),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, private_r[q]).reshape(-1, n),
         ])
-        th = _kernel_cols(rows, tol)
+        th = kernel(rows, tol, 1.0)
         ranks["theta"][q] = th.shape[1]
         store[int(q)]["theta"] = th
     if _ranks_jump([ranks["theta"]], mask):
@@ -507,7 +425,7 @@ def _construct_region(
         vals = np.einsum("au,abt->tub", theta[q], alpha_l[q]).reshape(kl, -1)
         if degenerate:
             vals = np.column_stack([pos_left[q], vals])
-        sp = _span_cols(vals, tol, a_scale)
+        sp = orthonormal_columns(vals, tol, a_scale)
         ranks["shared_span"][q] = sp.shape[1]
         shared_span_raw[q, :, : sp.shape[1]] = sp
     if _ranks_jump([ranks["shared_span"]], mask):
@@ -532,7 +450,7 @@ def _construct_region(
     residuals["shared_span_containment"] = gap_s
 
     # connection gap tensor on the shared span
-    gap = np.zeros((p, n, r_s, r_s))
+    gap_t = np.zeros((p, n, r_s, r_s))
     hat_frames = np.einsum("pts,psu->ptu", ident, s_frames) if r_s else np.zeros((p, kr, 0))
     if r_s:
         for i in range(n):
@@ -543,13 +461,13 @@ def _construct_region(
                 "ptk,pts->pks", fr.nconn[:, i], hat_frames
             )
             # coefficients of the two covariant derivatives on the span frames:
-            # gap[p, i, u, s] with u the frame component and s the section
+            # gap_t[p, i, u, s] with u the frame component and s the section
             cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl)
             cr = np.einsum("u,pku,pks->pus", s_pat, hat_frames * eps_r[None, :, None], dsr)
-            gap[:, i] = cl - cr
+            gap_t[:, i] = cl - cr
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
     if r_s:
-        pairing = np.einsum("piws,w->pisw", gap, s_pat)  # <K(d_i) delta_s, delta_w>
+        pairing = np.einsum("piws,w->pisw", gap_t, s_pat)  # <K(d_i) delta_s, delta_w>
         residuals["gap_skewness"] = float(np.max(np.abs(
             (pairing + np.swapaxes(pairing, 2, 3))[pts]
         )))
@@ -561,8 +479,8 @@ def _construct_region(
     r_s0 = np.zeros(p, dtype=int)
     if r_s:
         for q in pts:
-            rows = gap[q].reshape(-1, r_s)  # rows (i, component), cols: section
-            coeffs = _kernel_cols(rows, fd_tol)
+            rows = gap_t[q].reshape(-1, r_s)  # rows (i, component), cols: section
+            coeffs = kernel(rows, fd_tol, 1.0)
             basis = orthonormal_columns(s_frames[q] @ coeffs, tol)
             r_s0[q] = basis.shape[1]
             matched_raw[q, :, : basis.shape[1]] = basis
@@ -578,7 +496,7 @@ def _construct_region(
 
     mism = np.zeros((p, kl, r_s - n_s0))
     for q in pts:
-        mism[q] = _complement_within(s0_frames[q], s_frames[q], eps_l, tol)[:, : r_s - n_s0]
+        mism[q] = complement(s0_frames[q], s_frames[q], eps_l, tol)[:, : r_s - n_s0]
 
     # transfer bundle: matched sections whose derivatives along the private
     # nullity stay inside the shared span on both sides
@@ -612,7 +530,7 @@ def _construct_region(
                 blocks.append(out_l)
                 blocks.append(out_r)
             rows = np.vstack(blocks) if blocks else np.zeros((0, n_s0))
-            coeffs = _kernel_cols(rows / max(a_scale, 1.0), fd_tol)
+            coeffs = kernel(rows / a_scale, fd_tol, 1.0)
             basis = orthonormal_columns(s0_frames[q] @ coeffs, tol)
             ell_pt[q] = basis.shape[1]
             transfer_raw[q, :, : basis.shape[1]] = basis
@@ -633,13 +551,13 @@ def _construct_region(
     full_l = np.eye(kl)
     full_r = np.eye(kr)
     for q in pts:
-        lperp = _complement_within(l_frames[q], full_l, eps_l, tol)
-        lperp_hat = _complement_within(l_hat[q], full_r, eps_r, tol)
+        lperp = complement(l_frames[q], full_l, eps_l, tol)
+        lperp_hat = complement(l_hat[q], full_r, eps_r, tol)
         rows = np.vstack([
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, lperp).reshape(-1, n),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, lperp_hat).reshape(-1, n),
         ])
-        ker = _kernel_cols(rows / max(a_scale, 1.0), fd_tol)
+        ker = kernel(rows / a_scale, fd_tol, 1.0)
         d_pt[q] = ker.shape[1]
         rul_store[int(q)] = ker
     ranks["rulings"] = d_pt
@@ -659,14 +577,14 @@ def _construct_region(
     # against the shared-span complements
     gap_theta = 0.0
     for q in pts:
-        sperp = _complement_within(s_frames[q], full_l, eps_l, tol)
-        sperp_hat = _complement_within(hat_frames[q], full_r, eps_r, tol)
+        sperp = complement(s_frames[q], full_l, eps_l, tol)
+        sperp_hat = complement(hat_frames[q], full_r, eps_r, tol)
         rows = np.vstack([
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, sperp).reshape(-1, n),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, sperp_hat).reshape(-1, n),
         ])
-        ker = _kernel_cols(rows / max(a_scale, 1.0), fd_tol)
-        gap_theta = max(gap_theta, _subspace_gap(ker, theta[q]))
+        ker = kernel(rows / a_scale, fd_tol, 1.0)
+        gap_theta = max(gap_theta, gap(ker, theta[q]))
     residuals["theta_identity_gap"] = gap_theta
 
     # beta-span rank for the dimension inequality dim theta >= n - rank
@@ -682,7 +600,7 @@ def _construct_region(
             )
         if parts:
             coeffs = np.hstack(parts)  # one coefficient row per (a, b) pair
-            ranks["beta_span"][q] = _span_cols(coeffs.T, tol, a_scale).shape[1]
+            ranks["beta_span"][q] = rank(coeffs.T, tol, a_scale)
 
     state = RegionState(
         branch=branch,
@@ -712,7 +630,7 @@ def _construct_region(
         transfer_pattern=tuple(int(x) for x in l_pattern),
         transfer_bundle_right=l_hat,
         rulings=rulings,
-        gap_tensor=gap,
+        gap_tensor=gap_t,
         ranks={k: int(v[pts[0]]) for k, v in ranks.items()},
         residuals=residuals,
         notes=notes,
@@ -756,6 +674,10 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
     claims = state.claims
     d_theta = state.theta.shape[2]
 
+    def sig(frames):
+        basis = frames[pts[0]]
+        return signature(basis.T @ (basis * eps_l[:, None]), cfg.rank_tol * 10)
+
     # dim theta >= n - rank(private form span)
     claims["theta_dimension"] = {
         "dim": d_theta,
@@ -764,17 +686,17 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
     }
 
     if state.branch == "degenerate":
-        sig_s = _signature_of(state.shared_span[pts[0]], eps_l, cfg.rank_tol * 10)
+        sig_s = sig(state.shared_span)
         claims["shared_span_lorentzian"] = {
             "signature": sig_s,
             "passed": sig_s[1] == 1 and sig_s[2] == 0,
         }
-        sig_s0 = _signature_of(state.matched_span[pts[0]], eps_l, cfg.rank_tol * 10)
+        sig_s0 = sig(state.matched_span)
         claims["matched_span_lorentzian"] = {
             "signature": sig_s0,
             "passed": sig_s0[1] == 1 and sig_s0[2] == 0,
         }
-        sig_s1 = _signature_of(state.mismatched_span[pts[0]], eps_l, cfg.rank_tol * 10)
+        sig_s1 = sig(state.mismatched_span)
         claims["mismatched_span_riemannian"] = {
             "signature": sig_s1,
             "dim_at_most_five": state.mismatched_span.shape[2] <= 5,
@@ -795,22 +717,19 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
             if r_s1 == 0:
                 gamma_ranks.add(0)
                 continue
-            g1 = s1.T @ (s1 * eps_l[:, None])
             vals = np.einsum("au,abt->ubt", state.theta[q], fl.alpha[q]).reshape(-1, len(eps_l))
-            coeffs = np.linalg.solve(g1, (s1 * eps_l[:, None]).T @ vals.T)
-            proj = s1 @ coeffs  # projections of the values onto the mismatched part
-            gamma_ranks.add(_span_cols(proj, cfg.rank_tol, 1.0).shape[1])
+            proj = project(s1, eps_l, vals.T)  # the values projected onto the mismatched part
+            gamma_ranks.add(rank(proj, cfg.rank_tol, 1.0))
         claims["mismatched_spanned_by_nullity_form"] = {
             "ranks": sorted(gamma_ranks),
             "expected": r_s1,
             "passed": gamma_ranks == {r_s1},
         }
+        sig_l = sig(state.transfer_bundle)
         claims["rulings_positive_and_transfer_lorentzian"] = {
             "ruling_dim": state.ruling_dim,
-            "transfer_signature": _signature_of(state.transfer_bundle[pts[0]], eps_l, cfg.rank_tol * 10),
-            "passed": state.ruling_dim > 0
-            and _signature_of(state.transfer_bundle[pts[0]], eps_l, cfg.rank_tol * 10)[1] == 1
-            and _signature_of(state.transfer_bundle[pts[0]], eps_l, cfg.rank_tol * 10)[2] == 0,
+            "transfer_signature": sig_l,
+            "passed": state.ruling_dim > 0 and sig_l[1] == 1 and sig_l[2] == 0,
         }
         # position vector sits inside the transfer bundle
         res_pos = 0.0
@@ -835,17 +754,17 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
             "passed": res_th0 < cfg.fd_tol,
         }
         if state.witness is not None and state.e0_left is not None and state.omega.shape[2]:
-            gap = 0.0
+            res_wit = 0.0
             for q in pts:
                 vec = np.concatenate([state.e0_left[q], state.witness[q]])
                 proj = state.omega[q] @ (state.omega[q].T @ vec)
-                gap = max(gap, float(np.linalg.norm(vec - proj)))
+                res_wit = max(res_wit, float(np.linalg.norm(vec - proj)))
             claims["generator_witness_pair_in_radical"] = {
-                "residual": gap,
-                "passed": gap < cfg.fd_tol * 10,
+                "residual": res_wit,
+                "passed": res_wit < cfg.fd_tol * 10,
             }
     else:
-        sig_s = _signature_of(state.shared_span[pts[0]], eps_l, cfg.rank_tol * 10)
+        sig_s = sig(state.shared_span)
         claims["shared_span_signature"] = {
             "signature": sig_s,
             "riemannian": sig_s[1] == 0 and sig_s[2] == 0,
@@ -1018,16 +937,6 @@ def ruling_dimension_bound(
             "conical_extension_bound", lhs, rhs, lhs - rhs, lhs >= rhs and not note, True, note
         )
     raise ValueError(f"unknown branch {branch!r}")
-
-
-def conformal_ruling_bound(n: int, p: int, q: int, ell_c: int) -> BoundCheck:
-    """Ruling-dimension bound for a conformal pair: d >= n - p - q + 3 ell_c."""
-    hyp = (p + q <= n - 3) and (min(p, q) <= 5)
-    if not hyp:
-        raise HypothesisOutOfRange("conformal bound needs p + q <= n - 3 and min(p, q) <= 5")
-    rhs = n - p - q + 3 * ell_c
-    return BoundCheck("conformal_ruling_bound", 0, rhs, -rhs, False, True,
-                      "fill lhs with the measured ruling dimension")
 
 
 # ---------------------------------------------------------------------------

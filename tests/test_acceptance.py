@@ -10,13 +10,7 @@ from confpair import jet3
 from confpair.conformal_calc import _kernel_dim, conformal_s_nullity, s_nullity_at
 from confpair.extension import TransferData, extension_obstruction, ruled_extension, verify_extension
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
-from confpair.indefinite_linalg import (
-    BilinearSample,
-    ScalarProduct,
-    Subspace,
-    intersect,
-    span_of_image,
-)
+from confpair.indefinite_linalg import DEFAULT_TOL, kernel, orthonormal_columns, rank, signature
 from confpair.jets import fundamental_data, induced_metric
 from confpair.lightcone import (
     LightConeModel,
@@ -328,7 +322,11 @@ def test_criterion_9_extension(gallery_reports):
 
 
 def test_criterion_10_rational_oracle():
+    # every rank and span decision at both floors the pipeline uses (pure
+    # relative, and floored at one), against one exact result per instance
     rng = np.random.default_rng(SEED)
+    tol = DEFAULT_TOL
+    floors = (0.0, 1.0)
     mismatches = 0
     checked = 0
     for trial in range(450):
@@ -337,39 +335,42 @@ def test_criterion_10_rational_oracle():
         left = rng.integers(-3, 4, size=(2 * m, r))
         right = rng.integers(-3, 4, size=(r, m))
         vals = (left @ right).astype(float)
-        target = ScalarProduct.euclidean(m)
-        beta = BilinearSample(target, vals.reshape(2, m, m))
-        sub = span_of_image(beta)
+        expected = rational_rank(vals)
         checked += 1
-        if sub.rank != rational_rank(vals.reshape(-1, m)):
-            mismatches += 1
+        for floor in floors:
+            if (orthonormal_columns(vals.T, tol, floor).shape[1] != expected
+                    or rank(vals.T, tol, floor) != expected):
+                mismatches += 1
     for trial in range(330):
         m = int(rng.integers(2, 13))
         idx = int(rng.integers(0, m + 1))
-        sig = tuple([-1] * idx + [1] * (m - idx))
-        amb = ScalarProduct.from_pattern(sig)
+        eps = np.array([-1.0] * idx + [1.0] * (m - idx))
         k = int(rng.integers(1, min(m, 6) + 1))
         basis = rng.integers(-3, 4, size=(m, k)).astype(float)
         if rational_rank(basis.T) != k:
             continue
-        sub = Subspace.from_spanning(amb, basis)
-        gram = (basis.T @ np.diag(sig) @ basis).astype(int)
+        expected = rational_signature((basis.T @ np.diag(eps) @ basis).astype(int))
         checked += 1
-        if sub.signature() != rational_signature(gram):
-            mismatches += 1
+        for floor in floors:
+            span = orthonormal_columns(basis, tol, floor)
+            if signature(span.T @ (span * eps[:, None]), tol) != expected:
+                mismatches += 1
     for trial in range(300):
         m = int(rng.integers(4, 13))
         c = int(rng.integers(1, 3))
         common = rng.integers(-3, 4, size=(m, c))
         bu = np.hstack([common, rng.integers(-3, 4, size=(m, 1))]).astype(float)
         bv = np.hstack([common, rng.integers(-3, 4, size=(m, 1))]).astype(float)
-        amb = ScalarProduct.euclidean(m)
-        got = intersect(Subspace.from_spanning(amb, bu), Subspace.from_spanning(amb, bv)).rank
+        expected = rational_intersection_dim(bu, bv)
         checked += 1
-        if got != rational_intersection_dim(bu, bv):
-            mismatches += 1
+        for floor in floors:
+            # intersection: kernel of the stacked dot-annihilators
+            ann_u = kernel(orthonormal_columns(bu, tol, floor).T, tol, floor)
+            ann_v = kernel(orthonormal_columns(bv, tol, floor).T, tol, floor)
+            if kernel(np.vstack([ann_u.T, ann_v.T]), tol, floor).shape[1] != expected:
+                mismatches += 1
     _line("criterion 10: rational oracle agreement", mismatches == 0 and checked >= 1000,
-          f"{checked} instances, {mismatches} mismatches")
+          f"{checked} instances at floors {floors}, {mismatches} mismatches")
 
 
 # -- 11: determinism ---------------------------------------------------------------

@@ -4,20 +4,21 @@ from hypothesis import given, settings, strategies as st
 
 from confpair.errors import DegenerateSubspace
 from confpair.indefinite_linalg import (
-    BilinearSample,
+    DEFAULT_TOL,
     ScalarProduct,
-    Subspace,
-    intersect,
-    nullity_space,
-    orthogonal_projection,
+    kernel,
+    orthonormal_columns,
+    project,
     radical,
-    span_of_image,
+    rank,
+    signature,
 )
 
 from oracles import rational_intersection_dim, rational_rank, rational_signature
 
 LORENTZ2 = ScalarProduct.lorentz(2)
 RNG = np.random.default_rng(20240811)
+FLOORS = (0.0, 1.0)  # the pure relative rule and the floor the pipeline uses on frames
 
 
 def lightcone_null_pair(dim=4):
@@ -29,6 +30,40 @@ def lightcone_null_pair(dim=4):
     return sp, e0, e1
 
 
+def lorentz_null_line(dim=4):
+    """diag(-1, 1, ..., 1) and a dot-unit null vector of it."""
+    eps = np.diag(ScalarProduct.lorentz(dim).gram).copy()
+    e0 = np.zeros(dim)
+    e0[:2] = np.sqrt(0.5)
+    return eps, e0
+
+
+def image(vals):
+    """Spanning set (columns) of all values of a sampled bilinear form."""
+    return vals.reshape(-1, vals.shape[-1]).T
+
+
+def pairing_rows(vals, eps, sub):
+    """Rows X -> <beta(X, Y), xi> over all Y and all xi in span(sub)."""
+    return np.einsum("lrm,m,mt->rtl", vals, eps, sub).reshape(-1, vals.shape[0])
+
+
+def contains(basis, v, tol=DEFAULT_TOL):
+    residual = np.linalg.norm(v - basis @ (basis.T @ v))
+    return residual <= tol * max(1.0, float(np.linalg.norm(v)))
+
+
+def gram(basis, eps):
+    return basis.T @ (basis * eps[:, None])
+
+
+def intersection(bu, bv, floor, tol=DEFAULT_TOL):
+    """span(bu) ^ span(bv) as the kernel of the stacked dot-annihilators."""
+    ann_u = kernel(orthonormal_columns(bu, tol, floor).T, tol, floor)
+    ann_v = kernel(orthonormal_columns(bv, tol, floor).T, tol, floor)
+    return kernel(np.vstack([ann_u.T, ann_v.T]), tol, floor)
+
+
 def test_lightcone_gram_conventions():
     sp, e0, e1 = lightcone_null_pair(5)
     assert sp.inner(e0, e0) == 0
@@ -38,116 +73,126 @@ def test_lightcone_gram_conventions():
 
 
 def test_span_of_zero_form_is_zero_subspace():
-    target = ScalarProduct.euclidean(3)
-    beta = BilinearSample(target, np.zeros((2, 2, 3)), symmetric=True)
-    assert span_of_image(beta).rank == 0
+    span = image(np.zeros((2, 2, 3)))
+    for floor in FLOORS:
+        assert orthonormal_columns(span, DEFAULT_TOL, floor).shape[1] == 0
+        assert rank(span, DEFAULT_TOL, floor) == 0
 
 
 def test_span_of_rank_one_form():
-    target = ScalarProduct.euclidean(4)
     w = np.array([1.0, 2.0, 0.0, -1.0])
     vals = np.zeros((3, 3, 4))
     for i in range(3):
         vals[i, i] = w
-    sub = span_of_image(BilinearSample(target, vals, symmetric=True))
-    assert sub.rank == 1
-    assert sub.contains(w)
+    for floor in FLOORS:
+        sub = orthonormal_columns(image(vals), DEFAULT_TOL, floor)
+        assert sub.shape[1] == 1
+        assert contains(sub, w)
+        assert rank(image(vals), DEFAULT_TOL, floor) == 1
 
 
 def test_span_rank_matches_rational_oracle_on_random_integer_forms():
-    target = ScalarProduct.euclidean(5)
+    stack = []
     for _ in range(20):
         r = int(RNG.integers(1, 4))
         left = RNG.integers(-3, 4, size=(3 * 3, r))
         right = RNG.integers(-3, 4, size=(r, 5))
         vals = (left @ right).reshape(3, 3, 5).astype(float)
-        sub = span_of_image(BilinearSample(target, vals))
-        assert sub.rank == rational_rank(vals.reshape(-1, 5))
+        expected = rational_rank(vals.reshape(-1, 5))
+        for floor in FLOORS:
+            assert orthonormal_columns(image(vals), DEFAULT_TOL, floor).shape[1] == expected
+            assert rank(image(vals), DEFAULT_TOL, floor) == expected
+        stack.append((image(vals), expected))
+    # the stacked form decides every matrix as the single one does
+    ranks = rank(np.stack([m for m, _ in stack]), DEFAULT_TOL, 1.0)
+    assert ranks.tolist() == [e for _, e in stack]
 
 
 def test_nullity_of_zero_form_is_everything():
-    target = ScalarProduct.euclidean(3)
-    beta = BilinearSample(target, np.zeros((4, 2, 3)))
-    t_sub = Subspace.full(target)
-    assert nullity_space(beta, t_sub).rank == 4
+    eps = np.ones(3)
+    rows = pairing_rows(np.zeros((4, 2, 3)), eps, np.eye(3))
+    for floor in FLOORS:
+        assert kernel(rows, DEFAULT_TOL, floor).shape[1] == 4
 
 
 def test_nullity_with_zero_constraint_space_is_everything():
-    target = ScalarProduct.euclidean(3)
+    eps = np.ones(3)
     vals = RNG.normal(size=(4, 2, 3))
-    assert nullity_space(BilinearSample(target, vals), Subspace.zero(target)).rank == 4
+    rows = pairing_rows(vals, eps, np.zeros((3, 0)))
+    for floor in FLOORS:
+        assert kernel(rows, DEFAULT_TOL, floor).shape[1] == 4
+
+
+# Gram matrices of dot-orthonormal bases under a unit metric have scale one,
+# so radicals are decided at floor 1.0, as the pipeline does: relative to its
+# own size, a Gram entry of roundoff would count as a direction.
 
 
 def test_radical_riemannian_is_zero():
-    amb = ScalarProduct.euclidean(4)
-    sub = Subspace.from_spanning(amb, RNG.normal(size=(4, 2)))
-    assert radical(sub).rank == 0
+    basis = orthonormal_columns(RNG.normal(size=(4, 2)))
+    assert radical(basis, np.ones(4), DEFAULT_TOL, 1.0).shape[1] == 0
 
 
 def test_radical_null_line_is_itself():
-    sp, e0, _ = lightcone_null_pair(4)
-    sub = Subspace.from_spanning(sp, e0[:, None])
-    rad = radical(sub)
-    assert rad.rank == 1
-    assert rad.contains(e0)
+    eps, e0 = lorentz_null_line(4)
+    rad = radical(orthonormal_columns(e0[:, None]), eps, DEFAULT_TOL, 1.0)
+    assert rad.shape[1] == 1
+    assert contains(rad, e0)
 
 
 def test_radical_mixed_null_plus_spacelike():
-    sp, e0, _ = lightcone_null_pair(4)
+    eps, e0 = lorentz_null_line(4)
     u = np.zeros(4)
-    u[2] = 1.0  # unit spacelike, orthogonal to the null pair
-    sub = Subspace.from_spanning(sp, np.stack([e0, u], axis=1))
-    rad = radical(sub)
-    assert rad.rank == 1
-    assert rad.contains(e0)
-    assert not rad.contains(u)
+    u[2] = 1.0  # unit spacelike, orthogonal to the null line
+    rad = radical(orthonormal_columns(np.stack([e0, u], axis=1)), eps, DEFAULT_TOL, 1.0)
+    assert rad.shape[1] == 1
+    assert contains(rad, e0)
+    assert not contains(rad, u)
 
 
 def test_projection_fixes_members_and_kills_orthogonals():
-    amb = ScalarProduct.euclidean(5)
+    eps = np.ones(5)
     basis = RNG.normal(size=(5, 2))
-    sub = Subspace.from_spanning(amb, basis)
+    sub = orthonormal_columns(basis)
     v = basis @ RNG.normal(size=2)
-    assert np.allclose(orthogonal_projection(sub, v), v)
+    assert np.allclose(project(sub, eps, v), v)
     w = RNG.normal(size=5)
-    w_perp = w - orthogonal_projection(sub, w)
-    assert np.allclose(orthogonal_projection(sub, w_perp), 0.0)
+    w_perp = w - project(sub, eps, w)
+    assert np.allclose(project(sub, eps, w_perp), 0.0)
 
 
 def test_projection_onto_timelike_line_in_lorentz_plane():
     u = np.array([2.0, 1.0])  # <u,u> = -4+1 = -3, timelike
-    sub = Subspace.from_spanning(LORENTZ2, u[:, None])
+    sub = orthonormal_columns(u[:, None])
     v = RNG.normal(size=2)
-    pv = orthogonal_projection(sub, v)
+    pv = project(sub, np.diag(LORENTZ2.gram), v)
     assert abs(LORENTZ2.inner(v - pv, u)) < 1e-12
 
 
 def test_projection_rejects_degenerate_target():
-    sp, e0, _ = lightcone_null_pair(4)
-    sub = Subspace.from_spanning(sp, e0[:, None])
+    eps, _ = lorentz_null_line(4)
+    null = np.array([[1.0], [1.0], [0.0], [0.0]])  # integer entries: its Gram is exactly 0
     with pytest.raises(DegenerateSubspace):
-        orthogonal_projection(sub, np.ones(4))
+        project(null, eps, np.ones(4))
 
 
 def test_intersect_self_and_complementary():
-    amb = ScalarProduct.euclidean(4)
-    u = Subspace.from_spanning(amb, RNG.normal(size=(4, 2)))
-    assert intersect(u, u).rank == 2
-    a = Subspace.from_spanning(amb, np.eye(4)[:, :2])
-    b = Subspace.from_spanning(amb, np.eye(4)[:, 2:])
-    assert intersect(a, b).rank == 0
+    u = RNG.normal(size=(4, 2))
+    a, b = np.eye(4)[:, :2], np.eye(4)[:, 2:]
+    for floor in FLOORS:
+        assert intersection(u, u, floor).shape[1] == 2
+        assert intersection(a, b, floor).shape[1] == 0
 
 
 def test_intersect_planted_two_dimensional():
-    amb = ScalarProduct.euclidean(6)
     common = RNG.integers(-3, 4, size=(6, 2)).astype(float)
     extra_u = RNG.integers(-3, 4, size=(6, 1)).astype(float)
     extra_v = RNG.integers(-3, 4, size=(6, 1)).astype(float)
     bu = np.hstack([common, extra_u])
     bv = np.hstack([common, extra_v])
-    u = Subspace.from_spanning(amb, bu)
-    v = Subspace.from_spanning(amb, bv)
-    assert intersect(u, v).rank == rational_intersection_dim(bu, bv)
+    expected = rational_intersection_dim(bu, bv)
+    for floor in FLOORS:
+        assert intersection(bu, bv, floor).shape[1] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +200,7 @@ def test_intersect_planted_two_dimensional():
 def test_signature_matches_rational_oracle(dim, index, data):
     idx = min(index, dim)
     sig = tuple([-1] * idx + [1] * (dim - idx))
-    amb = ScalarProduct.from_pattern(sig)
+    eps = np.asarray(sig, dtype=float)
     k = data.draw(st.integers(1, dim))
     entries = data.draw(
         st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=dim, max_size=dim)
@@ -163,39 +208,49 @@ def test_signature_matches_rational_oracle(dim, index, data):
     basis = np.array(entries, dtype=float)
     if rational_rank(basis.T) != k:
         return  # only compare on full-rank spans
-    sub = Subspace.from_spanning(amb, basis)
     gram_exact = basis.T @ np.diag(sig) @ basis
-    assert sub.signature() == rational_signature(gram_exact.astype(int))
+    assert signature(gram(orthonormal_columns(basis), eps)) == rational_signature(
+        gram_exact.astype(int)
+    )
+
+
+def test_signature_of_totally_null_plane():
+    # the Gram matrix of the orthonormalized plane holds roundoff of 3e-16;
+    # judged relative to its own size it reads as two positive directions
+    eps = np.array([-1.0, -1.0, 1.0, 1.0])
+    basis = np.array([[1, 0], [0, 1], [1, 0], [0, 1]], dtype=float)
+    gram_exact = basis.T @ np.diag(eps) @ basis
+    assert rational_signature(gram_exact.astype(int)) == (0, 0, 2)
+    assert signature(gram(orthonormal_columns(basis), eps)) == (0, 0, 2)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_signature_invariant_under_basis_remix(data):
-    amb = ScalarProduct.from_pattern((-1, -1, 1, 1, 1))
+    eps = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
     entries = data.draw(
         st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=5, max_size=5)
     )
-    basis = np.array(entries, dtype=float)
-    sub = Subspace.from_spanning(amb, basis)
-    if sub.rank != 3:
+    sub = orthonormal_columns(np.array(entries, dtype=float))
+    if sub.shape[1] != 3:
         return
     mix = RNG.normal(size=(3, 3)) + 3 * np.eye(3)
-    remixed = Subspace.from_spanning(amb, sub.basis @ mix)
-    assert remixed.signature() == sub.signature()
+    remixed = orthonormal_columns(sub @ mix)
+    assert signature(gram(remixed, eps)) == signature(gram(sub, eps))
 
 
 def test_projection_idempotent_and_self_adjoint():
     amb = ScalarProduct.from_pattern((-1, 1, 1, 1))
+    eps = np.diag(amb.gram)
     for _ in range(10):
-        basis = RNG.normal(size=(4, 2))
-        sub = Subspace.from_spanning(amb, basis)
-        if not sub.is_nondegenerate():
+        sub = orthonormal_columns(RNG.normal(size=(4, 2)))
+        if signature(gram(sub, eps))[2] != 0:
             continue
         v, w = RNG.normal(size=4), RNG.normal(size=4)
-        pv = orthogonal_projection(sub, v)
-        assert np.allclose(orthogonal_projection(sub, pv), pv, atol=1e-10)
+        pv = project(sub, eps, v)
+        assert np.allclose(project(sub, eps, pv), pv, atol=1e-10)
         lhs = amb.inner(pv, w)
-        rhs = amb.inner(v, orthogonal_projection(sub, w))
+        rhs = amb.inner(v, project(sub, eps, w))
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -213,9 +268,9 @@ def test_cylinder_sff_nullity_is_ruling_directions():
 
     fund = fundamental_data(ImmersionJet.from_function(cyl, grid, ScalarProduct.euclidean(4)))
     q = grid.center_index()
-    target = ScalarProduct.euclidean(1)
-    beta = BilinearSample(target, fund.alpha[q], symmetric=True)
-    null = nullity_space(beta, Subspace.full(target))
-    assert null.rank == 2
-    # the curled direction is not in the nullity
-    assert not null.contains(np.array([1.0, 0.0, 0.0]))
+    rows = pairing_rows(fund.alpha[q], np.ones(1), np.eye(1))
+    for floor in FLOORS:
+        null = kernel(rows, DEFAULT_TOL, floor)
+        assert null.shape[1] == 2
+        # the curled direction is not in the nullity
+        assert not contains(null, np.array([1.0, 0.0, 0.0]))

@@ -1,0 +1,58 @@
+"""No dead public code: every public top-level function and class of each
+confpair module is referenced somewhere outside its own body."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "confpair"
+
+
+def _references(tree: ast.AST):
+    """(name, line) for every Name, Attribute and import alias in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unreferenced_public_names(package: Path, tests: Path) -> list[str]:
+    files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)
+            used = any(
+                name == node.name and (other != path or line not in own)
+                for other, found in refs.items()
+                for name, line in found
+            )
+            if not used:
+                dead.append(f"{path.stem}.{node.name}")
+    return dead
+
+
+def test_every_public_function_and_class_is_referenced():
+    assert unreferenced_public_names(PACKAGE, ROOT / "tests") == []
+
+
+def test_dead_function_is_flagged(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "a.py").write_text(
+        '__all__ = ["used", "dead"]\n\n\n'
+        "def used():\n    return 1\n\n\n"
+        "def dead(k):\n    return dead(k - 1) if k else 0\n\n\n"
+        "class _Private:\n    pass\n"
+    )
+    (tests / "test_a.py").write_text("from a import used\n")
+    assert unreferenced_public_names(package, tests) == ["a.dead"]
