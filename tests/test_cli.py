@@ -161,3 +161,9 @@ def test_grid_cap_enforced():
             "grid": {"shape": [101, 101], "spacing": [0.01, 0.01], "origin": [0, 0]},
         })
     assert "desk-scale" in str(err.value)
+
+
+def test_flat_pair_checks_are_json_booleans(gallery_reports):
+    report = json.loads(gallery_reports["flat-pair"]["blob"])
+    assert report["checks"]
+    assert all(check["passed"] is True for check in report["checks"])
