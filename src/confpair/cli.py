@@ -250,6 +250,20 @@ def _pair_checks(regions_rep: list[dict], doc: dict) -> list[dict]:
     return checks
 
 
+def _nullity_points(spec, grid: ChartGrid) -> list[int]:
+    """Flat point indices from "center", "all" or a list of indices."""
+    if spec == "center":
+        return [grid.center_index()]
+    if spec == "all":
+        return list(range(grid.npoints))
+    if (isinstance(spec, list) and spec
+            and all(isinstance(q, int) and not isinstance(q, bool) for q in spec)
+            and all(0 <= q < grid.npoints for q in spec)):
+        return spec
+    raise ManifestError("nullity.points", f'expected "center", "all" or a nonempty list '
+                        f"of flat indices in [0, {grid.npoints}), got {spec!r}")
+
+
 def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     imap, jet = _jet_from_spec(_require(doc, "immersion", dict, "manifest"), grid, "immersion")
@@ -338,9 +352,7 @@ def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
     if "nullity" in doc:
         opts = doc["nullity"]
         svals = [int(s) for s in opts.get("s_values", [1])]
-        points = None if opts.get("points", "center") == "all" else None
-        if opts.get("points", "center") == "center":
-            points = [grid.center_index()]
+        points = _nullity_points(opts.get("points", "center"), grid)
         table = {}
         for s in svals:
             reports = conformal_s_nullity(fund, s, points=points, seed=cfg.seed)

@@ -163,6 +163,29 @@ def test_grid_cap_enforced():
     assert "desk-scale" in str(err.value)
 
 
+def _cylinder_nullity_at(points):
+    doc = json.loads(json.dumps(MANIFESTS["cylinder-nullity"]))
+    doc["nullity"]["points"] = points
+    return doc
+
+
+def test_nullity_points_select_flat_indices(tmp_path):
+    report, code = run_manifest(_cylinder_nullity_at([0]))
+    assert code == 0
+    assert [idx for idx, _ in report["results"]["nullity"]["1"]["per_point"]] == [0]
+    report, _ = run_manifest(_cylinder_nullity_at([0, 5]))
+    assert [idx for idx, _ in report["results"]["nullity"]["1"]["per_point"]] == [0, 5]
+
+    manifest = tmp_path / "m.json"
+    out = tmp_path / "rep.json"
+    for bad in ([125], [-1], [], "everywhere", [0.5], [True]):
+        manifest.write_text(json.dumps(_cylinder_nullity_at(bad)))
+        assert main(["analyze", str(manifest), "--output", str(out)]) == 1
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_cylinder_nullity_at([125]))
+    assert err.value.path == "nullity.points"
+
+
 def test_flat_pair_checks_are_json_booleans(gallery_reports):
     report = json.loads(gallery_reports["flat-pair"]["blob"])
     assert report["checks"]
