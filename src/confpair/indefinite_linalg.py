@@ -50,7 +50,7 @@ def _count(s: np.ndarray, tol: float, floor: float):
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=int)
     thr = tol * np.maximum(s[..., :1], floor)
-    return np.sum(s > thr, axis=-1)
+    return (s > thr).sum(axis=-1)
 
 
 def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
