@@ -96,11 +96,11 @@ def complement(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float)
     return orthonormal_columns(within @ kernel(rows, tol, 1.0), tol)
 
 
-def radical(basis: np.ndarray, eps: np.ndarray, tol: float, floor: float) -> np.ndarray:
+def radical(basis: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
     """span(basis) intersected with its diag(eps)-orthogonal: the kernel of
-    its Gram matrix, decided at `floor`."""
+    its Gram matrix."""
     gram = basis.T @ (basis * eps[:, None])
-    return orthonormal_columns(basis @ kernel(gram, tol, floor), tol)
+    return orthonormal_columns(basis @ kernel(gram, tol, 1.0), tol)
 
 
 def signature(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
@@ -124,17 +124,17 @@ def gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
 
 
-def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
     """diag(eps)-orthogonal projection of `vectors` (columns) onto span(basis).
 
-    Raises DegenerateSubspace when the Gram matrix of the basis is singular.
+    Raises DegenerateSubspace when span(basis) has a radical by `signature`.
     """
     weighted = basis * eps[:, None]
-    try:
-        coeffs = np.linalg.solve(basis.T @ weighted, weighted.T @ vectors)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateSubspace("projection target has a singular Gram matrix") from exc
-    return basis @ coeffs
+    gram = basis.T @ weighted
+    null = signature(gram, tol)[2]
+    if null:
+        raise DegenerateSubspace(f"projection target has a radical of dimension {null}")
+    return basis @ np.linalg.solve(gram, weighted.T @ vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
     if joint.right.jet.ambient.pseudo_pair:
         pos_right = joint.right.normal_coordinates(joint.right.jet.values)
     for q in range(p):
-        omega = radical(orthonormal_columns(asum[q].T, tol, scale), eps, tol, 1.0)
+        omega = radical(orthonormal_columns(asum[q].T, tol, scale), eps, tol)
         omega_rank[q] = omega.shape[1]
         if omega.shape[1]:
             # kernel of the left projection: radical vectors with zero left part
@@ -302,7 +302,7 @@ def _construct_region(
     store: dict[int, dict] = {}
     for q in pts:
         span_plain = orthonormal_columns(asum[q].T, tol, a_scale)
-        rad = radical(span_plain, eps_joint, tol, 1.0)
+        rad = radical(span_plain, eps_joint, tol)
         span_l = orthonormal_columns(alpha_l[q].reshape(-1, kl).T, tol, a_scale)
         span_r = orthonormal_columns(alpha_r[q].reshape(-1, kr).T, tol, a_scale)
         if degenerate:
@@ -395,8 +395,8 @@ def _construct_region(
     if r_shared:
         for q in pts:
             # solve-based projections (frames are orthonormal only in the dot product)
-            proj_l = project(shared_l[q], eps_l, alpha_l[q].reshape(-1, kl).T)  # (kl, n*n)
-            proj_r = project(shared_r[q], eps_r, alpha_r[q].reshape(-1, kr).T)
+            proj_l = project(shared_l[q], eps_l, alpha_l[q].reshape(-1, kl).T, tol)  # (kl, n*n)
+            proj_r = project(shared_r[q], eps_r, alpha_r[q].reshape(-1, kr).T, tol)
             residuals["shared_sff_match"] = max(
                 residuals["shared_sff_match"],
                 float(np.max(np.abs(proj_r - ident[q] @ proj_l))),
@@ -530,7 +530,7 @@ def _construct_region(
                 blocks.append(out_l)
                 blocks.append(out_r)
             rows = np.vstack(blocks) if blocks else np.zeros((0, n_s0))
-            coeffs = kernel(rows / a_scale, fd_tol, 1.0)
+            coeffs = kernel(rows, fd_tol, a_scale)
             basis = orthonormal_columns(s0_frames[q] @ coeffs, tol)
             ell_pt[q] = basis.shape[1]
             transfer_raw[q, :, : basis.shape[1]] = basis
@@ -557,7 +557,7 @@ def _construct_region(
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, lperp).reshape(-1, n),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, lperp_hat).reshape(-1, n),
         ])
-        ker = kernel(rows / a_scale, fd_tol, 1.0)
+        ker = kernel(rows, fd_tol, a_scale)
         d_pt[q] = ker.shape[1]
         rul_store[int(q)] = ker
     ranks["rulings"] = d_pt
@@ -583,7 +583,7 @@ def _construct_region(
             np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, sperp).reshape(-1, n),
             np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, sperp_hat).reshape(-1, n),
         ])
-        ker = kernel(rows / a_scale, fd_tol, 1.0)
+        ker = kernel(rows, fd_tol, a_scale)
         gap_theta = max(gap_theta, gap(ker, theta[q]))
     residuals["theta_identity_gap"] = gap_theta
 
@@ -718,7 +718,7 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
                 gamma_ranks.add(0)
                 continue
             vals = np.einsum("au,abt->ubt", state.theta[q], fl.alpha[q]).reshape(-1, len(eps_l))
-            proj = project(s1, eps_l, vals.T)  # the values projected onto the mismatched part
+            proj = project(s1, eps_l, vals.T, cfg.rank_tol)  # the values projected onto the mismatched part
             gamma_ranks.add(rank(proj, cfg.rank_tol, 1.0))
         claims["mismatched_spanned_by_nullity_form"] = {
             "ranks": sorted(gamma_ranks),

@@ -124,18 +124,18 @@ def test_nullity_with_zero_constraint_space_is_everything():
 
 
 # Gram matrices of dot-orthonormal bases under a unit metric have scale one,
-# so radicals are decided at floor 1.0, as the pipeline does: relative to its
-# own size, a Gram entry of roundoff would count as a direction.
+# so `radical` decides at floor 1.0: relative to its own size, a Gram entry
+# of roundoff would count as a direction.
 
 
 def test_radical_riemannian_is_zero():
     basis = orthonormal_columns(RNG.normal(size=(4, 2)))
-    assert radical(basis, np.ones(4), DEFAULT_TOL, 1.0).shape[1] == 0
+    assert radical(basis, np.ones(4), DEFAULT_TOL).shape[1] == 0
 
 
 def test_radical_null_line_is_itself():
     eps, e0 = lorentz_null_line(4)
-    rad = radical(orthonormal_columns(e0[:, None]), eps, DEFAULT_TOL, 1.0)
+    rad = radical(orthonormal_columns(e0[:, None]), eps, DEFAULT_TOL)
     assert rad.shape[1] == 1
     assert contains(rad, e0)
 
@@ -144,7 +144,7 @@ def test_radical_mixed_null_plus_spacelike():
     eps, e0 = lorentz_null_line(4)
     u = np.zeros(4)
     u[2] = 1.0  # unit spacelike, orthogonal to the null line
-    rad = radical(orthonormal_columns(np.stack([e0, u], axis=1)), eps, DEFAULT_TOL, 1.0)
+    rad = radical(orthonormal_columns(np.stack([e0, u], axis=1)), eps, DEFAULT_TOL)
     assert rad.shape[1] == 1
     assert contains(rad, e0)
     assert not contains(rad, u)
@@ -155,25 +155,24 @@ def test_projection_fixes_members_and_kills_orthogonals():
     basis = RNG.normal(size=(5, 2))
     sub = orthonormal_columns(basis)
     v = basis @ RNG.normal(size=2)
-    assert np.allclose(project(sub, eps, v), v)
+    assert np.allclose(project(sub, eps, v, DEFAULT_TOL), v)
     w = RNG.normal(size=5)
-    w_perp = w - project(sub, eps, w)
-    assert np.allclose(project(sub, eps, w_perp), 0.0)
+    w_perp = w - project(sub, eps, w, DEFAULT_TOL)
+    assert np.allclose(project(sub, eps, w_perp, DEFAULT_TOL), 0.0)
 
 
 def test_projection_onto_timelike_line_in_lorentz_plane():
     u = np.array([2.0, 1.0])  # <u,u> = -4+1 = -3, timelike
     sub = orthonormal_columns(u[:, None])
     v = RNG.normal(size=2)
-    pv = project(sub, np.diag(LORENTZ2.gram), v)
+    pv = project(sub, np.diag(LORENTZ2.gram), v, DEFAULT_TOL)
     assert abs(LORENTZ2.inner(v - pv, u)) < 1e-12
 
 
 def test_projection_rejects_degenerate_target():
-    eps, _ = lorentz_null_line(4)
-    null = np.array([[1.0], [1.0], [0.0], [0.0]])  # integer entries: its Gram is exactly 0
+    eps, e0 = lorentz_null_line(4)  # the Gram matrix of e0 is roundoff, not exactly 0
     with pytest.raises(DegenerateSubspace):
-        project(null, eps, np.ones(4))
+        project(e0[:, None], eps, np.ones(4), DEFAULT_TOL)
 
 
 def test_intersect_self_and_complementary():
@@ -247,10 +246,10 @@ def test_projection_idempotent_and_self_adjoint():
         if signature(gram(sub, eps))[2] != 0:
             continue
         v, w = RNG.normal(size=4), RNG.normal(size=4)
-        pv = project(sub, eps, v)
-        assert np.allclose(project(sub, eps, pv), pv, atol=1e-10)
+        pv = project(sub, eps, v, DEFAULT_TOL)
+        assert np.allclose(project(sub, eps, pv, DEFAULT_TOL), pv, atol=1e-10)
         lhs = amb.inner(pv, w)
-        rhs = amb.inner(v, project(sub, eps, w))
+        rhs = amb.inner(v, project(sub, eps, w, DEFAULT_TOL))
         assert abs(lhs - rhs) < 1e-10
 
 
