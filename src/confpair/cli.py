@@ -250,12 +250,13 @@ def _pair_checks(regions_rep: list[dict], doc: dict) -> list[dict]:
     return checks
 
 
-def _nullity_points(spec, grid: ChartGrid) -> list[int]:
-    """Flat point indices from "center", "all" or a list of indices."""
+def _nullity_points(spec, grid: ChartGrid) -> list[int] | None:
+    """Flat point indices from "center" or a list of indices; None for "all",
+    which leaves the choice to `conformal_s_nullity`."""
     if spec == "center":
         return [grid.center_index()]
     if spec == "all":
-        return list(range(grid.npoints))
+        return None
     if (isinstance(spec, list) and spec
             and all(isinstance(q, int) and not isinstance(q, bool) for q in spec)
             and all(0 <= q < grid.npoints for q in spec)):

@@ -175,6 +175,9 @@ def test_nullity_points_select_flat_indices(tmp_path):
     assert [idx for idx, _ in report["results"]["nullity"]["1"]["per_point"]] == [0]
     report, _ = run_manifest(_cylinder_nullity_at([0, 5]))
     assert [idx for idx, _ in report["results"]["nullity"]["1"]["per_point"]] == [0, 5]
+    report, _ = run_manifest(_cylinder_nullity_at("all"))  # s = 1: every grid point
+    npoints = report["results"]["chart_points"]
+    assert [idx for idx, _ in report["results"]["nullity"]["1"]["per_point"]] == list(range(npoints))
 
     manifest = tmp_path / "m.json"
     out = tmp_path / "rep.json"
