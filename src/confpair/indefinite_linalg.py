@@ -82,8 +82,19 @@ def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: fl
     m = vectors.shape[0]
     if m == 0 or vectors.shape[1] == 0:
         return np.zeros((m, 0))
-    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
-    return u[:, : int(_count(s, tol, floor))]
+    count, u = span_stack(vectors, tol, floor)
+    return u[:, : int(count)]
+
+
+def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
+    """Ranks and orthonormal bases of the column spans of a (..., m, s) stack.
+
+    One SVD call for the whole stack.  Returns (ranks (...), bases
+    (..., m, min(m, s))): the first ``ranks[i]`` columns of ``bases[i]`` are
+    an orthonormal basis of the span of ``vectors[i]``.
+    """
+    u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float), full_matrices=False)
+    return _count(s, tol, floor), u
 
 
 def complement(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns
-from .regions import bfs_order
+from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns, span_stack
+from .regions import bfs_levels
 
 __all__ = [
     "ChartGrid",
@@ -324,13 +324,6 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _inv_sqrt_spd(h: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h)
-    if np.any(vals <= 0):
-        raise FrameAlignmentFailure("polar fit lost rank")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     """Pseudo-orthonormal basis of the span, negative-norm vectors first."""
     b = orthonormal_columns(span, tol)
@@ -347,34 +340,64 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     return frame, pattern
 
 
-def _fit_frame(candidate: np.ndarray, fiber: np.ndarray, gram: np.ndarray,
-               pattern: tuple[int, ...], tol: float) -> np.ndarray:
-    """Fit a pseudo-orthonormal frame of `fiber` close to `candidate`."""
-    gf = fiber.T @ gram @ fiber
-    rhs = fiber.T @ gram @ candidate
+def _fit_level(spans: np.ndarray, parent: np.ndarray, gram: np.ndarray,
+               pattern: tuple[int, ...], tol: float, threshold: float):
+    """Fit the pseudo-orthonormal frames of one BFS level, all points at once.
+
+    spans (L, m, s), parent frames (L, m, k), gram (m, m) or (L, m, m).  Each
+    frame spans its fiber and is fitted to its parent's frame: an orthogonal
+    polar fit in the definite case, a pattern-ordered Gram-Schmidt in the
+    indefinite one.  Every point is checked in the order fiber rank, solve,
+    polar fit or sign pattern, jump; the first failing point of the level
+    raises.  Returns (frames (L, m, k), steps (L,)).
+    """
+    k = parent.shape[2]
+    ranks, bases = span_stack(spans, tol)
+    fiber = bases[:, :, :k]
+    fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
+    gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ parent
+    singular = np.zeros(len(spans), dtype=bool)
     try:
         coeff = np.linalg.solve(gf, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise FrameAlignmentFailure("degenerate fiber during sweep") from exc
+    except np.linalg.LinAlgError:  # find the singular fibers one by one
+        coeff = np.full_like(rhs, np.nan)
+        for i in range(len(gf)):
+            try:
+                coeff[i] = np.linalg.solve(gf[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
     y = fiber @ coeff
     if all(s == 1 for s in pattern):
-        h = y.T @ gram @ y
-        return y @ _inv_sqrt_spd(0.5 * (h + h.T))
-    # mixed signature: ordered Gram-Schmidt keeping the sign pattern
-    k = y.shape[1]
-    out = np.zeros_like(y)
-    for t in range(k):
-        v = y[:, t].copy()
-        for s in range(t):
-            v -= pattern[s] * float(out[:, s] @ gram @ v) * out[:, s]
-        c = float(v @ gram @ v)
-        if pattern[t] * c <= tol:
-            raise FrameAlignmentFailure("sign pattern lost during sweep")
-        v = v / np.sqrt(abs(c))
-        if float(v @ y[:, t]) < 0:
-            v = -v
-        out[:, t] = v
-    return out
+        h = y.transpose(0, 2, 1) @ gram @ y
+        vals, vecs = np.linalg.eigh(0.5 * (h + h.transpose(0, 2, 1)))
+        lost = np.any(vals <= 0, axis=1)
+        lost_msg = "polar fit lost rank"
+        frames = y @ ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1))
+    else:
+        lost = np.zeros(len(spans), dtype=bool)
+        lost_msg = "sign pattern lost during sweep"
+        frames = np.zeros_like(y)
+        for t in range(k):
+            v = y[:, :, t].copy()
+            for s in range(t):
+                pair = (frames[:, None, :, s] @ gram @ v[:, :, None])[:, 0, 0]
+                v -= pattern[s] * pair[:, None] * frames[:, :, s]
+            c = (v[:, None, :] @ gram @ v[:, :, None])[:, 0, 0]
+            lost |= pattern[t] * c <= tol
+            v = v / np.sqrt(np.abs(c))[:, None]
+            frames[:, :, t] = np.where((v * y[:, :, t]).sum(axis=1)[:, None] < 0, -v, v)
+    steps = np.max(np.abs(frames - parent), axis=(1, 2))
+    checks = [
+        (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
+        (singular, lambda i: "degenerate fiber during sweep"),
+        (lost, lambda i: lost_msg),
+        (steps > threshold, lambda i: f"frame jump {steps[i]:.3f} exceeds threshold {threshold}"),
+    ]
+    failed = np.any([bad for bad, _ in checks], axis=0)
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise FrameAlignmentFailure(next(msg(i) for bad, msg in checks if bad[i]))
+    return frames, steps
 
 
 def align_frames(
@@ -390,36 +413,31 @@ def align_frames(
 
     spans: (P, m, s) spanning vectors per point (columns; s >= rank).
     gram: (m, m) or (P, m, m) ambient Gram.
+    The sweep runs one BFS level at a time; each point is fitted to its BFS
+    parent in the level above, so the frames are those of a point-by-point
+    sweep in BFS order.
     Returns (frames (P, m, k), pattern, max_step) with frames zero off-mask.
     """
     npts = spans.shape[0]
     if mask is None:
         mask = np.ones(npts, dtype=bool)
-    order = bfs_order(shape, mask, seed)
-    if not order:
+    levels = bfs_levels(shape, mask, seed)
+    if not levels:
         raise ValueError("empty mask")
-    per_point_gram = np.asarray(gram).ndim == 3
-
-    def gram_at(p):
-        return gram[p] if per_point_gram else gram
-
-    seed_pt = order[0][0]
-    frame0, pattern = _seed_frame(spans[seed_pt], gram_at(seed_pt), tol)
-    k = frame0.shape[1]
-    frames = np.zeros((npts, spans.shape[1], k))
+    gram = np.asarray(gram)
+    per_point_gram = gram.ndim == 3
+    seed_pt = int(levels[0][0][0])
+    frame0, pattern = _seed_frame(spans[seed_pt], gram[seed_pt] if per_point_gram else gram, tol)
+    frames = np.zeros((npts, spans.shape[1], frame0.shape[1]))
     frames[seed_pt] = frame0
     max_step = 0.0
-    for point, parent in order[1:]:
-        fiber = orthonormal_columns(spans[point], tol)
-        if fiber.shape[1] != k:
-            raise FrameAlignmentFailure(
-                f"fiber rank {fiber.shape[1]} != {k} inside a constant-rank region"
+    with np.errstate(all="ignore"):  # a failing point is reported, not warned about
+        for points, parents in levels[1:]:
+            frames[points], steps = _fit_level(
+                spans[points], frames[parents], gram[points] if per_point_gram else gram,
+                pattern, tol, threshold,
             )
-        frames[point] = _fit_frame(frames[parent], fiber, gram_at(point), pattern, tol)
-        step = float(np.max(np.abs(frames[point] - frames[parent])))
-        max_step = max(max_step, step)
-        if step > threshold:
-            raise FrameAlignmentFailure(f"frame jump {step:.3f} exceeds threshold {threshold}")
+            max_step = max(max_step, float(np.fmax.reduce(steps)))  # NaN steps never count
     return frames, pattern, max_step
 
 
@@ -517,10 +535,7 @@ def fundamental_data(
         normal_pattern = ()
         max_step = 0.0
     else:
-        spans = np.zeros((p, m, k))
-        for q in range(p):
-            _, _, vt = np.linalg.svd(rows[q], full_matrices=True)
-            spans[q] = vt[n:].T
+        spans = np.linalg.svd(rows, full_matrices=True)[2][:, n:].transpose(0, 2, 1)
         normal_frame, normal_pattern, max_step = align_frames(
             spans, g_amb, jet.chart.shape, tol=tol, threshold=align_threshold
         )

@@ -307,11 +307,7 @@ class SffTransferData:
 
 def _distribution_for(fund: FundamentalData, coord_spans: np.ndarray) -> DistributionFrame:
     basis = fund.coords_to_frame(coord_spans.transpose(0, 2, 1)).transpose(0, 2, 1)
-    out = np.zeros_like(basis)
-    for q in range(basis.shape[0]):
-        qmat, _ = np.linalg.qr(basis[q])
-        out[q] = qmat
-    return DistributionFrame(out)
+    return DistributionFrame(np.linalg.qr(basis)[0])
 
 
 def sff_transfer_check(

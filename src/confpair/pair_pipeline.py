@@ -649,12 +649,8 @@ def _refine(joint, mask, branch, witness, cfg, columns, depth):
         raise SplitFailure("rank maps keep jumping after maximal refinement")
     chart = joint.left.jet.chart
     pts = np.flatnonzero(mask)
-    profile = np.empty(chart.npoints, dtype=object)
-    sentinel = (-1,)
-    for q in range(chart.npoints):
-        profile[q] = sentinel
-    for q in pts:
-        profile[q] = tuple(int(c[q]) for c in columns)
+    # all points off the mask share one profile, unequal to any on it
+    profile = pack_profile([mask.astype(int)] + [np.where(mask, c, 0) for c in columns])
     labels = label_regions(chart.shape, profile)
     out = []
     for lab in np.unique(labels[pts]):

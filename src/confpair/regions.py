@@ -2,68 +2,51 @@
 
 The structure results hold on connected components where every constructed
 subbundle has constant rank; these helpers segment a chart grid accordingly
-and provide BFS sweep orders for frame alignment.
+and provide the BFS levels of frame alignment.  Neighbours are found by
+stride arithmetic on flat C-order indices, one whole BFS level at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 
-def axis_neighbors(shape: tuple[int, ...], flat_index: int) -> list[int]:
-    """Flat indices of the grid points one step away along a single axis."""
-    idx = list(np.unravel_index(flat_index, shape))
-    out = []
-    for ax, size in enumerate(shape):
-        for step in (-1, 1):
-            j = idx[ax] + step
-            if 0 <= j < size:
-                nb = idx.copy()
-                nb[ax] = j
-                out.append(int(np.ravel_multi_index(nb, shape)))
-    return out
+def _expand(shape: tuple[int, ...], allowed: np.ndarray, seed: int):
+    """BFS levels of `allowed` (flat bool) from `seed`, and the visited mask.
 
-
-def label_regions(shape: tuple[int, ...], profile: np.ndarray) -> np.ndarray:
-    """Connected components of equal profile values.
-
-    `profile` is (P,) of hashable rows (use a structured view or tuples packed
-    into an object array); returns integer labels (P,), -1 never used.
+    Each level is (points, parents).  A point's parent is the first point of
+    the previous level, in level order, that has it as an axis neighbour,
+    with the neighbours of a point taken axis by axis, -1 before +1: the
+    order of a deque BFS.
     """
-    npts = int(np.prod(shape))
-    labels = np.full(npts, -1, dtype=int)
-    current = 0
-    for start in range(npts):
-        if labels[start] >= 0:
-            continue
-        ref = profile[start]
-        queue = deque([start])
-        labels[start] = current
-        while queue:
-            p = queue.popleft()
-            for nb in axis_neighbors(shape, p):
-                if labels[nb] < 0 and profile[nb] == ref:
-                    labels[nb] = current
-                    queue.append(nb)
-        current += 1
-    return labels
+    extent = np.repeat(np.asarray(shape, dtype=int), 2)      # one slot per (axis, -1/+1)
+    strides = np.repeat(np.cumprod((1,) + tuple(shape)[:0:-1])[::-1], 2)
+    sign = np.tile([-1, 1], len(shape))
+    seen = np.zeros(allowed.shape, dtype=bool)
+    seen[seed] = True
+    front = np.array([seed])
+    levels = [(front, np.array([-1]))]
+    while True:
+        moved = front[:, None] // strides % extent + sign
+        inside = ((moved >= 0) & (moved < extent)).ravel()
+        cand = (front[:, None] + sign * strides).ravel()[inside]
+        parents = np.repeat(front, sign.size)[inside]
+        fresh = allowed[cand] & ~seen[cand]
+        cand, parents = cand[fresh], parents[fresh]
+        if cand.size == 0:
+            return levels, seen
+        first = np.sort(np.unique(cand, return_index=True)[1])
+        front = cand[first]
+        seen[front] = True
+        levels.append((front, parents[first]))
 
 
-def pack_profile(columns: list[np.ndarray]) -> np.ndarray:
-    """Pack per-point integer columns into a (P,) array of tuples."""
-    npts = len(columns[0])
-    out = np.empty(npts, dtype=object)
-    for p in range(npts):
-        out[p] = tuple(int(c[p]) for c in columns)
-    return out
+def bfs_levels(shape: tuple[int, ...], mask: np.ndarray, seed: int | None = None):
+    """(points, parents) int arrays per BFS level covering `mask`.
 
-
-def bfs_order(shape: tuple[int, ...], mask: np.ndarray, seed: int | None = None):
-    """(point, parent) pairs covering `mask` by breadth-first search.
-
-    The first pair has parent -1.  Raises if the mask is disconnected.
+    The first level is the seed (default: the first masked point) with parent
+    -1; flattened, the levels give the (point, parent) order of a deque BFS.
+    Raises if the mask is disconnected.
     """
     flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
     if seed is None:
@@ -71,20 +54,32 @@ def bfs_order(shape: tuple[int, ...], mask: np.ndarray, seed: int | None = None)
         if seeds.size == 0:
             return []
         seed = int(seeds[0])
-    order = [(seed, -1)]
-    seen = np.zeros(flat_mask.shape, dtype=bool)
-    seen[seed] = True
-    queue = deque([seed])
-    while queue:
-        p = queue.popleft()
-        for nb in axis_neighbors(shape, p):
-            if flat_mask[nb] and not seen[nb]:
-                seen[nb] = True
-                order.append((nb, p))
-                queue.append(nb)
+    levels, seen = _expand(shape, flat_mask, seed)
     if int(seen.sum()) != int(flat_mask.sum()):
         raise ValueError("mask is not connected; segment it first")
-    return order
+    return levels
+
+
+def label_regions(shape: tuple[int, ...], profile: np.ndarray) -> np.ndarray:
+    """Connected components of equal profile codes (P,), such as those of
+    `pack_profile`; labels count up in the order of each component's first
+    flat index."""
+    codes = np.asarray(profile).reshape(-1)
+    labels = np.full(codes.size, -1, dtype=int)
+    current = 0
+    while (labels < 0).any():
+        start = int(np.argmax(labels < 0))
+        _, seen = _expand(shape, codes == codes[start], start)
+        labels[seen] = current
+        current += 1
+    return labels
+
+
+def pack_profile(columns: list[np.ndarray]) -> np.ndarray:
+    """One integer code per point for the tuple of its integer columns:
+    equal codes exactly where the tuples are equal."""
+    rows = np.stack([np.asarray(c, dtype=int) for c in columns], axis=1)
+    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
 
 
 def interior_mask(shape: tuple[int, ...], mask: np.ndarray, margin: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from confpair.indefinite_linalg import (
     radical,
     rank,
     signature,
+    span_stack,
 )
 
 from oracles import rational_intersection_dim, rational_rank, rational_signature
@@ -106,6 +107,26 @@ def test_span_rank_matches_rational_oracle_on_random_integer_forms():
     # the stacked form decides every matrix as the single one does
     ranks = rank(np.stack([m for m, _ in stack]), DEFAULT_TOL, 1.0)
     assert ranks.tolist() == [e for _, e in stack]
+
+
+def test_span_stack_matches_rational_oracle_and_single_spans():
+    # a (B, m, s) stack of integer spanning sets of ranks 0 to 3, some scaled up
+    mats = []
+    for b in range(24):
+        r = b % 4
+        left = RNG.integers(-3, 4, size=(5, r))
+        right = RNG.integers(-3, 4, size=(r, 4))
+        mats.append((left @ right).astype(float) * (10.0 if b % 3 else 1.0))
+    stack = np.stack(mats)
+    expected = [rational_rank(m) for m in mats]
+    for floor in FLOORS:
+        ranks, bases = span_stack(stack, DEFAULT_TOL, floor)
+        assert ranks.tolist() == expected
+        for m, r, basis in zip(mats, ranks, bases):
+            single = orthonormal_columns(m, DEFAULT_TOL, floor)
+            assert single.shape[1] == r
+            assert np.array_equal(basis[:, :r], single)
+            assert all(contains(basis[:, :r], col) for col in m.T)
 
 
 def test_nullity_of_zero_form_is_everything():

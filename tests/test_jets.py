@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
-from confpair.errors import NotConformal, NotImmersion
-from confpair.indefinite_linalg import ScalarProduct
+from confpair import conformal_calc, gallery, jet3
+from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
+from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns
 from confpair.jets import (
     ChartGrid,
     DistributionFrame,
     ImmersionJet,
+    _seed_frame,
+    align_frames,
     bracket_residual,
     conformal_factor,
     coordinate_distribution,
@@ -17,6 +19,7 @@ from confpair.jets import (
     induced_metric,
     leaf_mean_curvature,
 )
+from confpair.regions import bfs_levels
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
@@ -248,3 +251,174 @@ def test_gauss_equation_residual_flat_and_sphere():
     sphere = ImmersionJet.from_function(sphere_fn(1.0), sgrid, E3)
     res = gauss_equation_residual(fundamental_data(sphere))
     assert np.max(res) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# level-synchronous alignment against the point-by-point sweep
+# ---------------------------------------------------------------------------
+
+
+def _fit_one(candidate, fiber, gram, pattern, tol):
+    gf = fiber.T @ gram @ fiber
+    rhs = fiber.T @ gram @ candidate
+    try:
+        coeff = np.linalg.solve(gf, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise FrameAlignmentFailure("degenerate fiber during sweep") from exc
+    y = fiber @ coeff
+    if all(s == 1 for s in pattern):
+        h = y.T @ gram @ y
+        vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
+        if np.any(vals <= 0):
+            raise FrameAlignmentFailure("polar fit lost rank")
+        return y @ ((vecs / np.sqrt(vals)) @ vecs.T)
+    out = np.zeros_like(y)
+    for t in range(y.shape[1]):
+        v = y[:, t].copy()
+        for s in range(t):
+            v -= pattern[s] * float(out[:, s] @ gram @ v) * out[:, s]
+        c = float(v @ gram @ v)
+        if pattern[t] * c <= tol:
+            raise FrameAlignmentFailure("sign pattern lost during sweep")
+        v = v / np.sqrt(abs(c))
+        if float(v @ y[:, t]) < 0:
+            v = -v
+        out[:, t] = v
+    return out
+
+
+def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, threshold=0.5):
+    """The point-by-point sweep in BFS order: the oracle for align_frames."""
+    npts = spans.shape[0]
+    mask = np.ones(npts, dtype=bool) if mask is None else mask
+    order = [(int(q), int(par)) for pts, pars in bfs_levels(shape, mask, seed)
+             for q, par in zip(pts, pars)]
+    gram = np.asarray(gram)
+
+    def gram_at(q):
+        return gram[q] if gram.ndim == 3 else gram
+
+    frame0, pattern = _seed_frame(spans[order[0][0]], gram_at(order[0][0]), tol)
+    k = frame0.shape[1]
+    frames = np.zeros((npts, spans.shape[1], k))
+    frames[order[0][0]] = frame0
+    max_step = 0.0
+    for point, parent in order[1:]:
+        fiber = orthonormal_columns(spans[point], tol)
+        if fiber.shape[1] != k:
+            raise FrameAlignmentFailure(
+                f"fiber rank {fiber.shape[1]} != {k} inside a constant-rank region")
+        frames[point] = _fit_one(frames[parent], fiber, gram_at(point), pattern, tol)
+        step = float(np.max(np.abs(frames[point] - frames[parent])))
+        max_step = max(max_step, step)
+        if step > threshold:
+            raise FrameAlignmentFailure(f"frame jump {step:.3f} exceeds threshold {threshold}")
+    return frames, pattern, max_step
+
+
+def normal_spans(jet):
+    """Unaligned normal spans as fundamental_data builds them."""
+    rows = np.einsum("pia,ab->pib", jet.d1, jet.ambient.gram)
+    return np.linalg.svd(rows)[2][:, jet.n:].transpose(0, 2, 1)
+
+
+def assert_same_alignment(spans, gram, shape, **kw):
+    frames, pattern, step = align_frames(spans, gram, shape, **kw)
+    ref_frames, ref_pattern, ref_step = sequential_align(spans, gram, shape, **kw)
+    assert pattern == ref_pattern
+    assert np.max(np.abs(frames - ref_frames)) <= 1e-12
+    assert step == pytest.approx(ref_step, abs=1e-12)
+    return pattern
+
+
+def test_align_frames_matches_sweep_on_definite_normal_bundle():
+    chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
+    jet = gallery.pad(gallery.sphere(2), extra=2).jet(chart)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape)
+    assert pattern == (1, 1, 1)
+
+
+def test_align_frames_matches_sweep_on_mixed_pattern():
+    chart = ChartGrid((8, 9), (0.03, 0.03), (0.9, 0.4))
+    jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape)
+    assert -1 in pattern and 1 in pattern
+
+
+def test_align_frames_matches_sweep_with_per_point_gram(monkeypatch):
+    grid = ChartGrid((5, 5, 5), (0.03,) * 3, (0.2, 0.3, 0.1))
+
+    def fn(xs):
+        x1, x2, x3 = xs
+        return [x1, x2, x3, 0.5 * x1 * x1 + x2 * x3, x1 * x2 + 1.5 * x3 * x3 + 0.3 * x1 ** 3]
+
+    fund = fundamental_data(ImmersionJet.from_function(fn, grid, ScalarProduct.euclidean(5)))
+    calls = []
+
+    def recording(spans, gram, shape, **kw):
+        calls.append((spans, gram, shape, kw))
+        return align_frames(spans, gram, shape, **kw)
+
+    monkeypatch.setattr(conformal_calc, "align_frames", recording)
+    assert conformal_calc.conformal_sff(fund, coordinate_distribution(fund, [0])).ell == 2
+    spans, gram, shape, kw = calls[0]
+    per_point = np.broadcast_to(gram, (spans.shape[0],) + gram.shape)
+    assert_same_alignment(spans, per_point, shape, **kw)
+
+
+def test_align_frames_matches_sweep_on_masked_seeded_region():
+    chart = ChartGrid((11, 10), (0.03, 0.03), (0.8, 0.3))
+    jet = gallery.pad(gallery.sphere(2), extra=1).jet(chart)
+    ij = np.stack(np.unravel_index(np.arange(chart.npoints), chart.shape), axis=1)
+    mask = np.sum((ij - [5, 4]) ** 2, axis=1) <= 16  # a disc
+    seed = int(np.ravel_multi_index((6, 3), chart.shape))
+    assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape,
+                          mask=mask, seed=seed, threshold=0.6)
+    frames, _, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape,
+                                mask=mask, seed=seed)
+    assert not frames[~mask].any()
+
+
+E0, E1, E2 = np.eye(3)
+LORENTZ = np.diag([-1.0, 1.0, 1.0])
+NULL_PAIR = ScalarProduct.lightcone(1).gram  # <E0, E0> = 0: E0 has a singular fiber Gram
+TURNED = np.cos(1.2) * E1 + np.sin(1.2) * E2  # 1.2 rad away from E1: a frame jump
+SPACELIKE_TURN = np.cos(1.2) * E2 + np.sin(1.2) * (E0 + E1) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("gram, spans, first", [
+    # point 0 jumps, point 2 (later in the level) loses the timelike direction
+    (LORENTZ, [[E0, TURNED], [E0, E1], [E1, E2]], "frame jump"),
+    # point 0 has a singular fiber Gram, point 2 jumps
+    (NULL_PAIR, [[E0], [E2], [SPACELIKE_TURN]], "degenerate fiber"),
+    # point 0 jumps, point 2 has a singular fiber Gram
+    (NULL_PAIR, [[SPACELIKE_TURN], [E2], [E0]], "frame jump"),
+])
+def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
+    # a 3-point line seeded in the middle: one level holds points 0 and 2
+    spans = np.array(spans).transpose(0, 2, 1)
+    with pytest.raises(FrameAlignmentFailure) as ref:
+        sequential_align(spans, gram, (3,), seed=1)
+    assert str(ref.value).startswith(first)
+    with np.errstate(all="raise"):  # later points of the level stay silent
+        with pytest.raises(FrameAlignmentFailure, match=str(ref.value)):
+            align_frames(spans, gram, (3,), seed=1)
+
+
+def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
+    chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
+    jet = gallery.psi_lift(gallery.plane(2, 1)).jet(chart)
+    count = [0]
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
+                 "cholesky", "det", "matrix_rank"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            count[0] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fundamental_data(jet)
+    levels = len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool)))
+    assert levels == 199
+    assert count[0] <= 10 * levels
