@@ -63,27 +63,44 @@ def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
     return int(counts) if matrix.ndim == 2 else counts
 
 
-def kernel(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the right null space of `rows`; everything when
-    there are no rows."""
-    rows = np.asarray(rows, dtype=float)
-    ncols = rows.shape[1]
-    if rows.shape[0] == 0 or ncols == 0:
-        return np.eye(ncols)
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
-    return vt[int(_count(s, tol, floor)):].T
+# Stack forms.  Each takes (B, m, k) stacks of one width and returns the ranks
+# (B,) and padded bases (B, m, K): the first ranks[i] columns of bases[i] are
+# an orthonormal basis of the answer for entry i.  Where an intermediate width
+# varies over the stack, the entries are grouped by it and each group runs as
+# one stacked call on unpadded matrices, so every entry sees exactly the
+# numpy call that the single-matrix form makes.  The single-matrix forms are
+# the one-entry slices of the stack forms.
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (dot product) of the column span of `vectors`."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("expected a matrix of column vectors")
-    m = vectors.shape[0]
-    if m == 0 or vectors.shape[1] == 0:
-        return np.zeros((m, 0))
-    count, u = span_stack(vectors, tol, floor)
-    return u[:, : int(count)]
+def rank_classes(*ranks):
+    """(key, indices) for each distinct tuple of the given (B,) rank columns,
+    in ascending key order."""
+    keys = np.stack([np.asarray(r, dtype=int) for r in ranks], axis=1)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    for c, key in enumerate(uniq):
+        yield tuple(int(k) for k in key), np.flatnonzero(inverse == c)
+
+
+def by_class(fn, ragged, *args):
+    """Run a stack form over ragged stacks, one call per class of widths.
+
+    `ragged` lists (widths (B,), padded (B, m, K)) pairs; `fn` gets each
+    class's stacks cut to their widths, then `args`, and returns (ranks,
+    bases).  Returns the merged (ranks (B,), padded bases).
+    """
+    size = len(ragged[0][0])
+    parts = []
+    for key, idx in rank_classes(*(w for w, _ in ragged)):
+        cut = [padded[idx][:, :, :k] for k, (_, padded) in zip(key, ragged)]
+        parts.append((idx, fn(*cut, *args)))
+    rows = parts[0][1][1].shape[1]
+    ranks = np.zeros(size, dtype=int)
+    out = np.zeros((size, rows, max(bases.shape[2] for _, (_, bases) in parts)))
+    for idx, (r, bases) in parts:
+        ranks[idx] = r
+        out[idx, :, : bases.shape[2]] = bases
+    return ranks, out
 
 
 def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
@@ -93,59 +110,137 @@ def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0
     (..., m, min(m, s))): the first ``ranks[i]`` columns of ``bases[i]`` are
     an orthonormal basis of the span of ``vectors[i]``.
     """
-    u, s, _ = np.linalg.svd(np.asarray(vectors, dtype=float), full_matrices=False)
-    return _count(s, tol, floor), u
+    vectors = np.asarray(vectors, dtype=float)
+    m, s = vectors.shape[-2:]
+    if m == 0 or s == 0:
+        return np.zeros(vectors.shape[:-2], dtype=int), np.zeros(vectors.shape[:-2] + (m, 0))
+    u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
+    return _count(sv, tol, floor), u
+
+
+def kernel_stack(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
+    """Nullities (B,) and bases (B, k, k) of the right null spaces of a
+    (B, m, k) stack; everything when there are no rows."""
+    rows = np.asarray(rows, dtype=float)
+    size, m, k = rows.shape
+    if m == 0 or k == 0:
+        return np.full(size, k), np.broadcast_to(np.eye(k), (size, k, k)).copy()
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    count = _count(s, tol, floor)
+    # rotate the right singular vectors so that the kernel columns come first
+    order = (np.arange(k) + count[:, None]) % k
+    return k - count, np.take_along_axis(vt.transpose(0, 2, 1), order[:, None, :], axis=2)
+
+
+def image_stack(basis: np.ndarray, widths: np.ndarray, coeffs: np.ndarray, tol: float):
+    """Ranks and bases of span(basis[i] @ coeffs[i][:, :widths[i]])."""
+    full = np.full(len(basis), basis.shape[2])
+    return by_class(lambda b, c: span_stack(b @ c, tol), [(full, basis), (widths, coeffs)])
+
+
+def complement_stack(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float):
+    """Vectors of span(`within`) orthogonal to span(`sub`) w.r.t. diag(eps)."""
+    size, m, w = within.shape
+    if w == 0:
+        return np.zeros(size, dtype=int), within
+    if sub.shape[2] == 0:
+        return np.full(size, w), within
+    rows = (sub * eps[:, None]).transpose(0, 2, 1) @ within  # constraints on coefficients
+    null, coeffs = kernel_stack(rows, tol, 1.0)
+    return image_stack(within, null, coeffs, tol)
+
+
+def radical_stack(basis: np.ndarray, eps: np.ndarray, tol: float):
+    """span(basis) intersected with its diag(eps)-orthogonal: the kernel of
+    its Gram matrix."""
+    gram = basis.transpose(0, 2, 1) @ (basis * eps[:, None])
+    null, coeffs = kernel_stack(gram, tol, 1.0)
+    return image_stack(basis, null, coeffs, tol)
+
+
+def signature_stack(gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """(B, 3) inertia (positive, negative, null) of a stack of symmetric matrices."""
+    gram = np.asarray(gram, dtype=float)
+    size, k = gram.shape[:2]
+    if k == 0:
+        return np.zeros((size, 3), dtype=int)
+    vals = np.linalg.eigvalsh(0.5 * (gram + gram.transpose(0, 2, 1)))
+    thr = tol * np.maximum(np.max(np.abs(vals), axis=1, keepdims=True), 1.0)
+    pos = np.sum(vals > thr, axis=1)
+    neg = np.sum(vals < -thr, axis=1)
+    return np.stack([pos, neg, k - pos - neg], axis=1)
+
+
+def gap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spectral distances (B,) of the dot projectors onto two spans given by
+    orthonormal columns (1.0 signals a rank mismatch)."""
+    if a.shape[1] == 0:
+        return np.zeros(len(a))
+    diff = a @ a.transpose(0, 2, 1) - b @ b.transpose(0, 2, 1)
+    return np.linalg.norm(diff, ord=2, axis=(1, 2))
+
+
+def project_stack(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
+    """diag(eps)-orthogonal projections of `vectors` (B, m, v) onto span(basis).
+
+    Raises DegenerateSubspace when some span(basis[i]) has a radical by
+    `signature`.
+    """
+    weighted = basis * eps[:, None]
+    gram = basis.transpose(0, 2, 1) @ weighted
+    null = signature_stack(gram, tol)[:, 2]
+    if null.any():
+        raise DegenerateSubspace(
+            f"projection target has a radical of dimension {null[np.flatnonzero(null)[0]]}"
+        )
+    return basis @ np.linalg.solve(gram, weighted.transpose(0, 2, 1) @ vectors)
+
+
+def kernel(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis of the right null space of `rows`; everything when
+    there are no rows."""
+    null, basis = kernel_stack(np.asarray(rows, dtype=float)[None], tol, floor)
+    return basis[0, :, : null[0]]
+
+
+def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
+    """Orthonormal basis (dot product) of the column span of `vectors`."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2:
+        raise ValueError("expected a matrix of column vectors")
+    count, u = span_stack(vectors, tol, floor)
+    return u[:, : int(count)]
 
 
 def complement(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
     """Vectors of span(`within`) orthogonal to span(`sub`) w.r.t. diag(eps)."""
-    if within.shape[1] == 0:
-        return within[:, :0]
-    if sub.shape[1] == 0:
-        return within
-    rows = (sub * eps[:, None]).T @ within  # constraints on coefficients
-    return orthonormal_columns(within @ kernel(rows, tol, 1.0), tol)
+    r, basis = complement_stack(sub[None], within[None], eps, tol)
+    return basis[0, :, : r[0]]
 
 
 def radical(basis: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
-    """span(basis) intersected with its diag(eps)-orthogonal: the kernel of
-    its Gram matrix."""
-    gram = basis.T @ (basis * eps[:, None])
-    return orthonormal_columns(basis @ kernel(gram, tol, 1.0), tol)
+    """span(basis) intersected with its diag(eps)-orthogonal."""
+    r, out = radical_stack(basis[None], eps, tol)
+    return out[0, :, : r[0]]
 
 
 def signature(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
     """(positive, negative, null) inertia of a symmetric matrix."""
-    gram = np.asarray(gram, dtype=float)
-    k = gram.shape[0]
-    if k == 0:
-        return 0, 0, 0
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-    thr = tol * max(float(np.max(np.abs(vals))), 1.0)
-    pos = int(np.sum(vals > thr))
-    neg = int(np.sum(vals < -thr))
-    return pos, neg, k - pos - neg
+    return tuple(int(x) for x in signature_stack(np.asarray(gram, dtype=float)[None], tol)[0])
 
 
 def gap(a: np.ndarray, b: np.ndarray) -> float:
     """Spectral distance of the dot projectors onto two spans given by
     orthonormal columns (1.0 signals a rank mismatch)."""
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
+    return float(gap_stack(a[None], b[None])[0])
 
 
 def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """diag(eps)-orthogonal projection of `vectors` (columns) onto span(basis).
-
-    Raises DegenerateSubspace when span(basis) has a radical by `signature`.
-    """
-    weighted = basis * eps[:, None]
-    gram = basis.T @ weighted
-    null = signature(gram, tol)[2]
-    if null:
-        raise DegenerateSubspace(f"projection target has a radical of dimension {null}")
-    return basis @ np.linalg.solve(gram, weighted.T @ vectors)
+    """diag(eps)-orthogonal projection of `vectors` (columns, or one vector)
+    onto span(basis)."""
+    vectors = np.asarray(vectors, dtype=float)
+    out = project_stack(basis[None], eps, vectors.reshape(len(vectors), -1)[None], tol)[0]
+    return out.reshape((len(basis),) + vectors.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -25,24 +25,28 @@ Everything rank-valued is decided at `rank_tol` on jet-exact data and at
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
+    HypothesisOutOfRange,
     NotIsometricPair,
     SplitFailure,
     UnsupportedDegeneracy,
 )
-from .errors import HypothesisOutOfRange
 from .indefinite_linalg import (
-    complement,
-    gap,
-    kernel,
-    orthonormal_columns,
-    project,
-    radical,
+    by_class,
+    complement_stack,
+    gap_stack,
+    image_stack,
+    kernel_stack,
+    project_stack,
+    radical_stack,
     rank,
+    rank_classes,
     signature,
+    span_stack,
 )
 from .jets import FundamentalData, ImmersionJet, align_frames, fundamental_data, grid_derivative
 from .lightcone import LightConeModel
@@ -69,10 +73,10 @@ class PipelineConfig:
     fd_tol: float = 1e-6
     align_threshold: float = 0.75
     conformal_tol: float = 1e-6
-    min_region_points: int = 1
-    max_refinements: int = 4
-    force_branch: str | None = None
     seed: int = 0
+
+
+MAX_REFINEMENTS = 4  # re-splits of one candidate region before SplitFailure
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,28 @@ class DegeneracyData:
     degenerate: np.ndarray        # (P,) bool
 
 
+def _t(stack: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack."""
+    return np.swapaxes(stack, -1, -2)
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot products (B,) of the rows of two (B, m) stacks."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _norm(u: np.ndarray) -> np.ndarray:
+    """Euclidean norms (B,) of the rows of a (B, m) stack."""
+    return np.sqrt(_dot(u, u))
+
+
+def _worst(fn, ranks: np.ndarray, padded: np.ndarray) -> float:
+    """Largest entry of fn(indices, stack) over the rank classes of a ragged
+    stack, each class cut to its width; 0 when there are none."""
+    return max(float(np.max(fn(idx, padded[idx][:, :, :k]), initial=0.0))
+               for (k,), idx in rank_classes(ranks))
+
+
 def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) -> DegeneracyData:
     """Radical of the joint curvature span and injectivity of its projections.
 
@@ -152,10 +178,11 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
     tol = cfg.rank_tol
     p = joint.left.metric.shape[0]
     kl, kr = joint.kl, joint.kr
-    eps = joint.joint_eps
     asum = joint.alpha_sum().reshape(p, -1, kl + kr)
     scale = max(float(np.max(np.abs(asum))), 1.0)
-    omega_rank = np.zeros(p, dtype=int)
+    omega_rank, omega = by_class(
+        lambda s: radical_stack(s, joint.joint_eps, tol), [span_stack(_t(asum), tol, scale)]
+    )
     lk = np.zeros(p, dtype=int)
     rk = np.zeros(p, dtype=int)
     witness = np.zeros((p, kr))
@@ -163,24 +190,21 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
     pos_right = None
     if joint.right.jet.ambient.pseudo_pair:
         pos_right = joint.right.normal_coordinates(joint.right.jet.values)
-    for q in range(p):
-        omega = radical(orthonormal_columns(asum[q].T, tol, scale), eps, tol)
-        omega_rank[q] = omega.shape[1]
-        if omega.shape[1]:
-            # kernel of the left projection: radical vectors with zero left part
-            knl = kernel(omega[:kl, :], tol * 10, 1.0)
-            lk[q] = knl.shape[1]
-            rk[q] = kernel(omega[kl:, :], tol * 10, 1.0).shape[1]
-            if knl.shape[1]:
-                w = omega[kl:, :] @ knl[:, 0]
-                if pos_right is not None:
-                    val = float(pos_right[q] @ (joint.eps_right * w))
-                    if abs(val) > tol:
-                        w = w / val
-                        pairing[q] = 1.0
-                    else:
-                        pairing[q] = 0.0
-                witness[q] = w
+    for (r,), idx in rank_classes(omega_rank):
+        if not r:
+            continue
+        om = omega[idx][:, :, :r]
+        # kernel of the left projection: radical vectors with zero left part
+        lk[idx], knl = kernel_stack(om[:, :kl], tol * 10, 1.0)
+        rk[idx] = kernel_stack(om[:, kl:], tol * 10, 1.0)[0]
+        found = lk[idx] > 0
+        w = (om[:, kl:] @ knl[:, :, :1])[:, :, 0]
+        if pos_right is not None:
+            val = _dot(pos_right[idx], joint.eps_right * w)
+            paired = np.abs(val) > tol
+            w = np.divide(w, val[:, None], out=w.copy(), where=paired[:, None])
+            pairing[idx[found]] = paired[found]
+        witness[idx[found]] = w[found]
     degenerate = lk > 0
     return DegeneracyData(omega_rank, lk, rk, witness, pairing, degenerate)
 
@@ -225,7 +249,7 @@ class RegionState:
     ranks: dict
     residuals: dict = field(default_factory=dict)
     claims: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
+    notes: list = field(default_factory=list)  # one line per re-split that led here
 
     @property
     def ell(self) -> int:
@@ -244,214 +268,213 @@ class PairAnalysis:
     lifted_left: ImmersionJet | None = None
 
 
-def _construct_region(
-    joint: JointNormalSpace,
-    mask: np.ndarray,
-    branch: str,
-    witness: np.ndarray | None,
-    cfg: PipelineConfig,
-    depth: int = 0,
-) -> list[RegionState]:
-    """Build the full chain of subbundles on one candidate region.
+class _Region:
+    """One candidate region: (B, ...) stacks over its points, and the
+    products of the stages run so far."""
 
-    Returns one state per constant-rank subregion (the region is re-split
-    whenever a later-stage rank map jumps).
-    """
-    fl, fr = joint.left, joint.right
-    eps_l, eps_r = joint.eps_left, joint.eps_right
-    kl, kr = joint.kl, joint.kr
-    p, n = fl.metric.shape[0], fl.metric.shape[1]
-    tol, fd_tol = cfg.rank_tol, cfg.fd_tol
-    chart = fl.jet.chart
-    pts = np.flatnonzero(mask)
-    eps_joint = joint.joint_eps
-
-    degenerate = branch == "degenerate"
-    pos_left = pos_right = e0_left = None
-    if fl.jet.ambient.pseudo_pair:
-        pos_left = fl.normal_coordinates(fl.jet.values)
-        model_l = LightConeModel.for_ambient(fl.jet.ambient)
-        e0_left = fl.normal_coordinates(model_l.e0)
-    if fr.jet.ambient.pseudo_pair:
-        pos_right = fr.normal_coordinates(fr.jet.values)
-    if degenerate and (pos_left is None or pos_right is None):
-        raise UnsupportedDegeneracy("degenerate branch requires cone-valued lifts on both sides")
-
-    alpha_l = fl.alpha
-    alpha_r = fr.alpha
-    asum = joint.alpha_sum().reshape(p, -1, kl + kr)
-    a_scale = max(float(np.max(np.abs(asum[pts]))), 1.0)
-
-    ident = np.zeros((p, kr, kl))
-    ranks = {k: np.zeros(p, dtype=int) for k in (
-        "omega", "private_left", "private_right", "shared_left", "shared_right",
-        "theta", "shared_span", "beta_span",
-    )}
-    residuals: dict[str, float] = {
-        "metric_agreement": joint.metric_residual,
-        "omega_isotropy": 0.0,
-        "graph_gap": 0.0,
-        "identification_isometry": 0.0,
-        "shared_sff_match": 0.0,
-        "theta_identity_gap": 0.0,
-        "position_pair_orthogonal": 0.0,
-        "witness_in_radical": 0.0,
-    }
-    notes: list[str] = []
-
-    store: dict[int, dict] = {}
-    for q in pts:
-        span_plain = orthonormal_columns(asum[q].T, tol, a_scale)
-        rad = radical(span_plain, eps_joint, tol)
-        span_l = orthonormal_columns(alpha_l[q].reshape(-1, kl).T, tol, a_scale)
-        span_r = orthonormal_columns(alpha_r[q].reshape(-1, kr).T, tol, a_scale)
-        if degenerate:
-            pospair = np.concatenate([pos_left[q], pos_right[q]])
-            # position pair must be orthogonal to, but not contained in, the span
-            pairing = span_plain.T @ (eps_joint * pospair)
-            residuals["position_pair_orthogonal"] = max(
-                residuals["position_pair_orthogonal"], float(np.max(np.abs(pairing))) if pairing.size else 0.0
-            )
-            om = orthonormal_columns(np.column_stack([pospair, rad]), tol)
-            if witness is not None:
-                wit_vec = np.concatenate([np.zeros(kl), witness[q]])
-                proj = om @ (om.T @ wit_vec)
-                residuals["witness_in_radical"] = max(
-                    residuals["witness_in_radical"], float(np.linalg.norm(wit_vec - proj))
-                )
-            aug_l = orthonormal_columns(
-                np.column_stack([pos_left[q], alpha_l[q].reshape(-1, kl).T]), tol
-            )
-            aug_r = orthonormal_columns(
-                np.column_stack([pos_right[q], alpha_r[q].reshape(-1, kr).T]), tol
-            )
-        else:
-            om, aug_l, aug_r = rad, span_l, span_r
-        gram_om = om.T @ (om * eps_joint[:, None])
-        if gram_om.size:
-            residuals["omega_isotropy"] = max(residuals["omega_isotropy"], float(np.max(np.abs(gram_om))))
-
-        # private parts: curvature span vectors orthogonal to the radical
-        gamma_l = complement(om[:kl], span_l, eps_l, tol)
-        gamma_r = complement(om[kl:], span_r, eps_r, tol)
-        shared_l_q = complement(gamma_l, aug_l, eps_l, tol)
-        shared_r_q = complement(gamma_r, aug_r, eps_r, tol)
-
-        store[int(q)] = {
-            "omega": om, "gamma_l": gamma_l, "gamma_r": gamma_r,
-            "shared_l": shared_l_q, "shared_r": shared_r_q,
+    def __init__(self, joint, mask, branch, witness, cfg):
+        fl, fr = joint.left, joint.right
+        self.joint, self.mask, self.branch, self.witness, self.cfg = joint, mask, branch, witness, cfg
+        self.pts = np.flatnonzero(mask)
+        self.p, self.n = fl.metric.shape[:2]
+        self.kl, self.kr = joint.kl, joint.kr
+        self.eps_l, self.eps_r = joint.eps_left, joint.eps_right
+        self.degenerate = branch == "degenerate"
+        self.pos_left = self.pos_right = self.e0_left = None
+        if fl.jet.ambient.pseudo_pair:
+            self.pos_left = fl.normal_coordinates(fl.jet.values)
+            self.e0_left = fl.normal_coordinates(LightConeModel.for_ambient(fl.jet.ambient).e0)
+        if fr.jet.ambient.pseudo_pair:
+            self.pos_right = fr.normal_coordinates(fr.jet.values)
+        if self.degenerate and (self.pos_left is None or self.pos_right is None):
+            raise UnsupportedDegeneracy("degenerate branch requires cone-valued lifts on both sides")
+        self.asum = joint.alpha_sum().reshape(self.p, -1, self.kl + self.kr)[self.pts]
+        self.a_scale = max(float(np.max(np.abs(self.asum))), 1.0)
+        self.al, self.ar = fl.alpha[self.pts], fr.alpha[self.pts]
+        self.ranks: dict[str, np.ndarray] = {}     # product -> (B,) ranks
+        self.arrays: dict[str, np.ndarray] = {}    # RegionState field -> (P, ...), zero off the region
+        self.at: dict[str, np.ndarray] = {}        # product -> (B, m, rank) on the region
+        self.patterns: dict[str, tuple] = {}
+        self.residuals: dict[str, float] = {
+            "metric_agreement": joint.metric_residual,
+            "omega_isotropy": 0.0,
+            "graph_gap": 0.0,
+            "identification_isometry": 0.0,
+            "shared_sff_match": 0.0,
+            "theta_identity_gap": 0.0,
+            "position_pair_orthogonal": 0.0,
+            "witness_in_radical": 0.0,
         }
-        ranks["omega"][q] = om.shape[1]
-        ranks["private_left"][q] = gamma_l.shape[1]
-        ranks["private_right"][q] = gamma_r.shape[1]
-        ranks["shared_left"][q] = shared_l_q.shape[1]
-        ranks["shared_right"][q] = shared_r_q.shape[1]
 
-    # re-split when early ranks jump
-    cols = [ranks[k] for k in ("omega", "private_left", "private_right", "shared_left", "shared_right")]
-    if _ranks_jump(cols, mask):
-        return _refine(joint, mask, branch, witness, cfg, cols, depth)
+    def take(self, product: str, ranks: np.ndarray, padded: np.ndarray, align: str | None):
+        """Keep a product of constant rank, swept by `align_frames` when asked."""
+        k = int(ranks[0])
+        full = np.zeros((self.p, padded.shape[1], k))
+        full[self.pts] = padded[:, :, :k]
+        pattern = ()
+        if align and k:
+            gram = np.diag(self.eps_l) if align == "normal" else np.eye(self.n)
+            full, pattern, _ = align_frames(
+                full, gram, self.joint.left.jet.chart.shape, mask=self.mask,
+                tol=self.cfg.rank_tol * 10, threshold=self.cfg.align_threshold,
+            )
+        self.ranks[product] = ranks
+        self.arrays[product] = full
+        self.at[product] = full[self.pts]
+        self.patterns[product] = tuple(int(x) for x in pattern)
 
-    r_omega = int(ranks["omega"][pts[0]])
-    r_shared = int(ranks["shared_left"][pts[0]])
-    if int(ranks["shared_right"][pts[0]]) != r_shared:
-        raise SplitFailure("shared parts of the two spans have different ranks")
-    if r_omega != r_shared:
-        raise SplitFailure(
-            f"radical rank {r_omega} != shared rank {r_shared}: not a graph"
+    def joint_rows(self, idx, frames_l: np.ndarray, frames_r: np.ndarray) -> np.ndarray:
+        """Rows (B, ., n): both forms paired with frames of their normal bundles."""
+        b, n = len(frames_l), self.n
+        return np.concatenate([
+            np.einsum("pabt,t,ptw->pbwa", self.al[idx], self.eps_l, frames_l).reshape(b, -1, n),
+            np.einsum("pabt,t,ptw->pbwa", self.ar[idx], self.eps_r, frames_r).reshape(b, -1, n),
+        ], axis=1)
+
+    def joint_nullity(self, frames_l: np.ndarray, frames_r: np.ndarray):
+        """Directions killing both forms on the complements of the two frames."""
+        tol, b = self.cfg.rank_tol, len(self.pts)
+        full_l = np.broadcast_to(np.eye(self.kl), (b, self.kl, self.kl))
+        full_r = np.broadcast_to(np.eye(self.kr), (b, self.kr, self.kr))
+        perp_l = complement_stack(frames_l, full_l, self.eps_l, tol)
+        perp_r = complement_stack(frames_r, full_r, self.eps_r, tol)
+        null = np.zeros(b, dtype=int)
+        basis = np.zeros((b, self.n, self.n))
+        for (wl, wr), idx in rank_classes(perp_l[0], perp_r[0]):
+            rows = self.joint_rows(idx, perp_l[1][idx][:, :, :wl], perp_r[1][idx][:, :, :wr])
+            null[idx], basis[idx] = kernel_stack(rows, self.cfg.fd_tol, self.a_scale)
+        return null, basis
+
+    def state(self, notes: list[str]) -> RegionState:
+        st = RegionState(
+            branch=self.branch, mask=self.mask, points=self.pts,
+            left=self.joint.left, right=self.joint.right,
+            eps_left=self.eps_l, eps_right=self.eps_r,
+            pos_left=self.pos_left, pos_right=self.pos_right, e0_left=self.e0_left,
+            witness=self.witness,
+            shared_pattern=self.patterns["shared_span"],
+            matched_pattern=self.patterns["matched_span"],
+            transfer_pattern=self.patterns["transfer_bundle"],
+            ranks={k: int(v[0]) for k, v in self.ranks.items()},
+            residuals=self.residuals,
+            notes=notes,
+            **self.arrays,
         )
+        _structural_checks(st, self.cfg)
+        return st
 
-    omega = np.zeros((p, kl + kr, r_omega))
-    private_l = np.zeros((p, kl, int(ranks["private_left"][pts[0]])))
-    private_r = np.zeros((p, kr, int(ranks["private_right"][pts[0]])))
-    shared_l = np.zeros((p, kl, r_shared))
-    shared_r = np.zeros((p, kr, r_shared))
-    for q in pts:
-        st = store[int(q)]
-        om = st["omega"]
-        omega[q] = om
-        private_l[q] = st["gamma_l"]
-        private_r[q] = st["gamma_r"]
-        shared_l[q] = st["shared_l"]
-        shared_r[q] = st["shared_r"]
-        if r_omega:
-            wl, wr = om[:kl], om[kl:]
-            residuals["graph_gap"] = max(
-                residuals["graph_gap"],
-                gap(orthonormal_columns(wl, tol), st["shared_l"]),
-            )
-            j_mat = wr @ np.linalg.pinv(wl, rcond=1e-10)
-            ident[q] = j_mat
-            # isometry of the identification on the shared part
-            sh = st["shared_l"]
-            gl = sh.T @ (sh * eps_l[:, None])
-            jr = j_mat @ sh
-            gr = jr.T @ (jr * eps_r[:, None])
-            residuals["identification_isometry"] = max(
-                residuals["identification_isometry"], float(np.max(np.abs(gl - gr)))
-            )
 
+# The stages.  `build` returns {product: (ranks (B,), padded bases)}; once the
+# ranks are constant on the region the driver keeps each product (swept by
+# `align_frames` when `align` names the metric) and runs `settle`, which
+# works on frames of one width.
+
+
+def _parts(reg: _Region) -> dict:
+    """Stage 1: radical of the joint curvature span, private and shared parts."""
+    tol, eps = reg.cfg.rank_tol, reg.joint.joint_eps
+    kl, kr, b = reg.kl, reg.kr, len(reg.pts)
+    res = reg.residuals
+    cols_l = _t(reg.al.reshape(b, -1, kl))
+    cols_r = _t(reg.ar.reshape(b, -1, kr))
+    plain = span_stack(_t(reg.asum), tol, reg.a_scale)
+    rad = by_class(lambda s: radical_stack(s, eps, tol), [plain])
+    span_l = span_stack(cols_l, tol, reg.a_scale)
+    span_r = span_stack(cols_r, tol, reg.a_scale)
+    if reg.degenerate:
+        pos_l, pos_r = reg.pos_left[reg.pts][:, :, None], reg.pos_right[reg.pts][:, :, None]
+        pospair = np.concatenate([pos_l, pos_r], axis=1)
+        # position pair must be orthogonal to, but not contained in, the span
+        res["position_pair_orthogonal"] = _worst(
+            lambda idx, s: np.abs(_t(s) @ (eps[:, None] * pospair[idx])), *plain
+        )
+        om = by_class(lambda pp, s: span_stack(np.concatenate([pp, s], axis=2), tol),
+                      [(np.ones(b, dtype=int), pospair), rad])
+        if reg.witness is not None:
+            wit = np.concatenate([np.zeros((b, kl)), reg.witness[reg.pts]], axis=1)[:, :, None]
+            res["witness_in_radical"] = _worst(
+                lambda idx, o: _norm((wit[idx] - o @ (_t(o) @ wit[idx]))[:, :, 0]), *om
+            )
+        aug_l = span_stack(np.concatenate([pos_l, cols_l], axis=2), tol)
+        aug_r = span_stack(np.concatenate([pos_r, cols_r], axis=2), tol)
+    else:
+        om, aug_l, aug_r = rad, span_l, span_r
+    res["omega_isotropy"] = _worst(lambda idx, o: np.abs(_t(o) @ (o * eps[:, None])), *om)
+
+    # private parts: curvature span vectors orthogonal to the radical
+    gamma_l = by_class(lambda o, s: complement_stack(o[:, :kl], s, reg.eps_l, tol), [om, span_l])
+    gamma_r = by_class(lambda o, s: complement_stack(o[:, kl:], s, reg.eps_r, tol), [om, span_r])
+    return {
+        "omega": om,
+        "private_left": gamma_l,
+        "private_right": gamma_r,
+        "shared_left": by_class(lambda g, a: complement_stack(g, a, reg.eps_l, tol), [gamma_l, aug_l]),
+        "shared_right": by_class(lambda g, a: complement_stack(g, a, reg.eps_r, tol), [gamma_r, aug_r]),
+    }
+
+
+def _identify(reg: _Region):
+    """The radical as a graph: identification of the shared parts, and its residuals."""
+    tol, kl, kr, b = reg.cfg.rank_tol, reg.kl, reg.kr, len(reg.pts)
+    res = reg.residuals
+    om, sh_l, sh_r = reg.at["omega"], reg.at["shared_left"], reg.at["shared_right"]
+    ident = reg.arrays["identification"] = np.zeros((reg.p, kr, kl))
+    if not om.shape[2]:
+        return
+    wl, wr = om[:, :kl], om[:, kl:]
+    res["graph_gap"] = _worst(lambda idx, w: gap_stack(w, sh_l[idx]), *span_stack(wl, tol))
+    j_mat = wr @ np.linalg.pinv(wl, rcond=1e-10)
+    ident[reg.pts] = j_mat
+    # isometry of the identification on the shared part
+    gl = _t(sh_l) @ (sh_l * reg.eps_l[:, None])
+    jr = j_mat @ sh_l
+    gr = _t(jr) @ (jr * reg.eps_r[:, None])
+    res["identification_isometry"] = float(np.max(np.abs(gl - gr)))
     # identification must carry the projected forms into each other
-    if r_shared:
-        for q in pts:
-            # solve-based projections (frames are orthonormal only in the dot product)
-            proj_l = project(shared_l[q], eps_l, alpha_l[q].reshape(-1, kl).T, tol)  # (kl, n*n)
-            proj_r = project(shared_r[q], eps_r, alpha_r[q].reshape(-1, kr).T, tol)
-            residuals["shared_sff_match"] = max(
-                residuals["shared_sff_match"],
-                float(np.max(np.abs(proj_r - ident[q] @ proj_l))),
-            )
+    proj_l = project_stack(sh_l, reg.eps_l, _t(reg.al.reshape(b, -1, kl)), tol)
+    proj_r = project_stack(sh_r, reg.eps_r, _t(reg.ar.reshape(b, -1, kr)), tol)
+    res["shared_sff_match"] = float(np.max(np.abs(proj_r - ident[reg.pts] @ proj_l)))
 
-    # private nullity: directions killing both private projections
-    for q in pts:
-        rows = np.vstack([
-            np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, private_l[q]).reshape(-1, n),
-            np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, private_r[q]).reshape(-1, n),
-        ])
-        th = kernel(rows, tol, 1.0)
-        ranks["theta"][q] = th.shape[1]
-        store[int(q)]["theta"] = th
-    if _ranks_jump([ranks["theta"]], mask):
-        return _refine(joint, mask, branch, witness, cfg,
-                       cols + [ranks["theta"]], depth)
-    d_theta = int(ranks["theta"][pts[0]])
-    theta = np.zeros((p, n, d_theta))
-    for q in pts:
-        theta[q] = store[int(q)]["theta"]
 
-    # shared curvature span over the private nullity
-    shared_span_raw = np.zeros((p, kl, kl))
-    for q in pts:
-        vals = np.einsum("au,abt->tub", theta[q], alpha_l[q]).reshape(kl, -1)
-        if degenerate:
-            vals = np.column_stack([pos_left[q], vals])
-        sp = orthonormal_columns(vals, tol, a_scale)
-        ranks["shared_span"][q] = sp.shape[1]
-        shared_span_raw[q, :, : sp.shape[1]] = sp
-    if _ranks_jump([ranks["shared_span"]], mask):
-        return _refine(joint, mask, branch, witness, cfg,
-                       cols + [ranks["theta"], ranks["shared_span"]], depth)
-    r_s = int(ranks["shared_span"][pts[0]])
+def _theta(reg: _Region) -> dict:
+    """Stage 2: the private nullity, directions killing both private projections."""
+    rows = reg.joint_rows(slice(None), reg.at["private_left"], reg.at["private_right"])
+    return {"theta": kernel_stack(rows, reg.cfg.rank_tol, 1.0)}
 
-    s_frames, s_pattern, _ = align_frames(
-        shared_span_raw[:, :, :r_s], np.diag(eps_l), chart.shape, mask=mask,
-        tol=tol * 10, threshold=cfg.align_threshold,
-    ) if r_s else (np.zeros((p, kl, 0)), (), 0.0)
-    s_pat = np.asarray(s_pattern, dtype=float)
 
-    # containment of the shared span in the shared part (structure check)
+def _shared_span(reg: _Region) -> dict:
+    """Stage 3: the shared curvature span over the private nullity."""
+    b, kl = len(reg.pts), reg.kl
+    vals = np.einsum("pau,pabt->ptub", reg.at["theta"], reg.al).reshape(b, kl, -1)
+    if reg.degenerate:
+        vals = np.concatenate([reg.pos_left[reg.pts][:, :, None], vals], axis=2)
+    return {"shared_span": span_stack(vals, reg.cfg.rank_tol, reg.a_scale)}
+
+
+def _containment(reg: _Region):
+    """Containment of the shared span in the shared part (structure check)."""
+    s_frames, sh_l = reg.at["shared_span"], reg.at["shared_left"]
     gap_s = 0.0
-    for q in pts:
-        if r_s and r_shared:
-            proj = shared_l[q] @ np.linalg.pinv(shared_l[q])
-            gap_s = max(gap_s, float(np.max(np.abs(s_frames[q] - proj @ s_frames[q]))))
-        elif r_s and not r_shared:
-            gap_s = 1.0
-    residuals["shared_span_containment"] = gap_s
+    if s_frames.shape[2] and sh_l.shape[2]:
+        proj = sh_l @ np.linalg.pinv(sh_l)
+        gap_s = float(np.max(np.abs(s_frames - proj @ s_frames)))
+    elif s_frames.shape[2]:
+        gap_s = 1.0
+    reg.residuals["shared_span_containment"] = gap_s
 
-    # connection gap tensor on the shared span
+
+def _matched(reg: _Region) -> dict:
+    """Stage 4: the connection-gap tensor on the shared span and its common
+    kernel, the matched part."""
+    fl, fr = reg.joint.left, reg.joint.right
+    chart = fl.jet.chart
+    p, n, b, kl = reg.p, reg.n, len(reg.pts), reg.kl
+    eps_l, eps_r = reg.eps_l, reg.eps_r
+    s_frames = reg.arrays["shared_span"]
+    r_s = s_frames.shape[2]
+    s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
     gap_t = np.zeros((p, n, r_s, r_s))
-    hat_frames = np.einsum("pts,psu->ptu", ident, s_frames) if r_s else np.zeros((p, kr, 0))
+    hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames) if r_s else np.zeros((p, reg.kr, 0))
     if r_s:
         for i in range(n):
             dsl = grid_derivative(s_frames, chart, i) + np.einsum(
@@ -465,203 +488,171 @@ def _construct_region(
             cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl)
             cr = np.einsum("u,pku,pks->pus", s_pat, hat_frames * eps_r[None, :, None], dsr)
             gap_t[:, i] = cl - cr
+    reg.hat_frames, reg.arrays["gap_tensor"] = hat_frames, gap_t
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
     if r_s:
         pairing = np.einsum("piws,w->pisw", gap_t, s_pat)  # <K(d_i) delta_s, delta_w>
-        residuals["gap_skewness"] = float(np.max(np.abs(
-            (pairing + np.swapaxes(pairing, 2, 3))[pts]
+        reg.residuals["gap_skewness"] = float(np.max(np.abs(
+            (pairing + np.swapaxes(pairing, 2, 3))[reg.pts]
         )))
     else:
-        residuals["gap_skewness"] = 0.0
-
+        reg.residuals["gap_skewness"] = 0.0
+        return {"matched_span": (np.zeros(b, dtype=int), np.zeros((b, kl, 0)))}
     # matched part: common kernel of the gap tensor
-    matched_raw = np.zeros((p, kl, r_s))
-    r_s0 = np.zeros(p, dtype=int)
-    if r_s:
-        for q in pts:
-            rows = gap_t[q].reshape(-1, r_s)  # rows (i, component), cols: section
-            coeffs = kernel(rows, fd_tol, 1.0)
-            basis = orthonormal_columns(s_frames[q] @ coeffs, tol)
-            r_s0[q] = basis.shape[1]
-            matched_raw[q, :, : basis.shape[1]] = basis
-    ranks["matched_span"] = r_s0
-    if _ranks_jump([r_s0], mask):
-        return _refine(joint, mask, branch, witness, cfg,
-                       cols + [ranks["theta"], ranks["shared_span"], r_s0], depth)
-    n_s0 = int(r_s0[pts[0]])
-    s0_frames, s0_pattern, _ = align_frames(
-        matched_raw[:, :, :n_s0], np.diag(eps_l), chart.shape, mask=mask,
-        tol=tol * 10, threshold=cfg.align_threshold,
-    ) if n_s0 else (np.zeros((p, kl, 0)), (), 0.0)
+    null, coeffs = kernel_stack(gap_t[reg.pts].reshape(b, -1, r_s), reg.cfg.fd_tol, 1.0)
+    return {"matched_span": image_stack(reg.at["shared_span"], null, coeffs, reg.cfg.rank_tol)}
 
-    mism = np.zeros((p, kl, r_s - n_s0))
-    for q in pts:
-        mism[q] = complement(s0_frames[q], s_frames[q], eps_l, tol)[:, : r_s - n_s0]
 
-    # transfer bundle: matched sections whose derivatives along the private
-    # nullity stay inside the shared span on both sides
-    ell_pt = np.zeros(p, dtype=int)
-    transfer_raw = np.zeros((p, kl, n_s0))
-    if n_s0:
-        s0_hat = np.einsum("pts,psu->ptu", ident, s0_frames)
-        dl = np.stack([
-            grid_derivative(s0_frames, chart, i) + np.einsum("ptk,pts->pks", fl.nconn[:, i], s0_frames)
-            for i in range(n)
-        ], axis=1)  # (P, i, kl, n_s0)
-        dr = np.stack([
-            grid_derivative(s0_hat, chart, i) + np.einsum("ptk,pts->pks", fr.nconn[:, i], s0_hat)
-            for i in range(n)
-        ], axis=1)
-        theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, theta)  # coordinate comps
-        for q in pts:
-            blocks = []
-            sfq = s_frames[q]
-            shq = hat_frames[q]
-            for u in range(d_theta):
-                yl = np.einsum("i,iks->ks", theta_coords[q, :, u], dl[q])  # (kl, n_s0)
-                yr = np.einsum("i,iks->ks", theta_coords[q, :, u], dr[q])
-                if r_s:
-                    cl = s_pat[:, None] * ((sfq * eps_l[:, None]).T @ yl)  # (r_s, n_s0)
-                    out_l = yl - sfq @ cl
-                    cr = s_pat[:, None] * ((shq * eps_r[:, None]).T @ yr)
-                    out_r = yr - shq @ cr
-                else:
-                    out_l, out_r = yl, yr
-                blocks.append(out_l)
-                blocks.append(out_r)
-            rows = np.vstack(blocks) if blocks else np.zeros((0, n_s0))
-            coeffs = kernel(rows, fd_tol, a_scale)
-            basis = orthonormal_columns(s0_frames[q] @ coeffs, tol)
-            ell_pt[q] = basis.shape[1]
-            transfer_raw[q, :, : basis.shape[1]] = basis
-    ranks["transfer_bundle"] = ell_pt
-    if _ranks_jump([ell_pt], mask):
-        return _refine(joint, mask, branch, witness, cfg,
-                       cols + [ranks["theta"], ranks["shared_span"], r_s0, ell_pt], depth)
-    ell = int(ell_pt[pts[0]])
-    l_frames, l_pattern, _ = align_frames(
-        transfer_raw[:, :, :ell], np.diag(eps_l), chart.shape, mask=mask,
-        tol=tol * 10, threshold=cfg.align_threshold,
-    ) if ell else (np.zeros((p, kl, 0)), (), 0.0)
-    l_hat = np.einsum("pts,psu->ptu", ident, l_frames)
+def _mismatched(reg: _Region):
+    """The complement of the matched part inside the shared span."""
+    r_s, n_s0 = reg.at["shared_span"].shape[2], reg.at["matched_span"].shape[2]
+    _, basis = complement_stack(reg.at["matched_span"], reg.at["shared_span"], reg.eps_l, reg.cfg.rank_tol)
+    mism = reg.arrays["mismatched_span"] = np.zeros((reg.p, reg.kl, r_s - n_s0))
+    mism[reg.pts] = basis[:, :, : r_s - n_s0]
 
-    # common rulings: joint nullity against both transfer complements
-    d_pt = np.zeros(p, dtype=int)
-    rul_store = {}
-    full_l = np.eye(kl)
-    full_r = np.eye(kr)
-    for q in pts:
-        lperp = complement(l_frames[q], full_l, eps_l, tol)
-        lperp_hat = complement(l_hat[q], full_r, eps_r, tol)
-        rows = np.vstack([
-            np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, lperp).reshape(-1, n),
-            np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, lperp_hat).reshape(-1, n),
-        ])
-        ker = kernel(rows, fd_tol, a_scale)
-        d_pt[q] = ker.shape[1]
-        rul_store[int(q)] = ker
-    ranks["rulings"] = d_pt
-    if _ranks_jump([d_pt], mask):
-        return _refine(joint, mask, branch, witness, cfg,
-                       cols + [ranks["theta"], ranks["shared_span"], r_s0, ell_pt, d_pt], depth)
-    d_rank = int(d_pt[pts[0]])
-    rulings_raw = np.zeros((p, n, d_rank))
-    for q in pts:
-        rulings_raw[q] = rul_store[int(q)]
-    rulings, _, _ = align_frames(
-        rulings_raw, np.eye(n), chart.shape, mask=mask, tol=tol * 10,
-        threshold=cfg.align_threshold,
-    ) if d_rank else (np.zeros((p, n, 0)), (), 0.0)
 
-    # nullity identity for the private part: theta equals the joint nullity
-    # against the shared-span complements
-    gap_theta = 0.0
-    for q in pts:
-        sperp = complement(s_frames[q], full_l, eps_l, tol)
-        sperp_hat = complement(hat_frames[q], full_r, eps_r, tol)
-        rows = np.vstack([
-            np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l, sperp).reshape(-1, n),
-            np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r, sperp_hat).reshape(-1, n),
-        ])
-        ker = kernel(rows, fd_tol, a_scale)
-        gap_theta = max(gap_theta, gap(ker, theta[q]))
-    residuals["theta_identity_gap"] = gap_theta
+def _transfer(reg: _Region) -> dict:
+    """Stage 5: the transfer bundle, matched sections whose derivatives along
+    the private nullity stay inside the shared span on both sides."""
+    fl, fr = reg.joint.left, reg.joint.right
+    chart = fl.jet.chart
+    b, n = len(reg.pts), reg.n
+    s0_frames = reg.arrays["matched_span"]
+    n_s0 = s0_frames.shape[2]
+    if not n_s0:
+        return {"transfer_bundle": (np.zeros(b, dtype=int), np.zeros((b, reg.kl, 0)))}
+    s0_hat = np.einsum("pts,psu->ptu", reg.arrays["identification"], s0_frames)
+    dl = np.stack([
+        grid_derivative(s0_frames, chart, i) + np.einsum("ptk,pts->pks", fl.nconn[:, i], s0_frames)
+        for i in range(n)
+    ], axis=1)[reg.pts]  # (B, i, kl, n_s0)
+    dr = np.stack([
+        grid_derivative(s0_hat, chart, i) + np.einsum("ptk,pts->pks", fr.nconn[:, i], s0_hat)
+        for i in range(n)
+    ], axis=1)[reg.pts]
+    theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, reg.arrays["theta"])[reg.pts]
+    sf, sh = reg.at["shared_span"], reg.hat_frames[reg.pts]
+    s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
+    blocks = []
+    for u in range(theta_coords.shape[2]):
+        yl = np.einsum("pi,piks->pks", theta_coords[:, :, u], dl)  # (B, kl, n_s0)
+        yr = np.einsum("pi,piks->pks", theta_coords[:, :, u], dr)
+        if sf.shape[2]:
+            yl = yl - sf @ (s_pat[:, None] * (_t(sf * reg.eps_l[:, None]) @ yl))
+            yr = yr - sh @ (s_pat[:, None] * (_t(sh * reg.eps_r[:, None]) @ yr))
+        blocks += [yl, yr]
+    rows = np.concatenate(blocks, axis=1) if blocks else np.zeros((b, 0, n_s0))
+    null, coeffs = kernel_stack(rows, reg.cfg.fd_tol, reg.a_scale)
+    return {"transfer_bundle": image_stack(reg.at["matched_span"], null, coeffs, reg.cfg.rank_tol)}
 
-    # beta-span rank for the dimension inequality dim theta >= n - rank
-    for q in pts:
-        parts = []
-        if private_l.shape[2]:
-            parts.append(
-                np.einsum("abt,t,tw->abw", alpha_l[q], eps_l, private_l[q]).reshape(n * n, -1)
-            )
-        if private_r.shape[2]:
-            parts.append(
-                np.einsum("abt,t,tw->abw", alpha_r[q], eps_r, private_r[q]).reshape(n * n, -1)
-            )
-        if parts:
-            coeffs = np.hstack(parts)  # one coefficient row per (a, b) pair
-            ranks["beta_span"][q] = rank(coeffs.T, tol, a_scale)
 
-    state = RegionState(
-        branch=branch,
-        mask=mask,
-        points=pts,
-        left=fl,
-        right=fr,
-        eps_left=eps_l,
-        eps_right=eps_r,
-        pos_left=pos_left,
-        pos_right=pos_right,
-        e0_left=e0_left,
-        witness=witness,
-        omega=omega,
-        private_left=private_l,
-        private_right=private_r,
-        shared_left=shared_l,
-        shared_right=shared_r,
-        identification=ident,
-        theta=theta,
-        shared_span=s_frames,
-        shared_pattern=tuple(int(x) for x in s_pattern),
-        matched_span=s0_frames,
-        matched_pattern=tuple(int(x) for x in s0_pattern),
-        mismatched_span=mism,
-        transfer_bundle=l_frames,
-        transfer_pattern=tuple(int(x) for x in l_pattern),
-        transfer_bundle_right=l_hat,
-        rulings=rulings,
-        gap_tensor=gap_t,
-        ranks={k: int(v[pts[0]]) for k, v in ranks.items()},
-        residuals=residuals,
-        notes=notes,
+def _transfer_right(reg: _Region):
+    reg.arrays["transfer_bundle_right"] = np.einsum("pts,psu->ptu", reg.arrays["identification"], reg.arrays["transfer_bundle"])
+
+
+def _rulings(reg: _Region) -> dict:
+    """Stage 6: common rulings, the joint nullity against both transfer complements."""
+    return {"rulings": reg.joint_nullity(reg.at["transfer_bundle"], reg.arrays["transfer_bundle_right"][reg.pts])}
+
+
+def _tails(reg: _Region):
+    """The nullity identity for the private part, and the rank of the span
+    of the private forms for the bound dim theta >= n - rank."""
+    null, ker = reg.joint_nullity(reg.at["shared_span"], reg.hat_frames[reg.pts])
+    theta = reg.at["theta"]
+    reg.residuals["theta_identity_gap"] = _worst(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
+    b, n = len(reg.pts), reg.n
+    parts = [
+        np.einsum("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, -1)
+        for alpha, eps, private in ((reg.al, reg.eps_l, reg.at["private_left"]),
+                                    (reg.ar, reg.eps_r, reg.at["private_right"]))
+        if private.shape[2]
+    ]
+    reg.ranks["beta_span"] = (
+        rank(_t(np.concatenate(parts, axis=2)), reg.cfg.rank_tol, reg.a_scale)
+        if parts else np.zeros(b, dtype=int)
     )
-    _structural_checks(state, joint, cfg)
-    return [state]
 
 
-def _ranks_jump(columns, mask: np.ndarray) -> bool:
-    pts = np.flatnonzero(mask)
-    return any(int(c[pts].min()) != int(c[pts].max()) for c in columns)
+@dataclass(frozen=True)
+class _Stage:
+    name: str
+    build: Callable
+    align: str | None = None   # "normal" (diag eps_left) or "tangent" (identity)
+    equal: tuple = ()          # (product, product, message): ranks that must agree
+    settle: Callable | None = None
 
 
-def _refine(joint, mask, branch, witness, cfg, columns, depth):
-    if depth >= cfg.max_refinements:
-        raise SplitFailure("rank maps keep jumping after maximal refinement")
-    chart = joint.left.jet.chart
-    pts = np.flatnonzero(mask)
+_STAGES = (
+    _Stage("parts", _parts, equal=(
+        ("shared_right", "shared_left", "shared parts of the two spans have different ranks"),
+        ("omega", "shared_left", "radical rank {} != shared rank {}: not a graph"),
+    ), settle=_identify),
+    _Stage("theta", _theta),
+    _Stage("shared_span", _shared_span, align="normal", settle=_containment),
+    _Stage("matched_span", _matched, align="normal", settle=_mismatched),
+    _Stage("transfer_bundle", _transfer, align="normal", settle=_transfer_right),
+    _Stage("rulings", _rulings, align="tangent", settle=_tails),
+)
+
+
+def _construct_region(
+    joint: JointNormalSpace,
+    mask: np.ndarray,
+    branch: str,
+    witness: np.ndarray | None,
+    cfg: PipelineConfig,
+    depth: int = 0,
+    notes: tuple[str, ...] = (),
+) -> list[RegionState]:
+    """Build the full chain of subbundles on one candidate region.
+
+    The stages run in order over the region's points.  When a rank map of a
+    stage is not constant, the region is re-split by every rank map so far
+    and each part starts over.  Returns one state per constant-rank
+    subregion.
+    """
+    reg = _Region(joint, mask, branch, witness, cfg)
+    columns: list[np.ndarray] = []
+    for stage in _STAGES:
+        found = stage.build(reg)
+        columns += [ranks for ranks, _ in found.values()]
+        if any(ranks.min() != ranks.max() for ranks, _ in found.values()):
+            return _refine(reg, columns, depth, stage.name, notes)
+        for product, (ranks, padded) in found.items():
+            reg.take(product, ranks, padded, stage.align)
+        for a, b, message in stage.equal:
+            if reg.ranks[a][0] != reg.ranks[b][0]:
+                raise SplitFailure(message.format(reg.ranks[a][0], reg.ranks[b][0]))
+        if stage.settle:
+            stage.settle(reg)
+    return [reg.state(list(notes))]
+
+
+def _refine(reg: _Region, columns, depth: int, stage: str, notes: tuple[str, ...]):
+    """Re-split a region by its rank maps and construct each part."""
+    chart = reg.joint.left.jet.chart
+    full = []
+    for col in columns:
+        full.append(np.zeros(reg.p, dtype=int))
+        full[-1][reg.pts] = col
     # all points off the mask share one profile, unequal to any on it
-    profile = pack_profile([mask.astype(int)] + [np.where(mask, c, 0) for c in columns])
-    labels = label_regions(chart.shape, profile)
+    labels = label_regions(chart.shape, pack_profile([reg.mask.astype(int)] + full))
+    parts = np.unique(labels[reg.pts])
+    line = f"{stage}: ranks jump at depth {depth}, {len(parts)} subregions"
+    if depth >= MAX_REFINEMENTS:
+        raise SplitFailure("; ".join(
+            ["rank maps keep jumping after maximal refinement", *notes, line]
+        ))
     out = []
-    for lab in np.unique(labels[pts]):
-        sub = (labels == lab) & mask
-        if int(sub.sum()) < cfg.min_region_points:
-            continue
-        out.extend(_construct_region(joint, sub, branch, witness, cfg, depth + 1))
+    for lab in parts:
+        sub = (labels == lab) & reg.mask
+        out.extend(_construct_region(reg.joint, sub, reg.branch, reg.witness, reg.cfg,
+                                     depth + 1, notes + (line,)))
     return out
 
 
-def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: PipelineConfig):
+def _structural_checks(state: RegionState, cfg: PipelineConfig):
     """Degenerate-branch claims and shared invariants, as residuals."""
     pts = state.points
     fl = state.left
@@ -707,15 +698,14 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
         }
         # the mismatched part is spanned by the projected form over the nullity
         r_s1 = state.mismatched_span.shape[2]
-        gamma_ranks = set()
-        for q in pts:
-            s1 = state.mismatched_span[q]
-            if r_s1 == 0:
-                gamma_ranks.add(0)
-                continue
-            vals = np.einsum("au,abt->ubt", state.theta[q], fl.alpha[q]).reshape(-1, len(eps_l))
-            proj = project(s1, eps_l, vals.T, cfg.rank_tol)  # the values projected onto the mismatched part
-            gamma_ranks.add(rank(proj, cfg.rank_tol, 1.0))
+        theta, alpha = state.theta[pts], fl.alpha[pts]
+        if r_s1:
+            vals = np.einsum("pau,pabt->pubt", theta, alpha).reshape(len(pts), -1, len(eps_l))
+            # the values projected onto the mismatched part
+            proj = project_stack(state.mismatched_span[pts], eps_l, _t(vals), cfg.rank_tol)
+            gamma_ranks = set(rank(proj, cfg.rank_tol, 1.0).tolist())
+        else:
+            gamma_ranks = {0}
         claims["mismatched_spanned_by_nullity_form"] = {
             "ranks": sorted(gamma_ranks),
             "expected": r_s1,
@@ -728,19 +718,15 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
             "passed": state.ruling_dim > 0 and sig_l[1] == 1 and sig_l[2] == 0,
         }
         # position vector sits inside the transfer bundle
-        res_pos = 0.0
+        lf, pos = state.transfer_bundle[pts], state.pos_left[pts]
+        proj = ((lf @ np.linalg.pinv(lf)) @ pos[:, :, None])[:, :, 0] if lf.size else np.zeros_like(pos)
+        res_pos = float(np.max(_norm(pos - proj)))
+        # <alpha(Z, Z), position> = -|Z|^2 on the private nullity
         res_th0 = 0.0
-        for q in pts:
-            lf = state.transfer_bundle[q]
-            v = state.pos_left[q]
-            proj = lf @ np.linalg.pinv(lf) @ v if lf.size else np.zeros_like(v)
-            res_pos = max(res_pos, float(np.linalg.norm(v - proj)))
-            # <alpha(Z, Z), position> = -|Z|^2 on the private nullity
-            for u in range(d_theta):
-                z = state.theta[q, :, u]
-                az = np.einsum("abt,a,b->t", fl.alpha[q], z, z)
-                val = float(az @ (eps_l * state.pos_left[q]))
-                res_th0 = max(res_th0, abs(val + 1.0))
+        for u in range(d_theta):
+            z = theta[:, :, u]
+            az = np.einsum("pabt,pa,pb->pt", alpha, z, z)
+            res_th0 = max(res_th0, float(np.max(np.abs(_dot(az, eps_l * pos) + 1.0))))
         claims["position_in_transfer_bundle"] = {
             "residual": res_pos,
             "passed": res_pos < cfg.fd_tol * 100,
@@ -750,11 +736,9 @@ def _structural_checks(state: RegionState, joint: JointNormalSpace, cfg: Pipelin
             "passed": res_th0 < cfg.fd_tol,
         }
         if state.witness is not None and state.e0_left is not None and state.omega.shape[2]:
-            res_wit = 0.0
-            for q in pts:
-                vec = np.concatenate([state.e0_left[q], state.witness[q]])
-                proj = state.omega[q] @ (state.omega[q].T @ vec)
-                res_wit = max(res_wit, float(np.linalg.norm(vec - proj)))
+            vec = np.concatenate([state.e0_left[pts], state.witness[pts]], axis=1)[:, :, None]
+            om = state.omega[pts]
+            res_wit = float(np.max(_norm((vec - om @ (_t(om) @ vec))[:, :, 0])))
             claims["generator_witness_pair_in_radical"] = {
                 "residual": res_wit,
                 "passed": res_wit < cfg.fd_tol * 10,
@@ -949,33 +933,22 @@ def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig | Non
     cfg = cfg or PipelineConfig()
     joint = build_joint(jf, jhat, cfg)
     deg = degeneracy_test(joint, cfg)
-    p = joint.left.metric.shape[0]
-    if cfg.force_branch == "degenerate":
-        deg_flags = np.ones(p, dtype=bool)
-    elif cfg.force_branch == "nondegenerate":
-        deg_flags = np.zeros(p, dtype=bool)
-    else:
-        deg_flags = deg.degenerate
-    if np.any(deg.right_kernel_rank > 0) and not np.any(deg_flags):
+    if np.any(deg.right_kernel_rank > 0) and not np.any(deg.degenerate):
         raise UnsupportedDegeneracy(
             "radical projects non-injectively onto the right factor only"
         )
 
-    profile = pack_profile([deg_flags.astype(int), deg.omega_rank, deg.left_kernel_rank])
+    profile = pack_profile([deg.degenerate.astype(int), deg.omega_rank, deg.left_kernel_rank])
     labels = label_regions(joint.left.jet.chart.shape, profile)
     regions: list[RegionState] = []
     lifted = None
     joint_deg = None
     for lab in np.unique(labels):
         mask = labels == lab
-        if int(mask.sum()) < cfg.min_region_points:
-            continue
-        seed_pt = int(np.flatnonzero(mask)[0])
-        if deg_flags[seed_pt]:
+        if deg.degenerate[np.flatnonzero(mask)[0]]:
             if lifted is None:
-                model = LightConeModel(jf.ambient.dim)
-                lifted = model.lift_jet(jf)
-                joint_deg = build_joint(lifted, jhat, cfg)
+                lifted = LightConeModel(jf.ambient.dim).lift_jet(jf)
+                joint_deg = build_joint(lifted, joint.right, cfg)
             if float(np.min(deg.witness_pairing[mask])) < 0.5:
                 raise UnsupportedDegeneracy(
                     "witness does not pair with the right position vector"

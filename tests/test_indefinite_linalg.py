@@ -6,10 +6,17 @@ from confpair.errors import DegenerateSubspace
 from confpair.indefinite_linalg import (
     DEFAULT_TOL,
     ScalarProduct,
+    complement,
+    complement_stack,
+    gap,
+    gap_stack,
     kernel,
+    kernel_stack,
     orthonormal_columns,
     project,
+    project_stack,
     radical,
+    radical_stack,
     rank,
     signature,
     span_stack,
@@ -294,3 +301,127 @@ def test_cylinder_sff_nullity_is_ruling_directions():
         assert null.shape[1] == 2
         # the curled direction is not in the nullity
         assert not contains(null, np.array([1.0, 0.0, 0.0]))
+
+
+# Stack forms: each entry is decided as the single-matrix form decides it, and
+# both agree with the rational oracles.  24 instances each, of mixed ranks.
+STACK = 24
+EPS5 = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
+NULL_PLANE = np.array([[1, 0], [0, 1], [1, 0], [0, 1], [0, 0]])  # totally null under EPS5
+
+
+def integer_matrix(rows, cols, rank_):
+    return (RNG.integers(-3, 4, size=(rows, rank_)) @ RNG.integers(-3, 4, size=(rank_, cols))).astype(float)
+
+
+def test_kernel_stack_matches_rational_oracle_and_single_kernels():
+    mats = [integer_matrix(4, 5, b % 5) * (10.0 if b % 3 else 1.0) for b in range(STACK)]
+    expected = [5 - rational_rank(m) for m in mats]
+    for floor in FLOORS:
+        null, bases = kernel_stack(np.stack(mats), DEFAULT_TOL, floor)
+        assert null.tolist() == expected
+        for m, k, basis in zip(mats, null, bases):
+            assert np.array_equal(basis[:, :k], kernel(m, DEFAULT_TOL, floor))
+            assert np.allclose(basis.T @ basis, np.eye(5), atol=1e-12)
+            assert np.max(np.abs(m @ basis[:, :k]), initial=0.0) < 1e-12 * max(1.0, np.abs(m).max())
+
+
+def test_complement_stack_matches_rational_oracle_and_single_complements():
+    subs, withins, expected = [], [], []
+    while len(subs) < STACK:
+        sub = integer_matrix(5, 1 + len(subs) % 3, 1 + len(subs) % 3)
+        within = integer_matrix(5, 3, 3)
+        if rational_rank(within) != 3 or rational_rank(sub) != sub.shape[1]:
+            continue
+        if len(subs) % 4 == 0:
+            within[:, :2] = NULL_PLANE  # constraints that vanish on part of `within`
+            sub[:, :1] = NULL_PLANE[:, :1]
+        subs.append(sub)
+        withins.append(within)
+        expected.append(3 - rational_rank(sub.T @ np.diag(EPS5.astype(int)) @ within))
+    for width in (1, 2, 3):
+        idx = [i for i, s in enumerate(subs) if s.shape[1] == width]
+        sub_on = np.stack([orthonormal_columns(subs[i]) for i in idx])
+        within_on = np.stack([orthonormal_columns(withins[i]) for i in idx])
+        ranks, bases = complement_stack(sub_on, within_on, EPS5, DEFAULT_TOL)
+        assert ranks.tolist() == [expected[i] for i in idx]
+        for s, w, r, basis in zip(sub_on, within_on, ranks, bases):
+            assert np.array_equal(basis[:, :r], complement(s, w, EPS5, DEFAULT_TOL))
+            assert np.max(np.abs(gram_between(s, basis[:, :r])), initial=0.0) < 1e-12
+
+
+def gram_between(a, b, eps=EPS5):
+    return a.T @ (b * eps[:, None])
+
+
+def test_radical_stack_matches_rational_oracle_and_single_radicals():
+    mats = []
+    while len(mats) < STACK:
+        nulls = len(mats) % 3
+        null_part = NULL_PLANE @ RNG.integers(-2, 3, size=(2, nulls))
+        rest = integer_matrix(5, 3 - nulls, 3 - nulls)
+        if len(mats) % 6 == 5:  # orthogonal to the null plane: a radical of rank 2
+            rest[:4] = NULL_PLANE[:4] @ RNG.integers(-2, 3, size=(2, 1))
+        m = np.hstack([null_part, rest])
+        if rational_rank(m) == 3:
+            mats.append(m)
+    expected = [3 - rational_rank(m.T @ np.diag(EPS5.astype(int)) @ m) for m in mats]
+    assert set(expected) >= {0, 1, 2}
+    ranks, bases = radical_stack(np.stack([orthonormal_columns(m) for m in mats]), EPS5, DEFAULT_TOL)
+    assert ranks.tolist() == expected
+    for m, r, basis in zip(mats, ranks, bases):
+        assert np.array_equal(basis[:, :r], radical(orthonormal_columns(m), EPS5, DEFAULT_TOL))
+
+
+def test_gap_stack_vanishes_exactly_on_equal_spans():
+    pairs, equal = [], []
+    while len(pairs) < STACK:
+        a = integer_matrix(5, 2, 2)
+        if len(pairs) % 3 == 0:
+            other = a @ np.array([[2.0, 1.0], [1.0, 1.0]])  # same span, other basis
+        else:
+            other = integer_matrix(5, 2, 1 + len(pairs) % 2)
+        if rational_rank(a) != 2:
+            continue
+        pairs.append((orthonormal_columns(a), orthonormal_columns(other)))
+        equal.append(rational_rank(other) == rational_intersection_dim(a, other) == 2)
+    assert any(equal) and not all(equal)
+    for width in (1, 2):
+        idx = [i for i, (_, o) in enumerate(pairs) if o.shape[1] == width]
+        gaps = gap_stack(np.stack([pairs[i][0] for i in idx]), np.stack([pairs[i][1] for i in idx]))
+        for i, g in zip(idx, gaps):
+            assert (g < 1e-12) == equal[i]
+            assert g == gap(*pairs[i])
+            if width == 1:
+                assert abs(g - 1.0) < 1e-12  # a rank mismatch reads 1
+
+
+def test_project_stack_matches_rational_oracle_and_single_projections():
+    bases, vectors, degenerate = [], [], []
+    for b in range(STACK):
+        basis = integer_matrix(5, 2, 2)
+        if b % 4 == 0:
+            basis[:, 0] = NULL_PLANE[:, b % 8 // 4]
+        if rational_rank(basis) != 2:
+            continue
+        bases.append(orthonormal_columns(basis))
+        vectors.append(RNG.normal(size=(5, 3)))
+        exact = basis.T @ np.diag(EPS5.astype(int)) @ basis
+        degenerate.append(rational_signature(exact.astype(int))[2] > 0)
+    for i, (basis, vecs) in enumerate(zip(bases, vectors)):
+        if degenerate[i]:
+            with pytest.raises(DegenerateSubspace):
+                project_stack(basis[None], EPS5, vecs[None], DEFAULT_TOL)
+            continue
+        proj = project_stack(basis[None], EPS5, vecs[None], DEFAULT_TOL)[0]
+        assert np.array_equal(proj, project(basis, EPS5, vecs, DEFAULT_TOL))
+        assert np.allclose(project(basis, EPS5, basis, DEFAULT_TOL), basis, atol=1e-10)
+        assert np.max(np.abs(gram_between(basis, vecs - proj))) < 1e-10
+    good = [i for i, d in enumerate(degenerate) if not d]
+    assert len(good) >= STACK // 2 and any(degenerate)
+    stacked = project_stack(np.stack([bases[i] for i in good]), EPS5,
+                            np.stack([vectors[i] for i in good]), DEFAULT_TOL)
+    for i, proj in zip(good, stacked):
+        assert np.array_equal(proj, project(bases[i], EPS5, vectors[i], DEFAULT_TOL))
+    with pytest.raises(DegenerateSubspace):
+        project_stack(np.stack(bases), EPS5, np.stack(vectors), DEFAULT_TOL)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
-from confpair.errors import HypothesisOutOfRange, NotIsometricPair
+from confpair import jet3, jets, pair_pipeline
+from confpair.errors import HypothesisOutOfRange, NotIsometricPair, SplitFailure
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import ChartGrid, ImmersionJet, induced_metric
 from confpair.lightcone import LightConeModel, isometric_representative
@@ -235,3 +235,111 @@ def test_same_jet_twice_gives_totally_null_joint_span():
     st = analysis.regions[0]
     assert st.residuals["omega_isotropy"] < 1e-12
     assert st.ranks["rulings"] == 3  # full tangent space
+
+
+def inflection_pair():
+    """Cylinders over two curves with speed sqrt(1 + t^4), both with an
+    inflection at t = 0: a plane cubic in R^4 and a space curve in R^5.
+
+    The joint radical is zero everywhere, so the pair starts as one region;
+    both curvature spans drop to rank 0 on the slice x1 = 0.
+    """
+    grid = ChartGrid((7, 5, 5), (0.05, 0.05, 0.05), (-0.15, 0.0, 0.0))
+
+    def cubic(xs):
+        x1, x2, x3 = xs
+        return [x1, x1 * x1 * x1 * (1.0 / 3.0), x2, x3]
+
+    def twisted(xs):  # t -> (t, int s^2 cos s, int s^2 sin s)
+        x1, x2, x3 = xs
+        s, c = jet3.sin(x1), jet3.cos(x1)
+        return [x1, x1 * x1 * s + 2.0 * x1 * c - 2.0 * s,
+                -(x1 * x1) * c + 2.0 * x1 * s + 2.0 * c, x2, x3]
+
+    return (
+        ImmersionJet.from_function(cubic, grid, E4),
+        ImmersionJet.from_function(twisted, grid, ScalarProduct.euclidean(5)),
+    )
+
+
+def test_rank_jump_inside_a_region_re_splits_it():
+    jf, jg = inflection_pair()
+    assert set(degeneracy_test(build_joint(jf, jg)).omega_rank.tolist()) == {0}
+    analysis = analyze_pair(jf, jg)
+    x1 = jf.chart.points()[:, 0]
+    assert len(analysis.regions) == 3
+    assert [sorted(set(np.round(x1[st.points], 9))) for st in analysis.regions] == [
+        [-0.15, -0.1, -0.05], [0.0], [0.05, 0.1, 0.15],
+    ]
+    assert [st.points.size for st in analysis.regions] == [75, 25, 75]
+    curved = {"omega": 0, "private_left": 1, "private_right": 1, "shared_left": 0,
+              "shared_right": 0, "theta": 2, "shared_span": 0, "matched_span": 0,
+              "transfer_bundle": 0, "rulings": 2, "beta_span": 1}
+    flat = dict(curved, private_left=0, private_right=0, theta=3, rulings=3, beta_span=0)
+    assert [st.ranks for st in analysis.regions] == [curved, flat, curved]
+    for st in analysis.regions:
+        assert st.notes == ["parts: ranks jump at depth 0, 3 subregions"]
+
+
+def test_refinement_cap_raises_split_failure(monkeypatch):
+    jf, jg = inflection_pair()
+    monkeypatch.setattr(pair_pipeline, "MAX_REFINEMENTS", 0)
+    with pytest.raises(SplitFailure) as err:
+        analyze_pair(jf, jg)
+    assert str(err.value) == (
+        "rank maps keep jumping after maximal refinement; "
+        "parts: ranks jump at depth 0, 3 subregions"
+    )
+
+
+def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
+    jf, _, jhat = degenerate_reflection_pair()
+    calls = []
+    real = jets.fundamental_data
+
+    def counted(jet, *args, **kwargs):
+        calls.append(jet)
+        return real(jet, *args, **kwargs)
+
+    monkeypatch.setattr(pair_pipeline, "fundamental_data", counted)
+    analysis = analyze_pair(jf, jhat)
+    assert analysis.lifted_left is not None
+    assert len(calls) == 3  # the left map, the right map and the lifted left map
+
+
+def count_pipeline_linalg(monkeypatch, jf, jg):
+    """np.linalg calls of `analyze_pair` outside the BFS sweeps of
+    `align_frames`, which make one batched call per level."""
+    count = [0]
+    sweeping = [False]
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
+                 "cholesky", "det", "matrix_rank"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            count[0] += not sweeping[0]
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    real_align = jets.align_frames
+
+    def sweep(*args, **kwargs):
+        sweeping[0] = True
+        try:
+            return real_align(*args, **kwargs)
+        finally:
+            sweeping[0] = False
+
+    monkeypatch.setattr(jets, "align_frames", sweep)
+    monkeypatch.setattr(pair_pipeline, "align_frames", sweep)
+    analysis = analyze_pair(jf, jg)
+    monkeypatch.undo()
+    return count[0], analysis
+
+
+def test_pipeline_linalg_calls_do_not_grow_with_the_grid(monkeypatch):
+    small, small_analysis = count_pipeline_linalg(monkeypatch, *flat_pair(7))
+    large, large_analysis = count_pipeline_linalg(monkeypatch, *flat_pair(11))
+    assert [st.points.size for st in small_analysis.regions] == [245]
+    assert [st.points.size for st in large_analysis.regions] == [605]
+    assert 0 < large <= small
