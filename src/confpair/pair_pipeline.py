@@ -303,7 +303,6 @@ class _Region:
             "shared_sff_match": 0.0,
             "theta_identity_gap": 0.0,
             "position_pair_orthogonal": 0.0,
-            "witness_in_radical": 0.0,
         }
 
     def take(self, product: str, ranks: np.ndarray, padded: np.ndarray, align: str | None):
@@ -390,11 +389,6 @@ def _parts(reg: _Region) -> dict:
         )
         om = by_class(lambda pp, s: span_stack(np.concatenate([pp, s], axis=2), tol),
                       [(np.ones(b, dtype=int), pospair), rad])
-        if reg.witness is not None:
-            wit = np.concatenate([np.zeros((b, kl)), reg.witness[reg.pts]], axis=1)[:, :, None]
-            res["witness_in_radical"] = _worst(
-                lambda idx, o: _norm((wit[idx] - o @ (_t(o) @ wit[idx]))[:, :, 0]), *om
-            )
         aug_l = span_stack(np.concatenate([pos_l, cols_l], axis=2), tol)
         aug_r = span_stack(np.concatenate([pos_r, cols_r], axis=2), tol)
     else:
