@@ -94,10 +94,8 @@ def conformal_sff(obj, dist: DistributionFrame, tol: float = DEFAULT_TOL) -> Con
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)
     resid = 0.0
     if ell < k and paired.size:
-        for q in range(p):
-            proj = frames[q] @ np.linalg.pinv(frames[q])  # (k, k)
-            outside = paired[q] - paired[q] @ proj.T
-            resid = max(resid, float(np.max(np.abs(outside))))
+        proj = frames @ np.linalg.pinv(frames)  # (P, k, k)
+        resid = float(np.max(np.abs(paired - paired @ np.swapaxes(proj, 1, 2)[:, None])))
     return ConformalSFF(dist, eta, beta, frames, ell, resid)
 
 

@@ -26,7 +26,14 @@ from .errors import (
     NotTransversal,
     RankJump,
 )
-from .indefinite_linalg import complement, gap, kernel, orthonormal_columns
+from .indefinite_linalg import (
+    by_class,
+    gap_stack,
+    kernel_stack,
+    max_by_class,
+    rank_classes,
+    span_stack,
+)
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
@@ -41,7 +48,7 @@ from .jets import (
     induced_metric,
 )
 from .lightcone import LightConeModel, cone_projection
-from .pair_pipeline import RegionState, transfer_residuals
+from .pair_pipeline import RegionState, joint_nullity, transfer_residuals
 
 __all__ = [
     "TransferData",
@@ -182,20 +189,13 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
 
     scale = max(float(np.max(np.abs(rows_all))), 1.0)
     pts = np.flatnonzero(data.mask)
-    dims = np.zeros(p, dtype=int)
-    kers = {}
-    for q in pts:
-        ker = kernel(rows_all[q].transpose(0, 2, 1).reshape(-1, n + ell), fd_tol, scale)
-        kers[int(q)] = ker
-        dims[q] = ker.shape[1]
-    if int(dims[pts].min()) != int(dims[pts].max()):
-        raise RankJump(
-            f"obstruction kernel dimension varies: {sorted(set(dims[pts].tolist()))}"
-        )
-    s_dim = int(dims[pts[0]])
+    rows = rows_all[pts].transpose(0, 1, 3, 2).reshape(len(pts), -1, n + ell)
+    dims, kers = kernel_stack(rows, fd_tol, scale)
+    if int(dims.min()) != int(dims.max()):
+        raise RankJump(f"obstruction kernel dimension varies: {sorted(set(dims.tolist()))}")
+    s_dim = int(dims[0])
     delta_raw = np.zeros((p, n + ell, s_dim))
-    for q in pts:
-        delta_raw[q] = kers[int(q)]
+    delta_raw[pts] = kers[:, :, :s_dim]
     mixed_eps = np.concatenate([np.ones(n), pat])
     delta, _, _ = align_frames(
         delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
@@ -207,15 +207,15 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     rul_emb[:, :n, :] = data.rulings
     rul_gap = 0.0
     r_dim = max(s_dim - d, 0)
+    dq, rq = delta[pts], rul_emb[pts]
+    coeffs = np.broadcast_to(np.eye(s_dim), (len(pts), s_dim, s_dim))
+    if d:
+        rul_gap = float(np.max(np.abs(rq - (dq @ np.linalg.pinv(dq)) @ rq)))
+        vt = np.linalg.svd(np.swapaxes(rq * mixed_eps[:, None], 1, 2) @ dq, full_matrices=True)[2]
+        coeffs = np.swapaxes(vt[:, d:], 1, 2)
+    fib_ranks, fib = span_stack(dq @ coeffs, tol)
     fiber_spans = np.zeros((p, n + ell, r_dim))
-    for q in pts:
-        dq = delta[q]
-        proj = dq @ np.linalg.pinv(dq)
-        rul_gap = max(rul_gap, float(np.max(np.abs(rul_emb[q] - proj @ rul_emb[q]))) if d else 0.0)
-        rows = (rul_emb[q] * mixed_eps[:, None]).T @ dq
-        coeffs = np.linalg.svd(rows, full_matrices=True)[2][d:].T if d else np.eye(s_dim)
-        fib = orthonormal_columns(dq @ coeffs, tol)
-        fiber_spans[q, :, : fib.shape[1]] = fib[:, :r_dim]
+    fiber_spans[pts] = np.where(np.arange(fib.shape[2]) < fib_ranks[:, None, None], fib, 0.0)[:, :, :r_dim]
     # smooth gauge for the fiber frames: the extension differentiates them
     fibers, _, _ = align_frames(
         fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
@@ -226,13 +226,13 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
         if d else 0.0,
     }
     # intersection of the kernel with the tangent block must be the rulings
-    inter_gap = 0.0
-    for q in pts:
-        dq = delta[q]
-        coeffs = kernel(dq[n:, :], tol, 1.0)  # bundle components must vanish
-        tang = orthonormal_columns((dq @ coeffs)[:n, :], tol)
-        inter_gap = max(inter_gap, gap(tang, data.rulings[q]))
-    residuals["kernel_meets_tangent_in_rulings"] = inter_gap
+    null, coeffs = kernel_stack(dq[:, n:, :], tol, 1.0)  # bundle components must vanish
+    tang = by_class(lambda k, c: span_stack((k @ c)[:, :n, :], tol),
+                    [(np.full(len(pts), s_dim), dq), (null, coeffs)])
+    rulings = data.rulings[pts]
+    residuals["kernel_meets_tangent_in_rulings"] = max_by_class(
+        lambda idx, t: gap_stack(t, rulings[idx]), *tang
+    )
     return ObstructionData(data, delta, fibers, s_dim, max(s_dim - d, 0), residuals)
 
 
@@ -389,13 +389,10 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
     # lifted kernel in tube chart coordinates
     p_ext = pair.left.chart.npoints
     d_rank = data.rulings.shape[2]
+    base = np.arange(p_ext) // pf  # the base point under each tube point
     lift = np.zeros((p_ext, n + r, d_rank + r))
-    rul_coords = np.einsum("pia,pau->piu", data.left.tangent_frame, data.rulings)
-    for w in range(pf):
-        sl = slice(w, p_ext, pf)
-        lift[sl, :n, :d_rank] = rul_coords
-        for k in range(r):
-            lift[sl, n + k, d_rank + k] = 1.0
+    lift[:, :n, :d_rank] = np.einsum("pia,pau->piu", data.left.tangent_frame, data.rulings)[base]
+    lift[:, n + np.arange(r), d_rank + np.arange(r)] = 1.0
 
     ell = data.ell
     lf_amb = np.einsum("pmt,ptu->pmu", data.left.normal_frame, data.transfer_bundle)
@@ -410,30 +407,21 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
     out["tube_bundle_rank_expected"] = r_tube
     lf_tube_raw = np.zeros((p_ext, fund_l.normal_rank, r_tube))
     lh_tube_raw = np.zeros((p_ext, fund_r.normal_rank, r_tube))
-    rank_seen = set()
+    rank_seen = {0}
     right_tangency = 0.0
-    for q in range(p_ext):
-        qb = q // pf if pf > 1 else q
-        if ell == 0:
-            rank_seen.add(0)
-            continue
-        rows = pair.left.d1[q] @ gram_l @ lf_amb[qb]  # (n + r, ell)
-        coeffs = kernel(rows, 1e-7, 1.0)
-        rank_seen.add(coeffs.shape[1])
-        take = min(coeffs.shape[1], r_tube)
-        amb_l = lf_amb[qb] @ coeffs[:, :take]
-        amb_r = lh_amb[qb] @ coeffs[:, :take]
-        right_tangency = max(
-            right_tangency,
-            float(np.max(np.abs(pair.right.d1[q] @ gram_r @ amb_r))) if take else 0.0,
-        )
-        lf_tube_raw[q, :, :take] = eps_l_t[:, None] * (
-            fund_l.normal_frame[q].T @ (gram_l @ amb_l)
-        )
-        lh_tube_raw[q, :, :take] = eps_r_t[:, None] * (
-            fund_r.normal_frame[q].T @ (gram_r @ amb_r)
-        )
-    out["tube_bundle_rank"] = max(rank_seen) if rank_seen else 0
+    if ell:
+        null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], 1e-7, 1.0)  # (n + r, ell)
+        rank_seen = set(null.tolist())
+        for (take,), idx in rank_classes(np.minimum(null, r_tube)):
+            if not take:
+                continue
+            amb_l = lf_amb[base[idx]] @ coeffs[idx][:, :, :take]
+            amb_r = lh_amb[base[idx]] @ coeffs[idx][:, :, :take]
+            right_tangency = max(right_tangency,
+                                 float(np.max(np.abs(pair.right.d1[idx] @ gram_r @ amb_r))))
+            lf_tube_raw[idx, :, :take] = eps_l_t[:, None] * (np.swapaxes(fund_l.normal_frame[idx], 1, 2) @ (gram_l @ amb_l))
+            lh_tube_raw[idx, :, :take] = eps_r_t[:, None] * (np.swapaxes(fund_r.normal_frame[idx], 1, 2) @ (gram_r @ amb_r))
+    out["tube_bundle_rank"] = max(rank_seen)
     out["tube_bundle_rank_constant"] = len(rank_seen) == 1
     out["transferred_bundle_tangency"] = right_tangency
 
@@ -442,17 +430,13 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
             lf_tube_raw, np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7
         )
         # transport the aligned left frames with the base identification
-        lh_tube = np.zeros((p_ext, fund_r.normal_rank, r_tube))
         pat_l = np.asarray(data.transfer_pattern, dtype=float)
         eps_l_base = np.asarray(data.left.normal_pattern, dtype=float)
-        for q in range(p_ext):
-            qb = q // pf if pf > 1 else q
-            amb = fund_l.normal_frame[q] @ lf_tube[q]  # (m, r_tube) in the left ambient
-            base_co = np.einsum("tk,km->tm", data.transfer_bundle[qb].T * eps_l_base[None, :],
-                                gram_l) @ amb
-            base_co = pat_l[:, None] * base_co
-            moved_amb = lh_amb[qb] @ base_co
-            lh_tube[q] = eps_r_t[:, None] * (fund_r.normal_frame[q].T @ (gram_r @ moved_amb))
+        amb = fund_l.normal_frame @ lf_tube  # (m, r_tube) in the left ambient
+        base_co = np.einsum("ptk,km->ptm", np.swapaxes(data.transfer_bundle[base], 1, 2) * eps_l_base[None, :],
+                            gram_l) @ amb
+        moved_amb = lh_amb[base] @ (pat_l[:, None] * base_co)
+        lh_tube = eps_r_t[:, None] * (np.swapaxes(fund_r.normal_frame, 1, 2) @ (gram_r @ moved_amb))
         ident_tube = np.einsum(
             "u,pku,pmu->pkm", np.asarray(pat_tube, dtype=float),
             lh_tube, lf_tube * eps_l_t[None, :, None],
@@ -474,34 +458,23 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
 
     # kernel identity: the lifted kernel equals the joint nullity against the
     # complements of the tube bundles
-    gap_inc = 0.0
-    alpha_l = fund_l.alpha
-    alpha_r = fund_r.alpha
-    for q in range(p_ext):
-        kl_t = fund_l.normal_rank
-        kr_t = fund_r.normal_rank
-        lperp = complement(lf_tube[q], np.eye(kl_t), eps_l_t, 1e-9)
-        lperp_h = complement(lh_tube[q], np.eye(kr_t), eps_r_t, 1e-9)
-        rows = np.vstack([
-            np.einsum("abt,t,tw->bwa", alpha_l[q], eps_l_t, lperp).reshape(-1, n + r),
-            np.einsum("abt,t,tw->bwa", alpha_r[q], eps_r_t, lperp_h).reshape(-1, n + r),
-        ])
-        ker = kernel(rows, fd_tol, 1.0)
-        # compare in frame coordinates of the tube
-        lift_frame = fund_l.tangent_frame_inv[q] @ lift[q]
-        gap_inc = max(gap_inc, gap(orthonormal_columns(ker, 1e-9),
-                                   orthonormal_columns(lift_frame, 1e-9)))
-    out["kernel_identity_gap"] = gap_inc
+    null, ker = joint_nullity([(fund_l.alpha, eps_l_t, lf_tube), (fund_r.alpha, eps_r_t, lh_tube)],
+                              1e-9, fd_tol, 1.0)
+    ker_ranks, ker = by_class(lambda k: span_stack(k, 1e-9), [(null, ker)])
+    # compare in frame coordinates of the tube
+    lift_frame = fund_l.tangent_frame_inv @ lift  # (n + r, s) frame coords
+    lift_ranks, lift_span = span_stack(lift_frame, 1e-9)
+    out["kernel_identity_gap"] = max(
+        float(np.max(gap_stack(ker[idx][:, :, :a], lift_span[idx][:, :, :b])))
+        for (a, b), idx in rank_classes(ker_ranks, lift_ranks)
+    )
 
     # ruledness: the second fundamental forms of the tube vanish on the kernel
-    res_ruled = 0.0
-    for q in range(p_ext):
-        lf_coords = fund_l.tangent_frame_inv[q] @ lift[q]  # (n + r, s) frame coords
-        add = np.einsum("abt,au,bv->uvt", alpha_l[q], lf_coords, lf_coords)
-        adr = np.einsum("abt,au,bv->uvt", alpha_r[q], lf_coords, lf_coords)
-        res_ruled = max(res_ruled, float(np.max(np.abs(add))) if add.size else 0.0,
-                        float(np.max(np.abs(adr))) if adr.size else 0.0)
-    out["ruled_leaves"] = res_ruled
+    out["ruled_leaves"] = max(
+        float(np.max(np.abs(np.einsum("pabt,pau,pbv->puvt", alpha, lift_frame, lift_frame)),
+                     initial=0.0))
+        for alpha in (fund_l.alpha, fund_r.alpha)
+    )
 
     # cone-branch consistency: both extensions keep equal squared norms
     if pair.left.ambient.pseudo_pair and pair.right.ambient.pseudo_pair:

@@ -103,6 +103,13 @@ def by_class(fn, ragged, *args):
     return ranks, out
 
 
+def max_by_class(fn, ranks: np.ndarray, padded: np.ndarray) -> float:
+    """Largest entry of fn(indices, stack) over the rank classes of a ragged
+    stack, each class cut to its width; 0 when there are none."""
+    return max(float(np.max(fn(idx, padded[idx][:, :, :k]), initial=0.0))
+               for (k,), idx in rank_classes(ranks))
+
+
 def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
     """Ranks and orthonormal bases of the column spans of a (..., m, s) stack.
 
@@ -140,7 +147,7 @@ def image_stack(basis: np.ndarray, widths: np.ndarray, coeffs: np.ndarray, tol: 
 
 def complement_stack(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float):
     """Vectors of span(`within`) orthogonal to span(`sub`) w.r.t. diag(eps)."""
-    size, m, w = within.shape
+    size, _, w = within.shape
     if w == 0:
         return np.zeros(size, dtype=int), within
     if sub.shape[2] == 0:
@@ -158,17 +165,19 @@ def radical_stack(basis: np.ndarray, eps: np.ndarray, tol: float):
     return image_stack(basis, null, coeffs, tol)
 
 
-def signature_stack(gram: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """(B, 3) inertia (positive, negative, null) of a stack of symmetric matrices."""
+def signature(gram: np.ndarray, tol: float = DEFAULT_TOL):
+    """(positive, negative, null) inertia of a symmetric matrix, or a (B, 3)
+    array of them for a (B, k, k) stack."""
     gram = np.asarray(gram, dtype=float)
-    size, k = gram.shape[:2]
-    if k == 0:
-        return np.zeros((size, 3), dtype=int)
-    vals = np.linalg.eigvalsh(0.5 * (gram + gram.transpose(0, 2, 1)))
-    thr = tol * np.maximum(np.max(np.abs(vals), axis=1, keepdims=True), 1.0)
-    pos = np.sum(vals > thr, axis=1)
-    neg = np.sum(vals < -thr, axis=1)
-    return np.stack([pos, neg, k - pos - neg], axis=1)
+    stack = gram if gram.ndim == 3 else gram[None]
+    k = stack.shape[1]
+    counts = np.zeros((len(stack), 3), dtype=int)
+    if k:
+        vals = np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))
+        thr = tol * np.maximum(np.max(np.abs(vals), axis=1, keepdims=True), 1.0)
+        counts[:, 0], counts[:, 1] = np.sum(vals > thr, axis=1), np.sum(vals < -thr, axis=1)
+        counts[:, 2] = k - counts[:, 0] - counts[:, 1]
+    return counts if gram.ndim == 3 else tuple(int(x) for x in counts[0])
 
 
 def gap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -188,7 +197,7 @@ def project_stack(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: 
     """
     weighted = basis * eps[:, None]
     gram = basis.transpose(0, 2, 1) @ weighted
-    null = signature_stack(gram, tol)[:, 2]
+    null = signature(gram, tol)[:, 2]
     if null.any():
         raise DegenerateSubspace(
             f"projection target has a radical of dimension {null[np.flatnonzero(null)[0]]}"
@@ -222,11 +231,6 @@ def radical(basis: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
     """span(basis) intersected with its diag(eps)-orthogonal."""
     r, out = radical_stack(basis[None], eps, tol)
     return out[0, :, : r[0]]
-
-
-def signature(gram: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    """(positive, negative, null) inertia of a symmetric matrix."""
-    return tuple(int(x) for x in signature_stack(np.asarray(gram, dtype=float)[None], tol)[0])
 
 
 def gap(a: np.ndarray, b: np.ndarray) -> float:

@@ -604,14 +604,9 @@ class DistributionFrame:
 
 def coordinate_distribution(fund: FundamentalData, axes: list[int]) -> DistributionFrame:
     """Distribution spanned by chosen coordinate fields, orthonormalized."""
-    p, n = fund.metric.shape[0], fund.metric.shape[1]
-    basis = np.zeros((p, n, len(axes)))
-    cinv_t = fund.tangent_frame_inv  # rows: coords of d_i in frame? C_inv[a,i]
-    for col, ax in enumerate(axes):
-        basis[:, :, col] = cinv_t[:, :, ax]
-    for q in range(p):
-        basis[q] = orthonormal_columns(basis[q])
-    return DistributionFrame(basis)
+    # column i of the inverse frame matrix: the frame coordinates of d_i
+    _, basis = span_stack(fund.tangent_frame_inv[:, :, list(axes)])
+    return DistributionFrame(basis[:, :, : len(axes)])
 
 
 def bracket_residual(fund: FundamentalData, dist: DistributionFrame) -> np.ndarray:

@@ -41,6 +41,7 @@ from .indefinite_linalg import (
     gap_stack,
     image_stack,
     kernel_stack,
+    max_by_class,
     project_stack,
     radical_stack,
     rank,
@@ -160,11 +161,38 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u, u))
 
 
-def _worst(fn, ranks: np.ndarray, padded: np.ndarray) -> float:
-    """Largest entry of fn(indices, stack) over the rank classes of a ragged
-    stack, each class cut to its width; 0 when there are none."""
-    return max(float(np.max(fn(idx, padded[idx][:, :, :k]), initial=0.0))
-               for (k,), idx in rank_classes(ranks))
+def _nabla(frames: np.ndarray, fund: FundamentalData, i: int) -> np.ndarray:
+    """Normal covariant derivative along chart axis i of frames (P, k, s) of
+    the normal bundle of `fund`."""
+    return grid_derivative(frames, fund.jet.chart, i) + np.einsum(
+        "ptk,pts->pks", fund.nconn[:, i], frames
+    )
+
+
+def _pairing_rows(sides) -> np.ndarray:
+    """Rows (B, ., n): each form (B, n, n, k) of `sides` paired with the
+    frames (B, k, w) of its normal bundle; sides hold (form, eps, frames)."""
+    return np.concatenate([
+        np.einsum("pabt,t,ptw->pbwa", alpha, eps, frames).reshape(len(frames), -1, alpha.shape[1])
+        for alpha, eps, frames in sides
+    ], axis=1)
+
+
+def joint_nullity(sides, tol: float, fd_tol: float, floor: float):
+    """Directions killing each form of `sides` on the diag(eps)-complement
+    of its frames: (nullities (B,), padded bases (B, n, n)).
+
+    The complements are decided at `tol`, the kernel at `fd_tol` and `floor`.
+    """
+    perps = [complement_stack(frames, np.broadcast_to(np.eye(len(eps)), (len(frames),) + (len(eps),) * 2),
+                              eps, tol) for _, eps, frames in sides]
+    b, n = len(sides[0][2]), sides[0][0].shape[1]
+    null, basis = np.zeros(b, dtype=int), np.zeros((b, n, n))
+    for widths, idx in rank_classes(*(ranks for ranks, _ in perps)):
+        rows = _pairing_rows([(alpha[idx], eps, perp[idx][:, :, :w])
+                              for (alpha, eps, _), (_, perp), w in zip(sides, perps, widths)])
+        null[idx], basis[idx] = kernel_stack(rows, fd_tol, floor)
+    return null, basis
 
 
 def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) -> DegeneracyData:
@@ -297,11 +325,9 @@ class _Region:
         self.patterns: dict[str, tuple] = {}
         self.residuals: dict[str, float] = {
             "metric_agreement": joint.metric_residual,
-            "omega_isotropy": 0.0,
             "graph_gap": 0.0,
             "identification_isometry": 0.0,
             "shared_sff_match": 0.0,
-            "theta_identity_gap": 0.0,
             "position_pair_orthogonal": 0.0,
         }
 
@@ -322,27 +348,8 @@ class _Region:
         self.at[product] = full[self.pts]
         self.patterns[product] = tuple(int(x) for x in pattern)
 
-    def joint_rows(self, idx, frames_l: np.ndarray, frames_r: np.ndarray) -> np.ndarray:
-        """Rows (B, ., n): both forms paired with frames of their normal bundles."""
-        b, n = len(frames_l), self.n
-        return np.concatenate([
-            np.einsum("pabt,t,ptw->pbwa", self.al[idx], self.eps_l, frames_l).reshape(b, -1, n),
-            np.einsum("pabt,t,ptw->pbwa", self.ar[idx], self.eps_r, frames_r).reshape(b, -1, n),
-        ], axis=1)
-
-    def joint_nullity(self, frames_l: np.ndarray, frames_r: np.ndarray):
-        """Directions killing both forms on the complements of the two frames."""
-        tol, b = self.cfg.rank_tol, len(self.pts)
-        full_l = np.broadcast_to(np.eye(self.kl), (b, self.kl, self.kl))
-        full_r = np.broadcast_to(np.eye(self.kr), (b, self.kr, self.kr))
-        perp_l = complement_stack(frames_l, full_l, self.eps_l, tol)
-        perp_r = complement_stack(frames_r, full_r, self.eps_r, tol)
-        null = np.zeros(b, dtype=int)
-        basis = np.zeros((b, self.n, self.n))
-        for (wl, wr), idx in rank_classes(perp_l[0], perp_r[0]):
-            rows = self.joint_rows(idx, perp_l[1][idx][:, :, :wl], perp_r[1][idx][:, :, :wr])
-            null[idx], basis[idx] = kernel_stack(rows, self.cfg.fd_tol, self.a_scale)
-        return null, basis
+    def sides(self, frames_l: np.ndarray, frames_r: np.ndarray):
+        return [(self.al, self.eps_l, frames_l), (self.ar, self.eps_r, frames_r)]
 
     def state(self, notes: list[str]) -> RegionState:
         st = RegionState(
@@ -384,7 +391,7 @@ def _parts(reg: _Region) -> dict:
         pos_l, pos_r = reg.pos_left[reg.pts][:, :, None], reg.pos_right[reg.pts][:, :, None]
         pospair = np.concatenate([pos_l, pos_r], axis=1)
         # position pair must be orthogonal to, but not contained in, the span
-        res["position_pair_orthogonal"] = _worst(
+        res["position_pair_orthogonal"] = max_by_class(
             lambda idx, s: np.abs(_t(s) @ (eps[:, None] * pospair[idx])), *plain
         )
         om = by_class(lambda pp, s: span_stack(np.concatenate([pp, s], axis=2), tol),
@@ -393,7 +400,7 @@ def _parts(reg: _Region) -> dict:
         aug_r = span_stack(np.concatenate([pos_r, cols_r], axis=2), tol)
     else:
         om, aug_l, aug_r = rad, span_l, span_r
-    res["omega_isotropy"] = _worst(lambda idx, o: np.abs(_t(o) @ (o * eps[:, None])), *om)
+    res["omega_isotropy"] = max_by_class(lambda idx, o: np.abs(_t(o) @ (o * eps[:, None])), *om)
 
     # private parts: curvature span vectors orthogonal to the radical
     gamma_l = by_class(lambda o, s: complement_stack(o[:, :kl], s, reg.eps_l, tol), [om, span_l])
@@ -416,7 +423,7 @@ def _identify(reg: _Region):
     if not om.shape[2]:
         return
     wl, wr = om[:, :kl], om[:, kl:]
-    res["graph_gap"] = _worst(lambda idx, w: gap_stack(w, sh_l[idx]), *span_stack(wl, tol))
+    res["graph_gap"] = max_by_class(lambda idx, w: gap_stack(w, sh_l[idx]), *span_stack(wl, tol))
     j_mat = wr @ np.linalg.pinv(wl, rcond=1e-10)
     ident[reg.pts] = j_mat
     # isometry of the identification on the shared part
@@ -432,7 +439,7 @@ def _identify(reg: _Region):
 
 def _theta(reg: _Region) -> dict:
     """Stage 2: the private nullity, directions killing both private projections."""
-    rows = reg.joint_rows(slice(None), reg.at["private_left"], reg.at["private_right"])
+    rows = _pairing_rows(reg.sides(reg.at["private_left"], reg.at["private_right"]))
     return {"theta": kernel_stack(rows, reg.cfg.rank_tol, 1.0)}
 
 
@@ -461,7 +468,6 @@ def _matched(reg: _Region) -> dict:
     """Stage 4: the connection-gap tensor on the shared span and its common
     kernel, the matched part."""
     fl, fr = reg.joint.left, reg.joint.right
-    chart = fl.jet.chart
     p, n, b, kl = reg.p, reg.n, len(reg.pts), reg.kl
     eps_l, eps_r = reg.eps_l, reg.eps_r
     s_frames = reg.arrays["shared_span"]
@@ -471,12 +477,7 @@ def _matched(reg: _Region) -> dict:
     hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames) if r_s else np.zeros((p, reg.kr, 0))
     if r_s:
         for i in range(n):
-            dsl = grid_derivative(s_frames, chart, i) + np.einsum(
-                "ptk,pts->pks", fl.nconn[:, i], s_frames
-            )
-            dsr = grid_derivative(hat_frames, chart, i) + np.einsum(
-                "ptk,pts->pks", fr.nconn[:, i], hat_frames
-            )
+            dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
             # coefficients of the two covariant derivatives on the span frames:
             # gap_t[p, i, u, s] with u the frame component and s the section
             cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl)
@@ -509,21 +510,14 @@ def _transfer(reg: _Region) -> dict:
     """Stage 5: the transfer bundle, matched sections whose derivatives along
     the private nullity stay inside the shared span on both sides."""
     fl, fr = reg.joint.left, reg.joint.right
-    chart = fl.jet.chart
     b, n = len(reg.pts), reg.n
     s0_frames = reg.arrays["matched_span"]
     n_s0 = s0_frames.shape[2]
     if not n_s0:
         return {"transfer_bundle": (np.zeros(b, dtype=int), np.zeros((b, reg.kl, 0)))}
     s0_hat = np.einsum("pts,psu->ptu", reg.arrays["identification"], s0_frames)
-    dl = np.stack([
-        grid_derivative(s0_frames, chart, i) + np.einsum("ptk,pts->pks", fl.nconn[:, i], s0_frames)
-        for i in range(n)
-    ], axis=1)[reg.pts]  # (B, i, kl, n_s0)
-    dr = np.stack([
-        grid_derivative(s0_hat, chart, i) + np.einsum("ptk,pts->pks", fr.nconn[:, i], s0_hat)
-        for i in range(n)
-    ], axis=1)[reg.pts]
+    dl = np.stack([_nabla(s0_frames, fl, i) for i in range(n)], axis=1)[reg.pts]  # (B, i, kl, n_s0)
+    dr = np.stack([_nabla(s0_hat, fr, i) for i in range(n)], axis=1)[reg.pts]
     theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, reg.arrays["theta"])[reg.pts]
     sf, sh = reg.at["shared_span"], reg.hat_frames[reg.pts]
     s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
@@ -540,21 +534,22 @@ def _transfer(reg: _Region) -> dict:
     return {"transfer_bundle": image_stack(reg.at["matched_span"], null, coeffs, reg.cfg.rank_tol)}
 
 
-def _transfer_right(reg: _Region):
-    reg.arrays["transfer_bundle_right"] = np.einsum("pts,psu->ptu", reg.arrays["identification"], reg.arrays["transfer_bundle"])
-
-
 def _rulings(reg: _Region) -> dict:
     """Stage 6: common rulings, the joint nullity against both transfer complements."""
-    return {"rulings": reg.joint_nullity(reg.at["transfer_bundle"], reg.arrays["transfer_bundle_right"][reg.pts])}
+    reg.arrays["transfer_bundle_right"] = np.einsum(
+        "pts,psu->ptu", reg.arrays["identification"], reg.arrays["transfer_bundle"]
+    )
+    sides = reg.sides(reg.at["transfer_bundle"], reg.arrays["transfer_bundle_right"][reg.pts])
+    return {"rulings": joint_nullity(sides, reg.cfg.rank_tol, reg.cfg.fd_tol, reg.a_scale)}
 
 
 def _tails(reg: _Region):
     """The nullity identity for the private part, and the rank of the span
     of the private forms for the bound dim theta >= n - rank."""
-    null, ker = reg.joint_nullity(reg.at["shared_span"], reg.hat_frames[reg.pts])
+    sides = reg.sides(reg.at["shared_span"], reg.hat_frames[reg.pts])
+    null, ker = joint_nullity(sides, reg.cfg.rank_tol, reg.cfg.fd_tol, reg.a_scale)
     theta = reg.at["theta"]
-    reg.residuals["theta_identity_gap"] = _worst(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
+    reg.residuals["theta_identity_gap"] = max_by_class(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
     b, n = len(reg.pts), reg.n
     parts = [
         np.einsum("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, -1)
@@ -585,7 +580,7 @@ _STAGES = (
     _Stage("theta", _theta),
     _Stage("shared_span", _shared_span, align="normal", settle=_containment),
     _Stage("matched_span", _matched, align="normal", settle=_mismatched),
-    _Stage("transfer_bundle", _transfer, align="normal", settle=_transfer_right),
+    _Stage("transfer_bundle", _transfer, align="normal"),
     _Stage("rulings", _rulings, align="tangent", settle=_tails),
 )
 
@@ -625,13 +620,10 @@ def _construct_region(
 
 def _refine(reg: _Region, columns, depth: int, stage: str, notes: tuple[str, ...]):
     """Re-split a region by its rank maps and construct each part."""
-    chart = reg.joint.left.jet.chart
-    full = []
-    for col in columns:
-        full.append(np.zeros(reg.p, dtype=int))
-        full[-1][reg.pts] = col
+    full = np.zeros((len(columns), reg.p), dtype=int)
+    full[:, reg.pts] = columns
     # all points off the mask share one profile, unequal to any on it
-    labels = label_regions(chart.shape, pack_profile([reg.mask.astype(int)] + full))
+    labels = label_regions(reg.joint.left.jet.chart.shape, pack_profile([reg.mask.astype(int), *full]))
     parts = np.unique(labels[reg.pts])
     line = f"{stage}: ranks jump at depth {depth}, {len(parts)} subregions"
     if depth >= MAX_REFINEMENTS:
@@ -667,16 +659,10 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
     }
 
     if state.branch == "degenerate":
-        sig_s = sig(state.shared_span)
-        claims["shared_span_lorentzian"] = {
-            "signature": sig_s,
-            "passed": sig_s[1] == 1 and sig_s[2] == 0,
-        }
-        sig_s0 = sig(state.matched_span)
-        claims["matched_span_lorentzian"] = {
-            "signature": sig_s0,
-            "passed": sig_s0[1] == 1 and sig_s0[2] == 0,
-        }
+        for name, frames in (("shared_span_lorentzian", state.shared_span),
+                             ("matched_span_lorentzian", state.matched_span)):
+            s = sig(frames)
+            claims[name] = {"signature": s, "passed": s[1] == 1 and s[2] == 0}
         sig_s1 = sig(state.mismatched_span)
         claims["mismatched_span_riemannian"] = {
             "signature": sig_s1,
@@ -804,8 +790,7 @@ def transfer_residuals(
     out_l_axes = []
     out_r_axes = []
     for i in range(n):
-        d_l = grid_derivative(lf, chart, i) + np.einsum("ptk,pts->pks", fund_l.nconn[:, i], lf)
-        d_r = grid_derivative(lh, chart, i) + np.einsum("ptk,pts->pks", fund_r.nconn[:, i], lh)
+        d_l, d_r = _nabla(lf, fund_l, i), _nabla(lh, fund_r, i)
         lhs = proj_onto(lh, eps_r, d_r)
         rhs = np.einsum("pts,psu->ptu", identification, proj_onto(lf, eps_l, d_l))
         res_par = max(res_par, float(np.max(np.abs((lhs - rhs)[ipts]))))
@@ -935,8 +920,7 @@ def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig | Non
     profile = pack_profile([deg.degenerate.astype(int), deg.omega_rank, deg.left_kernel_rank])
     labels = label_regions(joint.left.jet.chart.shape, profile)
     regions: list[RegionState] = []
-    lifted = None
-    joint_deg = None
+    lifted = joint_deg = None
     for lab in np.unique(labels):
         mask = labels == lab
         if deg.degenerate[np.flatnonzero(mask)[0]]:
