@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conformal_calc import conformal_s_nullity, is_conformally_ruled, rigidity_criterion
-from .errors import GeometryError, HypothesisOutOfRange, ManifestError
+from .errors import GeometryError, HypothesisOutOfRange, ManifestError, RankJump
 from .extension import (
     TransferData,
     extension_obstruction,
@@ -169,7 +169,7 @@ def _euclidean_codims(jf: ImmersionJet, jhat: ImmersionJet, branch: str):
     return p, q, jf.ambient.index, b
 
 
-def _region_report(state, jf, jhat, cfg, thresholds) -> dict:
+def _region_report(state, jf, jhat, cfg) -> dict:
     rep = {
         "branch": state.branch,
         "points": int(state.points.size),
@@ -215,7 +215,6 @@ def _pair_checks(regions_rep: list[dict], doc: dict) -> list[dict]:
     expect = doc.get("expect", {})
     thr = doc.get("checks", {})
     compat_thr = thr.get("compatibility_threshold")
-    claims_thr = thr.get("claims_threshold")
     for i, rep in enumerate(regions_rep):
         tag = f"region{i}"
         if "branch" in expect:
@@ -392,61 +391,61 @@ def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
     return results, checks, None
 
 
+def _pair_report(jf, jhat, grid: ChartGrid, doc: dict, cfg: PipelineConfig):
+    """Analyze an isometric pair: (analysis, the degeneracy and region parts
+    of the results, checks, per-point CSV rows)."""
+    analysis = analyze_pair(jf, jhat, cfg)
+    deg = analysis.degeneracy
+    regions_rep = [_region_report(st, jf, jhat, cfg) for st in analysis.regions]
+    pairing_min = float(np.min(deg.witness_pairing)) if deg.degenerate.any() else None
+    results = {
+        "degeneracy": {
+            "degenerate_points": int(np.sum(deg.degenerate)),
+            "witness_pairing_min": pairing_min,
+        },
+        "regions": regions_rep,
+    }
+    checks = _pair_checks(regions_rep, doc)
+    expect = doc.get("expect", {})
+    if "witness_pairing" in expect and pairing_min is not None:
+        checks.append(_check("witness_pairing_gap",
+                             abs(pairing_min - expect["witness_pairing"]), 1e-9))
+    return analysis, results, checks, _csv_rows(analysis, grid)
+
+
 def _run_pair(doc: dict, cfg: PipelineConfig):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     left_map, jf = _jet_from_spec(_require(doc, "left", dict, "manifest"), grid, "left")
     right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
     notes: list[str] = []
     jhat = _lift_if_needed(jf, right_map, jr, notes)
-    analysis = analyze_pair(jf, jhat, cfg)
-    regions_rep = [_region_report(st, jf, jhat, cfg, doc.get("checks", {}))
-                   for st in analysis.regions]
+    analysis, pair, checks, csv_rows = _pair_report(jf, jhat, grid, doc, cfg)
+    pair["degeneracy"]["radical_rank"] = sorted(set(analysis.degeneracy.omega_rank.tolist()))
     results = {
         "left": left_map.name if left_map is not None else "table",
         "right": right_map.name if right_map is not None else "table",
         "notes": notes,
-        "degeneracy": {
-            "degenerate_points": int(np.sum(analysis.degeneracy.degenerate)),
-            "radical_rank": _jsonable(sorted(set(analysis.degeneracy.omega_rank.tolist()))),
-            "witness_pairing_min": float(np.min(analysis.degeneracy.witness_pairing))
-            if analysis.degeneracy.degenerate.any() else None,
-        },
-        "regions": regions_rep,
+        **pair,
     }
-    checks = _pair_checks(regions_rep, doc)
-    expect = doc.get("expect", {})
-    if "witness_pairing" in expect and results["degeneracy"]["witness_pairing_min"] is not None:
-        checks.append(_check("witness_pairing_gap",
-                             abs(results["degeneracy"]["witness_pairing_min"]
-                                 - expect["witness_pairing"]), 1e-9))
-    csv_rows = _csv_rows(analysis, grid)
     return results, checks, csv_rows
 
 
 def _csv_rows(analysis, grid: ChartGrid):
-    pts = grid.points()
-    region_of = np.full(grid.npoints, -1, dtype=int)
-    branch_of = np.full(grid.npoints, "", dtype=object)
+    """One row per grid point: coordinates, region, branch and the region's ranks."""
+    rank_keys = sorted(analysis.regions[0].ranks) if analysis.regions else []
+    header = (["point"] + [f"x{i + 1}" for i in range(grid.ndim)] + ["region", "branch"]
+              + [f"rank_{k}" for k in rank_keys])
+    cells = [[-1, ""] + ["" for _ in rank_keys]] * grid.npoints
     for i, st in enumerate(analysis.regions):
-        region_of[st.points] = i
         for q in st.points:
-            branch_of[q] = st.branch
-    header = ["point"] + [f"x{i + 1}" for i in range(grid.ndim)] + ["region", "branch"]
-    rank_keys = sorted(analysis.regions[0].ranks.keys()) if analysis.regions else []
-    header += [f"rank_{k}" for k in rank_keys]
-    rows = [header]
-    for q in range(grid.npoints):
-        row = [q] + [f"{c!r}" for c in pts[q]] + [int(region_of[q]), branch_of[q]]
-        if region_of[q] >= 0:
-            st = analysis.regions[region_of[q]]
-            row += [st.ranks[k] for k in rank_keys]
-        else:
-            row += ["" for _ in rank_keys]
-        rows.append(row)
-    return rows
+            cells[q] = [i, st.branch] + [st.ranks[k] for k in rank_keys]
+    return [header] + [[q] + [repr(c) for c in coords] + cells[q]
+                       for q, coords in enumerate(grid.points().tolist())]
 
 
-def _run_generate(doc: dict, cfg: PipelineConfig):
+def _generated_pair(doc: dict):
+    """The generator section: its options, its two maps and the conformal
+    pair on the level-set slice."""
     gen = _require(doc, "generator", dict, "manifest")
     left_map = build_immersion(_require(gen, "left", dict, "generator"), where="generator.left")
     lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
@@ -456,6 +455,16 @@ def _run_generate(doc: dict, cfg: PipelineConfig):
         left_map, lorentz_map, grid,
         axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)),
     )
+    return gen, left_map, lorentz_map, data
+
+
+def _cone_lift(data):
+    """The isometric cone representative of a generated pair's right side."""
+    return isometric_representative(data.projected, induced_metric(data.left))[0]
+
+
+def _run_generate(doc: dict, cfg: PipelineConfig):
+    gen, left_map, lorentz_map, data = _generated_pair(doc)
     results = {
         "left": left_map.name,
         "lorentz": lorentz_map.name,
@@ -471,76 +480,52 @@ def _run_generate(doc: dict, cfg: PipelineConfig):
     ]
     csv_rows = None
     if gen.get("analyze_pair", False):
-        jhat, _ = isometric_representative(data.projected, induced_metric(data.left))
-        analysis = analyze_pair(data.left, jhat, cfg)
-        regions_rep = [_region_report(st, data.left, jhat, cfg, doc.get("checks", {}))
-                       for st in analysis.regions]
-        results["degeneracy"] = {
-            "degenerate_points": int(np.sum(analysis.degeneracy.degenerate)),
-            "witness_pairing_min": float(np.min(analysis.degeneracy.witness_pairing))
-            if analysis.degeneracy.degenerate.any() else None,
-        }
-        results["regions"] = regions_rep
-        checks.extend(_pair_checks(regions_rep, doc))
-        expect = doc.get("expect", {})
-        if "witness_pairing" in expect and results["degeneracy"]["witness_pairing_min"] is not None:
-            checks.append(_check("witness_pairing_gap",
-                                 abs(results["degeneracy"]["witness_pairing_min"]
-                                     - expect["witness_pairing"]), 1e-9))
-        csv_rows = _csv_rows(analysis, data.slice_chart)
+        _, pair, pair_checks, csv_rows = _pair_report(data.left, _cone_lift(data), data.slice_chart, doc, cfg)
+        results.update(pair)
+        checks += pair_checks
     return results, checks, csv_rows
+
+
+def _one_region(analysis):
+    """The single region the extension runs on."""
+    if len(analysis.regions) != 1:
+        sizes = [int(st.points.size) for st in analysis.regions]
+        raise RankJump(f"the extension needs one constant-rank region; the pair splits "
+                       f"into {len(sizes)} regions of {sizes} points")
+    return analysis.regions[0]
 
 
 def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
     if "generator" in doc:
-        gen = doc["generator"]
-        left_map = build_immersion(gen["left"], where="generator.left")
-        lorentz_map = build_immersion(gen["lorentz"], where="generator.lorentz")
-        grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-        sdata = generate_conformal_pair(left_map, lorentz_map, grid,
-                                        axis=int(gen.get("axis", 0)),
-                                        branch=int(gen.get("branch", 0)))
-        jhat, _ = isometric_representative(sdata.projected, induced_metric(sdata.left))
-        analysis = analyze_pair(sdata.left, jhat, cfg)
-        state = analysis.regions[0]
-        data = TransferData.from_region(state)
-        inputs = {"left": left_map.name, "lorentz": lorentz_map.name,
-                  "branch": state.branch}
+        _, left_map, lorentz_map, sdata = _generated_pair(doc)
+        jf, jg = sdata.left, _cone_lift(sdata)
+        names, tspec = {"left": left_map.name, "lorentz": lorentz_map.name}, "pipeline"
     else:
         left_map = build_immersion(_require(doc, "left", dict, "manifest"), where="left")
         right_map = build_immersion(_require(doc, "right", dict, "manifest"), where="right")
         grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-        jf = left_map.jet(grid)
-        jg = right_map.jet(grid)
-        tspec = doc.get("transfer", "pipeline")
-        if tspec == "pipeline":
-            analysis = analyze_pair(jf, jg, cfg)
-            state = analysis.regions[0]
-            data = TransferData.from_region(state)
-            inputs = {"left": left_map.name, "right": right_map.name,
-                      "branch": state.branch}
-        elif isinstance(tspec, dict) and "shared_flat_normal" in tspec:
-            direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
-            if len(direction) != jf.m:
-                raise ManifestError("transfer.shared_flat_normal",
-                                    f"expected {jf.m} components")
-            fl = fundamental_data(jf, tol=cfg.rank_tol)
-            fr = fundamental_data(jg, tol=cfg.rank_tol)
-            p = fl.metric.shape[0]
-            lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
-            lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
-            axes = [int(a) for a in tspec.get("ruling_axes", [])]
-            rul = np.zeros((p, jf.n, len(axes)))
-            for col, ax in enumerate(axes):
-                rul[:, :, col] = fl.tangent_frame_inv[:, :, ax]
-            for q in range(p):
-                rul[q] = np.linalg.qr(rul[q])[0]
-            data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
-            inputs = {"left": left_map.name, "right": right_map.name,
-                      "branch": "hand-built transfer"}
-        else:
-            raise ManifestError("transfer", "expected 'pipeline' or a shared_flat_normal object")
+        jf, jg = left_map.jet(grid), right_map.jet(grid)
+        names, tspec = {"left": left_map.name, "right": right_map.name}, doc.get("transfer", "pipeline")
+    if tspec == "pipeline":
+        state = _one_region(analyze_pair(jf, jg, cfg))
+        data = TransferData.from_region(state)
+        inputs = {**names, "branch": state.branch}
+    elif isinstance(tspec, dict) and "shared_flat_normal" in tspec:
+        direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
+        if len(direction) != jf.m:
+            raise ManifestError("transfer.shared_flat_normal", f"expected {jf.m} components")
+        fl = fundamental_data(jf, tol=cfg.rank_tol)
+        fr = fundamental_data(jg, tol=cfg.rank_tol)
+        p = fl.metric.shape[0]
+        lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
+        lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
+        axes = [int(a) for a in tspec.get("ruling_axes", [])]
+        rul = np.linalg.qr(fl.tangent_frame_inv[:, :, axes])[0]
+        data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
+        inputs = {**names, "branch": "hand-built transfer"}
+    else:
+        raise ManifestError("transfer", "expected 'pipeline' or a shared_flat_normal object")
 
     obs = extension_obstruction(data, fd_tol=cfg.fd_tol)
     pair = ruled_extension(obs)
@@ -637,22 +622,18 @@ def main(argv=None) -> int:
 
     p_an = sub.add_parser("analyze", help="run a manifest file")
     p_an.add_argument("manifest")
-    p_an.add_argument("--output", default=None, help="report path (default: manifest's output or report.json)")
-    p_an.add_argument("--tolerance", type=float, default=None)
-    p_an.add_argument("--seed", type=int, default=None)
-    p_an.add_argument("--csv-dump", default=None)
-    p_an.add_argument("--region", type=int, default=None)
 
     p_gal = sub.add_parser("gallery", help="list or run builtin material")
     gal_sub = p_gal.add_subparsers(dest="gallery_command", required=True)
     gal_sub.add_parser("list", help="print builtin immersions and manifests")
     p_run = gal_sub.add_parser("run", help="run a named builtin manifest")
     p_run.add_argument("name")
-    p_run.add_argument("--output", default=None)
-    p_run.add_argument("--tolerance", type=float, default=None)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--csv-dump", default=None)
-    p_run.add_argument("--region", type=int, default=None)
+    for runner in (p_an, p_run):
+        runner.add_argument("--output", default=None, help="report path")
+        runner.add_argument("--tolerance", type=float, default=None)
+        runner.add_argument("--seed", type=int, default=None)
+        runner.add_argument("--csv-dump", default=None)
+        runner.add_argument("--region", type=int, default=None)
 
     args = parser.parse_args(argv)
 

@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from confpair.cli import main, run_manifest
-from confpair.errors import ManifestError
+from confpair.errors import ManifestError, RankJump
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, catalog, default_chart
 
 
@@ -119,8 +120,12 @@ def test_gallery_run_and_csv(tmp_path):
     code = main(["gallery", "run", "flat-pair", "--output", str(out),
                  "--csv-dump", str(csv_path)])
     assert code == 0
-    header = csv_path.read_text().splitlines()[0].split(",")
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
     assert header[:5] == ["point", "x1", "x2", "x3", "region"]
+    first = lines[1].split(",")
+    assert [float(x) for x in first[1:4]] == [0.1, -0.09, -0.06]  # plain numbers
+    assert first[4:6] == ["0", "nondegenerate"] and len(lines) == 1 + 7 * 7 * 5
     report = json.loads(out.read_text())
     assert report["results"]["regions"][0]["ranks"]["rulings"] == 2
 
@@ -193,3 +198,22 @@ def test_flat_pair_checks_are_json_booleans(gallery_reports):
     report = json.loads(gallery_reports["flat-pair"]["blob"])
     assert report["checks"]
     assert all(check["passed"] is True for check in report["checks"])
+
+
+def test_extend_refuses_a_pair_that_splits_into_regions(tmp_path, capsys):
+    # cylinders over two curves of speed sqrt(1 + t^4) with an inflection at
+    # t = 0: the pipeline re-splits the chart into t < 0, t = 0 and t > 0
+    doc = {
+        "analysis": "extend",
+        "grid": {"shape": [7, 5, 5], "spacing": [0.05, 0.05, 0.05], "origin": [-0.15, 0.0, 0.0]},
+        "left": {"expr": ["x1", "x1 * x1 * x1 / 3", "x2", "x3"], "chart_dim": 3},
+        "right": {"expr": ["x1", "x1 * x1 * sin(x1) + 2 * x1 * cos(x1) - 2 * sin(x1)",
+                           "-x1 * x1 * cos(x1) + 2 * x1 * sin(x1) + 2 * cos(x1)", "x2", "x3"],
+                  "chart_dim": 3},
+    }
+    with pytest.raises(RankJump, match=re.escape("the pair splits into 3 regions of [75, 25, 75] points")):
+        run_manifest(json.loads(json.dumps(doc)))
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--output", str(tmp_path / "out.json")]) == 1
+    assert "analysis error: RankJump" in capsys.readouterr().err
