@@ -241,7 +241,7 @@ def gap(a: np.ndarray, b: np.ndarray) -> float:
 
 def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
     """diag(eps)-orthogonal projection of `vectors` (columns, or one vector)
-    onto span(basis)."""
+    onto span(basis); raises DegenerateSubspace as `project_stack` does."""
     vectors = np.asarray(vectors, dtype=float)
     out = project_stack(basis[None], eps, vectors.reshape(len(vectors), -1)[None], tol)[0]
     return out.reshape((len(basis),) + vectors.shape[1:])
