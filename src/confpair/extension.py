@@ -419,8 +419,10 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
             amb_r = lh_amb[base[idx]] @ coeffs[idx][:, :, :take]
             right_tangency = max(right_tangency,
                                  float(np.max(np.abs(pair.right.d1[idx] @ gram_r @ amb_r))))
-            lf_tube_raw[idx, :, :take] = eps_l_t[:, None] * (np.swapaxes(fund_l.normal_frame[idx], 1, 2) @ (gram_l @ amb_l))
-            lh_tube_raw[idx, :, :take] = eps_r_t[:, None] * (np.swapaxes(fund_r.normal_frame[idx], 1, 2) @ (gram_r @ amb_r))
+            lf_tube_raw[idx, :, :take] = eps_l_t[:, None] * (
+                np.swapaxes(fund_l.normal_frame[idx], 1, 2) @ (gram_l @ amb_l))
+            lh_tube_raw[idx, :, :take] = eps_r_t[:, None] * (
+                np.swapaxes(fund_r.normal_frame[idx], 1, 2) @ (gram_r @ amb_r))
     out["tube_bundle_rank"] = max(rank_seen)
     out["tube_bundle_rank_constant"] = len(rank_seen) == 1
     out["transferred_bundle_tangency"] = right_tangency

@@ -184,9 +184,9 @@ def joint_nullity(sides, tol: float, fd_tol: float, floor: float):
 
     The complements are decided at `tol`, the kernel at `fd_tol` and `floor`.
     """
-    perps = [complement_stack(frames, np.broadcast_to(np.eye(len(eps)), (len(frames),) + (len(eps),) * 2),
-                              eps, tol) for _, eps, frames in sides]
     b, n = len(sides[0][2]), sides[0][0].shape[1]
+    perps = [complement_stack(frames, np.tile(np.eye(len(eps)), (b, 1, 1)), eps, tol)
+             for _, eps, frames in sides]
     null, basis = np.zeros(b, dtype=int), np.zeros((b, n, n))
     for widths, idx in rank_classes(*(ranks for ranks, _ in perps)):
         rows = _pairing_rows([(alpha[idx], eps, perp[idx][:, :, :w])
@@ -474,7 +474,7 @@ def _matched(reg: _Region) -> dict:
     r_s = s_frames.shape[2]
     s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
     gap_t = np.zeros((p, n, r_s, r_s))
-    hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames) if r_s else np.zeros((p, reg.kr, 0))
+    hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames)
     if r_s:
         for i in range(n):
             dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)

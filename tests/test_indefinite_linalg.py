@@ -354,7 +354,9 @@ def gram_between(a, b, eps=EPS5):
     return a.T @ (b * eps[:, None])
 
 
-def test_radical_stack_matches_rational_oracle_and_single_radicals():
+def planted_radicals():
+    """Rank-3 integer spanning sets in R^5 whose radicals under EPS5 have
+    ranks 0, 1 and 2."""
     mats = []
     while len(mats) < STACK:
         nulls = len(mats) % 3
@@ -365,6 +367,11 @@ def test_radical_stack_matches_rational_oracle_and_single_radicals():
         m = np.hstack([null_part, rest])
         if rational_rank(m) == 3:
             mats.append(m)
+    return mats
+
+
+def test_radical_stack_matches_rational_oracle_and_single_radicals():
+    mats = planted_radicals()
     expected = [3 - rational_rank(m.T @ np.diag(EPS5.astype(int)) @ m) for m in mats]
     assert set(expected) >= {0, 1, 2}
     ranks, bases = radical_stack(np.stack([orthonormal_columns(m) for m in mats]), EPS5, DEFAULT_TOL)
@@ -425,3 +432,60 @@ def test_project_stack_matches_rational_oracle_and_single_projections():
         assert np.array_equal(proj, project(bases[i], EPS5, vectors[i], DEFAULT_TOL))
     with pytest.raises(DegenerateSubspace):
         project_stack(np.stack(bases), EPS5, np.stack(vectors), DEFAULT_TOL)
+
+
+# Per-matrix references: the one-matrix-at-a-time forms the stack forms
+# replaced.  The stack forms make the same numpy calls on the same matrices,
+# so they must agree bit for bit.
+
+
+def loop_kernel(rows, tol, floor):
+    if rows.shape[0] == 0 or rows.shape[1] == 0:
+        return np.eye(rows.shape[1])
+    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    return vt[int(np.sum(s > tol * max(s[0], floor))):].T
+
+
+def loop_span(vectors, tol, floor=0.0):
+    if vectors.shape[0] == 0 or vectors.shape[1] == 0:
+        return np.zeros((vectors.shape[0], 0))
+    u, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    return u[:, : int(np.sum(s > tol * max(s[0], floor)))]
+
+
+def loop_complement(sub, within, eps, tol):
+    if within.shape[1] == 0:
+        return within[:, :0]
+    if sub.shape[1] == 0:
+        return within
+    return loop_span(within @ loop_kernel((sub * eps[:, None]).T @ within, tol, 1.0), tol)
+
+
+def loop_radical(basis, eps, tol):
+    return loop_span(basis @ loop_kernel(basis.T @ (basis * eps[:, None]), tol, 1.0), tol)
+
+
+def test_stack_forms_equal_per_matrix_loops_bit_for_bit():
+    # mixed ranks inside each stack, so the stack forms group entries by rank
+    rows = np.stack([integer_matrix(4, 5, b % 5) for b in range(STACK)])
+    for floor in FLOORS:
+        null, bases = kernel_stack(rows, DEFAULT_TOL, floor)
+        for m, k, basis in zip(rows, null, bases):
+            assert np.array_equal(basis[:, :k], loop_kernel(m, DEFAULT_TOL, floor))
+    spans = np.stack([orthonormal_columns(m) for m in planted_radicals()])
+    ranks, bases = radical_stack(spans, EPS5, DEFAULT_TOL)
+    for m, r, basis in zip(spans, ranks, bases):
+        assert np.array_equal(basis[:, :r], loop_radical(m, EPS5, DEFAULT_TOL))
+    subs = spans[:, :, :2]
+    withins = np.stack([orthonormal_columns(RNG.normal(size=(5, 3))) for _ in range(STACK)])
+    ranks, bases = complement_stack(subs, withins, EPS5, DEFAULT_TOL)
+    for s, w, r, basis in zip(subs, withins, ranks, bases):
+        assert np.array_equal(basis[:, :r], loop_complement(s, w, EPS5, DEFAULT_TOL))
+    gaps = gap_stack(withins[:, :, :2], subs)
+    for a, b, g in zip(withins[:, :, :2], subs, gaps):
+        assert g == float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
+    targets = withins[:, :, :2]
+    vectors = RNG.normal(size=(STACK, 5, 3))
+    proj = project_stack(targets, np.ones(5), vectors, DEFAULT_TOL)
+    for t, v, pv in zip(targets, vectors, proj):
+        assert np.array_equal(pv, t @ np.linalg.solve(t.T @ t, t.T @ v))
