@@ -371,9 +371,9 @@ class _Region:
 
 
 # The stages.  `build` returns {product: (ranks (B,), padded bases)}; once the
-# ranks are constant on the region the driver keeps each product (swept by
-# `align_frames` when `align` names the metric) and runs `settle`, which
-# works on frames of one width.
+# ranks are constant on the region `_construct_region` keeps each product
+# (swept by `align_frames` when `align` names the metric) and runs `settle`,
+# which works on frames of one width.
 
 
 def _parts(reg: _Region) -> dict:
