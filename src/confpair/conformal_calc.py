@@ -122,7 +122,7 @@ def is_conformally_ruled(
     fund = _as_fund(obj)
     d = dist.dim
     eta = leaf_mean_curvature(fund, dist)
-    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha)
+    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha, optimize=True)
     umb = alpha_dd - np.eye(d)[None, :, :, None] * eta[:, None, None, :]
     umbilic_residual = float(np.max(np.abs(umb))) if umb.size else 0.0
     br = float(np.max(bracket_residual(fund, dist)))
@@ -255,7 +255,7 @@ def s_nullity_at(
         # candidate zetas from tangent directions
         cands = [np.zeros(p)]
         for x in tangent_candidates:
-            ax = np.einsum("ijc,i,j->c", alpha, x, x)
+            ax = x @ (x @ alpha)  # alpha(x, x)
             cands.append(v @ (v.T @ ax))
         for zeta in cands:
             val = _kernel_dim(alpha, v, zeta, cluster_tol)

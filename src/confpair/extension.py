@@ -111,7 +111,8 @@ class TransferData:
         """Build the identification from matched pseudo-orthonormal frames."""
         eps_l = np.asarray(fund_l.normal_pattern, dtype=float)
         pat = np.asarray(pattern, dtype=float)
-        ident = np.einsum("u,pku,pmu->pkm", pat, lhat_frames, l_frames * eps_l[None, :, None])
+        ident = np.einsum("u,pku,pmu->pkm", pat, lhat_frames, l_frames * eps_l[None, :, None],
+                          optimize=True)
         p = fund_l.metric.shape[0]
         return TransferData(
             fund_l, fund_r, l_frames, tuple(int(x) for x in pattern),
@@ -170,9 +171,9 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
         dfield: (P, m, n + ell) ambient derivatives of the argument fields.
         Returns (P, n + ell, k) normal-frame coordinates.
         """
-        nco = np.einsum("pma,mw,pwt->pat", dfield, gram, fund.normal_frame) * eps
+        nco = np.einsum("pma,mw,pwt->pat", dfield, gram, fund.normal_frame, optimize=True) * eps
         if ell:
-            co = np.einsum("u,ptu,pat->pau", pat, frames * eps[:, None][None], nco)
+            co = np.einsum("u,ptu,pat->pau", pat, frames * eps[:, None][None], nco, optimize=True)
             nco = nco - np.einsum("ptu,pau->pat", frames, co)
         return nco
 
@@ -441,7 +442,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
         lh_tube = eps_r_t[:, None] * (np.swapaxes(fund_r.normal_frame, 1, 2) @ (gram_r @ moved_amb))
         ident_tube = np.einsum(
             "u,pku,pmu->pkm", np.asarray(pat_tube, dtype=float),
-            lh_tube, lf_tube * eps_l_t[None, :, None],
+            lh_tube, lf_tube * eps_l_t[None, :, None], optimize=True,
         )
         compat = transfer_residuals(
             fund_l, fund_r, lf_tube, pat_tube, lh_tube, ident_tube,
@@ -473,8 +474,8 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
 
     # ruledness: the second fundamental forms of the tube vanish on the kernel
     out["ruled_leaves"] = max(
-        float(np.max(np.abs(np.einsum("pabt,pau,pbv->puvt", alpha, lift_frame, lift_frame)),
-                     initial=0.0))
+        float(np.max(np.abs(np.einsum("pabt,pau,pbv->puvt", alpha, lift_frame, lift_frame,
+                                      optimize=True)), initial=0.0))
         for alpha in (fund_l.alpha, fund_r.alpha)
     )
 
@@ -524,8 +525,8 @@ def transversality_check(jet: ImmersionJet, threshold: float = 1e-6) -> dict:
     vanishing differential flags tangency (or containment in the cone).
     """
     g = jet.ambient.gram
-    s = np.einsum("pa,ab,pb->p", jet.values, g, jet.values)
-    ds = 2.0 * np.einsum("pia,ab,pb->pi", jet.d1, g, jet.values)
+    s = np.einsum("pa,ab,pb->p", jet.values, g, jet.values, optimize=True)
+    ds = 2.0 * np.einsum("pia,ab,pb->pi", jet.d1, g, jet.values, optimize=True)
     grad_norm = np.linalg.norm(ds, axis=1)
     scale = max(float(np.max(np.abs(jet.values))), 1.0)
     on_cone = np.abs(s) < threshold * scale
@@ -571,7 +572,7 @@ def generate_conformal_pair(
     # scan the squared norm over the full chart
     pts_all = chart.points()
     vals = lorentz_map.values(pts_all)
-    s_all = np.einsum("pa,ab,pb->p", vals, gram, vals)
+    s_all = np.einsum("pa,ab,pb->p", vals, gram, vals, optimize=True)
     scale = max(float(np.max(np.abs(vals))), 1.0)
     if np.all(np.abs(s_all) < 1e-10 * scale):
         raise NotTransversal("the Lorentz map is contained in the cone: zero set is everything")
@@ -682,7 +683,7 @@ def generate_conformal_pair(
         dfull = np.stack([c.g for c in comps], axis=-1)      # (P, n+1, m)
         d2full = np.stack([c.h for c in comps], axis=-1)     # (P, n+1, n+1, m)
         d1 = np.einsum("pAm,pAi->pim", dfull, incl_d1)
-        d2 = np.einsum("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1) + np.einsum(
+        d2 = np.einsum("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1, optimize=True) + np.einsum(
             "pAm,pAij->pijm", dfull, incl_d2
         )
         return ImmersionJet(slice_chart, mapping.ambient, values, d1, d2, None,

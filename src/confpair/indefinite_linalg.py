@@ -313,7 +313,8 @@ class ScalarProduct:
 
     def inner(self, u: np.ndarray, v: np.ndarray):
         """<u, v>; broadcasts over leading axes (vectors on the last axis)."""
-        return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.gram, np.asarray(v, float))
+        return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.gram, np.asarray(v, float),
+                         optimize=True)
 
     def norm_sq(self, u: np.ndarray):
         return self.inner(u, u)

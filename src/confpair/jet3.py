@@ -6,6 +6,12 @@ evaluated at a batch of points.  Arithmetic propagates derivatives by the
 Leibniz rule; univariate functions compose through `apply_univariate`.
 Requesting ``order < 3`` drops the higher tensors, which keeps level-set
 scans over large meshes cheap.
+
+An operand that is not a `Jet3` (a Python or numpy scalar, or a per-point
+array that broadcasts to the values) never becomes a constant jet: it
+scales or shifts the stored arrays directly, which gives the constant-jet
+result exactly, up to the sign of zero.  Jets share arrays (a shifted jet
+keeps its operand's derivative arrays), so no jet is ever written in place.
 """
 
 from __future__ import annotations
@@ -49,20 +55,24 @@ class Jet3:
         t = np.zeros(self.v.shape + (n, n, n)) if self.t is not None else None
         return Jet3(value, g, h, t, nvars=n)
 
-    def _coerce(self, other):
-        if isinstance(other, Jet3):
-            return other
-        return self._zero_like(other)
+    def _scalar(self, other) -> np.ndarray:
+        """A non-jet operand as float values shaped like ``v`` (a view)."""
+        return np.broadcast_to(np.asarray(other, dtype=float), self.v.shape)
 
     # -- ring operations ----------------------------------------------
 
+    # numpy operands on the left defer to the reflected operators below
+    # instead of building an object array of jets
+    __array_ufunc__ = None
+
     def __add__(self, other):
-        o = self._coerce(other)
+        if not isinstance(other, Jet3):
+            return Jet3(self.v + self._scalar(other), self.g, self.h, self.t, nvars=self.nvars)
         return Jet3(
-            self.v + o.v,
-            None if self.g is None else self.g + o.g,
-            None if self.h is None else self.h + o.h,
-            None if self.t is None else self.t + o.t,
+            self.v + other.v,
+            None if self.g is None else self.g + other.g,
+            None if self.h is None else self.h + other.h,
+            None if self.t is None else self.t + other.t,
             nvars=self.nvars,
         )
 
@@ -78,14 +88,22 @@ class Jet3:
         )
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b = self, o
+        if not isinstance(other, Jet3):
+            s = self._scalar(other)
+            return Jet3(
+                self.v * s,
+                None if self.g is None else self.g * s[..., None],
+                None if self.h is None else self.h * s[..., None, None],
+                None if self.t is None else self.t * s[..., None, None, None],
+                nvars=self.nvars,
+            )
+        a, b = self, other
         v = a.v * b.v
         g = h = t = None
         if a.g is not None:
@@ -100,14 +118,16 @@ class Jet3:
             )
         if a.t is not None:
             t = a.t * b.v[..., None, None, None] + b.t * a.v[..., None, None, None]
-            t = t + _sym_hg(a.h, b.g) + _sym_hg(b.h, a.g)
+            t = t + _sym3(a.h[..., None] * b.g[..., None, None, :]
+                          + b.h[..., None] * a.g[..., None, None, :])
         return Jet3(v, g, h, t, nvars=self.nvars)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.reciprocal()
+        if not isinstance(other, Jet3):
+            return self * (1.0 / self._scalar(other))
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
@@ -146,26 +166,17 @@ class Jet3:
             h = f2[..., None, None] * gg + f1[..., None, None] * self.h
         if self.t is not None:
             f3 = np.asarray(f3, dtype=float)
-            ggg = (
-                self.g[..., :, None, None]
-                * self.g[..., None, :, None]
-                * self.g[..., None, None, :]
-            )
             t = (
-                f3[..., None, None, None] * ggg
-                + f2[..., None, None, None] * _sym_hg(self.h, self.g)
+                f3[..., None, None, None] * (gg[..., None] * self.g[..., None, None, :])
+                + f2[..., None, None, None] * _sym3(self.h[..., None] * self.g[..., None, None, :])
                 + f1[..., None, None, None] * self.t
             )
         return Jet3(v, g, h, t, nvars=self.nvars)
 
 
-def _sym_hg(h, g):
-    """Symmetrized product h_{ij} g_k + h_{ik} g_j + h_{jk} g_i."""
-    return (
-        h[..., :, :, None] * g[..., None, None, :]
-        + h[..., :, None, :] * g[..., None, :, None]
-        + h[..., None, :, :] * g[..., :, None, None]
-    )
+def _sym3(x):
+    """x_{ijk} + x_{ikj} + x_{jki}: symmetrizes x = h_{ij} g_k when h is symmetric."""
+    return x + np.swapaxes(x, -1, -2) + np.moveaxis(x, -1, -3)
 
 
 def variables(points: np.ndarray, order: int = 3) -> list[Jet3]:

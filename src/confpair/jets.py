@@ -186,6 +186,8 @@ class ImmersionJet:
     d2: np.ndarray
     d3: np.ndarray | None = None
     source: str = "closed-form"
+    # jets are never written in place, so the SVD behind the residual runs once
+    _residual: float | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -240,11 +242,16 @@ class ImmersionJet:
         return ImmersionJet(chart, ambient, values, d1, d2, None, source="finite-difference")
 
     def immersion_residual(self) -> float:
-        """max over points of (n-th singular value / first); small means rank drop."""
-        sv = np.linalg.svd(self.d1, compute_uv=False)  # (P, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = sv[:, -1] / sv[:, 0]
-        return float(np.min(ratio))
+        """min over points of (n-th singular value / first); small means rank drop.
+
+        A point whose differential vanishes (first singular value 0) has
+        lost rank and counts as 0.
+        """
+        if self._residual is None:
+            sv = np.linalg.svd(self.d1, compute_uv=False)  # (P, n)
+            ratio = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+            self._residual = float(np.min(ratio))
+        return self._residual
 
     def require_immersion(self, tol: float = 1e-7):
         if self.immersion_residual() <= tol:
@@ -298,13 +305,13 @@ class ImmersionMap:
 def induced_metric(jet: ImmersionJet, tol: float = 1e-7) -> np.ndarray:
     """Per-point Gram matrices of the first partials, (P, n, n)."""
     jet.require_immersion(tol)
-    return np.einsum("pia,ab,pjb->pij", jet.d1, jet.ambient.gram, jet.d1)
+    return np.einsum("pia,ab,pjb->pij", jet.d1, jet.ambient.gram, jet.d1, optimize=True)
 
 
 def metric_derivative(jet: ImmersionJet) -> np.ndarray:
     """Exact coordinate derivative dg[p, k, i, j] = d_k g_ij from the 2-jet."""
     g = jet.ambient.gram
-    t1 = np.einsum("pkia,ab,pjb->pkij", jet.d2, g, jet.d1)
+    t1 = np.einsum("pkia,ab,pjb->pkij", jet.d2, g, jet.d1, optimize=True)
     return t1 + np.transpose(t1, (0, 1, 3, 2))
 
 
@@ -486,8 +493,8 @@ class FundamentalData:
         eps = np.asarray(self.normal_pattern, dtype=float)
         g = self.jet.ambient.gram
         if vectors.ndim == 1:
-            return np.einsum("a,ab,pbt->pt", vectors, g, self.normal_frame) * eps
-        return np.einsum("p...a,ab,pbt->p...t", vectors, g, self.normal_frame) * eps
+            return np.einsum("a,ab,pbt->pt", vectors, g, self.normal_frame, optimize=True) * eps
+        return np.einsum("p...a,ab,pbt->p...t", vectors, g, self.normal_frame, optimize=True) * eps
 
     def normal_ambient(self, coords: np.ndarray) -> np.ndarray:
         """Ambient vectors of per-point normal frame coordinates (..., k)."""
@@ -515,6 +522,7 @@ def fundamental_data(
     if neg == 0:
         chol = np.linalg.cholesky(metric)
         tangent_frame = np.linalg.inv(chol).transpose(0, 2, 1)
+        tangent_frame_inv = chol.transpose(0, 2, 1)
         tangent_pattern = (1,) * n
     else:
         lams, frames = np.linalg.eigh(metric)  # ascending eigenvalues
@@ -524,7 +532,7 @@ def fundamental_data(
         frames = frames * np.where(signs == 0, 1.0, signs)[:, None, :]
         tangent_frame = frames / np.sqrt(np.abs(lams))[:, None, :]
         tangent_pattern = tuple(int(np.sign(v)) for v in lams[0])
-    tangent_frame_inv = np.linalg.inv(tangent_frame)
+        tangent_frame_inv = np.linalg.inv(tangent_frame)
     tangent_ambient = np.einsum("pim,pia->pma", jet.d1, tangent_frame)
 
     # normal spaces: kernels of <d_i F, .> per point, then one aligned sweep
@@ -542,19 +550,22 @@ def fundamental_data(
 
     # second fundamental form: normal component of the coordinate second partials
     eta = np.asarray(tangent_pattern, dtype=float)
-    d2_dot_e = np.einsum("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient)
-    tang_part = np.einsum("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient)
+    d2_dot_e = np.einsum("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient, optimize=True)
+    tang_part = np.einsum("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient, optimize=True)
     alpha_ambient = jet.d2 - tang_part
     eps = np.asarray(normal_pattern, dtype=float)
-    alpha_coord_comp = np.einsum("pijm,mn,pnt->pijt", alpha_ambient, g_amb, normal_frame) * eps
-    alpha = np.einsum("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp)
+    alpha_coord_comp = np.einsum("pijm,mn,pnt->pijt", alpha_ambient, g_amb, normal_frame,
+                                 optimize=True) * eps
+    alpha = np.einsum("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp,
+                      optimize=True)
 
     # normal connection from derivatives of the aligned frame field
     nconn = np.zeros((p, n, k, k))
     if k:
         for i in range(n):
             dxi = grid_derivative(normal_frame, jet.chart, i)  # (P, m, k)
-            nconn[:, i] = np.einsum("pmt,mn,pns->pts", dxi, g_amb, normal_frame) * eps
+            nconn[:, i] = np.einsum("pmt,mn,pns->pts", dxi, g_amb, normal_frame,
+                                    optimize=True) * eps
 
     diagnostics = {
         "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)))) if alpha.size else 0.0,
@@ -637,8 +648,8 @@ def leaf_mean_curvature(fund: FundamentalData, dist: DistributionFrame) -> np.nd
     if d == 0:
         return np.zeros((fund.metric.shape[0], fund.normal_rank))
     eta = np.asarray(fund.tangent_pattern, dtype=float)
-    signs = np.einsum("pau,a,pau->pu", dist.basis, eta, dist.basis)  # +-1 per leg
-    traced = np.einsum("pau,pbu,pabt->put", dist.basis, dist.basis, fund.alpha)
+    signs = np.einsum("pau,a,pau->pu", dist.basis, eta, dist.basis, optimize=True)  # +-1 per leg
+    traced = np.einsum("pau,pbu,pabt->put", dist.basis, dist.basis, fund.alpha, optimize=True)
     return np.einsum("pu,put->pt", signs, traced) / d
 
 
@@ -689,7 +700,7 @@ def gauss_equation_residual(fund: FundamentalData) -> np.ndarray:
     lhs = np.einsum("pwl,plijk->pijkw", metric, r)
     g_amb = jet.ambient.gram
     # <R(X_i, X_j) X_k, X_w> = <alpha(i, w), alpha(j, k)> - <alpha(j, w), alpha(i, k)>
-    rhs = np.einsum("piwa,ab,pjkb->pijkw", fund.alpha_ambient, g_amb, fund.alpha_ambient) - np.einsum(
-        "pjwa,ab,pikb->pijkw", fund.alpha_ambient, g_amb, fund.alpha_ambient
-    )
+    aa = fund.alpha_ambient
+    rhs = (np.einsum("piwa,ab,pjkb->pijkw", aa, g_amb, aa, optimize=True)
+           - np.einsum("pjwa,ab,pikb->pijkw", aa, g_amb, aa, optimize=True))
     return np.max(np.abs(lhs - rhs).reshape(p, -1), axis=1)

@@ -266,12 +266,13 @@ def position_identities(
     def shape_vs(vfield: np.ndarray) -> np.ndarray:
         # <alpha(E_a, E_b), v> via the ambient-coordinate form
         paired = np.einsum("pijm,mn,p...n->pij", fund.alpha_ambient, g_amb,
-                           np.broadcast_to(vfield, (jet.chart.npoints, jet.m)))
-        return np.einsum("pia,pjb,pij->pab", fund.tangent_frame, fund.tangent_frame, paired)
+                           np.broadcast_to(vfield, (jet.chart.npoints, jet.m)), optimize=True)
+        return np.einsum("pia,pjb,pij->pab", fund.tangent_frame, fund.tangent_frame, paired,
+                         optimize=True)
 
     def tangency(vfield: np.ndarray) -> float:
         comp = np.einsum("pma,mn,p...n->pa", fund.tangent_ambient, g_amb,
-                         np.broadcast_to(vfield, (jet.chart.npoints, jet.m)))
+                         np.broadcast_to(vfield, (jet.chart.npoints, jet.m)), optimize=True)
         return float(np.max(np.abs(comp)))
 
     on_cone = float(np.max(np.abs(jet.ambient.norm_sq(jet.values))))
@@ -351,7 +352,8 @@ def sff_transfer_check(
     # conformally-ruled precondition for the lift: umbilic leaves
     eta_lift_frame = leaf_mean_curvature(fund_lift, dist_lift)
     d = dist_lift.dim
-    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist_lift.basis, dist_lift.basis, fund_lift.alpha)
+    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist_lift.basis, dist_lift.basis, fund_lift.alpha,
+                         optimize=True)
     umb = alpha_dd - np.eye(d)[None, :, :, None] * eta_lift_frame[:, None, None, :]
     umbilic_residual = float(np.max(np.abs(umb))) if umb.size else 0.0
     if umbilic_residual > umbilic_tol:
@@ -396,8 +398,8 @@ def sff_transfer_check(
 
     # proportionality scalar on the rulings: Hess phi = lam <,>' there
     span_coord = np.einsum("pia,pau->piu", fund_lift.tangent_frame, dist_lift.basis)
-    h_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, hess)
-    g_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, base_metric)
+    h_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, hess, optimize=True)
+    g_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, base_metric, optimize=True)
     lam = np.einsum("puv,puv->p", h_dd, g_dd) / np.einsum("puv,puv->p", g_dd, g_dd)
     lam_residual = float(np.max(np.abs(h_dd - lam[:, None, None] * g_dd)))
 

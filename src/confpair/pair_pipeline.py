@@ -173,7 +173,8 @@ def _pairing_rows(sides) -> np.ndarray:
     """Rows (B, ., n): each form (B, n, n, k) of `sides` paired with the
     frames (B, k, w) of its normal bundle; sides hold (form, eps, frames)."""
     return np.concatenate([
-        np.einsum("pabt,t,ptw->pbwa", alpha, eps, frames).reshape(len(frames), -1, alpha.shape[1])
+        np.einsum("pabt,t,ptw->pbwa", alpha, eps, frames, optimize=True)
+        .reshape(len(frames), -1, alpha.shape[1])
         for alpha, eps, frames in sides
     ], axis=1)
 
@@ -480,8 +481,10 @@ def _matched(reg: _Region) -> dict:
             dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
             # coefficients of the two covariant derivatives on the span frames:
             # gap_t[p, i, u, s] with u the frame component and s the section
-            cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl)
-            cr = np.einsum("u,pku,pks->pus", s_pat, hat_frames * eps_r[None, :, None], dsr)
+            cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl,
+                           optimize=True)
+            cr = np.einsum("u,pku,pks->pus", s_pat, hat_frames * eps_r[None, :, None], dsr,
+                           optimize=True)
             gap_t[:, i] = cl - cr
     reg.hat_frames, reg.arrays["gap_tensor"] = hat_frames, gap_t
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
@@ -552,7 +555,7 @@ def _tails(reg: _Region):
     reg.residuals["theta_identity_gap"] = max_by_class(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
     b, n = len(reg.pts), reg.n
     parts = [
-        np.einsum("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, -1)
+        np.einsum("pabt,t,ptw->pabw", alpha, eps, private, optimize=True).reshape(b, n * n, -1)
         for alpha, eps, private in ((reg.al, reg.eps_l, reg.at["private_left"]),
                                     (reg.ar, reg.eps_r, reg.at["private_right"]))
         if private.shape[2]
@@ -705,7 +708,7 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
         res_th0 = 0.0
         for u in range(d_theta):
             z = theta[:, :, u]
-            az = np.einsum("pabt,pa,pb->pt", alpha, z, z)
+            az = np.einsum("pabt,pa,pb->pt", alpha, z, z, optimize=True)
             res_th0 = max(res_th0, float(np.max(np.abs(_dot(az, eps_l * pos) + 1.0))))
         claims["position_in_transfer_bundle"] = {
             "residual": res_pos,
@@ -773,7 +776,8 @@ def transfer_residuals(
 
     def proj_onto(frames, eps, vecs):
         # frames pseudo-orthonormal w.r.t. diag(eps) with pattern l_pat
-        co = np.einsum("u,pku,pk...->pu...", l_pat, frames * eps[None, :, None], vecs)
+        co = np.einsum("u,pku,pk...->pu...", l_pat, frames * eps[None, :, None], vecs,
+                       optimize=True)
         return np.einsum("pku,pu...->pk...", frames, co)
 
     # preserves second fundamental forms

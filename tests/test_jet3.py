@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from confpair import jet3
+from confpair import gallery, jet3
+from confpair.jets import ChartGrid
 
 
 def manual_jets(fn, point, h=1e-3):
@@ -81,3 +83,180 @@ def test_norm_helpers():
     r = jet3.norm(x, y)
     assert np.allclose(r.v, 5.0)
     assert np.allclose(r.g[0], [0.6, 0.8])
+
+
+# -- reference: every non-jet operand coerced to a constant jet --------------
+# The arithmetic before scalar operands were applied to the arrays directly:
+# the operand became a jet with zero derivatives and took the full Leibniz
+# product, whose third-order term sums two separate symmetrizations.
+
+
+def _ref_sym_hg(h, g):
+    return (
+        h[..., :, :, None] * g[..., None, None, :]
+        + h[..., :, None, :] * g[..., None, :, None]
+        + h[..., None, :, :] * g[..., :, None, None]
+    )
+
+
+def _ref_const(value, like):
+    n, shape = like.nvars, like.v.shape
+    return jet3.Jet3(
+        np.broadcast_to(np.asarray(value, dtype=float), shape).copy(),
+        None if like.g is None else np.zeros(shape + (n,)),
+        None if like.h is None else np.zeros(shape + (n, n)),
+        None if like.t is None else np.zeros(shape + (n, n, n)),
+        nvars=n,
+    )
+
+
+def _ref_coerce(other, like):
+    return other if isinstance(other, jet3.Jet3) else _ref_const(other, like)
+
+
+def _map(fn, *jets):
+    a = jets[0]
+    parts = [fn(*(getattr(j, k) for j in jets)) if getattr(a, k) is not None else None
+             for k in ("g", "h", "t")]
+    return jet3.Jet3(fn(*(j.v for j in jets)), *parts, nvars=a.nvars)
+
+
+def ref_add(a, b):
+    return _map(np.add, a, _ref_coerce(b, a))
+
+
+def ref_neg(a):
+    return _map(np.negative, a)
+
+
+def ref_mul(a, b):
+    b = _ref_coerce(b, a)
+    v = a.v * b.v
+    g = h = t = None
+    if a.g is not None:
+        g = a.g * b.v[..., None] + b.g * a.v[..., None]
+    if a.h is not None:
+        cross = a.g[..., :, None] * b.g[..., None, :]
+        h = (a.h * b.v[..., None, None] + b.h * a.v[..., None, None]
+             + cross + np.swapaxes(cross, -1, -2))
+    if a.t is not None:
+        t = a.t * b.v[..., None, None, None] + b.t * a.v[..., None, None, None]
+        t = t + _ref_sym_hg(a.h, b.g) + _ref_sym_hg(b.h, a.g)
+    return jet3.Jet3(v, g, h, t, nvars=a.nvars)
+
+
+def ref_reciprocal(a):
+    inv = 1.0 / a.v
+    f1, f2, f3 = -(inv**2), 2 * inv**3, -6 * inv**4
+    g = h = t = None
+    if a.g is not None:
+        g = f1[..., None] * a.g
+    if a.h is not None:
+        gg = a.g[..., :, None] * a.g[..., None, :]
+        h = f2[..., None, None] * gg + f1[..., None, None] * a.h
+    if a.t is not None:
+        ggg = a.g[..., :, None, None] * a.g[..., None, :, None] * a.g[..., None, None, :]
+        t = (f3[..., None, None, None] * ggg + f2[..., None, None, None] * _ref_sym_hg(a.h, a.g)
+             + f1[..., None, None, None] * a.t)
+    return jet3.Jet3(inv, g, h, t, nvars=a.nvars)
+
+
+def ref_div(a, b):
+    return ref_mul(a, ref_reciprocal(_ref_coerce(b, a)))
+
+
+# (operator, jet on the left, reference)
+OPERATIONS = {
+    "a + s": (lambda a, s: a + s, lambda a, s: ref_add(a, s)),
+    "s + a": (lambda a, s: s + a, lambda a, s: ref_add(a, s)),
+    "a - s": (lambda a, s: a - s, lambda a, s: ref_add(a, ref_neg(_ref_coerce(s, a)))),
+    "s - a": (lambda a, s: s - a, lambda a, s: ref_add(ref_neg(a), s)),
+    "a * s": (lambda a, s: a * s, lambda a, s: ref_mul(a, s)),
+    "s * a": (lambda a, s: s * a, lambda a, s: ref_mul(a, s)),
+    "a / s": (lambda a, s: a / s, lambda a, s: ref_div(a, s)),
+    "s / a": (lambda a, s: s / a, lambda a, s: ref_mul(ref_reciprocal(a), s)),
+}
+
+POINTS = 7
+
+
+def random_jet(rng, n, order):
+    """Seeded jet with symmetric derivative tensors, values bounded away from 0."""
+    p = POINTS
+    v = rng.choice([-1.0, 1.0], size=p) * rng.uniform(0.5, 2.0, size=p)
+    g = h = t = None
+    if order >= 1:
+        g = rng.normal(size=(p, n))
+    if order >= 2:
+        h = rng.normal(size=(p, n, n))
+        h = h + np.swapaxes(h, 1, 2)
+    if order >= 3:
+        t = rng.normal(size=(p, n, n, n))
+        t = sum(np.transpose(t, (0,) + perm) for perm in
+                ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
+    return jet3.Jet3(v, g, h, t, nvars=n)
+
+
+def _arrays(jet):
+    return [x for x in (jet.v, jet.g, jet.h, jet.t) if x is not None]
+
+
+def _abs(jet):
+    return _map(np.abs, jet)
+
+
+SHAPES = [(n, order) for n in range(1, 5) for order in range(4)]
+
+
+@pytest.mark.parametrize("op", sorted(OPERATIONS))
+@pytest.mark.parametrize("kind", ["float", "0-d array", "per-point array"])
+def test_scalar_operands_match_the_constant_jet_product_exactly(op, kind):
+    fn, ref = OPERATIONS[op]
+    for n, order in SHAPES:
+        rng = np.random.default_rng([n, order, sorted(OPERATIONS).index(op)])
+        a = random_jet(rng, n, order)
+        s = {"float": -1.37,
+             "0-d array": np.array(0.83),
+             "per-point array": rng.uniform(0.5, 2.0, POINTS) * rng.choice([-1.0, 1.0], POINTS),
+             }[kind]
+        got, want = fn(a, s), ref(a, s)
+        assert isinstance(got, jet3.Jet3) and got.order == order
+        for x, y in zip(_arrays(got), _arrays(want), strict=True):
+            np.testing.assert_array_equal(x, y)  # -0.0 == 0.0
+
+
+def test_jet_products_match_the_two_symmetrization_product():
+    ulp = np.finfo(float).eps
+    for n, order in SHAPES:
+        rng = np.random.default_rng([10, n, order])
+        a, b = random_jet(rng, n, order), random_jet(rng, n, order)
+        # the same products summed in another order: within a few ulp of the
+        # sum of the terms' magnitudes
+        cases = [(a * b, ref_mul(a, b), ref_mul(_abs(a), _abs(b))),
+                 (a / b, ref_div(a, b), ref_mul(_abs(a), _abs(ref_reciprocal(b))))]
+        for got, want, scale in cases:
+            for x, y, bound in zip(_arrays(got), _arrays(want), _arrays(scale), strict=True):
+                assert np.all(np.abs(x - y) <= 8 * ulp * bound)
+        for got, want in ((a + b, ref_add(a, b)), (a - b, ref_add(a, ref_neg(b)))):
+            for x, y in zip(_arrays(got), _arrays(want), strict=True):
+                np.testing.assert_array_equal(x, y)
+
+
+def test_graph_jet_makes_no_constant_jets_beyond_jet3_constant(monkeypatch):
+    calls = {"zero_like": 0, "constant": 0}
+    zero_like, constant = jet3.Jet3._zero_like, jet3.constant
+
+    def counted_zero_like(self, value):
+        calls["zero_like"] += 1
+        return zero_like(self, value)
+
+    def counted_constant(value, template):
+        calls["constant"] += 1
+        return constant(value, template)
+
+    monkeypatch.setattr(jet3.Jet3, "_zero_like", counted_zero_like)
+    monkeypatch.setattr(jet3, "constant", counted_constant)
+    chart = ChartGrid((10,) * 4, (0.02,) * 4, (-0.09,) * 4)
+    gallery.graph(n=4).jet(chart)
+    assert calls["constant"] >= 1
+    assert calls["zero_like"] == calls["constant"]

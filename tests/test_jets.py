@@ -127,14 +127,23 @@ def test_fd_jets_agree_with_closed_form():
     assert np.max(np.abs(np.abs(f_closed.normal_frame) - np.abs(f_fd.normal_frame))) < 1e-4
 
 
-def test_not_immersion_raises():
-    def collapse(xs):
-        x, y = xs
-        return [x, x, jet3.constant(0.0, x)]
+def collapse_fn(xs):
+    x, y = xs
+    return [x, x, jet3.constant(0.0, x)]
 
-    jet = ImmersionJet.from_function(collapse, grid2(), E3)
-    with pytest.raises(NotImmersion):
-        induced_metric(jet)
+
+def fold_fn(xs):
+    # d1 vanishes at the origin alone, where sigma_n / sigma_1 is 0 / 0
+    x, y = xs
+    return [x * x, y * y, x * y]
+
+
+def test_not_immersion_raises():
+    for fn, grid in ((collapse_fn, grid2()), (fold_fn, grid2(5, 0.1))):
+        jet = ImmersionJet.from_function(fn, grid, E3)
+        assert jet.immersion_residual() <= 1e-7  # NaN would compare False
+        with pytest.raises(NotImmersion):
+            induced_metric(jet)
 
 
 def test_coordinate_distribution_brackets_vanish():
@@ -422,3 +431,19 @@ def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
     levels = len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool)))
     assert levels == 199
     assert count[0] <= 10 * levels
+
+
+def test_immersion_residual_runs_one_svd_per_jet(monkeypatch):
+    jet = ImmersionJet.from_function(sphere_fn(1.5), grid2(h=0.04, origin=(0.9, 0.2)), E3)
+    residual_svds = [0]
+    real = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        residual_svds[0] += kwargs.get("compute_uv", True) is False
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    induced_metric(jet)
+    induced_metric(jet)
+    fundamental_data(jet)
+    assert residual_svds[0] == 1
