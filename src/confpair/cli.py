@@ -267,7 +267,7 @@ def _nullity_points(spec, grid: ChartGrid) -> list[int] | None:
 def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     imap, jet = _jet_from_spec(_require(doc, "immersion", dict, "manifest"), grid, "immersion")
-    fund = fundamental_data(jet, tol=cfg.rank_tol)
+    fund = fundamental_data(jet, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
     results: dict = {
         "immersion": imap.name if imap is not None else "table",
         "source": jet.source,
@@ -515,8 +515,8 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
         if len(direction) != jf.m:
             raise ManifestError("transfer.shared_flat_normal", f"expected {jf.m} components")
-        fl = fundamental_data(jf, tol=cfg.rank_tol)
-        fr = fundamental_data(jg, tol=cfg.rank_tol)
+        fl = fundamental_data(jf, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
+        fr = fundamental_data(jg, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
         p = fl.metric.shape[0]
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]

@@ -347,11 +347,12 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     return frame, pattern
 
 
-def _fit_level(spans: np.ndarray, parent: np.ndarray, gram: np.ndarray,
+def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: np.ndarray,
                pattern: tuple[int, ...], tol: float, threshold: float):
     """Fit the pseudo-orthonormal frames of one BFS level, all points at once.
 
-    spans (L, m, s), parent frames (L, m, k), gram (m, m) or (L, m, m).  Each
+    ranks (L,) and orthonormal bases (L, m, w) of the fibers, as `span_stack`
+    returns them; parent frames (L, m, k); gram (m, m) or (L, m, m).  Each
     frame spans its fiber and is fitted to its parent's frame: an orthogonal
     polar fit in the definite case, a pattern-ordered Gram-Schmidt in the
     indefinite one.  Every point is checked in the order fiber rank, solve,
@@ -359,11 +360,10 @@ def _fit_level(spans: np.ndarray, parent: np.ndarray, gram: np.ndarray,
     raises.  Returns (frames (L, m, k), steps (L,)).
     """
     k = parent.shape[2]
-    ranks, bases = span_stack(spans, tol)
     fiber = bases[:, :, :k]
     fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
     gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ parent
-    singular = np.zeros(len(spans), dtype=bool)
+    singular = np.zeros(len(ranks), dtype=bool)
     try:
         coeff = np.linalg.solve(gf, rhs)
     except np.linalg.LinAlgError:  # find the singular fibers one by one
@@ -381,7 +381,7 @@ def _fit_level(spans: np.ndarray, parent: np.ndarray, gram: np.ndarray,
         lost_msg = "polar fit lost rank"
         frames = y @ ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1))
     else:
-        lost = np.zeros(len(spans), dtype=bool)
+        lost = np.zeros(len(ranks), dtype=bool)
         lost_msg = "sign pattern lost during sweep"
         frames = np.zeros_like(y)
         for t in range(k):
@@ -407,6 +407,34 @@ def _fit_level(spans: np.ndarray, parent: np.ndarray, gram: np.ndarray,
     return frames, steps
 
 
+def _sweep(levels, mask: np.ndarray, ranks: np.ndarray, bases: np.ndarray,
+           seed_span: np.ndarray, gram, tol: float, threshold: float):
+    """The level-by-level sweep of `align_frames` over fibers already ranked.
+
+    ranks (M,) and bases (M, m, w) belong to the M masked points in point
+    order; `seed_span` spans the fiber at the seed point, levels[0].  The
+    seed frame is `_seed_frame` of it, so it fixes the gauge of every frame.
+    """
+    npts = len(mask)
+    row = np.cumsum(mask) - 1  # the row of each masked point in ranks and bases
+    gram = np.asarray(gram)
+    per_point_gram = gram.ndim == 3
+    seed_pt = int(levels[0][0][0])
+    frame0, pattern = _seed_frame(seed_span, gram[seed_pt] if per_point_gram else gram, tol)
+    frames = np.zeros((npts, bases.shape[1], frame0.shape[1]))
+    frames[seed_pt] = frame0
+    max_step = 0.0
+    with np.errstate(all="ignore"):  # a failing point is reported, not warned about
+        for points, parents in levels[1:]:
+            at = row[points]
+            frames[points], steps = _fit_level(
+                ranks[at], bases[at], frames[parents], gram[points] if per_point_gram else gram,
+                pattern, tol, threshold,
+            )
+            max_step = max(max_step, float(np.fmax.reduce(steps)))  # NaN steps never count
+    return frames, pattern, max_step
+
+
 def align_frames(
     spans: np.ndarray,
     gram,
@@ -420,32 +448,20 @@ def align_frames(
 
     spans: (P, m, s) spanning vectors per point (columns; s >= rank).
     gram: (m, m) or (P, m, m) ambient Gram.
-    The sweep runs one BFS level at a time; each point is fitted to its BFS
+    The ranks and bases of all masked spans come from one `span_stack` call;
+    the sweep then runs one BFS level at a time, each point fitted to its BFS
     parent in the level above, so the frames are those of a point-by-point
-    sweep in BFS order.
+    sweep in BFS order.  The seed frame comes from the seed span itself.
     Returns (frames (P, m, k), pattern, max_step) with frames zero off-mask.
     """
-    npts = spans.shape[0]
     if mask is None:
-        mask = np.ones(npts, dtype=bool)
+        mask = np.ones(spans.shape[0], dtype=bool)
     levels = bfs_levels(shape, mask, seed)
     if not levels:
         raise ValueError("empty mask")
-    gram = np.asarray(gram)
-    per_point_gram = gram.ndim == 3
-    seed_pt = int(levels[0][0][0])
-    frame0, pattern = _seed_frame(spans[seed_pt], gram[seed_pt] if per_point_gram else gram, tol)
-    frames = np.zeros((npts, spans.shape[1], frame0.shape[1]))
-    frames[seed_pt] = frame0
-    max_step = 0.0
-    with np.errstate(all="ignore"):  # a failing point is reported, not warned about
-        for points, parents in levels[1:]:
-            frames[points], steps = _fit_level(
-                spans[points], frames[parents], gram[points] if per_point_gram else gram,
-                pattern, tol, threshold,
-            )
-            max_step = max(max_step, float(np.fmax.reduce(steps)))  # NaN steps never count
-    return frames, pattern, max_step
+    mask = np.asarray(mask, dtype=bool).reshape(-1)
+    ranks, bases = span_stack(spans[mask], tol)
+    return _sweep(levels, mask, ranks, bases, spans[levels[0][0][0]], gram, tol, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +551,10 @@ def fundamental_data(
         tangent_frame_inv = np.linalg.inv(tangent_frame)
     tangent_ambient = np.einsum("pim,pia->pma", jet.d1, tangent_frame)
 
-    # normal spaces: kernels of <d_i F, .> per point, then one aligned sweep
+    # normal spaces: kernels of <d_i F, .> per point, then one aligned sweep.
+    # The rows have rank n (the immersion is certified above), so the last
+    # k columns of a complete QR of their transpose are an orthonormal basis
+    # of the kernel: every fiber has rank k and needs no rank decision.
     rows = np.einsum("pia,ab->pib", jet.d1, g_amb)  # (P, n, m)
     k = m - n
     if k == 0:
@@ -543,9 +562,12 @@ def fundamental_data(
         normal_pattern = ()
         max_step = 0.0
     else:
-        spans = np.linalg.svd(rows, full_matrices=True)[2][:, n:].transpose(0, 2, 1)
-        normal_frame, normal_pattern, max_step = align_frames(
-            spans, g_amb, jet.chart.shape, tol=tol, threshold=align_threshold
+        bases = np.linalg.qr(rows.transpose(0, 2, 1), mode="complete")[0][:, :, n:]
+        mask = np.ones(p, dtype=bool)
+        levels = bfs_levels(jet.chart.shape, mask)
+        seed_span = np.linalg.svd(rows[levels[0][0][0]])[2][n:].T  # the gauge of the frames
+        normal_frame, normal_pattern, max_step = _sweep(
+            levels, mask, np.full(p, k), bases, seed_span, g_amb, tol, align_threshold
         )
 
     # second fundamental form: normal component of the coordinate second partials

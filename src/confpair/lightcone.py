@@ -164,16 +164,13 @@ def scale_jet(jet: ImmersionJet, s: Jet3) -> ImmersionJet:
     )
     nd3 = None
     if d3 is not None and s.t is not None:
-        hf = s.h[:, :, :, None, None] * d1[:, None, None, :, :]  # s_ij F_k
-        gf2 = s.g[:, :, None, None, None] * d2[:, None, :, :, :]  # s_i F_jk
+        # x_ijk = s_ij F_k + F_ij s_k and its two index permutations give all
+        # six mixed terms, as jet3._sym3 does on the chart indices (1, 2, 3)
+        x = (s.h[:, :, :, None, None] * d1[:, None, None]
+             + d2[:, :, :, None] * s.g[:, None, None, :, None])
         nd3 = (
             s.t[..., None] * f[:, None, None, None, :]
-            + hf
-            + hf.transpose(0, 1, 3, 2, 4)
-            + hf.transpose(0, 3, 1, 2, 4)
-            + gf2
-            + gf2.transpose(0, 2, 1, 3, 4)
-            + gf2.transpose(0, 2, 3, 1, 4)
+            + x + x.swapaxes(2, 3) + np.moveaxis(x, 3, 1)
             + s.v[:, None, None, None, None] * d3
         )
     return ImmersionJet(jet.chart, jet.ambient, values, nd1, nd2, nd3, source="assembled")

@@ -115,8 +115,9 @@ class JointNormalSpace:
 def build_joint(jf, jg, cfg: PipelineConfig | None = None) -> JointNormalSpace:
     """Assemble the joint normal space of an isometric pair."""
     cfg = cfg or PipelineConfig()
-    fl = jf if isinstance(jf, FundamentalData) else fundamental_data(jf, tol=cfg.rank_tol)
-    fr = jg if isinstance(jg, FundamentalData) else fundamental_data(jg, tol=cfg.rank_tol)
+    fl, fr = (j if isinstance(j, FundamentalData)
+              else fundamental_data(j, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
+              for j in (jf, jg))
     diff = fl.metric - fr.metric
     scale = max(float(np.max(np.abs(fl.metric))), 1e-300)
     resid = float(np.max(np.abs(diff))) / scale

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from confpair import conformal_calc, gallery, jet3
+from confpair import conformal_calc, gallery, jet3, jets
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns
+from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns, span_stack
 from confpair.jets import (
     ChartGrid,
     DistributionFrame,
@@ -325,10 +325,25 @@ def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, 
     return frames, pattern, max_step
 
 
+def tangent_rows(jet):
+    return np.einsum("pia,ab->pib", jet.d1, jet.ambient.gram)
+
+
 def normal_spans(jet):
-    """Unaligned normal spans as fundamental_data builds them."""
-    rows = np.einsum("pia,ab->pib", jet.d1, jet.ambient.gram)
-    return np.linalg.svd(rows)[2][:, jet.n:].transpose(0, 2, 1)
+    """Unaligned normal spans as fundamental_data builds them: the last
+    m - n columns of a complete QR of the transposed tangent rows."""
+    return np.linalg.qr(tangent_rows(jet).transpose(0, 2, 1), mode="complete")[0][:, :, jet.n:]
+
+
+@pytest.mark.parametrize("imap", [gallery.pad(gallery.sphere(2), extra=2),
+                                  gallery.psi_lift(gallery.sphere(2))])
+def test_normal_spans_project_like_the_svd_complement(imap):
+    jet = imap.jet(ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4)))
+    qr_spans = normal_spans(jet)
+    svd_spans = np.linalg.svd(tangent_rows(jet))[2][:, jet.n:].transpose(0, 2, 1)
+    assert qr_spans.shape == svd_spans.shape == (jet.chart.npoints, jet.m, jet.codim)
+    gap = qr_spans @ qr_spans.transpose(0, 2, 1) - svd_spans @ svd_spans.transpose(0, 2, 1)
+    assert np.max(np.abs(gap)) <= 1e-13
 
 
 def assert_same_alignment(spans, gram, shape, **kw):
@@ -430,7 +445,41 @@ def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
     fundamental_data(jet)
     levels = len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool)))
     assert levels == 199
-    assert count[0] <= 10 * levels
+    # one batched solve per level below the seed (the indefinite pattern
+    # needs no eigh), and a few calls outside the sweep
+    assert count[0] <= levels + 10
+
+
+def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
+    chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
+    jet = gallery.psi_lift(gallery.plane(2, 1)).jet(chart)
+    calls = []
+
+    def counted(vectors, *args, **kwargs):
+        calls.append(vectors.shape)
+        return span_stack(vectors, *args, **kwargs)
+
+    monkeypatch.setattr(jets, "span_stack", counted)
+    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape)
+    assert len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))) == 199
+    assert calls == [(chart.npoints, jet.m, jet.codim)]
+
+
+def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
+    chart = ChartGrid((20, 20), (0.01, 0.01), (0.9, 0.4))
+    jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
+    stacked = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    fundamental_data(jet)
+    # the one stacked SVD is the immersion residual's, on d1 and without U, V
+    assert stacked == [((chart.npoints, jet.n, jet.m), False)]
 
 
 def test_immersion_residual_runs_one_svd_per_jet(monkeypatch):

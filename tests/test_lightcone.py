@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
+from confpair import gallery, jet3
 from confpair.errors import OnExceptionalRay
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import ChartGrid, ImmersionJet, conformal_factor_of_metrics, induced_metric
@@ -134,6 +134,19 @@ def test_cone_projection_of_plain_lift_and_scaling():
     scaled = scale_jet(lifted, scalar_jet(np.full(jet.chart.npoints, 2.5), jet.chart))
     back2 = cone_projection(scaled)
     assert np.max(np.abs(back2.values - jet.values)) < 1e-12
+
+
+def test_scale_jet_matches_jet_products_with_a_varying_factor():
+    # a non-constant factor runs every Leibniz term, s.g and s.h included
+    chart = ChartGrid((5, 5, 5), (0.05,) * 3, (0.7, 0.4, 0.2))
+    imap = gallery.sphere(3)
+    x0, x1, x2 = jet3.variables(chart.points())
+    s = jet3.exp(x0 * x1) + 0.3 * jet3.sin(x2)
+    scaled = scale_jet(imap.jet(chart), s)
+    products = [s * comp for comp in imap.evaluate(chart.points())]
+    for got, part in ((scaled.values, "v"), (scaled.d1, "g"), (scaled.d2, "h"), (scaled.d3, "t")):
+        want = np.stack([getattr(prod, part) for prod in products], axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_cone_projection_rejects_ray_points():

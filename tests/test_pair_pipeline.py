@@ -307,9 +307,23 @@ def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
     assert len(calls) == 3  # the left map, the right map and the lifted left map
 
 
+def test_build_joint_passes_the_config_frame_jump_threshold(monkeypatch):
+    thresholds = []
+    real = jets.fundamental_data
+
+    def spy(jet, *args, **kwargs):
+        thresholds.append(kwargs.get("align_threshold"))
+        return real(jet, *args, **kwargs)
+
+    monkeypatch.setattr(pair_pipeline, "fundamental_data", spy)
+    build_joint(*congruent_pair(), PipelineConfig(align_threshold=0.6))
+    assert thresholds == [0.6, 0.6]
+
+
 def count_pipeline_linalg(monkeypatch, jf, jg):
     """np.linalg calls of `analyze_pair` outside the BFS sweeps of
-    `align_frames`, which make one batched call per level."""
+    `align_frames` and of `fundamental_data` (its private `_sweep`), which
+    make one batched call per level."""
     count = [0]
     sweeping = [False]
     for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
@@ -323,15 +337,18 @@ def count_pipeline_linalg(monkeypatch, jf, jg):
         monkeypatch.setattr(np.linalg, name, counted)
     real_align = jets.align_frames
 
-    def sweep(*args, **kwargs):
-        sweeping[0] = True
-        try:
-            return real_align(*args, **kwargs)
-        finally:
-            sweeping[0] = False
+    def sweeping_call(real):
+        def call(*args, **kwargs):
+            outer, sweeping[0] = sweeping[0], True
+            try:
+                return real(*args, **kwargs)
+            finally:
+                sweeping[0] = outer
+        return call
 
-    monkeypatch.setattr(jets, "align_frames", sweep)
-    monkeypatch.setattr(pair_pipeline, "align_frames", sweep)
+    monkeypatch.setattr(jets, "align_frames", sweeping_call(real_align))
+    monkeypatch.setattr(pair_pipeline, "align_frames", sweeping_call(real_align))
+    monkeypatch.setattr(jets, "_sweep", sweeping_call(jets._sweep))
     analysis = analyze_pair(jf, jg)
     monkeypatch.undo()
     return count[0], analysis
