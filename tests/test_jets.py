@@ -346,6 +346,18 @@ def test_normal_spans_project_like_the_svd_complement(imap):
     assert np.max(np.abs(gap)) <= 1e-13
 
 
+def test_fundamental_data_seeds_its_frames_from_the_svd_complement():
+    # the seed frame fixes the gauge of every frame-dependent quantity; it
+    # comes from the SVD complement at the seed point, not from the QR bases
+    jet = gallery.psi_lift(gallery.torus()).jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
+    fund = fundamental_data(jet)
+    seed = 0  # the first point of the grid seeds the sweep
+    span = np.linalg.svd(tangent_rows(jet)[seed])[2][jet.n:].T
+    frame0, pattern = _seed_frame(span, jet.ambient.gram, DEFAULT_TOL)
+    assert fund.normal_pattern == pattern
+    assert np.array_equal(fund.normal_frame[seed], frame0)
+
+
 def assert_same_alignment(spans, gram, shape, **kw):
     frames, pattern, step = align_frames(spans, gram, shape, **kw)
     ref_frames, ref_pattern, ref_step = sequential_align(spans, gram, shape, **kw)

@@ -335,7 +335,6 @@ def count_pipeline_linalg(monkeypatch, jf, jg):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    real_align = jets.align_frames
 
     def sweeping_call(real):
         def call(*args, **kwargs):
@@ -346,8 +345,9 @@ def count_pipeline_linalg(monkeypatch, jf, jg):
                 sweeping[0] = outer
         return call
 
-    monkeypatch.setattr(jets, "align_frames", sweeping_call(real_align))
-    monkeypatch.setattr(pair_pipeline, "align_frames", sweeping_call(real_align))
+    align = sweeping_call(jets.align_frames)
+    monkeypatch.setattr(jets, "align_frames", align)
+    monkeypatch.setattr(pair_pipeline, "align_frames", align)
     monkeypatch.setattr(jets, "_sweep", sweeping_call(jets._sweep))
     analysis = analyze_pair(jf, jg)
     monkeypatch.undo()
