@@ -3,7 +3,7 @@
 Components are arithmetic expressions in the chart variables x1..xn with
 the functions sin, cos, exp, sqrt, norm and norm2; they are parsed with the
 standard `ast` module (no eval) and evaluated on forward-mode jets, so every
-expression automatically carries three orders of derivatives.
+expression automatically carries its first and second derivatives.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ def _extended_jet(base: ImmersionJet, fields: np.ndarray, chart_ext: ChartGrid, 
             d2[sl, :n, n + k] = dfields[:, :, :, k].transpose(0, 1, 2)
             d2[sl, n + k, :n] = dfields[:, :, :, k]
         # second derivatives in the fiber directions vanish identically
-    return ImmersionJet(chart_ext, base.ambient, values, d1, d2, None, source="assembled")
+    return ImmersionJet(chart_ext, base.ambient, values, d1, d2, source="assembled")
 
 
 def ruled_extension(
@@ -686,8 +686,7 @@ def generate_conformal_pair(
         d2 = np.einsum("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1, optimize=True) + np.einsum(
             "pAm,pAij->pijm", dfull, incl_d2
         )
-        return ImmersionJet(slice_chart, mapping.ambient, values, d1, d2, None,
-                            source="assembled")
+        return ImmersionJet(slice_chart, mapping.ambient, values, d1, d2, source="assembled")
 
     left_slice = restrict(left_map)
     lifted_slice = restrict(lorentz_map)

@@ -1,11 +1,12 @@
-"""Forward-mode Taylor arithmetic up to third order, vectorized over a batch.
+"""Forward-mode Taylor arithmetic up to second order, vectorized over a batch.
 
-A `Jet3` carries value, gradient, Hessian and (optionally) the symmetric
-third-derivative tensor of a scalar function of ``nvars`` chart variables,
-evaluated at a batch of points.  Arithmetic propagates derivatives by the
-Leibniz rule; univariate functions compose through `apply_univariate`.
-Requesting ``order < 3`` drops the higher tensors, which keeps level-set
-scans over large meshes cheap.
+A `Jet3` carries value, gradient and Hessian of a scalar function of
+``nvars`` chart variables, evaluated at a batch of points: the 2-jet that
+the metric, the second fundamental form and the normal connection are
+built from.  Arithmetic propagates derivatives by the Leibniz rule;
+univariate functions compose through `apply_univariate`.  Requesting
+``order < 2`` drops the higher arrays, which keeps level-set scans over
+large meshes cheap.
 
 An operand that is not a `Jet3` (a Python or numpy scalar, or a per-point
 array that broadcasts to the values) never becomes a constant jet: it
@@ -22,13 +23,12 @@ __all__ = ["Jet3", "variables", "constant", "sin", "cos", "exp", "sqrt", "norm2"
 
 
 class Jet3:
-    __slots__ = ("v", "g", "h", "t", "nvars")
+    __slots__ = ("v", "g", "h", "nvars")
 
-    def __init__(self, v, g=None, h=None, t=None, nvars=None):
+    def __init__(self, v, g=None, h=None, nvars=None):
         self.v = np.asarray(v, dtype=float)
         self.g = g
         self.h = h
-        self.t = t
         if nvars is None:
             if g is None:
                 raise ValueError("nvars required when no gradient is stored")
@@ -41,9 +41,7 @@ class Jet3:
             return 0
         if self.h is None:
             return 1
-        if self.t is None:
-            return 2
-        return 3
+        return 2
 
     # -- construction -------------------------------------------------
 
@@ -52,8 +50,7 @@ class Jet3:
         n = self.nvars
         g = np.zeros(self.v.shape + (n,)) if self.g is not None else None
         h = np.zeros(self.v.shape + (n, n)) if self.h is not None else None
-        t = np.zeros(self.v.shape + (n, n, n)) if self.t is not None else None
-        return Jet3(value, g, h, t, nvars=n)
+        return Jet3(value, g, h, nvars=n)
 
     def _scalar(self, other) -> np.ndarray:
         """A non-jet operand as float values shaped like ``v`` (a view)."""
@@ -67,12 +64,11 @@ class Jet3:
 
     def __add__(self, other):
         if not isinstance(other, Jet3):
-            return Jet3(self.v + self._scalar(other), self.g, self.h, self.t, nvars=self.nvars)
+            return Jet3(self.v + self._scalar(other), self.g, self.h, nvars=self.nvars)
         return Jet3(
             self.v + other.v,
             None if self.g is None else self.g + other.g,
             None if self.h is None else self.h + other.h,
-            None if self.t is None else self.t + other.t,
             nvars=self.nvars,
         )
 
@@ -83,7 +79,6 @@ class Jet3:
             -self.v,
             None if self.g is None else -self.g,
             None if self.h is None else -self.h,
-            None if self.t is None else -self.t,
             nvars=self.nvars,
         )
 
@@ -100,12 +95,11 @@ class Jet3:
                 self.v * s,
                 None if self.g is None else self.g * s[..., None],
                 None if self.h is None else self.h * s[..., None, None],
-                None if self.t is None else self.t * s[..., None, None, None],
                 nvars=self.nvars,
             )
         a, b = self, other
         v = a.v * b.v
-        g = h = t = None
+        g = h = None
         if a.g is not None:
             g = a.g * b.v[..., None] + b.g * a.v[..., None]
         if a.h is not None:
@@ -116,11 +110,7 @@ class Jet3:
                 + cross
                 + np.swapaxes(cross, -1, -2)
             )
-        if a.t is not None:
-            t = a.t * b.v[..., None, None, None] + b.t * a.v[..., None, None, None]
-            t = t + _sym3(a.h[..., None] * b.g[..., None, None, :]
-                          + b.h[..., None] * a.g[..., None, None, :])
-        return Jet3(v, g, h, t, nvars=self.nvars)
+        return Jet3(v, g, h, nvars=self.nvars)
 
     __rmul__ = __mul__
 
@@ -138,25 +128,23 @@ class Jet3:
             f0 = u**k
             f1 = k * u ** (k - 1) if k >= 1 else np.zeros_like(u)
             f2 = k * (k - 1) * u ** (k - 2) if k >= 2 else np.zeros_like(u)
-            f3 = k * (k - 1) * (k - 2) * u ** (k - 3) if k >= 3 else np.zeros_like(u)
         else:
             f0 = u**k
             f1 = k * u ** (k - 1)
             f2 = k * (k - 1) * u ** (k - 2)
-            f3 = k * (k - 1) * (k - 2) * u ** (k - 3)
-        return self.apply_univariate(f0, f1, f2, f3)
+        return self.apply_univariate(f0, f1, f2)
 
     def reciprocal(self):
         u = self.v
         inv = 1.0 / u
-        return self.apply_univariate(inv, -(inv**2), 2 * inv**3, -6 * inv**4)
+        return self.apply_univariate(inv, -(inv**2), 2 * inv**3)
 
     # -- composition with a univariate map -----------------------------
 
-    def apply_univariate(self, f0, f1, f2=None, f3=None):
+    def apply_univariate(self, f0, f1, f2=None):
         """Chain rule for h = f(u) given derivative values of f at u."""
         v = np.asarray(f0, dtype=float)
-        g = h = t = None
+        g = h = None
         if self.g is not None:
             f1 = np.asarray(f1, dtype=float)
             g = f1[..., None] * self.g
@@ -164,22 +152,10 @@ class Jet3:
             f2 = np.asarray(f2, dtype=float)
             gg = self.g[..., :, None] * self.g[..., None, :]
             h = f2[..., None, None] * gg + f1[..., None, None] * self.h
-        if self.t is not None:
-            f3 = np.asarray(f3, dtype=float)
-            t = (
-                f3[..., None, None, None] * (gg[..., None] * self.g[..., None, None, :])
-                + f2[..., None, None, None] * _sym3(self.h[..., None] * self.g[..., None, None, :])
-                + f1[..., None, None, None] * self.t
-            )
-        return Jet3(v, g, h, t, nvars=self.nvars)
+        return Jet3(v, g, h, nvars=self.nvars)
 
 
-def _sym3(x):
-    """x_{ijk} + x_{ikj} + x_{jki}: symmetrizes x = h_{ij} g_k when h is symmetric."""
-    return x + np.swapaxes(x, -1, -2) + np.moveaxis(x, -1, -3)
-
-
-def variables(points: np.ndarray, order: int = 3) -> list[Jet3]:
+def variables(points: np.ndarray, order: int = 2) -> list[Jet3]:
     """Seed jets for the chart coordinates at a batch of points (P, n)."""
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -189,15 +165,12 @@ def variables(points: np.ndarray, order: int = 3) -> list[Jet3]:
     for i in range(n):
         g = None
         h = None
-        t = None
         if order >= 1:
             g = np.zeros((p, n))
             g[:, i] = 1.0
         if order >= 2:
             h = np.zeros((p, n, n))
-        if order >= 3:
-            t = np.zeros((p, n, n, n))
-        out.append(Jet3(points[:, i].copy(), g, h, t, nvars=n))
+        out.append(Jet3(points[:, i].copy(), g, h, nvars=n))
     return out
 
 
@@ -208,22 +181,22 @@ def constant(value, template: Jet3) -> Jet3:
 
 def sin(x: Jet3) -> Jet3:
     s, c = np.sin(x.v), np.cos(x.v)
-    return x.apply_univariate(s, c, -s, -c)
+    return x.apply_univariate(s, c, -s)
 
 
 def cos(x: Jet3) -> Jet3:
     s, c = np.sin(x.v), np.cos(x.v)
-    return x.apply_univariate(c, -s, -c, s)
+    return x.apply_univariate(c, -s, -c)
 
 
 def exp(x: Jet3) -> Jet3:
     e = np.exp(x.v)
-    return x.apply_univariate(e, e, e, e)
+    return x.apply_univariate(e, e, e)
 
 
 def sqrt(x: Jet3) -> Jet3:
     r = np.sqrt(x.v)
-    return x.apply_univariate(r, 0.5 / r, -0.25 / r**3, 0.375 / r**5)
+    return x.apply_univariate(r, 0.5 / r, -0.25 / r**3)
 
 
 def norm2(*xs: Jet3) -> Jet3:

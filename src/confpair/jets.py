@@ -1,7 +1,7 @@
-"""Sampled 3-jets of immersions on chart grids and the calculus built on them.
+"""Sampled 2-jets of immersions on chart grids and the calculus built on them.
 
-An immersion enters as per-point position, first, second and optionally third
-partial derivatives on a rectangular chart grid.  From these we compute the
+An immersion enters as per-point position, first and second partial
+derivatives on a rectangular chart grid.  From these we compute the
 induced metric, orthonormal tangent frames, aligned normal frames, second
 fundamental forms, shape operators and normal connection coefficients.
 Normal frames are produced by a breadth-first sweep from a seed point: each
@@ -139,32 +139,20 @@ def grid_derivative(values: np.ndarray, grid: ChartGrid, axis: int, order: int =
     return out.reshape((grid.npoints,) + rest)
 
 
-def scalar_fd_jets(values: np.ndarray, grid: ChartGrid, order: int = 3):
-    """(d1, d2, d3) of a per-point scalar field by nested stencils."""
+def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
+    """(d1, d2) of a per-point scalar field by nested stencils."""
     n = grid.ndim
     p = grid.npoints
     d1 = np.stack([grid_derivative(values, grid, i) for i in range(n)], axis=1)
-    d2 = d3 = None
-    if order >= 2:
-        d2 = np.zeros((p, n, n))
-        for i in range(n):
-            gi = grid_derivative(values, grid, i)
-            for j in range(i, n):
-                if i == j:
-                    d2[:, i, i] = grid_derivative(values, grid, i, order=2)
-                else:
-                    d2[:, i, j] = d2[:, j, i] = grid_derivative(gi, grid, j)
-    if order >= 3:
-        d3 = np.zeros((p, n, n, n))
-        for i in range(n):
-            for j in range(n):
-                fld = d2[:, i, j]
-                for k in range(n):
-                    d3[:, i, j, k] = grid_derivative(fld, grid, k)
-        d3 = (d3 + np.transpose(d3, (0, 1, 3, 2)) + np.transpose(d3, (0, 2, 1, 3))
-              + np.transpose(d3, (0, 2, 3, 1)) + np.transpose(d3, (0, 3, 1, 2))
-              + np.transpose(d3, (0, 3, 2, 1))) / 6.0
-    return d1, d2, d3
+    d2 = np.zeros((p, n, n))
+    for i in range(n):
+        gi = grid_derivative(values, grid, i)
+        for j in range(i, n):
+            if i == j:
+                d2[:, i, i] = grid_derivative(values, grid, i, order=2)
+            else:
+                d2[:, i, j] = d2[:, j, i] = grid_derivative(gi, grid, j)
+    return d1, d2
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +162,9 @@ def scalar_fd_jets(values: np.ndarray, grid: ChartGrid, order: int = 3):
 
 @dataclass
 class ImmersionJet:
-    """3-jet of an immersion of a chart grid into a flat inner-product space.
+    """2-jet of an immersion of a chart grid into a flat inner-product space.
 
-    values: (P, m); d1: (P, n, m); d2: (P, n, n, m); d3: (P, n, n, n, m) or None.
+    values: (P, m); d1: (P, n, m); d2: (P, n, n, m).
     """
 
     chart: ChartGrid
@@ -184,7 +172,6 @@ class ImmersionJet:
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    d3: np.ndarray | None = None
     source: str = "closed-form"
     # jets are never written in place, so the SVD behind the residual runs once
     _residual: float | None = field(default=None, init=False, repr=False, compare=False)
@@ -202,9 +189,9 @@ class ImmersionJet:
         return self.m - self.n
 
     @staticmethod
-    def from_function(fn, chart: ChartGrid, ambient: ScalarProduct, order: int = 3) -> "ImmersionJet":
+    def from_function(fn, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
         """Evaluate a Jet3-valued component function on the whole grid."""
-        xs = jet3.variables(chart.points(), order=order)
+        xs = jet3.variables(chart.points())
         comps = fn(xs)
         p, n, m = chart.npoints, chart.ndim, ambient.dim
         if len(comps) != m:
@@ -212,7 +199,6 @@ class ImmersionJet:
         values = np.zeros((p, m))
         d1 = np.zeros((p, n, m))
         d2 = np.zeros((p, n, n, m))
-        d3 = np.zeros((p, n, n, n, m)) if order >= 3 else None
         template = xs[0]
         for c, comp in enumerate(comps):
             if not isinstance(comp, jet3.Jet3):
@@ -220,9 +206,7 @@ class ImmersionJet:
             values[:, c] = comp.v
             d1[:, :, c] = comp.g
             d2[:, :, :, c] = comp.h
-            if order >= 3:
-                d3[:, :, :, :, c] = comp.t
-        return ImmersionJet(chart, ambient, values, d1, d2, d3, source="closed-form")
+        return ImmersionJet(chart, ambient, values, d1, d2, source="closed-form")
 
     @staticmethod
     def from_values(values: np.ndarray, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
@@ -239,7 +223,7 @@ class ImmersionJet:
                     d2[:, i, i] = grid_derivative(values, chart, i, order=2)
                 else:
                     d2[:, i, j] = d2[:, j, i] = grid_derivative(d1[:, i], chart, j)
-        return ImmersionJet(chart, ambient, values, d1, d2, None, source="finite-difference")
+        return ImmersionJet(chart, ambient, values, d1, d2, source="finite-difference")
 
     def immersion_residual(self) -> float:
         """min over points of (n-th singular value / first); small means rank drop.
@@ -274,7 +258,7 @@ class ImmersionMap:
     factor_fn: object | None = None  # closed-form conformal factor vs its base
     params: dict = field(default_factory=dict)
 
-    def evaluate(self, points: np.ndarray, order: int = 3):
+    def evaluate(self, points: np.ndarray, order: int = 2):
         """Component jets at a batch of points, (list of Jet3)."""
         xs = jet3.variables(np.asarray(points, dtype=float), order=order)
         comps = self.fn(xs)
@@ -289,16 +273,16 @@ class ImmersionMap:
         comps = self.evaluate(points, order=0)
         return np.stack([c.v for c in comps], axis=-1)
 
-    def jet(self, chart: ChartGrid, order: int = 3) -> ImmersionJet:
-        return ImmersionJet.from_function(self.fn, chart, self.ambient, order=order)
+    def jet(self, chart: ChartGrid) -> ImmersionJet:
+        return ImmersionJet.from_function(self.fn, chart, self.ambient)
 
     def jet_fd(self, chart: ChartGrid) -> ImmersionJet:
         return ImmersionJet.from_values(self.values(chart.points()), chart, self.ambient)
 
-    def factor_jets(self, points: np.ndarray, order: int = 3):
+    def factor_jets(self, points: np.ndarray):
         if self.factor_fn is None:
             return None
-        xs = jet3.variables(np.asarray(points, dtype=float), order=order)
+        xs = jet3.variables(np.asarray(points, dtype=float))
         return self.factor_fn(xs)
 
 
@@ -336,7 +320,9 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     b = orthonormal_columns(span, tol)
     g = b.T @ gram @ b
     vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
-    scale = max(float(np.max(np.abs(vals))), 1e-300) if vals.size else 1.0
+    # the one rank rule with the floor 1.0 of Gram matrices of dot-orthonormal
+    # bases under a unit metric, so a one-dimensional null fiber fails too
+    scale = float(np.max(np.abs(vals), initial=1.0))
     if vals.size and np.min(np.abs(vals)) <= tol * scale:
         raise FrameAlignmentFailure("degenerate fiber: cannot seed a frame")
     order = np.argsort(vals)

@@ -9,7 +9,7 @@ written in a pseudo-orthonormal basis with <e0,e0> = <e1,e1> = 0 and
 <e0,e1> = 1.  Rescaling a conformal immersion by the inverse conformal
 factor turns it into an isometric immersion into the cone; projecting a
 cone-valued immersion back recovers a Euclidean representative of its
-conformal class.  This module implements those maps on whole 3-jets, plus
+conformal class.  This module implements those maps on whole 2-jets, plus
 the residual checks that tie the second fundamental forms of the two
 pictures together.
 """
@@ -106,20 +106,11 @@ class LightConeModel:
         if jet.ambient.dim != self.n_euclidean or jet.ambient.index != 0:
             raise ValueError("jet must map into the Euclidean base of this model")
         p, n = jet.chart.npoints, jet.n
-        f, d1, d2, d3 = jet.values, jet.d1, jet.d2, jet.d3
+        f, d1, d2 = jet.values, jet.d1, jet.d2
         # scalar q = |f|^2 / 2 with exact derivatives from the jet
         q = 0.5 * np.einsum("pc,pc->p", f, f)
         qg = np.einsum("pc,pic->pi", f, d1)
         qh = np.einsum("pic,pjc->pij", d1, d1) + np.einsum("pc,pijc->pij", f, d2)
-        qt = None
-        if d3 is not None:
-            cross = np.einsum("pijc,pkc->pijk", d2, d1)
-            qt = (
-                cross
-                + cross.transpose(0, 1, 3, 2)
-                + cross.transpose(0, 3, 1, 2)
-                + np.einsum("pc,pijkc->pijk", f, d3)
-            )
         m = self.dim
         values = np.zeros((p, m))
         values[:, 0] = -q
@@ -131,12 +122,7 @@ class LightConeModel:
         nd2 = np.zeros((p, n, n, m))
         nd2[:, :, :, 0] = -qh
         nd2[:, :, :, 2:] = d2
-        nd3 = None
-        if d3 is not None:
-            nd3 = np.zeros((p, n, n, n, m))
-            nd3[..., 0] = -qt
-            nd3[..., 2:] = d3
-        return ImmersionJet(jet.chart, self.ambient, values, nd1, nd2, nd3, source=jet.source)
+        return ImmersionJet(jet.chart, self.ambient, values, nd1, nd2, source=jet.source)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +130,15 @@ class LightConeModel:
 # ---------------------------------------------------------------------------
 
 
-def scalar_jet(values: np.ndarray, chart: ChartGrid, order: int = 3) -> Jet3:
+def scalar_jet(values: np.ndarray, chart: ChartGrid) -> Jet3:
     """Jets of a sampled scalar field, derivatives by grid stencils."""
-    d1, d2, d3 = scalar_fd_jets(np.asarray(values, dtype=float), chart, order=order)
-    return Jet3(np.asarray(values, dtype=float), d1, d2, d3, nvars=chart.ndim)
+    d1, d2 = scalar_fd_jets(np.asarray(values, dtype=float), chart)
+    return Jet3(np.asarray(values, dtype=float), d1, d2, nvars=chart.ndim)
 
 
 def scale_jet(jet: ImmersionJet, s: Jet3) -> ImmersionJet:
     """Jet of the pointwise product s(x) F(x) by the Leibniz rule."""
-    f, d1, d2, d3 = jet.values, jet.d1, jet.d2, jet.d3
+    f, d1, d2 = jet.values, jet.d1, jet.d2
     values = s.v[:, None] * f
     nd1 = s.g[:, :, None] * f[:, None, :] + s.v[:, None, None] * d1
     sym_sg = s.g[:, :, None, None] * d1[:, None, :, :]
@@ -162,30 +148,13 @@ def scale_jet(jet: ImmersionJet, s: Jet3) -> ImmersionJet:
         + sym_sg.transpose(0, 2, 1, 3)
         + s.v[:, None, None, None] * d2
     )
-    nd3 = None
-    if d3 is not None and s.t is not None:
-        # x_ijk = s_ij F_k + F_ij s_k and its two index permutations give all
-        # six mixed terms, as jet3._sym3 does on the chart indices (1, 2, 3)
-        x = (s.h[:, :, :, None, None] * d1[:, None, None]
-             + d2[:, :, :, None] * s.g[:, None, None, :, None])
-        nd3 = (
-            s.t[..., None] * f[:, None, None, None, :]
-            + x + x.swapaxes(2, 3) + np.moveaxis(x, 3, 1)
-            + s.v[:, None, None, None, None] * d3
-        )
-    return ImmersionJet(jet.chart, jet.ambient, values, nd1, nd2, nd3, source="assembled")
+    return ImmersionJet(jet.chart, jet.ambient, values, nd1, nd2, source="assembled")
 
 
 def _pair_with(jet: ImmersionJet, vector: np.ndarray) -> Jet3:
     """Jets of the scalar <F(x), w> for a constant ambient vector w."""
     w = jet.ambient.gram @ np.asarray(vector, dtype=float)
-    return Jet3(
-        jet.values @ w,
-        jet.d1 @ w,
-        jet.d2 @ w,
-        None if jet.d3 is None else jet.d3 @ w,
-        nvars=jet.n,
-    )
+    return Jet3(jet.values @ w, jet.d1 @ w, jet.d2 @ w, nvars=jet.n)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +176,7 @@ def isometric_representative(
     """
     phi, _ = conformal_factor_of_metrics(base_metric, induced_metric(jet), tol)
     if factor is None:
-        factor = scalar_jet(phi, jet.chart, order=3 if jet.d3 is not None else 2)
+        factor = scalar_jet(phi, jet.chart)
     else:
         if float(np.max(np.abs(factor.v - phi))) > tol * float(np.max(np.abs(phi))):
             raise NotConformal("supplied factor jets disagree with the metric ratio")
@@ -238,7 +207,6 @@ def cone_projection(jet: ImmersionJet, tol: float = 1e-9) -> ImmersionJet:
         w.values[:, 2:].copy(),
         w.d1[:, :, 2:].copy(),
         w.d2[:, :, :, 2:].copy(),
-        None if w.d3 is None else w.d3[..., 2:].copy(),
         source="assembled",
     )
 

@@ -37,8 +37,6 @@ def test_polynomial_jets_are_exact():
     assert np.allclose(f.g[:, 1], pts[:, 0] ** 2 + 2)
     assert np.allclose(f.h[:, 0, 0], 2 * pts[:, 1])
     assert np.allclose(f.h[:, 0, 1], 2 * pts[:, 0])
-    assert np.allclose(f.t[:, 0, 0, 1], 2.0)
-    assert np.allclose(f.t[:, 0, 0, 0], 0.0)
 
 
 def test_division_and_sqrt_against_fd():
@@ -55,25 +53,11 @@ def test_division_and_sqrt_against_fd():
     assert np.allclose(g.h[0], hess, atol=1e-5)
 
 
-def test_third_order_of_exp_product():
-    pts = np.array([[0.2, -0.1]])
-    x, y = jet3.variables(pts)
-    f = jet3.exp(x * y)
-    # d^3/dx^2 dy of exp(xy) = d/dy (y^2 exp) ... check one mixed entry analytically
-    x0, y0 = pts[0]
-    e = np.exp(x0 * y0)
-    # exact: f_x = y e, f_xx = y^2 e, f_xxy = 2y e + y^2 x e
-    expect = (2 * y0 + y0**2 * x0) * e
-    assert np.allclose(f.t[0, 0, 0, 1], expect)
-    assert np.allclose(f.t[0, 0, 1, 0], expect)
-    assert np.allclose(f.t[0, 1, 0, 0], expect)
-
-
 def test_reduced_order_skips_tensors():
     pts = np.random.default_rng(0).normal(size=(5, 3))
     xs = jet3.variables(pts, order=1)
     f = xs[0] * xs[1] + xs[2]
-    assert f.h is None and f.t is None
+    assert f.h is None
     assert np.allclose(f.g[:, 0], pts[:, 1])
 
 
@@ -88,15 +72,7 @@ def test_norm_helpers():
 # -- reference: every non-jet operand coerced to a constant jet --------------
 # The arithmetic before scalar operands were applied to the arrays directly:
 # the operand became a jet with zero derivatives and took the full Leibniz
-# product, whose third-order term sums two separate symmetrizations.
-
-
-def _ref_sym_hg(h, g):
-    return (
-        h[..., :, :, None] * g[..., None, None, :]
-        + h[..., :, None, :] * g[..., None, :, None]
-        + h[..., None, :, :] * g[..., :, None, None]
-    )
+# product.
 
 
 def _ref_const(value, like):
@@ -105,7 +81,6 @@ def _ref_const(value, like):
         np.broadcast_to(np.asarray(value, dtype=float), shape).copy(),
         None if like.g is None else np.zeros(shape + (n,)),
         None if like.h is None else np.zeros(shape + (n, n)),
-        None if like.t is None else np.zeros(shape + (n, n, n)),
         nvars=n,
     )
 
@@ -117,7 +92,7 @@ def _ref_coerce(other, like):
 def _map(fn, *jets):
     a = jets[0]
     parts = [fn(*(getattr(j, k) for j in jets)) if getattr(a, k) is not None else None
-             for k in ("g", "h", "t")]
+             for k in ("g", "h")]
     return jet3.Jet3(fn(*(j.v for j in jets)), *parts, nvars=a.nvars)
 
 
@@ -132,33 +107,26 @@ def ref_neg(a):
 def ref_mul(a, b):
     b = _ref_coerce(b, a)
     v = a.v * b.v
-    g = h = t = None
+    g = h = None
     if a.g is not None:
         g = a.g * b.v[..., None] + b.g * a.v[..., None]
     if a.h is not None:
         cross = a.g[..., :, None] * b.g[..., None, :]
         h = (a.h * b.v[..., None, None] + b.h * a.v[..., None, None]
              + cross + np.swapaxes(cross, -1, -2))
-    if a.t is not None:
-        t = a.t * b.v[..., None, None, None] + b.t * a.v[..., None, None, None]
-        t = t + _ref_sym_hg(a.h, b.g) + _ref_sym_hg(b.h, a.g)
-    return jet3.Jet3(v, g, h, t, nvars=a.nvars)
+    return jet3.Jet3(v, g, h, nvars=a.nvars)
 
 
 def ref_reciprocal(a):
     inv = 1.0 / a.v
-    f1, f2, f3 = -(inv**2), 2 * inv**3, -6 * inv**4
-    g = h = t = None
+    f1, f2 = -(inv**2), 2 * inv**3
+    g = h = None
     if a.g is not None:
         g = f1[..., None] * a.g
     if a.h is not None:
         gg = a.g[..., :, None] * a.g[..., None, :]
         h = f2[..., None, None] * gg + f1[..., None, None] * a.h
-    if a.t is not None:
-        ggg = a.g[..., :, None, None] * a.g[..., None, :, None] * a.g[..., None, None, :]
-        t = (f3[..., None, None, None] * ggg + f2[..., None, None, None] * _ref_sym_hg(a.h, a.g)
-             + f1[..., None, None, None] * a.t)
-    return jet3.Jet3(inv, g, h, t, nvars=a.nvars)
+    return jet3.Jet3(inv, g, h, nvars=a.nvars)
 
 
 def ref_div(a, b):
@@ -184,28 +152,24 @@ def random_jet(rng, n, order):
     """Seeded jet with symmetric derivative tensors, values bounded away from 0."""
     p = POINTS
     v = rng.choice([-1.0, 1.0], size=p) * rng.uniform(0.5, 2.0, size=p)
-    g = h = t = None
+    g = h = None
     if order >= 1:
         g = rng.normal(size=(p, n))
     if order >= 2:
         h = rng.normal(size=(p, n, n))
         h = h + np.swapaxes(h, 1, 2)
-    if order >= 3:
-        t = rng.normal(size=(p, n, n, n))
-        t = sum(np.transpose(t, (0,) + perm) for perm in
-                ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1)))
-    return jet3.Jet3(v, g, h, t, nvars=n)
+    return jet3.Jet3(v, g, h, nvars=n)
 
 
 def _arrays(jet):
-    return [x for x in (jet.v, jet.g, jet.h, jet.t) if x is not None]
+    return [x for x in (jet.v, jet.g, jet.h) if x is not None]
 
 
 def _abs(jet):
     return _map(np.abs, jet)
 
 
-SHAPES = [(n, order) for n in range(1, 5) for order in range(4)]
+SHAPES = [(n, order) for n in range(1, 5) for order in range(3)]
 
 
 @pytest.mark.parametrize("op", sorted(OPERATIONS))

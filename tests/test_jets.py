@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,17 @@ def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
             align_frames(spans, gram, (3,), seed=1)
 
 
+def test_null_one_dimensional_fiber_cannot_seed_a_frame():
+    # a dot-unit null vector: its 1x1 Gram is roundoff, far below the unit
+    # scale of the metric, and must not be normalised into a huge frame
+    span = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)], [0.0], [0.0]])[None]
+    gram = np.diag([-1.0, 1.0, 1.0, 1.0])
+    b = orthonormal_columns(span[0], DEFAULT_TOL)
+    assert abs((b.T @ gram @ b).item()) < 1e-15
+    with pytest.raises(FrameAlignmentFailure, match="degenerate fiber: cannot seed a frame"):
+        align_frames(span, gram, (1,))
+
+
 def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
     chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
     jet = gallery.psi_lift(gallery.plane(2, 1)).jet(chart)
@@ -508,3 +521,16 @@ def test_immersion_residual_runs_one_svd_per_jet(monkeypatch):
     induced_metric(jet)
     fundamental_data(jet)
     assert residual_svds[0] == 1
+
+
+def test_closed_form_jet_of_a_10k_point_graph_stays_small():
+    # the 2-jet's d2 is 6.4 MB; 24 MB leaves room for the component jets
+    # but not for a third-order tensor (25.6 MB for d3 alone)
+    chart = ChartGrid((10,) * 4, (0.02,) * 4, (-0.09,) * 4)
+    tracemalloc.start()
+    try:
+        gallery.graph(n=4).jet(chart)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24e6

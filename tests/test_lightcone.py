@@ -144,7 +144,7 @@ def test_scale_jet_matches_jet_products_with_a_varying_factor():
     s = jet3.exp(x0 * x1) + 0.3 * jet3.sin(x2)
     scaled = scale_jet(imap.jet(chart), s)
     products = [s * comp for comp in imap.evaluate(chart.points())]
-    for got, part in ((scaled.values, "v"), (scaled.d1, "g"), (scaled.d2, "h"), (scaled.d3, "t")):
+    for got, part in ((scaled.values, "v"), (scaled.d1, "g"), (scaled.d2, "h")):
         want = np.stack([getattr(prod, part) for prod in products], axis=-1)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -155,7 +155,7 @@ def test_cone_projection_rejects_ray_points():
     lifted = model.lift_jet(jet)
     bad = ImmersionJet(
         jet.chart, lifted.ambient, lifted.values - np.array([0, 1, 0, 0, 0.0]),
-        lifted.d1, lifted.d2, lifted.d3,
+        lifted.d1, lifted.d2,
     )
     with pytest.raises(OnExceptionalRay):
         cone_projection(bad)
@@ -220,7 +220,7 @@ def test_position_identities_surface_off_cone_violation():
     lifted = LightConeModel(3).lift_jet(jet)
     off = ImmersionJet(
         jet.chart, lifted.ambient, lifted.values + np.array([0.0, 0.3, 0, 0, 0]),
-        lifted.d1, lifted.d2, lifted.d3,
+        lifted.d1, lifted.d2,
     )
     res = position_identities(off)
     assert res["on_cone"] > 0.1  # precondition violation is surfaced, not hidden
