@@ -32,7 +32,7 @@ from .extension import (
     verify_extension,
 )
 from .gallery import MANIFESTS, build_immersion, catalog
-from .indefinite_linalg import DEFAULT_TOL
+from .indefinite_linalg import DEFAULT_TOL, ScalarProduct
 from .jets import (
     ChartGrid,
     ImmersionJet,
@@ -97,8 +97,6 @@ def _jet_from_spec(spec: dict, grid: ChartGrid, where: str):
         if values.shape[0] != grid.npoints:
             raise ManifestError(f"{where}.table.values",
                                 f"expected {grid.npoints} rows, got {values.shape[0]}")
-        from .indefinite_linalg import ScalarProduct
-
         ambient = ScalarProduct.euclidean(values.shape[1])
         return None, ImmersionJet.from_values(values, grid, ambient)
     imap = build_immersion(spec, where=where)

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .indefinite_linalg import (
     by_class,
+    frame_coords,
     gap_stack,
     kernel_stack,
     max_by_class,
@@ -37,6 +38,7 @@ from .indefinite_linalg import (
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
+    DistributionFrame,
     FundamentalData,
     ImmersionJet,
     ImmersionMap,
@@ -108,11 +110,10 @@ class TransferData:
         pattern: tuple[int, ...],
         rulings: np.ndarray,
     ) -> "TransferData":
-        """Build the identification from matched pseudo-orthonormal frames."""
-        eps_l = np.asarray(fund_l.normal_pattern, dtype=float)
-        pat = np.asarray(pattern, dtype=float)
-        ident = np.einsum("u,pku,pmu->pkm", pat, lhat_frames, l_frames * eps_l[None, :, None],
-                          optimize=True)
+        """Build the identification from matched pseudo-orthonormal frames:
+        left normal coordinates -> coordinates in `l_frames` -> `lhat_frames`."""
+        ident = lhat_frames @ frame_coords(l_frames, fund_l.normal_pattern, pattern,
+                                           np.eye(fund_l.normal_rank))
         p = fund_l.metric.shape[0]
         return TransferData(
             fund_l, fund_r, l_frames, tuple(int(x) for x in pattern),
@@ -152,10 +153,8 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     chart = fl.jet.chart
     p, n = fl.metric.shape[0], fl.metric.shape[1]
     ell = data.ell
-    eps_l = np.asarray(fl.normal_pattern, dtype=float)
-    eps_r = np.asarray(fr.normal_pattern, dtype=float)
+    kl, kr = fl.normal_rank, fr.normal_rank
     pat = np.asarray(data.transfer_pattern, dtype=float)
-    gl, gr = fl.jet.ambient.gram, fr.jet.ambient.gram
 
     # ambient realizations of the argument fields
     e_l = fl.tangent_ambient                      # (P, ml, n)
@@ -165,32 +164,21 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     args_l = np.concatenate([e_l, lf_amb], axis=2)   # (P, ml, n + ell)
     args_r = np.concatenate([e_r, lh_amb], axis=2)
 
-    def off_bundle(dfield, fund, frames, eps, gram):
-        """Normal components of ambient fields with the bundle part removed.
+    def off_bundle(dfield, fund, frames):
+        """Normal-frame coordinates (P, k, n + ell) of ambient fields
+        (P, m, n + ell) with the bundle part removed."""
+        nco = _normal_columns(fund, dfield)
+        return nco - frames @ frame_coords(frames, fund.normal_pattern, pat, nco)
 
-        dfield: (P, m, n + ell) ambient derivatives of the argument fields.
-        Returns (P, n + ell, k) normal-frame coordinates.
-        """
-        nco = np.einsum("pma,mw,pwt->pat", dfield, gram, fund.normal_frame, optimize=True) * eps
-        if ell:
-            co = np.einsum("u,ptu,pat->pau", pat, frames * eps[:, None][None], nco, optimize=True)
-            nco = nco - np.einsum("ptu,pau->pat", frames, co)
-        return nco
-
-    rows_all = np.zeros((p, n, n + ell, len(eps_l) + len(eps_r)))
+    rows_all = np.zeros((p, n, kl + kr, n + ell))
     for i in range(n):
-        d_l = grid_derivative(args_l, chart, i)   # (P, ml, n + ell)
-        d_r = grid_derivative(args_r, chart, i)
-        rows_all[:, i, :, : len(eps_l)] = off_bundle(
-            d_l, fl, data.transfer_bundle, eps_l, gl
-        )
-        rows_all[:, i, :, len(eps_l):] = off_bundle(
-            d_r, fr, data.transfer_bundle_right, eps_r, gr
-        )
+        rows_all[:, i, :kl] = off_bundle(grid_derivative(args_l, chart, i), fl, data.transfer_bundle)
+        rows_all[:, i, kl:] = off_bundle(grid_derivative(args_r, chart, i), fr,
+                                         data.transfer_bundle_right)
 
     scale = max(float(np.max(np.abs(rows_all))), 1.0)
     pts = np.flatnonzero(data.mask)
-    rows = rows_all[pts].transpose(0, 1, 3, 2).reshape(len(pts), -1, n + ell)
+    rows = rows_all[pts].reshape(len(pts), -1, n + ell)
     dims, kers = kernel_stack(rows, fd_tol, scale)
     if int(dims.min()) != int(dims.max()):
         raise RankJump(f"obstruction kernel dimension varies: {sorted(set(dims.tolist()))}")
@@ -223,8 +211,8 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     ) if r_dim else (fiber_spans, (), 0.0)
     residuals = {
         "rulings_inside_kernel": rul_gap,
-        "rulings_integrability": float(np.max(bracket_residual(fl, _dist_of(data.rulings))))
-        if d else 0.0,
+        "rulings_integrability":
+            float(np.max(bracket_residual(fl, DistributionFrame(data.rulings)))) if d else 0.0,
     }
     # intersection of the kernel with the tangent block must be the rulings
     null, coeffs = kernel_stack(dq[:, n:, :], tol, 1.0)  # bundle components must vanish
@@ -237,10 +225,9 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     return ObstructionData(data, delta, fibers, s_dim, max(s_dim - d, 0), residuals)
 
 
-def _dist_of(rulings: np.ndarray):
-    from .jets import DistributionFrame
-
-    return DistributionFrame(rulings)
+def _normal_columns(fund: FundamentalData, columns: np.ndarray) -> np.ndarray:
+    """Normal-frame coordinates (P, k, w) of ambient columns (P, m, w)."""
+    return np.swapaxes(fund.normal_coordinates(np.swapaxes(columns, 1, 2)), 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -398,66 +385,46 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
     ell = data.ell
     lf_amb = np.einsum("pmt,ptu->pmu", data.left.normal_frame, data.transfer_bundle)
     lh_amb = np.einsum("pmt,ptu->pmu", data.right.normal_frame, data.transfer_bundle_right)
-    mask_ext = np.ones(p_ext, dtype=bool)
-    # frame-coordinate version of the lifted kernel for the residual helpers
-    lift_frame_all = np.einsum("pai,piu->pau", fund_l.tangent_frame_inv, lift)
+    lift_frame = fund_l.tangent_frame_inv @ lift  # (n + r, s) frame coords of the lifted kernel
 
     # tube transfer bundles: intersections of the base bundles with the tube
     # normal spaces, found as coefficient kernels against the tube tangents
     r_tube = max(ell - r, 0)
     out["tube_bundle_rank_expected"] = r_tube
-    lf_tube_raw = np.zeros((p_ext, fund_l.normal_rank, r_tube))
-    lh_tube_raw = np.zeros((p_ext, fund_r.normal_rank, r_tube))
+    amb_l = np.zeros((p_ext, pair.left.m, r_tube))
+    amb_r = np.zeros((p_ext, pair.right.m, r_tube))
     rank_seen = {0}
-    right_tangency = 0.0
     if ell:
         null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], 1e-7, 1.0)  # (n + r, ell)
         rank_seen = set(null.tolist())
-        for (take,), idx in rank_classes(np.minimum(null, r_tube)):
-            if not take:
-                continue
-            amb_l = lf_amb[base[idx]] @ coeffs[idx][:, :, :take]
-            amb_r = lh_amb[base[idx]] @ coeffs[idx][:, :, :take]
-            right_tangency = max(right_tangency,
-                                 float(np.max(np.abs(pair.right.d1[idx] @ gram_r @ amb_r))))
-            lf_tube_raw[idx, :, :take] = eps_l_t[:, None] * (
-                np.swapaxes(fund_l.normal_frame[idx], 1, 2) @ (gram_l @ amb_l))
-            lh_tube_raw[idx, :, :take] = eps_r_t[:, None] * (
-                np.swapaxes(fund_r.normal_frame[idx], 1, 2) @ (gram_r @ amb_r))
+        # the first min(null, r_tube) kernel directions at each point
+        dirs = coeffs[:, :, :r_tube] * (np.arange(r_tube) < null[:, None])[:, None, :]
+        amb_l, amb_r = lf_amb[base] @ dirs, lh_amb[base] @ dirs
     out["tube_bundle_rank"] = max(rank_seen)
     out["tube_bundle_rank_constant"] = len(rank_seen) == 1
-    out["transferred_bundle_tangency"] = right_tangency
+    out["transferred_bundle_tangency"] = float(np.max(np.abs(pair.right.d1 @ gram_r @ amb_r),
+                                                      initial=0.0))
 
+    lf_tube = np.zeros((p_ext, fund_l.normal_rank, 0))
+    lh_tube = np.zeros((p_ext, fund_r.normal_rank, 0))
+    pat_tube = ()
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
-            lf_tube_raw, np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7
+            _normal_columns(fund_l, amb_l), np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7
         )
-        # transport the aligned left frames with the base identification
-        pat_l = np.asarray(data.transfer_pattern, dtype=float)
-        eps_l_base = np.asarray(data.left.normal_pattern, dtype=float)
-        amb = fund_l.normal_frame @ lf_tube  # (m, r_tube) in the left ambient
-        base_co = np.einsum("ptk,km->ptm", np.swapaxes(data.transfer_bundle[base], 1, 2) * eps_l_base[None, :],
-                            gram_l) @ amb
-        moved_amb = lh_amb[base] @ (pat_l[:, None] * base_co)
-        lh_tube = eps_r_t[:, None] * (np.swapaxes(fund_r.normal_frame, 1, 2) @ (gram_r @ moved_amb))
-        ident_tube = np.einsum(
-            "u,pku,pmu->pkm", np.asarray(pat_tube, dtype=float),
-            lh_tube, lf_tube * eps_l_t[None, :, None], optimize=True,
-        )
-        compat = transfer_residuals(
-            fund_l, fund_r, lf_tube, pat_tube, lh_tube, ident_tube,
-            lift_frame_all, mask_ext, margin=margin,
-        )
-        out["tube_compatibility"] = compat
-    else:
-        lf_tube = np.zeros((p_ext, fund_l.normal_rank, 0))
-        lh_tube = np.zeros((p_ext, fund_r.normal_rank, 0))
-        pat_tube = ()
-        ident_tube = np.zeros((p_ext, fund_r.normal_rank, fund_l.normal_rank))
-        out["tube_compatibility"] = transfer_residuals(
-            fund_l, fund_r, lf_tube, pat_tube, lh_tube, ident_tube,
-            lift_frame_all, mask_ext, margin=margin,
-        )
+        # transport the aligned left frames with the base identification: their
+        # coordinates in the base transfer frames, realised on the right.  The
+        # tube points over one base point are a run of pf consecutive points.
+        amb = np.swapaxes(fund_l.normal_frame @ lf_tube, 1, 2).reshape(-1, pf * r_tube, pair.left.m)
+        base_nco = np.swapaxes(data.left.normal_coordinates(amb).reshape(p_ext, r_tube, -1), 1, 2)
+        base_co = frame_coords(data.transfer_bundle[base], data.left.normal_pattern,
+                               data.transfer_pattern, base_nco)
+        lh_tube = _normal_columns(fund_r, lh_amb[base] @ base_co)
+    ident_tube = lh_tube @ frame_coords(lf_tube, eps_l_t, pat_tube, np.eye(fund_l.normal_rank))
+    out["tube_compatibility"] = transfer_residuals(
+        fund_l, fund_r, lf_tube, pat_tube, lh_tube, ident_tube,
+        lift_frame, np.ones(p_ext, dtype=bool), margin=margin,
+    )
 
     # kernel identity: the lifted kernel equals the joint nullity against the
     # complements of the tube bundles
@@ -465,7 +432,6 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
                               1e-9, fd_tol, 1.0)
     ker_ranks, ker = by_class(lambda k: span_stack(k, 1e-9), [(null, ker)])
     # compare in frame coordinates of the tube
-    lift_frame = fund_l.tangent_frame_inv @ lift  # (n + r, s) frame coords
     lift_ranks, lift_span = span_stack(lift_frame, 1e-9)
     out["kernel_identity_gap"] = max(
         float(np.max(gap_stack(ker[idx][:, :, :a], lift_span[idx][:, :, :b])))

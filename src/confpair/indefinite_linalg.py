@@ -1,7 +1,8 @@
 """Linear algebra over real spaces with indefinite inner products.
 
 This module is the only place where singular values or eigenvalues turn into
-ranks, kernels, spans, complements, radicals or signatures.  Bases are
+ranks, kernels, spans, complements, radicals or signatures, and the one
+place that reads coordinates in pseudo-orthonormal frames.  Bases are
 columns that are orthonormal for the standard (definite) dot product on
 coordinates; the possibly indefinite product is the diagonal metric
 ``diag(eps)`` with entries +-1, and geometry w.r.t. it is read off Gram
@@ -68,8 +69,7 @@ def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
 # an orthonormal basis of the answer for entry i.  Where an intermediate width
 # varies over the stack, the entries are grouped by it and each group runs as
 # one stacked call on unpadded matrices, so every entry sees exactly the
-# numpy call that the single-matrix form makes.  The single-matrix forms are
-# the one-entry slices of the stack forms.
+# numpy call that a one-entry stack makes.
 
 
 def rank_classes(*ranks):
@@ -205,46 +205,13 @@ def project_stack(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: 
     return basis @ np.linalg.solve(gram, weighted.transpose(0, 2, 1) @ vectors)
 
 
-def kernel(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis of the right null space of `rows`; everything when
-    there are no rows."""
-    null, basis = kernel_stack(np.asarray(rows, dtype=float)[None], tol, floor)
-    return basis[0, :, : null[0]]
-
-
-def orthonormal_columns(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (dot product) of the column span of `vectors`."""
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim != 2:
-        raise ValueError("expected a matrix of column vectors")
-    count, u = span_stack(vectors, tol, floor)
-    return u[:, : int(count)]
-
-
-def complement(sub: np.ndarray, within: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
-    """Vectors of span(`within`) orthogonal to span(`sub`) w.r.t. diag(eps)."""
-    r, basis = complement_stack(sub[None], within[None], eps, tol)
-    return basis[0, :, : r[0]]
-
-
-def radical(basis: np.ndarray, eps: np.ndarray, tol: float) -> np.ndarray:
-    """span(basis) intersected with its diag(eps)-orthogonal."""
-    r, out = radical_stack(basis[None], eps, tol)
-    return out[0, :, : r[0]]
-
-
-def gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Spectral distance of the dot projectors onto two spans given by
-    orthonormal columns (1.0 signals a rank mismatch)."""
-    return float(gap_stack(a[None], b[None])[0])
-
-
-def project(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:
-    """diag(eps)-orthogonal projection of `vectors` (columns, or one vector)
-    onto span(basis); raises DegenerateSubspace as `project_stack` does."""
-    vectors = np.asarray(vectors, dtype=float)
-    out = project_stack(basis[None], eps, vectors.reshape(len(vectors), -1)[None], tol)[0]
-    return out.reshape((len(basis),) + vectors.shape[1:])
+def frame_coords(frames: np.ndarray, eps, pattern, vectors: np.ndarray) -> np.ndarray:
+    """Coordinates (B, k, w) of `vectors` (B, m, w) in pseudo-orthonormal
+    frames (B, m, k) of diag(eps) whose columns f_u have <f_u, f_u> =
+    pattern[u]: c_u = pattern[u] <f_u, v>.  On the span of the frames,
+    `frames @ c` gives the vectors back; elsewhere it is their projection."""
+    weighted = frames * np.asarray(eps, dtype=float)[:, None]
+    return np.asarray(pattern, dtype=float)[:, None] * (np.swapaxes(weighted, -1, -2) @ vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns, span_stack
+from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, span_stack
 from .regions import bfs_levels
 
 __all__ = [
@@ -139,20 +139,22 @@ def grid_derivative(values: np.ndarray, grid: ChartGrid, axis: int, order: int =
     return out.reshape((grid.npoints,) + rest)
 
 
+def _stencil_jets(values: np.ndarray, grid: ChartGrid):
+    """(d1 (P, n, ...), d2 (P, n, n, ...)) of a sampled field (P, ...) by
+    nested stencils; the mixed partials differentiate d1 again."""
+    n = grid.ndim
+    d1 = np.stack([grid_derivative(values, grid, i) for i in range(n)], axis=1)
+    d2 = np.zeros((grid.npoints, n, n) + values.shape[1:])
+    for i in range(n):
+        d2[:, i, i] = grid_derivative(values, grid, i, order=2)
+        for j in range(i + 1, n):
+            d2[:, i, j] = d2[:, j, i] = grid_derivative(d1[:, i], grid, j)
+    return d1, d2
+
+
 def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
     """(d1, d2) of a per-point scalar field by nested stencils."""
-    n = grid.ndim
-    p = grid.npoints
-    d1 = np.stack([grid_derivative(values, grid, i) for i in range(n)], axis=1)
-    d2 = np.zeros((p, n, n))
-    for i in range(n):
-        gi = grid_derivative(values, grid, i)
-        for j in range(i, n):
-            if i == j:
-                d2[:, i, i] = grid_derivative(values, grid, i, order=2)
-            else:
-                d2[:, i, j] = d2[:, j, i] = grid_derivative(gi, grid, j)
-    return d1, d2
+    return _stencil_jets(values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -211,18 +213,8 @@ class ImmersionJet:
     @staticmethod
     def from_values(values: np.ndarray, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
         """Build the jet from sampled positions alone, by finite differences."""
-        p, n, m = chart.npoints, chart.ndim, ambient.dim
-        values = np.asarray(values, dtype=float).reshape(p, m)
-        d1 = np.zeros((p, n, m))
-        d2 = np.zeros((p, n, n, m))
-        for i in range(n):
-            d1[:, i] = grid_derivative(values, chart, i)
-        for i in range(n):
-            for j in range(i, n):
-                if i == j:
-                    d2[:, i, i] = grid_derivative(values, chart, i, order=2)
-                else:
-                    d2[:, i, j] = d2[:, j, i] = grid_derivative(d1[:, i], chart, j)
+        values = np.asarray(values, dtype=float).reshape(chart.npoints, ambient.dim)
+        d1, d2 = _stencil_jets(values, chart)
         return ImmersionJet(chart, ambient, values, d1, d2, source="finite-difference")
 
     def immersion_residual(self) -> float:
@@ -317,7 +309,8 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 
 def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     """Pseudo-orthonormal basis of the span, negative-norm vectors first."""
-    b = orthonormal_columns(span, tol)
+    count, b = span_stack(span, tol)
+    b = b[:, :count]
     g = b.T @ gram @ b
     vals, vecs = np.linalg.eigh(0.5 * (g + g.T))
     # the one rank rule with the floor 1.0 of Gram matrices of dot-orthonormal

@@ -31,6 +31,7 @@ from .jets import (
     christoffel,
     conformal_factor_of_metrics,
     fundamental_data,
+    grid_derivative,
     induced_metric,
     leaf_mean_curvature,
     scalar_fd_jets,
@@ -333,8 +334,6 @@ def sff_transfer_check(
     psi = factor.reciprocal()
     dpsi = psi.g
     if gamma is None:
-        from .jets import grid_derivative
-
         dg = np.stack([grid_derivative(base_metric, chart, i) for i in range(n)], axis=1)
         ginv = np.linalg.inv(base_metric)
         sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)

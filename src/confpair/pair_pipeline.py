@@ -38,6 +38,7 @@ from .errors import (
 from .indefinite_linalg import (
     by_class,
     complement_stack,
+    frame_coords,
     gap_stack,
     image_stack,
     kernel_stack,
@@ -482,11 +483,8 @@ def _matched(reg: _Region) -> dict:
             dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
             # coefficients of the two covariant derivatives on the span frames:
             # gap_t[p, i, u, s] with u the frame component and s the section
-            cl = np.einsum("u,pku,pks->pus", s_pat, s_frames * eps_l[None, :, None], dsl,
-                           optimize=True)
-            cr = np.einsum("u,pku,pks->pus", s_pat, hat_frames * eps_r[None, :, None], dsr,
-                           optimize=True)
-            gap_t[:, i] = cl - cr
+            gap_t[:, i] = (frame_coords(s_frames, eps_l, s_pat, dsl)
+                           - frame_coords(hat_frames, eps_r, s_pat, dsr))
     reg.hat_frames, reg.arrays["gap_tensor"] = hat_frames, gap_t
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
     if r_s:
@@ -524,15 +522,13 @@ def _transfer(reg: _Region) -> dict:
     dr = np.stack([_nabla(s0_hat, fr, i) for i in range(n)], axis=1)[reg.pts]
     theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, reg.arrays["theta"])[reg.pts]
     sf, sh = reg.at["shared_span"], reg.hat_frames[reg.pts]
-    s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
+    s_pat = reg.patterns["shared_span"]
     blocks = []
     for u in range(theta_coords.shape[2]):
         yl = np.einsum("pi,piks->pks", theta_coords[:, :, u], dl)  # (B, kl, n_s0)
         yr = np.einsum("pi,piks->pks", theta_coords[:, :, u], dr)
-        if sf.shape[2]:
-            yl = yl - sf @ (s_pat[:, None] * (_t(sf * reg.eps_l[:, None]) @ yl))
-            yr = yr - sh @ (s_pat[:, None] * (_t(sh * reg.eps_r[:, None]) @ yr))
-        blocks += [yl, yr]
+        blocks += [yl - sf @ frame_coords(sf, reg.eps_l, s_pat, yl),
+                   yr - sh @ frame_coords(sh, reg.eps_r, s_pat, yr)]
     rows = np.concatenate(blocks, axis=1) if blocks else np.zeros((b, 0, n_s0))
     null, coeffs = kernel_stack(rows, reg.cfg.fd_tol, reg.a_scale)
     return {"transfer_bundle": image_stack(reg.at["matched_span"], null, coeffs, reg.cfg.rank_tol)}
@@ -773,13 +769,9 @@ def transfer_residuals(
         return out
 
     lf, lh = l_frames, lhat_frames
-    l_pat = np.asarray(l_pattern, dtype=float)
 
     def proj_onto(frames, eps, vecs):
-        # frames pseudo-orthonormal w.r.t. diag(eps) with pattern l_pat
-        co = np.einsum("u,pku,pk...->pu...", l_pat, frames * eps[None, :, None], vecs,
-                       optimize=True)
-        return np.einsum("pku,pu...->pk...", frames, co)
+        return frames @ frame_coords(frames, eps, l_pattern, vecs)
 
     # preserves second fundamental forms
     al = fund_l.alpha.reshape(len(fund_l.alpha), n * n, -1).transpose(0, 2, 1)

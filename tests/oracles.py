@@ -2,7 +2,8 @@
 
 Everything here works over `fractions.Fraction`, so results are exact on
 integer inputs.  These are test-only references; the package itself never
-imports them.
+imports them.  The module ends with the one-matrix views of the stack forms
+that the certifying tests compare against the oracles.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+
+from confpair.indefinite_linalg import DEFAULT_TOL, kernel_stack, span_stack
 
 
 def _to_fractions(matrix) -> list[list[Fraction]]:
@@ -107,3 +110,22 @@ def rational_intersection_dim(basis_u, basis_v) -> int:
     rv = rational_rank(v.T)
     runion = rational_rank(np.hstack([u, v]).T)
     return ru + rv - runion
+
+
+# ---------------------------------------------------------------------------
+# one-matrix views of the stack forms
+# ---------------------------------------------------------------------------
+
+
+def span(vectors, tol=DEFAULT_TOL, floor=0.0):
+    """Orthonormal basis of the column span of one matrix, by the call
+    `jets._seed_frame` makes."""
+    count, basis = span_stack(vectors, tol, floor)
+    return basis[:, :count]
+
+
+def null_space(rows, tol=DEFAULT_TOL, floor=0.0):
+    """Orthonormal basis of the right null space of one matrix; everything
+    when there are no rows."""
+    null, basis = kernel_stack(np.asarray(rows, dtype=float)[None], tol, floor)
+    return basis[0, :, : null[0]]

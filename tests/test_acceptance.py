@@ -10,7 +10,7 @@ from confpair import jet3
 from confpair.conformal_calc import _kernel_dim, conformal_s_nullity, s_nullity_at
 from confpair.extension import TransferData, extension_obstruction, ruled_extension, verify_extension
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
-from confpair.indefinite_linalg import DEFAULT_TOL, kernel, orthonormal_columns, rank, signature
+from confpair.indefinite_linalg import DEFAULT_TOL, rank, signature
 from confpair.jets import fundamental_data, induced_metric
 from confpair.lightcone import (
     LightConeModel,
@@ -21,7 +21,7 @@ from confpair.lightcone import (
 )
 from confpair.pair_pipeline import analyze_pair, verify_compatibility
 
-from oracles import rational_intersection_dim, rational_rank, rational_signature
+from oracles import null_space, rational_intersection_dim, rational_rank, rational_signature, span
 
 SEED = 20260811
 
@@ -338,7 +338,7 @@ def test_criterion_10_rational_oracle():
         expected = rational_rank(vals)
         checked += 1
         for floor in floors:
-            if (orthonormal_columns(vals.T, tol, floor).shape[1] != expected
+            if (span(vals.T, tol, floor).shape[1] != expected
                     or rank(vals.T, tol, floor) != expected):
                 mismatches += 1
     for trial in range(330):
@@ -352,8 +352,8 @@ def test_criterion_10_rational_oracle():
         expected = rational_signature((basis.T @ np.diag(eps) @ basis).astype(int))
         checked += 1
         for floor in floors:
-            span = orthonormal_columns(basis, tol, floor)
-            if signature(span.T @ (span * eps[:, None]), tol) != expected:
+            sub = span(basis, tol, floor)
+            if signature(sub.T @ (sub * eps[:, None]), tol) != expected:
                 mismatches += 1
     for trial in range(300):
         m = int(rng.integers(4, 13))
@@ -365,9 +365,9 @@ def test_criterion_10_rational_oracle():
         checked += 1
         for floor in floors:
             # intersection: kernel of the stacked dot-annihilators
-            ann_u = kernel(orthonormal_columns(bu, tol, floor).T, tol, floor)
-            ann_v = kernel(orthonormal_columns(bv, tol, floor).T, tol, floor)
-            if kernel(np.vstack([ann_u.T, ann_v.T]), tol, floor).shape[1] != expected:
+            ann_u = null_space(span(bu, tol, floor).T, tol, floor)
+            ann_v = null_space(span(bv, tol, floor).T, tol, floor)
+            if null_space(np.vstack([ann_u.T, ann_v.T]), tol, floor).shape[1] != expected:
                 mismatches += 1
     _line("criterion 10: rational oracle agreement", mismatches == 0 and checked >= 1000,
           f"{checked} instances at floors {floors}, {mismatches} mismatches")

@@ -159,6 +159,64 @@ def test_degenerate_cone_extension():
     assert np.all(eigs[:, 0] < 0) and np.all(eigs[:, 1:] > 0)
 
 
+# -- the tube-bundle branch: a transfer bundle wider than the fibres ----------
+
+TUBE_GRID = ChartGrid((9, 9), (0.03, 0.03), (0.2, 0.25))
+
+
+def codim3_surface(xs):
+    x1, x2 = xs
+    return [x1, x2, x1 * x1, x1 * x2 + 0.5 * x2 * x2, x2 ** 3 + 0.3 * x1 ** 3]
+
+
+def assert_tube_branch_holds(report, rank):
+    assert report["tube_bundle_rank"] == report["tube_bundle_rank_expected"] == rank
+    assert report["tube_bundle_rank_constant"]
+    compat = report["tube_compatibility"]
+    for key in ("transfer_preserves_sff", "transfer_parallel", "bundle_parallel_along_rulings"):
+        assert compat[key] <= 1e-10
+
+
+def test_tube_branch_on_a_self_pair_without_fibres():
+    # L = the first aligned normal field, no rulings: the obstruction kernel
+    # is zero, so the tube is the base and its bundle is all of L
+    jet = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
+    p = TUBE_GRID.npoints
+    lf = np.zeros((p, 3, 1))
+    lf[:, 0, 0] = 1.0
+    data = TransferData.from_frames(fundamental_data(jet), fundamental_data(jet), lf, lf.copy(), (1,),
+                                    np.zeros((p, 2, 0)))
+    obs = extension_obstruction(data)
+    assert (obs.s, obs.r, data.ell) == (0, 0, 1)
+    report = verify_extension(ruled_extension(obs))
+    assert_tube_branch_holds(report, 1)
+    assert report["kernel_identity_gap"] == 0.0
+
+
+def test_tube_branch_transports_frames_along_a_fibre():
+    # the surface padded with a flat sixth coordinate, and L = (its first
+    # normal, e6): e6 is the one fibre, so the tube bundle is the rest of L
+    def padded(xs):
+        return codim3_surface(xs) + [jet3.constant(0.0, xs[0])]
+
+    p = TUBE_GRID.npoints
+    surface = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
+    first_normal = fundamental_data(surface).normal_frame[:, :, 0]
+    jet = ImmersionJet.from_function(padded, TUBE_GRID, ScalarProduct.euclidean(6))
+    fund = fundamental_data(jet)
+    lf = np.stack([fund.normal_coordinates(np.pad(first_normal, ((0, 0), (0, 1)))),
+                   fund.normal_coordinates(np.eye(6)[5])], axis=2)
+    data = TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1, 1),
+                                    np.zeros((p, 2, 0)))
+    obs = extension_obstruction(data)
+    assert (obs.s, obs.r, data.ell) == (1, 1, 2)
+    pair = ruled_extension(obs)
+    assert pair.left.chart.shape == (9, 9, 3)
+    report = verify_extension(pair)
+    assert_tube_branch_holds(report, 1)
+    assert report["kernel_identity_gap"] <= 1e-8
+
+
 # -- the slice generator ------------------------------------------------------
 
 

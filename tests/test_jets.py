@@ -5,7 +5,7 @@ import pytest
 
 from confpair import conformal_calc, gallery, jet3, jets
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, orthonormal_columns, span_stack
+from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, span_stack
 from confpair.jets import (
     ChartGrid,
     DistributionFrame,
@@ -70,6 +70,28 @@ def test_grid_derivative_is_fourth_order():
     err2 = np.abs(d2f + 9 * np.sin(3 * x))
     assert np.max(err2[2:-2]) < 2e-3  # interior stencils are 4th order
     assert np.max(err2) < 5e-2  # one-sided boundary stencils degrade gracefully
+
+
+def test_stencil_jets_reuse_the_first_derivatives(monkeypatch):
+    # two first, two pure second and one mixed derivative for n = 2; the mixed
+    # one differentiates d1 again, exactly as a second stencil pass would
+    grid = ChartGrid((11, 11), (0.05, 0.05), (0.1, 0.2))
+    values = np.sin(grid.points() @ np.array([1.3, 0.7]))
+    real = jets.grid_derivative
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "grid_derivative", counted)
+    _, d2 = jets.scalar_fd_jets(values, grid)
+    assert calls[0] == 5
+    jet = ImmersionJet.from_values(np.stack([values, values ** 2, values ** 3], axis=1), grid, E3)
+    assert calls[0] == 10
+    assert np.array_equal(d2[:, 0, 1], real(real(values, grid, 0), grid, 1))
+    assert np.array_equal(d2[:, 1, 0], d2[:, 0, 1])
+    assert np.array_equal(jet.d2[:, 0, 1, 0], d2[:, 0, 1])
 
 
 def test_plane_has_identity_metric_and_zero_alpha():
@@ -315,7 +337,8 @@ def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, 
     frames[order[0][0]] = frame0
     max_step = 0.0
     for point, parent in order[1:]:
-        fiber = orthonormal_columns(spans[point], tol)
+        count, fiber = span_stack(spans[point], tol)
+        fiber = fiber[:, :count]
         if fiber.shape[1] != k:
             raise FrameAlignmentFailure(
                 f"fiber rank {fiber.shape[1]} != {k} inside a constant-rank region")
@@ -448,7 +471,8 @@ def test_null_one_dimensional_fiber_cannot_seed_a_frame():
     # scale of the metric, and must not be normalised into a huge frame
     span = np.array([[np.sqrt(0.5)], [np.sqrt(0.5)], [0.0], [0.0]])[None]
     gram = np.diag([-1.0, 1.0, 1.0, 1.0])
-    b = orthonormal_columns(span[0], DEFAULT_TOL)
+    count, b = span_stack(span[0], DEFAULT_TOL)
+    b = b[:, :count]
     assert abs((b.T @ gram @ b).item()) < 1e-15
     with pytest.raises(FrameAlignmentFailure, match="degenerate fiber: cannot seed a frame"):
         align_frames(span, gram, (1,))
@@ -487,7 +511,8 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
     monkeypatch.setattr(jets, "span_stack", counted)
     align_frames(normal_spans(jet), jet.ambient.gram, chart.shape)
     assert len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))) == 199
-    assert calls == [(chart.npoints, jet.m, jet.codim)]
+    # one stacked call for every fiber; the seed frame's own span is the only other
+    assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]
 
 
 def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
