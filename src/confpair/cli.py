@@ -380,8 +380,8 @@ def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
         base_map = build_immersion(opts["base"], where="transfer.base")
         base_jet = base_map.jet(grid)
         factor = imap.factor_jets(grid.points())
-        data = sff_transfer_check(jet, base_jet, list(opts.get("ruling_axes", [0])),
-                                  factor=factor)
+        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])),
+                                  factor=factor, align_threshold=cfg.align_threshold)
         results["transfer_dictionary"] = _jsonable(data.residuals)
         for key, thr in opts.get("thresholds", {}).items():
             checks.append(_check(f"transfer.{key}", data.residuals[key], float(thr)))
@@ -527,7 +527,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
 
     obs = extension_obstruction(data, fd_tol=cfg.fd_tol)
     pair = ruled_extension(obs)
-    report = verify_extension(pair, fd_tol=cfg.fd_tol)
+    report = verify_extension(pair, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
     results = {
         "inputs": inputs,
         "kernel_dim": obs.s,

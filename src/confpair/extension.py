@@ -335,13 +335,15 @@ def ruled_extension(
     raise NotImmersionAtRadius("extension never becomes an immersion while shrinking the fibers")
 
 
-def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2) -> dict:
+def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
+                     align_threshold: float = 0.5) -> dict:
     """Residual report for the extension: isometry, ruledness, splittings,
     the kernel identity, and the compatibility conditions on the tube.
 
     The lifted kernel directions are taken in chart coordinates (base ruling
     components plus the fiber axes), which matches the affine leaves exactly
-    at the zero section and on all the gallery geometries.
+    at the zero section and on all the gallery geometries.  Every frame
+    sweep on the tube uses the frame-jump threshold `align_threshold`.
     """
     data = pair.obstruction.data
     n = data.left.metric.shape[1]
@@ -367,8 +369,8 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
             straight = max(straight, float(np.max(np.abs(second))))
     out["fiber_straightness"] = straight
 
-    fund_l = fundamental_data(pair.left)
-    fund_r = fundamental_data(pair.right)
+    fund_l = fundamental_data(pair.left, align_threshold=align_threshold)
+    fund_r = fundamental_data(pair.right, align_threshold=align_threshold)
     eps_l_t = np.asarray(fund_l.normal_pattern, dtype=float)
     eps_r_t = np.asarray(fund_r.normal_pattern, dtype=float)
     gram_l = pair.left.ambient.gram
@@ -410,7 +412,8 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2)
     pat_tube = ()
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
-            _normal_columns(fund_l, amb_l), np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7
+            _normal_columns(fund_l, amb_l), np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7,
+            threshold=align_threshold,
         )
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The

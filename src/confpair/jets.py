@@ -162,6 +162,11 @@ def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
 # ---------------------------------------------------------------------------
 
 
+# points whose Gram-eigenvalue ratio exceeds this skip the SVD of the
+# immersion residual; see `ImmersionJet.immersion_residual`
+IMMERSION_SCREEN = 1e-3
+
+
 @dataclass
 class ImmersionJet:
     """2-jet of an immersion of a chart grid into a flat inner-product space.
@@ -222,10 +227,30 @@ class ImmersionJet:
 
         A point whose differential vanishes (first singular value 0) has
         lost rank and counts as 0.
+
+        One stacked `eigvalsh` of the Euclidean Gram d1 d1^T screens the
+        points.  Its computed eigenvalues lie within c u sigma_1^2 of
+        sigma_i^2 (Weyl's inequality plus the backward stability of the
+        product and of the eigensolver; u is the unit roundoff and c a small
+        multiple of m n).  A ratio sqrt(lam_min / lam_max) above
+        IMMERSION_SCREEN = 1e-3 therefore certifies
+        sigma_n / sigma_1 > 1e-3 sqrt(1 - 1e6 c u), above 1e-3 (1 - 1e-6)
+        even for c u = 1e-12, and that ratio is the point's residual.  Every
+        other point (ratio at or below the screen, not finite, or
+        lam_max <= 0) gets its exact SVD ratio.  The residual is compared
+        only with tolerances of 1e-7, four decades below the screen, so each
+        decision is the one the SVD ratios of all points give.
         """
         if self._residual is None:
-            sv = np.linalg.svd(self.d1, compute_uv=False)  # (P, n)
-            ratio = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)), where=sv[:, 0] > 0)
+            d1 = self.d1
+            lam = np.linalg.eigvalsh(d1 @ d1.transpose(0, 2, 1))  # ascending, NaN if d1 is not finite
+            with np.errstate(all="ignore"):
+                ratio = np.sqrt(lam[:, 0] / lam[:, -1])
+            screened = (lam[:, -1] > 0) & (ratio > IMMERSION_SCREEN)  # NaN compares False
+            if not screened.all():
+                sv = np.linalg.svd(d1[~screened], compute_uv=False)  # (., n)
+                ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
+                                             where=sv[:, 0] > 0)
             self._residual = float(np.min(ratio))
         return self._residual
 
@@ -448,6 +473,15 @@ def align_frames(
 # ---------------------------------------------------------------------------
 
 
+def _normal_coords(vectors: np.ndarray, gram: np.ndarray, normal_frame: np.ndarray,
+                   eps: np.ndarray) -> np.ndarray:
+    """c_t = eps_t <v, xi_t> of ambient vectors v, one (m,) or per point
+    (P, ..., m), in the normal frames xi (P, m, k) under the full ambient
+    Gram (m, m), which is not diagonal on the light cone."""
+    subscripts = "a,ab,pbt->pt" if vectors.ndim == 1 else "p...a,ab,pbt->p...t"
+    return np.einsum(subscripts, vectors, gram, normal_frame, optimize=True) * eps
+
+
 @dataclass
 class FundamentalData:
     """First/second order invariants of an immersion in aligned frames.
@@ -485,11 +519,8 @@ class FundamentalData:
         `vectors` is either a single ambient vector or a per-point array
         (P, ..., m); the result carries frame components on the last axis.
         """
-        eps = np.asarray(self.normal_pattern, dtype=float)
-        g = self.jet.ambient.gram
-        if vectors.ndim == 1:
-            return np.einsum("a,ab,pbt->pt", vectors, g, self.normal_frame, optimize=True) * eps
-        return np.einsum("p...a,ab,pbt->p...t", vectors, g, self.normal_frame, optimize=True) * eps
+        return _normal_coords(vectors, self.jet.ambient.gram, self.normal_frame,
+                              np.asarray(self.normal_pattern, dtype=float))
 
     def normal_ambient(self, coords: np.ndarray) -> np.ndarray:
         """Ambient vectors of per-point normal frame coordinates (..., k)."""
@@ -555,8 +586,7 @@ def fundamental_data(
     tang_part = np.einsum("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient, optimize=True)
     alpha_ambient = jet.d2 - tang_part
     eps = np.asarray(normal_pattern, dtype=float)
-    alpha_coord_comp = np.einsum("pijm,mn,pnt->pijt", alpha_ambient, g_amb, normal_frame,
-                                 optimize=True) * eps
+    alpha_coord_comp = _normal_coords(alpha_ambient, g_amb, normal_frame, eps)
     alpha = np.einsum("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp,
                       optimize=True)
 
@@ -565,8 +595,7 @@ def fundamental_data(
     if k:
         for i in range(n):
             dxi = grid_derivative(normal_frame, jet.chart, i)  # (P, m, k)
-            nconn[:, i] = np.einsum("pmt,mn,pns->pts", dxi, g_amb, normal_frame,
-                                    optimize=True) * eps
+            nconn[:, i] = _normal_coords(dxi.transpose(0, 2, 1), g_amb, normal_frame, eps)
 
     diagnostics = {
         "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)))) if alpha.size else 0.0,

@@ -278,21 +278,25 @@ def _distribution_for(fund: FundamentalData, coord_spans: np.ndarray) -> Distrib
 
 
 def sff_transfer_check(
-    jet: ImmersionJet,
+    fund: FundamentalData,
     base,
     ruling_axes: list[int] | np.ndarray,
     factor: Jet3 | None = None,
     umbilic_tol: float = 1e-4,
+    align_threshold: float = 0.5,
 ) -> SffTransferData:
     """Compare the cone lift's second fundamental form with its prediction.
 
     The left side uses only jets of the rescaled lift; the right side uses
-    jets of the conformal immersion plus the Hessian of the factor in the
-    base metric.  `base` is the isometric partner jet (preferred, its
-    Christoffel symbols are then exact) or a plain (P, n, n) metric field.
-    `ruling_axes` selects chart axes spanning the ruling distribution, or a
-    (P, n, d) array of coordinate components.
+    jets of the conformal immersion `fund.jet`, its fundamental data `fund`,
+    plus the Hessian of the factor in the base metric.  `base` is the
+    isometric partner jet (preferred, its Christoffel symbols are then
+    exact) or a plain (P, n, n) metric field.  `ruling_axes` selects chart
+    axes spanning the ruling distribution, or a (P, n, d) array of
+    coordinate components.  The lift's frames are swept with the frame-jump
+    threshold `align_threshold`.
     """
+    jet = fund.jet
     chart = jet.chart
     p, n = chart.npoints, jet.n
     if isinstance(base, ImmersionJet):
@@ -303,8 +307,7 @@ def sff_transfer_check(
         gamma = None
     lift, factor = isometric_representative(jet, base_metric, factor)
     model = LightConeModel(jet.ambient.dim)
-    fund = fundamental_data(jet)
-    fund_lift = fundamental_data(lift)
+    fund_lift = fundamental_data(lift, align_threshold=align_threshold)
 
     if isinstance(ruling_axes, np.ndarray):
         coord_spans = ruling_axes

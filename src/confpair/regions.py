@@ -8,7 +8,13 @@ stride arithmetic on flat C-order indices, one whole BFS level at a time.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+# (shape, mask, seed) keys whose levels are kept: one run sweeps the same few
+# charts and regions many times, for each map, its lift and each check
+LEVELS_CACHE_SIZE = 32
 
 
 def _expand(shape: tuple[int, ...], allowed: np.ndarray, seed: int):
@@ -41,12 +47,25 @@ def _expand(shape: tuple[int, ...], allowed: np.ndarray, seed: int):
         levels.append((front, parents[first]))
 
 
+@lru_cache(maxsize=LEVELS_CACHE_SIZE)
+def _cached_levels(shape: tuple[int, ...], mask_bytes: bytes, seed: int):
+    """Read-only BFS levels of the flat bool mask in `mask_bytes` from
+    `seed`, and whether they cover the mask."""
+    flat_mask = np.frombuffer(mask_bytes, dtype=bool)
+    levels, seen = _expand(shape, flat_mask, seed)
+    for points, parents in levels:
+        points.flags.writeable = False
+        parents.flags.writeable = False
+    return tuple(levels), int(seen.sum()) == int(flat_mask.sum())
+
+
 def bfs_levels(shape: tuple[int, ...], mask: np.ndarray, seed: int | None = None):
     """(points, parents) int arrays per BFS level covering `mask`.
 
     The first level is the seed (default: the first masked point) with parent
     -1; flattened, the levels give the (point, parent) order of a deque BFS.
-    Raises if the mask is disconnected.
+    Raises if the mask is disconnected.  Levels are memoized on (shape,
+    mask, seed), so their arrays are read-only; the list is new on each call.
     """
     flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
     if seed is None:
@@ -54,10 +73,10 @@ def bfs_levels(shape: tuple[int, ...], mask: np.ndarray, seed: int | None = None
         if seeds.size == 0:
             return []
         seed = int(seeds[0])
-    levels, seen = _expand(shape, flat_mask, seed)
-    if int(seen.sum()) != int(flat_mask.sum()):
+    levels, connected = _cached_levels(tuple(int(s) for s in shape), flat_mask.tobytes(), int(seed))
+    if not connected:
         raise ValueError("mask is not connected; segment it first")
-    return levels
+    return list(levels)
 
 
 def label_regions(shape: tuple[int, ...], profile: np.ndarray) -> np.ndarray:

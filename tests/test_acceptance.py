@@ -125,9 +125,9 @@ def test_criterion_4_sff_dictionary():
     conf = GALLERY["inversion"](GALLERY["cylinder"](n=2), center=[0.0, 0.0, 2.0])
     base_jet = base_map.jet(chart)
     conf_jet = conf.jet(chart)
-    closed = sff_transfer_check(conf_jet, base_jet, [1],
+    closed = sff_transfer_check(fundamental_data(conf_jet), base_jet, [1],
                                 factor=conf.factor_jets(chart.points()))
-    fd = sff_transfer_check(conf_jet, base_jet, [1])
+    fd = sff_transfer_check(fundamental_data(conf_jet), base_jet, [1])
     ok = (
         closed.residuals["sff_dictionary"] <= 1e-7
         and fd.residuals["sff_dictionary"] <= 1e-5

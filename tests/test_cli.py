@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from confpair import cli, extension, jets, lightcone
 from confpair.cli import main, run_manifest
 from confpair.errors import ManifestError, RankJump
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, catalog, default_chart
+from confpair.pair_pipeline import PipelineConfig
 
 
 def test_catalog_has_at_least_eight_entries():
@@ -217,3 +219,33 @@ def test_extend_refuses_a_pair_that_splits_into_regions(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path), "--output", str(tmp_path / "out.json")]) == 1
     assert "analysis error: RankJump" in capsys.readouterr().err
+
+
+def spy_fundamental_data(monkeypatch, *modules):
+    """(jet, align_threshold) of every `fundamental_data` call made through
+    the given modules' imported names."""
+    calls = []
+    real = jets.fundamental_data
+
+    def spy(jet, *args, **kwargs):
+        calls.append((jet, kwargs.get("align_threshold")))
+        return real(jet, *args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "fundamental_data", spy)
+    return calls
+
+
+def test_transfer_manifest_builds_fundamental_data_once_per_jet(monkeypatch):
+    calls = spy_fundamental_data(monkeypatch, cli, lightcone)
+    run_manifest(json.loads(json.dumps(MANIFESTS["cylinder-inversion-transfer"])))
+    # the run's own jet and its cone lift, both swept at the run's threshold
+    assert len(calls) == 2
+    assert calls[0][0] is not calls[1][0]
+    assert [threshold for _, threshold in calls] == [PipelineConfig.align_threshold] * 2
+
+
+def test_extend_manifest_verifies_at_the_run_frame_jump_threshold(monkeypatch):
+    calls = spy_fundamental_data(monkeypatch, extension)
+    run_manifest(json.loads(json.dumps(MANIFESTS["flat-extension"])))
+    assert [threshold for _, threshold in calls] == [PipelineConfig.align_threshold] * 2

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -515,37 +516,98 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
     assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]
 
 
-def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
-    chart = ChartGrid((20, 20), (0.01, 0.01), (0.9, 0.4))
-    jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
-    stacked = []
+def stacked_svd_inputs(monkeypatch):
+    """The shapes of the stacked arrays that `np.linalg.svd` receives from now on."""
+    shapes = []
     real = np.linalg.svd
 
     def recorded(a, *args, **kwargs):
         if np.ndim(a) == 3:
-            stacked.append((np.shape(a), kwargs.get("compute_uv", True)))
+            shapes.append(np.shape(a))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
+    chart = ChartGrid((20, 20), (0.01, 0.01), (0.9, 0.4))
+    jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
+    stacked = stacked_svd_inputs(monkeypatch)
     fundamental_data(jet)
-    # the one stacked SVD is the immersion residual's, on d1 and without U, V
-    assert stacked == [((chart.npoints, jet.n, jet.m), False)]
+    # the immersion gate certifies every point of this chart by its Gram
+    # eigenvalues, and the normal spaces come from a QR
+    assert stacked == []
 
 
-def test_immersion_residual_runs_one_svd_per_jet(monkeypatch):
+def test_immersion_residual_runs_once_per_jet(monkeypatch):
     jet = ImmersionJet.from_function(sphere_fn(1.5), grid2(h=0.04, origin=(0.9, 0.2)), E3)
+    gate_eigvalsh = [0]
     residual_svds = [0]
-    real = np.linalg.svd
+    real_eigvalsh, real_svd = np.linalg.eigvalsh, np.linalg.svd
 
-    def counted(a, *args, **kwargs):
+    def eigvalsh(a, *args, **kwargs):
+        gate_eigvalsh[0] += sys._getframe(1).f_code.co_name == "immersion_residual"
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def svd(a, *args, **kwargs):
         residual_svds[0] += kwargs.get("compute_uv", True) is False
-        return real(a, *args, **kwargs)
+        return real_svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", svd)
     induced_metric(jet)
     induced_metric(jet)
     fundamental_data(jet)
-    assert residual_svds[0] == 1
+    assert gate_eigvalsh[0] == 1
+    assert residual_svds[0] == 0
+
+
+def jet_with_ratios(ratios):
+    """A jet into R^3 over a (len(ratios), 1) chart whose differential at
+    point q has singular values 1 and ratios[q], turned by fixed rotations."""
+    rng = np.random.default_rng(3)
+    left = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    right = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    d1 = np.stack([left @ np.diag([1.0, r]) @ right[:2] for r in ratios])
+    p = len(ratios)
+    chart = ChartGrid((p, 1), (0.1, 0.1), (0.0, 0.0))
+    return ImmersionJet(chart, E3, np.zeros((p, 3)), d1, np.zeros((p, 2, 2, 3)))
+
+
+@pytest.mark.parametrize("ratio, immersed", [(5e-8, False), (2e-7, True), (1e-4, True)])
+def test_immersion_gate_decides_near_its_tolerance(ratio, immersed):
+    jet = jet_with_ratios([ratio])
+    if immersed:
+        jet.require_immersion()
+    else:
+        with pytest.raises(NotImmersion):
+            jet.require_immersion()
+
+
+def test_immersion_gate_runs_the_svd_only_below_its_screen(monkeypatch):
+    jet = jet_with_ratios([0.5, 1e-4, 0.9])
+    shapes = stacked_svd_inputs(monkeypatch)
+    residual = jet.immersion_residual()
+    assert jets.IMMERSION_SCREEN == 1e-3
+    assert shapes == [(1, 2, 3)]  # the one point at or below the screen
+    sv = np.linalg.svd(jet.d1[1:2], compute_uv=False)
+    assert residual == sv[0, -1] / sv[0, 0]  # bit for bit
+
+
+@pytest.mark.parametrize("imap", [gallery.sphere(2), gallery.graph(n=4),
+                                  gallery.psi_lift(gallery.torus())],
+                         ids=["sphere", "graph4", "psi-torus"])
+def test_screened_immersion_residual_matches_the_svd_ratio(monkeypatch, imap):
+    jet = imap.jet(gallery.default_chart(imap))
+    shapes = stacked_svd_inputs(monkeypatch)
+    residual = jet.immersion_residual()
+    assert shapes == []  # every point certified by the screen
+    monkeypatch.undo()
+    sv = np.linalg.svd(jet.d1, compute_uv=False)
+    exact = float(np.min(sv[:, -1] / sv[:, 0]))
+    assert residual > jets.IMMERSION_SCREEN
+    assert abs(residual - exact) <= 1e-9 * exact
 
 
 def test_closed_form_jet_of_a_10k_point_graph_stays_small():

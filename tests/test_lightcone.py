@@ -4,7 +4,13 @@ import pytest
 from confpair import gallery, jet3
 from confpair.errors import OnExceptionalRay
 from confpair.indefinite_linalg import ScalarProduct
-from confpair.jets import ChartGrid, ImmersionJet, conformal_factor_of_metrics, induced_metric
+from confpair.jets import (
+    ChartGrid,
+    ImmersionJet,
+    conformal_factor_of_metrics,
+    fundamental_data,
+    induced_metric,
+)
 from confpair.lightcone import (
     LightConeModel,
     cone_projection,
@@ -191,7 +197,7 @@ def test_sff_transfer_cylinder_with_inversion_closed_form_factor():
     conf = ImmersionJet.from_function(inversion_of_cylinder([0.0, 0.0, 3.0]), jet.chart, E3)
     xs = jet3.variables(jet.chart.points())
     factor = inversion_factor([0.0, 0.0, 3.0])(xs)
-    data = sff_transfer_check(conf, jet, [1], factor=factor)
+    data = sff_transfer_check(fundamental_data(conf), jet, [1], factor=factor)
     assert data.residuals["sff_dictionary"] < 1e-7
     assert data.residuals["corrected_sff_dictionary"] < 1e-7
     assert data.residuals["hess_proportionality"] < 1e-6
@@ -201,14 +207,14 @@ def test_sff_transfer_cylinder_with_inversion_closed_form_factor():
 def test_sff_transfer_with_fd_factor():
     jet = cylinder_jet(n_pts=11)
     conf = ImmersionJet.from_function(inversion_of_cylinder([0.0, 0.0, 3.0]), jet.chart, E3)
-    data = sff_transfer_check(conf, jet, [1])
+    data = sff_transfer_check(fundamental_data(conf), jet, [1])
     assert data.residuals["sff_dictionary"] < 1e-5
     assert data.residuals["corrected_sff_dictionary"] < 1e-5
 
 
 def test_sff_transfer_isometric_case_reduces():
     jet = cylinder_jet(n_pts=9)
-    data = sff_transfer_check(jet, jet, [1])
+    data = sff_transfer_check(fundamental_data(jet), jet, [1])
     # factor == 1: xi = e0 and the dictionary collapses to the lift formula
     assert np.max(np.abs(data.phi - 1.0)) < 1e-12
     assert data.residuals["sff_dictionary"] < 1e-8

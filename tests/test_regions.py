@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confpair import regions
 from confpair.regions import bfs_levels, label_regions, pack_profile
 
 
@@ -138,3 +139,33 @@ def test_pack_profile_codes_equal_exactly_on_equal_rows(npts, ncols, data):
     for i in range(npts):
         for j in range(npts):
             assert (codes[i] == codes[j]) == (rows[i] == rows[j])
+
+
+def test_bfs_levels_are_memoized_per_shape_mask_and_seed(monkeypatch):
+    regions._cached_levels.cache_clear()
+    expanded = []
+
+    def counted(shape, allowed, seed):
+        expanded.append((shape, seed))
+        return real(shape, allowed, seed)
+
+    real = regions._expand
+    monkeypatch.setattr(regions, "_expand", counted)
+    shape = (4, 5)
+    mask = np.ones(20, dtype=bool)
+    first = bfs_levels(shape, mask)
+    again = bfs_levels(list(shape), mask.reshape(shape).copy(), 0)  # the same key, seed resolved
+    assert expanded == [(shape, 0)]
+    assert flatten(again) == flatten(first) == deque_bfs(shape, mask)
+    # cached arrays are read-only, and each call hands out its own list
+    with pytest.raises(ValueError):
+        again[1][0][0] = 7
+    again.clear()
+    assert flatten(bfs_levels(shape, mask)) == flatten(first)
+    assert expanded == [(shape, 0)]
+    # another seed or mask gets its own levels
+    other = mask.copy()
+    other[19] = False
+    assert flatten(bfs_levels(shape, mask, 7)) == deque_bfs(shape, mask, 7)
+    assert flatten(bfs_levels(shape, other)) == deque_bfs(shape, other)
+    assert expanded == [(shape, 0), (shape, 7), (shape, 0)]
