@@ -180,7 +180,8 @@ def _region_report(state, jf, jhat, cfg) -> dict:
     rep["compatibility"] = _jsonable(compat)
     bound_rep = {}
     try:
-        obs = extension_obstruction(TransferData.from_region(state), fd_tol=cfg.fd_tol)
+        obs = extension_obstruction(TransferData.from_region(state), fd_tol=cfg.fd_tol,
+                                    align_threshold=cfg.align_threshold)
         rep["obstruction"] = {
             "kernel_dim": obs.s,
             "fiber_rank": obs.r,
@@ -306,7 +307,7 @@ def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
         thr = float(chk_spec["position_identities"].get("threshold", 1e-8))
         if not jet.ambient.pseudo_pair:
             raise ManifestError("checks.position_identities", "immersion is not cone-valued")
-        res = position_identities(jet, fund)
+        res = position_identities(fund)
         results["position_identities"] = _jsonable(res)
         checks.append(_check("position.shape_plus_identity",
                              res["shape_of_position_plus_identity"], thr))
@@ -519,13 +520,13 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         axes = [int(a) for a in tspec.get("ruling_axes", [])]
-        rul = np.linalg.qr(fl.tangent_frame_inv[:, :, axes])[0]
+        rul = coordinate_distribution(fl, axes).basis
         data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
         inputs = {**names, "branch": "hand-built transfer"}
     else:
         raise ManifestError("transfer", "expected 'pipeline' or a shared_flat_normal object")
 
-    obs = extension_obstruction(data, fd_tol=cfg.fd_tol)
+    obs = extension_obstruction(data, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
     pair = ruled_extension(obs)
     report = verify_extension(pair, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
     results = {

@@ -23,11 +23,10 @@ from .indefinite_linalg import DEFAULT_TOL, rank
 from .jets import (
     DistributionFrame,
     FundamentalData,
-    ImmersionJet,
     align_frames,
     bracket_residual,
-    fundamental_data,
     leaf_mean_curvature,
+    umbilic_residual,
 )
 
 __all__ = [
@@ -42,14 +41,6 @@ __all__ = [
     "RigidityReport",
     "rigidity_criterion",
 ]
-
-
-def _as_fund(obj) -> FundamentalData:
-    if isinstance(obj, FundamentalData):
-        return obj
-    if isinstance(obj, ImmersionJet):
-        return fundamental_data(obj)
-    raise TypeError("expected an ImmersionJet or FundamentalData")
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +60,10 @@ class ConformalSFF:
     nullity_containment: float  # residual of D inside the corrected-form nullity
 
 
-def conformal_sff(obj, dist: DistributionFrame, tol: float = DEFAULT_TOL) -> ConformalSFF:
+def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
+                  tol: float = DEFAULT_TOL) -> ConformalSFF:
     """Corrected form beta = alpha - <,> eta and the subbundle spanned by
     beta(Z, X) with Z along the distribution."""
-    fund = _as_fund(obj)
     p, n = fund.metric.shape[0], fund.metric.shape[1]
     k = fund.normal_rank
     eta = leaf_mean_curvature(fund, dist)
@@ -112,23 +103,18 @@ class RuledVerdict:
 
 
 def is_conformally_ruled(
-    obj,
+    fund: FundamentalData,
     dist: DistributionFrame,
     umbilic_tol: float = 1e-6,
     bracket_tol: float = 1e-4,
 ) -> RuledVerdict:
     """Leaves mapped into affine subspaces or round spheres: umbilic in the
     ambient along an integrable distribution."""
-    fund = _as_fund(obj)
-    d = dist.dim
-    eta = leaf_mean_curvature(fund, dist)
-    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha, optimize=True)
-    umb = alpha_dd - np.eye(d)[None, :, :, None] * eta[:, None, None, :]
-    umbilic_residual = float(np.max(np.abs(umb))) if umb.size else 0.0
+    umb = umbilic_residual(fund, dist)
     br = float(np.max(bracket_residual(fund, dist)))
     return RuledVerdict(
-        ruled=bool(umbilic_residual <= umbilic_tol and br <= bracket_tol),
-        umbilic_residual=umbilic_residual,
+        ruled=bool(umb <= umbilic_tol and br <= bracket_tol),
+        umbilic_residual=umb,
         bracket_residual_max=br,
     )
 
@@ -294,7 +280,7 @@ def s_nullity_at(
 
 
 def conformal_s_nullity(
-    obj,
+    fund: FundamentalData,
     s: int,
     points=None,
     seed: int = 0,
@@ -303,7 +289,6 @@ def conformal_s_nullity(
 ) -> list[tuple[int, NullityReport]]:
     """Per-point s-nullity reports; `points` defaults to all grid points for
     s = 1 and the chart center otherwise."""
-    fund = _as_fund(obj)
     if any(e != 1 for e in fund.normal_pattern) or any(e != 1 for e in fund.tangent_pattern):
         raise HypothesisOutOfRange("s-nullity search expects Riemannian data")
     npts = fund.metric.shape[0]
@@ -350,13 +335,13 @@ class RigidityReport:
     per_point: list = field(default_factory=list)
 
 
-def rigidity_criterion(obj, q: int, seed: int = 0, points=None, restarts: int = 8) -> RigidityReport:
+def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None,
+                       restarts: int = 8) -> RigidityReport:
     """Evaluate the nullity hypotheses of the composition criterion.
 
     Lower bounds are used, so a violated inequality is conclusive while a
     satisfied one holds up to search confidence.
     """
-    fund = _as_fund(obj)
     n = fund.metric.shape[1]
     p = fund.normal_rank
     th = rigidity_thresholds(n, p, q)

@@ -124,6 +124,12 @@ class TransferData:
     def ell(self) -> int:
         return self.transfer_bundle.shape[2]
 
+    def ambient_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ambient vectors (P, m, ell) of the transfer-bundle frames, left
+        and right.  Computed on each call: the fields may be replaced."""
+        return (np.einsum("pmt,ptu->pmu", self.left.normal_frame, self.transfer_bundle),
+                np.einsum("pmt,ptu->pmu", self.right.normal_frame, self.transfer_bundle_right))
+
 
 # ---------------------------------------------------------------------------
 # the obstruction form and its kernel
@@ -142,12 +148,14 @@ class ObstructionData:
     residuals: dict = field(default_factory=dict)
 
 
-def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float = 1e-9) -> ObstructionData:
+def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float = 1e-9,
+                          align_threshold: float = 0.5) -> ObstructionData:
     """Assemble the obstruction form on frame fields and take its kernel.
 
     The form is tensorial because the bundle component of the argument is
     projected away; numerically it is built from grid derivatives of the
-    tangent and bundle frame fields on both sides.
+    tangent and bundle frame fields on both sides.  The kernel and fiber
+    frames are swept with the frame-jump threshold `align_threshold`.
     """
     fl, fr = data.left, data.right
     chart = fl.jet.chart
@@ -159,8 +167,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     # ambient realizations of the argument fields
     e_l = fl.tangent_ambient                      # (P, ml, n)
     e_r = fr.tangent_ambient
-    lf_amb = np.einsum("pmt,ptu->pmu", fl.normal_frame, data.transfer_bundle)
-    lh_amb = np.einsum("pmt,ptu->pmu", fr.normal_frame, data.transfer_bundle_right)
+    lf_amb, lh_amb = data.ambient_frames()
     args_l = np.concatenate([e_l, lf_amb], axis=2)   # (P, ml, n + ell)
     args_r = np.concatenate([e_r, lh_amb], axis=2)
 
@@ -188,6 +195,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     mixed_eps = np.concatenate([np.ones(n), pat])
     delta, _, _ = align_frames(
         delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
+        threshold=align_threshold,
     ) if s_dim else (np.zeros((p, n + ell, 0)), (), 0.0)
 
     # rulings sit inside the kernel; the fiber part is their complement
@@ -208,6 +216,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     # smooth gauge for the fiber frames: the extension differentiates them
     fibers, _, _ = align_frames(
         fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
+        threshold=align_threshold,
     ) if r_dim else (fiber_spans, (), 0.0)
     residuals = {
         "rulings_inside_kernel": rul_gap,
@@ -314,8 +323,7 @@ def ruled_extension(
 
     # ambient realizations of the fiber directions on both sides
     fib = obstruction.fibers
-    lf_amb = np.einsum("pmt,ptu->pmu", fl.normal_frame, data.transfer_bundle)
-    lh_amb = np.einsum("pmt,ptu->pmu", fr.normal_frame, data.transfer_bundle_right)
+    lf_amb, lh_amb = data.ambient_frames()
     lam_l = np.einsum("pma,pau->pmu", fl.tangent_ambient, fib[:, :n, :]) + np.einsum(
         "pmt,ptu->pmu", lf_amb, fib[:, n:, :]
     )
@@ -385,8 +393,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
     lift[:, n + np.arange(r), d_rank + np.arange(r)] = 1.0
 
     ell = data.ell
-    lf_amb = np.einsum("pmt,ptu->pmu", data.left.normal_frame, data.transfer_bundle)
-    lh_amb = np.einsum("pmt,ptu->pmu", data.right.normal_frame, data.transfer_bundle_right)
+    lf_amb, lh_amb = data.ambient_frames()
     lift_frame = fund_l.tangent_frame_inv @ lift  # (n + r, s) frame coords of the lifted kernel
 
     # tube transfer bundles: intersections of the base bundles with the tube

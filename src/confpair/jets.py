@@ -38,7 +38,7 @@ __all__ = [
     "align_frames",
     "bracket_residual",
     "leaf_mean_curvature",
-    "conformal_factor",
+    "umbilic_residual",
     "gauss_equation_residual",
 ]
 
@@ -139,7 +139,7 @@ def grid_derivative(values: np.ndarray, grid: ChartGrid, axis: int, order: int =
     return out.reshape((grid.npoints,) + rest)
 
 
-def _stencil_jets(values: np.ndarray, grid: ChartGrid):
+def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
     """(d1 (P, n, ...), d2 (P, n, n, ...)) of a sampled field (P, ...) by
     nested stencils; the mixed partials differentiate d1 again."""
     n = grid.ndim
@@ -150,11 +150,6 @@ def _stencil_jets(values: np.ndarray, grid: ChartGrid):
         for j in range(i + 1, n):
             d2[:, i, j] = d2[:, j, i] = grid_derivative(d1[:, i], grid, j)
     return d1, d2
-
-
-def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
-    """(d1, d2) of a per-point scalar field by nested stencils."""
-    return _stencil_jets(values, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +214,7 @@ class ImmersionJet:
     def from_values(values: np.ndarray, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
         """Build the jet from sampled positions alone, by finite differences."""
         values = np.asarray(values, dtype=float).reshape(chart.npoints, ambient.dim)
-        d1, d2 = _stencil_jets(values, chart)
+        d1, d2 = scalar_fd_jets(values, chart)
         return ImmersionJet(chart, ambient, values, d1, d2, source="finite-difference")
 
     def immersion_residual(self) -> float:
@@ -526,9 +521,6 @@ class FundamentalData:
         """Ambient vectors of per-point normal frame coordinates (..., k)."""
         return np.einsum("pat,p...t->p...a", self.normal_frame, coords)
 
-    def coords_to_frame(self, vecs: np.ndarray) -> np.ndarray:
-        return np.einsum("pai,p...i->p...a", self.tangent_frame_inv, vecs)
-
 
 def fundamental_data(
     jet: ImmersionJet,
@@ -644,10 +636,9 @@ class DistributionFrame:
 
 
 def coordinate_distribution(fund: FundamentalData, axes: list[int]) -> DistributionFrame:
-    """Distribution spanned by chosen coordinate fields, orthonormalized."""
+    """Distribution spanned by chosen coordinate fields, orthonormalized by QR."""
     # column i of the inverse frame matrix: the frame coordinates of d_i
-    _, basis = span_stack(fund.tangent_frame_inv[:, :, list(axes)])
-    return DistributionFrame(basis[:, :, : len(axes)])
+    return DistributionFrame(np.linalg.qr(fund.tangent_frame_inv[:, :, list(axes)])[0])
 
 
 def bracket_residual(fund: FundamentalData, dist: DistributionFrame) -> np.ndarray:
@@ -683,11 +674,13 @@ def leaf_mean_curvature(fund: FundamentalData, dist: DistributionFrame) -> np.nd
     return np.einsum("pu,put->pt", signs, traced) / d
 
 
-def conformal_factor(jf: ImmersionJet, jg: ImmersionJet, tol: float = 1e-6):
-    """Pointwise factor phi with metric(g) = phi^2 metric(f), plus residual."""
-    gf = induced_metric(jf)
-    gg = induced_metric(jg)
-    return conformal_factor_of_metrics(gf, gg, tol)
+def umbilic_residual(fund: FundamentalData, dist: DistributionFrame) -> float:
+    """Largest entry of alpha - <,> eta on the leaves, eta their mean
+    curvature: zero when the leaves are umbilic in the ambient."""
+    eta = leaf_mean_curvature(fund, dist)
+    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha, optimize=True)
+    umb = alpha_dd - np.eye(dist.dim)[None, :, :, None] * eta[:, None, None, :]
+    return float(np.max(np.abs(umb))) if umb.size else 0.0
 
 
 def conformal_factor_of_metrics(gf: np.ndarray, gg: np.ndarray, tol: float = 1e-6):

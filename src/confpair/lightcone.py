@@ -25,16 +25,16 @@ from .indefinite_linalg import ScalarProduct
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
-    DistributionFrame,
     FundamentalData,
     ImmersionJet,
     christoffel,
     conformal_factor_of_metrics,
+    coordinate_distribution,
     fundamental_data,
-    grid_derivative,
     induced_metric,
     leaf_mean_curvature,
     scalar_fd_jets,
+    umbilic_residual,
 )
 
 __all__ = [
@@ -212,20 +212,15 @@ def cone_projection(jet: ImmersionJet, tol: float = 1e-9) -> ImmersionJet:
     )
 
 
-def position_identities(
-    jet: ImmersionJet,
-    fund: FundamentalData | None = None,
-    normal_field: np.ndarray | None = None,
-) -> dict:
-    """Residuals of the cone-position shape-operator identities.
+def position_identities(fund: FundamentalData) -> dict:
+    """Residuals of the cone-position shape-operator identities of `fund.jet`.
 
     For an isometric immersion into the cone, the position vector is a
-    normal field whose shape operator is -I, and the null generator (or a
-    supplied witness field) has vanishing shape operator.
+    normal field whose shape operator is -I, and the null generator has
+    vanishing shape operator.
     """
+    jet = fund.jet
     model = LightConeModel.for_ambient(jet.ambient)
-    if fund is None:
-        fund = fundamental_data(jet)
     g_amb = jet.ambient.gram
     n = jet.n
 
@@ -244,12 +239,11 @@ def position_identities(
     on_cone = float(np.max(np.abs(jet.ambient.norm_sq(jet.values))))
     a_pos = shape_vs(jet.values)
     res_pos = float(np.max(np.abs(a_pos + np.eye(n)[None])))
-    vfield = model.e0 if normal_field is None else np.asarray(normal_field, dtype=float)
-    res_field = float(np.max(np.abs(shape_vs(vfield))))
+    res_field = float(np.max(np.abs(shape_vs(model.e0))))
     return {
         "on_cone": on_cone,
         "position_is_normal": tangency(jet.values),
-        "field_is_normal": tangency(vfield),
+        "field_is_normal": tangency(model.e0),
         "shape_of_position_plus_identity": res_pos,
         "shape_of_field": res_field,
     }
@@ -272,15 +266,10 @@ class SffTransferData:
     residuals: dict = field(default_factory=dict)
 
 
-def _distribution_for(fund: FundamentalData, coord_spans: np.ndarray) -> DistributionFrame:
-    basis = fund.coords_to_frame(coord_spans.transpose(0, 2, 1)).transpose(0, 2, 1)
-    return DistributionFrame(np.linalg.qr(basis)[0])
-
-
 def sff_transfer_check(
     fund: FundamentalData,
-    base,
-    ruling_axes: list[int] | np.ndarray,
+    base: ImmersionJet,
+    ruling_axes: list[int],
     factor: Jet3 | None = None,
     umbilic_tol: float = 1e-4,
     align_threshold: float = 0.5,
@@ -289,46 +278,25 @@ def sff_transfer_check(
 
     The left side uses only jets of the rescaled lift; the right side uses
     jets of the conformal immersion `fund.jet`, its fundamental data `fund`,
-    plus the Hessian of the factor in the base metric.  `base` is the
-    isometric partner jet (preferred, its Christoffel symbols are then
-    exact) or a plain (P, n, n) metric field.  `ruling_axes` selects chart
-    axes spanning the ruling distribution, or a (P, n, d) array of
-    coordinate components.  The lift's frames are swept with the frame-jump
+    plus the Hessian of the factor in the metric of the isometric partner
+    jet `base`.  `ruling_axes` selects chart axes spanning the ruling
+    distribution.  The lift's frames are swept with the frame-jump
     threshold `align_threshold`.
     """
     jet = fund.jet
-    chart = jet.chart
-    p, n = chart.npoints, jet.n
-    if isinstance(base, ImmersionJet):
-        base_metric = induced_metric(base)
-        gamma = christoffel(base, base_metric)
-    else:
-        base_metric = np.asarray(base, dtype=float)
-        gamma = None
+    base_metric = induced_metric(base)
+    gamma = christoffel(base, base_metric)
     lift, factor = isometric_representative(jet, base_metric, factor)
     model = LightConeModel(jet.ambient.dim)
     fund_lift = fundamental_data(lift, align_threshold=align_threshold)
 
-    if isinstance(ruling_axes, np.ndarray):
-        coord_spans = ruling_axes
-    else:
-        coord_spans = np.zeros((p, n, len(ruling_axes)))
-        for col, ax in enumerate(ruling_axes):
-            coord_spans[:, ax, col] = 1.0
-    dist_conformal = _distribution_for(fund, coord_spans)
-    dist_lift = _distribution_for(fund_lift, coord_spans)
+    dist_conformal = coordinate_distribution(fund, ruling_axes)
+    dist_lift = coordinate_distribution(fund_lift, ruling_axes)
 
     # conformally-ruled precondition for the lift: umbilic leaves
-    eta_lift_frame = leaf_mean_curvature(fund_lift, dist_lift)
-    d = dist_lift.dim
-    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist_lift.basis, dist_lift.basis, fund_lift.alpha,
-                         optimize=True)
-    umb = alpha_dd - np.eye(d)[None, :, :, None] * eta_lift_frame[:, None, None, :]
-    umbilic_residual = float(np.max(np.abs(umb))) if umb.size else 0.0
-    if umbilic_residual > umbilic_tol:
-        raise NotConformallyRuled(
-            f"lift is not umbilic along the rulings: residual {umbilic_residual:.3e}"
-        )
+    umb = umbilic_residual(fund_lift, dist_lift)
+    if umb > umbilic_tol:
+        raise NotConformallyRuled(f"lift is not umbilic along the rulings: residual {umb:.3e}")
 
     # The dictionary is written for the factor relating the conformal metric
     # to the lift metric the other way around: metric(lift) = phi^2 metric(f).
@@ -336,11 +304,6 @@ def sff_transfer_check(
         raise ValueError("factor jets must carry second derivatives")
     psi = factor.reciprocal()
     dpsi = psi.g
-    if gamma is None:
-        dg = np.stack([grid_derivative(base_metric, chart, i) for i in range(n)], axis=1)
-        ginv = np.linalg.inv(base_metric)
-        sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-        gamma = 0.5 * np.einsum("pkl,pijl->pkij", ginv, sym)
     hess = psi.h - np.einsum("pkij,pk->pij", gamma, dpsi)
     ginv = np.linalg.inv(base_metric)
     grad = np.einsum("pij,pj->pi", ginv, dpsi)
@@ -373,7 +336,7 @@ def sff_transfer_check(
     # mean-curvature dictionary along the rulings
     eta_frame = leaf_mean_curvature(fund, dist_conformal)
     eta_amb = fund.normal_ambient(eta_frame)
-    eta_lift_amb = fund_lift.normal_ambient(eta_lift_frame)
+    eta_lift_amb = fund_lift.normal_ambient(leaf_mean_curvature(fund_lift, dist_lift))
     predicted = inv_phi[:, None] * (
         model.embed_differential(f_vals, eta_amb)
         - phi[:, None] * xi
@@ -396,7 +359,7 @@ def sff_transfer_check(
         eta=eta_amb,
         eta_lift=eta_lift_amb,
         residuals={
-            "umbilic": umbilic_residual,
+            "umbilic": umb,
             "sff_dictionary": res_sff,
             "mean_curvature_dictionary": res_eta,
             "corrected_sff_dictionary": res_beta,

@@ -110,7 +110,7 @@ def test_criterion_3_position_identities():
         lifted = GALLERY["psi-lift"](base)
         chart = default_chart(base)
         jet = lifted.jet(chart)
-        res = position_identities(jet)
+        res = position_identities(fundamental_data(jet))
         worst = max(worst, res["shape_of_position_plus_identity"], res["shape_of_field"])
     _line("criterion 3: position shape-operator identities on lifts", worst <= 1e-8,
           f"max residual {worst:.2e} <= 1e-8")

@@ -249,3 +249,49 @@ def test_extend_manifest_verifies_at_the_run_frame_jump_threshold(monkeypatch):
     calls = spy_fundamental_data(monkeypatch, extension)
     run_manifest(json.loads(json.dumps(MANIFESTS["flat-extension"])))
     assert [threshold for _, threshold in calls] == [PipelineConfig.align_threshold] * 2
+
+
+def test_obstruction_sweeps_at_the_run_frame_jump_threshold(monkeypatch):
+    # the kernel and fiber sweeps of `extension_obstruction`, reached from a
+    # pair report and from an extend manifest with hand-built transfer data
+    thresholds = []
+    real = jets.align_frames
+
+    def spy(*args, **kwargs):
+        thresholds.append(kwargs.get("threshold"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "align_frames", spy)
+    run_manifest(json.loads(json.dumps(MANIFESTS["flat-pair"])))
+    assert thresholds == [PipelineConfig.align_threshold]
+    run_manifest(json.loads(json.dumps(MANIFESTS["flat-extension"])))
+    assert thresholds == [PipelineConfig.align_threshold] * 3
+
+
+@pytest.mark.parametrize("name, axes, ruled", [
+    ("cylinder-nullity", [1, 2], True),  # the rulings of the cylinder
+    ("graph-nullity", [0, 1], False),    # a curved graph has no umbilic coordinate planes
+])
+def test_single_manifest_reports_conformally_ruled(name, axes, ruled):
+    doc = {key: MANIFESTS[name][key] for key in ("analysis", "immersion", "grid")}
+    doc["ruled"] = {"axes": axes, "expect_ruled": ruled}
+    report = run_manifest(json.loads(json.dumps(doc)))[0]
+    verdict = report["results"]["conformally_ruled"]
+    assert verdict["axes"] == axes
+    assert verdict["ruled"] is ruled
+    assert verdict["bracket_residual"] < 1e-12  # coordinate fields commute
+    assert (verdict["umbilic_residual"] < 1e-12) is ruled
+    assert report["checks"] == [{"name": "conformally_ruled", "actual": ruled,
+                                 "expected": ruled, "passed": True}]
+
+
+def test_single_manifest_reports_rigidity():
+    # a hypersurface (p = 1) with distinct principal curvatures, n = 5, q = 1:
+    # the threshold is nu_1 <= n + p - q - 2 - 1 = 2 and nu_1 = 1
+    doc = {"analysis": "single", "immersion": {"builtin": "graph", "params": {"n": 5}},
+           "grid": {"shape": [3] * 5, "spacing": [0.03] * 5, "origin": [-0.03] * 5},
+           "rigidity_q": 1}
+    rigidity = run_manifest(doc)[0]["results"]["rigidity"]
+    assert rigidity == {"q": 1, "thresholds": {"per_s": {"1": 2}, "extra_nu1": None},
+                        "nu_lower_bounds": {"1": 1}, "satisfied": True,
+                        "conclusive_violation": False}

@@ -186,12 +186,12 @@ def test_rigidity_criterion_sphere_fails_graph_passes():
         return comps
 
     jet = ImmersionJet.from_function(sphere6, grid, ScalarProduct.euclidean(7))
-    rep = rigidity_criterion(jet, q=1, points=[0])
+    rep = rigidity_criterion(fundamental_data(jet), q=1, points=[0])
     assert rep.nu_lower_bounds[1] == 6
     assert rep.conclusive_violation and not rep.satisfied
 
     graph = graph_jet(n=6, curvatures=(1.0, 1.7, 2.5, 3.2, 4.1, 5.3), cubic=0.2)
-    rep = rigidity_criterion(graph, q=1, points=[0])
+    rep = rigidity_criterion(fundamental_data(graph), q=1, points=[0])
     assert rep.nu_lower_bounds[1] == 1
     assert rep.satisfied and not rep.conclusive_violation
 

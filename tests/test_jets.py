@@ -14,7 +14,7 @@ from confpair.jets import (
     _seed_frame,
     align_frames,
     bracket_residual,
-    conformal_factor,
+    conformal_factor_of_metrics,
     coordinate_distribution,
     fundamental_data,
     gauss_equation_residual,
@@ -235,7 +235,7 @@ def test_leaf_mean_curvature_on_torus_tube_circles():
 def test_conformal_factor_identity_scaling_and_inversion():
     grid = grid2(7)
     jet = ImmersionJet.from_function(plane_fn, grid, E3)
-    phi, _ = conformal_factor(jet, jet)
+    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet))
     assert np.allclose(phi, 1.0)
 
     def scaled(xs):
@@ -243,7 +243,7 @@ def test_conformal_factor_identity_scaling_and_inversion():
         return [3.0 * x, 3.0 * y, jet3.constant(0.0, x)]
 
     jet3x = ImmersionJet.from_function(scaled, grid, E3)
-    phi, _ = conformal_factor(jet, jet3x)
+    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet3x))
     assert np.allclose(phi, 3.0, atol=1e-12)
 
     center = np.array([0.0, 0.0, 2.0])
@@ -256,7 +256,7 @@ def test_conformal_factor_identity_scaling_and_inversion():
         return [d / r2 + float(ci) for d, ci in zip(diff, center)]
 
     jinv = ImmersionJet.from_function(inverted, grid, E3)
-    phi, resid = conformal_factor(jet, jinv)
+    phi, resid = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jinv))
     pts = grid.points()
     dist2 = pts[:, 0] ** 2 + pts[:, 1] ** 2 + 4.0
     assert np.max(resid) < 1e-10
@@ -273,7 +273,7 @@ def test_conformal_factor_rejects_nonconformal():
 
     jet_sheared = ImmersionJet.from_function(sheared, grid, E3)
     with pytest.raises(NotConformal):
-        conformal_factor(jet, jet_sheared)
+        conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet_sheared))
 
 
 def test_gauss_equation_residual_flat_and_sphere():

@@ -170,7 +170,7 @@ def test_cone_projection_rejects_ray_points():
 def test_position_identities_on_lift():
     jet = cylinder_jet()
     lifted = LightConeModel(3).lift_jet(jet)
-    res = position_identities(lifted)
+    res = position_identities(fundamental_data(lifted))
     assert res["on_cone"] < 1e-12
     assert res["position_is_normal"] < 1e-12
     assert res["field_is_normal"] < 1e-12
@@ -187,7 +187,7 @@ def test_position_identities_on_sphere_lift():
 
     jet = ImmersionJet.from_function(sphere, grid, E3)
     lift, _ = isometric_representative(jet, induced_metric(jet))
-    res = position_identities(lift)
+    res = position_identities(fundamental_data(lift))
     assert res["shape_of_position_plus_identity"] < 1e-8
     assert res["shape_of_field"] < 1e-8
 
@@ -228,5 +228,5 @@ def test_position_identities_surface_off_cone_violation():
         jet.chart, lifted.ambient, lifted.values + np.array([0.0, 0.3, 0, 0, 0]),
         lifted.d1, lifted.d2,
     )
-    res = position_identities(off)
+    res = position_identities(fundamental_data(off))
     assert res["on_cone"] > 0.1  # precondition violation is surfaced, not hidden

@@ -9,12 +9,16 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "confpair"
 
 
-def _references(tree: ast.AST):
-    """(name, line) for every Name, Attribute and import alias in a module."""
+def _references(tree: ast.AST, modules: set[str]):
+    """(name, line) for every read of a Name, every attribute taken of a
+    package module (`jets.x`) and every import alias in a module.  A
+    dataclass field or an attribute of some other object that shares a
+    public function's name is not a reference to it."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
             yield node.attr, node.lineno
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
@@ -26,7 +30,8 @@ def public_name_callers(package: Path, tests: Path) -> dict[str, set[Path]]:
     files that reference it outside its own body."""
     files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
-    refs = {path: list(_references(tree)) for path, tree in trees.items()}
+    modules = {path.stem for path in package.glob("*.py")}
+    refs = {path: list(_references(tree, modules)) for path, tree in trees.items()}
     callers = {}
     for path in sorted(package.glob("*.py")):
         for node in trees[path].body:
@@ -74,5 +79,12 @@ def test_dead_function_is_flagged(tmp_path):
         "def dead(k):\n    return dead(k - 1) if k else 0\n\n\n"
         "class _Private:\n    pass\n"
     )
-    (tests / "test_a.py").write_text("from a import used\n")
+    # a field and an attribute of another object named like the dead function
+    (package / "b.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Holder:\n    dead: float\n\n\n"
+        "def show(holder: Holder):\n    return holder.dead\n"
+    )
+    (tests / "test_a.py").write_text("import a\nfrom a import used\nfrom b import show\n\n"
+                                     "assert a.used() == 1\n")
     assert unreferenced_public_names(package, tests) == ["a.dead"]
