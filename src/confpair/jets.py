@@ -5,9 +5,9 @@ derivatives on a rectangular chart grid.  From these we compute the
 induced metric, orthonormal tangent frames, aligned normal frames, second
 fundamental forms, shape operators and normal connection coefficients.
 Normal frames are produced by a breadth-first sweep from a seed point: each
-fiber basis is fitted to its parent's frame (orthogonal polar fit in the
-definite case, pattern-ordered Gram-Schmidt in the indefinite one), which
-realizes the smooth-subbundle hypotheses numerically.
+fiber basis is fitted to its parent's frame by one generalized polar fit for
+every signature, which realizes the smooth-subbundle hypotheses numerically
+and commutes with ambient isometries and with changes of gauge in O(p, q).
 """
 
 from __future__ import annotations
@@ -327,6 +327,11 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+# `_fit_level`'s Newton-Schulz iteration stops after the step taken at max |I - Z Y|
+# <= _ROOT_STOP (each step squares it; NaN of failing points aside) or after _ROOT_STEPS
+_ROOT_STOP, _ROOT_STEPS = 1e-8, 60
+
+
 def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     """Pseudo-orthonormal basis of the span, negative-norm vectors first."""
     count, b = span_stack(span, tol)
@@ -352,11 +357,12 @@ def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: n
 
     ranks (L,) and orthonormal bases (L, m, w) of the fibers, as `span_stack`
     returns them; parent frames (L, m, k); gram (m, m) or (L, m, m).  Each
-    frame spans its fiber and is fitted to its parent's frame: an orthogonal
-    polar fit in the definite case, a pattern-ordered Gram-Schmidt in the
-    indefinite one.  Every point is checked in the order fiber rank, solve,
-    polar fit or sign pattern, jump; the first failing point of the level
-    raises.  Returns (frames (L, m, k), steps (L,)).
+    frame is the generalized polar fit W = y S^-1 of the G-projection y of its
+    parent's frame onto its fiber, S the principal root of A = J y^T G y and
+    J = diag(pattern).  Newton-Schulz on A over its row-sum norm gives S^-1
+    when A has a positive real spectrum.  Checks, in order: fiber rank, solve,
+    polar fit (W finite, max |W^T G W - J| <= tol), jump; the first failing
+    point of the level raises.  Returns (frames (L, m, k), steps (L,)).
     """
     k = parent.shape[2]
     fiber = bases[:, :, :k]
@@ -373,30 +379,24 @@ def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: n
             except np.linalg.LinAlgError:
                 singular[i] = True
     y = fiber @ coeff
-    if all(s == 1 for s in pattern):
-        h = y.transpose(0, 2, 1) @ gram @ y
-        vals, vecs = np.linalg.eigh(0.5 * (h + h.transpose(0, 2, 1)))
-        lost = np.any(vals <= 0, axis=1)
-        lost_msg = "polar fit lost rank"
-        frames = y @ ((vecs / np.sqrt(vals)[:, None, :]) @ vecs.transpose(0, 2, 1))
-    else:
-        lost = np.zeros(len(ranks), dtype=bool)
-        lost_msg = "sign pattern lost during sweep"
-        frames = np.zeros_like(y)
-        for t in range(k):
-            v = y[:, :, t].copy()
-            for s in range(t):
-                pair = (frames[:, None, :, s] @ gram @ v[:, :, None])[:, 0, 0]
-                v -= pattern[s] * pair[:, None] * frames[:, :, s]
-            c = (v[:, None, :] @ gram @ v[:, :, None])[:, 0, 0]
-            lost |= pattern[t] * c <= tol
-            v = v / np.sqrt(np.abs(c))[:, None]
-            frames[:, :, t] = np.where((v * y[:, :, t]).sum(axis=1)[:, None] < 0, -v, v)
+    j = np.diag(np.asarray(pattern, dtype=float))
+    a = j @ y.transpose(0, 2, 1) @ gram @ y
+    scale = np.sum(np.abs(a), axis=2).max(axis=1)[:, None, None]  # bounds the spectrum of a
+    root, inv_root, eye = a / scale, np.eye(k), np.eye(k)  # Y -> (a/scale)^1/2, Z -> its inverse
+    for _ in range(_ROOT_STEPS):
+        resid = eye - inv_root @ root
+        t = eye + 0.5 * resid
+        root, inv_root = root @ t, t @ inv_root
+        if np.fmax.reduce(np.abs(resid), axis=None, initial=0.0) <= _ROOT_STOP:
+            break
+    frames = y @ inv_root / np.sqrt(scale)
+    defect = np.max(np.abs(frames.transpose(0, 2, 1) @ gram @ frames - j), axis=(1, 2))
+    lost = ~(defect <= tol)  # NaN where W is not finite
     steps = np.max(np.abs(frames - parent), axis=(1, 2))
     checks = [
         (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
         (singular, lambda i: "degenerate fiber during sweep"),
-        (lost, lambda i: lost_msg),
+        (lost, lambda i: "polar fit lost rank"),
         (steps > threshold, lambda i: f"frame jump {steps[i]:.3f} exceeds threshold {threshold}"),
     ]
     failed = np.any([bad for bad, _ in checks], axis=0)

@@ -6,9 +6,8 @@ lines.  Tolerances are pinned here and nowhere else.
 
 import numpy as np
 
-from confpair import jet3
-from confpair.conformal_calc import _kernel_dim, conformal_s_nullity, s_nullity_at
-from confpair.extension import TransferData, extension_obstruction, ruled_extension, verify_extension
+from confpair.conformal_calc import conformal_s_nullity, s_nullity_at
+from confpair.extension import TransferData, extension_obstruction
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
 from confpair.indefinite_linalg import DEFAULT_TOL, rank, signature
 from confpair.jets import fundamental_data, induced_metric

@@ -300,25 +300,15 @@ def _fit_one(candidate, fiber, gram, pattern, tol):
     except np.linalg.LinAlgError as exc:
         raise FrameAlignmentFailure("degenerate fiber during sweep") from exc
     y = fiber @ coeff
-    if all(s == 1 for s in pattern):
-        h = y.T @ gram @ y
-        vals, vecs = np.linalg.eigh(0.5 * (h + h.T))
-        if np.any(vals <= 0):
-            raise FrameAlignmentFailure("polar fit lost rank")
-        return y @ ((vecs / np.sqrt(vals)) @ vecs.T)
-    out = np.zeros_like(y)
-    for t in range(y.shape[1]):
-        v = y[:, t].copy()
-        for s in range(t):
-            v -= pattern[s] * float(out[:, s] @ gram @ v) * out[:, s]
-        c = float(v @ gram @ v)
-        if pattern[t] * c <= tol:
-            raise FrameAlignmentFailure("sign pattern lost during sweep")
-        v = v / np.sqrt(abs(c))
-        if float(v @ y[:, t]) < 0:
-            v = -v
-        out[:, t] = v
-    return out
+    # the generalized polar fit y S^-1, S the principal square root of
+    # A = J y^T G y, from the eigendecomposition A = V diag(lam) V^-1
+    j = np.diag(np.asarray(pattern, dtype=float))
+    vals, vecs = np.linalg.eig(j @ y.T @ gram @ y)
+    with np.errstate(all="ignore"):  # a zero eigenvalue gives a non-finite frame
+        frame = (y @ (vecs * vals.astype(complex) ** -0.5) @ np.linalg.inv(vecs)).real
+    if not np.isfinite(frame).all() or np.max(np.abs(frame.T @ gram @ frame - j)) > tol:
+        raise FrameAlignmentFailure("polar fit lost rank")
+    return frame
 
 
 def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, threshold=0.5):
@@ -441,6 +431,32 @@ def test_align_frames_matches_sweep_on_masked_seeded_region():
     assert not frames[~mask].any()
 
 
+def test_swept_frames_commute_with_ambient_isometries():
+    chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
+    jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
+    gram, spans = jet.ambient.gram, normal_spans(jet)
+    # a Lorentz isometry L = exp(G^-1 K), K antisymmetric, so L^T G L = G
+    skew = 0.3 * np.random.default_rng(2).standard_normal((jet.m, jet.m))
+    gen = np.linalg.solve(gram, skew - skew.T)
+    iso, term = np.eye(jet.m), np.eye(jet.m)
+    for i in range(1, 40):
+        term = term @ gen / i
+        iso = iso + term
+    assert np.max(np.abs(iso.T @ gram @ iso - gram)) <= 1e-14
+    assert 1.5 <= np.max(np.abs(iso)) <= 2.0
+    frames, pattern, _ = align_frames(spans, gram, chart.shape)
+    # the jump gate still measures Euclidean steps, which L stretches: it is
+    # not isometry-invariant yet, so a loose threshold keeps it out of the way
+    moved, moved_pattern, _ = align_frames(iso @ spans, gram, chart.shape, threshold=10.0)
+    assert moved_pattern == pattern
+    # moved = L F Q_p, Q_p the coordinates of `moved` in the frame L F
+    j = np.diag(pattern)
+    gauge = j @ (iso @ frames).transpose(0, 2, 1) @ gram @ moved
+    seed = int(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))[0][0][0])
+    assert np.max(np.abs(gauge[seed].T @ j @ gauge[seed] - j)) <= 1e-12  # Q in O(p, q)
+    assert np.max(np.abs(gauge - gauge[seed])) <= 1e-12
+
+
 E0, E1, E2 = np.eye(3)
 LORENTZ = np.diag([-1.0, 1.0, 1.0])
 NULL_PAIR = ScalarProduct.lightcone(1).gram  # <E0, E0> = 0: E0 has a singular fiber Gram
@@ -455,6 +471,8 @@ SPACELIKE_TURN = np.cos(1.2) * E2 + np.sin(1.2) * (E0 + E1) / np.sqrt(2.0)
     (NULL_PAIR, [[E0], [E2], [SPACELIKE_TURN]], "degenerate fiber"),
     # point 0 jumps, point 2 has a singular fiber Gram
     (NULL_PAIR, [[SPACELIKE_TURN], [E2], [E0]], "frame jump"),
+    # point 0 loses the timelike direction, point 2 jumps
+    (LORENTZ, [[E1, E2], [E0, E1], [E0, TURNED]], "polar fit lost rank"),
 ])
 def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
     # a 3-point line seeded in the middle: one level holds points 0 and 2
@@ -479,9 +497,11 @@ def test_null_one_dimensional_fiber_cannot_seed_a_frame():
         align_frames(span, gram, (1,))
 
 
-def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
+@pytest.mark.parametrize("imap", [gallery.pad(gallery.plane(2, 1)),
+                                  gallery.psi_lift(gallery.plane(2, 1))], ids=["pad", "psi_lift"])
+def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch, imap):
     chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
-    jet = gallery.psi_lift(gallery.plane(2, 1)).jet(chart)
+    jet = imap.jet(chart)
     count = [0]
     for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
                  "cholesky", "det", "matrix_rank"):
@@ -495,8 +515,8 @@ def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch):
     fundamental_data(jet)
     levels = len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool)))
     assert levels == 199
-    # one batched solve per level below the seed (the indefinite pattern
-    # needs no eigh), and a few calls outside the sweep
+    # one batched solve per level below the seed (the polar fit of either
+    # signature needs no linalg call), and a few calls outside the sweep
     assert count[0] <= levels + 10
 
 

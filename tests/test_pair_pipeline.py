@@ -5,7 +5,7 @@ from confpair import jet3, jets, pair_pipeline
 from confpair.errors import HypothesisOutOfRange, NotIsometricPair, SplitFailure
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import ChartGrid, ImmersionJet, induced_metric
-from confpair.lightcone import LightConeModel, isometric_representative
+from confpair.lightcone import isometric_representative
 from confpair.pair_pipeline import (
     PipelineConfig,
     analyze_pair,
