@@ -25,7 +25,6 @@ from . import __version__
 from .conformal_calc import conformal_s_nullity, is_conformally_ruled, rigidity_criterion
 from .errors import GeometryError, HypothesisOutOfRange, ManifestError, RankJump
 from .extension import (
-    TransferData,
     extension_obstruction,
     generate_conformal_pair,
     ruled_extension,
@@ -49,6 +48,7 @@ from .lightcone import (
 )
 from .pair_pipeline import (
     PipelineConfig,
+    TransferData,
     analyze_pair,
     ruling_dimension_bound,
     verify_compatibility,
@@ -93,7 +93,17 @@ def _jet_from_spec(spec: dict, grid: ChartGrid, where: str):
     """Immersion jet from a spec: closed form, or an inline value table."""
     if isinstance(spec, dict) and "table" in spec:
         table = spec["table"]
-        values = np.asarray(_require(table, "values", list, f"{where}.table"), dtype=float)
+        raw = _require(table, "values", list, f"{where}.table")
+        try:
+            values = np.array(raw)
+        except ValueError:  # ragged rows
+            values = np.array([])
+        # numbers only: numpy would parse numeric strings and booleans as floats
+        if (values.dtype.kind not in "iuf" or values.ndim != 2 or values.shape[1] < 1
+                or not np.all(np.isfinite(values))):
+            raise ManifestError(f"{where}.table.values",
+                                "expected a list of equal-length rows of finite numbers")
+        values = values.astype(float)
         if values.shape[0] != grid.npoints:
             raise ManifestError(f"{where}.table.values",
                                 f"expected {grid.npoints} rows, got {values.shape[0]}")
@@ -180,8 +190,7 @@ def _region_report(state, jf, jhat, cfg) -> dict:
     rep["compatibility"] = _jsonable(compat)
     bound_rep = {}
     try:
-        obs = extension_obstruction(TransferData.from_region(state), fd_tol=cfg.fd_tol,
-                                    align_threshold=cfg.align_threshold)
+        obs = extension_obstruction(state, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
         rep["obstruction"] = {
             "kernel_dim": obs.s,
             "fiber_rank": obs.r,
@@ -263,7 +272,7 @@ def _nullity_points(spec, grid: ChartGrid) -> list[int] | None:
                         f"of flat indices in [0, {grid.npoints}), got {spec!r}")
 
 
-def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
+def _run_single(doc: dict, cfg: PipelineConfig):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     imap, jet = _jet_from_spec(_require(doc, "immersion", dict, "manifest"), grid, "immersion")
     fund = fundamental_data(jet, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
@@ -284,6 +293,7 @@ def _run_single(doc: dict, cfg: PipelineConfig, rng: np.random.Generator):
         thr = float(opts.get("threshold", 1e-12))
         model = LightConeModel(dim)
         amb = model.ambient
+        rng = np.random.default_rng(cfg.seed)
         xs = rng.normal(size=(count, dim))
         ys = rng.normal(size=(count, dim))
         vs = rng.normal(size=(count, dim))
@@ -507,9 +517,8 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         jf, jg = left_map.jet(grid), right_map.jet(grid)
         names, tspec = {"left": left_map.name, "right": right_map.name}, doc.get("transfer", "pipeline")
     if tspec == "pipeline":
-        state = _one_region(analyze_pair(jf, jg, cfg))
-        data = TransferData.from_region(state)
-        inputs = {**names, "branch": state.branch}
+        data = _one_region(analyze_pair(jf, jg, cfg))
+        inputs = {**names, "branch": data.branch}
     elif isinstance(tspec, dict) and "shared_flat_normal" in tspec:
         direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
         if len(direction) != jf.m:
@@ -556,10 +565,10 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
 
 
 _RUNNERS = {
-    "single": lambda doc, cfg, rng: _run_single(doc, cfg, rng),
-    "pair": lambda doc, cfg, rng: _run_pair(doc, cfg),
-    "generate": lambda doc, cfg, rng: _run_generate(doc, cfg),
-    "extend": lambda doc, cfg, rng: _run_extend(doc, cfg),
+    "single": _run_single,
+    "pair": _run_pair,
+    "generate": _run_generate,
+    "extend": _run_extend,
 }
 
 
@@ -575,10 +584,9 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
     fd_tol = float(doc.get("fd_tolerance", 1e-6))
     the_seed = int(seed if seed is not None else doc.get("seed", 0))
     cfg = PipelineConfig(rank_tol=tol, fd_tol=fd_tol, seed=the_seed)
-    rng = np.random.default_rng(the_seed)
 
     canonical = json.dumps(doc, sort_keys=True).encode()
-    results, checks, csv_rows = _RUNNERS[kind](doc, cfg, rng)
+    results, checks, csv_rows = _RUNNERS[kind](doc, cfg)
     passed = all(c.get("passed", False) for c in checks) if checks else True
     report = {
         "provenance": {

@@ -78,7 +78,7 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
     if ell == 0:
         frames = np.zeros((p, k, 0))
     else:
-        gram = np.diag(np.asarray(fund.normal_pattern, dtype=float))
+        gram = np.diag(fund.normal_eps)
         frames, _, _ = align_frames(bz, gram, fund.jet.chart.shape, tol=tol * 10)
     # containment: values beta(Z, X) must lie in the span (D inside the
     # nullity of the corrected form projected off the span)

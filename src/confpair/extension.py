@@ -28,6 +28,7 @@ from .errors import (
 )
 from .indefinite_linalg import (
     by_class,
+    complement_stack,
     frame_coords,
     gap_stack,
     kernel_stack,
@@ -50,10 +51,9 @@ from .jets import (
     induced_metric,
 )
 from .lightcone import LightConeModel, cone_projection
-from .pair_pipeline import RegionState, joint_nullity, transfer_residuals
+from .pair_pipeline import TransferData, joint_nullity, verify_compatibility
 
 __all__ = [
-    "TransferData",
     "ObstructionData",
     "extension_obstruction",
     "ExtensionPair",
@@ -63,72 +63,6 @@ __all__ = [
     "generate_conformal_pair",
     "transversality_check",
 ]
-
-
-# ---------------------------------------------------------------------------
-# inputs: a transfer pair, from the pipeline or hand-built
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TransferData:
-    """The data the extension construction consumes.
-
-    Holds both immersions' fundamental data, aligned frames of the transfer
-    bundles, the identification matrix between the normal bundles, and the
-    ruling distribution.
-    """
-
-    left: FundamentalData
-    right: FundamentalData
-    transfer_bundle: np.ndarray        # (P, kl, ell)
-    transfer_pattern: tuple[int, ...]
-    transfer_bundle_right: np.ndarray  # (P, kr, ell)
-    identification: np.ndarray         # (P, kr, kl)
-    rulings: np.ndarray                # (P, n, d)
-    mask: np.ndarray
-
-    @staticmethod
-    def from_region(state: RegionState) -> "TransferData":
-        return TransferData(
-            left=state.left,
-            right=state.right,
-            transfer_bundle=state.transfer_bundle,
-            transfer_pattern=state.transfer_pattern,
-            transfer_bundle_right=state.transfer_bundle_right,
-            identification=state.identification,
-            rulings=state.rulings,
-            mask=state.mask,
-        )
-
-    @staticmethod
-    def from_frames(
-        fund_l: FundamentalData,
-        fund_r: FundamentalData,
-        l_frames: np.ndarray,
-        lhat_frames: np.ndarray,
-        pattern: tuple[int, ...],
-        rulings: np.ndarray,
-    ) -> "TransferData":
-        """Build the identification from matched pseudo-orthonormal frames:
-        left normal coordinates -> coordinates in `l_frames` -> `lhat_frames`."""
-        ident = lhat_frames @ frame_coords(l_frames, fund_l.normal_pattern, pattern,
-                                           np.eye(fund_l.normal_rank))
-        p = fund_l.metric.shape[0]
-        return TransferData(
-            fund_l, fund_r, l_frames, tuple(int(x) for x in pattern),
-            lhat_frames, ident, rulings, np.ones(p, dtype=bool),
-        )
-
-    @property
-    def ell(self) -> int:
-        return self.transfer_bundle.shape[2]
-
-    def ambient_frames(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ambient vectors (P, m, ell) of the transfer-bundle frames, left
-        and right.  Computed on each call: the fields may be replaced."""
-        return (np.einsum("pmt,ptu->pmu", self.left.normal_frame, self.transfer_bundle),
-                np.einsum("pmt,ptu->pmu", self.right.normal_frame, self.transfer_bundle_right))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +109,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
         """Normal-frame coordinates (P, k, n + ell) of ambient fields
         (P, m, n + ell) with the bundle part removed."""
         nco = _normal_columns(fund, dfield)
-        return nco - frames @ frame_coords(frames, fund.normal_pattern, pat, nco)
+        return nco - frames @ frame_coords(frames, fund.normal_eps, pat, nco)
 
     rows_all = np.zeros((p, n, kl + kr, n + ell))
     for i in range(n):
@@ -205,12 +139,9 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     rul_gap = 0.0
     r_dim = max(s_dim - d, 0)
     dq, rq = delta[pts], rul_emb[pts]
-    coeffs = np.broadcast_to(np.eye(s_dim), (len(pts), s_dim, s_dim))
     if d:
         rul_gap = float(np.max(np.abs(rq - (dq @ np.linalg.pinv(dq)) @ rq)))
-        vt = np.linalg.svd(np.swapaxes(rq * mixed_eps[:, None], 1, 2) @ dq, full_matrices=True)[2]
-        coeffs = np.swapaxes(vt[:, d:], 1, 2)
-    fib_ranks, fib = span_stack(dq @ coeffs, tol)
+    fib_ranks, fib = complement_stack(rq, dq, mixed_eps, tol)
     fiber_spans = np.zeros((p, n + ell, r_dim))
     fiber_spans[pts] = np.where(np.arange(fib.shape[2]) < fib_ranks[:, None, None], fib, 0.0)[:, :, :r_dim]
     # smooth gauge for the fiber frames: the extension differentiates them
@@ -293,7 +224,7 @@ def _extended_jet(base: ImmersionJet, fields: np.ndarray, chart_ext: ChartGrid, 
             d1[sl, n + k] = fields[:, :, k]
         d2[sl, :n, :n] = base.d2 + (np.einsum("pijmk,k->pijm", d2fields, tvec) if r else 0.0)
         for k in range(r):
-            d2[sl, :n, n + k] = dfields[:, :, :, k].transpose(0, 1, 2)
+            d2[sl, :n, n + k] = dfields[:, :, :, k]
             d2[sl, n + k, :n] = dfields[:, :, :, k]
         # second derivatives in the fiber directions vanish identically
     return ImmersionJet(chart_ext, base.ambient, values, d1, d2, source="assembled")
@@ -379,8 +310,6 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
 
     fund_l = fundamental_data(pair.left, align_threshold=align_threshold)
     fund_r = fundamental_data(pair.right, align_threshold=align_threshold)
-    eps_l_t = np.asarray(fund_l.normal_pattern, dtype=float)
-    eps_r_t = np.asarray(fund_r.normal_pattern, dtype=float)
     gram_l = pair.left.ambient.gram
     gram_r = pair.right.ambient.gram
 
@@ -419,7 +348,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
     pat_tube = ()
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
-            _normal_columns(fund_l, amb_l), np.diag(eps_l_t), pair.left.chart.shape, tol=1e-7,
+            _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
             threshold=align_threshold,
         )
         # transport the aligned left frames with the base identification: their
@@ -427,18 +356,16 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
         # tube points over one base point are a run of pf consecutive points.
         amb = np.swapaxes(fund_l.normal_frame @ lf_tube, 1, 2).reshape(-1, pf * r_tube, pair.left.m)
         base_nco = np.swapaxes(data.left.normal_coordinates(amb).reshape(p_ext, r_tube, -1), 1, 2)
-        base_co = frame_coords(data.transfer_bundle[base], data.left.normal_pattern,
+        base_co = frame_coords(data.transfer_bundle[base], data.left.normal_eps,
                                data.transfer_pattern, base_nco)
         lh_tube = _normal_columns(fund_r, lh_amb[base] @ base_co)
-    ident_tube = lh_tube @ frame_coords(lf_tube, eps_l_t, pat_tube, np.eye(fund_l.normal_rank))
-    out["tube_compatibility"] = transfer_residuals(
-        fund_l, fund_r, lf_tube, pat_tube, lh_tube, ident_tube,
-        lift_frame, np.ones(p_ext, dtype=bool), margin=margin,
-    )
+    tube = TransferData.from_frames(fund_l, fund_r, lf_tube, lh_tube, pat_tube, lift_frame)
+    out["tube_compatibility"] = verify_compatibility(tube, margin=margin)
 
     # kernel identity: the lifted kernel equals the joint nullity against the
     # complements of the tube bundles
-    null, ker = joint_nullity([(fund_l.alpha, eps_l_t, lf_tube), (fund_r.alpha, eps_r_t, lh_tube)],
+    null, ker = joint_nullity([(fund_l.alpha, fund_l.normal_eps, lf_tube),
+                               (fund_r.alpha, fund_r.normal_eps, lh_tube)],
                               1e-9, fd_tol, 1.0)
     ker_ranks, ker = by_class(lambda k: span_stack(k, 1e-9), [(null, ker)])
     # compare in frame coordinates of the tube

@@ -504,6 +504,11 @@ class FundamentalData:
     def normal_rank(self) -> int:
         return self.normal_frame.shape[2]
 
+    @property
+    def normal_eps(self) -> np.ndarray:
+        """The normal pattern as floats, the diagonal of the normal metric."""
+        return np.asarray(self.normal_pattern, dtype=float)
+
     def shape_pairing(self, t: int) -> np.ndarray:
         """Matrix <alpha(E_a, E_b), xi_t> per point, (P, n, n)."""
         return self.alpha[..., t] * self.normal_pattern[t]
@@ -514,8 +519,7 @@ class FundamentalData:
         `vectors` is either a single ambient vector or a per-point array
         (P, ..., m); the result carries frame components on the last axis.
         """
-        return _normal_coords(vectors, self.jet.ambient.gram, self.normal_frame,
-                              np.asarray(self.normal_pattern, dtype=float))
+        return _normal_coords(vectors, self.jet.ambient.gram, self.normal_frame, self.normal_eps)
 
     def normal_ambient(self, coords: np.ndarray) -> np.ndarray:
         """Ambient vectors of per-point normal frame coordinates (..., k)."""

@@ -57,13 +57,13 @@ from .regions import interior_mask, label_regions, pack_profile
 __all__ = [
     "PipelineConfig",
     "JointNormalSpace",
+    "TransferData",
     "RegionState",
     "PairAnalysis",
     "build_joint",
     "degeneracy_test",
     "analyze_pair",
     "verify_compatibility",
-    "transfer_residuals",
     "BoundCheck",
     "ruling_dimension_bound",
 ]
@@ -92,21 +92,11 @@ class JointNormalSpace:
 
     left: FundamentalData
     right: FundamentalData
-    eps_left: np.ndarray
-    eps_right: np.ndarray
     metric_residual: float
 
     @property
-    def kl(self) -> int:
-        return len(self.eps_left)
-
-    @property
-    def kr(self) -> int:
-        return len(self.eps_right)
-
-    @property
     def joint_eps(self) -> np.ndarray:
-        return np.concatenate([self.eps_left, -self.eps_right])
+        return np.concatenate([self.left.normal_eps, -self.right.normal_eps])
 
     def alpha_sum(self) -> np.ndarray:
         """(P, n, n, kl + kr) joint second fundamental form in frame coords."""
@@ -124,13 +114,7 @@ def build_joint(jf, jg, cfg: PipelineConfig | None = None) -> JointNormalSpace:
     resid = float(np.max(np.abs(diff))) / scale
     if resid > cfg.conformal_tol:
         raise NotIsometricPair(f"induced metrics disagree: relative residual {resid:.3e}")
-    return JointNormalSpace(
-        left=fl,
-        right=fr,
-        eps_left=np.asarray(fl.normal_pattern, dtype=float),
-        eps_right=np.asarray(fr.normal_pattern, dtype=float),
-        metric_residual=resid,
-    )
+    return JointNormalSpace(left=fl, right=fr, metric_residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +192,7 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
     cfg = cfg or PipelineConfig()
     tol = cfg.rank_tol
     p = joint.left.metric.shape[0]
-    kl, kr = joint.kl, joint.kr
+    kl, kr = joint.left.normal_rank, joint.right.normal_rank
     asum = joint.alpha_sum().reshape(p, -1, kl + kr)
     scale = max(float(np.max(np.abs(asum))), 1.0)
     omega_rank, omega = by_class(
@@ -231,7 +215,7 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
         found = lk[idx] > 0
         w = (om[:, kl:] @ knl[:, :, :1])[:, :, 0]
         if pos_right is not None:
-            val = _dot(pos_right[idx], joint.eps_right * w)
+            val = _dot(pos_right[idx], joint.right.normal_eps * w)
             paired = np.abs(val) > tol
             w = np.divide(w, val[:, None], out=w.copy(), where=paired[:, None])
             pairing[idx[found]] = paired[found]
@@ -246,16 +230,62 @@ def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) 
 
 
 @dataclass
-class RegionState:
-    """Everything the downstream checks and the extension need, per region."""
+class TransferData:
+    """A transfer pair: a parallel isometry between subbundles of the two
+    normal bundles, with the rulings it cuts out.
 
-    branch: str
-    mask: np.ndarray
-    points: np.ndarray
+    Holds both immersions' fundamental data, aligned frames of the transfer
+    bundles, the identification matrix between the normal bundles, and the
+    ruling distribution.  The extension construction consumes it, and
+    `verify_compatibility` checks it.
+    """
+
     left: FundamentalData
     right: FundamentalData
-    eps_left: np.ndarray
-    eps_right: np.ndarray
+    transfer_bundle: np.ndarray        # (P, kl, ell)
+    transfer_pattern: tuple[int, ...]
+    transfer_bundle_right: np.ndarray  # (P, kr, ell)
+    identification: np.ndarray         # (P, kr, kl)
+    rulings: np.ndarray                # (P, n, d)
+    mask: np.ndarray
+
+    @staticmethod
+    def from_frames(
+        fund_l: FundamentalData,
+        fund_r: FundamentalData,
+        l_frames: np.ndarray,
+        lhat_frames: np.ndarray,
+        pattern: tuple[int, ...],
+        rulings: np.ndarray,
+    ) -> "TransferData":
+        """Build the identification from matched pseudo-orthonormal frames:
+        left normal coordinates -> coordinates in `l_frames` -> `lhat_frames`."""
+        ident = lhat_frames @ frame_coords(l_frames, fund_l.normal_eps, pattern,
+                                           np.eye(fund_l.normal_rank))
+        p = fund_l.metric.shape[0]
+        return TransferData(
+            fund_l, fund_r, l_frames, tuple(int(x) for x in pattern),
+            lhat_frames, ident, rulings, np.ones(p, dtype=bool),
+        )
+
+    @property
+    def ell(self) -> int:
+        return self.transfer_bundle.shape[2]
+
+    def ambient_frames(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ambient vectors (P, m, ell) of the transfer-bundle frames, left
+        and right.  Computed on each call: the fields may be replaced."""
+        return (np.einsum("pmt,ptu->pmu", self.left.normal_frame, self.transfer_bundle),
+                np.einsum("pmt,ptu->pmu", self.right.normal_frame, self.transfer_bundle_right))
+
+
+@dataclass
+class RegionState(TransferData):
+    """The transfer pair of one region, with everything the downstream
+    checks need."""
+
+    branch: str
+    points: np.ndarray
     pos_left: np.ndarray | None      # (P, kl) cone position in the left normal frame
     pos_right: np.ndarray | None
     e0_left: np.ndarray | None       # (P, kl) null generator coords (degenerate branch)
@@ -265,26 +295,17 @@ class RegionState:
     private_right: np.ndarray
     shared_left: np.ndarray
     shared_right: np.ndarray
-    identification: np.ndarray       # (P, kr, kl)
     theta: np.ndarray                # (P, n, .)
     shared_span: np.ndarray          # (P, kl, .)
     shared_pattern: tuple[int, ...]
     matched_span: np.ndarray
     matched_pattern: tuple[int, ...]
     mismatched_span: np.ndarray
-    transfer_bundle: np.ndarray      # (P, kl, ell)
-    transfer_pattern: tuple[int, ...]
-    transfer_bundle_right: np.ndarray  # (P, kr, ell)
-    rulings: np.ndarray              # (P, n, d)
     gap_tensor: np.ndarray           # (P, n, rS, rS) coefficients of the connection gap
     ranks: dict
     residuals: dict = field(default_factory=dict)
     claims: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)  # one line per re-split that led here
-
-    @property
-    def ell(self) -> int:
-        return self.transfer_bundle.shape[2]
 
     @property
     def ruling_dim(self) -> int:
@@ -308,8 +329,8 @@ class _Region:
         self.joint, self.mask, self.branch, self.witness, self.cfg = joint, mask, branch, witness, cfg
         self.pts = np.flatnonzero(mask)
         self.p, self.n = fl.metric.shape[:2]
-        self.kl, self.kr = joint.kl, joint.kr
-        self.eps_l, self.eps_r = joint.eps_left, joint.eps_right
+        self.kl, self.kr = fl.normal_rank, fr.normal_rank
+        self.eps_l, self.eps_r = fl.normal_eps, fr.normal_eps
         self.degenerate = branch == "degenerate"
         self.pos_left = self.pos_right = self.e0_left = None
         if fl.jet.ambient.pseudo_pair:
@@ -358,7 +379,6 @@ class _Region:
         st = RegionState(
             branch=self.branch, mask=self.mask, points=self.pts,
             left=self.joint.left, right=self.joint.right,
-            eps_left=self.eps_l, eps_right=self.eps_r,
             pos_left=self.pos_left, pos_right=self.pos_right, e0_left=self.e0_left,
             witness=self.witness,
             shared_pattern=self.patterns["shared_span"],
@@ -567,7 +587,7 @@ def _tails(reg: _Region):
 class _Stage:
     name: str
     build: Callable
-    align: str | None = None   # "normal" (diag eps_left) or "tangent" (identity)
+    align: str | None = None   # "normal" (left normal metric) or "tangent" (identity)
     equal: tuple = ()          # (product, product, message): ranks that must agree
     settle: Callable | None = None
 
@@ -643,7 +663,7 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
     pts = state.points
     fl = state.left
     n = fl.metric.shape[1]
-    eps_l = state.eps_left
+    eps_l = fl.normal_eps
     claims = state.claims
     d_theta = state.theta.shape[2]
 
@@ -736,31 +756,27 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def transfer_residuals(
-    fund_l: FundamentalData,
-    fund_r: FundamentalData,
-    l_frames: np.ndarray,
-    l_pattern,
-    lhat_frames: np.ndarray,
-    identification: np.ndarray,
-    rulings: np.ndarray,
-    mask: np.ndarray,
-    margin: int = 2,
-) -> dict:
-    """Core residuals shared by the pair pipeline and the extension checks."""
+def verify_compatibility(data: TransferData, margin: int = 2) -> dict:
+    """Residuals of the two structural conditions for a transfer pair.
+
+    (i) the transfer isometry is parallel and preserves second fundamental
+    forms; (ii) the transfer bundles are parallel along the rulings.
+    Derivative-based residuals are evaluated on the interior of the mask.
+    The pair pipeline's regions and the ruled extension's tube both go
+    through this check.
+    """
+    fund_l, fund_r = data.left, data.right
     chart = fund_l.jet.chart
-    eps_l = np.asarray(fund_l.normal_pattern, dtype=float)
-    eps_r = np.asarray(fund_r.normal_pattern, dtype=float)
+    eps_l, eps_r = fund_l.normal_eps, fund_r.normal_eps
     n = fund_l.metric.shape[1]
-    ell = l_frames.shape[2]
-    inner = interior_mask(chart.shape, mask, margin)
+    inner = interior_mask(chart.shape, data.mask, margin)
     if not inner.any():
-        inner = mask
+        inner = data.mask
     ipts = np.flatnonzero(inner)
-    pts = np.flatnonzero(mask)
+    pts = np.flatnonzero(data.mask)
 
     out = {"interior_points": int(ipts.size)}
-    if ell == 0:
+    if data.ell == 0:
         out.update({
             "transfer_preserves_sff": 0.0,
             "transfer_parallel": 0.0,
@@ -768,10 +784,11 @@ def transfer_residuals(
         })
         return out
 
-    lf, lh = l_frames, lhat_frames
+    lf, lh = data.transfer_bundle, data.transfer_bundle_right
+    identification, rulings = data.identification, data.rulings
 
     def proj_onto(frames, eps, vecs):
-        return frames @ frame_coords(frames, eps, l_pattern, vecs)
+        return frames @ frame_coords(frames, eps, data.transfer_pattern, vecs)
 
     # preserves second fundamental forms
     al = fund_l.alpha.reshape(len(fund_l.alpha), n * n, -1).transpose(0, 2, 1)
@@ -809,26 +826,6 @@ def transfer_residuals(
         )
     out["bundle_parallel_along_rulings"] = res_rul
     return out
-
-
-def verify_compatibility(state: RegionState, margin: int = 2) -> dict:
-    """Residuals of the two structural conditions for the transfer pair.
-
-    (i) the transfer isometry is parallel and preserves second fundamental
-    forms; (ii) the transfer bundles are parallel along the rulings.
-    Derivative-based residuals are evaluated on the region interior.
-    """
-    return transfer_residuals(
-        state.left,
-        state.right,
-        state.transfer_bundle,
-        state.transfer_pattern,
-        state.transfer_bundle_right,
-        state.identification,
-        state.rulings,
-        state.mask,
-        margin=margin,
-    )
 
 
 # ---------------------------------------------------------------------------

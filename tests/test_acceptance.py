@@ -7,7 +7,7 @@ lines.  Tolerances are pinned here and nowhere else.
 import numpy as np
 
 from confpair.conformal_calc import conformal_s_nullity, s_nullity_at
-from confpair.extension import TransferData, extension_obstruction
+from confpair.extension import extension_obstruction
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
 from confpair.indefinite_linalg import DEFAULT_TOL, rank, signature
 from confpair.jets import fundamental_data, induced_metric
@@ -18,7 +18,7 @@ from confpair.lightcone import (
     position_identities,
     sff_transfer_check,
 )
-from confpair.pair_pipeline import analyze_pair, verify_compatibility
+from confpair.pair_pipeline import TransferData, analyze_pair, verify_compatibility
 
 from oracles import null_space, rational_intersection_dim, rational_rank, rational_signature, span
 

@@ -160,6 +160,36 @@ def test_inline_jet_table_input():
     assert report["results"]["source"] == "finite-difference"
 
 
+def _table_manifest(values):
+    return {
+        "analysis": "single",
+        "immersion": {"table": {"values": values}},
+        "grid": {"shape": [3, 3], "spacing": [0.1, 0.1], "origin": [0.0, 0.0]},
+    }
+
+
+MALFORMED_TABLES = {
+    "flat": [float(i) for i in range(9)],
+    "ragged": [[0.0, 1.0, 2.0]] * 8 + [[0.0, 1.0]],
+    "strings": [["a", "b", "c"]] * 9,
+    "nan": [[0.0, float("nan"), 1.0]] * 9,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_TABLES))
+def test_malformed_value_table_is_a_manifest_error(kind):
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_table_manifest(MALFORMED_TABLES[kind]))
+    assert err.value.path == "immersion.table.values"
+
+
+def test_main_reports_a_malformed_value_table(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(_table_manifest(MALFORMED_TABLES["ragged"])))
+    assert main(["analyze", str(manifest), "--output", str(tmp_path / "out.json")]) == 1
+    assert "immersion.table.values" in capsys.readouterr().err
+
+
 def test_grid_cap_enforced():
     with pytest.raises(ManifestError) as err:
         run_manifest({

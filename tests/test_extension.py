@@ -12,7 +12,6 @@ from confpair.jets import (
     induced_metric,
 )
 from confpair.extension import (
-    TransferData,
     extension_obstruction,
     generate_conformal_pair,
     ruled_extension,
@@ -20,7 +19,7 @@ from confpair.extension import (
     verify_extension,
 )
 from confpair.lightcone import LightConeModel
-from confpair.pair_pipeline import analyze_pair
+from confpair.pair_pipeline import TransferData, analyze_pair
 
 E5 = ScalarProduct.euclidean(5)
 
@@ -128,8 +127,7 @@ def test_degenerate_cone_extension():
     analysis = analyze_pair(jf, jhat)
     st = analysis.regions[0]
     assert st.branch == "degenerate"
-    data = TransferData.from_region(st)
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(st)
     assert obs.s == st.ruling_dim + obs.r
     assert obs.r == 2
     assert 2 <= obs.r <= st.ell
@@ -137,7 +135,7 @@ def test_degenerate_cone_extension():
     pos_in_l = np.einsum(
         "u,pku,pk->pu",
         np.asarray(st.transfer_pattern, float),
-        st.transfer_bundle * st.eps_left[None, :, None],
+        st.transfer_bundle * st.left.normal_eps[None, :, None],
         st.pos_left,
     )
     vec = np.concatenate([np.zeros((len(pos_in_l), 3)), pos_in_l], axis=1)
@@ -193,9 +191,10 @@ def test_tube_branch_on_a_self_pair_without_fibres():
     assert report["kernel_identity_gap"] == 0.0
 
 
-def test_tube_branch_transports_frames_along_a_fibre():
-    # the surface padded with a flat sixth coordinate, and L = (its first
-    # normal, e6): e6 is the one fibre, so the tube bundle is the rest of L
+def padded_surface_transfer():
+    """The surface padded with a flat sixth coordinate, and L = (its first
+    normal, e6) on both sides: e6 is the one fibre, so the tube bundle is the
+    rest of L.  Returns the left transfer frames and the transfer data."""
     def padded(xs):
         return codim3_surface(xs) + [jet3.constant(0.0, xs[0])]
 
@@ -206,8 +205,12 @@ def test_tube_branch_transports_frames_along_a_fibre():
     fund = fundamental_data(jet)
     lf = np.stack([fund.normal_coordinates(np.pad(first_normal, ((0, 0), (0, 1)))),
                    fund.normal_coordinates(np.eye(6)[5])], axis=2)
-    data = TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1, 1),
-                                    np.zeros((p, 2, 0)))
+    return lf, TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1, 1),
+                                        np.zeros((p, 2, 0)))
+
+
+def test_tube_branch_transports_frames_along_a_fibre():
+    _, data = padded_surface_transfer()
     obs = extension_obstruction(data)
     assert (obs.s, obs.r, data.ell) == (1, 1, 2)
     pair = ruled_extension(obs)
@@ -215,6 +218,19 @@ def test_tube_branch_transports_frames_along_a_fibre():
     report = verify_extension(pair)
     assert_tube_branch_holds(report, 1)
     assert report["kernel_identity_gap"] <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, reason="tube blind spot: the transport of a scrambled right "
+                   "transfer frame lands in the tube tangent space, the right tube frame "
+                   "vanishes, and both sides of every tube residual read near zero")
+def test_tube_compatibility_sees_a_scrambled_right_transfer_frame():
+    # negative control: swap the two right transfer columns after the
+    # extension is built, so that the identification is no longer parallel
+    lf, data = padded_surface_transfer()
+    pair = ruled_extension(extension_obstruction(data))
+    pair.obstruction.data.transfer_bundle_right = lf[:, :, ::-1]
+    compat = verify_extension(pair)["tube_compatibility"]
+    assert max(v for v in compat.values() if isinstance(v, float)) > 1e-6
 
 
 # -- the slice generator ------------------------------------------------------

@@ -127,7 +127,7 @@ def test_degeneracy_reflection_pair_finds_witness():
     assert np.allclose(deg.witness_pairing, 1.0)
     # the rescaled witness pairs to one with the right position vector
     pos = joint.right.normal_coordinates(joint.right.jet.values)
-    vals = np.einsum("pt,t,pt->p", pos, joint.eps_right, deg.witness)
+    vals = np.einsum("pt,t,pt->p", pos, joint.right.normal_eps, deg.witness)
     assert np.max(np.abs(vals - 1.0)) < 1e-9
 
 
