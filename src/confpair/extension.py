@@ -29,6 +29,7 @@ from .errors import (
 from .indefinite_linalg import (
     by_class,
     complement_stack,
+    contract,
     frame_coords,
     gap_stack,
     kernel_stack,
@@ -377,8 +378,8 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
 
     # ruledness: the second fundamental forms of the tube vanish on the kernel
     out["ruled_leaves"] = max(
-        float(np.max(np.abs(np.einsum("pabt,pau,pbv->puvt", alpha, lift_frame, lift_frame,
-                                      optimize=True)), initial=0.0))
+        float(np.max(np.abs(contract("pabt,pau,pbv->puvt", alpha, lift_frame, lift_frame)),
+                      initial=0.0))
         for alpha in (fund_l.alpha, fund_r.alpha)
     )
 
@@ -428,8 +429,8 @@ def transversality_check(jet: ImmersionJet, threshold: float = 1e-6) -> dict:
     vanishing differential flags tangency (or containment in the cone).
     """
     g = jet.ambient.gram
-    s = np.einsum("pa,ab,pb->p", jet.values, g, jet.values, optimize=True)
-    ds = 2.0 * np.einsum("pia,ab,pb->pi", jet.d1, g, jet.values, optimize=True)
+    s = contract("pa,ab,pb->p", jet.values, g, jet.values)
+    ds = 2.0 * contract("pia,ab,pb->pi", jet.d1, g, jet.values)
     grad_norm = np.linalg.norm(ds, axis=1)
     scale = max(float(np.max(np.abs(jet.values))), 1.0)
     on_cone = np.abs(s) < threshold * scale
@@ -475,7 +476,7 @@ def generate_conformal_pair(
     # scan the squared norm over the full chart
     pts_all = chart.points()
     vals = lorentz_map.values(pts_all)
-    s_all = np.einsum("pa,ab,pb->p", vals, gram, vals, optimize=True)
+    s_all = contract("pa,ab,pb->p", vals, gram, vals)
     scale = max(float(np.max(np.abs(vals))), 1.0)
     if np.all(np.abs(s_all) < 1e-10 * scale):
         raise NotTransversal("the Lorentz map is contained in the cone: zero set is everything")
@@ -586,7 +587,7 @@ def generate_conformal_pair(
         dfull = np.stack([c.g for c in comps], axis=-1)      # (P, n+1, m)
         d2full = np.stack([c.h for c in comps], axis=-1)     # (P, n+1, n+1, m)
         d1 = np.einsum("pAm,pAi->pim", dfull, incl_d1)
-        d2 = np.einsum("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1, optimize=True) + np.einsum(
+        d2 = contract("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1) + np.einsum(
             "pAm,pAij->pijm", dfull, incl_d2
         )
         return ImmersionJet(slice_chart, mapping.ambient, values, d1, d2, source="assembled")

@@ -27,18 +27,48 @@ argument chosen by the caller to fit its data:
 `signature` applies the same rule to the eigenvalues of a symmetric Gram
 matrix with the floor fixed at ``1.0``: Gram matrices of dot-orthonormal
 bases under a unit metric have eigenvalues of size at most one.
+
+Two helpers serve the whole package: `contract`, the one `np.einsum` of
+three or more operands, whose pairwise path is planned once per
+(subscripts, operand shapes), and `row_classes`, the one grouping of
+integer tuples (rank classes here, region profiles in `regions`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DegenerateSubspace
 
 DEFAULT_TOL = 1e-9
+
+# (subscripts, operand shapes) keys whose contraction paths are kept: a run
+# repeats a few dozen contractions on a few chart and region sizes
+PATH_CACHE_SIZE = 256
+
+
+# ---------------------------------------------------------------------------
+# contractions
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=PATH_CACHE_SIZE)
+def _contraction_path(subscripts: str, shapes: tuple[tuple[int, ...], ...]) -> tuple:
+    """The pairwise path that `np.einsum(..., optimize=True)` picks for
+    operands of these shapes; the plan reads shapes only."""
+    dummies = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(subscripts, *dummies, optimize=True)[0])
+
+
+def contract(subscripts: str, *operands):
+    """`np.einsum` contracting pairwise (Smith & Gray, "opt_einsum", JOSS
+    2018) along the path `optimize=True` would pick, planned once per
+    (subscripts, operand shapes): the same contractions, so the same floats."""
+    path = _contraction_path(subscripts, tuple(np.shape(op) for op in operands))
+    return np.einsum(subscripts, *operands, optimize=list(path))
 
 
 # ---------------------------------------------------------------------------
@@ -72,14 +102,33 @@ def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
 # numpy call that a one-entry stack makes.
 
 
+def row_classes(keys: np.ndarray):
+    """Classes of the equal rows of a (B, c) integer array, by one stable sort.
+
+    Returns (order, starts, codes).  The classes come in ascending
+    lexicographic order of their rows, column 0 first; class j holds the
+    rows order[starts[j]:starts[j + 1]], in ascending index, and codes[i] =
+    j for each row i of class j, so `codes` is the inverse that
+    `np.unique(keys, axis=0)` gives.  An empty array has no class.
+    """
+    keys = np.asarray(keys)
+    size = len(keys)
+    order = np.lexsort(keys.T[::-1])  # the last key sorts first
+    ordered = keys[order]
+    new = np.ones(size, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes = np.empty(size, dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return order, np.append(np.flatnonzero(new), size), codes
+
+
 def rank_classes(*ranks):
     """(key, indices) for each distinct tuple of the given (B,) rank columns,
-    in ascending key order."""
+    in ascending key order, each class's indices ascending."""
     keys = np.stack([np.asarray(r, dtype=int) for r in ranks], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    for c, key in enumerate(uniq):
-        yield tuple(int(k) for k in key), np.flatnonzero(inverse == c)
+    order, starts, _ = row_classes(keys)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        yield tuple(int(k) for k in keys[order[lo]]), order[lo:hi]
 
 
 def by_class(fn, ragged, *args):
@@ -106,8 +155,8 @@ def by_class(fn, ragged, *args):
 def max_by_class(fn, ranks: np.ndarray, padded: np.ndarray) -> float:
     """Largest entry of fn(indices, stack) over the rank classes of a ragged
     stack, each class cut to its width; 0 when there are none."""
-    return max(float(np.max(fn(idx, padded[idx][:, :, :k]), initial=0.0))
-               for (k,), idx in rank_classes(ranks))
+    return max((float(np.max(fn(idx, padded[idx][:, :, :k]), initial=0.0))
+                for (k,), idx in rank_classes(ranks)), default=0.0)
 
 
 def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
@@ -132,7 +181,9 @@ def kernel_stack(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0)
     size, m, k = rows.shape
     if m == 0 or k == 0:
         return np.full(size, k), np.broadcast_to(np.eye(k), (size, k, k)).copy()
-    _, s, vt = np.linalg.svd(rows, full_matrices=True)
+    # only s and vt are read: U is reduced unless the rows are wide, where
+    # the full vt is the kernel's
+    _, s, vt = np.linalg.svd(rows, full_matrices=m < k)
     count = _count(s, tol, floor)
     # rotate the right singular vectors so that the kernel columns come first
     order = (np.arange(k) + count[:, None]) % k
@@ -280,8 +331,7 @@ class ScalarProduct:
 
     def inner(self, u: np.ndarray, v: np.ndarray):
         """<u, v>; broadcasts over leading axes (vectors on the last axis)."""
-        return np.einsum("...i,ij,...j->...", np.asarray(u, float), self.gram, np.asarray(v, float),
-                         optimize=True)
+        return contract("...i,ij,...j->...", np.asarray(u, float), self.gram, np.asarray(v, float))
 
     def norm_sq(self, u: np.ndarray):
         return self.inner(u, u)

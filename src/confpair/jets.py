@@ -19,7 +19,7 @@ import numpy as np
 
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, span_stack
+from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, span_stack
 from .regions import bfs_levels
 
 __all__ = [
@@ -301,13 +301,13 @@ class ImmersionMap:
 def induced_metric(jet: ImmersionJet, tol: float = 1e-7) -> np.ndarray:
     """Per-point Gram matrices of the first partials, (P, n, n)."""
     jet.require_immersion(tol)
-    return np.einsum("pia,ab,pjb->pij", jet.d1, jet.ambient.gram, jet.d1, optimize=True)
+    return contract("pia,ab,pjb->pij", jet.d1, jet.ambient.gram, jet.d1)
 
 
 def metric_derivative(jet: ImmersionJet) -> np.ndarray:
     """Exact coordinate derivative dg[p, k, i, j] = d_k g_ij from the 2-jet."""
     g = jet.ambient.gram
-    t1 = np.einsum("pkia,ab,pjb->pkij", jet.d2, g, jet.d1, optimize=True)
+    t1 = contract("pkia,ab,pjb->pkij", jet.d2, g, jet.d1)
     return t1 + np.transpose(t1, (0, 1, 3, 2))
 
 
@@ -351,18 +351,20 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     return frame, pattern
 
 
-def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: np.ndarray,
-               pattern: tuple[int, ...], tol: float, threshold: float):
+def _fit_level(points: np.ndarray, ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray,
+               gram: np.ndarray, pattern: tuple[int, ...], tol: float, threshold: float):
     """Fit the pseudo-orthonormal frames of one BFS level, all points at once.
 
-    ranks (L,) and orthonormal bases (L, m, w) of the fibers, as `span_stack`
-    returns them; parent frames (L, m, k); gram (m, m) or (L, m, m).  Each
-    frame is the generalized polar fit W = y S^-1 of the G-projection y of its
-    parent's frame onto its fiber, S the principal root of A = J y^T G y and
-    J = diag(pattern).  Newton-Schulz on A over its row-sum norm gives S^-1
-    when A has a positive real spectrum.  Checks, in order: fiber rank, solve,
-    polar fit (W finite, max |W^T G W - J| <= tol), jump; the first failing
-    point of the level raises.  Returns (frames (L, m, k), steps (L,)).
+    The level's flat grid indices (L,); ranks (L,) and orthonormal bases
+    (L, m, w) of the fibers, as `span_stack` returns them; parent frames
+    (L, m, k); gram (m, m) or (L, m, m).  Each frame is the generalized
+    polar fit W = y S^-1 of the G-projection y of its parent's frame onto
+    its fiber, S the principal root of A = J y^T G y and J = diag(pattern).
+    Newton-Schulz on A over its row-sum norm gives S^-1 when A has a
+    positive real spectrum.  Checks, in order: fiber rank, solve, polar fit
+    (W finite, max |W^T G W - J| <= tol), jump; the first failing point of
+    the level raises, naming its grid index.  Returns (frames (L, m, k),
+    steps (L,)).
     """
     k = parent.shape[2]
     fiber = bases[:, :, :k]
@@ -379,8 +381,8 @@ def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: n
             except np.linalg.LinAlgError:
                 singular[i] = True
     y = fiber @ coeff
-    j = np.diag(np.asarray(pattern, dtype=float))
-    a = j @ y.transpose(0, 2, 1) @ gram @ y
+    signs = np.asarray(pattern, dtype=float)
+    a = signs[:, None] * (y.transpose(0, 2, 1) @ gram @ y)
     scale = np.sum(np.abs(a), axis=2).max(axis=1)[:, None, None]  # bounds the spectrum of a
     root, inv_root, eye = a / scale, np.eye(k), np.eye(k)  # Y -> (a/scale)^1/2, Z -> its inverse
     for _ in range(_ROOT_STEPS):
@@ -390,19 +392,22 @@ def _fit_level(ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray, gram: n
         if np.fmax.reduce(np.abs(resid), axis=None, initial=0.0) <= _ROOT_STOP:
             break
     frames = y @ inv_root / np.sqrt(scale)
-    defect = np.max(np.abs(frames.transpose(0, 2, 1) @ gram @ frames - j), axis=(1, 2))
+    gram_w = frames.transpose(0, 2, 1) @ gram @ frames
+    defect = np.max(np.abs(gram_w - np.diag(signs)), axis=(1, 2))
     lost = ~(defect <= tol)  # NaN where W is not finite
     steps = np.max(np.abs(frames - parent), axis=(1, 2))
-    checks = [
-        (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
-        (singular, lambda i: "degenerate fiber during sweep"),
-        (lost, lambda i: "polar fit lost rank"),
-        (steps > threshold, lambda i: f"frame jump {steps[i]:.3f} exceeds threshold {threshold}"),
-    ]
-    failed = np.any([bad for bad, _ in checks], axis=0)
+    wrong_rank, jump = ranks != k, steps > threshold
+    failed = wrong_rank | singular | lost | jump
     if failed.any():
         i = int(np.argmax(failed))
-        raise FrameAlignmentFailure(next(msg(i) for bad, msg in checks if bad[i]))
+        checks = [
+            (wrong_rank, lambda: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
+            (singular, lambda: "degenerate fiber during sweep"),
+            (lost, lambda: "polar fit lost rank"),
+            (jump, lambda: f"frame jump {steps[i]:.3f} exceeds threshold {threshold}"),
+        ]
+        message = next(msg() for bad, msg in checks if bad[i])
+        raise FrameAlignmentFailure(f"{message} at grid point {points[i]}")
     return frames, steps
 
 
@@ -427,8 +432,8 @@ def _sweep(levels, mask: np.ndarray, ranks: np.ndarray, bases: np.ndarray,
         for points, parents in levels[1:]:
             at = row[points]
             frames[points], steps = _fit_level(
-                ranks[at], bases[at], frames[parents], gram[points] if per_point_gram else gram,
-                pattern, tol, threshold,
+                points, ranks[at], bases[at], frames[parents],
+                gram[points] if per_point_gram else gram, pattern, tol, threshold,
             )
             max_step = max(max_step, float(np.fmax.reduce(steps)))  # NaN steps never count
     return frames, pattern, max_step
@@ -474,7 +479,7 @@ def _normal_coords(vectors: np.ndarray, gram: np.ndarray, normal_frame: np.ndarr
     (P, ..., m), in the normal frames xi (P, m, k) under the full ambient
     Gram (m, m), which is not diagonal on the light cone."""
     subscripts = "a,ab,pbt->pt" if vectors.ndim == 1 else "p...a,ab,pbt->p...t"
-    return np.einsum(subscripts, vectors, gram, normal_frame, optimize=True) * eps
+    return contract(subscripts, vectors, gram, normal_frame) * eps
 
 
 @dataclass
@@ -578,13 +583,12 @@ def fundamental_data(
 
     # second fundamental form: normal component of the coordinate second partials
     eta = np.asarray(tangent_pattern, dtype=float)
-    d2_dot_e = np.einsum("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient, optimize=True)
-    tang_part = np.einsum("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient, optimize=True)
+    d2_dot_e = contract("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient)
+    tang_part = contract("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient)
     alpha_ambient = jet.d2 - tang_part
     eps = np.asarray(normal_pattern, dtype=float)
     alpha_coord_comp = _normal_coords(alpha_ambient, g_amb, normal_frame, eps)
-    alpha = np.einsum("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp,
-                      optimize=True)
+    alpha = contract("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp)
 
     # normal connection from derivatives of the aligned frame field
     nconn = np.zeros((p, n, k, k))
@@ -673,8 +677,8 @@ def leaf_mean_curvature(fund: FundamentalData, dist: DistributionFrame) -> np.nd
     if d == 0:
         return np.zeros((fund.metric.shape[0], fund.normal_rank))
     eta = np.asarray(fund.tangent_pattern, dtype=float)
-    signs = np.einsum("pau,a,pau->pu", dist.basis, eta, dist.basis, optimize=True)  # +-1 per leg
-    traced = np.einsum("pau,pbu,pabt->put", dist.basis, dist.basis, fund.alpha, optimize=True)
+    signs = contract("pau,a,pau->pu", dist.basis, eta, dist.basis)  # +-1 per leg
+    traced = contract("pau,pbu,pabt->put", dist.basis, dist.basis, fund.alpha)
     return np.einsum("pu,put->pt", signs, traced) / d
 
 
@@ -682,7 +686,7 @@ def umbilic_residual(fund: FundamentalData, dist: DistributionFrame) -> float:
     """Largest entry of alpha - <,> eta on the leaves, eta their mean
     curvature: zero when the leaves are umbilic in the ambient."""
     eta = leaf_mean_curvature(fund, dist)
-    alpha_dd = np.einsum("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha, optimize=True)
+    alpha_dd = contract("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha)
     umb = alpha_dd - np.eye(dist.dim)[None, :, :, None] * eta[:, None, None, :]
     return float(np.max(np.abs(umb))) if umb.size else 0.0
 
@@ -728,6 +732,6 @@ def gauss_equation_residual(fund: FundamentalData) -> np.ndarray:
     g_amb = jet.ambient.gram
     # <R(X_i, X_j) X_k, X_w> = <alpha(i, w), alpha(j, k)> - <alpha(j, w), alpha(i, k)>
     aa = fund.alpha_ambient
-    rhs = (np.einsum("piwa,ab,pjkb->pijkw", aa, g_amb, aa, optimize=True)
-           - np.einsum("pjwa,ab,pikb->pijkw", aa, g_amb, aa, optimize=True))
+    rhs = (contract("piwa,ab,pjkb->pijkw", aa, g_amb, aa)
+           - contract("pjwa,ab,pikb->pijkw", aa, g_amb, aa))
     return np.max(np.abs(lhs - rhs).reshape(p, -1), axis=1)

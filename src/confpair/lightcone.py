@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConformal, NotConformallyRuled, OnExceptionalRay
-from .indefinite_linalg import ScalarProduct
+from .indefinite_linalg import ScalarProduct, contract
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
@@ -226,14 +226,13 @@ def position_identities(fund: FundamentalData) -> dict:
 
     def shape_vs(vfield: np.ndarray) -> np.ndarray:
         # <alpha(E_a, E_b), v> via the ambient-coordinate form
-        paired = np.einsum("pijm,mn,p...n->pij", fund.alpha_ambient, g_amb,
-                           np.broadcast_to(vfield, (jet.chart.npoints, jet.m)), optimize=True)
-        return np.einsum("pia,pjb,pij->pab", fund.tangent_frame, fund.tangent_frame, paired,
-                         optimize=True)
+        paired = contract("pijm,mn,p...n->pij", fund.alpha_ambient, g_amb,
+                          np.broadcast_to(vfield, (jet.chart.npoints, jet.m)))
+        return contract("pia,pjb,pij->pab", fund.tangent_frame, fund.tangent_frame, paired)
 
     def tangency(vfield: np.ndarray) -> float:
-        comp = np.einsum("pma,mn,p...n->pa", fund.tangent_ambient, g_amb,
-                         np.broadcast_to(vfield, (jet.chart.npoints, jet.m)), optimize=True)
+        comp = contract("pma,mn,p...n->pa", fund.tangent_ambient, g_amb,
+                        np.broadcast_to(vfield, (jet.chart.npoints, jet.m)))
         return float(np.max(np.abs(comp)))
 
     on_cone = float(np.max(np.abs(jet.ambient.norm_sq(jet.values))))
@@ -328,8 +327,8 @@ def sff_transfer_check(
 
     # proportionality scalar on the rulings: Hess phi = lam <,>' there
     span_coord = np.einsum("pia,pau->piu", fund_lift.tangent_frame, dist_lift.basis)
-    h_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, hess, optimize=True)
-    g_dd = np.einsum("piu,pjv,pij->puv", span_coord, span_coord, base_metric, optimize=True)
+    h_dd = contract("piu,pjv,pij->puv", span_coord, span_coord, hess)
+    g_dd = contract("piu,pjv,pij->puv", span_coord, span_coord, base_metric)
     lam = np.einsum("puv,puv->p", h_dd, g_dd) / np.einsum("puv,puv->p", g_dd, g_dd)
     lam_residual = float(np.max(np.abs(h_dd - lam[:, None, None] * g_dd)))
 

@@ -38,6 +38,7 @@ from .errors import (
 from .indefinite_linalg import (
     by_class,
     complement_stack,
+    contract,
     frame_coords,
     gap_stack,
     image_stack,
@@ -159,7 +160,7 @@ def _pairing_rows(sides) -> np.ndarray:
     """Rows (B, ., n): each form (B, n, n, k) of `sides` paired with the
     frames (B, k, w) of its normal bundle; sides hold (form, eps, frames)."""
     return np.concatenate([
-        np.einsum("pabt,t,ptw->pbwa", alpha, eps, frames, optimize=True)
+        contract("pabt,t,ptw->pbwa", alpha, eps, frames)
         .reshape(len(frames), -1, alpha.shape[1])
         for alpha, eps, frames in sides
     ], axis=1)
@@ -572,7 +573,7 @@ def _tails(reg: _Region):
     reg.residuals["theta_identity_gap"] = max_by_class(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
     b, n = len(reg.pts), reg.n
     parts = [
-        np.einsum("pabt,t,ptw->pabw", alpha, eps, private, optimize=True).reshape(b, n * n, -1)
+        contract("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, -1)
         for alpha, eps, private in ((reg.al, reg.eps_l, reg.at["private_left"]),
                                     (reg.ar, reg.eps_r, reg.at["private_right"]))
         if private.shape[2]
@@ -725,7 +726,7 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
         res_th0 = 0.0
         for u in range(d_theta):
             z = theta[:, :, u]
-            az = np.einsum("pabt,pa,pb->pt", alpha, z, z, optimize=True)
+            az = contract("pabt,pa,pb->pt", alpha, z, z)
             res_th0 = max(res_th0, float(np.max(np.abs(_dot(az, eps_l * pos) + 1.0))))
         claims["position_in_transfer_bundle"] = {
             "residual": res_pos,

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .indefinite_linalg import row_classes
+
 # (shape, mask, seed) keys whose levels are kept: one run sweeps the same few
 # charts and regions many times, for each map, its lift and each check
 LEVELS_CACHE_SIZE = 32
@@ -96,9 +98,9 @@ def label_regions(shape: tuple[int, ...], profile: np.ndarray) -> np.ndarray:
 
 def pack_profile(columns: list[np.ndarray]) -> np.ndarray:
     """One integer code per point for the tuple of its integer columns:
-    equal codes exactly where the tuples are equal."""
-    rows = np.stack([np.asarray(c, dtype=int) for c in columns], axis=1)
-    return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    equal codes exactly where the tuples are equal, counting up in ascending
+    tuple order."""
+    return row_classes(np.stack([np.asarray(c, dtype=int) for c in columns], axis=1))[2]
 
 
 def interior_mask(shape: tuple[int, ...], mask: np.ndarray, margin: int) -> np.ndarray:

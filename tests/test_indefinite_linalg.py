@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from confpair import indefinite_linalg
 from confpair.errors import DegenerateSubspace
 from confpair.indefinite_linalg import (
     DEFAULT_TOL,
+    PATH_CACHE_SIZE,
     ScalarProduct,
     complement_stack,
+    contract,
     frame_coords,
     gap_stack,
     kernel_stack,
+    max_by_class,
     project_stack,
     radical_stack,
     rank,
+    rank_classes,
+    row_classes,
     signature,
     span_stack,
 )
@@ -521,3 +527,81 @@ def test_stack_forms_equal_per_matrix_loops_bit_for_bit():
     proj = project_stack(targets, np.ones(5), vectors, DEFAULT_TOL)
     for t, v, pv in zip(targets, vectors, proj):
         assert np.array_equal(pv, t @ np.linalg.solve(t.T @ t, t.T @ v))
+
+
+@pytest.mark.parametrize("m, k", [(12, 3), (20, 4), (9, 2), (6, 6), (4, 5), (2, 7)])
+def test_kernel_stack_asks_no_full_u_of_tall_stacks(monkeypatch, m, k):
+    rows = np.stack([integer_matrix(m, k, b % (min(m, k) + 1)) for b in range(STACK)])
+    expected = {floor: [loop_kernel(r, DEFAULT_TOL, floor) for r in rows] for floor in FLOORS}
+    full_vt = np.linalg.svd(rows, full_matrices=True)[2]
+    asked = []
+    real = np.linalg.svd
+
+    def spy(a, full_matrices=True, *args, **kwargs):
+        asked.append(full_matrices)
+        return real(a, full_matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for floor in FLOORS:
+        null, bases = kernel_stack(rows, DEFAULT_TOL, floor)
+        for want, nk, basis, vt in zip(expected[floor], null, bases, full_vt):
+            assert np.array_equal(basis[:, :nk], want)
+            # every right singular vector is that of the full factorisation, bit for bit
+            assert np.array_equal(np.roll(basis, k - nk, axis=1), vt.T)
+    # the full vt is needed only when there are fewer rows than columns
+    assert asked == [m < k] * len(FLOORS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_row_classes_match_unique_rows(size, cols, spread, seed):
+    keys = np.random.default_rng(seed).integers(-spread, spread + 1, size=(size, cols))
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    order, starts, codes = row_classes(keys)
+    assert np.array_equal(codes, inverse)
+    assert len(starts) == len(uniq) + 1 and starts[-1] == size
+    classes = list(rank_classes(*keys.T))
+    assert [key for key, _ in classes] == [tuple(int(x) for x in row) for row in uniq]
+    for c, (_, idx) in enumerate(classes):
+        assert np.array_equal(idx, np.flatnonzero(inverse == c))
+        assert np.array_equal(order[starts[c]:starts[c + 1]], idx)
+
+
+def test_an_empty_stack_has_no_rank_class():
+    assert list(rank_classes(np.zeros(0, dtype=int), np.zeros(0, dtype=int))) == []
+    order, starts, codes = row_classes(np.zeros((0, 2), dtype=int))
+    assert order.size == codes.size == 0 and starts.tolist() == [0]
+
+
+def test_max_by_class_is_zero_on_an_empty_stack():
+    def size(idx, stack):
+        return np.abs(stack)
+
+    assert max_by_class(size, np.zeros(0, dtype=int), np.zeros((0, 3, 2))) == 0.0
+    # a padding column beyond a point's width is never read
+    padded = np.array([[[1.0, 9.0]], [[-4.0, 2.0]], [[3.0, 9.0]]])
+    assert max_by_class(size, np.array([1, 2, 1]), padded) == 4.0
+
+
+def test_contraction_is_planned_once_per_subscripts_and_shapes(monkeypatch):
+    indefinite_linalg._contraction_path.cache_clear()
+    planned = []
+    real = np.einsum_path
+
+    def counted(subscripts, *operands, **kwargs):
+        planned.append((subscripts, tuple(op.shape for op in operands)))
+        return real(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    subscripts = "pia,ab,pjb->pij"
+    for trial in range(3):  # new contents, the same shapes: planned once
+        d1, g = RNG.normal(size=(40, 3, 5)), np.diag(RNG.choice([-1.0, 1.0], size=5))
+        assert np.array_equal(contract(subscripts, d1, g, d1),
+                              np.einsum(subscripts, d1, g, d1, optimize=True))
+    assert planned == [(subscripts, ((40, 3, 5), (5, 5), (40, 3, 5)))]
+    d1 = RNG.normal(size=(7, 3, 5))
+    assert np.array_equal(contract(subscripts, d1, g, d1),
+                          np.einsum(subscripts, d1, g, d1, optimize=True))
+    assert len(planned) == 2
+    assert indefinite_linalg._contraction_path.cache_info().maxsize == PATH_CACHE_SIZE

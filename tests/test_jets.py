@@ -485,6 +485,16 @@ def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
             align_frames(spans, gram, (3,), seed=1)
 
 
+def test_sweep_failure_names_its_flat_grid_index():
+    # a 3x3 grid seeded at its centre 4: level 1 holds points 1, 7, 3, 5 in
+    # BFS order, and points 7 and 3 jump; the first of them in level order is named
+    spans = np.stack([TURNED if q in (3, 7) else E1 for q in range(9)])[:, :, None]
+    assert bfs_levels((3, 3), np.ones(9, dtype=bool), 4)[1][0].tolist() == [1, 7, 3, 5]
+    with pytest.raises(FrameAlignmentFailure,
+                       match=r"^frame jump \S+ exceeds threshold 0\.5 at grid point 7$"):
+        align_frames(spans, np.eye(3), (3, 3), seed=4)
+
+
 def test_null_one_dimensional_fiber_cannot_seed_a_frame():
     # a dot-unit null vector: its 1x1 Gram is roundoff, far below the unit
     # scale of the metric, and must not be normalised into a huge frame

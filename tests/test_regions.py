@@ -141,6 +141,14 @@ def test_pack_profile_codes_equal_exactly_on_equal_rows(npts, ncols, data):
             assert (codes[i] == codes[j]) == (rows[i] == rows[j])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2000), st.integers(1, 3), st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_pack_profile_codes_are_the_inverse_of_unique_rows(size, cols, spread, seed):
+    columns = list(np.random.default_rng(seed).integers(-spread, spread + 1, size=(cols, size)))
+    expected = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
+    assert np.array_equal(pack_profile(columns), expected)
+
+
 def test_bfs_levels_are_memoized_per_shape_mask_and_seed(monkeypatch):
     regions._cached_levels.cache_clear()
     expanded = []
