@@ -31,10 +31,11 @@ from .extension import (
     verify_extension,
 )
 from .gallery import MANIFESTS, build_immersion, catalog
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct
+from .indefinite_linalg import ScalarProduct
 from .jets import (
     ChartGrid,
     ImmersionJet,
+    PipelineConfig,
     coordinate_distribution,
     fundamental_data,
     induced_metric,
@@ -47,7 +48,6 @@ from .lightcone import (
     sff_transfer_check,
 )
 from .pair_pipeline import (
-    PipelineConfig,
     TransferData,
     analyze_pair,
     ruling_dimension_bound,
@@ -150,7 +150,8 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, notes: list):
+def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, notes: list,
+                    cfg: PipelineConfig):
     """Produce the isometric partner: direct, or the cone lift of a conformal map."""
     if right_jet.ambient.pseudo_pair:
         return right_jet
@@ -162,7 +163,7 @@ def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, 
     factor = None
     if right_map is not None and right_map.factor_fn is not None:
         factor = right_map.factor_jets(right_jet.chart.points())
-    lifted, _ = isometric_representative(right_jet, gl, factor=factor)
+    lifted, _ = isometric_representative(right_jet, gl, factor, cfg)
     notes.append("right immersion lifted to its isometric cone representative")
     return lifted
 
@@ -190,7 +191,7 @@ def _region_report(state, jf, jhat, cfg) -> dict:
     rep["compatibility"] = _jsonable(compat)
     bound_rep = {}
     try:
-        obs = extension_obstruction(state, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
+        obs = extension_obstruction(state, cfg)
         rep["obstruction"] = {
             "kernel_dim": obs.s,
             "fiber_rank": obs.r,
@@ -275,7 +276,7 @@ def _nullity_points(spec, grid: ChartGrid) -> list[int] | None:
 def _run_single(doc: dict, cfg: PipelineConfig):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     imap, jet = _jet_from_spec(_require(doc, "immersion", dict, "manifest"), grid, "immersion")
-    fund = fundamental_data(jet, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
+    fund = fundamental_data(jet, cfg)
     results: dict = {
         "immersion": imap.name if imap is not None else "table",
         "source": jet.source,
@@ -327,10 +328,10 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         thr = float(chk_spec["roundtrip"].get("threshold", 1e-10))
         if jet.ambient.pseudo_pair:
             back = cone_projection(jet)
-            again, _ = isometric_representative(back, induced_metric(jet))
+            again, _ = isometric_representative(back, induced_metric(jet), cfg=cfg)
             res = float(np.max(np.abs(again.values - jet.values)))
         else:
-            lift, _ = isometric_representative(jet, induced_metric(jet))
+            lift, _ = isometric_representative(jet, induced_metric(jet), cfg=cfg)
             back = cone_projection(lift)
             res = float(np.max(np.abs(back.values - jet.values)))
         results["roundtrip_residual"] = res
@@ -391,8 +392,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         base_map = build_immersion(opts["base"], where="transfer.base")
         base_jet = base_map.jet(grid)
         factor = imap.factor_jets(grid.points())
-        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])),
-                                  factor=factor, align_threshold=cfg.align_threshold)
+        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])), factor, cfg)
         results["transfer_dictionary"] = _jsonable(data.residuals)
         for key, thr in opts.get("thresholds", {}).items():
             checks.append(_check(f"transfer.{key}", data.residuals[key], float(thr)))
@@ -427,7 +427,7 @@ def _run_pair(doc: dict, cfg: PipelineConfig):
     left_map, jf = _jet_from_spec(_require(doc, "left", dict, "manifest"), grid, "left")
     right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
     notes: list[str] = []
-    jhat = _lift_if_needed(jf, right_map, jr, notes)
+    jhat = _lift_if_needed(jf, right_map, jr, notes, cfg)
     analysis, pair, checks, csv_rows = _pair_report(jf, jhat, grid, doc, cfg)
     pair["degeneracy"]["radical_rank"] = sorted(set(analysis.degeneracy.omega_rank.tolist()))
     results = {
@@ -467,9 +467,9 @@ def _generated_pair(doc: dict):
     return gen, left_map, lorentz_map, data
 
 
-def _cone_lift(data):
+def _cone_lift(data, cfg: PipelineConfig):
     """The isometric cone representative of a generated pair's right side."""
-    return isometric_representative(data.projected, induced_metric(data.left))[0]
+    return isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
 
 
 def _run_generate(doc: dict, cfg: PipelineConfig):
@@ -489,7 +489,7 @@ def _run_generate(doc: dict, cfg: PipelineConfig):
     ]
     csv_rows = None
     if gen.get("analyze_pair", False):
-        _, pair, pair_checks, csv_rows = _pair_report(data.left, _cone_lift(data), data.slice_chart, doc, cfg)
+        _, pair, pair_checks, csv_rows = _pair_report(data.left, _cone_lift(data, cfg), data.slice_chart, doc, cfg)
         results.update(pair)
         checks += pair_checks
     return results, checks, csv_rows
@@ -508,7 +508,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
     if "generator" in doc:
         _, left_map, lorentz_map, sdata = _generated_pair(doc)
-        jf, jg = sdata.left, _cone_lift(sdata)
+        jf, jg = sdata.left, _cone_lift(sdata, cfg)
         names, tspec = {"left": left_map.name, "lorentz": lorentz_map.name}, "pipeline"
     else:
         left_map = build_immersion(_require(doc, "left", dict, "manifest"), where="left")
@@ -523,8 +523,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
         if len(direction) != jf.m:
             raise ManifestError("transfer.shared_flat_normal", f"expected {jf.m} components")
-        fl = fundamental_data(jf, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
-        fr = fundamental_data(jg, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
+        fl, fr = fundamental_data(jf, cfg), fundamental_data(jg, cfg)
         p = fl.metric.shape[0]
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
@@ -535,9 +534,9 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
     else:
         raise ManifestError("transfer", "expected 'pipeline' or a shared_flat_normal object")
 
-    obs = extension_obstruction(data, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
+    obs = extension_obstruction(data, cfg)
     pair = ruled_extension(obs)
-    report = verify_extension(pair, fd_tol=cfg.fd_tol, align_threshold=cfg.align_threshold)
+    report = verify_extension(pair, cfg)
     results = {
         "inputs": inputs,
         "kernel_dim": obs.s,
@@ -578,12 +577,11 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
     kind = _require(doc, "analysis", str, "manifest")
     if kind not in _RUNNERS:
         raise ManifestError("analysis", f"unknown analysis kind {kind!r}")
-    tol = float(tolerance if tolerance is not None else doc.get("tolerance", DEFAULT_TOL))
+    tol = float(tolerance if tolerance is not None else doc.get("tolerance", PipelineConfig.rank_tol))
     if not (0.0 < tol <= 1e-3):
         raise ManifestError("tolerance", "tolerance must lie in (0, 1e-3]")
-    fd_tol = float(doc.get("fd_tolerance", 1e-6))
-    the_seed = int(seed if seed is not None else doc.get("seed", 0))
-    cfg = PipelineConfig(rank_tol=tol, fd_tol=fd_tol, seed=the_seed)
+    cfg = PipelineConfig(rank_tol=tol, fd_tol=float(doc.get("fd_tolerance", PipelineConfig.fd_tol)),
+                         seed=int(seed if seed is not None else doc.get("seed", PipelineConfig.seed)))
 
     canonical = json.dumps(doc, sort_keys=True).encode()
     results, checks, csv_rows = _RUNNERS[kind](doc, cfg)
@@ -592,9 +590,11 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
         "provenance": {
             "version": __version__,
             "manifest_sha256": hashlib.sha256(canonical).hexdigest(),
-            "tolerance": tol,
-            "fd_tolerance": fd_tol,
-            "seed": the_seed,
+            "tolerance": cfg.rank_tol,
+            "fd_tolerance": cfg.fd_tol,
+            "align_threshold": cfg.align_threshold,
+            "conformal_tolerance": cfg.conformal_tol,
+            "seed": cfg.seed,
         },
         "analysis": kind,
         "results": _jsonable(results),

@@ -19,10 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HypothesisOutOfRange, RankJump
-from .indefinite_linalg import DEFAULT_TOL, rank
+from .indefinite_linalg import rank
 from .jets import (
     DistributionFrame,
     FundamentalData,
+    PipelineConfig,
     align_frames,
     bracket_residual,
     leaf_mean_curvature,
@@ -41,6 +42,10 @@ __all__ = [
     "RigidityReport",
     "rigidity_criterion",
 ]
+
+# conformally ruled: leaf umbilic and bracket residuals up to these; s-nullity
+# search: relative eigenvalue cluster width, random s-planes tried for s >= 2
+UMBILIC_TOL, BRACKET_TOL, CLUSTER_TOL, RESTARTS = 1e-6, 1e-4, 1e-6, 8
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +66,11 @@ class ConformalSFF:
 
 
 def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
-                  tol: float = DEFAULT_TOL) -> ConformalSFF:
+                  cfg: PipelineConfig | None = None) -> ConformalSFF:
     """Corrected form beta = alpha - <,> eta and the subbundle spanned by
-    beta(Z, X) with Z along the distribution."""
+    beta(Z, X) with Z along the distribution, ranked at 10 `cfg.rank_tol`
+    and swept at `cfg.align_threshold`."""
+    cfg = cfg or PipelineConfig()
     p, n = fund.metric.shape[0], fund.metric.shape[1]
     k = fund.normal_rank
     eta = leaf_mean_curvature(fund, dist)
@@ -71,7 +78,7 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
     # spans of beta(Z_u, E_b) per point
     bz = np.einsum("pau,pabt->ptub", dist.basis, beta).reshape(p, k, -1)
     scale = max(float(np.max(np.abs(fund.alpha))), 1.0)
-    ranks = rank(bz, 10 * tol, scale)
+    ranks = rank(bz, 10 * cfg.rank_tol, scale)
     if ranks.size and ranks.min() != ranks.max():
         raise RankJump(f"corrected-form span rank varies on the grid: {set(ranks.tolist())}")
     ell = int(ranks[0]) if ranks.size else 0
@@ -79,7 +86,8 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
         frames = np.zeros((p, k, 0))
     else:
         gram = np.diag(fund.normal_eps)
-        frames, _, _ = align_frames(bz, gram, fund.jet.chart.shape, tol=tol * 10)
+        frames, _, _ = align_frames(bz, gram, fund.jet.chart.shape, tol=cfg.rank_tol * 10,
+                                    threshold=cfg.align_threshold)
     # containment: values beta(Z, X) must lie in the span (D inside the
     # nullity of the corrected form projected off the span)
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)
@@ -102,18 +110,13 @@ class RuledVerdict:
     bracket_residual_max: float
 
 
-def is_conformally_ruled(
-    fund: FundamentalData,
-    dist: DistributionFrame,
-    umbilic_tol: float = 1e-6,
-    bracket_tol: float = 1e-4,
-) -> RuledVerdict:
+def is_conformally_ruled(fund: FundamentalData, dist: DistributionFrame) -> RuledVerdict:
     """Leaves mapped into affine subspaces or round spheres: umbilic in the
     ambient along an integrable distribution."""
     umb = umbilic_residual(fund, dist)
     br = float(np.max(bracket_residual(fund, dist)))
     return RuledVerdict(
-        ruled=bool(umb <= umbilic_tol and br <= bracket_tol),
+        ruled=bool(umb <= UMBILIC_TOL and br <= BRACKET_TOL),
         umbilic_residual=umb,
         bracket_residual_max=br,
     )
@@ -134,17 +137,17 @@ class NullityReport:
     search_stats: dict = field(default_factory=dict)
 
 
-def _kernel_dim(alpha: np.ndarray, v: np.ndarray, zeta: np.ndarray, cluster_tol: float) -> int:
+def _kernel_dim(alpha: np.ndarray, v: np.ndarray, zeta: np.ndarray) -> int:
     """dim of {X : <alpha(X, Y) - <X,Y> zeta, v_t> = 0 for all Y, t}."""
     n = alpha.shape[0]
     paired = np.einsum("ijc,ct->ijt", alpha, v)
     zv = zeta @ v  # (s,)
     rows = paired - np.eye(n)[:, :, None] * zv[None, None, :]
     floor = max(float(np.max(np.abs(alpha), initial=0.0)), 1e-12)
-    return n - rank(rows.reshape(n, -1).T, cluster_tol, floor)
+    return n - rank(rows.reshape(n, -1).T, CLUSTER_TOL, floor)
 
 
-def _eig_multiplicity(sym: np.ndarray, cluster_tol: float) -> tuple[int, float]:
+def _eig_multiplicity(sym: np.ndarray) -> tuple[int, float]:
     """Largest cluster of eigenvalues within the tolerance; returns (count, center)."""
     vals = np.linalg.eigvalsh(sym)
     scale = max(float(np.max(np.abs(vals))), 1.0)
@@ -152,7 +155,7 @@ def _eig_multiplicity(sym: np.ndarray, cluster_tol: float) -> tuple[int, float]:
     i = 0
     while i < len(vals):
         j = i
-        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= cluster_tol * scale:
+        while j + 1 < len(vals) and vals[j + 1] - vals[i] <= CLUSTER_TOL * scale:
             j += 1
         if j - i + 1 > best:
             best = j - i + 1
@@ -172,9 +175,8 @@ def s_nullity_at(
     alpha: np.ndarray,
     s: int,
     seed: int = 0,
-    restarts: int = 8,
+    restarts: int = RESTARTS,
     samples: int = 128,
-    cluster_tol: float = 1e-6,
 ) -> NullityReport:
     """Conformal s-nullity of a single point from alpha in orthonormal frames.
 
@@ -200,7 +202,7 @@ def s_nullity_at(
             candidates = np.vstack([candidates, np.eye(p)])
         for xi in candidates:
             a_xi = np.einsum("ijc,c->ij", alpha, xi)
-            mult, center = _eig_multiplicity(a_xi, cluster_tol)
+            mult, center = _eig_multiplicity(a_xi)
             stats["evaluations"] += 1
             if mult > best[0]:
                 best = (mult, xi.copy(), center)
@@ -215,9 +217,7 @@ def s_nullity_at(
                     for sgn in (1.0, -1.0):
                         trial = xi + sgn * step * np.eye(p)[d]
                         trial /= np.linalg.norm(trial)
-                        mult, center = _eig_multiplicity(
-                            np.einsum("ijc,c->ij", alpha, trial), cluster_tol
-                        )
+                        mult, center = _eig_multiplicity(np.einsum("ijc,c->ij", alpha, trial))
                         stats["evaluations"] += 1
                         if mult > best[0]:
                             best = (mult, trial.copy(), center)
@@ -231,7 +231,7 @@ def s_nullity_at(
         mult, xi, center = best
         v = xi[:, None]
         zeta = center * xi
-        value = _kernel_dim(alpha, v, zeta, cluster_tol)
+        value = _kernel_dim(alpha, v, zeta)
         return NullityReport(1, value, v, zeta, exact=True, search_stats=stats)
 
     # s >= 2: randomized multi-start over s-planes, candidate vectors from
@@ -244,7 +244,7 @@ def s_nullity_at(
             ax = x @ (x @ alpha)  # alpha(x, x)
             cands.append(v @ (v.T @ ax))
         for zeta in cands:
-            val = _kernel_dim(alpha, v, zeta, cluster_tol)
+            val = _kernel_dim(alpha, v, zeta)
             stats["evaluations"] += 1
             if val > best[0]:
                 best = (val, v.copy(), zeta.copy())
@@ -274,19 +274,13 @@ def s_nullity_at(
         evaluate_plane(v)
     value, v, zeta = best
     # certificate re-evaluation must reproduce the value
-    check = _kernel_dim(alpha, v, zeta, cluster_tol)
+    check = _kernel_dim(alpha, v, zeta)
     stats["certificate_check"] = int(check)
     return NullityReport(s, int(check), v, zeta, exact=False, search_stats=stats)
 
 
-def conformal_s_nullity(
-    fund: FundamentalData,
-    s: int,
-    points=None,
-    seed: int = 0,
-    restarts: int = 8,
-    cluster_tol: float = 1e-6,
-) -> list[tuple[int, NullityReport]]:
+def conformal_s_nullity(fund: FundamentalData, s: int, points=None,
+                        seed: int = 0) -> list[tuple[int, NullityReport]]:
     """Per-point s-nullity reports; `points` defaults to all grid points for
     s = 1 and the chart center otherwise."""
     if any(e != 1 for e in fund.normal_pattern) or any(e != 1 for e in fund.tangent_pattern):
@@ -294,14 +288,7 @@ def conformal_s_nullity(
     npts = fund.metric.shape[0]
     if points is None:
         points = range(npts) if s == 1 else [fund.jet.chart.center_index()]
-    out = []
-    for q in points:
-        rep = s_nullity_at(
-            fund.alpha[q], s, seed=seed * 1_000_003 + int(q), restarts=restarts,
-            cluster_tol=cluster_tol,
-        )
-        out.append((int(q), rep))
-    return out
+    return [(int(q), s_nullity_at(fund.alpha[q], s, seed=seed * 1_000_003 + int(q))) for q in points]
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +322,7 @@ class RigidityReport:
     per_point: list = field(default_factory=list)
 
 
-def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None,
-                       restarts: int = 8) -> RigidityReport:
+def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None) -> RigidityReport:
     """Evaluate the nullity hypotheses of the composition criterion.
 
     Lower bounds are used, so a violated inequality is conclusive while a
@@ -348,7 +334,7 @@ def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None
     nu = {}
     per_point = []
     for s in range(1, p + 1):
-        reports = conformal_s_nullity(fund, s, points=points, seed=seed, restarts=restarts)
+        reports = conformal_s_nullity(fund, s, points=points, seed=seed)
         nu[s] = max(rep.value for _, rep in reports)
         per_point.append((s, [(idx, rep.value) for idx, rep in reports]))
     ok = all(nu[s] <= th["per_s"][s] for s in nu)

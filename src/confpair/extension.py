@@ -39,11 +39,13 @@ from .indefinite_linalg import (
 )
 from .jet3 import Jet3
 from .jets import (
+    IMMERSION_TOL,
     ChartGrid,
     DistributionFrame,
     FundamentalData,
     ImmersionJet,
     ImmersionMap,
+    PipelineConfig,
     align_frames,
     bracket_residual,
     conformal_factor_of_metrics,
@@ -65,6 +67,13 @@ __all__ = [
     "transversality_check",
 ]
 
+# fiber radius: a share of the largest grid extent, halved at most MAX_SHRINK
+# times; FIBER_SAMPLES points per fiber axis
+FIBER_RADIUS_SHARE, MAX_SHRINK, FIBER_SAMPLES = 0.1, 6, 3
+# light-cone slicer: bisection width; slice-metric gap and squared-norm
+# gradient floor, both relative (`transversality_check` shares the floor)
+ROOT_TOL, SLICE_ISOMETRY_TOL, TRANSVERSALITY_TOL = 1e-12, 1e-6, 1e-6
+
 
 # ---------------------------------------------------------------------------
 # the obstruction form and its kernel
@@ -83,15 +92,17 @@ class ObstructionData:
     residuals: dict = field(default_factory=dict)
 
 
-def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float = 1e-9,
-                          align_threshold: float = 0.5) -> ObstructionData:
+def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None) -> ObstructionData:
     """Assemble the obstruction form on frame fields and take its kernel.
 
     The form is tensorial because the bundle component of the argument is
     projected away; numerically it is built from grid derivatives of the
-    tangent and bundle frame fields on both sides.  The kernel and fiber
-    frames are swept with the frame-jump threshold `align_threshold`.
+    tangent and bundle frame fields on both sides.  The kernel is decided at
+    `cfg.fd_tol`, its meets and complements at `cfg.rank_tol`, and the
+    kernel and fiber frames are swept at `cfg.align_threshold`.
     """
+    cfg = cfg or PipelineConfig()
+    tol = cfg.rank_tol
     fl, fr = data.left, data.right
     chart = fl.jet.chart
     p, n = fl.metric.shape[0], fl.metric.shape[1]
@@ -121,7 +132,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     scale = max(float(np.max(np.abs(rows_all))), 1.0)
     pts = np.flatnonzero(data.mask)
     rows = rows_all[pts].reshape(len(pts), -1, n + ell)
-    dims, kers = kernel_stack(rows, fd_tol, scale)
+    dims, kers = kernel_stack(rows, cfg.fd_tol, scale)
     if int(dims.min()) != int(dims.max()):
         raise RankJump(f"obstruction kernel dimension varies: {sorted(set(dims.tolist()))}")
     s_dim = int(dims[0])
@@ -130,7 +141,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     mixed_eps = np.concatenate([np.ones(n), pat])
     delta, _, _ = align_frames(
         delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        threshold=align_threshold,
+        threshold=cfg.align_threshold,
     ) if s_dim else (np.zeros((p, n + ell, 0)), (), 0.0)
 
     # rulings sit inside the kernel; the fiber part is their complement
@@ -148,7 +159,7 @@ def extension_obstruction(data: TransferData, fd_tol: float = 1e-6, tol: float =
     # smooth gauge for the fiber frames: the extension differentiates them
     fibers, _, _ = align_frames(
         fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        threshold=align_threshold,
+        threshold=cfg.align_threshold,
     ) if r_dim else (fiber_spans, (), 0.0)
     residuals = {
         "rulings_inside_kernel": rul_gap,
@@ -231,27 +242,18 @@ def _extended_jet(base: ImmersionJet, fields: np.ndarray, chart_ext: ChartGrid, 
     return ImmersionJet(chart_ext, base.ambient, values, d1, d2, source="assembled")
 
 
-def ruled_extension(
-    obstruction: ObstructionData,
-    radius: float | None = None,
-    samples: int = 3,
-    max_shrink: int = 6,
-    immersion_tol: float = 1e-7,
-) -> ExtensionPair:
+def ruled_extension(obstruction: ObstructionData) -> ExtensionPair:
     """Extend both immersions by straight fibers along the kernel directions.
 
-    The fiber radius starts at a tenth of the grid extent and is halved until
-    both extended maps are immersions on the tube.
+    The fiber radius starts at FIBER_RADIUS_SHARE of the largest grid extent
+    and is halved until both extended maps are immersions on the tube.
     """
     data = obstruction.data
     fl, fr = data.left, data.right
     chart = fl.jet.chart
     n = fl.metric.shape[1]
     r = obstruction.r
-    if radius is None:
-        radius = 0.1 * max(
-            chart.spacing[i] * (chart.shape[i] - 1) for i in range(chart.ndim)
-        )
+    radius = FIBER_RADIUS_SHARE * max(chart.spacing[i] * (chart.shape[i] - 1) for i in range(chart.ndim))
 
     # ambient realizations of the fiber directions on both sides
     fib = obstruction.fibers
@@ -263,28 +265,29 @@ def ruled_extension(
         "pmt,ptu->pmu", lh_amb, fib[:, n:, :]
     )
 
-    for _ in range(max_shrink + 1):
+    for _ in range(MAX_SHRINK + 1):
         chart_ext = chart.with_extra_axes(
-            (samples,) * r, (radius,) * r, (-radius * (samples // 2),) * r
+            (FIBER_SAMPLES,) * r, (radius,) * r, (-radius * (FIBER_SAMPLES // 2),) * r
         )
         jl = _extended_jet(fl.jet, lam_l, chart_ext, r)
         jr = _extended_jet(fr.jet, lam_r, chart_ext, r)
-        if jl.immersion_residual() > immersion_tol and jr.immersion_residual() > immersion_tol:
+        if jl.immersion_residual() > IMMERSION_TOL and jr.immersion_residual() > IMMERSION_TOL:
             return ExtensionPair(jl, jr, fl.jet, fr.jet, lam_l, lam_r, radius, obstruction)
         radius *= 0.5
     raise NotImmersionAtRadius("extension never becomes an immersion while shrinking the fibers")
 
 
-def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
-                     align_threshold: float = 0.5) -> dict:
+def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> dict:
     """Residual report for the extension: isometry, ruledness, splittings,
     the kernel identity, and the compatibility conditions on the tube.
 
     The lifted kernel directions are taken in chart coordinates (base ruling
     components plus the fiber axes), which matches the affine leaves exactly
-    at the zero section and on all the gallery geometries.  Every frame
-    sweep on the tube uses the frame-jump threshold `align_threshold`.
+    at the zero section and on all the gallery geometries.  The tube's
+    fundamental data and kernel identity use `cfg`, and every frame sweep
+    on the tube uses the frame-jump threshold `cfg.align_threshold`.
     """
+    cfg = cfg or PipelineConfig()
     data = pair.obstruction.data
     n = data.left.metric.shape[1]
     r = pair.obstruction.r
@@ -309,8 +312,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
             straight = max(straight, float(np.max(np.abs(second))))
     out["fiber_straightness"] = straight
 
-    fund_l = fundamental_data(pair.left, align_threshold=align_threshold)
-    fund_r = fundamental_data(pair.right, align_threshold=align_threshold)
+    fund_l, fund_r = fundamental_data(pair.left, cfg), fundamental_data(pair.right, cfg)
     gram_l = pair.left.ambient.gram
     gram_r = pair.right.ambient.gram
 
@@ -350,7 +352,7 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
             _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
-            threshold=align_threshold,
+            threshold=cfg.align_threshold,
         )
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The
@@ -361,16 +363,15 @@ def verify_extension(pair: ExtensionPair, fd_tol: float = 1e-6, margin: int = 2,
                                data.transfer_pattern, base_nco)
         lh_tube = _normal_columns(fund_r, lh_amb[base] @ base_co)
     tube = TransferData.from_frames(fund_l, fund_r, lf_tube, lh_tube, pat_tube, lift_frame)
-    out["tube_compatibility"] = verify_compatibility(tube, margin=margin)
+    out["tube_compatibility"] = verify_compatibility(tube)
 
     # kernel identity: the lifted kernel equals the joint nullity against the
     # complements of the tube bundles
     null, ker = joint_nullity([(fund_l.alpha, fund_l.normal_eps, lf_tube),
-                               (fund_r.alpha, fund_r.normal_eps, lh_tube)],
-                              1e-9, fd_tol, 1.0)
-    ker_ranks, ker = by_class(lambda k: span_stack(k, 1e-9), [(null, ker)])
+                               (fund_r.alpha, fund_r.normal_eps, lh_tube)], cfg, 1.0)
+    ker_ranks, ker = by_class(lambda k: span_stack(k, cfg.rank_tol), [(null, ker)])
     # compare in frame coordinates of the tube
-    lift_ranks, lift_span = span_stack(lift_frame, 1e-9)
+    lift_ranks, lift_span = span_stack(lift_frame, cfg.rank_tol)
     out["kernel_identity_gap"] = max(
         float(np.max(gap_stack(ker[idx][:, :, :a], lift_span[idx][:, :, :b])))
         for (a, b), idx in rank_classes(ker_ranks, lift_ranks)
@@ -422,7 +423,7 @@ def _norm_sq_jet(comps: list[Jet3], gram: np.ndarray) -> Jet3:
     return acc
 
 
-def transversality_check(jet: ImmersionJet, threshold: float = 1e-6) -> dict:
+def transversality_check(jet: ImmersionJet) -> dict:
     """Per-point transversality of an immersion to the light cone.
 
     Uses the differential of the squared norm; a vanishing value with a
@@ -433,8 +434,8 @@ def transversality_check(jet: ImmersionJet, threshold: float = 1e-6) -> dict:
     ds = 2.0 * contract("pia,ab,pb->pi", jet.d1, g, jet.values)
     grad_norm = np.linalg.norm(ds, axis=1)
     scale = max(float(np.max(np.abs(jet.values))), 1.0)
-    on_cone = np.abs(s) < threshold * scale
-    transversal = grad_norm > threshold * scale
+    on_cone = np.abs(s) < TRANSVERSALITY_TOL * scale
+    transversal = grad_norm > TRANSVERSALITY_TOL * scale
     return {
         "values": s,
         "gradient_norms": grad_norm,
@@ -450,9 +451,6 @@ def generate_conformal_pair(
     chart: ChartGrid,
     axis: int = 0,
     branch: int = 0,
-    root_tol: float = 1e-12,
-    isometry_tol: float = 1e-6,
-    transversality_threshold: float = 1e-6,
 ) -> SliceData:
     """Slice a Lorentz embedding with the light cone and read off the pair.
 
@@ -538,7 +536,7 @@ def generate_conformal_pair(
         hi = np.where(left_mask, mid, hi)
         lo = np.where(left_mask, lo, mid)
         s_lo = np.where(left_mask, s_lo, s_mid)
-        if float(np.max(hi - lo)) < root_tol:
+        if float(np.max(hi - lo)) < ROOT_TOL:
             break
     roots = 0.5 * (lo + hi)
     for _ in range(4):
@@ -554,9 +552,9 @@ def generate_conformal_pair(
         raise NoIntersection("root polishing failed to land on the zero set")
     grad_norm = np.linalg.norm(sj.g, axis=1)
     axis_deriv = np.abs(sj.g[:, axis])
-    if np.any(grad_norm < transversality_threshold * scale):
+    if np.any(grad_norm < TRANSVERSALITY_TOL * scale):
         raise NotTransversal("zero set touched with vanishing gradient")
-    if np.any(axis_deriv < transversality_threshold * scale):
+    if np.any(axis_deriv < TRANSVERSALITY_TOL * scale):
         raise NotTransversal("zero set is not a graph over the scan axis")
 
     # implicit jets of the root function t(u)
@@ -600,7 +598,7 @@ def generate_conformal_pair(
     g_left = induced_metric(left_slice)
     g_lift = induced_metric(lifted_slice)
     slice_gap = float(np.max(np.abs(g_left - g_lift)))
-    if slice_gap > isometry_tol * max(float(np.max(np.abs(g_left))), 1.0):
+    if slice_gap > SLICE_ISOMETRY_TOL * max(float(np.max(np.abs(g_left))), 1.0):
         raise NotIsometricPair(
             f"restrictions induce different slice metrics: residual {slice_gap:.3e}"
         )

@@ -23,6 +23,7 @@ from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, span_stack
 from .regions import bfs_levels
 
 __all__ = [
+    "PipelineConfig",
     "ChartGrid",
     "ImmersionJet",
     "ImmersionMap",
@@ -41,6 +42,16 @@ __all__ = [
     "umbilic_residual",
     "gauss_equation_residual",
 ]
+
+
+@dataclass
+class PipelineConfig:
+    """The run-level numbers, which every layer takes and reports record."""
+    rank_tol: float = DEFAULT_TOL
+    fd_tol: float = 1e-6
+    align_threshold: float = 0.75
+    conformal_tol: float = 1e-6
+    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +168,10 @@ def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
 # ---------------------------------------------------------------------------
 
 
-# points whose Gram-eigenvalue ratio exceeds this skip the SVD of the
-# immersion residual; see `ImmersionJet.immersion_residual`
-IMMERSION_SCREEN = 1e-3
+# an immersion keeps its residual (sigma_n / sigma_1) above IMMERSION_TOL;
+# points whose Gram-eigenvalue ratio exceeds IMMERSION_SCREEN skip the SVD of
+# the residual, see `ImmersionJet.immersion_residual`
+IMMERSION_TOL, IMMERSION_SCREEN = 1e-7, 1e-3
 
 
 @dataclass
@@ -233,8 +245,8 @@ class ImmersionJet:
         even for c u = 1e-12, and that ratio is the point's residual.  Every
         other point (ratio at or below the screen, not finite, or
         lam_max <= 0) gets its exact SVD ratio.  The residual is compared
-        only with tolerances of 1e-7, four decades below the screen, so each
-        decision is the one the SVD ratios of all points give.
+        only with IMMERSION_TOL = 1e-7, four decades below the screen, so
+        each decision is the one the SVD ratios of all points give.
         """
         if self._residual is None:
             d1 = self.d1
@@ -249,8 +261,8 @@ class ImmersionJet:
             self._residual = float(np.min(ratio))
         return self._residual
 
-    def require_immersion(self, tol: float = 1e-7):
-        if self.immersion_residual() <= tol:
+    def require_immersion(self):
+        if self.immersion_residual() <= IMMERSION_TOL:
             raise NotImmersion("differential drops rank on the chart grid")
 
 
@@ -298,9 +310,9 @@ class ImmersionMap:
         return self.factor_fn(xs)
 
 
-def induced_metric(jet: ImmersionJet, tol: float = 1e-7) -> np.ndarray:
+def induced_metric(jet: ImmersionJet) -> np.ndarray:
     """Per-point Gram matrices of the first partials, (P, n, n)."""
-    jet.require_immersion(tol)
+    jet.require_immersion()
     return contract("pia,ab,pjb->pij", jet.d1, jet.ambient.gram, jet.d1)
 
 
@@ -446,7 +458,8 @@ def align_frames(
     mask: np.ndarray | None = None,
     seed: int | None = None,
     tol: float = DEFAULT_TOL,
-    threshold: float = 0.5,
+    *,
+    threshold: float,
 ):
     """Sweep-aligned pseudo-orthonormal frames of a pointwise subbundle.
 
@@ -531,15 +544,12 @@ class FundamentalData:
         return np.einsum("pat,p...t->p...a", self.normal_frame, coords)
 
 
-def fundamental_data(
-    jet: ImmersionJet,
-    tol: float = DEFAULT_TOL,
-    align_threshold: float = 0.5,
-    immersion_tol: float = 1e-7,
-) -> FundamentalData:
-    """Metric, frames, second fundamental form and normal connection of a jet."""
+def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> FundamentalData:
+    """Metric, frames, second fundamental form and normal connection of a jet;
+    the normal frames are swept at `cfg.rank_tol` and `cfg.align_threshold`."""
+    cfg = cfg or PipelineConfig()
     g_amb = jet.ambient.gram
-    metric = induced_metric(jet, immersion_tol)
+    metric = induced_metric(jet)
     p, n, m = jet.chart.npoints, jet.n, jet.m
 
     vals = np.linalg.eigvalsh(metric)
@@ -578,7 +588,7 @@ def fundamental_data(
         levels = bfs_levels(jet.chart.shape, mask)
         seed_span = np.linalg.svd(rows[levels[0][0][0]])[2][n:].T  # the gauge of the frames
         normal_frame, normal_pattern, max_step = _sweep(
-            levels, mask, np.full(p, k), bases, seed_span, g_amb, tol, align_threshold
+            levels, mask, np.full(p, k), bases, seed_span, g_amb, cfg.rank_tol, cfg.align_threshold
         )
 
     # second fundamental form: normal component of the coordinate second partials

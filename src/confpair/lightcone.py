@@ -27,6 +27,7 @@ from .jets import (
     ChartGrid,
     FundamentalData,
     ImmersionJet,
+    PipelineConfig,
     christoffel,
     conformal_factor_of_metrics,
     coordinate_distribution,
@@ -47,6 +48,10 @@ __all__ = [
     "SffTransferData",
     "sff_transfer_check",
 ]
+
+# a cone-valued map pairs with the null generator above RAY_TOL; the lift of
+# a transfer check has umbilic leaves up to LIFT_UMBILIC_TOL
+RAY_TOL, LIFT_UMBILIC_TOL = 1e-9, 1e-4
 
 
 @dataclass(frozen=True)
@@ -167,14 +172,16 @@ def isometric_representative(
     jet: ImmersionJet,
     base_metric: np.ndarray,
     factor: Jet3 | None = None,
-    tol: float = 1e-6,
+    cfg: PipelineConfig | None = None,
 ):
     """Rescaled cone lift of a conformal immersion, isometric for `base_metric`.
 
     Returns (lifted jet, factor jets).  The conformal factor relating the
-    immersion's metric to the base is computed pointwise; its derivatives
-    come from grid stencils unless closed-form `factor` jets are supplied.
+    immersion's metric to the base is computed pointwise, and checked at
+    `cfg.conformal_tol`; its derivatives come from grid stencils unless
+    closed-form `factor` jets are supplied.
     """
+    tol = (cfg or PipelineConfig()).conformal_tol
     phi, _ = conformal_factor_of_metrics(base_metric, induced_metric(jet), tol)
     if factor is None:
         factor = scalar_jet(phi, jet.chart)
@@ -190,7 +197,7 @@ def isometric_representative(
     return out, factor
 
 
-def cone_projection(jet: ImmersionJet, tol: float = 1e-9) -> ImmersionJet:
+def cone_projection(jet: ImmersionJet) -> ImmersionJet:
     """Euclidean representative of a cone-valued immersion.
 
     The rescaling <g,e0>^{-1} g lands on the isometric copy of R^N inside
@@ -198,7 +205,7 @@ def cone_projection(jet: ImmersionJet, tol: float = 1e-9) -> ImmersionJet:
     """
     model = LightConeModel.for_ambient(jet.ambient)
     s = _pair_with(jet, model.e0)
-    if np.any(s.v <= tol):
+    if np.any(s.v <= RAY_TOL):
         raise OnExceptionalRay("pairing with the null generator is not positive on the grid")
     w = scale_jet(jet, s.reciprocal())
     ambient = ScalarProduct.euclidean(model.n_euclidean)
@@ -270,8 +277,7 @@ def sff_transfer_check(
     base: ImmersionJet,
     ruling_axes: list[int],
     factor: Jet3 | None = None,
-    umbilic_tol: float = 1e-4,
-    align_threshold: float = 0.5,
+    cfg: PipelineConfig | None = None,
 ) -> SffTransferData:
     """Compare the cone lift's second fundamental form with its prediction.
 
@@ -279,22 +285,22 @@ def sff_transfer_check(
     jets of the conformal immersion `fund.jet`, its fundamental data `fund`,
     plus the Hessian of the factor in the metric of the isometric partner
     jet `base`.  `ruling_axes` selects chart axes spanning the ruling
-    distribution.  The lift's frames are swept with the frame-jump
-    threshold `align_threshold`.
+    distribution.  The lift is built, and its fundamental data swept, at
+    the run's `cfg`.
     """
     jet = fund.jet
     base_metric = induced_metric(base)
     gamma = christoffel(base, base_metric)
-    lift, factor = isometric_representative(jet, base_metric, factor)
+    lift, factor = isometric_representative(jet, base_metric, factor, cfg)
     model = LightConeModel(jet.ambient.dim)
-    fund_lift = fundamental_data(lift, align_threshold=align_threshold)
+    fund_lift = fundamental_data(lift, cfg)
 
     dist_conformal = coordinate_distribution(fund, ruling_axes)
     dist_lift = coordinate_distribution(fund_lift, ruling_axes)
 
     # conformally-ruled precondition for the lift: umbilic leaves
     umb = umbilic_residual(fund_lift, dist_lift)
-    if umb > umbilic_tol:
+    if umb > LIFT_UMBILIC_TOL:
         raise NotConformallyRuled(f"lift is not umbilic along the rulings: residual {umb:.3e}")
 
     # The dictionary is written for the factor relating the conformal metric

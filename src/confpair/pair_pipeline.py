@@ -51,12 +51,12 @@ from .indefinite_linalg import (
     signature,
     span_stack,
 )
-from .jets import FundamentalData, ImmersionJet, align_frames, fundamental_data, grid_derivative
+from .jets import (FundamentalData, ImmersionJet, PipelineConfig, align_frames, fundamental_data,
+                   grid_derivative)
 from .lightcone import LightConeModel
 from .regions import interior_mask, label_regions, pack_profile
 
 __all__ = [
-    "PipelineConfig",
     "JointNormalSpace",
     "TransferData",
     "RegionState",
@@ -70,16 +70,8 @@ __all__ = [
 ]
 
 
-@dataclass
-class PipelineConfig:
-    rank_tol: float = 1e-9
-    fd_tol: float = 1e-6
-    align_threshold: float = 0.75
-    conformal_tol: float = 1e-6
-    seed: int = 0
-
-
 MAX_REFINEMENTS = 4  # re-splits of one candidate region before SplitFailure
+INTERIOR_MARGIN = 2  # grid steps between the mask's edge and derivative-based residuals
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +99,7 @@ class JointNormalSpace:
 def build_joint(jf, jg, cfg: PipelineConfig | None = None) -> JointNormalSpace:
     """Assemble the joint normal space of an isometric pair."""
     cfg = cfg or PipelineConfig()
-    fl, fr = (j if isinstance(j, FundamentalData)
-              else fundamental_data(j, tol=cfg.rank_tol, align_threshold=cfg.align_threshold)
-              for j in (jf, jg))
+    fl, fr = (j if isinstance(j, FundamentalData) else fundamental_data(j, cfg) for j in (jf, jg))
     diff = fl.metric - fr.metric
     scale = max(float(np.max(np.abs(fl.metric))), 1e-300)
     resid = float(np.max(np.abs(diff))) / scale
@@ -166,20 +156,21 @@ def _pairing_rows(sides) -> np.ndarray:
     ], axis=1)
 
 
-def joint_nullity(sides, tol: float, fd_tol: float, floor: float):
+def joint_nullity(sides, cfg: PipelineConfig, floor: float):
     """Directions killing each form of `sides` on the diag(eps)-complement
     of its frames: (nullities (B,), padded bases (B, n, n)).
 
-    The complements are decided at `tol`, the kernel at `fd_tol` and `floor`.
+    The complements are decided at `cfg.rank_tol`, the kernel at
+    `cfg.fd_tol` and `floor`.
     """
     b, n = len(sides[0][2]), sides[0][0].shape[1]
-    perps = [complement_stack(frames, np.tile(np.eye(len(eps)), (b, 1, 1)), eps, tol)
+    perps = [complement_stack(frames, np.tile(np.eye(len(eps)), (b, 1, 1)), eps, cfg.rank_tol)
              for _, eps, frames in sides]
     null, basis = np.zeros(b, dtype=int), np.zeros((b, n, n))
     for widths, idx in rank_classes(*(ranks for ranks, _ in perps)):
         rows = _pairing_rows([(alpha[idx], eps, perp[idx][:, :, :w])
                               for (alpha, eps, _), (_, perp), w in zip(sides, perps, widths)])
-        null[idx], basis[idx] = kernel_stack(rows, fd_tol, floor)
+        null[idx], basis[idx] = kernel_stack(rows, cfg.fd_tol, floor)
     return null, basis
 
 
@@ -561,14 +552,14 @@ def _rulings(reg: _Region) -> dict:
         "pts,psu->ptu", reg.arrays["identification"], reg.arrays["transfer_bundle"]
     )
     sides = reg.sides(reg.at["transfer_bundle"], reg.arrays["transfer_bundle_right"][reg.pts])
-    return {"rulings": joint_nullity(sides, reg.cfg.rank_tol, reg.cfg.fd_tol, reg.a_scale)}
+    return {"rulings": joint_nullity(sides, reg.cfg, reg.a_scale)}
 
 
 def _tails(reg: _Region):
     """The nullity identity for the private part, and the rank of the span
     of the private forms for the bound dim theta >= n - rank."""
     sides = reg.sides(reg.at["shared_span"], reg.hat_frames[reg.pts])
-    null, ker = joint_nullity(sides, reg.cfg.rank_tol, reg.cfg.fd_tol, reg.a_scale)
+    null, ker = joint_nullity(sides, reg.cfg, reg.a_scale)
     theta = reg.at["theta"]
     reg.residuals["theta_identity_gap"] = max_by_class(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
     b, n = len(reg.pts), reg.n
@@ -757,11 +748,13 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def verify_compatibility(data: TransferData, margin: int = 2) -> dict:
+def verify_compatibility(data: TransferData) -> dict:
     """Residuals of the two structural conditions for a transfer pair.
 
     (i) the transfer isometry is parallel and preserves second fundamental
-    forms; (ii) the transfer bundles are parallel along the rulings.
+    forms; (ii) the transfer bundles are parallel along the rulings.  Also
+    `transfer_isometry`, max |lh^T diag(eps_r) lh - lf^T diag(eps_l) lf| over
+    the mask: both frames must carry the same metric, reported, not gated.
     Derivative-based residuals are evaluated on the interior of the mask.
     The pair pipeline's regions and the ruled extension's tube both go
     through this check.
@@ -770,7 +763,7 @@ def verify_compatibility(data: TransferData, margin: int = 2) -> dict:
     chart = fund_l.jet.chart
     eps_l, eps_r = fund_l.normal_eps, fund_r.normal_eps
     n = fund_l.metric.shape[1]
-    inner = interior_mask(chart.shape, data.mask, margin)
+    inner = interior_mask(chart.shape, data.mask, INTERIOR_MARGIN)
     if not inner.any():
         inner = data.mask
     ipts = np.flatnonzero(inner)
@@ -779,6 +772,7 @@ def verify_compatibility(data: TransferData, margin: int = 2) -> dict:
     out = {"interior_points": int(ipts.size)}
     if data.ell == 0:
         out.update({
+            "transfer_isometry": 0.0,
             "transfer_preserves_sff": 0.0,
             "transfer_parallel": 0.0,
             "bundle_parallel_along_rulings": 0.0,
@@ -786,6 +780,8 @@ def verify_compatibility(data: TransferData, margin: int = 2) -> dict:
         return out
 
     lf, lh = data.transfer_bundle, data.transfer_bundle_right
+    gap = _t(lh) @ (lh * eps_r[:, None]) - _t(lf) @ (lf * eps_l[:, None])
+    out["transfer_isometry"] = float(np.max(np.abs(gap[pts])))
     identification, rulings = data.identification, data.rulings
 
     def proj_onto(frames, eps, vecs):

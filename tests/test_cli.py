@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -8,7 +9,7 @@ from confpair import cli, extension, jets, lightcone
 from confpair.cli import main, run_manifest
 from confpair.errors import ManifestError, RankJump
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, catalog, default_chart
-from confpair.pair_pipeline import PipelineConfig
+from confpair.jets import PipelineConfig
 
 
 def test_catalog_has_at_least_eight_entries():
@@ -251,15 +252,30 @@ def test_extend_refuses_a_pair_that_splits_into_regions(tmp_path, capsys):
     assert "analysis error: RankJump" in capsys.readouterr().err
 
 
+def run_config(monkeypatch, name: str, **options) -> PipelineConfig:
+    """Run a gallery manifest, which must pass, and return the run's config."""
+    doc = json.loads(json.dumps(MANIFESTS[name]))
+    seen = []
+    real = cli._RUNNERS[doc["analysis"]]
+
+    def runner(doc, cfg):
+        seen.append(cfg)
+        return real(doc, cfg)
+
+    monkeypatch.setitem(cli._RUNNERS, doc["analysis"], runner)
+    assert run_manifest(doc, **options)[1] == 0
+    return seen[-1]
+
+
 def spy_fundamental_data(monkeypatch, *modules):
-    """(jet, align_threshold) of every `fundamental_data` call made through
-    the given modules' imported names."""
+    """(jet, cfg) of every `fundamental_data` call made through the given
+    modules' imported names."""
     calls = []
     real = jets.fundamental_data
 
-    def spy(jet, *args, **kwargs):
-        calls.append((jet, kwargs.get("align_threshold")))
-        return real(jet, *args, **kwargs)
+    def spy(jet, cfg=None):
+        calls.append((jet, cfg))
+        return real(jet, cfg)
 
     for module in modules:
         monkeypatch.setattr(module, "fundamental_data", spy)
@@ -268,17 +284,17 @@ def spy_fundamental_data(monkeypatch, *modules):
 
 def test_transfer_manifest_builds_fundamental_data_once_per_jet(monkeypatch):
     calls = spy_fundamental_data(monkeypatch, cli, lightcone)
-    run_manifest(json.loads(json.dumps(MANIFESTS["cylinder-inversion-transfer"])))
-    # the run's own jet and its cone lift, both swept at the run's threshold
+    cfg = run_config(monkeypatch, "cylinder-inversion-transfer")
+    # the run's own jet and its cone lift, both built with the run's config
     assert len(calls) == 2
     assert calls[0][0] is not calls[1][0]
-    assert [threshold for _, threshold in calls] == [PipelineConfig.align_threshold] * 2
+    assert all(given is cfg for _, given in calls)
 
 
 def test_extend_manifest_verifies_at_the_run_frame_jump_threshold(monkeypatch):
     calls = spy_fundamental_data(monkeypatch, extension)
-    run_manifest(json.loads(json.dumps(MANIFESTS["flat-extension"])))
-    assert [threshold for _, threshold in calls] == [PipelineConfig.align_threshold] * 2
+    cfg = run_config(monkeypatch, "flat-extension")
+    assert len(calls) == 2 and all(given is cfg for _, given in calls)
 
 
 def test_obstruction_sweeps_at_the_run_frame_jump_threshold(monkeypatch):
@@ -288,14 +304,46 @@ def test_obstruction_sweeps_at_the_run_frame_jump_threshold(monkeypatch):
     real = jets.align_frames
 
     def spy(*args, **kwargs):
-        thresholds.append(kwargs.get("threshold"))
+        thresholds.append(kwargs["threshold"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(extension, "align_frames", spy)
-    run_manifest(json.loads(json.dumps(MANIFESTS["flat-pair"])))
-    assert thresholds == [PipelineConfig.align_threshold]
-    run_manifest(json.loads(json.dumps(MANIFESTS["flat-extension"])))
-    assert thresholds == [PipelineConfig.align_threshold] * 3
+    cfg = run_config(monkeypatch, "flat-pair")
+    assert thresholds == [cfg.align_threshold]
+    cfg = run_config(monkeypatch, "flat-extension")
+    assert thresholds == [cfg.align_threshold] * 3
+
+
+def recording_rank_tol(real, seen: list):
+    """`real`, recording the rank tolerance of each call: its `tol`
+    argument, or the `rank_tol` of the config it is given."""
+    signature = inspect.signature(real)
+
+    def spy(*args, **kwargs):
+        given = signature.bind(*args, **kwargs)
+        given.apply_defaults()
+        args_ = given.arguments
+        seen.append(args_["tol"] if "tol" in args_ else (args_["cfg"] or PipelineConfig()).rank_tol)
+        return real(*args, **kwargs)
+
+    return spy
+
+
+@pytest.mark.parametrize("name", ["flat-extension", "degenerate-extension",
+                                  "cylinder-inversion-transfer"])
+def test_tolerance_reaches_the_extension_and_the_transfer_check(monkeypatch, name):
+    # no rank decision of the obstruction, the tube or the cone lift keeps
+    # the default 1e-9 (or its tenfold 1e-8) when the run asks for 2e-9;
+    # the tube's 1e-7 gates are fixed literals for now
+    seen = []
+    for module in (extension, lightcone):
+        for fname in ("kernel_stack", "span_stack", "complement_stack", "align_frames",
+                      "fundamental_data"):
+            if hasattr(module, fname):
+                monkeypatch.setattr(module, fname, recording_rank_tol(getattr(module, fname), seen))
+    cfg = run_config(monkeypatch, name, tolerance=2e-9)
+    assert [tol for tol in seen if tol in (1e-9, 1e-8)] == []
+    assert cfg.rank_tol in seen
 
 
 @pytest.mark.parametrize("name, axes, ruled", [

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
+from confpair import conformal_calc, jet3
 from confpair.conformal_calc import (
     conformal_s_nullity,
     conformal_sff,
@@ -12,7 +12,8 @@ from confpair.conformal_calc import (
 )
 from confpair.errors import HypothesisOutOfRange
 from confpair.indefinite_linalg import ScalarProduct
-from confpair.jets import ChartGrid, ImmersionJet, coordinate_distribution, fundamental_data
+from confpair.jets import (ChartGrid, ImmersionJet, PipelineConfig, coordinate_distribution,
+                           fundamental_data)
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
@@ -76,6 +77,26 @@ def test_conformal_sff_vanishes_for_affine_and_umbilic():
     csff = conformal_sff(fund, full)
     assert csff.ell == 0  # umbilic: alpha = <,> eta exactly
     assert np.max(np.abs(csff.beta)) < 1e-9
+
+
+def test_conformal_sff_ranks_and_sweeps_at_its_config(monkeypatch):
+    sweeps = []
+    real = conformal_calc.align_frames
+
+    def spy(*args, **kwargs):
+        sweeps.append(kwargs)
+        return real(*args, **kwargs)
+
+    def graph(xs):
+        x1, x2, x3 = xs
+        return [x1, x2, x3, 0.5 * x1 * x1 + x2 * x3, x1 * x2 + 1.5 * x3 * x3 + 0.3 * x1 ** 3]
+
+    monkeypatch.setattr(conformal_calc, "align_frames", spy)
+    grid = ChartGrid((5, 5, 5), (0.03,) * 3, (0.2, 0.3, 0.1))
+    fund = fundamental_data(ImmersionJet.from_function(graph, grid, ScalarProduct.euclidean(5)))
+    cfg = PipelineConfig(rank_tol=2e-9, align_threshold=0.6)
+    assert conformal_sff(fund, coordinate_distribution(fund, [0]), cfg).ell == 2
+    assert sweeps == [{"tol": pytest.approx(2e-8), "threshold": 0.6}]
 
 
 def test_conformal_sff_on_cone_rulings():
@@ -148,7 +169,7 @@ def test_nullity_certificate_reproduces_value():
     rep = s_nullity_at(alpha, 2, seed=5)
     from confpair.conformal_calc import _kernel_dim
 
-    assert _kernel_dim(alpha, rep.certificate_subspace, rep.certificate_vector, 1e-6) == rep.value
+    assert _kernel_dim(alpha, rep.certificate_subspace, rep.certificate_vector) == rep.value
 
 
 def test_nullity_s2_finds_planted_joint_eigenspace():
@@ -208,6 +229,6 @@ def test_random_direction_never_beats_the_sweep_for_s_equal_one():
         for _ in range(200):
             xi = rng.normal(size=2)
             xi /= np.linalg.norm(xi)
-            mult, _ = _eig_multiplicity(np.einsum("ijc,c->ij", alpha, xi), 1e-6)
+            mult, _ = _eig_multiplicity(np.einsum("ijc,c->ij", alpha, xi))
             best_random = max(best_random, mult)
         assert best_random <= rep.value

@@ -220,9 +220,6 @@ def test_tube_branch_transports_frames_along_a_fibre():
     assert report["kernel_identity_gap"] <= 1e-8
 
 
-@pytest.mark.xfail(strict=True, reason="tube blind spot: the transport of a scrambled right "
-                   "transfer frame lands in the tube tangent space, the right tube frame "
-                   "vanishes, and both sides of every tube residual read near zero")
 def test_tube_compatibility_sees_a_scrambled_right_transfer_frame():
     # negative control: swap the two right transfer columns after the
     # extension is built, so that the identification is no longer parallel

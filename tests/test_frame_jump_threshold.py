@@ -1,6 +1,7 @@
-"""One frame-jump threshold per run: every `fundamental_data` call in confpair
-names its `align_threshold=`, so no library path falls back to the 0.5
-default while the run sweeps at `PipelineConfig.align_threshold`."""
+"""One home per run-level number: every call in confpair of a function that
+takes the run's `PipelineConfig` passes it, and every `align_frames` call
+names its `threshold=`, so no library path falls back to a default while the
+run decides ranks and sweeps frames at the numbers of its own config."""
 
 import ast
 from pathlib import Path
@@ -8,32 +9,60 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "confpair"
 
 
-def calls_without_threshold(source: str, filename: str = "<source>") -> list[str]:
-    """`file:line` of each call of `fundamental_data` (by name or as an
-    attribute) with no `align_threshold=` keyword."""
+def _name(call: ast.Call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def config_positions(trees) -> dict[str, int]:
+    """The positional index of `cfg` in every top-level function that takes it."""
+    out = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                params = [a.arg for a in node.args.posonlyargs + node.args.args]
+                if "cfg" in params:
+                    out[node.name] = params.index("cfg")
+    return out
+
+
+def calls_without_config(sources: dict[str, str]) -> list[str]:
+    """`file:line` of each call, by name or as an attribute, of a function
+    that takes `cfg` and is not given it, and of each `align_frames` call
+    with no `threshold=` keyword."""
+    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    takers = config_positions(trees.values())
     found = []
-    for node in ast.walk(ast.parse(source, filename=filename)):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name == "fundamental_data" and not any(k.arg == "align_threshold" for k in node.keywords):
-            found.append(f"{Path(filename).name}:{node.lineno}")
+    for filename, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name, keys = _name(node), {k.arg for k in node.keywords}
+            if name == "align_frames":
+                missing = "threshold" not in keys
+            elif name in takers:
+                missing = "cfg" not in keys and len(node.args) <= takers[name]
+            else:
+                continue
+            if missing:
+                found.append(f"{Path(filename).name}:{node.lineno}")
     return found
 
 
-def test_every_fundamental_data_call_names_its_frame_jump_threshold():
-    found = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        found += calls_without_threshold(path.read_text(), str(path))
-    assert found == []
+def test_every_call_passes_the_run_config_and_every_sweep_its_threshold():
+    sources = {str(path): path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert calls_without_config(sources) == []
 
 
 def test_call_without_threshold_is_flagged():
     source = (
+        "def fundamental_data(jet, cfg=None):\n"
+        "    return jet\n"
         "a = fundamental_data(jet)\n"
-        "b = fundamental_data(jet, tol=t, align_threshold=cfg.align_threshold)\n"
-        "c = jets.fundamental_data(jet, tol=t)\n"
-        "d = align_frames(spans, gram, shape)\n"
+        "b = fundamental_data(jet, cfg)\n"
+        "c = jets.fundamental_data(jet)\n"
+        "d = fundamental_data(jet, cfg=cfg)\n"
+        "e = align_frames(spans, gram, shape, tol=t)\n"
+        "f = align_frames(spans, gram, shape, threshold=cfg.align_threshold)\n"
     )
-    assert calls_without_threshold(source) == ["<source>:1", "<source>:3"]
+    assert calls_without_config({"<source>": source}) == ["<source>:3", "<source>:5", "<source>:7"]

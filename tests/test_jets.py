@@ -311,7 +311,7 @@ def _fit_one(candidate, fiber, gram, pattern, tol):
     return frame
 
 
-def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, threshold=0.5):
+def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, *, threshold):
     """The point-by-point sweep in BFS order: the oracle for align_frames."""
     npts = spans.shape[0]
     mask = np.ones(npts, dtype=bool) if mask is None else mask
@@ -386,14 +386,14 @@ def assert_same_alignment(spans, gram, shape, **kw):
 def test_align_frames_matches_sweep_on_definite_normal_bundle():
     chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
     jet = gallery.pad(gallery.sphere(2), extra=2).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
     assert pattern == (1, 1, 1)
 
 
 def test_align_frames_matches_sweep_on_mixed_pattern():
     chart = ChartGrid((8, 9), (0.03, 0.03), (0.9, 0.4))
     jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
     assert -1 in pattern and 1 in pattern
 
 
@@ -427,7 +427,7 @@ def test_align_frames_matches_sweep_on_masked_seeded_region():
     assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape,
                           mask=mask, seed=seed, threshold=0.6)
     frames, _, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape,
-                                mask=mask, seed=seed)
+                                mask=mask, seed=seed, threshold=0.6)
     assert not frames[~mask].any()
 
 
@@ -444,7 +444,7 @@ def test_swept_frames_commute_with_ambient_isometries():
         iso = iso + term
     assert np.max(np.abs(iso.T @ gram @ iso - gram)) <= 1e-14
     assert 1.5 <= np.max(np.abs(iso)) <= 2.0
-    frames, pattern, _ = align_frames(spans, gram, chart.shape)
+    frames, pattern, _ = align_frames(spans, gram, chart.shape, threshold=0.5)
     # the jump gate still measures Euclidean steps, which L stretches: it is
     # not isometry-invariant yet, so a loose threshold keeps it out of the way
     moved, moved_pattern, _ = align_frames(iso @ spans, gram, chart.shape, threshold=10.0)
@@ -478,11 +478,11 @@ def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
     # a 3-point line seeded in the middle: one level holds points 0 and 2
     spans = np.array(spans).transpose(0, 2, 1)
     with pytest.raises(FrameAlignmentFailure) as ref:
-        sequential_align(spans, gram, (3,), seed=1)
+        sequential_align(spans, gram, (3,), seed=1, threshold=0.5)
     assert str(ref.value).startswith(first)
     with np.errstate(all="raise"):  # later points of the level stay silent
         with pytest.raises(FrameAlignmentFailure, match=str(ref.value)):
-            align_frames(spans, gram, (3,), seed=1)
+            align_frames(spans, gram, (3,), seed=1, threshold=0.5)
 
 
 def test_sweep_failure_names_its_flat_grid_index():
@@ -492,7 +492,7 @@ def test_sweep_failure_names_its_flat_grid_index():
     assert bfs_levels((3, 3), np.ones(9, dtype=bool), 4)[1][0].tolist() == [1, 7, 3, 5]
     with pytest.raises(FrameAlignmentFailure,
                        match=r"^frame jump \S+ exceeds threshold 0\.5 at grid point 7$"):
-        align_frames(spans, np.eye(3), (3, 3), seed=4)
+        align_frames(spans, np.eye(3), (3, 3), seed=4, threshold=0.5)
 
 
 def test_null_one_dimensional_fiber_cannot_seed_a_frame():
@@ -504,7 +504,7 @@ def test_null_one_dimensional_fiber_cannot_seed_a_frame():
     b = b[:, :count]
     assert abs((b.T @ gram @ b).item()) < 1e-15
     with pytest.raises(FrameAlignmentFailure, match="degenerate fiber: cannot seed a frame"):
-        align_frames(span, gram, (1,))
+        align_frames(span, gram, (1,), threshold=0.5)
 
 
 @pytest.mark.parametrize("imap", [gallery.pad(gallery.plane(2, 1)),
@@ -540,7 +540,7 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
         return span_stack(vectors, *args, **kwargs)
 
     monkeypatch.setattr(jets, "span_stack", counted)
-    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape)
+    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
     assert len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))) == 199
     # one stacked call for every fiber; the seed frame's own span is the only other
     assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]

@@ -4,10 +4,9 @@ import pytest
 from confpair import jet3, jets, pair_pipeline
 from confpair.errors import HypothesisOutOfRange, NotIsometricPair, SplitFailure
 from confpair.indefinite_linalg import ScalarProduct
-from confpair.jets import ChartGrid, ImmersionJet, induced_metric
+from confpair.jets import ChartGrid, ImmersionJet, PipelineConfig, induced_metric
 from confpair.lightcone import isometric_representative
 from confpair.pair_pipeline import (
-    PipelineConfig,
     analyze_pair,
     build_joint,
     degeneracy_test,
@@ -308,16 +307,17 @@ def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
 
 
 def test_build_joint_passes_the_config_frame_jump_threshold(monkeypatch):
-    thresholds = []
+    given = []
     real = jets.fundamental_data
 
-    def spy(jet, *args, **kwargs):
-        thresholds.append(kwargs.get("align_threshold"))
-        return real(jet, *args, **kwargs)
+    def spy(jet, cfg=None):
+        given.append(cfg)
+        return real(jet, cfg)
 
     monkeypatch.setattr(pair_pipeline, "fundamental_data", spy)
-    build_joint(*congruent_pair(), PipelineConfig(align_threshold=0.6))
-    assert thresholds == [0.6, 0.6]
+    cfg = PipelineConfig(align_threshold=0.6)
+    build_joint(*congruent_pair(), cfg)
+    assert len(given) == 2 and all(c is cfg for c in given)
 
 
 def count_pipeline_linalg(monkeypatch, jf, jg):

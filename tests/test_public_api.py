@@ -88,3 +88,67 @@ def test_dead_function_is_flagged(tmp_path):
     (tests / "test_a.py").write_text("import a\nfrom a import used\nfrom b import show\n\n"
                                      "assert a.used() == 1\n")
     assert unreferenced_public_names(package, tests) == ["a.dead"]
+
+
+def _passed(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether a call passes a parameter: by keyword, by a `**kw` (which
+    counts as every keyword), or at its position, a `*args` included."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unset_defaults(package: Path, tests: Path, skip: tuple[str, ...] = ()) -> list[str]:
+    """`module.function.parameter` of each parameter with a default, on a
+    public top-level function of the package outside the `skip` modules,
+    that no call in the package or the tests passes.  A call is matched by
+    the name it uses, bare or as an attribute."""
+    files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    calls: dict[str, list[ast.Call]] = {}
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem in skip:
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            found += [f"{path.stem}.{node.name}.{name}" for index, name in defaulted
+                      if not any(_passed(c, index, name) for c in calls.get(node.name, []))]
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    # gallery factories are left out: manifests set their parameters
+    # through `GALLERY[...]`, which no call names
+    assert unset_defaults(PACKAGE, ROOT / "tests", skip=("gallery",)) == []
+
+
+def test_unset_default_is_flagged(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "a.py").write_text(
+        "def f(x, scale=1.0, shift=0.0, *, knob=2, must):\n    return x\n\n\n"
+        "def g(x, offset=0.0):\n    return x\n\n\n"
+        "def h(x, size=3):\n    return x\n"
+    )
+    (tests / "test_a.py").write_text(
+        "import a\n\n"
+        "a.f(1, 2.0, must=0)\n"    # scale by position
+        "g(1, **options)\n"        # a **kw passes every keyword
+        "h(*values)\n"             # a *args passes every position
+    )
+    assert unset_defaults(package, tests) == ["a.f.shift", "a.f.knob"]
