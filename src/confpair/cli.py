@@ -452,7 +452,7 @@ def _csv_rows(analysis, grid: ChartGrid):
                        for q, coords in enumerate(grid.points().tolist())]
 
 
-def _generated_pair(doc: dict):
+def _generated_pair(doc: dict, cfg: PipelineConfig):
     """The generator section: its options, its two maps and the conformal
     pair on the level-set slice."""
     gen = _require(doc, "generator", dict, "manifest")
@@ -462,7 +462,7 @@ def _generated_pair(doc: dict):
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     data = generate_conformal_pair(
         left_map, lorentz_map, grid,
-        axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)),
+        axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)), cfg=cfg,
     )
     return gen, left_map, lorentz_map, data
 
@@ -473,7 +473,7 @@ def _cone_lift(data, cfg: PipelineConfig):
 
 
 def _run_generate(doc: dict, cfg: PipelineConfig):
-    gen, left_map, lorentz_map, data = _generated_pair(doc)
+    gen, left_map, lorentz_map, data = _generated_pair(doc, cfg)
     results = {
         "left": left_map.name,
         "lorentz": lorentz_map.name,
@@ -507,7 +507,7 @@ def _one_region(analysis):
 def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
     if "generator" in doc:
-        _, left_map, lorentz_map, sdata = _generated_pair(doc)
+        _, left_map, lorentz_map, sdata = _generated_pair(doc, cfg)
         jf, jg = sdata.left, _cone_lift(sdata, cfg)
         names, tspec = {"left": left_map.name, "lorentz": lorentz_map.name}, "pipeline"
     else:

@@ -14,7 +14,7 @@ dimension at the certificate reproduces the reported value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,6 @@ class NullityReport:
     certificate_subspace: np.ndarray  # (k, s) orthonormal columns
     certificate_vector: np.ndarray    # (k,) vector inside the subspace
     exact: bool
-    search_stats: dict = field(default_factory=dict)
 
 
 def _kernel_dim(alpha: np.ndarray, v: np.ndarray, zeta: np.ndarray) -> int:
@@ -188,11 +187,6 @@ def s_nullity_at(
     if not 1 <= s <= p:
         raise HypothesisOutOfRange(f"s={s} outside 1..{p}")
     rng = np.random.default_rng(seed)
-    stats = {"restarts": 0, "evaluations": 0, "best_trace": []}
-
-    def record(value):
-        stats["best_trace"].append(int(value))
-
     if s == 1:
         best = (-1, None, None)
         if p == 1:
@@ -203,10 +197,8 @@ def s_nullity_at(
         for xi in candidates:
             a_xi = np.einsum("ijc,c->ij", alpha, xi)
             mult, center = _eig_multiplicity(a_xi)
-            stats["evaluations"] += 1
             if mult > best[0]:
                 best = (mult, xi.copy(), center)
-                record(mult)
         # local refinement around the best direction (coordinate ascent)
         if p > 1:
             xi = best[1].copy()
@@ -218,12 +210,10 @@ def s_nullity_at(
                         trial = xi + sgn * step * np.eye(p)[d]
                         trial /= np.linalg.norm(trial)
                         mult, center = _eig_multiplicity(np.einsum("ijc,c->ij", alpha, trial))
-                        stats["evaluations"] += 1
                         if mult > best[0]:
                             best = (mult, trial.copy(), center)
                             xi = trial
                             improved = True
-                            record(mult)
                 if not improved:
                     step *= 0.5
                     if step < 1e-3:
@@ -232,7 +222,7 @@ def s_nullity_at(
         v = xi[:, None]
         zeta = center * xi
         value = _kernel_dim(alpha, v, zeta)
-        return NullityReport(1, value, v, zeta, exact=True, search_stats=stats)
+        return NullityReport(1, value, v, zeta, exact=True)
 
     # s >= 2: randomized multi-start over s-planes, candidate vectors from
     # the geometry (zeta = projection of alpha(X, X) for unit tangents X)
@@ -245,10 +235,8 @@ def s_nullity_at(
             cands.append(v @ (v.T @ ax))
         for zeta in cands:
             val = _kernel_dim(alpha, v, zeta)
-            stats["evaluations"] += 1
             if val > best[0]:
                 best = (val, v.copy(), zeta.copy())
-                record(val)
 
     tangent_candidates = list(np.eye(n))
     for xi in _unit_sphere_samples(p, 8, rng):
@@ -267,7 +255,6 @@ def s_nullity_at(
                 q, _ = np.linalg.qr(np.column_stack([x] + [rng.normal(size=p) for _ in range(s - 1)]))
                 planes.append(q[:, :s])
         for _ in range(restarts):
-            stats["restarts"] += 1
             q, _ = np.linalg.qr(rng.normal(size=(p, s)))
             planes.append(q[:, :s])
     for v in planes:
@@ -275,8 +262,7 @@ def s_nullity_at(
     value, v, zeta = best
     # certificate re-evaluation must reproduce the value
     check = _kernel_dim(alpha, v, zeta)
-    stats["certificate_check"] = int(check)
-    return NullityReport(s, int(check), v, zeta, exact=False, search_stats=stats)
+    return NullityReport(s, int(check), v, zeta, exact=False)
 
 
 def conformal_s_nullity(fund: FundamentalData, s: int, points=None,
@@ -319,7 +305,6 @@ class RigidityReport:
     nu_lower_bounds: dict          # s -> max over evaluated points
     satisfied: bool                # all bounds hold (up to search confidence)
     conclusive_violation: bool     # some lower bound already exceeds its threshold
-    per_point: list = field(default_factory=list)
 
 
 def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None) -> RigidityReport:
@@ -331,12 +316,8 @@ def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None
     n = fund.metric.shape[1]
     p = fund.normal_rank
     th = rigidity_thresholds(n, p, q)
-    nu = {}
-    per_point = []
-    for s in range(1, p + 1):
-        reports = conformal_s_nullity(fund, s, points=points, seed=seed)
-        nu[s] = max(rep.value for _, rep in reports)
-        per_point.append((s, [(idx, rep.value) for idx, rep in reports]))
+    nu = {s: max(rep.value for _, rep in conformal_s_nullity(fund, s, points=points, seed=seed))
+          for s in range(1, p + 1)}
     ok = all(nu[s] <= th["per_s"][s] for s in nu)
     if th["extra_nu1"] is not None:
         ok = ok and nu[1] <= th["extra_nu1"]
@@ -345,5 +326,5 @@ def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None
     )
     return RigidityReport(
         n=n, p=p, q=q, thresholds=th, nu_lower_bounds=nu,
-        satisfied=ok, conclusive_violation=violated, per_point=per_point,
+        satisfied=ok, conclusive_violation=violated,
     )

@@ -191,10 +191,6 @@ def _normal_columns(fund: FundamentalData, columns: np.ndarray) -> np.ndarray:
 class ExtensionPair:
     left: ImmersionJet
     right: ImmersionJet
-    base_left: ImmersionJet
-    base_right: ImmersionJet
-    fiber_fields_left: np.ndarray    # (P, ml, r) ambient fiber directions
-    fiber_fields_right: np.ndarray
     radius: float
     obstruction: ObstructionData
 
@@ -272,7 +268,7 @@ def ruled_extension(obstruction: ObstructionData) -> ExtensionPair:
         jl = _extended_jet(fl.jet, lam_l, chart_ext, r)
         jr = _extended_jet(fr.jet, lam_r, chart_ext, r)
         if jl.immersion_residual() > IMMERSION_TOL and jr.immersion_residual() > IMMERSION_TOL:
-            return ExtensionPair(jl, jr, fl.jet, fr.jet, lam_l, lam_r, radius, obstruction)
+            return ExtensionPair(jl, jr, radius, obstruction)
         radius *= 0.5
     raise NotImmersionAtRadius("extension never becomes an immersion while shrinking the fibers")
 
@@ -406,7 +402,6 @@ class SliceData:
     roots: np.ndarray            # (P_slice,) root parameter per slice point
     left: ImmersionJet           # the Euclidean immersion restricted to the slice
     projected: ImmersionJet      # the cone projection of the sliced Lorentz map
-    lifted: ImmersionJet         # the sliced Lorentz map itself
     conformal_factor: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
@@ -451,6 +446,7 @@ def generate_conformal_pair(
     chart: ChartGrid,
     axis: int = 0,
     branch: int = 0,
+    cfg: PipelineConfig | None = None,
 ) -> SliceData:
     """Slice a Lorentz embedding with the light cone and read off the pair.
 
@@ -464,8 +460,10 @@ def generate_conformal_pair(
     The two restrictions must induce the same metric on the slice: that is
     what makes the projected pair conformal.  Full-chart isometry of the
     inputs is not required (the slice is where the construction lives), but
-    the residual is reported.
+    the residual is reported.  The projected pair's conformality is gated
+    at `cfg.conformal_tol`.
     """
+    cfg = cfg or PipelineConfig()
     if not lorentz_map.ambient.pseudo_pair:
         raise ValueError("the second map must take values in a Lorentz ambient")
     n_plus = chart.ndim
@@ -603,7 +601,7 @@ def generate_conformal_pair(
             f"restrictions induce different slice metrics: residual {slice_gap:.3e}"
         )
 
-    phi, conf_resid = conformal_factor_of_metrics(g_left, induced_metric(projected))
+    phi, conf_resid = conformal_factor_of_metrics(g_left, induced_metric(projected), cfg.conformal_tol)
     model = LightConeModel.for_ambient(lorentz_map.ambient)
     pair_e0 = lifted_slice.values @ (gram @ model.e0)
     factor_gap = float(np.max(np.abs(phi - 1.0 / pair_e0)))
@@ -613,7 +611,6 @@ def generate_conformal_pair(
         roots=roots,
         left=left_slice,
         projected=projected,
-        lifted=lifted_slice,
         conformal_factor=phi,
         diagnostics={
             "slice_metric_gap": slice_gap,

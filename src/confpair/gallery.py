@@ -34,8 +34,7 @@ def plane(n: int = 2, p: int = 1, tilt: float = 0.0) -> ImmersionMap:
         comps.extend([zero] * (p - 1))
         return comps
 
-    return ImmersionMap("plane", n, ScalarProduct.euclidean(n + p), fn,
-                        params={"n": n, "p": p, "tilt": tilt})
+    return ImmersionMap("plane", n, ScalarProduct.euclidean(n + p), fn)
 
 
 def sphere(n: int = 2, radius: float = 1.0) -> ImmersionMap:
@@ -50,8 +49,7 @@ def sphere(n: int = 2, radius: float = 1.0) -> ImmersionMap:
         comps.append(running)
         return comps
 
-    return ImmersionMap("sphere", n, ScalarProduct.euclidean(n + 1), fn,
-                        params={"n": n, "radius": radius})
+    return ImmersionMap("sphere", n, ScalarProduct.euclidean(n + 1), fn)
 
 
 def cylinder(n: int = 2, radius: float = 1.0) -> ImmersionMap:
@@ -63,8 +61,7 @@ def cylinder(n: int = 2, radius: float = 1.0) -> ImmersionMap:
         comps.extend(xs[1:])
         return comps
 
-    return ImmersionMap("cylinder", n, ScalarProduct.euclidean(n + 1), fn,
-                        params={"n": n, "radius": radius})
+    return ImmersionMap("cylinder", n, ScalarProduct.euclidean(n + 1), fn)
 
 
 def cone_over_sphere(n: int = 2, aperture: float = 0.6) -> ImmersionMap:
@@ -83,8 +80,7 @@ def cone_over_sphere(n: int = 2, aperture: float = 0.6) -> ImmersionMap:
         comps.append(t * height)
         return comps
 
-    return ImmersionMap("cone-over-sphere", n, ScalarProduct.euclidean(n + 1), fn,
-                        params={"n": n, "aperture": aperture})
+    return ImmersionMap("cone-over-sphere", n, ScalarProduct.euclidean(n + 1), fn)
 
 
 def torus(major: float = 2.0, minor: float = 0.5) -> ImmersionMap:
@@ -95,8 +91,7 @@ def torus(major: float = 2.0, minor: float = 0.5) -> ImmersionMap:
         w = float(major) + float(minor) * jet3.cos(th)
         return [w * jet3.cos(ph), w * jet3.sin(ph), float(minor) * jet3.sin(th)]
 
-    return ImmersionMap("torus", 2, ScalarProduct.euclidean(3), fn,
-                        params={"major": major, "minor": minor})
+    return ImmersionMap("torus", 2, ScalarProduct.euclidean(3), fn)
 
 
 def graph(n: int = 3, curvatures=None, cubic: float = 0.3) -> ImmersionMap:
@@ -112,8 +107,7 @@ def graph(n: int = 3, curvatures=None, cubic: float = 0.3) -> ImmersionMap:
         h = h + float(cubic) * xs[0] * xs[0] * xs[0]
         return list(xs) + [h]
 
-    return ImmersionMap("graph", n, ScalarProduct.euclidean(n + 1), fn,
-                        params={"n": n, "curvatures": curvatures, "cubic": cubic})
+    return ImmersionMap("graph", n, ScalarProduct.euclidean(n + 1), fn)
 
 
 def inversion(of: ImmersionMap, center, radius: float = 1.0) -> ImmersionMap:
@@ -134,10 +128,7 @@ def inversion(of: ImmersionMap, center, radius: float = 1.0) -> ImmersionMap:
         diff = [comp - float(ci) for comp, ci in zip(comps, c)]
         return (float(radius) ** 2) / jet3.norm2(*diff)
 
-    return ImmersionMap(
-        f"inversion({of.name})", of.chart_dim, of.ambient, fn, factor_fn=factor_fn,
-        params={"center": list(map(float, c)), "radius": radius, "of": of.name},
-    )
+    return ImmersionMap(f"inversion({of.name})", of.chart_dim, of.ambient, fn, factor_fn=factor_fn)
 
 
 def psi_lift(of: ImmersionMap) -> ImmersionMap:
@@ -152,8 +143,7 @@ def psi_lift(of: ImmersionMap) -> ImmersionMap:
         one = jet3.constant(1.0, comps[0] if isinstance(comps[0], jet3.Jet3) else xs[0])
         return [-0.5 * q, one] + list(comps)
 
-    return ImmersionMap(f"psi-lift({of.name})", of.chart_dim, model.ambient, fn,
-                        params={"of": of.name})
+    return ImmersionMap(f"psi-lift({of.name})", of.chart_dim, model.ambient, fn)
 
 
 def congruence(of: ImmersionMap, seed: int = 1, shift=None) -> ImmersionMap:
@@ -173,8 +163,7 @@ def congruence(of: ImmersionMap, seed: int = 1, shift=None) -> ImmersionMap:
             for r in range(m)
         ]
 
-    return ImmersionMap(f"congruence({of.name})", of.chart_dim, of.ambient, fn,
-                        params={"seed": seed, "shift": list(map(float, sh)), "of": of.name})
+    return ImmersionMap(f"congruence({of.name})", of.chart_dim, of.ambient, fn)
 
 
 def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
@@ -188,8 +177,7 @@ def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
         return list(comps) + [zero] * int(extra)
 
     return ImmersionMap(f"pad({of.name})", of.chart_dim,
-                        ScalarProduct.euclidean(of.ambient.dim + int(extra)), fn,
-                        params={"of": of.name, "extra": extra})
+                        ScalarProduct.euclidean(of.ambient.dim + int(extra)), fn)
 
 
 def lorentz_slice(n: int = 3, q: int = 1) -> ImmersionMap:
@@ -212,8 +200,7 @@ def lorentz_slice(n: int = 3, q: int = 1) -> ImmersionMap:
         comps[2] = comps[2] + t
         return comps
 
-    return ImmersionMap("lorentz-slice", n + 1, model.ambient, fn,
-                        params={"n": n, "q": q})
+    return ImmersionMap("lorentz-slice", n + 1, model.ambient, fn)
 
 
 def adapted_cylinder(n: int = 3) -> ImmersionMap:
@@ -232,8 +219,7 @@ def adapted_cylinder(n: int = 3) -> ImmersionMap:
         comps.append(t + 2.0 * x[0])
         return comps
 
-    return ImmersionMap("adapted-cylinder", n + 1, ScalarProduct.euclidean(n + 2), fn,
-                        params={"n": n})
+    return ImmersionMap("adapted-cylinder", n + 1, ScalarProduct.euclidean(n + 2), fn)
 
 
 GALLERY = {
@@ -291,7 +277,7 @@ def build_immersion(spec: dict, where: str = "immersion") -> ImmersionMap:
         else:
             ambient = ScalarProduct.euclidean(dim)
         fn = compile_immersion(comps, nvars, where=f"{where}.expr")
-        return ImmersionMap("expr", nvars, ambient, fn, params={"expr": comps})
+        return ImmersionMap("expr", nvars, ambient, fn)
     raise ManifestError(where, "immersion spec needs a 'builtin' or 'expr' key")
 
 

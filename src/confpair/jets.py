@@ -280,7 +280,6 @@ class ImmersionMap:
     ambient: ScalarProduct
     fn: object  # Callable[[list[Jet3]], list[Jet3]]
     factor_fn: object | None = None  # closed-form conformal factor vs its base
-    params: dict = field(default_factory=dict)
 
     def evaluate(self, points: np.ndarray, order: int = 2):
         """Component jets at a batch of points, (list of Jet3)."""
@@ -701,7 +700,7 @@ def umbilic_residual(fund: FundamentalData, dist: DistributionFrame) -> float:
     return float(np.max(np.abs(umb))) if umb.size else 0.0
 
 
-def conformal_factor_of_metrics(gf: np.ndarray, gg: np.ndarray, tol: float = 1e-6):
+def conformal_factor_of_metrics(gf: np.ndarray, gg: np.ndarray, tol: float):
     num = np.einsum("pij,pij->p", gg, gf)
     den = np.einsum("pij,pij->p", gf, gf)
     phi2 = num / den

@@ -265,10 +265,7 @@ class SffTransferData:
     """Both sides of the conformal/isometric curvature dictionary."""
 
     phi: np.ndarray                 # (P,)
-    hess_factor: np.ndarray         # (P,) the proportionality scalar on the rulings
     xi: np.ndarray                  # (P, N+2)
-    eta: np.ndarray                 # (P, n+p) leaf mean curvature of the conformal map
-    eta_lift: np.ndarray            # (P, N+2) leaf mean curvature of the cone lift
     residuals: dict = field(default_factory=dict)
 
 
@@ -339,8 +336,7 @@ def sff_transfer_check(
     lam_residual = float(np.max(np.abs(h_dd - lam[:, None, None] * g_dd)))
 
     # mean-curvature dictionary along the rulings
-    eta_frame = leaf_mean_curvature(fund, dist_conformal)
-    eta_amb = fund.normal_ambient(eta_frame)
+    eta_amb = fund.normal_ambient(leaf_mean_curvature(fund, dist_conformal))
     eta_lift_amb = fund_lift.normal_ambient(leaf_mean_curvature(fund_lift, dist_lift))
     predicted = inv_phi[:, None] * (
         model.embed_differential(f_vals, eta_amb)
@@ -359,10 +355,7 @@ def sff_transfer_check(
 
     return SffTransferData(
         phi=phi,
-        hess_factor=lam,
         xi=xi,
-        eta=eta_amb,
-        eta_lift=eta_lift_amb,
         residuals={
             "umbilic": umb,
             "sff_dictionary": res_sff,

@@ -24,7 +24,7 @@ Everything rank-valued is decided at `rank_tol` on jet-exact data and at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -273,31 +273,14 @@ class TransferData:
 
 @dataclass
 class RegionState(TransferData):
-    """The transfer pair of one region, with everything the downstream
-    checks need."""
+    """The transfer pair of one region, with its ranks and verdicts."""
 
     branch: str
     points: np.ndarray
-    pos_left: np.ndarray | None      # (P, kl) cone position in the left normal frame
-    pos_right: np.ndarray | None
-    e0_left: np.ndarray | None       # (P, kl) null generator coords (degenerate branch)
-    witness: np.ndarray | None       # (P, kr)
-    omega: np.ndarray                # (P, kl+kr, r)
-    private_left: np.ndarray         # (P, kl, .)
-    private_right: np.ndarray
-    shared_left: np.ndarray
-    shared_right: np.ndarray
-    theta: np.ndarray                # (P, n, .)
-    shared_span: np.ndarray          # (P, kl, .)
-    shared_pattern: tuple[int, ...]
-    matched_span: np.ndarray
-    matched_pattern: tuple[int, ...]
-    mismatched_span: np.ndarray
-    gap_tensor: np.ndarray           # (P, n, rS, rS) coefficients of the connection gap
     ranks: dict
-    residuals: dict = field(default_factory=dict)
-    claims: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)  # one line per re-split that led here
+    residuals: dict
+    claims: dict
+    notes: list  # one line per re-split that led here
 
     @property
     def ruling_dim(self) -> int:
@@ -306,10 +289,8 @@ class RegionState(TransferData):
 
 @dataclass
 class PairAnalysis:
-    joint: JointNormalSpace
     degeneracy: DegeneracyData
     regions: list[RegionState]
-    lifted_left: ImmersionJet | None = None
 
 
 class _Region:
@@ -336,7 +317,7 @@ class _Region:
         self.a_scale = max(float(np.max(np.abs(self.asum))), 1.0)
         self.al, self.ar = fl.alpha[self.pts], fr.alpha[self.pts]
         self.ranks: dict[str, np.ndarray] = {}     # product -> (B,) ranks
-        self.arrays: dict[str, np.ndarray] = {}    # RegionState field -> (P, ...), zero off the region
+        self.arrays: dict[str, np.ndarray] = {}    # product -> (P, ...), zero off the region
         self.at: dict[str, np.ndarray] = {}        # product -> (B, m, rank) on the region
         self.patterns: dict[str, tuple] = {}
         self.residuals: dict[str, float] = {
@@ -368,21 +349,19 @@ class _Region:
         return [(self.al, self.eps_l, frames_l), (self.ar, self.eps_r, frames_r)]
 
     def state(self, notes: list[str]) -> RegionState:
-        st = RegionState(
-            branch=self.branch, mask=self.mask, points=self.pts,
+        """The region's transfer pair with its ranks, residuals and claims.
+        Every rank but `beta_span`'s is constant on the region; that one is
+        reported at its smallest value."""
+        arr = self.arrays
+        return RegionState(
             left=self.joint.left, right=self.joint.right,
-            pos_left=self.pos_left, pos_right=self.pos_right, e0_left=self.e0_left,
-            witness=self.witness,
-            shared_pattern=self.patterns["shared_span"],
-            matched_pattern=self.patterns["matched_span"],
-            transfer_pattern=self.patterns["transfer_bundle"],
-            ranks={k: int(v[0]) for k, v in self.ranks.items()},
-            residuals=self.residuals,
-            notes=notes,
-            **self.arrays,
+            transfer_bundle=arr["transfer_bundle"], transfer_pattern=self.patterns["transfer_bundle"],
+            transfer_bundle_right=arr["transfer_bundle_right"],
+            identification=arr["identification"], rulings=arr["rulings"], mask=self.mask,
+            branch=self.branch, points=self.pts,
+            ranks={k: int(v.min()) for k, v in self.ranks.items()},
+            residuals=self.residuals, claims=_structural_checks(self), notes=notes,
         )
-        _structural_checks(st, self.cfg)
-        return st
 
 
 # The stages.  `build` returns {product: (ranks (B,), padded bases)}; once the
@@ -650,51 +629,48 @@ def _refine(reg: _Region, columns, depth: int, stage: str, notes: tuple[str, ...
     return out
 
 
-def _structural_checks(state: RegionState, cfg: PipelineConfig):
-    """Degenerate-branch claims and shared invariants, as residuals."""
-    pts = state.points
-    fl = state.left
-    n = fl.metric.shape[1]
-    eps_l = fl.normal_eps
-    claims = state.claims
-    d_theta = state.theta.shape[2]
+def _structural_checks(reg: _Region) -> dict:
+    """Degenerate-branch claims and shared invariants of a built region."""
+    pts, cfg, arr = reg.pts, reg.cfg, reg.arrays
+    n, eps_l = reg.n, reg.eps_l
+    claims = {}
+    d_theta = arr["theta"].shape[2]
+    ruling_dim = arr["rulings"].shape[2]
 
     def sig(frames):
         basis = frames[pts[0]]
         return signature(basis.T @ (basis * eps_l[:, None]), cfg.rank_tol * 10)
 
-    # dim theta >= n - rank(private form span)
-    claims["theta_dimension"] = {
-        "dim": d_theta,
-        "lower_bound": n - state.ranks["beta_span"],
-        "passed": d_theta >= n - state.ranks["beta_span"],
-    }
+    # dim theta >= n - rank(private form span) at every point; the
+    # refinement does not make that rank constant, so take its smallest value
+    bound = n - int(reg.ranks["beta_span"].min())
+    claims["theta_dimension"] = {"dim": d_theta, "lower_bound": bound, "passed": d_theta >= bound}
 
-    if state.branch == "degenerate":
-        for name, frames in (("shared_span_lorentzian", state.shared_span),
-                             ("matched_span_lorentzian", state.matched_span)):
-            s = sig(frames)
-            claims[name] = {"signature": s, "passed": s[1] == 1 and s[2] == 0}
-        sig_s1 = sig(state.mismatched_span)
+    if reg.degenerate:
+        for name in ("shared_span", "matched_span"):
+            s = sig(arr[name])
+            claims[f"{name}_lorentzian"] = {"signature": s, "passed": s[1] == 1 and s[2] == 0}
+        mism = arr["mismatched_span"]
+        r_s1 = mism.shape[2]
+        sig_s1 = sig(mism)
         claims["mismatched_span_riemannian"] = {
             "signature": sig_s1,
-            "dim_at_most_five": state.mismatched_span.shape[2] <= 5,
-            "passed": sig_s1[1] == 0 and sig_s1[2] == 0 and state.mismatched_span.shape[2] <= 5,
+            "dim_at_most_five": r_s1 <= 5,
+            "passed": sig_s1[1] == 0 and sig_s1[2] == 0 and r_s1 <= 5,
         }
         # gap tensor must vanish along the private nullity
-        theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, state.theta)
-        gz = np.einsum("piu,pivw->puvw", theta_coords, state.gap_tensor)
+        theta_coords = np.einsum("pia,pau->piu", reg.joint.left.tangent_frame, arr["theta"])
+        gz = np.einsum("piu,pivw->puvw", theta_coords, arr["gap_tensor"])
         claims["gap_vanishes_on_private_nullity"] = {
             "residual": float(np.max(np.abs(gz[pts]))) if gz.size else 0.0,
             "passed": bool(np.max(np.abs(gz[pts])) < cfg.fd_tol * 100) if gz.size else True,
         }
         # the mismatched part is spanned by the projected form over the nullity
-        r_s1 = state.mismatched_span.shape[2]
-        theta, alpha = state.theta[pts], fl.alpha[pts]
+        theta, alpha = arr["theta"][pts], reg.al
         if r_s1:
             vals = np.einsum("pau,pabt->pubt", theta, alpha).reshape(len(pts), -1, len(eps_l))
             # the values projected onto the mismatched part
-            proj = project_stack(state.mismatched_span[pts], eps_l, _t(vals), cfg.rank_tol)
+            proj = project_stack(mism[pts], eps_l, _t(vals), cfg.rank_tol)
             gamma_ranks = set(rank(proj, cfg.rank_tol, 1.0).tolist())
         else:
             gamma_ranks = {0}
@@ -703,14 +679,14 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
             "expected": r_s1,
             "passed": gamma_ranks == {r_s1},
         }
-        sig_l = sig(state.transfer_bundle)
+        sig_l = sig(arr["transfer_bundle"])
         claims["rulings_positive_and_transfer_lorentzian"] = {
-            "ruling_dim": state.ruling_dim,
+            "ruling_dim": ruling_dim,
             "transfer_signature": sig_l,
-            "passed": state.ruling_dim > 0 and sig_l[1] == 1 and sig_l[2] == 0,
+            "passed": ruling_dim > 0 and sig_l[1] == 1 and sig_l[2] == 0,
         }
         # position vector sits inside the transfer bundle
-        lf, pos = state.transfer_bundle[pts], state.pos_left[pts]
+        lf, pos = arr["transfer_bundle"][pts], reg.pos_left[pts]
         proj = ((lf @ np.linalg.pinv(lf)) @ pos[:, :, None])[:, :, 0] if lf.size else np.zeros_like(pos)
         res_pos = float(np.max(_norm(pos - proj)))
         # <alpha(Z, Z), position> = -|Z|^2 on the private nullity
@@ -727,20 +703,21 @@ def _structural_checks(state: RegionState, cfg: PipelineConfig):
             "residual": res_th0,
             "passed": res_th0 < cfg.fd_tol,
         }
-        if state.witness is not None and state.e0_left is not None and state.omega.shape[2]:
-            vec = np.concatenate([state.e0_left[pts], state.witness[pts]], axis=1)[:, :, None]
-            om = state.omega[pts]
+        if reg.witness is not None and reg.e0_left is not None and arr["omega"].shape[2]:
+            vec = np.concatenate([reg.e0_left[pts], reg.witness[pts]], axis=1)[:, :, None]
+            om = arr["omega"][pts]
             res_wit = float(np.max(_norm((vec - om @ (_t(om) @ vec))[:, :, 0])))
             claims["generator_witness_pair_in_radical"] = {
                 "residual": res_wit,
                 "passed": res_wit < cfg.fd_tol * 10,
             }
     else:
-        sig_s = sig(state.shared_span)
+        sig_s = sig(arr["shared_span"])
         claims["shared_span_signature"] = {
             "signature": sig_s,
             "riemannian": sig_s[1] == 0 and sig_s[2] == 0,
         }
+    return claims
 
 
 # ---------------------------------------------------------------------------
@@ -911,13 +888,12 @@ def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig | Non
     profile = pack_profile([deg.degenerate.astype(int), deg.omega_rank, deg.left_kernel_rank])
     labels = label_regions(joint.left.jet.chart.shape, profile)
     regions: list[RegionState] = []
-    lifted = joint_deg = None
+    joint_deg = None  # the pair of cone lifts, built for the first degenerate region
     for lab in np.unique(labels):
         mask = labels == lab
         if deg.degenerate[np.flatnonzero(mask)[0]]:
-            if lifted is None:
-                lifted = LightConeModel(jf.ambient.dim).lift_jet(jf)
-                joint_deg = build_joint(lifted, joint.right, cfg)
+            if joint_deg is None:
+                joint_deg = build_joint(LightConeModel(jf.ambient.dim).lift_jet(jf), joint.right, cfg)
             if float(np.min(deg.witness_pairing[mask])) < 0.5:
                 raise UnsupportedDegeneracy(
                     "witness does not pair with the right position vector"
@@ -927,4 +903,4 @@ def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig | Non
             )
         else:
             regions.extend(_construct_region(joint, mask, "nondegenerate", None, cfg))
-    return PairAnalysis(joint=joint, degeneracy=deg, regions=regions, lifted_left=lifted)
+    return PairAnalysis(degeneracy=deg, regions=regions)

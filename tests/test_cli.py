@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import re
@@ -344,6 +345,26 @@ def test_tolerance_reaches_the_extension_and_the_transfer_check(monkeypatch, nam
     cfg = run_config(monkeypatch, name, tolerance=2e-9)
     assert [tol for tol in seen if tol in (1e-9, 1e-8)] == []
     assert cfg.rank_tol in seen
+
+
+def test_slicer_gates_conformality_at_the_run_config(monkeypatch):
+    # a run whose conformal tolerance is not the 1e-6 default: the slicer's
+    # gate on the projected pair must get the run's value
+    doc = json.loads(json.dumps(MANIFESTS["degenerate-extension"]))
+    doc["analysis"] = "generate"
+    real_runner = cli._RUNNERS["generate"]
+    monkeypatch.setitem(cli._RUNNERS, "generate",
+                        lambda doc, cfg: real_runner(doc, dataclasses.replace(cfg, conformal_tol=3e-6)))
+    given = []
+    real = jets.conformal_factor_of_metrics
+
+    def spy(gf, gg, *tol):
+        given.append(tol)
+        return real(gf, gg, *tol)
+
+    monkeypatch.setattr(extension, "conformal_factor_of_metrics", spy)
+    assert run_manifest(doc)[1] == 0
+    assert given == [(3e-6,)]
 
 
 @pytest.mark.parametrize("name, axes, ruled", [

@@ -136,7 +136,7 @@ def test_degenerate_cone_extension():
         "u,pku,pk->pu",
         np.asarray(st.transfer_pattern, float),
         st.transfer_bundle * st.left.normal_eps[None, :, None],
-        st.pos_left,
+        st.left.normal_coordinates(st.left.jet.values),
     )
     vec = np.concatenate([np.zeros((len(pos_in_l), 3)), pos_in_l], axis=1)
     res = 0.0

@@ -235,7 +235,7 @@ def test_leaf_mean_curvature_on_torus_tube_circles():
 def test_conformal_factor_identity_scaling_and_inversion():
     grid = grid2(7)
     jet = ImmersionJet.from_function(plane_fn, grid, E3)
-    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet))
+    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet), 1e-6)
     assert np.allclose(phi, 1.0)
 
     def scaled(xs):
@@ -243,7 +243,7 @@ def test_conformal_factor_identity_scaling_and_inversion():
         return [3.0 * x, 3.0 * y, jet3.constant(0.0, x)]
 
     jet3x = ImmersionJet.from_function(scaled, grid, E3)
-    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet3x))
+    phi, _ = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet3x), 1e-6)
     assert np.allclose(phi, 3.0, atol=1e-12)
 
     center = np.array([0.0, 0.0, 2.0])
@@ -256,7 +256,7 @@ def test_conformal_factor_identity_scaling_and_inversion():
         return [d / r2 + float(ci) for d, ci in zip(diff, center)]
 
     jinv = ImmersionJet.from_function(inverted, grid, E3)
-    phi, resid = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jinv))
+    phi, resid = conformal_factor_of_metrics(induced_metric(jet), induced_metric(jinv), 1e-6)
     pts = grid.points()
     dist2 = pts[:, 0] ** 2 + pts[:, 1] ** 2 + 4.0
     assert np.max(resid) < 1e-10
@@ -273,7 +273,7 @@ def test_conformal_factor_rejects_nonconformal():
 
     jet_sheared = ImmersionJet.from_function(sheared, grid, E3)
     with pytest.raises(NotConformal):
-        conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet_sheared))
+        conformal_factor_of_metrics(induced_metric(jet), induced_metric(jet_sheared), 1e-6)
 
 
 def test_gauss_equation_residual_flat_and_sphere():

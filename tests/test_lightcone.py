@@ -112,7 +112,7 @@ def test_isometric_representative_nontrivial_factor_and_roundtrip():
     assert np.max(np.abs(back.d1 - conf.d1)) < 1e-10
     assert np.max(np.abs(back.d2 - conf.d2)) < 1e-9
     # conformality of the lift vs its projection, factor <g, e0>^{-1}
-    phi2, _ = conformal_factor_of_metrics(induced_metric(lift), induced_metric(back))
+    phi2, _ = conformal_factor_of_metrics(induced_metric(lift), induced_metric(back), 1e-6)
     pair_e0 = lift.values @ lift.ambient.gram @ LightConeModel(3).e0
     assert np.max(np.abs(phi2 - 1.0 / pair_e0)) < 1e-8
 

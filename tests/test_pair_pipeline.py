@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from confpair import jet3, jets, pair_pipeline
+from confpair.cli import run_manifest
 from confpair.errors import HypothesisOutOfRange, NotIsometricPair, SplitFailure
+from confpair.gallery import MANIFESTS
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import ChartGrid, ImmersionJet, PipelineConfig, induced_metric
 from confpair.lightcone import isometric_representative
@@ -172,10 +176,10 @@ def test_flat_pair_pipeline_rulings():
 def test_degenerate_pipeline_claims_and_ranks():
     jf, jbar, jhat = degenerate_reflection_pair()
     analysis = analyze_pair(jf, jhat)
-    assert analysis.lifted_left is not None
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "degenerate"
+    assert st.left.jet.ambient.pseudo_pair  # the region runs on the lifted left map
     assert st.ranks["omega"] == 2
     assert st.ranks["private_left"] == 1
     assert st.ranks["private_right"] == 0
@@ -280,6 +284,24 @@ def test_rank_jump_inside_a_region_re_splits_it():
         assert st.notes == ["parts: ranks jump at depth 0, 3 subregions"]
 
 
+def test_theta_dimension_holds_at_the_smallest_private_form_rank(monkeypatch):
+    # the rank of the private-form span is the one rank the refinement does
+    # not make constant; the bound dim theta >= n - rank must hold at each
+    # point, so a rank lowered everywhere but at the first point must count
+    real = pair_pipeline.rank
+
+    def lowered(*args, **kwargs):
+        ranks = real(*args, **kwargs)
+        ranks[1:] -= 1
+        return ranks
+
+    monkeypatch.setattr(pair_pipeline, "rank", lowered)  # flat-pair's only call: the span rank
+    report, _ = run_manifest(json.loads(json.dumps(MANIFESTS["flat-pair"])))
+    [region] = report["results"]["regions"]
+    assert region["ranks"]["beta_span"] == 0
+    assert region["claims"]["theta_dimension"] == {"dim": 2, "lower_bound": 3, "passed": False}
+
+
 def test_refinement_cap_raises_split_failure(monkeypatch):
     jf, jg = inflection_pair()
     monkeypatch.setattr(pair_pipeline, "MAX_REFINEMENTS", 0)
@@ -302,7 +324,8 @@ def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
 
     monkeypatch.setattr(pair_pipeline, "fundamental_data", counted)
     analysis = analyze_pair(jf, jhat)
-    assert analysis.lifted_left is not None
+    [st] = analysis.regions
+    assert st.branch == "degenerate" and st.left.jet.ambient.pseudo_pair  # the lifted left map
     assert len(calls) == 3  # the left map, the right map and the lifted left map
 
 

@@ -152,3 +152,54 @@ def test_unset_default_is_flagged(tmp_path):
         "h(*values)\n"             # a *args passes every position
     )
     assert unset_defaults(package, tests) == ["a.f.shift", "a.f.knob"]
+
+
+def unread_fields(package: Path, tests: Path, skip: tuple[str, ...] = ()) -> list[str]:
+    """`module.Class.field` of each dataclass field in the package, outside
+    the `skip` classes, that no attribute read in the package or the tests
+    names.  Reads inside the field's own class count; passing the field as
+    a keyword when constructing the class does not."""
+    files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    read = {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not (isinstance(node, ast.ClassDef) and node.name not in skip and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list)):
+                continue
+            found += [f"{path.stem}.{node.name}.{stmt.target.id}" for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in read]
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    """A result type carries only what some code reads.
+
+    Fields are matched by name, so a field passes when any object has an
+    attribute of that name that some code reads.  The pipeline's region
+    builder reads `reg.joint` and `reg.pos_right`, so this lint cannot see
+    a `PairAnalysis.joint` or a `RegionState.pos_right` that nothing reads;
+    those two were found, and removed, by inspection.
+    """
+    # `ConformalSFF` is the result of `conformal_sff`, a kept library entry
+    # point: its fields are there for library users, not for this package
+    assert unread_fields(PACKAGE, ROOT / "tests", skip=("ConformalSFF",)) == []
+
+
+def test_unread_field_is_flagged(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass\nclass Result:\n    value: int\n    spare: float\n"
+        "    note: str = ''\n    log: list = field(default_factory=list)\n\n"
+        "    def describe(self):\n        return self.note\n\n\n"
+        "@dataclass(frozen=True)\nclass Skipped:\n    hidden: int\n\n\n"
+        "class Plain:\n    untyped: int\n\n\n"
+        "def make():\n    return Result(value=1, spare=2.0, log=[])\n"
+    )
+    (tests / "test_a.py").write_text("from a import make\n\nassert make().value == 1\n")
+    assert unread_fields(package, tests, skip=("Skipped",)) == ["a.Result.spare", "a.Result.log"]
