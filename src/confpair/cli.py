@@ -152,13 +152,19 @@ def _jsonable(obj):
 
 def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, notes: list,
                     cfg: PipelineConfig):
-    """Produce the isometric partner: direct, or the cone lift of a conformal map."""
+    """Produce the isometric partner: direct, or the cone lift of a conformal map.
+
+    The pair counts as isometric already when the induced metrics agree to
+    within `cfg.fd_tol` (relative) if either jet comes from stencils, and to
+    within 1e-8 otherwise.
+    """
     if right_jet.ambient.pseudo_pair:
         return right_jet
     gl = induced_metric(left_jet)
     gr = induced_metric(right_jet)
     scale = max(float(np.max(np.abs(gl))), 1e-300)
-    if float(np.max(np.abs(gl - gr))) / scale < 1e-8:
+    stencil = "finite-difference" in (left_jet.source, right_jet.source)
+    if float(np.max(np.abs(gl - gr))) / scale < (cfg.fd_tol if stencil else 1e-8):
         return right_jet
     factor = None
     if right_map is not None and right_map.factor_fn is not None:
@@ -592,7 +598,7 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
             "manifest_sha256": hashlib.sha256(canonical).hexdigest(),
             "tolerance": cfg.rank_tol,
             "fd_tolerance": cfg.fd_tol,
-            "align_threshold": cfg.align_threshold,
+            "align_floor": cfg.align_floor,
             "conformal_tolerance": cfg.conformal_tol,
             "seed": cfg.seed,
         },

@@ -69,7 +69,7 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
                   cfg: PipelineConfig | None = None) -> ConformalSFF:
     """Corrected form beta = alpha - <,> eta and the subbundle spanned by
     beta(Z, X) with Z along the distribution, ranked at 10 `cfg.rank_tol`
-    and swept at `cfg.align_threshold`."""
+    and aligned at the floor `cfg.align_floor`."""
     cfg = cfg or PipelineConfig()
     p, n = fund.metric.shape[0], fund.metric.shape[1]
     k = fund.normal_rank
@@ -87,7 +87,7 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
     else:
         gram = np.diag(fund.normal_eps)
         frames, _, _ = align_frames(bz, gram, fund.jet.chart.shape, tol=cfg.rank_tol * 10,
-                                    threshold=cfg.align_threshold)
+                                    floor=cfg.align_floor)
     # containment: values beta(Z, X) must lie in the span (D inside the
     # nullity of the corrected form projected off the span)
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)

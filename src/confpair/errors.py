@@ -22,7 +22,8 @@ class DegenerateSubspace(GeometryError):
 
 
 class FrameAlignmentFailure(GeometryError):
-    """A frame sweep produced a jump larger than the alignment threshold."""
+    """A frame fit failed: a fiber of the wrong rank, a singular fiber, a polar
+    fit that lost rank, or an eigenvalue below the alignment floor."""
 
 
 class NotConformallyRuled(GeometryError):

@@ -99,7 +99,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     projected away; numerically it is built from grid derivatives of the
     tangent and bundle frame fields on both sides.  The kernel is decided at
     `cfg.fd_tol`, its meets and complements at `cfg.rank_tol`, and the
-    kernel and fiber frames are swept at `cfg.align_threshold`.
+    kernel and fiber frames are aligned at the floor `cfg.align_floor`.
     """
     cfg = cfg or PipelineConfig()
     tol = cfg.rank_tol
@@ -141,7 +141,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     mixed_eps = np.concatenate([np.ones(n), pat])
     delta, _, _ = align_frames(
         delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        threshold=cfg.align_threshold,
+        floor=cfg.align_floor,
     ) if s_dim else (np.zeros((p, n + ell, 0)), (), 0.0)
 
     # rulings sit inside the kernel; the fiber part is their complement
@@ -159,7 +159,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     # smooth gauge for the fiber frames: the extension differentiates them
     fibers, _, _ = align_frames(
         fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        threshold=cfg.align_threshold,
+        floor=cfg.align_floor,
     ) if r_dim else (fiber_spans, (), 0.0)
     residuals = {
         "rulings_inside_kernel": rul_gap,
@@ -281,7 +281,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> 
     components plus the fiber axes), which matches the affine leaves exactly
     at the zero section and on all the gallery geometries.  The tube's
     fundamental data and kernel identity use `cfg`, and every frame sweep
-    on the tube uses the frame-jump threshold `cfg.align_threshold`.
+    on the tube is gated at the floor `cfg.align_floor`.
     """
     cfg = cfg or PipelineConfig()
     data = pair.obstruction.data
@@ -348,7 +348,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> 
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
             _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
-            threshold=cfg.align_threshold,
+            floor=cfg.align_floor,
         )
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The

@@ -314,15 +314,6 @@ class ScalarProduct:
         return ScalarProduct(dim, (1,) * dim)
 
     @staticmethod
-    def from_pattern(pattern) -> "ScalarProduct":
-        pattern = tuple(int(s) for s in pattern)
-        return ScalarProduct(len(pattern), pattern)
-
-    @staticmethod
-    def lorentz(dim: int) -> "ScalarProduct":
-        return ScalarProduct(dim, (-1,) + (1,) * (dim - 1))
-
-    @staticmethod
     def lightcone(n_euclidean: int) -> "ScalarProduct":
         """Ambient of the light-cone model over R^n: dim n+2, index 1, null pair."""
         return ScalarProduct(n_euclidean + 2, (-1,) + (1,) * (n_euclidean + 1), pseudo_pair=True)

@@ -35,14 +35,6 @@ class Jet3:
             nvars = g.shape[-1]
         self.nvars = nvars
 
-    @property
-    def order(self) -> int:
-        if self.g is None:
-            return 0
-        if self.h is None:
-            return 1
-        return 2
-
     # -- construction -------------------------------------------------
 
     def _zero_like(self, value):

@@ -4,10 +4,12 @@ An immersion enters as per-point position, first and second partial
 derivatives on a rectangular chart grid.  From these we compute the
 induced metric, orthonormal tangent frames, aligned normal frames, second
 fundamental forms, shape operators and normal connection coefficients.
-Normal frames are produced by a breadth-first sweep from a seed point: each
-fiber basis is fitted to its parent's frame by one generalized polar fit for
-every signature, which realizes the smooth-subbundle hypotheses numerically
-and commutes with ambient isometries and with changes of gauge in O(p, q).
+Normal frames are anchored at one seed point: every fiber takes the
+G-projection of the seed frame, and one generalized polar fit over all points,
+for every signature, turns the projections into frames.  A frame is then a
+smooth function of its fiber, which realizes the smooth-subbundle hypotheses
+numerically, and the fit commutes with ambient isometries and with changes of
+gauge in O(p, q).
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
 from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, span_stack
-from .regions import bfs_levels
 
 __all__ = [
     "PipelineConfig",
@@ -46,10 +47,18 @@ __all__ = [
 
 @dataclass
 class PipelineConfig:
-    """The run-level numbers, which every layer takes and reports record."""
+    """The run-level numbers, which every layer takes and reports record.
+
+    `align_floor` bounds the smallest eigenvalue of A = J y^T G y in every
+    frame fit (`_polar_fit`) from below.  The fit's sensitivity to its
+    fiber grows like 1/lambda_min, so the floor 0.1 allows one decade of
+    amplification.  The smallest value over every gallery manifest and
+    benchmark operation is 0.706 (a 10^4-point graph chart, seeded at its
+    central point; 0.275 when seeded at its first point).
+    """
     rank_tol: float = DEFAULT_TOL
     fd_tol: float = 1e-6
-    align_threshold: float = 0.75
+    align_floor: float = 0.1
     conformal_tol: float = 1e-6
     seed: int = 0
 
@@ -338,13 +347,14 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# `_fit_level`'s Newton-Schulz iteration stops after the step taken at max |I - Z Y|
+# `_polar_fit`'s Newton-Schulz iteration stops after the step taken at max |I - Z Y|
 # <= _ROOT_STOP (each step squares it; NaN of failing points aside) or after _ROOT_STEPS
 _ROOT_STOP, _ROOT_STEPS = 1e-8, 60
 
 
-def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
-    """Pseudo-orthonormal basis of the span, negative-norm vectors first."""
+def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float, seed: int):
+    """Pseudo-orthonormal basis of the span at grid point `seed`,
+    negative-norm vectors first."""
     count, b = span_stack(span, tol)
     b = b[:, :count]
     g = b.T @ gram @ b
@@ -353,7 +363,7 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     # bases under a unit metric, so a one-dimensional null fiber fails too
     scale = float(np.max(np.abs(vals), initial=1.0))
     if vals.size and np.min(np.abs(vals)) <= tol * scale:
-        raise FrameAlignmentFailure("degenerate fiber: cannot seed a frame")
+        raise FrameAlignmentFailure(f"degenerate fiber: cannot seed a frame at grid point {seed}")
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -362,38 +372,69 @@ def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float):
     return frame, pattern
 
 
-def _fit_level(points: np.ndarray, ranks: np.ndarray, bases: np.ndarray, parent: np.ndarray,
-               gram: np.ndarray, pattern: tuple[int, ...], tol: float, threshold: float):
-    """Fit the pseudo-orthonormal frames of one BFS level, all points at once.
+def _central_point(shape: tuple[int, ...], points: np.ndarray) -> int:
+    """The point of `points` (flat indices) nearest the mean of their grid
+    indices, the first of them on a tie: the default seed of a sweep."""
+    ij = np.stack(np.unravel_index(points, shape), axis=1)
+    return int(points[np.argmin(np.sum((ij - ij.mean(axis=0)) ** 2, axis=1))])
 
-    The level's flat grid indices (L,); ranks (L,) and orthonormal bases
-    (L, m, w) of the fibers, as `span_stack` returns them; parent frames
-    (L, m, k); gram (m, m) or (L, m, m).  Each frame is the generalized
-    polar fit W = y S^-1 of the G-projection y of its parent's frame onto
-    its fiber, S the principal root of A = J y^T G y and J = diag(pattern).
-    Newton-Schulz on A over its row-sum norm gives S^-1 when A has a
-    positive real spectrum.  Checks, in order: fiber rank, solve, polar fit
-    (W finite, max |W^T G W - J| <= tol), jump; the first failing point of
-    the level raises, naming its grid index.  Returns (frames (L, m, k),
-    steps (L,)).
+
+def _smallest_eigenvalue(a: np.ndarray) -> np.ndarray:
+    """Smallest real part of the spectrum of each matrix of a stack (L, k, k).
+
+    Closed forms for k <= 3: the root formula for k = 2, and for k = 3 the
+    depressed cubic t^3 + c t + d of b = a - tr(a)/3 (c = -tr(b^2)/2,
+    d = -det b), solved by its trigonometric form when its three roots are
+    real and by Cardano's formula when two are complex.  Larger k takes one
+    stacked `eigvals`.  NaN where `a` is not finite.
     """
-    k = parent.shape[2]
-    fiber = bases[:, :, :k]
-    fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
-    gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ parent
-    singular = np.zeros(len(ranks), dtype=bool)
-    try:
-        coeff = np.linalg.solve(gf, rhs)
-    except np.linalg.LinAlgError:  # find the singular fibers one by one
-        coeff = np.full_like(rhs, np.nan)
-        for i in range(len(gf)):
-            try:
-                coeff[i] = np.linalg.solve(gf[i], rhs[i])
-            except np.linalg.LinAlgError:
-                singular[i] = True
-    y = fiber @ coeff
+    k = a.shape[-1]
+    if k == 1:
+        return a[:, 0, 0].copy()
+    if k == 2:
+        half = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+        disc = (0.5 * (a[:, 0, 0] - a[:, 1, 1])) ** 2 + a[:, 0, 1] * a[:, 1, 0]
+        return half - np.sqrt(np.maximum(disc, 0.0))  # a complex pair's real part is half
+    if k > 3:
+        return np.linalg.eigvals(a).real.min(axis=1)
+    shift = np.trace(a, axis1=1, axis2=2) / 3
+    b = a - shift[:, None, None] * np.eye(3)
+    c = -0.5 * np.einsum("pij,pji->p", b, b)
+    d = -(b[:, 0, 0] * (b[:, 1, 1] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 1])
+          - b[:, 0, 1] * (b[:, 1, 0] * b[:, 2, 2] - b[:, 1, 2] * b[:, 2, 0])
+          + b[:, 0, 2] * (b[:, 1, 0] * b[:, 2, 1] - b[:, 1, 1] * b[:, 2, 0]))
+    disc = (0.5 * d) ** 2 + (c / 3) ** 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # three real roots: t = r cos(phi/3 - 2 pi j/3), the smallest at j = 2
+        r = 2 * np.sqrt(np.maximum(-c / 3, 0.0))
+        cos_phi = np.clip(np.where(r > 0, -4 * d / r ** 3, 0.0), -1.0, 1.0)
+        real3 = r * np.cos((np.arccos(cos_phi) + 2 * np.pi) / 3)
+        # one real root t1, and a complex pair of real part -t1/2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t1 = np.cbrt(-0.5 * d + root) + np.cbrt(-0.5 * d - root)
+    return shift + np.where(disc > 0, np.minimum(t1, -0.5 * t1), real3)
+
+
+def _polar_fit(points: np.ndarray, y: np.ndarray, gram: np.ndarray, pattern: tuple[int, ...],
+               tol: float, floor: float, checks=()):
+    """Pseudo-orthonormal frames W = y S^-1 of the projected seed frames y
+    (L, m, k) of the grid points `points` (L,), all at once.
+
+    S is the principal root of A = J y^T G y (gram G (m, m) or (L, m, m),
+    J = diag(pattern)); Newton-Schulz on A over its row-sum norm gives S^-1
+    when the spectrum of A lies in the right half-plane.  An ambient
+    isometry leaves that spectrum alone: for a definite fiber its
+    eigenvalues are the cos^2 of the principal angles between the fiber and
+    the seed fiber.  Checks, in order: the caller's (mask, message)
+    `checks`, the polar fit (W finite, max |W^T G W - J| <= tol), and the
+    floor on the smallest real part of the spectrum; the first failing point
+    raises, naming its grid index.  Returns (frames (L, m, k), that smallest
+    real part over the points).
+    """
+    k = y.shape[2]
     signs = np.asarray(pattern, dtype=float)
     a = signs[:, None] * (y.transpose(0, 2, 1) @ gram @ y)
+    lam = _smallest_eigenvalue(a)
     scale = np.sum(np.abs(a), axis=2).max(axis=1)[:, None, None]  # bounds the spectrum of a
     root, inv_root, eye = a / scale, np.eye(k), np.eye(k)  # Y -> (a/scale)^1/2, Z -> its inverse
     for _ in range(_ROOT_STEPS):
@@ -405,49 +446,15 @@ def _fit_level(points: np.ndarray, ranks: np.ndarray, bases: np.ndarray, parent:
     frames = y @ inv_root / np.sqrt(scale)
     gram_w = frames.transpose(0, 2, 1) @ gram @ frames
     defect = np.max(np.abs(gram_w - np.diag(signs)), axis=(1, 2))
-    lost = ~(defect <= tol)  # NaN where W is not finite
-    steps = np.max(np.abs(frames - parent), axis=(1, 2))
-    wrong_rank, jump = ranks != k, steps > threshold
-    failed = wrong_rank | singular | lost | jump
+    checks = [*checks,
+              (~(defect <= tol), lambda i: "polar fit lost rank"),  # NaN where W is not finite
+              (~(lam >= floor), lambda i: f"smallest eigenvalue {lam[i]:.3g} below floor {floor}")]
+    failed = np.logical_or.reduce([bad for bad, _ in checks])
     if failed.any():
         i = int(np.argmax(failed))
-        checks = [
-            (wrong_rank, lambda: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
-            (singular, lambda: "degenerate fiber during sweep"),
-            (lost, lambda: "polar fit lost rank"),
-            (jump, lambda: f"frame jump {steps[i]:.3f} exceeds threshold {threshold}"),
-        ]
-        message = next(msg() for bad, msg in checks if bad[i])
+        message = next(msg(i) for bad, msg in checks if bad[i])
         raise FrameAlignmentFailure(f"{message} at grid point {points[i]}")
-    return frames, steps
-
-
-def _sweep(levels, mask: np.ndarray, ranks: np.ndarray, bases: np.ndarray,
-           seed_span: np.ndarray, gram, tol: float, threshold: float):
-    """The level-by-level sweep of `align_frames` over fibers already ranked.
-
-    ranks (M,) and bases (M, m, w) belong to the M masked points in point
-    order; `seed_span` spans the fiber at the seed point, levels[0].  The
-    seed frame is `_seed_frame` of it, so it fixes the gauge of every frame.
-    """
-    npts = len(mask)
-    row = np.cumsum(mask) - 1  # the row of each masked point in ranks and bases
-    gram = np.asarray(gram)
-    per_point_gram = gram.ndim == 3
-    seed_pt = int(levels[0][0][0])
-    frame0, pattern = _seed_frame(seed_span, gram[seed_pt] if per_point_gram else gram, tol)
-    frames = np.zeros((npts, bases.shape[1], frame0.shape[1]))
-    frames[seed_pt] = frame0
-    max_step = 0.0
-    with np.errstate(all="ignore"):  # a failing point is reported, not warned about
-        for points, parents in levels[1:]:
-            at = row[points]
-            frames[points], steps = _fit_level(
-                points, ranks[at], bases[at], frames[parents],
-                gram[points] if per_point_gram else gram, pattern, tol, threshold,
-            )
-            max_step = max(max_step, float(np.fmax.reduce(steps)))  # NaN steps never count
-    return frames, pattern, max_step
+    return frames, float(np.min(lam))
 
 
 def align_frames(
@@ -458,26 +465,58 @@ def align_frames(
     seed: int | None = None,
     tol: float = DEFAULT_TOL,
     *,
-    threshold: float,
+    floor: float,
 ):
-    """Sweep-aligned pseudo-orthonormal frames of a pointwise subbundle.
+    """Seed-anchored pseudo-orthonormal frames of a pointwise subbundle.
 
     spans: (P, m, s) spanning vectors per point (columns; s >= rank).
     gram: (m, m) or (P, m, m) ambient Gram.
-    The ranks and bases of all masked spans come from one `span_stack` call;
-    the sweep then runs one BFS level at a time, each point fitted to its BFS
-    parent in the level above, so the frames are those of a point-by-point
-    sweep in BFS order.  The seed frame comes from the seed span itself.
-    Returns (frames (P, m, k), pattern, max_step) with frames zero off-mask.
+    The seed (default: the masked point nearest the mask's centre) gets the
+    `_seed_frame` of its own span, which fixes the gauge of every frame.
+    The ranks and bases of all masked spans come from one `span_stack`
+    call; every masked fiber then takes the G-projection of the seed frame
+    and one `_polar_fit` over all points turns it into a frame, gated at
+    `floor`.  So each frame depends on its fiber and the seed alone.
+    Returns (frames (P, m, k), pattern, smallest eigenvalue of the fit)
+    with frames zero off-mask.
     """
     if mask is None:
         mask = np.ones(spans.shape[0], dtype=bool)
-    levels = bfs_levels(shape, mask, seed)
-    if not levels:
-        raise ValueError("empty mask")
     mask = np.asarray(mask, dtype=bool).reshape(-1)
+    points = np.flatnonzero(mask)
+    if points.size == 0:
+        raise ValueError("empty mask")
+    seed = _central_point(shape, points) if seed is None else int(seed)
+    if not mask[seed]:
+        raise ValueError(f"seed {seed} lies outside the mask")
     ranks, bases = span_stack(spans[mask], tol)
-    return _sweep(levels, mask, ranks, bases, spans[levels[0][0][0]], gram, tol, threshold)
+    gram = np.asarray(gram)
+    if gram.ndim == 3:
+        gram_seed, gram = gram[seed], gram[points]
+    else:
+        gram_seed = gram
+    frame0, pattern = _seed_frame(spans[seed], gram_seed, tol, seed)
+    k = frame0.shape[1]
+    fiber = bases[:, :, :k]
+    fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
+    gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ frame0
+    singular = np.zeros(len(points), dtype=bool)
+    try:
+        coeff = np.linalg.solve(gf, rhs)
+    except np.linalg.LinAlgError:  # find the singular fibers one by one
+        coeff = np.full_like(rhs, np.nan)
+        for i in range(len(gf)):
+            try:
+                coeff[i] = np.linalg.solve(gf[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    frames = np.zeros((len(mask), spans.shape[1], k))
+    with np.errstate(all="ignore"):  # a failing point is reported, not warned about
+        frames[points], lam = _polar_fit(points, fiber @ coeff, gram, pattern, tol, floor, [
+            (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
+            (singular, lambda i: "degenerate fiber during sweep"),
+        ])
+    return frames, pattern, lam
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +565,6 @@ class FundamentalData:
         """The normal pattern as floats, the diagonal of the normal metric."""
         return np.asarray(self.normal_pattern, dtype=float)
 
-    def shape_pairing(self, t: int) -> np.ndarray:
-        """Matrix <alpha(E_a, E_b), xi_t> per point, (P, n, n)."""
-        return self.alpha[..., t] * self.normal_pattern[t]
-
     def normal_coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Frame coordinates of ambient vectors lying in the normal space.
 
@@ -545,7 +580,7 @@ class FundamentalData:
 
 def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> FundamentalData:
     """Metric, frames, second fundamental form and normal connection of a jet;
-    the normal frames are swept at `cfg.rank_tol` and `cfg.align_threshold`."""
+    the normal frames are fitted at `cfg.rank_tol` and gated at `cfg.align_floor`."""
     cfg = cfg or PipelineConfig()
     g_amb = jet.ambient.gram
     metric = induced_metric(jet)
@@ -571,27 +606,28 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> Fu
         tangent_frame_inv = np.linalg.inv(tangent_frame)
     tangent_ambient = np.einsum("pim,pia->pma", jet.d1, tangent_frame)
 
-    # normal spaces: kernels of <d_i F, .> per point, then one aligned sweep.
-    # The rows have rank n (the immersion is certified above), so the last
-    # k columns of a complete QR of their transpose are an orthonormal basis
-    # of the kernel: every fiber has rank k and needs no rank decision.
-    rows = np.einsum("pia,ab->pib", jet.d1, g_amb)  # (P, n, m)
+    # normal frames: the normal space is the G-complement of the tangent
+    # space, so the G-projection of the seed frame onto it is the seed frame
+    # minus its tangent part, sum_a eta_a <F0, E_a> E_a; one polar fit of
+    # those projections gives every frame.
+    eta = np.asarray(tangent_pattern, dtype=float)
     k = m - n
     if k == 0:
         normal_frame = np.zeros((p, m, 0))
         normal_pattern = ()
-        max_step = 0.0
+        lam = 1.0
     else:
-        bases = np.linalg.qr(rows.transpose(0, 2, 1), mode="complete")[0][:, :, n:]
-        mask = np.ones(p, dtype=bool)
-        levels = bfs_levels(jet.chart.shape, mask)
-        seed_span = np.linalg.svd(rows[levels[0][0][0]])[2][n:].T  # the gauge of the frames
-        normal_frame, normal_pattern, max_step = _sweep(
-            levels, mask, np.full(p, k), bases, seed_span, g_amb, cfg.rank_tol, cfg.align_threshold
-        )
+        points = np.arange(p)
+        seed = _central_point(jet.chart.shape, points)
+        seed_span = np.linalg.svd(jet.d1[seed] @ g_amb)[2][n:].T  # the gauge of the frames
+        frame0, normal_pattern = _seed_frame(seed_span, g_amb, cfg.rank_tol, seed)
+        tangent_part = tangent_ambient @ (eta[:, None] * (tangent_ambient.transpose(0, 2, 1)
+                                                          @ (g_amb @ frame0)))
+        with np.errstate(all="ignore"):  # a failing point is reported, not warned about
+            normal_frame, lam = _polar_fit(points, frame0 - tangent_part, g_amb, normal_pattern,
+                                           cfg.rank_tol, cfg.align_floor)
 
     # second fundamental form: normal component of the coordinate second partials
-    eta = np.asarray(tangent_pattern, dtype=float)
     d2_dot_e = contract("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient)
     tang_part = contract("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient)
     alpha_ambient = jet.d2 - tang_part
@@ -608,7 +644,7 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> Fu
 
     diagnostics = {
         "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)))) if alpha.size else 0.0,
-        "frame_step": max_step,
+        "frame_step": lam,
     }
     if k:
         skew = nconn * eps[None, None, None, :] + np.swapaxes(nconn * eps[None, None, None, :], 2, 3)

@@ -74,12 +74,6 @@ class LightConeModel:
         v[0] = 1.0
         return v
 
-    @property
-    def e1(self) -> np.ndarray:
-        v = np.zeros(self.dim)
-        v[1] = 1.0
-        return v
-
     @staticmethod
     def for_ambient(ambient: ScalarProduct) -> "LightConeModel":
         if not ambient.pseudo_pair:

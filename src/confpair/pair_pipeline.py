@@ -338,7 +338,7 @@ class _Region:
             gram = np.diag(self.eps_l) if align == "normal" else np.eye(self.n)
             full, pattern, _ = align_frames(
                 full, gram, self.joint.left.jet.chart.shape, mask=self.mask,
-                tol=self.cfg.rank_tol * 10, threshold=self.cfg.align_threshold,
+                tol=self.cfg.rank_tol * 10, floor=self.cfg.align_floor,
             )
         self.ranks[product] = ranks
         self.arrays[product] = full

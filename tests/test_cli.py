@@ -299,20 +299,21 @@ def test_extend_manifest_verifies_at_the_run_frame_jump_threshold(monkeypatch):
 
 
 def test_obstruction_sweeps_at_the_run_frame_jump_threshold(monkeypatch):
-    # the kernel and fiber sweeps of `extension_obstruction`, reached from a
-    # pair report and from an extend manifest with hand-built transfer data
-    thresholds = []
+    # the kernel and fiber fits of `extension_obstruction`, reached from a
+    # pair report and from an extend manifest with hand-built transfer data,
+    # are gated at the run's alignment floor
+    floors = []
     real = jets.align_frames
 
     def spy(*args, **kwargs):
-        thresholds.append(kwargs["threshold"])
+        floors.append(kwargs["floor"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(extension, "align_frames", spy)
     cfg = run_config(monkeypatch, "flat-pair")
-    assert thresholds == [cfg.align_threshold]
+    assert floors == [cfg.align_floor]
     cfg = run_config(monkeypatch, "flat-extension")
-    assert thresholds == [cfg.align_threshold] * 3
+    assert floors == [cfg.align_floor] * 3
 
 
 def recording_rank_tol(real, seen: list):
@@ -394,3 +395,51 @@ def test_single_manifest_reports_rigidity():
     assert rigidity == {"q": 1, "thresholds": {"per_s": {"1": 2}, "extra_nu1": None},
                         "nu_lower_bounds": {"1": 1}, "satisfied": True,
                         "conclusive_violation": False}
+
+
+def table_variant(name: str, side: str) -> dict:
+    """The gallery pair manifest `name` with one side given as the value
+    table of its closed form on the manifest's grid."""
+    doc = json.loads(json.dumps(MANIFESTS[name]))
+    grid = doc["grid"]
+    chart = jets.ChartGrid(tuple(grid["shape"]), tuple(grid["spacing"]), tuple(grid["origin"]))
+    doc[side] = {"table": {"values": build_immersion(doc[side]).values(chart.points()).tolist()}}
+    return doc
+
+
+LIFT_NOTE = "right immersion lifted to its isometric cone representative"
+
+
+def test_stencil_pair_counts_as_isometric_at_the_stencil_tolerance():
+    # a tabulated side's stencil metric is off by about 1e-7, above the 1e-8
+    # of exact jets but within `fd_tol`, so the pair is not lifted to the cone
+    report, code = run_manifest(table_variant("flat-pair", "right"))
+    assert code == 0 and report["results"]["notes"] == []
+    assert [(r["branch"], r["ranks"]["rulings"], r["ranks"]["transfer_bundle"])
+            for r in report["results"]["regions"]] == [("nondegenerate", 2, 0)]
+    report, _ = run_manifest(table_variant("congruent-pair", "right"))
+    assert report["results"]["notes"] == []
+    assert len(report["results"]["regions"]) == 1
+
+
+def pair_outcome(doc: dict):
+    report, _ = run_manifest(doc)
+    return report["passed"], [(r["branch"], r["ranks"]) for r in report["results"]["regions"]]
+
+
+@pytest.mark.parametrize("name, centre", [
+    ("congruent-pair", [0.0, 0.0, 0.0, 5.0]),
+    ("congruent-pair", [3.0, 3.0, 3.0, 3.0]),
+    ("flat-pair", [2.0, 2.0, 2.0, 2.0]),
+    ("flat-pair", [-1.0, 3.0, 0.0, 2.0]),
+])
+def test_inverting_the_right_side_leaves_its_cone_lift_analysis_alone(name, centre):
+    # an ambient Moebius map acts on the cone lift as a Lorentz isometry, so
+    # the inverted side lifts to the same pair analysis as its psi-lift
+    # (which of flat-pair's two answers is right is not asserted here)
+    lifted = json.loads(json.dumps(MANIFESTS[name]))
+    lifted["right"] = {"builtin": "psi-lift", "params": {"of": lifted["right"]}}
+    inverted = json.loads(json.dumps(MANIFESTS[name]))
+    inverted["right"] = {"builtin": "inversion",
+                         "params": {"of": inverted["right"], "center": centre}}
+    assert pair_outcome(inverted) == pair_outcome(lifted)

@@ -94,9 +94,9 @@ def test_conformal_sff_ranks_and_sweeps_at_its_config(monkeypatch):
     monkeypatch.setattr(conformal_calc, "align_frames", spy)
     grid = ChartGrid((5, 5, 5), (0.03,) * 3, (0.2, 0.3, 0.1))
     fund = fundamental_data(ImmersionJet.from_function(graph, grid, ScalarProduct.euclidean(5)))
-    cfg = PipelineConfig(rank_tol=2e-9, align_threshold=0.6)
+    cfg = PipelineConfig(rank_tol=2e-9, align_floor=0.6)
     assert conformal_sff(fund, coordinate_distribution(fund, [0]), cfg).ell == 2
-    assert sweeps == [{"tol": pytest.approx(2e-8), "threshold": 0.6}]
+    assert sweeps == [{"tol": pytest.approx(2e-8), "floor": 0.6}]
 
 
 def test_conformal_sff_on_cone_rulings():

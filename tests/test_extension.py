@@ -175,14 +175,28 @@ def assert_tube_branch_holds(report, rank):
         assert compat[key] <= 1e-10
 
 
+def twisted_normal(fund):
+    """Normal-frame coordinates (P, k) of the unit normal part of e3 + x1 e4.
+
+    The unit normal part of a constant vector v would not do: the cylinder
+    over the surface along v extends it, so the obstruction kernel of that
+    line holds (v^T, |v^N|) at every point.  A vector that turns with x1
+    leaves the kernel zero.
+    """
+    x1 = fund.jet.chart.points()[:, :1]
+    e = np.eye(fund.jet.m)
+    coords = fund.normal_coordinates(e[2] + x1 * e[3])
+    return coords / np.linalg.norm(coords, axis=1, keepdims=True)
+
+
 def test_tube_branch_on_a_self_pair_without_fibres():
-    # L = the first aligned normal field, no rulings: the obstruction kernel
-    # is zero, so the tube is the base and its bundle is all of L
+    # L = a twisted unit normal field, no rulings: the obstruction kernel is
+    # zero, so the tube is the base and its bundle is all of L
     jet = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
     p = TUBE_GRID.npoints
-    lf = np.zeros((p, 3, 1))
-    lf[:, 0, 0] = 1.0
-    data = TransferData.from_frames(fundamental_data(jet), fundamental_data(jet), lf, lf.copy(), (1,),
+    fund = fundamental_data(jet)
+    lf = twisted_normal(fund)[:, :, None]
+    data = TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1,),
                                     np.zeros((p, 2, 0)))
     obs = extension_obstruction(data)
     assert (obs.s, obs.r, data.ell) == (0, 0, 1)
@@ -192,19 +206,16 @@ def test_tube_branch_on_a_self_pair_without_fibres():
 
 
 def padded_surface_transfer():
-    """The surface padded with a flat sixth coordinate, and L = (its first
+    """The surface padded with a flat sixth coordinate, and L = (its twisted
     normal, e6) on both sides: e6 is the one fibre, so the tube bundle is the
     rest of L.  Returns the left transfer frames and the transfer data."""
     def padded(xs):
         return codim3_surface(xs) + [jet3.constant(0.0, xs[0])]
 
     p = TUBE_GRID.npoints
-    surface = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
-    first_normal = fundamental_data(surface).normal_frame[:, :, 0]
     jet = ImmersionJet.from_function(padded, TUBE_GRID, ScalarProduct.euclidean(6))
     fund = fundamental_data(jet)
-    lf = np.stack([fund.normal_coordinates(np.pad(first_normal, ((0, 0), (0, 1)))),
-                   fund.normal_coordinates(np.eye(6)[5])], axis=2)
+    lf = np.stack([twisted_normal(fund), fund.normal_coordinates(np.eye(6)[5])], axis=2)
     return lf, TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1, 1),
                                         np.zeros((p, 2, 0)))
 

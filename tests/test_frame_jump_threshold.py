@@ -1,7 +1,9 @@
 """One home per run-level number: every call in confpair of a function that
 takes the run's `PipelineConfig` passes it, and every `align_frames` call
-names its `threshold=`, so no library path falls back to a default while the
-run decides ranks and sweeps frames at the numbers of its own config."""
+names its `floor=`, so no library path falls back to a default while the
+run decides ranks and aligns frames at the numbers of its own config.  (The
+module and test names keep the word "threshold" of the frame-jump gate that
+the floor replaced.)"""
 
 import ast
 from pathlib import Path
@@ -29,7 +31,7 @@ def config_positions(trees) -> dict[str, int]:
 def calls_without_config(sources: dict[str, str]) -> list[str]:
     """`file:line` of each call, by name or as an attribute, of a function
     that takes `cfg` and is not given it, and of each `align_frames` call
-    with no `threshold=` keyword."""
+    with no `floor=` keyword."""
     trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
     takers = config_positions(trees.values())
     found = []
@@ -39,7 +41,7 @@ def calls_without_config(sources: dict[str, str]) -> list[str]:
                 continue
             name, keys = _name(node), {k.arg for k in node.keywords}
             if name == "align_frames":
-                missing = "threshold" not in keys
+                missing = "floor" not in keys
             elif name in takers:
                 missing = "cfg" not in keys and len(node.args) <= takers[name]
             else:
@@ -63,6 +65,6 @@ def test_call_without_threshold_is_flagged():
         "c = jets.fundamental_data(jet)\n"
         "d = fundamental_data(jet, cfg=cfg)\n"
         "e = align_frames(spans, gram, shape, tol=t)\n"
-        "f = align_frames(spans, gram, shape, threshold=cfg.align_threshold)\n"
+        "f = align_frames(spans, gram, shape, floor=cfg.align_floor)\n"
     )
     assert calls_without_config({"<source>": source}) == ["<source>:3", "<source>:5", "<source>:7"]

@@ -25,7 +25,7 @@ from confpair.indefinite_linalg import (
 
 from oracles import null_space, rational_intersection_dim, rational_rank, rational_signature, span
 
-LORENTZ2 = ScalarProduct.lorentz(2)
+LORENTZ2 = ScalarProduct(2, (-1, 1))
 RNG = np.random.default_rng(20240811)
 FLOORS = (0.0, 1.0)  # the pure relative rule and the floor the pipeline uses on frames
 
@@ -41,7 +41,7 @@ def lightcone_null_pair(dim=4):
 
 def lorentz_null_line(dim=4):
     """diag(-1, 1, ..., 1) and a dot-unit null vector of it."""
-    eps = np.diag(ScalarProduct.lorentz(dim).gram).copy()
+    eps = np.r_[-1.0, np.ones(dim - 1)]
     e0 = np.zeros(dim)
     e0[:2] = np.sqrt(0.5)
     return eps, e0
@@ -283,7 +283,7 @@ def test_signature_invariant_under_basis_remix(data):
 
 
 def test_projection_idempotent_and_self_adjoint():
-    amb = ScalarProduct.from_pattern((-1, 1, 1, 1))
+    amb = ScalarProduct(4, (-1, 1, 1, 1))
     eps = np.diag(amb.gram)
     for _ in range(10):
         sub = span(RNG.normal(size=(4, 2)))

@@ -22,7 +22,6 @@ from confpair.jets import (
     induced_metric,
     leaf_mean_curvature,
 )
-from confpair.regions import bfs_levels
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
@@ -132,7 +131,7 @@ def test_cylinder_shape_operator_eigenvalues():
     jet = ImmersionJet.from_function(cylinder3_fn, grid, E4)
     fund = fundamental_data(jet)
     assert fund.normal_rank == 1
-    pairing = fund.shape_pairing(0)  # in the orthonormal tangent frame
+    pairing = fund.alpha[..., 0] * fund.normal_pattern[0]  # <alpha(E_a, E_b), xi_0>
     eigs = np.linalg.eigvalsh(pairing)
     eigs_sorted = np.sort(np.abs(eigs), axis=1)
     assert np.max(np.abs(eigs_sorted[:, :2])) < 1e-10
@@ -288,7 +287,7 @@ def test_gauss_equation_residual_flat_and_sphere():
 
 
 # ---------------------------------------------------------------------------
-# level-synchronous alignment against the point-by-point sweep
+# seed-anchored alignment against a point-by-point fit
 # ---------------------------------------------------------------------------
 
 
@@ -308,37 +307,43 @@ def _fit_one(candidate, fiber, gram, pattern, tol):
         frame = (y @ (vecs * vals.astype(complex) ** -0.5) @ np.linalg.inv(vecs)).real
     if not np.isfinite(frame).all() or np.max(np.abs(frame.T @ gram @ frame - j)) > tol:
         raise FrameAlignmentFailure("polar fit lost rank")
-    return frame
+    return frame, float(np.min(vals.real))
 
 
-def sequential_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, *, threshold):
-    """The point-by-point sweep in BFS order: the oracle for align_frames."""
+def central_point(shape, mask):
+    """The masked point nearest the mean grid index of the mask, the first on a tie."""
+    points = [int(q) for q in np.flatnonzero(mask)]
+    ij = {q: np.array(np.unravel_index(q, shape), dtype=float) for q in points}
+    mean = sum(ij.values()) / len(points)
+    return min(points, key=lambda q: (float(np.sum((ij[q] - mean) ** 2)), q))
+
+
+def anchored_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, *, floor):
+    """Every masked point fitted to the seed frame on its own, in point
+    order: the oracle for align_frames."""
     npts = spans.shape[0]
     mask = np.ones(npts, dtype=bool) if mask is None else mask
-    order = [(int(q), int(par)) for pts, pars in bfs_levels(shape, mask, seed)
-             for q, par in zip(pts, pars)]
+    seed = central_point(shape, mask) if seed is None else seed
     gram = np.asarray(gram)
 
     def gram_at(q):
         return gram[q] if gram.ndim == 3 else gram
 
-    frame0, pattern = _seed_frame(spans[order[0][0]], gram_at(order[0][0]), tol)
+    frame0, pattern = _seed_frame(spans[seed], gram_at(seed), tol, seed)
     k = frame0.shape[1]
     frames = np.zeros((npts, spans.shape[1], k))
-    frames[order[0][0]] = frame0
-    max_step = 0.0
-    for point, parent in order[1:]:
+    smallest = np.inf
+    for point in np.flatnonzero(mask):
         count, fiber = span_stack(spans[point], tol)
         fiber = fiber[:, :count]
         if fiber.shape[1] != k:
             raise FrameAlignmentFailure(
                 f"fiber rank {fiber.shape[1]} != {k} inside a constant-rank region")
-        frames[point] = _fit_one(frames[parent], fiber, gram_at(point), pattern, tol)
-        step = float(np.max(np.abs(frames[point] - frames[parent])))
-        max_step = max(max_step, step)
-        if step > threshold:
-            raise FrameAlignmentFailure(f"frame jump {step:.3f} exceeds threshold {threshold}")
-    return frames, pattern, max_step
+        frames[point], lam = _fit_one(frame0, fiber, gram_at(point), pattern, tol)
+        if not lam >= floor:
+            raise FrameAlignmentFailure(f"smallest eigenvalue {lam:.3g} below floor {floor}")
+        smallest = min(smallest, lam)
+    return frames, pattern, smallest
 
 
 def tangent_rows(jet):
@@ -346,8 +351,8 @@ def tangent_rows(jet):
 
 
 def normal_spans(jet):
-    """Unaligned normal spans as fundamental_data builds them: the last
-    m - n columns of a complete QR of the transposed tangent rows."""
+    """Unaligned normal spans: the last m - n columns of a complete QR of
+    the transposed tangent rows."""
     return np.linalg.qr(tangent_rows(jet).transpose(0, 2, 1), mode="complete")[0][:, :, jet.n:]
 
 
@@ -362,38 +367,57 @@ def test_normal_spans_project_like_the_svd_complement(imap):
     assert np.max(np.abs(gap)) <= 1e-13
 
 
+@pytest.mark.parametrize("imap", [gallery.pad(gallery.sphere(2), extra=2),
+                                  gallery.psi_lift(gallery.torus())], ids=["pad", "psi_lift"])
+def test_fundamental_data_frames_are_the_anchored_fit_of_the_normal_spaces(imap):
+    # projecting the seed frame off the tangent space is the G-projection
+    # onto the normal space, so fundamental_data agrees with align_frames
+    # on any basis of the normal spaces, up to the gauge of the seed frame
+    jet = imap.jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
+    fund = fundamental_data(jet)
+    frames, pattern, lam = align_frames(normal_spans(jet), jet.ambient.gram, jet.chart.shape,
+                                        floor=0.1)
+    assert fund.normal_pattern == pattern
+    j = np.diag(pattern)
+    gauge = j @ fund.normal_frame.transpose(0, 2, 1) @ jet.ambient.gram @ frames
+    assert np.max(np.abs(gauge[0].T @ j @ gauge[0] - j)) <= 1e-12  # one Q in O(p, q)
+    assert np.max(np.abs(fund.normal_frame @ gauge[0] - frames)) <= 1e-12
+    assert fund.diagnostics["frame_step"] == pytest.approx(lam, abs=1e-12)
+
+
 def test_fundamental_data_seeds_its_frames_from_the_svd_complement():
     # the seed frame fixes the gauge of every frame-dependent quantity; it
-    # comes from the SVD complement at the seed point, not from the QR bases
+    # comes from the SVD complement at the central point of the chart
     jet = gallery.psi_lift(gallery.torus()).jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
     fund = fundamental_data(jet)
-    seed = 0  # the first point of the grid seeds the sweep
+    seed = central_point(jet.chart.shape, np.ones(jet.chart.npoints, dtype=bool))
+    assert seed == 4 * 8 + 3  # (4, 3): the first of the two points nearest (4, 3.5)
     span = np.linalg.svd(tangent_rows(jet)[seed])[2][jet.n:].T
-    frame0, pattern = _seed_frame(span, jet.ambient.gram, DEFAULT_TOL)
+    frame0, pattern = _seed_frame(span, jet.ambient.gram, DEFAULT_TOL, seed)
     assert fund.normal_pattern == pattern
-    assert np.array_equal(fund.normal_frame[seed], frame0)
+    assert np.max(np.abs(fund.normal_frame[seed] - frame0)) <= 1e-14
 
 
 def assert_same_alignment(spans, gram, shape, **kw):
-    frames, pattern, step = align_frames(spans, gram, shape, **kw)
-    ref_frames, ref_pattern, ref_step = sequential_align(spans, gram, shape, **kw)
+    frames, pattern, lam = align_frames(spans, gram, shape, **kw)
+    ref_frames, ref_pattern, ref_lam = anchored_align(spans, gram, shape, **kw)
     assert pattern == ref_pattern
     assert np.max(np.abs(frames - ref_frames)) <= 1e-12
-    assert step == pytest.approx(ref_step, abs=1e-12)
+    assert lam == pytest.approx(ref_lam, abs=1e-12)
     return pattern
 
 
 def test_align_frames_matches_sweep_on_definite_normal_bundle():
     chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
     jet = gallery.pad(gallery.sphere(2), extra=2).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
     assert pattern == (1, 1, 1)
 
 
 def test_align_frames_matches_sweep_on_mixed_pattern():
     chart = ChartGrid((8, 9), (0.03, 0.03), (0.9, 0.4))
     jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
     assert -1 in pattern and 1 in pattern
 
 
@@ -418,81 +442,121 @@ def test_align_frames_matches_sweep_with_per_point_gram(monkeypatch):
     assert_same_alignment(spans, per_point, shape, **kw)
 
 
+def disc_mask(chart, centre, radius_sq):
+    ij = np.stack(np.unravel_index(np.arange(chart.npoints), chart.shape), axis=1)
+    return np.sum((ij - centre) ** 2, axis=1) <= radius_sq
+
+
 def test_align_frames_matches_sweep_on_masked_seeded_region():
     chart = ChartGrid((11, 10), (0.03, 0.03), (0.8, 0.3))
     jet = gallery.pad(gallery.sphere(2), extra=1).jet(chart)
-    ij = np.stack(np.unravel_index(np.arange(chart.npoints), chart.shape), axis=1)
-    mask = np.sum((ij - [5, 4]) ** 2, axis=1) <= 16  # a disc
+    mask = disc_mask(chart, [5, 4], 16)
     seed = int(np.ravel_multi_index((6, 3), chart.shape))
     assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape,
-                          mask=mask, seed=seed, threshold=0.6)
+                          mask=mask, seed=seed, floor=0.6)
     frames, _, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape,
-                                mask=mask, seed=seed, threshold=0.6)
+                                mask=mask, seed=seed, floor=0.6)
     assert not frames[~mask].any()
+
+
+@pytest.mark.parametrize("imap", [gallery.pad(gallery.sphere(2), extra=1),
+                                  gallery.psi_lift(gallery.sphere(2))], ids=["pad", "psi_lift"])
+def test_frames_do_not_depend_on_the_region_around_the_seed(imap):
+    # with the seed fixed, a frame is a function of its own fiber: a disc and
+    # two islands around the same seed see the full chart's frames
+    chart = ChartGrid((11, 10), (0.03, 0.03), (0.8, 0.3))
+    jet = imap.jet(chart)
+    spans, gram = normal_spans(jet), jet.ambient.gram
+    seed = int(np.ravel_multi_index((5, 4), chart.shape))
+    full, pattern, _ = align_frames(spans, gram, chart.shape, seed=seed, floor=0.1)
+    islands = disc_mask(chart, [5, 4], 2) | disc_mask(chart, [1, 8], 1)
+    for mask in (disc_mask(chart, [5, 4], 9), islands):
+        part, part_pattern, _ = align_frames(spans, gram, chart.shape, mask=mask, seed=seed,
+                                             floor=0.1)
+        assert part_pattern == pattern
+        assert np.max(np.abs(part[mask] - full[mask])) <= 1e-13
+
+
+def lorentz_isometry(gram, scale, seed):
+    """L = exp(G^-1 K), K antisymmetric, so L^T G L = G."""
+    skew = scale * np.random.default_rng(seed).standard_normal(gram.shape)
+    gen = np.linalg.solve(gram, skew - skew.T)
+    iso, term = np.eye(len(gram)), np.eye(len(gram))
+    for i in range(1, 40):
+        term = term @ gen / i
+        iso = iso + term
+    return iso
 
 
 def test_swept_frames_commute_with_ambient_isometries():
     chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
     jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
     gram, spans = jet.ambient.gram, normal_spans(jet)
-    # a Lorentz isometry L = exp(G^-1 K), K antisymmetric, so L^T G L = G
-    skew = 0.3 * np.random.default_rng(2).standard_normal((jet.m, jet.m))
-    gen = np.linalg.solve(gram, skew - skew.T)
-    iso, term = np.eye(jet.m), np.eye(jet.m)
-    for i in range(1, 40):
-        term = term @ gen / i
-        iso = iso + term
+    iso = lorentz_isometry(gram, 0.3, 2)
     assert np.max(np.abs(iso.T @ gram @ iso - gram)) <= 1e-14
     assert 1.5 <= np.max(np.abs(iso)) <= 2.0
-    frames, pattern, _ = align_frames(spans, gram, chart.shape, threshold=0.5)
-    # the jump gate still measures Euclidean steps, which L stretches: it is
-    # not isometry-invariant yet, so a loose threshold keeps it out of the way
-    moved, moved_pattern, _ = align_frames(iso @ spans, gram, chart.shape, threshold=10.0)
+    frames, pattern, lam = align_frames(spans, gram, chart.shape, floor=0.1)
+    moved, moved_pattern, moved_lam = align_frames(iso @ spans, gram, chart.shape, floor=0.1)
     assert moved_pattern == pattern
-    # moved = L F Q_p, Q_p the coordinates of `moved` in the frame L F
+    # the gate reads the spectrum of A, which L leaves alone
+    assert moved_lam == pytest.approx(lam, abs=1e-12)
+    # moved = L F Q, Q the coordinates of `moved` in the frame L F
     j = np.diag(pattern)
     gauge = j @ (iso @ frames).transpose(0, 2, 1) @ gram @ moved
-    seed = int(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))[0][0][0])
-    assert np.max(np.abs(gauge[seed].T @ j @ gauge[seed] - j)) <= 1e-12  # Q in O(p, q)
-    assert np.max(np.abs(gauge - gauge[seed])) <= 1e-12
+    assert np.max(np.abs(gauge[0].T @ j @ gauge[0] - j)) <= 1e-12  # Q in O(p, q)
+    assert np.max(np.abs(gauge - gauge[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_smallest_eigenvalue_matches_eigvals(k):
+    # symmetric stacks (real spectra, clusters included) and J-symmetric
+    # stacks J M with M symmetric, whose spectra have complex pairs
+    rng = np.random.default_rng(k)
+    m = rng.standard_normal((400, k, k))
+    sym = m + m.transpose(0, 2, 1)
+    sym[:50] = np.eye(k) + 1e-9 * sym[:50]  # near the seed, A = I
+    sym[50:100] = np.diag(np.r_[0.3, np.ones(k - 1)])
+    signs = np.where(np.arange(k) % 2, 1.0, -1.0)
+    for a in (sym, signs[:, None] * sym, m):
+        want = np.linalg.eigvals(a).real.min(axis=1)
+        assert np.max(np.abs(jets._smallest_eigenvalue(a) - want)) <= 1e-7 * np.max(np.abs(a))
 
 
 E0, E1, E2 = np.eye(3)
 LORENTZ = np.diag([-1.0, 1.0, 1.0])
 NULL_PAIR = ScalarProduct.lightcone(1).gram  # <E0, E0> = 0: E0 has a singular fiber Gram
-TURNED = np.cos(1.2) * E1 + np.sin(1.2) * E2  # 1.2 rad away from E1: a frame jump
+TURNED = np.cos(1.2) * E1 + np.sin(1.2) * E2  # 1.2 rad away from E1: cos^2 1.2 = 0.131
 SPACELIKE_TURN = np.cos(1.2) * E2 + np.sin(1.2) * (E0 + E1) / np.sqrt(2.0)
 
 
 @pytest.mark.parametrize("gram, spans, first", [
-    # point 0 jumps, point 2 (later in the level) loses the timelike direction
-    (LORENTZ, [[E0, TURNED], [E0, E1], [E1, E2]], "frame jump"),
-    # point 0 has a singular fiber Gram, point 2 jumps
+    # point 0 falls below the floor, point 2 loses the timelike direction
+    (LORENTZ, [[E0, TURNED], [E0, E1], [E1, E2]], "smallest eigenvalue"),
+    # point 0 has a singular fiber Gram, point 2 falls below the floor
     (NULL_PAIR, [[E0], [E2], [SPACELIKE_TURN]], "degenerate fiber"),
-    # point 0 jumps, point 2 has a singular fiber Gram
-    (NULL_PAIR, [[SPACELIKE_TURN], [E2], [E0]], "frame jump"),
-    # point 0 loses the timelike direction, point 2 jumps
+    # point 0 falls below the floor, point 2 has a singular fiber Gram
+    (NULL_PAIR, [[SPACELIKE_TURN], [E2], [E0]], "smallest eigenvalue"),
+    # point 0 loses the timelike direction, point 2 falls below the floor
     (LORENTZ, [[E1, E2], [E0, E1], [E0, TURNED]], "polar fit lost rank"),
 ])
 def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
-    # a 3-point line seeded in the middle: one level holds points 0 and 2
+    # a 3-point line seeded in the middle: the one fit holds points 0 and 2
     spans = np.array(spans).transpose(0, 2, 1)
     with pytest.raises(FrameAlignmentFailure) as ref:
-        sequential_align(spans, gram, (3,), seed=1, threshold=0.5)
+        anchored_align(spans, gram, (3,), seed=1, floor=0.5)
     assert str(ref.value).startswith(first)
-    with np.errstate(all="raise"):  # later points of the level stay silent
-        with pytest.raises(FrameAlignmentFailure, match=str(ref.value)):
-            align_frames(spans, gram, (3,), seed=1, threshold=0.5)
+    with np.errstate(all="raise"):  # later points of the fit stay silent
+        with pytest.raises(FrameAlignmentFailure, match=f"^{str(ref.value)} at grid point 0$"):
+            align_frames(spans, gram, (3,), seed=1, floor=0.5)
 
 
 def test_sweep_failure_names_its_flat_grid_index():
-    # a 3x3 grid seeded at its centre 4: level 1 holds points 1, 7, 3, 5 in
-    # BFS order, and points 7 and 3 jump; the first of them in level order is named
+    # a 3x3 grid seeded at its centre 4: points 3 and 7 lie 1.2 rad away from
+    # the seed fiber, and the first of them is named with its eigenvalue
     spans = np.stack([TURNED if q in (3, 7) else E1 for q in range(9)])[:, :, None]
-    assert bfs_levels((3, 3), np.ones(9, dtype=bool), 4)[1][0].tolist() == [1, 7, 3, 5]
     with pytest.raises(FrameAlignmentFailure,
-                       match=r"^frame jump \S+ exceeds threshold 0\.5 at grid point 7$"):
-        align_frames(spans, np.eye(3), (3, 3), seed=4, threshold=0.5)
+                       match=r"^smallest eigenvalue 0\.131 below floor 0\.5 at grid point 3$"):
+        align_frames(spans, np.eye(3), (3, 3), floor=0.5)
 
 
 def test_null_one_dimensional_fiber_cannot_seed_a_frame():
@@ -503,18 +567,20 @@ def test_null_one_dimensional_fiber_cannot_seed_a_frame():
     count, b = span_stack(span[0], DEFAULT_TOL)
     b = b[:, :count]
     assert abs((b.T @ gram @ b).item()) < 1e-15
-    with pytest.raises(FrameAlignmentFailure, match="degenerate fiber: cannot seed a frame"):
-        align_frames(span, gram, (1,), threshold=0.5)
+    with pytest.raises(FrameAlignmentFailure,
+                       match="^degenerate fiber: cannot seed a frame at grid point 0$"):
+        align_frames(span, gram, (1,), floor=0.5)
+    # the failure names the seed's grid point
+    spans = np.concatenate([np.eye(4)[:, 2:3][None]] * 2 + [span])
+    with pytest.raises(FrameAlignmentFailure,
+                       match="^degenerate fiber: cannot seed a frame at grid point 2$"):
+        align_frames(spans, gram, (3,), seed=2, floor=0.5)
 
 
-@pytest.mark.parametrize("imap", [gallery.pad(gallery.plane(2, 1)),
-                                  gallery.psi_lift(gallery.plane(2, 1))], ids=["pad", "psi_lift"])
-def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch, imap):
-    chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
-    jet = imap.jet(chart)
+def count_linalg_calls(monkeypatch):
     count = [0]
-    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
-                 "cholesky", "det", "matrix_rank"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "pinv",
+                 "lstsq", "cholesky", "det", "matrix_rank"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, **kwargs):
@@ -522,12 +588,33 @@ def test_fundamental_data_batches_linalg_over_bfs_levels(monkeypatch, imap):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return count
+
+
+def count_fits(monkeypatch):
+    fits = []
+    real = jets._polar_fit
+
+    def counted(points, *args, **kwargs):
+        fits.append(len(points))
+        return real(points, *args, **kwargs)
+
+    monkeypatch.setattr(jets, "_polar_fit", counted)
+    return fits
+
+
+@pytest.mark.parametrize("imap", [gallery.pad(gallery.plane(2, 1)),
+                                  gallery.psi_lift(gallery.plane(2, 1))], ids=["pad", "psi_lift"])
+def test_fundamental_data_fits_every_frame_in_one_call(monkeypatch, imap):
+    chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
+    jet = imap.jet(chart)
+    count, fits = count_linalg_calls(monkeypatch), count_fits(monkeypatch)
     fundamental_data(jet)
-    levels = len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool)))
-    assert levels == 199
-    # one batched solve per level below the seed (the polar fit of either
-    # signature needs no linalg call), and a few calls outside the sweep
-    assert count[0] <= levels + 10
+    assert fits == [chart.npoints]
+    # the fit and the projection onto the normal spaces need no linalg call,
+    # so the count does not grow with the grid: two for the immersion gate
+    # and the signature, two for the tangent frames, three for the seed
+    assert count[0] <= 7
 
 
 def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
@@ -540,10 +627,11 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
         return span_stack(vectors, *args, **kwargs)
 
     monkeypatch.setattr(jets, "span_stack", counted)
-    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, threshold=0.5)
-    assert len(bfs_levels(chart.shape, np.ones(chart.npoints, dtype=bool))) == 199
+    fits = count_fits(monkeypatch)
+    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
     # one stacked call for every fiber; the seed frame's own span is the only other
     assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]
+    assert fits == [chart.npoints]
 
 
 def stacked_svd_inputs(monkeypatch):
@@ -566,7 +654,7 @@ def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
     stacked = stacked_svd_inputs(monkeypatch)
     fundamental_data(jet)
     # the immersion gate certifies every point of this chart by its Gram
-    # eigenvalues, and the normal spaces come from a QR
+    # eigenvalues, and the normal frames are projections of the seed frame
     assert stacked == []
 
 

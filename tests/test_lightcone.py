@@ -61,9 +61,10 @@ def inversion_factor(center, radius=1.0):
 def test_embed_basics_and_identities():
     model = LightConeModel(4)
     x0 = np.zeros(4)
-    assert np.allclose(model.embed(x0), model.e1)
+    e1 = np.eye(model.dim)[1]
+    assert np.allclose(model.embed(x0), e1)
     e_first = np.eye(4)[0]
-    expect = -0.5 * model.e0 + model.e1
+    expect = -0.5 * model.e0 + e1
     expect[2] = 1.0
     assert np.allclose(model.embed(e_first), expect)
     amb = model.ambient

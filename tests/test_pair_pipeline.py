@@ -338,40 +338,24 @@ def test_build_joint_passes_the_config_frame_jump_threshold(monkeypatch):
         return real(jet, cfg)
 
     monkeypatch.setattr(pair_pipeline, "fundamental_data", spy)
-    cfg = PipelineConfig(align_threshold=0.6)
+    cfg = PipelineConfig(align_floor=0.6)
     build_joint(*congruent_pair(), cfg)
     assert len(given) == 2 and all(c is cfg for c in given)
 
 
 def count_pipeline_linalg(monkeypatch, jf, jg):
-    """np.linalg calls of `analyze_pair` outside the BFS sweeps of
-    `align_frames` and of `fundamental_data` (its private `_sweep`), which
-    make one batched call per level."""
+    """np.linalg calls of `analyze_pair`, frame fits included: each fit is
+    one batched call over its points."""
     count = [0]
-    sweeping = [False]
-    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "solve", "inv", "pinv", "lstsq",
-                 "cholesky", "det", "matrix_rank"):
+    for name in ("svd", "qr", "eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "pinv",
+                 "lstsq", "cholesky", "det", "matrix_rank"):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, **kwargs):
-            count[0] += not sweeping[0]
+            count[0] += 1
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-
-    def sweeping_call(real):
-        def call(*args, **kwargs):
-            outer, sweeping[0] = sweeping[0], True
-            try:
-                return real(*args, **kwargs)
-            finally:
-                sweeping[0] = outer
-        return call
-
-    align = sweeping_call(jets.align_frames)
-    monkeypatch.setattr(jets, "align_frames", align)
-    monkeypatch.setattr(pair_pipeline, "align_frames", align)
-    monkeypatch.setattr(jets, "_sweep", sweeping_call(jets._sweep))
     analysis = analyze_pair(jf, jg)
     monkeypatch.undo()
     return count[0], analysis

@@ -1,6 +1,7 @@
 """No dead public code: every public top-level function and class of each
-confpair module is referenced somewhere outside its own body, and only the
-kept library entry points are referenced from tests alone."""
+confpair module, and every public method and property of its classes, is
+referenced somewhere outside its own body, and only the kept library entry
+points are referenced from tests alone."""
 
 import ast
 from pathlib import Path
@@ -88,6 +89,65 @@ def test_dead_function_is_flagged(tmp_path):
     (tests / "test_a.py").write_text("import a\nfrom a import used\nfrom b import show\n\n"
                                      "assert a.used() == 1\n")
     assert unreferenced_public_names(package, tests) == ["a.dead"]
+
+
+def public_member_callers(package: Path, tests: Path) -> dict[str, set[Path]]:
+    """Every public method and property (`Class.name`, dunders and `_names`
+    aside) of the classes of the package, with the files that take an
+    attribute of that name outside the member's own body.  Members are
+    matched by name, so an attribute of another object with the same name
+    counts as a reference."""
+    files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
+    reads = {path: [(node.attr, node.lineno) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+             for path, tree in trees.items()}
+    callers = {}
+    for path in sorted(package.glob("*.py")):
+        for cls in ast.walk(trees[path]):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                callers[f"{path.stem}.{cls.name}.{node.name}"] = {
+                    other for other, found in reads.items()
+                    if any(name == node.name and (other != path or line not in own)
+                           for name, line in found)
+                }
+    return callers
+
+
+def test_every_public_method_and_property_is_referenced():
+    callers = public_member_callers(PACKAGE, ROOT / "tests")
+    assert [name for name, files in callers.items() if not files] == []
+
+
+def test_no_public_member_is_called_from_tests_alone():
+    callers = public_member_callers(PACKAGE, ROOT / "tests")
+    assert [name for name, files in callers.items()
+            if files and all(f.parent == ROOT / "tests" for f in files)] == []
+
+
+def test_dead_method_and_property_are_flagged(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "a.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, k):\n        self.k = k\n\n"
+        "    @property\n    def size(self):\n        return self.k\n\n"
+        "    @property\n    def spare(self):\n        return 0\n\n"
+        "    def shrink(self, k):\n        return self.shrink(k - 1) if k else self.size\n\n"
+        "    def probe(self):\n        return 1\n\n"
+        "    def _hidden(self):\n        return 2\n\n\n"
+        "def use(box):\n    return box.size\n"
+    )
+    (tests / "test_a.py").write_text("from a import Box\n\nassert Box(1).probe() == 1\n")
+    callers = public_member_callers(package, tests)
+    assert [name for name, files in callers.items() if not files] == ["a.Box.spare", "a.Box.shrink"]
+    assert callers["a.Box.probe"] == {tests / "test_a.py"}
 
 
 def _passed(call: ast.Call, index: int | None, name: str) -> bool:

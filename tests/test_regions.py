@@ -3,11 +3,9 @@
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from confpair import regions
-from confpair.regions import bfs_levels, label_regions, pack_profile
+from confpair.regions import label_regions, pack_profile
 
 
 def neighbors(shape, flat_index):
@@ -22,25 +20,6 @@ def neighbors(shape, flat_index):
                 nb[ax] = j
                 out.append(int(np.ravel_multi_index(nb, shape)))
     return out
-
-
-def deque_bfs(shape, mask, seed=None):
-    """(point, parent) pairs of a deque BFS over the points of `mask` that
-    `seed` reaches."""
-    flat_mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if seed is None:
-        seed = int(np.flatnonzero(flat_mask)[0])
-    order = [(seed, -1)]
-    seen = {seed}
-    queue = deque([seed])
-    while queue:
-        p = queue.popleft()
-        for nb in neighbors(shape, p):
-            if flat_mask[nb] and nb not in seen:
-                seen.add(nb)
-                order.append((nb, p))
-                queue.append(nb)
-    return order
 
 
 def flood_labels(shape, profile):
@@ -62,62 +41,8 @@ def flood_labels(shape, profile):
     return labels
 
 
-def flatten(levels):
-    return [(int(q), int(par)) for pts, pars in levels for q, par in zip(pts, pars)]
-
-
 shapes = st.lists(st.integers(1, 5), min_size=1, max_size=5).filter(
     lambda s: int(np.prod(s)) <= 400)
-
-
-@st.composite
-def masked_grids(draw):
-    """A shape, a connected mask (the component of a random mask around a
-    seed) and that seed, or None for the first masked point."""
-    shape = tuple(draw(shapes))
-    npts = int(np.prod(shape))
-    raw = np.array(draw(st.lists(st.booleans(), min_size=npts, max_size=npts)))
-    seed = draw(st.integers(0, npts - 1))
-    raw[seed] = True
-    component = np.zeros(npts, dtype=bool)
-    component[[q for q, _ in deque_bfs(shape, raw, seed)]] = True
-    if not draw(st.booleans()):
-        seed = None
-    return shape, component, seed
-
-
-@settings(max_examples=80, deadline=None)
-@given(masked_grids())
-def test_bfs_levels_flatten_to_the_deque_order(case):
-    shape, mask, seed = case
-    levels = bfs_levels(shape, mask, seed)
-    assert flatten(levels) == deque_bfs(shape, mask, seed)
-    # every parent sits in the level right above its child
-    for (above, _), (_, parents) in zip(levels, levels[1:]):
-        assert np.isin(parents, above).all()
-
-
-@settings(max_examples=60, deadline=None)
-@given(shapes, st.data())
-def test_disconnected_mask_raises(shape, data):
-    shape = tuple(shape)
-    npts = int(np.prod(shape))
-    mask = np.array(data.draw(st.lists(st.booleans(), min_size=npts, max_size=npts)))
-    if not mask.any():
-        assert bfs_levels(shape, mask) == []
-        return
-    expected = deque_bfs(shape, mask)
-    if len(expected) < mask.sum():
-        with pytest.raises(ValueError):
-            bfs_levels(shape, mask)
-    else:
-        assert flatten(bfs_levels(shape, mask)) == expected
-
-
-def test_two_islands_raise():
-    mask = np.array([True, False, True])
-    with pytest.raises(ValueError, match="not connected"):
-        bfs_levels((3,), mask)
 
 
 @settings(max_examples=80, deadline=None)
@@ -147,33 +72,3 @@ def test_pack_profile_codes_are_the_inverse_of_unique_rows(size, cols, spread, s
     columns = list(np.random.default_rng(seed).integers(-spread, spread + 1, size=(cols, size)))
     expected = np.unique(np.stack(columns, axis=1), axis=0, return_inverse=True)[1].reshape(-1)
     assert np.array_equal(pack_profile(columns), expected)
-
-
-def test_bfs_levels_are_memoized_per_shape_mask_and_seed(monkeypatch):
-    regions._cached_levels.cache_clear()
-    expanded = []
-
-    def counted(shape, allowed, seed):
-        expanded.append((shape, seed))
-        return real(shape, allowed, seed)
-
-    real = regions._expand
-    monkeypatch.setattr(regions, "_expand", counted)
-    shape = (4, 5)
-    mask = np.ones(20, dtype=bool)
-    first = bfs_levels(shape, mask)
-    again = bfs_levels(list(shape), mask.reshape(shape).copy(), 0)  # the same key, seed resolved
-    assert expanded == [(shape, 0)]
-    assert flatten(again) == flatten(first) == deque_bfs(shape, mask)
-    # cached arrays are read-only, and each call hands out its own list
-    with pytest.raises(ValueError):
-        again[1][0][0] = 7
-    again.clear()
-    assert flatten(bfs_levels(shape, mask)) == flatten(first)
-    assert expanded == [(shape, 0)]
-    # another seed or mask gets its own levels
-    other = mask.copy()
-    other[19] = False
-    assert flatten(bfs_levels(shape, mask, 7)) == deque_bfs(shape, mask, 7)
-    assert flatten(bfs_levels(shape, other)) == deque_bfs(shape, other)
-    assert expanded == [(shape, 0), (shape, 7), (shape, 0)]
