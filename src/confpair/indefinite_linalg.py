@@ -28,6 +28,13 @@ argument chosen by the caller to fit its data:
 matrix with the floor fixed at ``1.0``: Gram matrices of dot-orthonormal
 bases under a unit metric have eigenvalues of size at most one.
 
+`rank`, `span_stack` and `kernel_stack` take their singular values from
+`_svd`: LAPACK for matrices whose smaller side is 3 or more, and one closed
+form (`_small_svd`) for a smaller side of 1 or 2, where LAPACK's cost per
+tiny matrix dominates.  The closed form works on the columns (a wide stack
+through its transpose) and forms no Gram matrix, because squaring would put
+a decision at a relative 1e-9 below roundoff.
+
 Two helpers serve the whole package: `contract`, the one `np.einsum` of
 three or more operands, whose pairwise path is planned once per
 (subscripts, operand shapes), and `row_classes`, the one grouping of
@@ -84,13 +91,149 @@ def _count(s: np.ndarray, tol: float, floor: float):
     return (s > thr).sum(axis=-1)
 
 
+def _svd(a: np.ndarray, vectors: str | None = None):
+    """Singular values (..., p), descending, of a non-empty (..., m, k) stack,
+    p = min(m, k); with vectors="left" also the reduced u (..., m, p), with
+    "right" the full vt (..., k, k).  In closed form when p is 1 or 2
+    (`_small_svd`), by LAPACK otherwise."""
+    m, k = a.shape[-2:]
+    if min(m, k) <= 2:
+        return _small_svd(a, vectors)
+    if vectors is None:
+        return np.linalg.svd(a, compute_uv=False)
+    # U is reduced unless the rows are wide, where the full vt is the kernel's
+    u, s, vt = np.linalg.svd(a, full_matrices=vectors == "right" and m < k)
+    return (s, u) if vectors == "left" else (s, vt)
+
+
+def _unit(x: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """x / norm along the last axis; the first coordinate vector where norm is 0."""
+    zero = norm == 0
+    out = x / np.where(zero, 1.0, norm)[..., None]
+    if zero.any():
+        out[zero] = np.eye(x.shape[-1])[0]
+    return out
+
+
+def _reflector(v: np.ndarray) -> np.ndarray:
+    """Householder reflections (..., n, n), symmetric, whose first row is
+    -+v for dot-unit vectors v (..., n); w = v + sign(v_0) e_0 never cancels."""
+    w = v.copy()
+    w[..., 0] += np.where(v[..., 0] < 0, -1.0, 1.0)
+    scale = 2.0 / (w * w).sum(axis=-1)
+    return np.eye(v.shape[-1]) - scale[..., None, None] * (w[..., :, None] * w[..., None, :])
+
+
+def _complete(q: np.ndarray) -> np.ndarray:
+    """Orthogonal (..., n, n) matrices whose first p rows are the p dot-
+    orthonormal columns of q (..., n, p), p <= 2: the rows of one reflection
+    that maps e_0 to -+q_0, and for p = 2 those below the first turned by a
+    second reflection that maps e_1 to -+q_1."""
+    n, p = q.shape[-2:]
+    if n == p:
+        return np.swapaxes(q, -1, -2).copy()
+    out = _reflector(q[..., 0])
+    if p == 2:
+        rest = out[..., 1:, :]
+        w = rest @ q[..., 1:]  # q_1 in the coordinates of rows 1..n-1: a unit vector
+        out[..., 1:, :] = _reflector(w[..., 0]) @ rest
+    out[..., :p, :] = np.swapaxes(q, -1, -2)
+    return out
+
+
+def _small_svd(a: np.ndarray, vectors: str | None):
+    """`_svd` of a (..., m, k) stack whose smaller side p is 1 or 2, in
+    closed form; singular vectors may differ from LAPACK's in sign or, for
+    equal singular values, by a rotation.
+
+    A wide stack is decided through its transpose, so the work is on tall
+    (..., n, p) stacks t = left diag(s) right^T, and only the side asked for
+    is formed.  For p = 1 the singular value is the column's norm and the
+    left vector its unit vector.  For p = 2 the larger column comes first,
+    Gram-Schmidt run twice gives t P = Q R with R = [[f, g], [0, h]] and
+    f >= h >= 0, and LAPACK's `dlasv2` (Demmel & Kahan, SIAM J. Sci. Stat.
+    Comput. 11, 1990) gives the SVD of R with high relative accuracy, so the
+    singular values are as good as LAPACK's.  No Gram matrix is formed:
+    squaring would put a decision at a relative 1e-9 below roundoff.  The
+    full vt of a wide stack is completed by `_complete`.  Every step works
+    on each entry alone, elementwise or by one small product per entry, so
+    each entry gets, bit for bit, what a one-entry stack gets.
+    """
+    wide = a.shape[-2] < a.shape[-1]
+    cols = a if wide else np.swapaxes(a, -1, -2)  # the columns of t, as rows (..., p, n)
+    n = cols.shape[-1]
+    want_left = vectors is not None and (vectors == "left") != wide
+    if cols.shape[-2] == 1:
+        norm = np.sqrt((cols[..., 0, :] ** 2).sum(axis=-1))
+        s = norm[..., None]
+        if vectors is None:
+            return s
+        if want_left:
+            left = _unit(cols[..., 0, :], norm)[..., None]
+        else:
+            right = np.ones(s.shape + (1,))
+    else:
+        sq = (cols * cols).sum(axis=-1)
+        swap = (sq[..., 1] > sq[..., 0])[..., None]
+        x = np.where(swap, cols[..., 1, :], cols[..., 0, :])
+        y = np.where(swap, cols[..., 0, :], cols[..., 1, :])
+        f = np.sqrt(np.maximum(sq[..., 0], sq[..., 1]))
+        q1 = _unit(x, f)
+        g = (q1 * y).sum(axis=-1)
+        y1 = y - g[..., None] * q1
+        g1 = (q1 * y1).sum(axis=-1)
+        y2 = y1 - g1[..., None] * q1
+        g = g + g1
+        residual = np.sqrt((y2 * y2).sum(axis=-1))
+        h = np.minimum(residual, f)
+        # dlasv2 for f >= h >= 0 (no swap), with its 0/0 cases made safe
+        fs = np.where(f == 0, 1.0, f)
+        d = f - h
+        l = np.where(d == f, 1.0, d / fs)
+        mq = g / fs
+        tl = 2.0 - l
+        mm = mq * mq
+        ss = np.sqrt(tl * tl + mm)
+        r = np.where(l == 0, np.abs(mq), np.sqrt(l * l + mm))
+        amp = 0.5 * (ss + r)
+        s = np.stack([f * amp, h / amp], axis=-1)
+        if vectors is None:
+            return s
+        rl = np.where(r + l == 0, 1.0, r + l)
+        tiny = np.where(l == 0, 2.0, g / np.where(d == 0, 1.0, d) + mq / tl)
+        tt = np.where(mm == 0, tiny, (mq / (ss + tl) + mq / rl) * (1.0 + amp))
+        lt = np.sqrt(tt * tt + 4.0)
+        crt, srt = 2.0 / lt, tt / lt
+        # [[clt, slt], [-slt, clt]] R [[crt, -srt], [srt, crt]] = +-diag(s)
+        if want_left:
+            clt, slt = ((crt + srt * mq) / amp)[..., None], ((h / fs) * srt / amp)[..., None]
+            # the second pass kept the residual: it is orthogonal to q1
+            # (Kahan's "twice is enough"); else y lies in span(q1) to roundoff
+            kept = residual > 0.5 * np.sqrt((y1 * y1).sum(axis=-1))
+            q2 = y2 / np.where(kept, residual, 1.0)[..., None]
+            lost = ~kept
+            if lost.any():  # a unit vector orthogonal to q1: its smallest axis, projected off q1
+                ql = q1[lost]
+                j = np.argmin(np.abs(ql), axis=-1)
+                e = np.eye(n)[j] - np.take_along_axis(ql, j[:, None], axis=-1) * ql
+                q2[lost] = e / np.sqrt((e * e).sum(axis=-1))[:, None]
+            left = np.stack([clt * q1 + slt * q2, clt * q2 - slt * q1], axis=-1)
+        else:
+            # (crt, srt) in the order of t's columns, and its normal
+            c1, c2 = np.where(swap[..., 0], srt, crt), np.where(swap[..., 0], crt, srt)
+            right = np.stack([np.stack([c1, -c2], axis=-1), np.stack([c2, c1], axis=-1)], axis=-2)
+    if want_left:
+        return s, (left if vectors == "left" else _complete(left))
+    return s, (right if vectors == "left" else np.swapaxes(right, -1, -2))
+
+
 def rank(matrix: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
     """Numerical rank of a matrix, or of each matrix of a (..., m, k) stack."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape[-2] == 0 or matrix.shape[-1] == 0:
         counts = np.zeros(matrix.shape[:-2], dtype=int)
     else:
-        counts = _count(np.linalg.svd(matrix, compute_uv=False), tol, floor)
+        counts = _count(_svd(matrix), tol, floor)
     return int(counts) if matrix.ndim == 2 else counts
 
 
@@ -162,7 +305,7 @@ def max_by_class(fn, ranks: np.ndarray, padded: np.ndarray) -> float:
 def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0):
     """Ranks and orthonormal bases of the column spans of a (..., m, s) stack.
 
-    One SVD call for the whole stack.  Returns (ranks (...), bases
+    One `_svd` call for the whole stack.  Returns (ranks (...), bases
     (..., m, min(m, s))): the first ``ranks[i]`` columns of ``bases[i]`` are
     an orthonormal basis of the span of ``vectors[i]``.
     """
@@ -170,7 +313,7 @@ def span_stack(vectors: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0
     m, s = vectors.shape[-2:]
     if m == 0 or s == 0:
         return np.zeros(vectors.shape[:-2], dtype=int), np.zeros(vectors.shape[:-2] + (m, 0))
-    u, sv, _ = np.linalg.svd(vectors, full_matrices=False)
+    sv, u = _svd(vectors, "left")
     return _count(sv, tol, floor), u
 
 
@@ -181,9 +324,7 @@ def kernel_stack(rows: np.ndarray, tol: float = DEFAULT_TOL, floor: float = 0.0)
     size, m, k = rows.shape
     if m == 0 or k == 0:
         return np.full(size, k), np.broadcast_to(np.eye(k), (size, k, k)).copy()
-    # only s and vt are read: U is reduced unless the rows are wide, where
-    # the full vt is the kernel's
-    _, s, vt = np.linalg.svd(rows, full_matrices=m < k)
+    s, vt = _svd(rows, "right")
     count = _count(s, tol, floor)
     # rotate the right singular vectors so that the kernel columns come first
     order = (np.arange(k) + count[:, None]) % k

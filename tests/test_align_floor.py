@@ -1,9 +1,8 @@
 """One home per run-level number: every call in confpair of a function that
 takes the run's `PipelineConfig` passes it, and every `align_frames` call
 names its `floor=`, so no library path falls back to a default while the
-run decides ranks and aligns frames at the numbers of its own config.  (The
-module and test names keep the word "threshold" of the frame-jump gate that
-the floor replaced.)"""
+run decides ranks and aligns frames at the numbers of its own config, its
+`align_floor` among them."""
 
 import ast
 from pathlib import Path
@@ -51,12 +50,12 @@ def calls_without_config(sources: dict[str, str]) -> list[str]:
     return found
 
 
-def test_every_call_passes_the_run_config_and_every_sweep_its_threshold():
+def test_every_call_passes_the_run_config_and_every_sweep_its_floor():
     sources = {str(path): path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert calls_without_config(sources) == []
 
 
-def test_call_without_threshold_is_flagged():
+def test_call_without_config_or_floor_is_flagged():
     source = (
         "def fundamental_data(jet, cfg=None):\n"
         "    return jet\n"

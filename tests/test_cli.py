@@ -292,13 +292,13 @@ def test_transfer_manifest_builds_fundamental_data_once_per_jet(monkeypatch):
     assert all(given is cfg for _, given in calls)
 
 
-def test_extend_manifest_verifies_at_the_run_frame_jump_threshold(monkeypatch):
+def test_extend_manifest_verifies_at_the_run_align_floor(monkeypatch):
     calls = spy_fundamental_data(monkeypatch, extension)
     cfg = run_config(monkeypatch, "flat-extension")
     assert len(calls) == 2 and all(given is cfg for _, given in calls)
 
 
-def test_obstruction_sweeps_at_the_run_frame_jump_threshold(monkeypatch):
+def test_obstruction_sweeps_at_the_run_align_floor(monkeypatch):
     # the kernel and fiber fits of `extension_obstruction`, reached from a
     # pair report and from an extend manifest with hand-built transfer data,
     # are gated at the run's alignment floor

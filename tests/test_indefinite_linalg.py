@@ -472,9 +472,25 @@ def test_frame_coords_invert_pseudo_orthonormal_frames():
         checked += 1
 
 
-# Per-matrix references: the one-matrix-at-a-time forms the stack forms
-# replaced.  The stack forms make the same numpy calls on the same matrices,
-# so they must agree bit for bit.
+# Per-matrix references: the one-matrix-at-a-time LAPACK forms the stack
+# forms replaced.  Where every SVD of a chain has a smaller side of 3 or more,
+# the stack forms make the same LAPACK calls on the same matrices, so they
+# must agree bit for bit; where a matrix of smaller side 1 or 2 is decided in
+# closed form, they must give the same rank and span.
+
+
+def closed_form(matrix):
+    """Whether the stack forms decide this matrix in closed form."""
+    return 0 < min(matrix.shape) <= 2
+
+
+def assert_same_answer(got, want, closed):
+    """Bit for bit, or for a closed-form chain the same rank and span."""
+    if not closed:
+        assert np.array_equal(got, want)
+        return
+    assert got.shape == want.shape
+    assert np.max(np.abs(got @ got.T - want @ want.T), initial=0.0) <= 1e-12
 
 
 def loop_kernel(rows, tol, floor):
@@ -513,12 +529,17 @@ def test_stack_forms_equal_per_matrix_loops_bit_for_bit():
     spans = np.stack([span(m) for m in planted_radicals()])
     ranks, bases = radical_stack(spans, EPS5, DEFAULT_TOL)
     for m, r, basis in zip(spans, ranks, bases):
-        assert np.array_equal(basis[:, :r], loop_radical(m, EPS5, DEFAULT_TOL))
+        want = loop_radical(m, EPS5, DEFAULT_TOL)
+        # the Gram kernel (3 x 3) runs on LAPACK, the span of its image (5 x
+        # nullity, of full rank) in closed form when the nullity is 1 or 2
+        assert_same_answer(basis[:, :r], want, closed_form(want))
+    assert {1, 2} <= set(ranks.tolist())
     subs = spans[:, :, :2]
     withins = np.stack([span(RNG.normal(size=(5, 3))) for _ in range(STACK)])
     ranks, bases = complement_stack(subs, withins, EPS5, DEFAULT_TOL)
     for s, w, r, basis in zip(subs, withins, ranks, bases):
-        assert np.array_equal(basis[:, :r], loop_complement(s, w, EPS5, DEFAULT_TOL))
+        # the constraints on coefficients are two rows: a closed-form kernel
+        assert_same_answer(basis[:, :r], loop_complement(s, w, EPS5, DEFAULT_TOL), True)
     gaps = gap_stack(withins[:, :, :2], subs)
     for a, b, g in zip(withins[:, :, :2], subs, gaps):
         assert g == float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
@@ -542,14 +563,19 @@ def test_kernel_stack_asks_no_full_u_of_tall_stacks(monkeypatch, m, k):
         return real(a, full_matrices, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    closed = closed_form(rows[0])
     for floor in FLOORS:
         null, bases = kernel_stack(rows, DEFAULT_TOL, floor)
         for want, nk, basis, vt in zip(expected[floor], null, bases, full_vt):
-            assert np.array_equal(basis[:, :nk], want)
-            # every right singular vector is that of the full factorisation, bit for bit
-            assert np.array_equal(np.roll(basis, k - nk, axis=1), vt.T)
-    # the full vt is needed only when there are fewer rows than columns
-    assert asked == [m < k] * len(FLOORS)
+            assert_same_answer(basis[:, :nk], want, closed)
+            if closed:
+                assert np.max(np.abs(basis.T @ basis - np.eye(k))) <= 1e-13
+            else:
+                # every right singular vector is that of the full factorisation, bit for bit
+                assert np.array_equal(np.roll(basis, k - nk, axis=1), vt.T)
+    # LAPACK's full vt is asked only when there are fewer rows than columns,
+    # and LAPACK not at all for a smaller side of 2 or less
+    assert asked == ([] if closed else [m < k] * len(FLOORS))
 
 
 @settings(max_examples=60, deadline=None)

@@ -329,7 +329,7 @@ def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
     assert len(calls) == 3  # the left map, the right map and the lifted left map
 
 
-def test_build_joint_passes_the_config_frame_jump_threshold(monkeypatch):
+def test_build_joint_passes_the_config_align_floor(monkeypatch):
     given = []
     real = jets.fundamental_data
 
