@@ -98,6 +98,8 @@ def _svd(a: np.ndarray, vectors: str | None = None):
     (`_small_svd`), by LAPACK otherwise."""
     m, k = a.shape[-2:]
     if min(m, k) <= 2:
+        if not np.isfinite(a).all():  # LAPACK does not converge on them either
+            raise np.linalg.LinAlgError("SVD did not converge")
         return _small_svd(a, vectors)
     if vectors is None:
         return np.linalg.svd(a, compute_uv=False)
@@ -126,12 +128,10 @@ def _reflector(v: np.ndarray) -> np.ndarray:
 
 def _complete(q: np.ndarray) -> np.ndarray:
     """Orthogonal (..., n, n) matrices whose first p rows are the p dot-
-    orthonormal columns of q (..., n, p), p <= 2: the rows of one reflection
-    that maps e_0 to -+q_0, and for p = 2 those below the first turned by a
-    second reflection that maps e_1 to -+q_1."""
-    n, p = q.shape[-2:]
-    if n == p:
-        return np.swapaxes(q, -1, -2).copy()
+    orthonormal columns of q (..., n, p), p <= 2 and p < n: the rows of one
+    reflection that maps e_0 to -+q_0, and for p = 2 those below the first
+    turned by a second reflection that maps e_1 to -+q_1."""
+    p = q.shape[-1]
     out = _reflector(q[..., 0])
     if p == 2:
         rest = out[..., 1:, :]

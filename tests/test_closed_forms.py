@@ -118,6 +118,15 @@ def test_a_stack_gives_each_entry_what_a_one_entry_stack_gives(m, k):
                 assert null[i] == k - counts[i]
 
 
+@pytest.mark.parametrize("m, k", [(3, 1), (1, 4), (3, 2), (2, 4)])
+def test_a_matrix_that_is_not_finite_raises_as_lapack_does(m, k):
+    a = np.ones((3, m, k))
+    a[1, 0, 0] = np.nan
+    for fn in (rank, span_stack, kernel_stack):
+        with pytest.raises(np.linalg.LinAlgError):
+            fn(a)
+
+
 def load_benchmark_workloads(monkeypatch):
     spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCH)
     module = importlib.util.module_from_spec(spec)
