@@ -1,9 +1,14 @@
 """Manifest-driven batch runner.
 
 A manifest is a single JSON document naming an analysis kind (single, pair,
-generate, extend), the immersions involved (gallery builtins, wrappers, or
-closed-form expression lists), a chart grid, tolerances and a seed.  The
-runner dispatches to the library, collects every residual next to its
+generate, extend), the immersions involved (gallery builtins, wrappers,
+closed-form expression lists or inline value tables), a chart grid,
+tolerances and a seed.  The pair-shaped kinds read their two sides through
+one stage: `left`/`right` specs, or a `generator` section that slices a
+Lorentz map with the light cone and lifts the projected side to the cone.
+`pair` also lifts a conformal `right` side; `extend` does not, so its
+`left`/`right` pair must be isometric.
+The runner dispatches to the library, collects every residual next to its
 threshold, and writes one self-describing JSON report (plus optional
 per-point CSV).  Identical manifests produce byte-identical reports: all
 randomness is seeded and no clocks are recorded.
@@ -406,43 +411,70 @@ def _run_single(doc: dict, cfg: PipelineConfig):
     return results, checks, None
 
 
-def _pair_report(jf, jhat, grid: ChartGrid, doc: dict, cfg: PipelineConfig):
-    """Analyze an isometric pair: (analysis, the degeneracy and region parts
-    of the results, checks, per-point CSV rows)."""
+def _pair_inputs(doc: dict, cfg: PipelineConfig):
+    """(names, slice data, left jet, right jet, right map) of a `pair`,
+    `generate` or `extend` manifest; the pair's grid is the left jet's chart.
+
+    `left` and `right` specs go through `_jet_from_spec`: closed forms, `expr`
+    lists and value tables.  A `generator` section gives the light-cone slice
+    pair (its `SliceData`), whose right side is the cone lift of the projected
+    side.
+    """
+    if "generator" not in doc and doc["analysis"] != "generate":
+        grid = _build_grid(_require(doc, "grid", dict, "manifest"))
+        left_map, jf = _jet_from_spec(_require(doc, "left", dict, "manifest"), grid, "left")
+        right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
+        names = {side: imap.name if imap is not None else "table"
+                 for side, imap in (("left", left_map), ("right", right_map))}
+        return names, None, jf, jr, right_map
+    gen = _require(doc, "generator", dict, "manifest")
+    left_map = build_immersion(_require(gen, "left", dict, "generator"), where="generator.left")
+    lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
+                                  where="generator.lorentz")
+    grid = _build_grid(_require(doc, "grid", dict, "manifest"))
+    data = generate_conformal_pair(
+        left_map, lorentz_map, grid,
+        axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)), cfg=cfg,
+    )
+    lift = isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
+    return {"left": left_map.name, "lorentz": lorentz_map.name}, data, data.left, lift, None
+
+
+def _run_pair(doc: dict, cfg: PipelineConfig):
+    """`pair` and `generate`: the slice's gates, if generated, then the pair
+    analysis of the sides, the right one lifted to the cone if it is not
+    isometric to the left."""
+    names, sdata, jf, jr, right_map = _pair_inputs(doc, cfg)
+    results, checks = dict(names), []
+    if sdata is not None:
+        results.update({
+            "slice_points": sdata.slice_chart.npoints,
+            "diagnostics": _jsonable(sdata.diagnostics),
+            "conformal_factor_range": [float(np.min(sdata.conformal_factor)),
+                                       float(np.max(sdata.conformal_factor))],
+        })
+        checks = [_check(key, sdata.diagnostics[key], 1e-6) for key in
+                  ("slice_metric_gap", "conformal_residual", "factor_vs_null_pairing")]
+        if not doc["generator"].get("analyze_pair", False):
+            return results, checks, None
+    notes: list[str] = []
+    jhat = _lift_if_needed(jf, right_map, jr, notes, cfg)
     analysis = analyze_pair(jf, jhat, cfg)
     deg = analysis.degeneracy
     regions_rep = [_region_report(st, jf, jhat, cfg) for st in analysis.regions]
     pairing_min = float(np.min(deg.witness_pairing)) if deg.degenerate.any() else None
-    results = {
-        "degeneracy": {
-            "degenerate_points": int(np.sum(deg.degenerate)),
-            "witness_pairing_min": pairing_min,
-        },
-        "regions": regions_rep,
-    }
-    checks = _pair_checks(regions_rep, doc)
+    results["degeneracy"] = {"degenerate_points": int(np.sum(deg.degenerate)),
+                             "witness_pairing_min": pairing_min}
+    if sdata is None:  # a generated pair's report has no lift notes and no radical ranks
+        results["degeneracy"]["radical_rank"] = sorted(set(deg.omega_rank.tolist()))
+        results["notes"] = notes
+    results["regions"] = regions_rep
+    checks += _pair_checks(regions_rep, doc)
     expect = doc.get("expect", {})
     if "witness_pairing" in expect and pairing_min is not None:
         checks.append(_check("witness_pairing_gap",
                              abs(pairing_min - expect["witness_pairing"]), 1e-9))
-    return analysis, results, checks, _csv_rows(analysis, grid)
-
-
-def _run_pair(doc: dict, cfg: PipelineConfig):
-    grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-    left_map, jf = _jet_from_spec(_require(doc, "left", dict, "manifest"), grid, "left")
-    right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
-    notes: list[str] = []
-    jhat = _lift_if_needed(jf, right_map, jr, notes, cfg)
-    analysis, pair, checks, csv_rows = _pair_report(jf, jhat, grid, doc, cfg)
-    pair["degeneracy"]["radical_rank"] = sorted(set(analysis.degeneracy.omega_rank.tolist()))
-    results = {
-        "left": left_map.name if left_map is not None else "table",
-        "right": right_map.name if right_map is not None else "table",
-        "notes": notes,
-        **pair,
-    }
-    return results, checks, csv_rows
+    return results, checks, _csv_rows(analysis, jf.chart)
 
 
 def _csv_rows(analysis, grid: ChartGrid):
@@ -458,49 +490,6 @@ def _csv_rows(analysis, grid: ChartGrid):
                        for q, coords in enumerate(grid.points().tolist())]
 
 
-def _generated_pair(doc: dict, cfg: PipelineConfig):
-    """The generator section: its options, its two maps and the conformal
-    pair on the level-set slice."""
-    gen = _require(doc, "generator", dict, "manifest")
-    left_map = build_immersion(_require(gen, "left", dict, "generator"), where="generator.left")
-    lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
-                                  where="generator.lorentz")
-    grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-    data = generate_conformal_pair(
-        left_map, lorentz_map, grid,
-        axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)), cfg=cfg,
-    )
-    return gen, left_map, lorentz_map, data
-
-
-def _cone_lift(data, cfg: PipelineConfig):
-    """The isometric cone representative of a generated pair's right side."""
-    return isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
-
-
-def _run_generate(doc: dict, cfg: PipelineConfig):
-    gen, left_map, lorentz_map, data = _generated_pair(doc, cfg)
-    results = {
-        "left": left_map.name,
-        "lorentz": lorentz_map.name,
-        "slice_points": data.slice_chart.npoints,
-        "diagnostics": _jsonable(data.diagnostics),
-        "conformal_factor_range": [float(np.min(data.conformal_factor)),
-                                    float(np.max(data.conformal_factor))],
-    }
-    checks = [
-        _check("slice_metric_gap", data.diagnostics["slice_metric_gap"], 1e-6),
-        _check("conformal_residual", data.diagnostics["conformal_residual"], 1e-6),
-        _check("factor_vs_null_pairing", data.diagnostics["factor_vs_null_pairing"], 1e-6),
-    ]
-    csv_rows = None
-    if gen.get("analyze_pair", False):
-        _, pair, pair_checks, csv_rows = _pair_report(data.left, _cone_lift(data, cfg), data.slice_chart, doc, cfg)
-        results.update(pair)
-        checks += pair_checks
-    return results, checks, csv_rows
-
-
 def _one_region(analysis):
     """The single region the extension runs on."""
     if len(analysis.regions) != 1:
@@ -512,23 +501,17 @@ def _one_region(analysis):
 
 def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
-    if "generator" in doc:
-        _, left_map, lorentz_map, sdata = _generated_pair(doc, cfg)
-        jf, jg = sdata.left, _cone_lift(sdata, cfg)
-        names, tspec = {"left": left_map.name, "lorentz": lorentz_map.name}, "pipeline"
-    else:
-        left_map = build_immersion(_require(doc, "left", dict, "manifest"), where="left")
-        right_map = build_immersion(_require(doc, "right", dict, "manifest"), where="right")
-        grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-        jf, jg = left_map.jet(grid), right_map.jet(grid)
-        names, tspec = {"left": left_map.name, "right": right_map.name}, doc.get("transfer", "pipeline")
+    names, _, jf, jg, _ = _pair_inputs(doc, cfg)  # never lifted: the pair must be isometric
+    tspec = doc.get("transfer", "pipeline")
     if tspec == "pipeline":
         data = _one_region(analyze_pair(jf, jg, cfg))
         inputs = {**names, "branch": data.branch}
     elif isinstance(tspec, dict) and "shared_flat_normal" in tspec:
         direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
-        if len(direction) != jf.m:
-            raise ManifestError("transfer.shared_flat_normal", f"expected {jf.m} components")
+        if {len(direction)} != {jf.m, jg.m}:
+            raise ManifestError("transfer.shared_flat_normal",
+                                f"expected {jf.m} components" if jf.m == jg.m else
+                                f"the sides' ambients differ: R^{jf.m} against R^{jg.m}")
         fl, fr = fundamental_data(jf, cfg), fundamental_data(jg, cfg)
         p = fl.metric.shape[0]
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
@@ -572,7 +555,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
 _RUNNERS = {
     "single": _run_single,
     "pair": _run_pair,
-    "generate": _run_generate,
+    "generate": _run_pair,
     "extend": _run_extend,
 }
 

@@ -407,15 +407,28 @@ class SliceData:
 
 
 def _norm_sq_jet(comps: list[Jet3], gram: np.ndarray) -> Jet3:
-    acc = None
-    m = len(comps)
-    for a in range(m):
-        for b in range(m):
-            if gram[a, b] == 0.0:
-                continue
-            term = comps[a] * comps[b] * float(gram[a, b])
-            acc = term if acc is None else acc + term
-    return acc
+    terms = [comps[a] * comps[b] * float(gram[a, b]) for a, b in zip(*np.nonzero(gram))]
+    return sum(terms[1:], terms[0])
+
+
+def _brackets(s_lines: np.ndarray, taxis: np.ndarray, branch: int):
+    """(lows, highs) of root number `branch` on each row of `s_lines`, the
+    squared norm sampled at the nodes `taxis`.  Roots count in node order: a
+    node where s is exactly 0 brackets itself, and a sign change brackets
+    the interval to the next node."""
+    zero = s_lines == 0.0
+    change = np.zeros_like(zero)
+    change[:, :-1] = s_lines[:, :-1] * s_lines[:, 1:] < 0
+    found = np.cumsum(zero | change, axis=1)
+    short = found[:, -1] <= branch
+    if short.any():
+        line = int(np.argmax(short))
+        raise NoIntersection(
+            f"line {line}: found {found[line, -1]} roots, branch {branch} requested"
+        )
+    k = np.argmax(found > branch, axis=1)  # the node where that root was counted
+    at_zero = zero[np.arange(len(k)), k]   # as the last node always is
+    return taxis[k], taxis[np.where(at_zero, k, k + 1)]
 
 
 def transversality_check(jet: ImmersionJet) -> dict:
@@ -470,56 +483,23 @@ def generate_conformal_pair(
     gram = lorentz_map.ambient.gram
 
     # scan the squared norm over the full chart
-    pts_all = chart.points()
-    vals = lorentz_map.values(pts_all)
+    vals = lorentz_map.values(chart.points())
     s_all = contract("pa,ab,pb->p", vals, gram, vals)
     scale = max(float(np.max(np.abs(vals))), 1.0)
     if np.all(np.abs(s_all) < 1e-10 * scale):
         raise NotTransversal("the Lorentz map is contained in the cone: zero set is everything")
 
-    shape = chart.shape
-    axis_len = shape[axis]
-    slice_shape = tuple(s for i, s in enumerate(shape) if i != axis)
-    slice_spacing = tuple(s for i, s in enumerate(chart.spacing) if i != axis)
-    slice_origin = tuple(o for i, o in enumerate(chart.origin) if i != axis)
-    slice_chart = ChartGrid(slice_shape, slice_spacing, slice_origin)
-    n_lines = slice_chart.npoints
-
-    s_grid = s_all.reshape(shape)
-    s_lines = np.moveaxis(s_grid, axis, -1).reshape(n_lines, axis_len)
-    taxis = chart.axis(axis)
-
-    lows = np.zeros(n_lines)
-    highs = np.zeros(n_lines)
-    for line in range(n_lines):
-        sv = s_lines[line]
-        brackets = []
-        for k in range(axis_len - 1):
-            if sv[k] == 0.0:
-                brackets.append((taxis[k], taxis[k]))
-            elif sv[k] * sv[k + 1] < 0:
-                brackets.append((taxis[k], taxis[k + 1]))
-        if sv[-1] == 0.0:
-            brackets.append((taxis[-1], taxis[-1]))
-        if len(brackets) <= branch:
-            raise NoIntersection(
-                f"line {line}: found {len(brackets)} roots, branch {branch} requested"
-            )
-        lows[line], highs[line] = brackets[branch]
+    # the slice chart drops the scan axis; each of its points is one grid line
+    slice_chart = ChartGrid(*(tuple(v for i, v in enumerate(spec) if i != axis)
+                              for spec in (chart.shape, chart.spacing, chart.origin)))
+    s_lines = np.moveaxis(s_all.reshape(chart.shape), axis, -1).reshape(-1, chart.shape[axis])
+    lows, highs = _brackets(s_lines, chart.axis(axis), branch)
 
     # vectorized bisection over all lines, then Newton polish
     slice_pts = slice_chart.points()
 
     def full_points(tvals: np.ndarray) -> np.ndarray:
-        cols = []
-        j = 0
-        for i in range(n_plus):
-            if i == axis:
-                cols.append(tvals)
-            else:
-                cols.append(slice_pts[:, j])
-                j += 1
-        return np.stack(cols, axis=1)
+        return np.insert(slice_pts, axis, tvals, axis=1)
 
     def s_of(tvals: np.ndarray, order: int = 0):
         comps = lorentz_map.evaluate(full_points(tvals), order=order)
@@ -569,8 +549,8 @@ def generate_conformal_pair(
     ) / s_t[:, None, None]
 
     n = n_plus - 1
-    incl_d1 = np.zeros((n_lines, n_plus, n))
-    incl_d2 = np.zeros((n_lines, n_plus, n, n))
+    incl_d1 = np.zeros((len(roots), n_plus, n))
+    incl_d2 = np.zeros((len(roots), n_plus, n, n))
     for col, i in enumerate(others):
         incl_d1[:, i, col] = 1.0
     incl_d1[:, axis, :] = t_u
@@ -578,7 +558,6 @@ def generate_conformal_pair(
 
     def restrict(mapping: ImmersionMap) -> ImmersionJet:
         comps = mapping.evaluate(full_points(roots), order=2)
-        m = mapping.ambient.dim
         values = np.stack([c.v for c in comps], axis=-1)
         dfull = np.stack([c.g for c in comps], axis=-1)      # (P, n+1, m)
         d2full = np.stack([c.h for c in comps], axis=-1)     # (P, n+1, n+1, m)

@@ -8,7 +8,7 @@ import pytest
 
 from confpair import cli, extension, jets, lightcone
 from confpair.cli import main, run_manifest
-from confpair.errors import ManifestError, RankJump
+from confpair.errors import ManifestError, NotIsometricPair, RankJump
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, catalog, default_chart
 from confpair.jets import PipelineConfig
 
@@ -443,3 +443,36 @@ def test_inverting_the_right_side_leaves_its_cone_lift_analysis_alone(name, cent
     inverted["right"] = {"builtin": "inversion",
                          "params": {"of": inverted["right"], "center": centre}}
     assert pair_outcome(inverted) == pair_outcome(lifted)
+
+
+def test_extend_takes_a_value_table_side():
+    # extend reads its sides through the same stage as pair: here the plane
+    # (x1, x2, x3, 0, 0) as a value table on the grid
+    report, code = run_manifest(table_variant("flat-extension", "left"))
+    assert code == 0
+    assert report["results"]["inputs"]["left"] == "table"
+    assert report["results"]["fiber_rank"] == 1
+
+
+def test_extend_never_lifts_a_conformal_side():
+    # the inverted cylinder is conformal, not isometric, to the plane: a pair
+    # manifest lifts it to the cone, extend refuses the pair as it stands
+    doc = {key: json.loads(json.dumps(MANIFESTS["flat-pair"][key])) for key in ("grid", "left")}
+    doc["analysis"] = "extend"
+    doc["right"] = {"builtin": "inversion", "params": {"of": MANIFESTS["flat-pair"]["right"],
+                                                       "center": [2.0, 2.0, 2.0, 2.0]}}
+    with pytest.raises(NotIsometricPair, match=re.escape("relative residual 9.943e-01")):
+        run_manifest(json.loads(json.dumps(doc)))
+
+
+def test_shared_flat_normal_needs_one_ambient_on_both_sides(tmp_path, capsys):
+    # the plane lies in R^5 and the unpadded cylinder in R^4
+    doc = json.loads(json.dumps(MANIFESTS["flat-extension"]))
+    doc["right"] = {"builtin": "cylinder", "params": {"n": 3}}
+    with pytest.raises(ManifestError) as err:
+        run_manifest(doc)
+    assert err.value.path == "transfer.shared_flat_normal"
+    path = tmp_path / "mismatch.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path), "--output", str(tmp_path / "out.json")]) == 1
+    assert "manifest error: transfer.shared_flat_normal" in capsys.readouterr().err

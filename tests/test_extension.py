@@ -3,6 +3,7 @@ import pytest
 
 from confpair import jet3
 from confpair.errors import NoIntersection, NotTransversal
+from confpair.gallery import MANIFESTS, build_immersion
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import (
     ChartGrid,
@@ -12,6 +13,7 @@ from confpair.jets import (
     induced_metric,
 )
 from confpair.extension import (
+    _brackets,
     extension_obstruction,
     generate_conformal_pair,
     ruled_extension,
@@ -362,8 +364,73 @@ def test_generator_missing_branch_raises():
     chart = ChartGrid((5, 5, 5), (0.1, 0.05, 0.05), (0.5, 0.8, -0.1))  # t > 0 only
     left = adapted_cylinder_map(n)
     lorentz = lorentz_slice_map(n)
-    with pytest.raises(NoIntersection):
+    with pytest.raises(NoIntersection, match="line 0: found 0 roots, branch 0 requested"):
         generate_conformal_pair(left, lorentz, chart, axis=0, branch=0)
+
+
+def brackets_by_line(s_lines, taxis, branch):
+    """The slicer's bracket scan as a loop over lines and nodes: the
+    reference for `_brackets`."""
+    n_lines, axis_len = s_lines.shape
+    lows = np.zeros(n_lines)
+    highs = np.zeros(n_lines)
+    for line in range(n_lines):
+        sv = s_lines[line]
+        brackets = []
+        for k in range(axis_len - 1):
+            if sv[k] == 0.0:
+                brackets.append((taxis[k], taxis[k]))
+            elif sv[k] * sv[k + 1] < 0:
+                brackets.append((taxis[k], taxis[k + 1]))
+        if sv[-1] == 0.0:
+            brackets.append((taxis[-1], taxis[-1]))
+        if len(brackets) <= branch:
+            raise NoIntersection(
+                f"line {line}: found {len(brackets)} roots, branch {branch} requested"
+            )
+        lows[line], highs[line] = brackets[branch]
+    return lows, highs
+
+
+def degenerate_pair_lines():
+    """The squared norm of the gallery degenerate-pair's Lorentz map along
+    the lines of its scan axis."""
+    grid = MANIFESTS["degenerate-pair"]["grid"]
+    chart = ChartGrid(tuple(grid["shape"]), tuple(grid["spacing"]), tuple(grid["origin"]))
+    lorentz = build_immersion(MANIFESTS["degenerate-pair"]["generator"]["lorentz"])
+    vals = lorentz.values(chart.points())
+    s = np.einsum("pa,ab,pb->p", vals, lorentz.ambient.gram, vals)
+    return np.moveaxis(s.reshape(chart.shape), 0, -1).reshape(-1, chart.shape[0]), chart.axis(0)
+
+
+SLICER_LINES = {
+    "degenerate-pair": degenerate_pair_lines(),
+    "sign changes": (np.array([[1.0, 0.5, -0.5, -1.0, 2.0], [-3.0, 1.0, -1.0, 1.0, -1.0]]),
+                     np.linspace(0.0, 1.0, 5)),
+    "zeros": (np.array([[1.0, 0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 0.0, 0.0, 2.0],
+                        [2.0, -1.0, -3.0, -1.0, 0.0]]), np.linspace(-1.0, 1.0, 5)),
+}
+
+
+@pytest.mark.parametrize("branch", [0, 1])
+@pytest.mark.parametrize("name", sorted(SLICER_LINES))
+def test_brackets_match_the_scan_line_by_line(name, branch):
+    s_lines, taxis = SLICER_LINES[name]
+    if name == "degenerate-pair":
+        # exact zeros at grid nodes: seven on t = 0 and one on t = -2 x1
+        assert int(np.sum(s_lines == 0.0)) == 8 and s_lines.size == 7875
+    lows, highs = _brackets(s_lines, taxis, branch)
+    ref_lows, ref_highs = brackets_by_line(s_lines, taxis, branch)
+    assert np.array_equal(lows, ref_lows) and np.array_equal(highs, ref_highs)
+
+
+def test_brackets_name_the_first_line_short_of_the_branch():
+    s_lines = np.array([[1.0, -1.0, 1.0], [1.0, 2.0, 0.0], [1.0, 2.0, 3.0]])
+    taxis = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(NoIntersection, match="line 1: found 1 roots, branch 1 requested"):
+        brackets_by_line(s_lines, taxis, 1)
+    with pytest.raises(NoIntersection, match="line 1: found 1 roots, branch 1 requested"):
+        _brackets(s_lines, taxis, 1)
 
 
 def test_generated_pair_feeds_degenerate_pipeline():
