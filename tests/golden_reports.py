@@ -10,7 +10,11 @@ Regenerate the files with
 
     PYTHONPATH=src python tests/golden_reports.py
 
-and review the diff: a change of behaviour shows up there.
+and review the diff: a change of behaviour shows up there.  With `--check`
+nothing is written: every float that differs from its golden value is
+printed with its share of the bound ``REL * |golden| + ABS``, and so is
+every key, string, int or other value that differs.  The exit status is 1
+when some difference breaks the comparison, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -37,44 +41,67 @@ def load(name: str) -> dict:
     return json.loads(golden_path(name).read_text())
 
 
+def differences(got, want, path: str = ""):
+    """(path, got, want, share) of every place where `got` departs from the
+    golden `want`.  For two floats `share` is |got - want| over the bound
+    ``REL * |golden| + ABS`` (they match while it is at most 1); it is None
+    for every other difference, which no comparison forgives."""
+    if type(got) is not type(want):
+        yield path, f"type {type(got).__name__}", f"type {type(want).__name__}", None
+    elif isinstance(want, dict):
+        if set(got) != set(want):
+            yield (path, f"keys {sorted(set(got) - set(want))}",
+                   f"keys {sorted(set(want) - set(got))}", None)
+        else:
+            for key in sorted(want):
+                yield from differences(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        if len(got) != len(want):
+            yield path, f"length {len(got)}", f"length {len(want)}", None
+        else:
+            for i, (g, w) in enumerate(zip(got, want)):
+                yield from differences(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        if not (got == want or (math.isnan(want) and math.isnan(got))):
+            yield path, got, want, abs(got - want) / (REL * abs(want) + ABS)
+    elif got != want:
+        yield path, got, want, None
+
+
 def compare(got, want, path: str = "") -> list[str]:
     """Paths at which `got` departs from the golden `want` (empty: a match)."""
-    if type(got) is not type(want):
-        return [f"{path}: type {type(got).__name__} != {type(want).__name__}"]
-    if isinstance(want, dict):
-        if set(got) != set(want):
-            return [f"{path}: keys {sorted(set(got) ^ set(want))} differ"]
-        out = []
-        for key in sorted(want):
-            out.extend(compare(got[key], want[key], f"{path}.{key}"))
-        return out
-    if isinstance(want, list):
-        if len(got) != len(want):
-            return [f"{path}: length {len(got)} != {len(want)}"]
-        out = []
-        for i, (g, w) in enumerate(zip(got, want)):
-            out.extend(compare(g, w, f"{path}[{i}]"))
-        return out
-    if isinstance(want, float):
-        if got == want or (math.isnan(want) and math.isnan(got)):
-            return []
-        if not abs(got - want) <= REL * abs(want) + ABS:
-            return [f"{path}: {got!r} != {want!r}"]
-        return []
-    return [] if got == want else [f"{path}: {got!r} != {want!r}"]
+    return [f"{where}: {g!r} != {w!r}" for where, g, w, share in differences(got, want, path)
+            if share is None or not share <= 1.0]
 
 
-def main():
+def main(argv=None) -> int:
+    import argparse
+
     from confpair.cli import run_manifest
     from confpair.gallery import MANIFESTS
 
-    GOLDEN_DIR.mkdir(exist_ok=True)
+    parser = argparse.ArgumentParser(description="Regenerate or check the golden reports.")
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; print every value that differs from its golden one")
+    args = parser.parse_args(argv)
+    failed = False
+    if not args.check:
+        GOLDEN_DIR.mkdir(exist_ok=True)
     for name in sorted(MANIFESTS):
         report, code = run_manifest(json.loads(json.dumps(MANIFESTS[name])))
-        text = json.dumps(snapshot(report, code), sort_keys=True, indent=2) + "\n"
-        golden_path(name).write_text(text)
-        print(f"{name}: exit {code}")
+        got = snapshot(report, code)
+        if not args.check:
+            golden_path(name).write_text(json.dumps(got, sort_keys=True, indent=2) + "\n")
+            print(f"{name}: exit {code}")
+            continue
+        for where, g, w, share in differences(got, load(name)):
+            if share is None:
+                print(f"{name}{where}: {g!r} != golden {w!r}")
+            else:
+                print(f"{name}{where}: {g!r} vs golden {w!r}, {share:.3g} of the bound")
+            failed |= share is None or not share <= 1.0
+    return int(failed)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

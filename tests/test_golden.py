@@ -7,7 +7,7 @@ import pytest
 
 from confpair.gallery import MANIFESTS
 
-from golden_reports import GOLDEN_DIR, compare, load, snapshot
+from golden_reports import ABS, GOLDEN_DIR, REL, compare, differences, load, snapshot
 
 
 def test_golden_files_cover_the_gallery():
@@ -40,3 +40,13 @@ def test_comparator_rejects_one_changed_rank_name_or_residual():
     assert residuals[key] != 0.0
     residuals[key] *= 1.0 + 1e-3
     assert compare(drifted, want)
+
+
+def test_differences_give_each_float_its_share_of_the_bound():
+    want = {"a": 1.0, "b": [2, "x"], "c": 0.0, "d": 0.5}
+    got = {"a": 1.0 + 0.5e-6, "b": [3, "x"], "c": 2e-12, "d": 0.5}
+    found = {where: share for where, _, _, share in differences(got, want)}
+    assert found == {".a": pytest.approx(0.5e-6 / (REL + ABS)), ".b[0]": None,
+                     ".c": pytest.approx(2e-12 / ABS)}
+    assert [line.split(":")[0] for line in compare(got, want)] == [".b[0]", ".c"]
+    assert list(differences({"a": 1.0}, {"e": 1.0})) == [("", "keys ['a']", "keys ['e']", None)]
