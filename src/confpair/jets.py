@@ -21,7 +21,7 @@ import numpy as np
 
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, span_stack
+from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, kernel_stack, span_stack
 
 __all__ = [
     "PipelineConfig",
@@ -619,7 +619,8 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> Fu
     else:
         points = np.arange(p)
         seed = _central_point(jet.chart.shape, points)
-        seed_span = np.linalg.svd(jet.d1[seed] @ g_amb)[2][n:].T  # the gauge of the frames
+        # the gauge of the frames: the kernel of the seed's tangent rows
+        seed_span = kernel_stack((jet.d1[seed] @ g_amb)[None], cfg.rank_tol, 1.0)[1][0, :, :k]
         frame0, normal_pattern = _seed_frame(seed_span, g_amb, cfg.rank_tol, seed)
         tangent_part = tangent_ambient @ (eta[:, None] * (tangent_ambient.transpose(0, 2, 1)
                                                           @ (g_amb @ frame0)))

@@ -6,7 +6,7 @@ import pytest
 
 from confpair import conformal_calc, gallery, jet3, jets
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, span_stack
+from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, kernel_stack, span_stack
 from confpair.jets import (
     ChartGrid,
     DistributionFrame,
@@ -387,15 +387,35 @@ def test_fundamental_data_frames_are_the_anchored_fit_of_the_normal_spaces(imap)
 
 def test_fundamental_data_seeds_its_frames_from_the_svd_complement():
     # the seed frame fixes the gauge of every frame-dependent quantity; it
-    # comes from the SVD complement at the central point of the chart
+    # comes from the complement that the rank module's kernel decision gives
+    # at the central point of the chart
     jet = gallery.psi_lift(gallery.torus()).jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
     fund = fundamental_data(jet)
     seed = central_point(jet.chart.shape, np.ones(jet.chart.npoints, dtype=bool))
     assert seed == 4 * 8 + 3  # (4, 3): the first of the two points nearest (4, 3.5)
-    span = np.linalg.svd(tangent_rows(jet)[seed])[2][jet.n:].T
+    span = kernel_stack(tangent_rows(jet)[seed][None], DEFAULT_TOL, 1.0)[1][0, :, :jet.codim]
     frame0, pattern = _seed_frame(span, jet.ambient.gram, DEFAULT_TOL, seed)
     assert fund.normal_pattern == pattern
     assert np.max(np.abs(fund.normal_frame[seed] - frame0)) <= 1e-14
+
+
+@pytest.mark.parametrize("imap", [gallery.sphere(2), gallery.psi_lift(gallery.torus())],
+                         ids=["sphere", "psi-torus"])
+def test_fundamental_data_on_a_2d_chart_sends_lapack_no_small_matrix(monkeypatch, imap):
+    # the seed span is a rank-module kernel decision, in closed form for a
+    # smaller side of 2; a chart with no point below the immersion screen
+    # needs no other SVD
+    jet = imap.jet(ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4)))
+    sides = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        sides.append(min(np.shape(a)[-2:]))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    fundamental_data(jet)
+    assert [side for side in sides if side <= 2] == []
 
 
 def assert_same_alignment(spans, gram, shape, **kw):
