@@ -501,7 +501,7 @@ def _one_region(analysis):
 
 def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
-    names, _, jf, jg, _ = _pair_inputs(doc, cfg)  # never lifted: the pair must be isometric
+    names, _, jf, jg, _ = _pair_inputs(doc, cfg)  # not lifted: left/right must be isometric
     tspec = doc.get("transfer", "pipeline")
     if tspec == "pipeline":
         data = _one_region(analyze_pair(jf, jg, cfg))

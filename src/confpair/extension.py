@@ -427,7 +427,7 @@ def _brackets(s_lines: np.ndarray, taxis: np.ndarray, branch: int):
             f"line {line}: found {found[line, -1]} roots, branch {branch} requested"
         )
     k = np.argmax(found > branch, axis=1)  # the node where that root was counted
-    at_zero = zero[np.arange(len(k)), k]   # as the last node always is
+    at_zero = zero[np.arange(len(k)), k]   # always so at the last node
     return taxis[k], taxis[np.where(at_zero, k, k + 1)]
 
 
