@@ -474,7 +474,7 @@ def _run_pair(doc: dict, cfg: PipelineConfig):
     if "witness_pairing" in expect and pairing_min is not None:
         checks.append(_check("witness_pairing_gap",
                              abs(pairing_min - expect["witness_pairing"]), 1e-9))
-    return results, checks, _csv_rows(analysis, jf.chart)
+    return results, checks, lambda: _csv_rows(analysis, jf.chart)  # built only for --csv-dump
 
 
 def _csv_rows(analysis, grid: ChartGrid):
@@ -573,7 +573,7 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
                          seed=int(seed if seed is not None else doc.get("seed", PipelineConfig.seed)))
 
     canonical = json.dumps(doc, sort_keys=True).encode()
-    results, checks, csv_rows = _RUNNERS[kind](doc, cfg)
+    results, checks, csv_rows = _RUNNERS[kind](doc, cfg)  # csv_rows: None, or builds the rows
     passed = all(c.get("passed", False) for c in checks) if checks else True
     report = {
         "provenance": {
@@ -596,10 +596,10 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
             if not 0 <= region < len(regs):
                 raise ManifestError("--region", f"region {region} out of range (0..{len(regs) - 1})")
             report["results"]["regions"] = [regs[region]]
-    if csv_dump and csv_rows:
+    if csv_dump and csv_rows is not None:
         with open(csv_dump, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerows(csv_rows)
+            writer.writerows(csv_rows())
     return report, (0 if passed else 2)
 
 

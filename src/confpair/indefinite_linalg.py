@@ -35,6 +35,13 @@ tiny matrix dominates.  The closed form works on the columns (a wide stack
 through its transpose) and forms no Gram matrix, because squaring would put
 a decision at a relative 1e-9 below roundoff.
 
+The metric kernels serve stacks of small symmetric matrices (the induced
+metric has n = 2 to 5) without LAPACK's cost per matrix: `cholesky_stack`
+gives L, L^-1 and a mask of positive pivots by loops over the matrix
+entries, each step over all points; `inverse_stack` builds L^-T L^-1 from
+them; `eigvalsh_stack` takes n = 1 and n = 2 in closed form, bit for bit
+LAPACK's own 2x2 rule, and n >= 3 through one stacked `eigvalsh`.
+
 Two helpers serve the whole package: `contract`, the one `np.einsum` of
 three or more operands, whose pairwise path is planned once per
 (subscripts, operand shapes), and `row_classes`, the one grouping of
@@ -370,6 +377,116 @@ def signature(gram: np.ndarray, tol: float = DEFAULT_TOL):
         counts[:, 0], counts[:, 1] = np.sum(vals > thr, axis=1), np.sum(vals < -thr, axis=1)
         counts[:, 2] = k - counts[:, 0] - counts[:, 1]
     return counts if gram.ndim == 3 else tuple(int(x) for x in counts[0])
+
+
+# ---------------------------------------------------------------------------
+# metric stacks: point-axis kernels for small symmetric matrices
+# ---------------------------------------------------------------------------
+
+
+# LAPACK's relative machine precision, dlamch("E"): half the spacing of 1.0
+_LAPACK_EPS = np.finfo(float).eps / 2
+
+
+def eigvalsh_stack(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., n), ascending, of each symmetric matrix of a
+    (..., n, n) stack, read from its lower triangle as `np.linalg.eigvalsh`
+    reads it.
+
+    n = 1 is the entry.  n = 2 is LAPACK's own 2x2 rule: `dsyevd` hands
+    `dsterf` the diagonal (a, c) and the off-diagonal b, `dsterf` keeps
+    (a, c) when |b| <= sqrt|a| sqrt|c| eps and otherwise takes `dlae2`
+    (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990), so the values
+    are bit for bit those of `eigvalsh` for entries in LAPACK's unscaled
+    range (about 1e-146 to 1e146).  n >= 3 takes one stacked `eigvalsh`.
+    NaN where an entry of a 2x2 matrix is not finite.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    if n == 1:
+        return a[..., 0].copy()
+    if n != 2:
+        return np.linalg.eigvalsh(a)
+    x, b, c = a[..., 0, 0], a[..., 1, 0], a[..., 1, 1]
+    with np.errstate(all="ignore"):
+        sm, adf, ab = x + c, np.abs(x - c), np.abs(b + b)
+        big = np.abs(x) > np.abs(c)
+        acmx, acmn = np.where(big, x, c), np.where(big, c, x)
+        rt = np.where(adf > ab, adf * np.sqrt(1.0 + (ab / adf) ** 2),
+                      np.where(adf < ab, ab * np.sqrt(1.0 + (adf / ab) ** 2), ab * np.sqrt(2.0)))
+        rt1 = np.where(sm < 0, 0.5 * (sm - rt), 0.5 * (sm + rt))  # the larger in modulus
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+        rt1, rt2 = np.where(sm == 0, 0.5 * rt, rt1), np.where(sm == 0, -0.5 * rt, rt2)
+        split = np.abs(b) <= np.sqrt(np.abs(x)) * np.sqrt(np.abs(c)) * _LAPACK_EPS
+        lo, hi = np.where(split, x, rt1), np.where(split, c, rt2)
+    out = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
+    out[~np.isfinite(x + b + c)] = np.nan
+    return out
+
+
+def _point_last(a: np.ndarray) -> np.ndarray:
+    """A (..., n, n) stack as a contiguous (n, n, B) array: each entry of the
+    matrices is one contiguous row over the B points."""
+    n = a.shape[-1]
+    return np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n), 0, -1))
+
+
+def _point_first(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The inverse of `_point_last`: an (n, n, B) array as a (..., n, n) stack."""
+    return np.ascontiguousarray(np.moveaxis(t, -1, 0)).reshape(shape)
+
+
+def _cholesky_point_last(a: np.ndarray):
+    """`cholesky_stack` on a point-last (n, n, B) array: (L, L^-1, ok)."""
+    n = a.shape[0]
+    chol, inv = np.zeros_like(a), np.zeros_like(a)
+    ok = np.ones(a.shape[2:], dtype=bool)
+    with np.errstate(all="ignore"):  # a failing entry is reported by ok
+        for j in range(n):
+            pivot = a[j, j] - np.sum(chol[j, :j] ** 2, axis=0)
+            ok &= (pivot > 0) & (pivot < np.inf)  # NaN compares False
+            chol[j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+            for i in range(j + 1, n):
+                chol[i, j] = (a[i, j] - np.sum(chol[i, :j] * chol[j, :j], axis=0)) / chol[j, j]
+        for i in range(n):
+            inv[i, i] = 1.0 / chol[i, i]
+            for j in range(i):
+                inv[i, j] = -np.sum(chol[i, j:i] * inv[j:i, j], axis=0) / chol[i, i]
+    return chol, inv, ok
+
+
+def cholesky_stack(a: np.ndarray):
+    """Cholesky factors of a (..., n, n) stack of symmetric matrices, read
+    from the lower triangle, with their inverses.
+
+    Returns (L, L^-1, ok): lower-triangular L with L L^T = a, its inverse
+    by forward substitution, and ok (...) where every pivot is positive and
+    finite; L and L^-1 mean nothing where ok is False.  The factor is the
+    unblocked column algorithm, backward stable (Higham, "Accuracy and
+    Stability of Numerical Algorithms", ch. 10).  The loops run over the
+    matrix entries, each step over all points at once, on a point-last copy
+    so that every entry is one contiguous row.
+    """
+    a = np.asarray(a, dtype=float)
+    chol, inv, ok = _cholesky_point_last(_point_last(a))
+    return _point_first(chol, a.shape), _point_first(inv, a.shape), ok.reshape(a.shape[:-2])
+
+
+def inverse_stack(a: np.ndarray) -> np.ndarray:
+    """Inverses of a (B, n, n) stack of symmetric matrices: L^-T L^-1 from
+    `cholesky_stack` where every pivot is positive, LAPACK's `inv` for the
+    other entries (indefinite ones)."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    _, inv, ok = _cholesky_point_last(_point_last(a))
+    out = np.empty_like(inv)
+    for i in range(n):
+        for j in range(i + 1):  # (L^-T L^-1)_ij = sum over k >= i of L^-1_ki L^-1_kj
+            out[i, j] = out[j, i] = np.sum(inv[i:, i] * inv[i:, j], axis=0)
+    out = _point_first(out, a.shape)
+    if not ok.all():
+        out[~ok] = np.linalg.inv(a[~ok])
+    return out
 
 
 def gap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,17 @@ import numpy as np
 
 from . import jet3
 from .errors import FrameAlignmentFailure, NotConformal, NotImmersion
-from .indefinite_linalg import DEFAULT_TOL, ScalarProduct, contract, kernel_stack, span_stack
+from .indefinite_linalg import (
+    DEFAULT_TOL,
+    ScalarProduct,
+    _svd,
+    cholesky_stack,
+    contract,
+    eigvalsh_stack,
+    inverse_stack,
+    kernel_stack,
+    span_stack,
+)
 
 __all__ = [
     "PipelineConfig",
@@ -244,8 +254,9 @@ class ImmersionJet:
         A point whose differential vanishes (first singular value 0) has
         lost rank and counts as 0.
 
-        One stacked `eigvalsh` of the Euclidean Gram d1 d1^T screens the
-        points.  Its computed eigenvalues lie within c u sigma_1^2 of
+        The eigenvalues of the Euclidean Gram d1 d1^T (`eigvalsh_stack`: in
+        closed form on 2-D charts, one stacked `eigvalsh` otherwise) screen
+        the points.  Its computed eigenvalues lie within c u sigma_1^2 of
         sigma_i^2 (Weyl's inequality plus the backward stability of the
         product and of the eigensolver; u is the unit roundoff and c a small
         multiple of m n).  A ratio sqrt(lam_min / lam_max) above
@@ -253,18 +264,18 @@ class ImmersionJet:
         sigma_n / sigma_1 > 1e-3 sqrt(1 - 1e6 c u), above 1e-3 (1 - 1e-6)
         even for c u = 1e-12, and that ratio is the point's residual.  Every
         other point (ratio at or below the screen, not finite, or
-        lam_max <= 0) gets its exact SVD ratio.  The residual is compared
+        lam_max <= 0) gets its exact SVD ratio from `_svd`.  The residual is compared
         only with IMMERSION_TOL = 1e-7, four decades below the screen, so
         each decision is the one the SVD ratios of all points give.
         """
         if self._residual is None:
             d1 = self.d1
-            lam = np.linalg.eigvalsh(d1 @ d1.transpose(0, 2, 1))  # ascending, NaN if d1 is not finite
+            lam = eigvalsh_stack(d1 @ d1.transpose(0, 2, 1))  # ascending, NaN if d1 is not finite
             with np.errstate(all="ignore"):
                 ratio = np.sqrt(lam[:, 0] / lam[:, -1])
             screened = (lam[:, -1] > 0) & (ratio > IMMERSION_SCREEN)  # NaN compares False
             if not screened.all():
-                sv = np.linalg.svd(d1[~screened], compute_uv=False)  # (., n)
+                sv = _svd(d1[~screened])  # (., n)
                 ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
                                              where=sv[:, 0] > 0)
             self._residual = float(np.min(ratio))
@@ -336,7 +347,7 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
     if metric is None:
         metric = induced_metric(jet)
     dg = metric_derivative(jet)  # dg[p, a, b, c] = d_a g_bc
-    ginv = np.linalg.inv(metric)
+    ginv = inverse_stack(metric)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)  # sym[p, i, j, l]
     return 0.5 * np.einsum("pkl,pijl->pkij", ginv, sym)
@@ -578,6 +589,63 @@ class FundamentalData:
         return np.einsum("pat,p...t->p...a", self.normal_frame, coords)
 
 
+# the induced metric degenerates at a point where some eigenvalue (by
+# `eigvalsh`) has modulus below METRIC_DEGENERATE.  _METRIC_ROUNDOFF ||g||_F
+# bounds both the backward error of the unblocked Cholesky factor
+# (gamma_{n+1} n ||g||_2, Higham, ch. 10) and the error of each eigenvalue
+# that `eigvalsh` or `eigh` computes (a small multiple of n u ||g||_2), for
+# n up to about 10: generous for the n <= 5 of any chart.
+METRIC_DEGENERATE, _METRIC_ROUNDOFF = 1e-12, 1e3 * np.finfo(float).eps
+
+
+def _tangent_frames(metric: np.ndarray):
+    """(pattern, frames C (P, n, n), inverses C^-1) of the induced metric g:
+    C^T g C = diag(pattern).  Raises NotImmersion where `eigvalsh` finds the
+    signature changing over the chart or some |lambda| below
+    METRIC_DEGENERATE, and only there.
+
+    Definite charts take C = L^-T and C^-1 = L^T from `cholesky_stack`
+    (g = L L^T), with this certificate.  Let s = 2 _METRIC_ROUNDOFF ||g||_F.
+    Cholesky's backward error gives lambda_min(g) >= 1 / ||L^-1||_2^2 - s/2
+    >= 1 / ||L^-1||_F^2 - s/2, and `eigvalsh` lands within s/2 of
+    lambda_min(g).  So where every pivot is positive and
+    1 / ||L^-1||_F^2 >= 2 (METRIC_DEGENERATE + s), `eigvalsh` finds no
+    eigenvalue below METRIC_DEGENERATE; the factor 2 covers the error of the
+    computed L^-1, which is below 1e-8 relative there (c n u cond(L), with
+    cond(L)^2 < 1 / (4 _METRIC_ROUNDOFF)).  The points without that margin
+    are decided by `eigvalsh` itself.  A failed pivot, or a decision other
+    than "definite", sends the chart to one `eigh`: its frames are the
+    eigenvectors over sqrt|lambda| (signs fixed by their largest component),
+    and the points with an eigenvalue within s of 0 or of
+    +-METRIC_DEGENERATE are decided again by `eigvalsh`.
+    """
+    n = metric.shape[1]
+    slack = 2 * _METRIC_ROUNDOFF * np.sqrt(np.sum(metric * metric, axis=(1, 2)))
+    chol, chol_inv, ok = cholesky_stack(metric)
+    if ok.all():
+        with np.errstate(divide="ignore"):
+            lower = 1.0 / np.sum(chol_inv * chol_inv, axis=(1, 2))
+        unsure = ~(lower >= 2 * (METRIC_DEGENERATE + slack))
+        if not unsure.any() or np.all(np.linalg.eigvalsh(metric[unsure]) >= METRIC_DEGENERATE):
+            return (1,) * n, chol_inv.transpose(0, 2, 1), chol.transpose(0, 2, 1)
+    lams, frames = np.linalg.eigh(metric)  # ascending eigenvalues
+    vals = lams.copy()
+    near = np.any((np.abs(lams) <= slack[:, None])
+                  | (np.abs(np.abs(lams) - METRIC_DEGENERATE) <= slack[:, None]), axis=1)
+    if near.any():
+        vals[near] = np.linalg.eigvalsh(metric[near])
+    neg = int(np.sum(vals[0] < 0))
+    if np.any(np.sum(vals < 0, axis=1) != neg) or np.any(np.abs(vals) < METRIC_DEGENERATE):
+        raise NotImmersion("induced metric changes signature or degenerates on the chart")
+    # deterministic signs: largest-magnitude component of each vector positive
+    lead = np.argmax(np.abs(frames), axis=1)
+    signs = np.sign(np.take_along_axis(frames, lead[:, None, :], axis=1))[:, 0, :]
+    frames = frames * np.where(signs == 0, 1.0, signs)[:, None, :]
+    root = np.sqrt(np.abs(lams))[:, None, :]
+    tangent_pattern = tuple(int(np.sign(v)) for v in lams[0])
+    return tangent_pattern, frames / root, (frames * root).transpose(0, 2, 1)
+
+
 def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> FundamentalData:
     """Metric, frames, second fundamental form and normal connection of a jet;
     the normal frames are fitted at `cfg.rank_tol` and gated at `cfg.align_floor`."""
@@ -586,24 +654,7 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> Fu
     metric = induced_metric(jet)
     p, n, m = jet.chart.npoints, jet.n, jet.m
 
-    vals = np.linalg.eigvalsh(metric)
-    neg = int(np.sum(vals[0] < 0))
-    if np.any(np.sum(vals < 0, axis=1) != neg) or np.any(np.abs(vals) < 1e-12):
-        raise NotImmersion("induced metric changes signature or degenerates on the chart")
-    if neg == 0:
-        chol = np.linalg.cholesky(metric)
-        tangent_frame = np.linalg.inv(chol).transpose(0, 2, 1)
-        tangent_frame_inv = chol.transpose(0, 2, 1)
-        tangent_pattern = (1,) * n
-    else:
-        lams, frames = np.linalg.eigh(metric)  # ascending eigenvalues
-        # deterministic signs: largest-magnitude component of each vector positive
-        lead = np.argmax(np.abs(frames), axis=1)
-        signs = np.sign(np.take_along_axis(frames, lead[:, None, :], axis=1))[:, 0, :]
-        frames = frames * np.where(signs == 0, 1.0, signs)[:, None, :]
-        tangent_frame = frames / np.sqrt(np.abs(lams))[:, None, :]
-        tangent_pattern = tuple(int(np.sign(v)) for v in lams[0])
-        tangent_frame_inv = np.linalg.inv(tangent_frame)
+    tangent_pattern, tangent_frame, tangent_frame_inv = _tangent_frames(metric)
     tangent_ambient = np.einsum("pim,pia->pma", jet.d1, tangent_frame)
 
     # normal frames: the normal space is the G-complement of the tangent
@@ -692,7 +743,16 @@ class DistributionFrame:
 def coordinate_distribution(fund: FundamentalData, axes: list[int]) -> DistributionFrame:
     """Distribution spanned by chosen coordinate fields, orthonormalized by QR."""
     # column i of the inverse frame matrix: the frame coordinates of d_i
-    return DistributionFrame(np.linalg.qr(fund.tangent_frame_inv[:, :, list(axes)])[0])
+    cols = fund.tangent_frame_inv[:, :, list(axes)]
+    if cols.shape[2] != 1:
+        return DistributionFrame(np.linalg.qr(cols)[0])
+    # one column: LAPACK's Householder Q, x / beta with beta = -sign(x_0) |x|,
+    # or x_0 when x has no other nonzero entry (the reflection is then I)
+    x = cols[:, :, 0]
+    rest = np.sum(x[:, 1:] ** 2, axis=1)
+    norm = np.sqrt(x[:, 0] ** 2 + rest)
+    beta = np.where(rest == 0, x[:, 0], np.where(x[:, 0] < 0, norm, -norm))
+    return DistributionFrame(cols / beta[:, None, None])
 
 
 def bracket_residual(fund: FundamentalData, dist: DistributionFrame) -> np.ndarray:

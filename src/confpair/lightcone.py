@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotConformal, NotConformallyRuled, OnExceptionalRay
-from .indefinite_linalg import ScalarProduct, contract
+from .indefinite_linalg import ScalarProduct, contract, inverse_stack
 from .jet3 import Jet3
 from .jets import (
     ChartGrid,
@@ -301,7 +301,7 @@ def sff_transfer_check(
     psi = factor.reciprocal()
     dpsi = psi.g
     hess = psi.h - np.einsum("pkij,pk->pij", gamma, dpsi)
-    ginv = np.linalg.inv(base_metric)
+    ginv = inverse_stack(base_metric)
     grad = np.einsum("pij,pj->pi", ginv, dpsi)
 
     phi = psi.v

@@ -134,6 +134,22 @@ def test_gallery_run_and_csv(tmp_path):
     assert report["results"]["regions"][0]["ranks"]["rulings"] == 2
 
 
+def test_csv_rows_are_built_only_for_a_csv_dump(monkeypatch, tmp_path):
+    built = []
+    real = cli._csv_rows
+
+    def recorded(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_csv_rows", recorded)
+    doc = json.loads(json.dumps(MANIFESTS["flat-pair"]))
+    run_manifest(doc)
+    assert built == []
+    run_manifest(doc, csv_dump=str(tmp_path / "flat.csv"))
+    assert built == [1]
+
+
 def test_region_filter(tmp_path):
     out = tmp_path / "r.json"
     assert main(["gallery", "run", "flat-pair", "--output", str(out), "--region", "0"]) == 0

@@ -8,10 +8,13 @@ from confpair.indefinite_linalg import (
     DEFAULT_TOL,
     PATH_CACHE_SIZE,
     ScalarProduct,
+    cholesky_stack,
     complement_stack,
     contract,
+    eigvalsh_stack,
     frame_coords,
     gap_stack,
+    inverse_stack,
     kernel_stack,
     max_by_class,
     project_stack,
@@ -631,3 +634,57 @@ def test_contraction_is_planned_once_per_subscripts_and_shapes(monkeypatch):
                           np.einsum(subscripts, d1, g, d1, optimize=True))
     assert len(planned) == 2
     assert indefinite_linalg._contraction_path.cache_info().maxsize == PATH_CACHE_SIZE
+
+
+def spd_stack(seed: int, n: int, size: int, scale: float, spread: float) -> np.ndarray:
+    """Symmetric positive definite (size, n, n) matrices with eigenvalues in
+    scale * [1, spread], turned by random orthogonal matrices."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(size, n, n)))[0]
+    lam = scale * spread ** rng.uniform(size=(size, n))
+    return (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6))
+def test_cholesky_stack_matches_lapack_on_spd_stacks(n, seed, exponent):
+    a = spd_stack(seed, n, 50, 10.0 ** exponent, 100.0)
+    chol, inv, ok = cholesky_stack(a)
+    assert ok.all()
+    ref = np.linalg.cholesky(a)
+    # condition number of L at most 10: both factors are backward stable
+    assert np.max(np.abs(chol - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(chol, np.tril(chol))
+    ref_inv = np.linalg.inv(ref)
+    assert np.max(np.abs(inv - ref_inv)) <= 1e-13 * np.max(np.abs(ref_inv))
+    ref_a_inv = np.linalg.inv(a)
+    assert np.max(np.abs(inverse_stack(a) - ref_a_inv)) <= 1e-13 * np.max(np.abs(ref_a_inv))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6),
+       spread=st.sampled_from([1.0, 1.0 + 1e-9, 100.0, 1e12]))
+def test_eigvalsh_stack_is_lapacks_eigvalsh(n, seed, exponent, spread):
+    a = spd_stack(seed, n, 50, 10.0 ** exponent, spread)
+    a[:10] -= 2 * 10.0 ** exponent * np.eye(n)  # indefinite and negative ones too
+    # near-diagonal, off-diagonal entries 1e-14 to 1e-23 of the diagonal: LAPACK's split test
+    a[10:20] = np.diag(np.diag(a[10])) + 10.0 ** -np.arange(14, 24)[:, None, None] * a[10:20]
+    a[20:30] = np.triu(a[20:30]) + np.tril(a[20:30], -1) * 2  # not symmetric: the lower triangle counts
+    assert np.array_equal(eigvalsh_stack(a), np.linalg.eigvalsh(a))  # bit for bit
+
+
+def test_cholesky_stack_flags_the_entries_without_positive_pivots():
+    a = spd_stack(7, 3, 6, 1.0, 10.0)
+    a[1] = np.diag([1.0, -1.0, 1.0])
+    a[3] = np.diag([1.0, 1.0, 0.0])
+    a[4, 2, 2] = np.nan
+    _, _, ok = cholesky_stack(a)
+    assert ok.tolist() == [True, False, True, False, False, True]
+    indefinite = a[[0, 1, 2]]
+    assert np.allclose(inverse_stack(indefinite) @ indefinite, np.eye(3), atol=1e-12)
+
+
+def test_eigvalsh_stack_of_a_2x2_with_a_non_finite_entry_is_nan():
+    a = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+    vals = eigvalsh_stack(a)
+    assert np.isnan(vals[:2]).all() and vals[2].tolist() == [1.0, 3.0]

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from confpair import conformal_calc, gallery, jet3, jets
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
@@ -678,27 +679,131 @@ def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
     assert stacked == []
 
 
+def callers_of(monkeypatch, name):
+    """Names of the functions that call `jets.<name>` from now on."""
+    callers = []
+    real = getattr(jets, name)
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jets, name, recorded)
+    return callers
+
+
 def test_immersion_residual_runs_once_per_jet(monkeypatch):
     jet = ImmersionJet.from_function(sphere_fn(1.5), grid2(h=0.04, origin=(0.9, 0.2)), E3)
-    gate_eigvalsh = [0]
-    residual_svds = [0]
-    real_eigvalsh, real_svd = np.linalg.eigvalsh, np.linalg.svd
-
-    def eigvalsh(a, *args, **kwargs):
-        gate_eigvalsh[0] += sys._getframe(1).f_code.co_name == "immersion_residual"
-        return real_eigvalsh(a, *args, **kwargs)
-
-    def svd(a, *args, **kwargs):
-        residual_svds[0] += kwargs.get("compute_uv", True) is False
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
-    monkeypatch.setattr(np.linalg, "svd", svd)
+    eigenvalue_calls = callers_of(monkeypatch, "eigvalsh_stack")
+    svd_calls = callers_of(monkeypatch, "_svd")
     induced_metric(jet)
     induced_metric(jet)
     fundamental_data(jet)
-    assert gate_eigvalsh[0] == 1
-    assert residual_svds[0] == 0
+    assert eigenvalue_calls.count("immersion_residual") == 1
+    assert "immersion_residual" not in svd_calls  # every point passes the screen
+
+
+def metric_stack(pattern, lam_min, size=40, seed=5):
+    """(size, n, n) metrics of the given eigenvalue signs, turned by random
+    rotations; point 3 has smallest |eigenvalue| lam_min, the others at least 0.1."""
+    rng = np.random.default_rng(seed)
+    n = len(pattern)
+    q = np.linalg.qr(rng.normal(size=(size, n, n)))[0]
+    lam = rng.uniform(0.1, 2.0, size=(size, n))
+    lam[3, 0] = lam_min
+    lam = lam * np.asarray(pattern, dtype=float)
+    return (q * lam[:, None, :]) @ q.transpose(0, 2, 1)
+
+
+def eigvalsh_rule_raises(metric):
+    """The metric gate as one `eigvalsh` over the chart decides it."""
+    vals = np.linalg.eigvalsh(metric)
+    neg = np.sum(vals[0] < 0)
+    return bool(np.any(np.sum(vals < 0, axis=1) != neg) or np.any(np.abs(vals) < 1e-12))
+
+
+@pytest.mark.parametrize("pattern", [(1, 1), (1, 1, 1), (1, 1, 1, 1), (-1, 1), (1, -1, 1)])
+@pytest.mark.parametrize("lam_min, raises", [(5e-13, True), (5e-12, False)])
+def test_metric_gate_degenerates_below_1e_12(pattern, lam_min, raises):
+    metric = metric_stack(pattern, lam_min)
+    assert eigvalsh_rule_raises(metric) == raises
+    if raises:
+        with pytest.raises(NotImmersion):
+            jets._tangent_frames(metric)
+    else:
+        eta, frame, inverse = jets._tangent_frames(metric)
+        assert sorted(eta) == sorted(pattern)
+        assert np.allclose(frame.transpose(0, 2, 1) @ metric @ frame, np.diag(eta), atol=1e-9)
+        assert np.allclose(frame @ inverse, np.eye(len(pattern)), atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pattern=st.sampled_from([(1, 1), (1, 1, 1), (-1, 1), (1, -1, 1)]),
+       exponent=st.floats(-13.5, -10.5), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_metric_gate_decides_as_eigvalsh_near_its_threshold(pattern, exponent, scale, seed):
+    metric = scale * metric_stack(pattern, 10.0 ** exponent / scale, seed=seed)
+    raises = eigvalsh_rule_raises(metric)
+    try:
+        jets._tangent_frames(metric)
+    except NotImmersion:
+        assert raises
+    else:
+        assert not raises
+
+
+def eigen_calls(monkeypatch):
+    """Names of the `np.linalg` eigen solvers called from now on, and the
+    number of matrices each got."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            calls.append((_name, int(np.prod(np.shape(a)[:-2]))))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def test_an_indefinite_metric_takes_one_eigh(monkeypatch):
+    metric = metric_stack((-1, 1, 1), 0.3)
+    calls = eigen_calls(monkeypatch)
+    eta, frame, inverse = jets._tangent_frames(metric)
+    assert calls == [("eigh", len(metric))]
+    assert eta == (-1, 1, 1)
+    assert np.allclose(frame.transpose(0, 2, 1) @ metric @ frame, np.diag(eta), atol=1e-12)
+    assert np.allclose(inverse @ frame, np.eye(3), atol=1e-12)
+
+
+def test_fundamental_data_of_a_definite_chart_sends_no_metric_stack_to_lapack(monkeypatch):
+    chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
+    jet = gallery.pad(gallery.plane(2, 1)).jet(chart)
+    stacked = []
+    for name in ("eigvalsh", "eigh", "cholesky", "inv"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            if np.ndim(a) == 3:
+                stacked.append(_name)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    fund = fundamental_data(jet)
+    assert stacked == []
+    assert fund.tangent_pattern == (1, 1)
+    frame = fund.tangent_frame
+    assert np.allclose(frame.transpose(0, 2, 1) @ fund.metric @ frame, np.eye(2), atol=1e-12)
+
+
+def test_one_column_distribution_is_lapacks_qr():
+    grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
+    fund = fundamental_data(ImmersionJet.from_function(cylinder3_fn, grid, E4))
+    for axis in range(3):
+        basis = coordinate_distribution(fund, [axis]).basis
+        ref = np.linalg.qr(fund.tangent_frame_inv[:, :, [axis]])[0]
+        assert np.max(np.abs(basis - ref)) <= 1e-15  # LAPACK's signs too
 
 
 def jet_with_ratios(ratios):
@@ -725,12 +830,23 @@ def test_immersion_gate_decides_near_its_tolerance(ratio, immersed):
 
 def test_immersion_gate_runs_the_svd_only_below_its_screen(monkeypatch):
     jet = jet_with_ratios([0.5, 1e-4, 0.9])
-    shapes = stacked_svd_inputs(monkeypatch)
+    shapes = []
+    real = jets._svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(jets, "_svd", recorded)
     residual = jet.immersion_residual()
     assert jets.IMMERSION_SCREEN == 1e-3
     assert shapes == [(1, 2, 3)]  # the one point at or below the screen
-    sv = np.linalg.svd(jet.d1[1:2], compute_uv=False)
+    sv = real(jet.d1[1:2])
     assert residual == sv[0, -1] / sv[0, 0]  # bit for bit
+    # both carry errors of order u sigma_1: within 1e-15 relative to sigma_1 = 1
+    # (5e-18 apart here), not relative to the residual sigma_2 / sigma_1 = 1e-4
+    lapack = np.linalg.svd(jet.d1[1:2], compute_uv=False)
+    assert abs(residual - lapack[0, -1] / lapack[0, 0]) <= 1e-15 * lapack[0, 0]
 
 
 @pytest.mark.parametrize("imap", [gallery.sphere(2), gallery.graph(n=4),
