@@ -256,7 +256,7 @@ class ImmersionJet:
 
         The eigenvalues of the Euclidean Gram d1 d1^T (`eigvalsh_stack`: in
         closed form on 2-D charts, one stacked `eigvalsh` otherwise) screen
-        the points.  Its computed eigenvalues lie within c u sigma_1^2 of
+        the points.  Computed eigenvalues lie within c u sigma_1^2 of
         sigma_i^2 (Weyl's inequality plus the backward stability of the
         product and of the eigensolver; u is the unit roundoff and c a small
         multiple of m n).  A ratio sqrt(lam_min / lam_max) above
@@ -264,9 +264,9 @@ class ImmersionJet:
         sigma_n / sigma_1 > 1e-3 sqrt(1 - 1e6 c u), above 1e-3 (1 - 1e-6)
         even for c u = 1e-12, and that ratio is the point's residual.  Every
         other point (ratio at or below the screen, not finite, or
-        lam_max <= 0) gets its exact SVD ratio from `_svd`.  The residual is compared
-        only with IMMERSION_TOL = 1e-7, four decades below the screen, so
-        each decision is the one the SVD ratios of all points give.
+        lam_max <= 0) gets its exact SVD ratio from `_svd`.  The residual is
+        compared only with IMMERSION_TOL = 1e-7, four decades below the
+        screen, so each decision is the one the SVD ratios of all points give.
         """
         if self._residual is None:
             d1 = self.d1

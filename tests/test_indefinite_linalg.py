@@ -669,7 +669,8 @@ def test_eigvalsh_stack_is_lapacks_eigvalsh(n, seed, exponent, spread):
     a[:10] -= 2 * 10.0 ** exponent * np.eye(n)  # indefinite and negative ones too
     # near-diagonal, off-diagonal entries 1e-14 to 1e-23 of the diagonal: LAPACK's split test
     a[10:20] = np.diag(np.diag(a[10])) + 10.0 ** -np.arange(14, 24)[:, None, None] * a[10:20]
-    a[20:30] = np.triu(a[20:30]) + np.tril(a[20:30], -1) * 2  # not symmetric: the lower triangle counts
+    # not symmetric: the lower triangle counts
+    a[20:30] = np.triu(a[20:30]) + np.tril(a[20:30], -1) * 2
     assert np.array_equal(eigvalsh_stack(a), np.linalg.eigvalsh(a))  # bit for bit
 
 
@@ -685,6 +686,7 @@ def test_cholesky_stack_flags_the_entries_without_positive_pivots():
 
 
 def test_eigvalsh_stack_of_a_2x2_with_a_non_finite_entry_is_nan():
-    a = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]])
+    a = np.array([[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 1.0], [1.0, 1.0]],
+                  [[2.0, 1.0], [1.0, 2.0]]])
     vals = eigvalsh_stack(a)
     assert np.isnan(vals[:2]).all() and vals[2].tolist() == [1.0, 3.0]

@@ -633,8 +633,9 @@ def test_fundamental_data_fits_every_frame_in_one_call(monkeypatch, imap):
     fundamental_data(jet)
     assert fits == [chart.npoints]
     # the fit and the projection onto the normal spaces need no linalg call,
-    # so the count does not grow with the grid: two for the immersion gate
-    # and the signature, two for the tangent frames, three for the seed
+    # so the count does not grow with the grid; the immersion gate, the
+    # metric gate and the tangent frames need none on a 2-D chart, and the
+    # seed takes one on the padded plane and two on the cone lift
     assert count[0] <= 7
 
 
