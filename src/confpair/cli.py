@@ -174,7 +174,7 @@ def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, 
     factor = None
     if right_map is not None and right_map.factor_fn is not None:
         factor = right_map.factor_jets(right_jet.chart.points())
-    lifted, _ = isometric_representative(right_jet, gl, factor, cfg)
+    lifted, _ = isometric_representative(right_jet, gl, factor, cfg=cfg)
     notes.append("right immersion lifted to its isometric cone representative")
     return lifted
 
@@ -376,7 +376,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         points = _nullity_points(opts.get("points", "center"), grid)
         table = {}
         for s in svals:
-            reports = conformal_s_nullity(fund, s, points=points, seed=cfg.seed)
+            reports = conformal_s_nullity(fund, s, points=points, cfg=cfg)
             table[str(s)] = {
                 "max": max(rep.value for _, rep in reports),
                 "exact": all(rep.exact for _, rep in reports),
@@ -387,7 +387,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             checks.append(_expect(f"nullity.s{s_str}", table[s_str]["max"], expected))
 
     if doc.get("rigidity_q") is not None:
-        rep = rigidity_criterion(fund, int(doc["rigidity_q"]), seed=cfg.seed)
+        rep = rigidity_criterion(fund, int(doc["rigidity_q"]), cfg=cfg)
         results["rigidity"] = {
             "q": rep.q,
             "thresholds": _jsonable(rep.thresholds),
@@ -403,7 +403,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         base_map = build_immersion(opts["base"], where="transfer.base")
         base_jet = base_map.jet(grid)
         factor = imap.factor_jets(grid.points())
-        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])), factor, cfg)
+        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])), factor, cfg=cfg)
         results["transfer_dictionary"] = _jsonable(data.residuals)
         for key, thr in opts.get("thresholds", {}).items():
             checks.append(_check(f"transfer.{key}", data.residuals[key], float(thr)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisOutOfRange, RankJump
-from .indefinite_linalg import rank
+from .indefinite_linalg import rank, span_stack
 from .jets import (
     DistributionFrame,
     FundamentalData,
@@ -65,12 +65,10 @@ class ConformalSFF:
     nullity_containment: float  # residual of D inside the corrected-form nullity
 
 
-def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
-                  cfg: PipelineConfig | None = None) -> ConformalSFF:
+def conformal_sff(fund: FundamentalData, dist: DistributionFrame, cfg: PipelineConfig) -> ConformalSFF:
     """Corrected form beta = alpha - <,> eta and the subbundle spanned by
     beta(Z, X) with Z along the distribution, ranked at 10 `cfg.rank_tol`
     and aligned at the floor `cfg.align_floor`."""
-    cfg = cfg or PipelineConfig()
     p, n = fund.metric.shape[0], fund.metric.shape[1]
     k = fund.normal_rank
     eta = leaf_mean_curvature(fund, dist)
@@ -78,16 +76,13 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame,
     # spans of beta(Z_u, E_b) per point
     bz = np.einsum("pau,pabt->ptub", dist.basis, beta).reshape(p, k, -1)
     scale = max(float(np.max(np.abs(fund.alpha))), 1.0)
-    ranks = rank(bz, 10 * cfg.rank_tol, scale)
+    ranks, bases = span_stack(bz, 10 * cfg.rank_tol, scale)
     if ranks.size and ranks.min() != ranks.max():
         raise RankJump(f"corrected-form span rank varies on the grid: {set(ranks.tolist())}")
     ell = int(ranks[0]) if ranks.size else 0
-    if ell == 0:
-        frames = np.zeros((p, k, 0))
-    else:
-        gram = np.diag(fund.normal_eps)
-        frames, _, _ = align_frames(bz, gram, fund.jet.chart.shape, tol=cfg.rank_tol * 10,
-                                    floor=cfg.align_floor)
+    # the span's bases, so that the sweep sees the rank decided at `scale`
+    frames, _, _ = align_frames(bases[:, :, :ell], np.diag(fund.normal_eps), fund.jet.chart.shape,
+                                cfg=cfg)
     # containment: values beta(Z, X) must lie in the span (D inside the
     # nullity of the corrected form projected off the span)
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)
@@ -265,16 +260,18 @@ def s_nullity_at(
     return NullityReport(s, int(check), v, zeta, exact=False)
 
 
-def conformal_s_nullity(fund: FundamentalData, s: int, points=None,
-                        seed: int = 0) -> list[tuple[int, NullityReport]]:
+def conformal_s_nullity(fund: FundamentalData, s: int, points=None, *,
+                        cfg: PipelineConfig) -> list[tuple[int, NullityReport]]:
     """Per-point s-nullity reports; `points` defaults to all grid points for
-    s = 1 and the chart center otherwise."""
+    s = 1 and the chart center otherwise.  Each point's search draws from
+    the run's `cfg.seed`."""
     if any(e != 1 for e in fund.normal_pattern) or any(e != 1 for e in fund.tangent_pattern):
         raise HypothesisOutOfRange("s-nullity search expects Riemannian data")
     npts = fund.metric.shape[0]
     if points is None:
         points = range(npts) if s == 1 else [fund.jet.chart.center_index()]
-    return [(int(q), s_nullity_at(fund.alpha[q], s, seed=seed * 1_000_003 + int(q))) for q in points]
+    return [(int(q), s_nullity_at(fund.alpha[q], s, seed=cfg.seed * 1_000_003 + int(q)))
+            for q in points]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +304,8 @@ class RigidityReport:
     conclusive_violation: bool     # some lower bound already exceeds its threshold
 
 
-def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None) -> RigidityReport:
+def rigidity_criterion(fund: FundamentalData, q: int, points=None, *,
+                       cfg: PipelineConfig) -> RigidityReport:
     """Evaluate the nullity hypotheses of the composition criterion.
 
     Lower bounds are used, so a violated inequality is conclusive while a
@@ -316,7 +314,7 @@ def rigidity_criterion(fund: FundamentalData, q: int, seed: int = 0, points=None
     n = fund.metric.shape[1]
     p = fund.normal_rank
     th = rigidity_thresholds(n, p, q)
-    nu = {s: max(rep.value for _, rep in conformal_s_nullity(fund, s, points=points, seed=seed))
+    nu = {s: max(rep.value for _, rep in conformal_s_nullity(fund, s, points=points, cfg=cfg))
           for s in range(1, p + 1)}
     ok = all(nu[s] <= th["per_s"][s] for s in nu)
     if th["extra_nu1"] is not None:

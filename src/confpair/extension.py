@@ -92,7 +92,7 @@ class ObstructionData:
     residuals: dict = field(default_factory=dict)
 
 
-def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None) -> ObstructionData:
+def extension_obstruction(data: TransferData, cfg: PipelineConfig) -> ObstructionData:
     """Assemble the obstruction form on frame fields and take its kernel.
 
     The form is tensorial because the bundle component of the argument is
@@ -101,7 +101,6 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     `cfg.fd_tol`, its meets and complements at `cfg.rank_tol`, and the
     kernel and fiber frames are aligned at the floor `cfg.align_floor`.
     """
-    cfg = cfg or PipelineConfig()
     tol = cfg.rank_tol
     fl, fr = data.left, data.right
     chart = fl.jet.chart
@@ -139,10 +138,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     delta_raw = np.zeros((p, n + ell, s_dim))
     delta_raw[pts] = kers[:, :, :s_dim]
     mixed_eps = np.concatenate([np.ones(n), pat])
-    delta, _, _ = align_frames(
-        delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        floor=cfg.align_floor,
-    ) if s_dim else (np.zeros((p, n + ell, 0)), (), 0.0)
+    delta, _, _ = align_frames(delta_raw, np.diag(mixed_eps), chart.shape, mask=data.mask, cfg=cfg)
 
     # rulings sit inside the kernel; the fiber part is their complement
     d = data.rulings.shape[2]
@@ -157,10 +153,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     fiber_spans = np.zeros((p, n + ell, r_dim))
     fiber_spans[pts] = np.where(np.arange(fib.shape[2]) < fib_ranks[:, None, None], fib, 0.0)[:, :, :r_dim]
     # smooth gauge for the fiber frames: the extension differentiates them
-    fibers, _, _ = align_frames(
-        fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, tol=tol * 10,
-        floor=cfg.align_floor,
-    ) if r_dim else (fiber_spans, (), 0.0)
+    fibers, _, _ = align_frames(fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, cfg=cfg)
     residuals = {
         "rulings_inside_kernel": rul_gap,
         "rulings_integrability":
@@ -174,7 +167,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig | None = None)
     residuals["kernel_meets_tangent_in_rulings"] = max_by_class(
         lambda idx, t: gap_stack(t, rulings[idx]), *tang
     )
-    return ObstructionData(data, delta, fibers, s_dim, max(s_dim - d, 0), residuals)
+    return ObstructionData(data, delta, fibers, s_dim, r_dim, residuals)
 
 
 def _normal_columns(fund: FundamentalData, columns: np.ndarray) -> np.ndarray:
@@ -273,7 +266,7 @@ def ruled_extension(obstruction: ObstructionData) -> ExtensionPair:
     raise NotImmersionAtRadius("extension never becomes an immersion while shrinking the fibers")
 
 
-def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> dict:
+def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     """Residual report for the extension: isometry, ruledness, splittings,
     the kernel identity, and the compatibility conditions on the tube.
 
@@ -283,7 +276,6 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> 
     fundamental data and kernel identity use `cfg`, and every frame sweep
     on the tube is gated at the floor `cfg.align_floor`.
     """
-    cfg = cfg or PipelineConfig()
     data = pair.obstruction.data
     n = data.left.metric.shape[1]
     r = pair.obstruction.r
@@ -348,7 +340,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig | None = None) -> 
     if r_tube and out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
             _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
-            floor=cfg.align_floor,
+            cfg=cfg,
         )
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The
@@ -459,7 +451,8 @@ def generate_conformal_pair(
     chart: ChartGrid,
     axis: int = 0,
     branch: int = 0,
-    cfg: PipelineConfig | None = None,
+    *,
+    cfg: PipelineConfig,
 ) -> SliceData:
     """Slice a Lorentz embedding with the light cone and read off the pair.
 
@@ -476,7 +469,6 @@ def generate_conformal_pair(
     the residual is reported.  The projected pair's conformality is gated
     at `cfg.conformal_tol`.
     """
-    cfg = cfg or PipelineConfig()
     if not lorentz_map.ambient.pseudo_pair:
         raise ValueError("the second map must take values in a Lorentz ambient")
     n_plus = chart.ndim

@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     """The run-level numbers, which every layer takes and reports record.
 
@@ -457,15 +457,22 @@ def _polar_fit(points: np.ndarray, y: np.ndarray, gram: np.ndarray, pattern: tup
     frames = y @ inv_root / np.sqrt(scale)
     gram_w = frames.transpose(0, 2, 1) @ gram @ frames
     defect = np.max(np.abs(gram_w - np.diag(signs)), axis=(1, 2))
-    checks = [*checks,
-              (~(defect <= tol), lambda i: "polar fit lost rank"),  # NaN where W is not finite
-              (~(lam >= floor), lambda i: f"smallest eigenvalue {lam[i]:.3g} below floor {floor}")]
+    _raise_first(points, [
+        *checks,
+        (~(defect <= tol), lambda i: "polar fit lost rank"),  # NaN where W is not finite
+        (~(lam >= floor), lambda i: f"smallest eigenvalue {lam[i]:.3g} below floor {floor}"),
+    ])
+    return frames, float(np.min(lam))
+
+
+def _raise_first(points: np.ndarray, checks):
+    """Raise FrameAlignmentFailure at the first of `points` that fails one of
+    the (mask, message) `checks`, with the message of the first it fails."""
     failed = np.logical_or.reduce([bad for bad, _ in checks])
     if failed.any():
         i = int(np.argmax(failed))
         message = next(msg(i) for bad, msg in checks if bad[i])
         raise FrameAlignmentFailure(f"{message} at grid point {points[i]}")
-    return frames, float(np.min(lam))
 
 
 def align_frames(
@@ -474,9 +481,9 @@ def align_frames(
     shape: tuple[int, ...],
     mask: np.ndarray | None = None,
     seed: int | None = None,
-    tol: float = DEFAULT_TOL,
+    tol: float | None = None,
     *,
-    floor: float,
+    cfg: PipelineConfig,
 ):
     """Seed-anchored pseudo-orthonormal frames of a pointwise subbundle.
 
@@ -485,11 +492,13 @@ def align_frames(
     The seed (default: the masked point nearest the mask's centre) gets the
     `_seed_frame` of its own span, which fixes the gauge of every frame.
     The ranks and bases of all masked spans come from one `span_stack`
-    call; every masked fiber then takes the G-projection of the seed frame
-    and one `_polar_fit` over all points turns it into a frame, gated at
-    `floor`.  So each frame depends on its fiber and the seed alone.
-    Returns (frames (P, m, k), pattern, smallest eigenvalue of the fit)
-    with frames zero off-mask.
+    call at `tol` (default 10 `cfg.rank_tol`); every masked fiber then takes
+    the G-projection of the seed frame and one `_polar_fit` over all points
+    turns it into a frame, gated at `cfg.align_floor`.  So each frame
+    depends on its fiber and the seed alone.  A seed fiber of rank 0 gives
+    zero-width frames and the pattern (), once every fiber has rank 0.
+    Returns (frames (P, m, k), pattern, smallest eigenvalue of the fit, 1.0
+    for rank 0) with frames zero off-mask.
     """
     if mask is None:
         mask = np.ones(spans.shape[0], dtype=bool)
@@ -500,6 +509,7 @@ def align_frames(
     seed = _central_point(shape, points) if seed is None else int(seed)
     if not mask[seed]:
         raise ValueError(f"seed {seed} lies outside the mask")
+    tol = 10 * cfg.rank_tol if tol is None else tol
     ranks, bases = span_stack(spans[mask], tol)
     gram = np.asarray(gram)
     if gram.ndim == 3:
@@ -508,6 +518,10 @@ def align_frames(
         gram_seed = gram
     frame0, pattern = _seed_frame(spans[seed], gram_seed, tol, seed)
     k = frame0.shape[1]
+    same_rank = (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region")
+    if k == 0:
+        _raise_first(points, [same_rank])
+        return np.zeros((len(mask), spans.shape[1], 0)), (), 1.0
     fiber = bases[:, :, :k]
     fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
     gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ frame0
@@ -523,9 +537,8 @@ def align_frames(
                 singular[i] = True
     frames = np.zeros((len(mask), spans.shape[1], k))
     with np.errstate(all="ignore"):  # a failing point is reported, not warned about
-        frames[points], lam = _polar_fit(points, fiber @ coeff, gram, pattern, tol, floor, [
-            (ranks != k, lambda i: f"fiber rank {ranks[i]} != {k} inside a constant-rank region"),
-            (singular, lambda i: "degenerate fiber during sweep"),
+        frames[points], lam = _polar_fit(points, fiber @ coeff, gram, pattern, tol, cfg.align_floor, [
+            same_rank, (singular, lambda i: "degenerate fiber during sweep"),
         ])
     return frames, pattern, lam
 
@@ -646,10 +659,9 @@ def _tangent_frames(metric: np.ndarray):
     return tangent_pattern, frames / root, (frames * root).transpose(0, 2, 1)
 
 
-def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig | None = None) -> FundamentalData:
+def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
     """Metric, frames, second fundamental form and normal connection of a jet;
     the normal frames are fitted at `cfg.rank_tol` and gated at `cfg.align_floor`."""
-    cfg = cfg or PipelineConfig()
     g_amb = jet.ambient.gram
     metric = induced_metric(jet)
     p, n, m = jet.chart.npoints, jet.n, jet.m

@@ -166,7 +166,8 @@ def isometric_representative(
     jet: ImmersionJet,
     base_metric: np.ndarray,
     factor: Jet3 | None = None,
-    cfg: PipelineConfig | None = None,
+    *,
+    cfg: PipelineConfig,
 ):
     """Rescaled cone lift of a conformal immersion, isometric for `base_metric`.
 
@@ -175,7 +176,7 @@ def isometric_representative(
     `cfg.conformal_tol`; its derivatives come from grid stencils unless
     closed-form `factor` jets are supplied.
     """
-    tol = (cfg or PipelineConfig()).conformal_tol
+    tol = cfg.conformal_tol
     phi, _ = conformal_factor_of_metrics(base_metric, induced_metric(jet), tol)
     if factor is None:
         factor = scalar_jet(phi, jet.chart)
@@ -268,7 +269,8 @@ def sff_transfer_check(
     base: ImmersionJet,
     ruling_axes: list[int],
     factor: Jet3 | None = None,
-    cfg: PipelineConfig | None = None,
+    *,
+    cfg: PipelineConfig,
 ) -> SffTransferData:
     """Compare the cone lift's second fundamental form with its prediction.
 
@@ -282,7 +284,7 @@ def sff_transfer_check(
     jet = fund.jet
     base_metric = induced_metric(base)
     gamma = christoffel(base, base_metric)
-    lift, factor = isometric_representative(jet, base_metric, factor, cfg)
+    lift, factor = isometric_representative(jet, base_metric, factor, cfg=cfg)
     model = LightConeModel(jet.ambient.dim)
     fund_lift = fundamental_data(lift, cfg)
 

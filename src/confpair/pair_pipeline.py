@@ -96,9 +96,8 @@ class JointNormalSpace:
         return np.concatenate([self.left.alpha, self.right.alpha], axis=-1)
 
 
-def build_joint(jf, jg, cfg: PipelineConfig | None = None) -> JointNormalSpace:
+def build_joint(jf, jg, cfg: PipelineConfig) -> JointNormalSpace:
     """Assemble the joint normal space of an isometric pair."""
-    cfg = cfg or PipelineConfig()
     fl, fr = (j if isinstance(j, FundamentalData) else fundamental_data(j, cfg) for j in (jf, jg))
     diff = fl.metric - fr.metric
     scale = max(float(np.max(np.abs(fl.metric))), 1e-300)
@@ -174,14 +173,13 @@ def joint_nullity(sides, cfg: PipelineConfig, floor: float):
     return null, basis
 
 
-def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig | None = None) -> DegeneracyData:
+def degeneracy_test(joint: JointNormalSpace, cfg: PipelineConfig) -> DegeneracyData:
     """Radical of the joint curvature span and injectivity of its projections.
 
     A nonzero kernel of the projection onto the left normal bundle produces
     the null witness field of the degenerate branch, rescaled so that it
     pairs to one with the position vector of the (cone-valued) right map.
     """
-    cfg = cfg or PipelineConfig()
     tol = cfg.rank_tol
     p = joint.left.metric.shape[0]
     kl, kr = joint.left.normal_rank, joint.right.normal_rank
@@ -334,12 +332,10 @@ class _Region:
         full = np.zeros((self.p, padded.shape[1], k))
         full[self.pts] = padded[:, :, :k]
         pattern = ()
-        if align and k:
+        if align:
             gram = np.diag(self.eps_l) if align == "normal" else np.eye(self.n)
-            full, pattern, _ = align_frames(
-                full, gram, self.joint.left.jet.chart.shape, mask=self.mask,
-                tol=self.cfg.rank_tol * 10, floor=self.cfg.align_floor,
-            )
+            full, pattern, _ = align_frames(full, gram, self.joint.left.jet.chart.shape,
+                                            mask=self.mask, cfg=self.cfg)
         self.ranks[product] = ranks
         self.arrays[product] = full
         self.at[product] = full[self.pts]
@@ -871,13 +867,12 @@ def ruling_dimension_bound(
 # ---------------------------------------------------------------------------
 
 
-def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig | None = None) -> PairAnalysis:
+def analyze_pair(jf: ImmersionJet, jhat: ImmersionJet, cfg: PipelineConfig) -> PairAnalysis:
     """Run the fiberwise construction for an isometric pair on all regions.
 
     `jhat` may be Euclidean-valued or a cone-valued lift.  Degenerate regions
     are re-run on the pair of cone lifts as the construction requires.
     """
-    cfg = cfg or PipelineConfig()
     joint = build_joint(jf, jhat, cfg)
     deg = degeneracy_test(joint, cfg)
     if np.any(deg.right_kernel_rank > 0) and not np.any(deg.degenerate):

@@ -10,7 +10,7 @@ from confpair.conformal_calc import conformal_s_nullity, s_nullity_at
 from confpair.extension import extension_obstruction
 from confpair.gallery import GALLERY, MANIFESTS, build_immersion, default_chart
 from confpair.indefinite_linalg import DEFAULT_TOL, rank, signature
-from confpair.jets import fundamental_data, induced_metric
+from confpair.jets import PipelineConfig, fundamental_data, induced_metric
 from confpair.lightcone import (
     LightConeModel,
     cone_projection,
@@ -23,6 +23,7 @@ from confpair.pair_pipeline import TransferData, analyze_pair, verify_compatibil
 from oracles import null_space, rational_intersection_dim, rational_rank, rational_signature, span
 
 SEED = 20260811
+CFG = PipelineConfig()
 
 
 def _line(name: str, ok: bool, detail: str = ""):
@@ -68,7 +69,7 @@ def test_criterion_2_roundtrips():
         chart = default_chart(imap)
         jet = imap.jet(chart)
         base = induced_metric(jet)
-        lift, _ = isometric_representative(jet, base)
+        lift, _ = isometric_representative(jet, base, cfg=CFG)
         back = cone_projection(lift)
         worst_rt = max(worst_rt, float(np.max(np.abs(back.values - jet.values))))
         worst_metric = max(worst_metric, float(np.max(np.abs(induced_metric(lift) - base))))
@@ -83,7 +84,7 @@ def test_criterion_2_roundtrips():
     chart = default_chart(base_map)
     jet = conf.jet(chart)
     base = induced_metric(base_map.jet(chart))
-    lift, _ = isometric_representative(jet, base, factor=conf.factor_jets(chart.points()))
+    lift, _ = isometric_representative(jet, base, factor=conf.factor_jets(chart.points()), cfg=CFG)
     back = cone_projection(lift)
     worst_rt = max(worst_rt, float(np.max(np.abs(back.values - jet.values))))
     worst_metric = max(worst_metric, float(np.max(np.abs(induced_metric(lift) - base))))
@@ -92,7 +93,7 @@ def test_criterion_2_roundtrips():
                                    "params": {"of": {"builtin": "torus"}}})
     jet = lifted_map.jet(default_chart(GALLERY["torus"]()))
     back = cone_projection(jet)
-    again, _ = isometric_representative(back, induced_metric(jet))
+    again, _ = isometric_representative(back, induced_metric(jet), cfg=CFG)
     worst_rt = max(worst_rt, float(np.max(np.abs(again.values - jet.values))))
     ok = worst_rt <= 1e-10 and worst_metric <= 1e-8
     _line("criterion 2: gallery round trips", ok,
@@ -109,7 +110,7 @@ def test_criterion_3_position_identities():
         lifted = GALLERY["psi-lift"](base)
         chart = default_chart(base)
         jet = lifted.jet(chart)
-        res = position_identities(fundamental_data(jet))
+        res = position_identities(fundamental_data(jet, CFG))
         worst = max(worst, res["shape_of_position_plus_identity"], res["shape_of_field"])
     _line("criterion 3: position shape-operator identities on lifts", worst <= 1e-8,
           f"max residual {worst:.2e} <= 1e-8")
@@ -124,9 +125,9 @@ def test_criterion_4_sff_dictionary():
     conf = GALLERY["inversion"](GALLERY["cylinder"](n=2), center=[0.0, 0.0, 2.0])
     base_jet = base_map.jet(chart)
     conf_jet = conf.jet(chart)
-    closed = sff_transfer_check(fundamental_data(conf_jet), base_jet, [1],
-                                factor=conf.factor_jets(chart.points()))
-    fd = sff_transfer_check(fundamental_data(conf_jet), base_jet, [1])
+    closed = sff_transfer_check(fundamental_data(conf_jet, CFG), base_jet, [1],
+                                factor=conf.factor_jets(chart.points()), cfg=CFG)
+    fd = sff_transfer_check(fundamental_data(conf_jet, CFG), base_jet, [1], cfg=CFG)
     ok = (
         closed.residuals["sff_dictionary"] <= 1e-7
         and fd.residuals["sff_dictionary"] <= 1e-5
@@ -150,9 +151,9 @@ def test_criterion_5_nullity_oracles():
     values = {}
     for tag, imap, expect in (("sphere", sphere, 3), ("cylinder", cylinder, 2),
                               ("graph", graph, 1)):
-        fund = fundamental_data(imap.jet(default_chart(imap)))
+        fund = fundamental_data(imap.jet(default_chart(imap)), CFG)
         reports = conformal_s_nullity(fund, 1, points=[fund.jet.chart.center_index()],
-                                      seed=SEED)
+                                      cfg=PipelineConfig(seed=SEED))
         values[tag] = (reports[0][1].value, expect)
     exact_ok = all(v == e for v, e in values.values())
 
@@ -281,7 +282,7 @@ def test_criterion_9_extension(gallery_reports):
 
     grid = _build_grid(doc["grid"])
     jf, jg = left.jet(grid), right.jet(grid)
-    fl, fr = fundamental_data(jf), fundamental_data(jg)
+    fl, fr = fundamental_data(jf, CFG), fundamental_data(jg, CFG)
     direction = np.asarray(doc["transfer"]["shared_flat_normal"], dtype=float)
     p = fl.metric.shape[0]
     lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
@@ -292,7 +293,7 @@ def test_criterion_9_extension(gallery_reports):
     for q in range(p):
         rul[q] = np.linalg.qr(rul[q])[0]
     data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
-    obs_bad = extension_obstruction(data)
+    obs_bad = extension_obstruction(data, CFG)
     control1 = obs_bad.residuals["rulings_inside_kernel"] >= 1e3 * 1e-6
 
     # negative control 2: a corrupted transfer isometry must blow up the
@@ -301,7 +302,7 @@ def test_criterion_9_extension(gallery_reports):
     moved = GALLERY["congruence"](GALLERY["sphere"](n=2, radius=2.0), seed=5,
                                   shift=[0.3, -1.0, 2.0])
     chart = default_chart(sphere)
-    analysis = analyze_pair(sphere.jet(chart), moved.jet(chart))
+    analysis = analyze_pair(sphere.jet(chart), moved.jet(chart), CFG)
     st = analysis.regions[0]
     clean = verify_compatibility(st)["transfer_preserves_sff"]
     st.identification = -st.identification

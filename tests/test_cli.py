@@ -290,7 +290,7 @@ def spy_fundamental_data(monkeypatch, *modules):
     calls = []
     real = jets.fundamental_data
 
-    def spy(jet, cfg=None):
+    def spy(jet, cfg):
         calls.append((jet, cfg))
         return real(jet, cfg)
 
@@ -315,33 +315,34 @@ def test_extend_manifest_verifies_at_the_run_align_floor(monkeypatch):
 
 
 def test_obstruction_sweeps_at_the_run_align_floor(monkeypatch):
-    # the kernel and fiber fits of `extension_obstruction`, reached from a
-    # pair report and from an extend manifest with hand-built transfer data,
-    # are gated at the run's alignment floor
+    # the kernel and fiber fits of `extension_obstruction` (an empty fiber
+    # included), reached from a pair report and from an extend manifest with
+    # hand-built transfer data, are gated at the run's alignment floor
     floors = []
     real = jets.align_frames
 
     def spy(*args, **kwargs):
-        floors.append(kwargs["floor"])
+        floors.append(kwargs["cfg"].align_floor)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(extension, "align_frames", spy)
     cfg = run_config(monkeypatch, "flat-pair")
-    assert floors == [cfg.align_floor]
+    assert floors == [cfg.align_floor] * 2
     cfg = run_config(monkeypatch, "flat-extension")
-    assert floors == [cfg.align_floor] * 3
+    assert floors == [cfg.align_floor] * 4
 
 
 def recording_rank_tol(real, seen: list):
     """`real`, recording the rank tolerance of each call: its `tol`
-    argument, or the `rank_tol` of the config it is given."""
+    argument, or the `rank_tol` of the config it is given where it has no
+    `tol` or (`align_frames`) is given none and takes it from the config."""
     signature = inspect.signature(real)
 
     def spy(*args, **kwargs):
         given = signature.bind(*args, **kwargs)
         given.apply_defaults()
         args_ = given.arguments
-        seen.append(args_["tol"] if "tol" in args_ else (args_["cfg"] or PipelineConfig()).rank_tol)
+        seen.append(args_["cfg"].rank_tol if args_.get("tol") is None else args_["tol"])
         return real(*args, **kwargs)
 
     return spy
@@ -362,6 +363,7 @@ def test_tolerance_reaches_the_extension_and_the_transfer_check(monkeypatch, nam
     cfg = run_config(monkeypatch, name, tolerance=2e-9)
     assert [tol for tol in seen if tol in (1e-9, 1e-8)] == []
     assert cfg.rank_tol in seen
+    assert (1e-7 in seen) is name.endswith("-extension")  # only an extension has a tube
 
 
 def test_slicer_gates_conformality_at_the_run_config(monkeypatch):

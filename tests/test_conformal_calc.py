@@ -17,6 +17,7 @@ from confpair.jets import (ChartGrid, ImmersionJet, PipelineConfig, coordinate_d
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
+CFG = PipelineConfig()
 
 
 def cylinder3(xs):
@@ -65,16 +66,16 @@ def test_conformal_sff_vanishes_for_affine_and_umbilic():
         return [x, y, jet3.constant(0.0, x)]
 
     jet = ImmersionJet.from_function(plane, grid, E3)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     dist = coordinate_distribution(fund, [0])
-    csff = conformal_sff(fund, dist)
+    csff = conformal_sff(fund, dist, CFG)
     assert csff.ell == 0
     assert np.max(np.abs(csff.beta)) < 1e-12
 
     sph = sphere3_jet(radius=2.0)
-    fund = fundamental_data(sph)
+    fund = fundamental_data(sph, CFG)
     full = coordinate_distribution(fund, [0, 1, 2])
-    csff = conformal_sff(fund, full)
+    csff = conformal_sff(fund, full, CFG)
     assert csff.ell == 0  # umbilic: alpha = <,> eta exactly
     assert np.max(np.abs(csff.beta)) < 1e-9
 
@@ -93,10 +94,10 @@ def test_conformal_sff_ranks_and_sweeps_at_its_config(monkeypatch):
 
     monkeypatch.setattr(conformal_calc, "align_frames", spy)
     grid = ChartGrid((5, 5, 5), (0.03,) * 3, (0.2, 0.3, 0.1))
-    fund = fundamental_data(ImmersionJet.from_function(graph, grid, ScalarProduct.euclidean(5)))
+    fund = fundamental_data(ImmersionJet.from_function(graph, grid, ScalarProduct.euclidean(5)), CFG)
     cfg = PipelineConfig(rank_tol=2e-9, align_floor=0.6)
     assert conformal_sff(fund, coordinate_distribution(fund, [0]), cfg).ell == 2
-    assert sweeps == [{"tol": pytest.approx(2e-8), "floor": 0.6}]
+    assert sweeps == [{"cfg": cfg}]  # ranked at 10 cfg.rank_tol and gated at its floor
 
 
 def test_conformal_sff_on_cone_rulings():
@@ -110,9 +111,9 @@ def test_conformal_sff_on_cone_rulings():
         return [t * rho * jet3.cos(w), t * rho * jet3.sin(w), t * height]
 
     jet = ImmersionJet.from_function(cone, grid, E3)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     rays = coordinate_distribution(fund, [0])
-    csff = conformal_sff(fund, rays)
+    csff = conformal_sff(fund, rays, CFG)
     # beta(Z, .) = alpha(Z, .) = 0 for radial Z
     dd = np.einsum("pau,pabt->pubt", rays.basis, csff.beta)
     assert np.max(np.abs(dd)) < 1e-10
@@ -121,19 +122,19 @@ def test_conformal_sff_on_cone_rulings():
 
 def test_is_conformally_ruled_verdicts():
     cyl = cylinder3_jet()
-    fund = fundamental_data(cyl)
+    fund = fundamental_data(cyl, CFG)
     rulings = coordinate_distribution(fund, [1, 2])
     verdict = is_conformally_ruled(fund, rulings)
     assert verdict.ruled
     assert verdict.umbilic_residual < 1e-10
 
     sph = sphere3_jet()
-    fund_s = fundamental_data(sph)
+    fund_s = fundamental_data(sph, CFG)
     anydist = coordinate_distribution(fund_s, [0, 1])
     assert is_conformally_ruled(fund_s, anydist).ruled  # totally umbilic
 
     graph = graph_jet()
-    fund_g = fundamental_data(graph)
+    fund_g = fundamental_data(graph, CFG)
     coord = coordinate_distribution(fund_g, [0, 1])
     verdict = is_conformally_ruled(fund_g, coord)
     assert not verdict.ruled
@@ -142,23 +143,23 @@ def test_is_conformally_ruled_verdicts():
 
 def test_nullity_umbilic_sphere_is_full():
     sph = sphere3_jet()
-    fund = fundamental_data(sph)
-    reports = conformal_s_nullity(fund, 1, points=[fund.jet.chart.center_index()])
+    fund = fundamental_data(sph, CFG)
+    reports = conformal_s_nullity(fund, 1, points=[fund.jet.chart.center_index()], cfg=CFG)
     assert reports[0][1].value == 3
 
 
 def test_nullity_cylinder_is_n_minus_one():
     cyl = cylinder3_jet()
-    fund = fundamental_data(cyl)
-    reports = conformal_s_nullity(fund, 1, points=[0, fund.jet.chart.center_index()])
+    fund = fundamental_data(cyl, CFG)
+    reports = conformal_s_nullity(fund, 1, points=[0, fund.jet.chart.center_index()], cfg=CFG)
     for _, rep in reports:
         assert rep.value == 2
 
 
 def test_nullity_generic_graph_is_one():
     graph = graph_jet()
-    fund = fundamental_data(graph)
-    reports = conformal_s_nullity(fund, 1, points=[fund.jet.chart.center_index()])
+    fund = fundamental_data(graph, CFG)
+    reports = conformal_s_nullity(fund, 1, points=[fund.jet.chart.center_index()], cfg=CFG)
     assert reports[0][1].value == 1
 
 
@@ -207,12 +208,12 @@ def test_rigidity_criterion_sphere_fails_graph_passes():
         return comps
 
     jet = ImmersionJet.from_function(sphere6, grid, ScalarProduct.euclidean(7))
-    rep = rigidity_criterion(fundamental_data(jet), q=1, points=[0])
+    rep = rigidity_criterion(fundamental_data(jet, CFG), q=1, points=[0], cfg=CFG)
     assert rep.nu_lower_bounds[1] == 6
     assert rep.conclusive_violation and not rep.satisfied
 
     graph = graph_jet(n=6, curvatures=(1.0, 1.7, 2.5, 3.2, 4.1, 5.3), cubic=0.2)
-    rep = rigidity_criterion(fundamental_data(graph), q=1, points=[0])
+    rep = rigidity_criterion(fundamental_data(graph, CFG), q=1, points=[0], cfg=CFG)
     assert rep.nu_lower_bounds[1] == 1
     assert rep.satisfied and not rep.conclusive_violation
 

@@ -9,6 +9,7 @@ from confpair.jets import (
     ChartGrid,
     ImmersionJet,
     ImmersionMap,
+    PipelineConfig,
     fundamental_data,
     induced_metric,
 )
@@ -24,6 +25,7 @@ from confpair.lightcone import LightConeModel
 from confpair.pair_pipeline import TransferData, analyze_pair
 
 E5 = ScalarProduct.euclidean(5)
+CFG = PipelineConfig()
 
 
 # -- the flat pair with a shared flat normal direction ----------------------
@@ -48,8 +50,8 @@ def flat_pair_with_shared_normal(n_pts=7, h=0.03):
 
 def shared_normal_transfer(jf, jg):
     """Hand-built transfer data: the last coordinate direction on both sides."""
-    fl = fundamental_data(jf)
-    fr = fundamental_data(jg)
+    fl = fundamental_data(jf, CFG)
+    fr = fundamental_data(jg, CFG)
     p = fl.metric.shape[0]
     e_last = np.zeros(5)
     e_last[4] = 1.0
@@ -67,7 +69,7 @@ def shared_normal_transfer(jf, jg):
 def test_obstruction_kernel_flat_pair():
     jf, jg = flat_pair_with_shared_normal()
     data = shared_normal_transfer(jf, jg)
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(data, CFG)
     assert obs.s == 3  # two rulings plus the shared flat normal direction
     assert obs.r == 1
     assert obs.residuals["rulings_inside_kernel"] < 1e-8
@@ -77,10 +79,10 @@ def test_obstruction_kernel_flat_pair():
 def test_flat_extension_and_verification():
     jf, jg = flat_pair_with_shared_normal()
     data = shared_normal_transfer(jf, jg)
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(data, CFG)
     pair = ruled_extension(obs)
     assert pair.left.chart.ndim == 4
-    report = verify_extension(pair)
+    report = verify_extension(pair, CFG)
     assert report["zero_section_exact"]
     assert report["fiber_straightness"] < 1e-12
     assert report["metric_agreement"] < 1e-6
@@ -93,9 +95,9 @@ def test_flat_extension_and_verification():
 def test_corrupted_kernel_negative_control():
     jf, jg = flat_pair_with_shared_normal()
     data = shared_normal_transfer(jf, jg)
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(data, CFG)
     pair = ruled_extension(obs)
-    clean = verify_extension(pair)["kernel_identity_gap"]
+    clean = verify_extension(pair, CFG)["kernel_identity_gap"]
     # adjoin the curved coordinate direction to the rulings
     p, n, d = data.rulings.shape
     bad = np.zeros((p, n, d + 1))
@@ -104,7 +106,7 @@ def test_corrupted_kernel_negative_control():
     for q in range(p):
         bad[q] = np.linalg.qr(bad[q])[0]
     data.rulings = bad
-    obs_bad = extension_obstruction(data)
+    obs_bad = extension_obstruction(data, CFG)
     # the corrupted directions are not inside the kernel
     assert obs_bad.residuals["rulings_inside_kernel"] > 1e3 * max(clean, 1e-9)
 
@@ -125,11 +127,11 @@ def test_degenerate_cone_extension():
     from confpair.lightcone import isometric_representative
 
     jbar = ImmersionJet.from_function(reflected, grid, ScalarProduct.euclidean(3))
-    jhat, _ = isometric_representative(jbar, induced_metric(jf))
-    analysis = analyze_pair(jf, jhat)
+    jhat, _ = isometric_representative(jbar, induced_metric(jf), cfg=CFG)
+    analysis = analyze_pair(jf, jhat, CFG)
     st = analysis.regions[0]
     assert st.branch == "degenerate"
-    obs = extension_obstruction(st)
+    obs = extension_obstruction(st, CFG)
     assert obs.s == st.ruling_dim + obs.r
     assert obs.r == 2
     assert 2 <= obs.r <= st.ell
@@ -149,7 +151,7 @@ def test_degenerate_cone_extension():
     assert res < 1e-6
 
     pair = ruled_extension(obs)
-    report = verify_extension(pair)
+    report = verify_extension(pair, CFG)
     assert report["zero_section_exact"]
     assert report["metric_agreement"] < 1e-6
     assert report["equal_norms"] < 1e-8  # both cone extensions share squared norms
@@ -196,13 +198,13 @@ def test_tube_branch_on_a_self_pair_without_fibres():
     # zero, so the tube is the base and its bundle is all of L
     jet = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
     p = TUBE_GRID.npoints
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     lf = twisted_normal(fund)[:, :, None]
-    data = TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1,),
+    data = TransferData.from_frames(fund, fundamental_data(jet, CFG), lf, lf.copy(), (1,),
                                     np.zeros((p, 2, 0)))
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(data, CFG)
     assert (obs.s, obs.r, data.ell) == (0, 0, 1)
-    report = verify_extension(ruled_extension(obs))
+    report = verify_extension(ruled_extension(obs), CFG)
     assert_tube_branch_holds(report, 1)
     assert report["kernel_identity_gap"] == 0.0
 
@@ -216,19 +218,19 @@ def padded_surface_transfer():
 
     p = TUBE_GRID.npoints
     jet = ImmersionJet.from_function(padded, TUBE_GRID, ScalarProduct.euclidean(6))
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     lf = np.stack([twisted_normal(fund), fund.normal_coordinates(np.eye(6)[5])], axis=2)
-    return lf, TransferData.from_frames(fund, fundamental_data(jet), lf, lf.copy(), (1, 1),
+    return lf, TransferData.from_frames(fund, fundamental_data(jet, CFG), lf, lf.copy(), (1, 1),
                                         np.zeros((p, 2, 0)))
 
 
 def test_tube_branch_transports_frames_along_a_fibre():
     _, data = padded_surface_transfer()
-    obs = extension_obstruction(data)
+    obs = extension_obstruction(data, CFG)
     assert (obs.s, obs.r, data.ell) == (1, 1, 2)
     pair = ruled_extension(obs)
     assert pair.left.chart.shape == (9, 9, 3)
-    report = verify_extension(pair)
+    report = verify_extension(pair, CFG)
     assert_tube_branch_holds(report, 1)
     assert report["kernel_identity_gap"] <= 1e-8
 
@@ -237,9 +239,9 @@ def test_tube_compatibility_sees_a_scrambled_right_transfer_frame():
     # negative control: swap the two right transfer columns after the
     # extension is built, so that the identification is no longer parallel
     lf, data = padded_surface_transfer()
-    pair = ruled_extension(extension_obstruction(data))
+    pair = ruled_extension(extension_obstruction(data, CFG))
     pair.obstruction.data.transfer_bundle_right = lf[:, :, ::-1]
-    compat = verify_extension(pair)["tube_compatibility"]
+    compat = verify_extension(pair, CFG)["tube_compatibility"]
     assert max(v for v in compat.values() if isinstance(v, float)) > 1e-6
 
 
@@ -327,7 +329,7 @@ def test_generator_rejects_cone_contained_map():
     inside = ImmersionMap("inside", n + 1, model.ambient, fn)
     left = adapted_cylinder_map(n)
     with pytest.raises(NotTransversal):
-        generate_conformal_pair(left, inside, generator_chart(n))
+        generate_conformal_pair(left, inside, generator_chart(n), cfg=CFG)
 
 
 def test_generator_branches_and_conformality():
@@ -336,7 +338,7 @@ def test_generator_branches_and_conformality():
     left = adapted_cylinder_map(n)
     lorentz = lorentz_slice_map(n)
     # branch 0 is t = -2 x1 on this chart (x1 > 0)
-    data = generate_conformal_pair(left, lorentz, chart, axis=0, branch=0)
+    data = generate_conformal_pair(left, lorentz, chart, axis=0, branch=0, cfg=CFG)
     assert np.max(np.abs(data.roots + 2.0 * data.slice_chart.points()[:, 0])) < 1e-9
     assert np.max(np.abs(data.conformal_factor - 1.0)) < 1e-9
     assert data.diagnostics["slice_metric_gap"] < 1e-9
@@ -354,7 +356,7 @@ def test_generator_branches_and_conformality():
         return list(xs[1:]) + [t]
 
     graph = ImmersionMap("graph", n + 1, ScalarProduct.euclidean(n + 1), graph_fn)
-    data0 = generate_conformal_pair(graph, lorentz, chart, axis=0, branch=1)
+    data0 = generate_conformal_pair(graph, lorentz, chart, axis=0, branch=1, cfg=CFG)
     assert np.max(np.abs(data0.roots)) < 1e-9
     assert np.max(np.abs(data0.conformal_factor - 1.0)) < 1e-9
 
@@ -365,7 +367,7 @@ def test_generator_missing_branch_raises():
     left = adapted_cylinder_map(n)
     lorentz = lorentz_slice_map(n)
     with pytest.raises(NoIntersection, match="line 0: found 0 roots, branch 0 requested"):
-        generate_conformal_pair(left, lorentz, chart, axis=0, branch=0)
+        generate_conformal_pair(left, lorentz, chart, axis=0, branch=0, cfg=CFG)
 
 
 def brackets_by_line(s_lines, taxis, branch):
@@ -436,11 +438,11 @@ def test_brackets_name_the_first_line_short_of_the_branch():
 def test_generated_pair_feeds_degenerate_pipeline():
     n = 3
     data = generate_conformal_pair(adapted_cylinder_map(n), lorentz_slice_map(n),
-                                   generator_chart(n), axis=0, branch=0)
+                                   generator_chart(n), axis=0, branch=0, cfg=CFG)
     from confpair.lightcone import isometric_representative
 
-    jhat, _ = isometric_representative(data.projected, induced_metric(data.left))
-    analysis = analyze_pair(data.left, jhat)
+    jhat, _ = isometric_representative(data.projected, induced_metric(data.left), cfg=CFG)
+    analysis = analyze_pair(data.left, jhat, CFG)
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "degenerate"

@@ -304,7 +304,7 @@ def test_cylinder_sff_nullity_is_ruling_directions():
     # second fundamental form of a 3-dim cylinder against its whole normal
     # line: the nullity is the plane of straight rulings
     from confpair import jet3 as j3
-    from confpair.jets import ChartGrid, ImmersionJet, fundamental_data
+    from confpair.jets import ChartGrid, ImmersionJet, PipelineConfig, fundamental_data
 
     grid = ChartGrid((5, 5, 5), (0.05, 0.05, 0.05), (0.1, -0.1, -0.1))
 
@@ -312,7 +312,8 @@ def test_cylinder_sff_nullity_is_ruling_directions():
         x1, x2, x3 = xs
         return [j3.cos(x1), j3.sin(x1), x2, x3]
 
-    fund = fundamental_data(ImmersionJet.from_function(cyl, grid, ScalarProduct.euclidean(4)))
+    fund = fundamental_data(ImmersionJet.from_function(cyl, grid, ScalarProduct.euclidean(4)),
+                            PipelineConfig())
     q = grid.center_index()
     rows = pairing_rows(fund.alpha[q], np.ones(1), np.eye(1))
     for floor in FLOORS:

@@ -12,6 +12,7 @@ from confpair.jets import (
     ChartGrid,
     DistributionFrame,
     ImmersionJet,
+    PipelineConfig,
     _seed_frame,
     align_frames,
     bracket_residual,
@@ -26,6 +27,8 @@ from confpair.jets import (
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
+CFG = PipelineConfig()
+FLOOR_05, FLOOR_06 = PipelineConfig(align_floor=0.5), PipelineConfig(align_floor=0.6)
 
 
 def grid2(n=9, h=0.05, origin=(-0.2, -0.2)):
@@ -99,7 +102,7 @@ def test_plane_has_identity_metric_and_zero_alpha():
     jet = ImmersionJet.from_function(plane_fn, grid2(), E3)
     g = induced_metric(jet)
     assert np.allclose(g, np.eye(2)[None], atol=1e-12)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     assert np.max(np.abs(fund.alpha)) < 1e-12
     assert np.max(np.abs(fund.nconn)) < 1e-12
 
@@ -117,7 +120,7 @@ def test_sphere_metric_in_spherical_coordinates():
 def test_unit_sphere_is_umbilic_with_outward_normal():
     grid = ChartGrid((7, 7), (0.04, 0.04), (0.9, 0.4))
     jet = ImmersionJet.from_function(sphere_fn(1.0), grid, E3)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     nu = fund.normal_frame[:, :, 0]
     # align sign with the outward position direction
     sign = np.sign(np.einsum("pm,pm->p", nu, jet.values))
@@ -130,7 +133,7 @@ def test_unit_sphere_is_umbilic_with_outward_normal():
 def test_cylinder_shape_operator_eigenvalues():
     grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
     jet = ImmersionJet.from_function(cylinder3_fn, grid, E4)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     assert fund.normal_rank == 1
     pairing = fund.alpha[..., 0] * fund.normal_pattern[0]  # <alpha(E_a, E_b), xi_0>
     eigs = np.linalg.eigvalsh(pairing)
@@ -146,8 +149,8 @@ def test_fd_jets_agree_with_closed_form():
     assert fd.source == "finite-difference"
     assert np.max(np.abs(fd.d1 - closed.d1)) < 1e-7
     assert np.max(np.abs(fd.d2 - closed.d2)) < 1e-4
-    f_closed = fundamental_data(closed)
-    f_fd = fundamental_data(fd)
+    f_closed = fundamental_data(closed, CFG)
+    f_fd = fundamental_data(fd, CFG)
     assert np.max(np.abs(f_closed.metric - f_fd.metric)) < 1e-6
     assert np.max(np.abs(np.abs(f_closed.normal_frame) - np.abs(f_fd.normal_frame))) < 1e-4
 
@@ -174,7 +177,7 @@ def test_not_immersion_raises():
 def test_coordinate_distribution_brackets_vanish():
     grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
     jet = ImmersionJet.from_function(cylinder3_fn, grid, E4)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     dist = coordinate_distribution(fund, [1, 2])
     res = bracket_residual(fund, dist)
     assert np.max(res) < 1e-8
@@ -189,7 +192,7 @@ def test_nonintegrable_contact_field_has_residual():
         return [x, y, z, jet3.constant(0.0, x)]
 
     jet = ImmersionJet.from_function(flat3, grid, E4)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     pts = grid.points()
     basis = np.zeros((grid.npoints, 3, 2))
     basis[:, 0, 0] = 1.0
@@ -205,7 +208,7 @@ def test_nonintegrable_contact_field_has_residual():
 def test_leaf_mean_curvature_on_cylinder_rulings_vanishes():
     grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
     jet = ImmersionJet.from_function(cylinder3_fn, grid, E4)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     rulings = coordinate_distribution(fund, [1, 2])
     eta = leaf_mean_curvature(fund, rulings)
     assert np.max(np.abs(eta)) < 1e-12
@@ -221,7 +224,7 @@ def test_leaf_mean_curvature_on_torus_tube_circles():
         return [w * jet3.cos(ph), w * jet3.sin(ph), r * jet3.sin(th)]
 
     jet = ImmersionJet.from_function(torus, grid, E3)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     circles = coordinate_distribution(fund, [0])
     eta = leaf_mean_curvature(fund, circles)  # normal-frame coords, (P, 1)
     eta_amb = fund.normal_ambient(eta)
@@ -279,11 +282,11 @@ def test_conformal_factor_rejects_nonconformal():
 def test_gauss_equation_residual_flat_and_sphere():
     grid = grid2(9)
     plane = ImmersionJet.from_function(plane_fn, grid, E3)
-    res = gauss_equation_residual(fundamental_data(plane))
+    res = gauss_equation_residual(fundamental_data(plane, CFG))
     assert np.max(res) < 1e-10
     sgrid = ChartGrid((9, 9), (0.03, 0.03), (0.9, 0.4))
     sphere = ImmersionJet.from_function(sphere_fn(1.0), sgrid, E3)
-    res = gauss_equation_residual(fundamental_data(sphere))
+    res = gauss_equation_residual(fundamental_data(sphere, CFG))
     assert np.max(res) < 1e-4
 
 
@@ -319,9 +322,10 @@ def central_point(shape, mask):
     return min(points, key=lambda q: (float(np.sum((ij[q] - mean) ** 2)), q))
 
 
-def anchored_align(spans, gram, shape, mask=None, seed=None, tol=DEFAULT_TOL, *, floor):
+def anchored_align(spans, gram, shape, mask=None, seed=None, tol=None, *, cfg):
     """Every masked point fitted to the seed frame on its own, in point
     order: the oracle for align_frames."""
+    tol, floor = 10 * cfg.rank_tol if tol is None else tol, cfg.align_floor
     npts = spans.shape[0]
     mask = np.ones(npts, dtype=bool) if mask is None else mask
     seed = central_point(shape, mask) if seed is None else seed
@@ -375,9 +379,9 @@ def test_fundamental_data_frames_are_the_anchored_fit_of_the_normal_spaces(imap)
     # onto the normal space, so fundamental_data agrees with align_frames
     # on any basis of the normal spaces, up to the gauge of the seed frame
     jet = imap.jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     frames, pattern, lam = align_frames(normal_spans(jet), jet.ambient.gram, jet.chart.shape,
-                                        floor=0.1)
+                                        cfg=CFG)
     assert fund.normal_pattern == pattern
     j = np.diag(pattern)
     gauge = j @ fund.normal_frame.transpose(0, 2, 1) @ jet.ambient.gram @ frames
@@ -391,7 +395,7 @@ def test_fundamental_data_seeds_its_frames_from_the_svd_complement():
     # comes from the complement that the rank module's kernel decision gives
     # at the central point of the chart
     jet = gallery.psi_lift(gallery.torus()).jet(ChartGrid((9, 8), (0.04, 0.04), (0.3, 0.2)))
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     seed = central_point(jet.chart.shape, np.ones(jet.chart.npoints, dtype=bool))
     assert seed == 4 * 8 + 3  # (4, 3): the first of the two points nearest (4, 3.5)
     span = kernel_stack(tangent_rows(jet)[seed][None], DEFAULT_TOL, 1.0)[1][0, :, :jet.codim]
@@ -415,7 +419,7 @@ def test_fundamental_data_on_a_2d_chart_sends_lapack_no_small_matrix(monkeypatch
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
-    fundamental_data(jet)
+    fundamental_data(jet, CFG)
     assert [side for side in sides if side <= 2] == []
 
 
@@ -431,14 +435,14 @@ def assert_same_alignment(spans, gram, shape, **kw):
 def test_align_frames_matches_sweep_on_definite_normal_bundle():
     chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
     jet = gallery.pad(gallery.sphere(2), extra=2).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
     assert pattern == (1, 1, 1)
 
 
 def test_align_frames_matches_sweep_on_mixed_pattern():
     chart = ChartGrid((8, 9), (0.03, 0.03), (0.9, 0.4))
     jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
-    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
+    pattern = assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
     assert -1 in pattern and 1 in pattern
 
 
@@ -449,7 +453,7 @@ def test_align_frames_matches_sweep_with_per_point_gram(monkeypatch):
         x1, x2, x3 = xs
         return [x1, x2, x3, 0.5 * x1 * x1 + x2 * x3, x1 * x2 + 1.5 * x3 * x3 + 0.3 * x1 ** 3]
 
-    fund = fundamental_data(ImmersionJet.from_function(fn, grid, ScalarProduct.euclidean(5)))
+    fund = fundamental_data(ImmersionJet.from_function(fn, grid, ScalarProduct.euclidean(5)), CFG)
     calls = []
 
     def recording(spans, gram, shape, **kw):
@@ -457,7 +461,7 @@ def test_align_frames_matches_sweep_with_per_point_gram(monkeypatch):
         return align_frames(spans, gram, shape, **kw)
 
     monkeypatch.setattr(conformal_calc, "align_frames", recording)
-    assert conformal_calc.conformal_sff(fund, coordinate_distribution(fund, [0])).ell == 2
+    assert conformal_calc.conformal_sff(fund, coordinate_distribution(fund, [0]), CFG).ell == 2
     spans, gram, shape, kw = calls[0]
     per_point = np.broadcast_to(gram, (spans.shape[0],) + gram.shape)
     assert_same_alignment(spans, per_point, shape, **kw)
@@ -474,9 +478,9 @@ def test_align_frames_matches_sweep_on_masked_seeded_region():
     mask = disc_mask(chart, [5, 4], 16)
     seed = int(np.ravel_multi_index((6, 3), chart.shape))
     assert_same_alignment(normal_spans(jet), jet.ambient.gram, chart.shape,
-                          mask=mask, seed=seed, floor=0.6)
+                          mask=mask, seed=seed, cfg=FLOOR_06)
     frames, _, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape,
-                                mask=mask, seed=seed, floor=0.6)
+                                mask=mask, seed=seed, cfg=FLOOR_06)
     assert not frames[~mask].any()
 
 
@@ -489,11 +493,11 @@ def test_frames_do_not_depend_on_the_region_around_the_seed(imap):
     jet = imap.jet(chart)
     spans, gram = normal_spans(jet), jet.ambient.gram
     seed = int(np.ravel_multi_index((5, 4), chart.shape))
-    full, pattern, _ = align_frames(spans, gram, chart.shape, seed=seed, floor=0.1)
+    full, pattern, _ = align_frames(spans, gram, chart.shape, seed=seed, cfg=CFG)
     islands = disc_mask(chart, [5, 4], 2) | disc_mask(chart, [1, 8], 1)
     for mask in (disc_mask(chart, [5, 4], 9), islands):
         part, part_pattern, _ = align_frames(spans, gram, chart.shape, mask=mask, seed=seed,
-                                             floor=0.1)
+                                             cfg=CFG)
         assert part_pattern == pattern
         assert np.max(np.abs(part[mask] - full[mask])) <= 1e-13
 
@@ -516,8 +520,8 @@ def test_swept_frames_commute_with_ambient_isometries():
     iso = lorentz_isometry(gram, 0.3, 2)
     assert np.max(np.abs(iso.T @ gram @ iso - gram)) <= 1e-14
     assert 1.5 <= np.max(np.abs(iso)) <= 2.0
-    frames, pattern, lam = align_frames(spans, gram, chart.shape, floor=0.1)
-    moved, moved_pattern, moved_lam = align_frames(iso @ spans, gram, chart.shape, floor=0.1)
+    frames, pattern, lam = align_frames(spans, gram, chart.shape, cfg=CFG)
+    moved, moved_pattern, moved_lam = align_frames(iso @ spans, gram, chart.shape, cfg=CFG)
     assert moved_pattern == pattern
     # the gate reads the spectrum of A, which L leaves alone
     assert moved_lam == pytest.approx(lam, abs=1e-12)
@@ -564,11 +568,11 @@ def test_first_failing_point_of_a_level_names_the_error(gram, spans, first):
     # a 3-point line seeded in the middle: the one fit holds points 0 and 2
     spans = np.array(spans).transpose(0, 2, 1)
     with pytest.raises(FrameAlignmentFailure) as ref:
-        anchored_align(spans, gram, (3,), seed=1, floor=0.5)
+        anchored_align(spans, gram, (3,), seed=1, cfg=FLOOR_05)
     assert str(ref.value).startswith(first)
     with np.errstate(all="raise"):  # later points of the fit stay silent
         with pytest.raises(FrameAlignmentFailure, match=f"^{str(ref.value)} at grid point 0$"):
-            align_frames(spans, gram, (3,), seed=1, floor=0.5)
+            align_frames(spans, gram, (3,), seed=1, cfg=FLOOR_05)
 
 
 def test_sweep_failure_names_its_flat_grid_index():
@@ -577,7 +581,7 @@ def test_sweep_failure_names_its_flat_grid_index():
     spans = np.stack([TURNED if q in (3, 7) else E1 for q in range(9)])[:, :, None]
     with pytest.raises(FrameAlignmentFailure,
                        match=r"^smallest eigenvalue 0\.131 below floor 0\.5 at grid point 3$"):
-        align_frames(spans, np.eye(3), (3, 3), floor=0.5)
+        align_frames(spans, np.eye(3), (3, 3), cfg=FLOOR_05)
 
 
 def test_null_one_dimensional_fiber_cannot_seed_a_frame():
@@ -590,12 +594,25 @@ def test_null_one_dimensional_fiber_cannot_seed_a_frame():
     assert abs((b.T @ gram @ b).item()) < 1e-15
     with pytest.raises(FrameAlignmentFailure,
                        match="^degenerate fiber: cannot seed a frame at grid point 0$"):
-        align_frames(span, gram, (1,), floor=0.5)
+        align_frames(span, gram, (1,), cfg=FLOOR_05)
     # the failure names the seed's grid point
     spans = np.concatenate([np.eye(4)[:, 2:3][None]] * 2 + [span])
     with pytest.raises(FrameAlignmentFailure,
                        match="^degenerate fiber: cannot seed a frame at grid point 2$"):
-        align_frames(spans, gram, (3,), seed=2, floor=0.5)
+        align_frames(spans, gram, (3,), seed=2, cfg=FLOOR_05)
+
+
+def test_rank_zero_seed_fiber_gives_empty_frames_once_every_fiber_is_empty():
+    gram = np.diag([-1.0, 1.0, 1.0])
+    for spans in (np.zeros((4, 3, 0)), np.zeros((4, 3, 2))):
+        frames, pattern, lam = align_frames(spans, gram, (2, 2), cfg=CFG)
+        assert frames.shape == (4, 3, 0) and pattern == () and lam == 1.0
+    # the seed, grid point 0 of a 2x2 grid, is empty; grid point 3 is not
+    spans = np.zeros((4, 3, 1))
+    spans[3, 2, 0] = 1.0
+    with pytest.raises(FrameAlignmentFailure,
+                       match="^fiber rank 1 != 0 inside a constant-rank region at grid point 3$"):
+        align_frames(spans, gram, (2, 2), cfg=CFG)
 
 
 def count_linalg_calls(monkeypatch):
@@ -630,7 +647,7 @@ def test_fundamental_data_fits_every_frame_in_one_call(monkeypatch, imap):
     chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
     jet = imap.jet(chart)
     count, fits = count_linalg_calls(monkeypatch), count_fits(monkeypatch)
-    fundamental_data(jet)
+    fundamental_data(jet, CFG)
     assert fits == [chart.npoints]
     # the fit and the projection onto the normal spaces need no linalg call,
     # so the count does not grow with the grid; the immersion gate, the
@@ -650,7 +667,7 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
 
     monkeypatch.setattr(jets, "span_stack", counted)
     fits = count_fits(monkeypatch)
-    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, floor=0.1)
+    align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
     # one stacked call for every fiber; the seed frame's own span is the only other
     assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]
     assert fits == [chart.npoints]
@@ -674,7 +691,7 @@ def test_fundamental_data_runs_no_svd_on_the_tangent_rows(monkeypatch):
     chart = ChartGrid((20, 20), (0.01, 0.01), (0.9, 0.4))
     jet = gallery.psi_lift(gallery.sphere(2)).jet(chart)
     stacked = stacked_svd_inputs(monkeypatch)
-    fundamental_data(jet)
+    fundamental_data(jet, CFG)
     # the immersion gate certifies every point of this chart by its Gram
     # eigenvalues, and the normal frames are projections of the seed frame
     assert stacked == []
@@ -699,7 +716,7 @@ def test_immersion_residual_runs_once_per_jet(monkeypatch):
     svd_calls = callers_of(monkeypatch, "_svd")
     induced_metric(jet)
     induced_metric(jet)
-    fundamental_data(jet)
+    fundamental_data(jet, CFG)
     assert eigenvalue_calls.count("immersion_residual") == 1
     assert "immersion_residual" not in svd_calls  # every point passes the screen
 
@@ -791,7 +808,7 @@ def test_fundamental_data_of_a_definite_chart_sends_no_metric_stack_to_lapack(mo
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recorded)
-    fund = fundamental_data(jet)
+    fund = fundamental_data(jet, CFG)
     assert stacked == []
     assert fund.tangent_pattern == (1, 1)
     frame = fund.tangent_frame
@@ -800,7 +817,7 @@ def test_fundamental_data_of_a_definite_chart_sends_no_metric_stack_to_lapack(mo
 
 def test_one_column_distribution_is_lapacks_qr():
     grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
-    fund = fundamental_data(ImmersionJet.from_function(cylinder3_fn, grid, E4))
+    fund = fundamental_data(ImmersionJet.from_function(cylinder3_fn, grid, E4), CFG)
     for axis in range(3):
         basis = coordinate_distribution(fund, [axis]).basis
         ref = np.linalg.qr(fund.tangent_frame_inv[:, :, [axis]])[0]

@@ -7,6 +7,7 @@ from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import (
     ChartGrid,
     ImmersionJet,
+    PipelineConfig,
     conformal_factor_of_metrics,
     fundamental_data,
     induced_metric,
@@ -23,6 +24,7 @@ from confpair.lightcone import (
 
 RNG = np.random.default_rng(7)
 E3 = ScalarProduct.euclidean(3)
+CFG = PipelineConfig()
 
 
 def cylinder_fn(xs):
@@ -95,7 +97,7 @@ def test_lift_jet_is_isometric_and_on_cone():
 def test_isometric_representative_with_trivial_factor():
     jet = cylinder_jet()
     base = induced_metric(jet)
-    lift, factor = isometric_representative(jet, base)
+    lift, factor = isometric_representative(jet, base, cfg=CFG)
     assert np.max(np.abs(factor.v - 1.0)) < 1e-12
     assert np.max(np.abs(induced_metric(lift) - base)) < 1e-10
     pair_e0 = lift.values @ lift.ambient.gram @ LightConeModel(3).e0
@@ -106,7 +108,7 @@ def test_isometric_representative_nontrivial_factor_and_roundtrip():
     jet = cylinder_jet(n_pts=11)
     base = induced_metric(jet)  # cylinder chart metric is the flat one
     conf = ImmersionJet.from_function(inversion_of_cylinder([0.0, 0.0, 3.0]), jet.chart, E3)
-    lift, factor = isometric_representative(conf, base)
+    lift, factor = isometric_representative(conf, base, cfg=CFG)
     assert np.max(np.abs(induced_metric(lift) - base)) < 1e-8
     back = cone_projection(lift)
     assert np.max(np.abs(back.values - conf.values)) < 1e-12
@@ -126,7 +128,7 @@ def test_closed_form_factor_matches_fd_factor():
 
     xs = j3.variables(jet.chart.points())
     exact = inversion_factor([0.0, 0.0, 3.0])(xs)
-    _, fd_factor = isometric_representative(conf, base)
+    _, fd_factor = isometric_representative(conf, base, cfg=CFG)
     assert np.max(np.abs(fd_factor.v - exact.v)) < 1e-12
     assert np.max(np.abs(fd_factor.g - exact.g)) < 1e-7
     assert np.max(np.abs(fd_factor.h - exact.h)) < 1e-5
@@ -171,7 +173,7 @@ def test_cone_projection_rejects_ray_points():
 def test_position_identities_on_lift():
     jet = cylinder_jet()
     lifted = LightConeModel(3).lift_jet(jet)
-    res = position_identities(fundamental_data(lifted))
+    res = position_identities(fundamental_data(lifted, CFG))
     assert res["on_cone"] < 1e-12
     assert res["position_is_normal"] < 1e-12
     assert res["field_is_normal"] < 1e-12
@@ -187,8 +189,8 @@ def test_position_identities_on_sphere_lift():
         return [jet3.cos(th), jet3.sin(th) * jet3.cos(ph), jet3.sin(th) * jet3.sin(ph)]
 
     jet = ImmersionJet.from_function(sphere, grid, E3)
-    lift, _ = isometric_representative(jet, induced_metric(jet))
-    res = position_identities(fundamental_data(lift))
+    lift, _ = isometric_representative(jet, induced_metric(jet), cfg=CFG)
+    res = position_identities(fundamental_data(lift, CFG))
     assert res["shape_of_position_plus_identity"] < 1e-8
     assert res["shape_of_field"] < 1e-8
 
@@ -198,7 +200,7 @@ def test_sff_transfer_cylinder_with_inversion_closed_form_factor():
     conf = ImmersionJet.from_function(inversion_of_cylinder([0.0, 0.0, 3.0]), jet.chart, E3)
     xs = jet3.variables(jet.chart.points())
     factor = inversion_factor([0.0, 0.0, 3.0])(xs)
-    data = sff_transfer_check(fundamental_data(conf), jet, [1], factor=factor)
+    data = sff_transfer_check(fundamental_data(conf, CFG), jet, [1], factor=factor, cfg=CFG)
     assert data.residuals["sff_dictionary"] < 1e-7
     assert data.residuals["corrected_sff_dictionary"] < 1e-7
     assert data.residuals["hess_proportionality"] < 1e-6
@@ -208,14 +210,14 @@ def test_sff_transfer_cylinder_with_inversion_closed_form_factor():
 def test_sff_transfer_with_fd_factor():
     jet = cylinder_jet(n_pts=11)
     conf = ImmersionJet.from_function(inversion_of_cylinder([0.0, 0.0, 3.0]), jet.chart, E3)
-    data = sff_transfer_check(fundamental_data(conf), jet, [1])
+    data = sff_transfer_check(fundamental_data(conf, CFG), jet, [1], cfg=CFG)
     assert data.residuals["sff_dictionary"] < 1e-5
     assert data.residuals["corrected_sff_dictionary"] < 1e-5
 
 
 def test_sff_transfer_isometric_case_reduces():
     jet = cylinder_jet(n_pts=9)
-    data = sff_transfer_check(fundamental_data(jet), jet, [1])
+    data = sff_transfer_check(fundamental_data(jet, CFG), jet, [1], cfg=CFG)
     # factor == 1: xi = e0 and the dictionary collapses to the lift formula
     assert np.max(np.abs(data.phi - 1.0)) < 1e-12
     assert data.residuals["sff_dictionary"] < 1e-8
@@ -229,5 +231,5 @@ def test_position_identities_surface_off_cone_violation():
         jet.chart, lifted.ambient, lifted.values + np.array([0.0, 0.3, 0, 0, 0]),
         lifted.d1, lifted.d2,
     )
-    res = position_identities(fundamental_data(off))
+    res = position_identities(fundamental_data(off, CFG))
     assert res["on_cone"] > 0.1  # precondition violation is surfaced, not hidden

@@ -20,6 +20,7 @@ from confpair.pair_pipeline import (
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
+CFG = PipelineConfig()
 
 
 def rotation4(seed=11):
@@ -90,7 +91,7 @@ def degenerate_reflection_pair(n_pts=7, h=0.02):
         return [-x1, x2, x3]
 
     jbar = ImmersionJet.from_function(reflected, grid, E3)
-    jhat, _ = isometric_representative(jbar, induced_metric(jf))
+    jhat, _ = isometric_representative(jbar, induced_metric(jf), cfg=CFG)
     return jf, jbar, jhat
 
 
@@ -103,28 +104,28 @@ def test_build_joint_rejects_nonisometric():
 
     bad = ImmersionJet.from_function(sphere_like, jf.chart, E4)
     with pytest.raises(NotIsometricPair):
-        build_joint(jf, bad)
+        build_joint(jf, bad, CFG)
 
 
 def test_degeneracy_congruent_pair_is_nondegenerate():
     jf, jg = congruent_pair()
-    joint = build_joint(jf, jg)
-    deg = degeneracy_test(joint)
+    joint = build_joint(jf, jg, CFG)
+    deg = degeneracy_test(joint, CFG)
     assert not deg.degenerate.any()
     assert set(deg.omega_rank.tolist()) == {1}  # totally null graph of the congruence
 
 
 def test_degeneracy_flat_pair_trivial_radical():
     jf, jg = flat_pair()
-    deg = degeneracy_test(build_joint(jf, jg))
+    deg = degeneracy_test(build_joint(jf, jg, CFG), CFG)
     assert set(deg.omega_rank.tolist()) == {0}
     assert not deg.degenerate.any()
 
 
 def test_degeneracy_reflection_pair_finds_witness():
     jf, jbar, jhat = degenerate_reflection_pair()
-    joint = build_joint(jf, jhat)
-    deg = degeneracy_test(joint)
+    joint = build_joint(jf, jhat, CFG)
+    deg = degeneracy_test(joint, CFG)
     assert deg.degenerate.all()
     assert set(deg.left_kernel_rank.tolist()) == {1}
     assert np.allclose(deg.witness_pairing, 1.0)
@@ -136,7 +137,7 @@ def test_degeneracy_reflection_pair_finds_witness():
 
 def test_congruent_pair_full_pipeline():
     jf, jg = congruent_pair()
-    analysis = analyze_pair(jf, jg)
+    analysis = analyze_pair(jf, jg, CFG)
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "nondegenerate"
@@ -159,7 +160,7 @@ def test_congruent_pair_full_pipeline():
 
 def test_flat_pair_pipeline_rulings():
     jf, jg = flat_pair()
-    analysis = analyze_pair(jf, jg)
+    analysis = analyze_pair(jf, jg, CFG)
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "nondegenerate"
@@ -175,7 +176,7 @@ def test_flat_pair_pipeline_rulings():
 
 def test_degenerate_pipeline_claims_and_ranks():
     jf, jbar, jhat = degenerate_reflection_pair()
-    analysis = analyze_pair(jf, jhat)
+    analysis = analyze_pair(jf, jhat, CFG)
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "degenerate"
@@ -200,7 +201,7 @@ def test_degenerate_pipeline_claims_and_ranks():
 
 def test_corrupted_identification_blows_up_sff_residual():
     jf, jg = congruent_pair()
-    analysis = analyze_pair(jf, jg)
+    analysis = analyze_pair(jf, jg, CFG)
     st = analysis.regions[0]
     base = verify_compatibility(st)["transfer_preserves_sff"]
     st.identification = -st.identification  # a sign flip on a line bundle
@@ -229,12 +230,12 @@ def test_same_jet_twice_gives_totally_null_joint_span():
     jf, _ = flat_pair()
     # use the curved member so the curvature span is nonzero
     _, jg = flat_pair()
-    joint = build_joint(jg, jg)
-    deg = degeneracy_test(joint)
+    joint = build_joint(jg, jg, CFG)
+    deg = degeneracy_test(joint, CFG)
     # the joint span is the graph of the identity: totally null radical
     assert set(deg.omega_rank.tolist()) == {1}
     assert not deg.degenerate.any()
-    analysis = analyze_pair(jg, jg)
+    analysis = analyze_pair(jg, jg, CFG)
     st = analysis.regions[0]
     assert st.residuals["omega_isotropy"] < 1e-12
     assert st.ranks["rulings"] == 3  # full tangent space
@@ -267,8 +268,8 @@ def inflection_pair():
 
 def test_rank_jump_inside_a_region_re_splits_it():
     jf, jg = inflection_pair()
-    assert set(degeneracy_test(build_joint(jf, jg)).omega_rank.tolist()) == {0}
-    analysis = analyze_pair(jf, jg)
+    assert set(degeneracy_test(build_joint(jf, jg, CFG), CFG).omega_rank.tolist()) == {0}
+    analysis = analyze_pair(jf, jg, CFG)
     x1 = jf.chart.points()[:, 0]
     assert len(analysis.regions) == 3
     assert [sorted(set(np.round(x1[st.points], 9))) for st in analysis.regions] == [
@@ -306,7 +307,7 @@ def test_refinement_cap_raises_split_failure(monkeypatch):
     jf, jg = inflection_pair()
     monkeypatch.setattr(pair_pipeline, "MAX_REFINEMENTS", 0)
     with pytest.raises(SplitFailure) as err:
-        analyze_pair(jf, jg)
+        analyze_pair(jf, jg, CFG)
     assert str(err.value) == (
         "rank maps keep jumping after maximal refinement; "
         "parts: ranks jump at depth 0, 3 subregions"
@@ -323,7 +324,7 @@ def test_degenerate_pair_computes_fundamental_data_once_per_map(monkeypatch):
         return real(jet, *args, **kwargs)
 
     monkeypatch.setattr(pair_pipeline, "fundamental_data", counted)
-    analysis = analyze_pair(jf, jhat)
+    analysis = analyze_pair(jf, jhat, CFG)
     [st] = analysis.regions
     assert st.branch == "degenerate" and st.left.jet.ambient.pseudo_pair  # the lifted left map
     assert len(calls) == 3  # the left map, the right map and the lifted left map
@@ -333,7 +334,7 @@ def test_build_joint_passes_the_config_align_floor(monkeypatch):
     given = []
     real = jets.fundamental_data
 
-    def spy(jet, cfg=None):
+    def spy(jet, cfg):
         given.append(cfg)
         return real(jet, cfg)
 
@@ -356,7 +357,7 @@ def count_pipeline_linalg(monkeypatch, jf, jg):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    analysis = analyze_pair(jf, jg)
+    analysis = analyze_pair(jf, jg, CFG)
     monkeypatch.undo()
     return count[0], analysis
 
