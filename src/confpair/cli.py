@@ -412,13 +412,14 @@ def _run_single(doc: dict, cfg: PipelineConfig):
 
 
 def _pair_inputs(doc: dict, cfg: PipelineConfig):
-    """(names, slice data, left jet, right jet, right map) of a `pair`,
+    """(results, checks, left jet, right jet, right map) of a `pair`,
     `generate` or `extend` manifest; the pair's grid is the left jet's chart.
 
     `left` and `right` specs go through `_jet_from_spec`: closed forms, `expr`
-    lists and value tables.  A `generator` section gives the light-cone slice
-    pair (its `SliceData`), whose right side is the cone lift of the projected
-    side.
+    lists and value tables, and the results name the sides.  A `generator`
+    section gives the light-cone slice pair, whose right side is the cone
+    lift of the projected side; the results then also describe the slice,
+    and the checks are its gates.
     """
     if "generator" not in doc and doc["analysis"] != "generate":
         grid = _build_grid(_require(doc, "grid", dict, "manifest"))
@@ -426,7 +427,7 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
         right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
         names = {side: imap.name if imap is not None else "table"
                  for side, imap in (("left", left_map), ("right", right_map))}
-        return names, None, jf, jr, right_map
+        return names, [], jf, jr, right_map
     gen = _require(doc, "generator", dict, "manifest")
     left_map = build_immersion(_require(gen, "left", dict, "generator"), where="generator.left")
     lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
@@ -437,26 +438,26 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
         axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)), cfg=cfg,
     )
     lift = isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
-    return {"left": left_map.name, "lorentz": lorentz_map.name}, data, data.left, lift, None
+    results = {
+        "left": left_map.name,
+        "lorentz": lorentz_map.name,
+        "slice_points": data.slice_chart.npoints,
+        "diagnostics": _jsonable(data.diagnostics),
+        "conformal_factor_range": [float(np.min(data.conformal_factor)),
+                                   float(np.max(data.conformal_factor))],
+    }
+    checks = [_check(key, data.diagnostics[key], 1e-6) for key in
+              ("slice_metric_gap", "conformal_residual", "factor_vs_null_pairing")]
+    return results, checks, data.left, lift, None
 
 
 def _run_pair(doc: dict, cfg: PipelineConfig):
     """`pair` and `generate`: the slice's gates, if generated, then the pair
     analysis of the sides, the right one lifted to the cone if it is not
     isometric to the left."""
-    names, sdata, jf, jr, right_map = _pair_inputs(doc, cfg)
-    results, checks = dict(names), []
-    if sdata is not None:
-        results.update({
-            "slice_points": sdata.slice_chart.npoints,
-            "diagnostics": _jsonable(sdata.diagnostics),
-            "conformal_factor_range": [float(np.min(sdata.conformal_factor)),
-                                       float(np.max(sdata.conformal_factor))],
-        })
-        checks = [_check(key, sdata.diagnostics[key], 1e-6) for key in
-                  ("slice_metric_gap", "conformal_residual", "factor_vs_null_pairing")]
-        if not doc["generator"].get("analyze_pair", False):
-            return results, checks, None
+    results, checks, jf, jr, right_map = _pair_inputs(doc, cfg)
+    if "generator" in doc and not doc["generator"].get("analyze_pair", False):
+        return results, checks, None
     notes: list[str] = []
     jhat = _lift_if_needed(jf, right_map, jr, notes, cfg)
     analysis = analyze_pair(jf, jhat, cfg)
@@ -464,10 +465,9 @@ def _run_pair(doc: dict, cfg: PipelineConfig):
     regions_rep = [_region_report(st, jf, jhat, cfg) for st in analysis.regions]
     pairing_min = float(np.min(deg.witness_pairing)) if deg.degenerate.any() else None
     results["degeneracy"] = {"degenerate_points": int(np.sum(deg.degenerate)),
-                             "witness_pairing_min": pairing_min}
-    if sdata is None:  # a generated pair's report has no lift notes and no radical ranks
-        results["degeneracy"]["radical_rank"] = sorted(set(deg.omega_rank.tolist()))
-        results["notes"] = notes
+                             "witness_pairing_min": pairing_min,
+                             "radical_rank": sorted(set(deg.omega_rank.tolist()))}
+    results["notes"] = notes
     results["regions"] = regions_rep
     checks += _pair_checks(regions_rep, doc)
     expect = doc.get("expect", {})
@@ -501,7 +501,7 @@ def _one_region(analysis):
 
 def _run_extend(doc: dict, cfg: PipelineConfig):
     thr = doc.get("checks", {})
-    names, _, jf, jg, _ = _pair_inputs(doc, cfg)  # not lifted: left/right must be isometric
+    names, checks, jf, jg, _ = _pair_inputs(doc, cfg)  # not lifted: left/right must be isometric
     tspec = doc.get("transfer", "pipeline")
     if tspec == "pipeline":
         data = _one_region(analyze_pair(jf, jg, cfg))
@@ -534,7 +534,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         "obstruction_residuals": _jsonable(obs.residuals),
         "verification": _jsonable(report),
     }
-    checks = [
+    checks += [
         {"name": "zero_section_exact", "passed": bool(report["zero_section_exact"])},
         _check("fiber_straightness", report["fiber_straightness"], 1e-12),
         _check("metric_agreement", report["metric_agreement"],

@@ -483,6 +483,39 @@ def test_extend_never_lifts_a_conformal_side():
         run_manifest(json.loads(json.dumps(doc)))
 
 
+SLICE_GATES = ["slice_metric_gap", "conformal_residual", "factor_vs_null_pairing"]
+
+
+@pytest.mark.parametrize("name, points", [("degenerate-pair", 875), ("degenerate-extension", 175)])
+def test_every_generated_pair_is_gated_by_its_slice(monkeypatch, name, points):
+    # generate and extend read a generator section through one input stage,
+    # so both report the slice and fail on a slice that is not conformal
+    report, code = run_manifest(json.loads(json.dumps(MANIFESTS[name])))
+    assert code == 0 and [c["name"] for c in report["checks"][:3]] == SLICE_GATES
+    described = report["results"]["inputs"] if name.endswith("-extension") else report["results"]
+    assert described["slice_points"] == points
+    real = cli.generate_conformal_pair
+
+    def off_the_cone(*args, **kwargs):
+        data = real(*args, **kwargs)
+        data.diagnostics["conformal_residual"] = 1e-3
+        return data
+
+    monkeypatch.setattr(cli, "generate_conformal_pair", off_the_cone)
+    report, _ = run_manifest(json.loads(json.dumps(MANIFESTS[name])))
+    assert report["checks"][1] == {"name": "conformal_residual", "value": 1e-3,
+                                   "threshold": 1e-6, "passed": False}
+    assert report["passed"] is False
+
+
+def test_generated_and_given_pairs_report_the_same_keys():
+    given = run_manifest(json.loads(json.dumps(MANIFESTS["flat-pair"])))[0]["results"]
+    generated = run_manifest(json.loads(json.dumps(MANIFESTS["degenerate-pair"])))[0]["results"]
+    assert set(given) - {"left", "right"} == set(generated) - {"left", "lorentz", "slice_points",
+                                                               "diagnostics", "conformal_factor_range"}
+    assert set(given["degeneracy"]) == set(generated["degeneracy"])
+
+
 def test_shared_flat_normal_needs_one_ambient_on_both_sides(tmp_path, capsys):
     # the plane lies in R^5 and the unpadded cylinder in R^4
     doc = json.loads(json.dumps(MANIFESTS["flat-extension"]))
