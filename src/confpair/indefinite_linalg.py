@@ -491,11 +491,12 @@ def inverse_stack(a: np.ndarray) -> np.ndarray:
 
 def gap_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Spectral distances (B,) of the dot projectors onto two spans given by
-    orthonormal columns (1.0 signals a rank mismatch)."""
+    orthonormal columns (1.0 signals a rank mismatch).  The difference of
+    the projectors is symmetric: its spectral norm is its largest |eigenvalue|."""
     if a.shape[1] == 0:
         return np.zeros(len(a))
     diff = a @ a.transpose(0, 2, 1) - b @ b.transpose(0, 2, 1)
-    return np.linalg.norm(diff, ord=2, axis=(1, 2))
+    return np.max(np.abs(eigvalsh_stack(diff)), axis=-1)
 
 
 def project_stack(basis: np.ndarray, eps: np.ndarray, vectors: np.ndarray, tol: float) -> np.ndarray:

@@ -423,6 +423,22 @@ def test_gap_stack_vanishes_exactly_on_equal_spans():
                 assert abs(g - 1.0) < 1e-12  # a rank mismatch reads 1
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_gap_stack_is_the_spectral_norm_of_the_projector_difference(m):
+    # random spans, the same span in another basis, and spans 1e-9 apart
+    rng = np.random.default_rng(m)
+    for ka, kb in sorted({(1, 1), (m, m), (m // 2 + 1, m // 2 + 1), (1, m)}):
+        a = np.linalg.qr(rng.standard_normal((300, m, ka)))[0]
+        b = np.linalg.qr(rng.standard_normal((300, m, kb)))[0]
+        if ka == kb:
+            b[:100] = np.linalg.qr(a[:100] @ rng.standard_normal((100, ka, ka)))[0]
+            b[100:200] = np.linalg.qr(a[100:200] + 1e-9 * rng.standard_normal((100, m, ka)))[0]
+        want = np.linalg.norm(a @ a.transpose(0, 2, 1) - b @ b.transpose(0, 2, 1), ord=2, axis=(1, 2))
+        assert np.max(np.abs(gap_stack(a, b) - want)) <= 1e-14
+        if ka != kb:  # a rank mismatch
+            assert np.max(np.abs(gap_stack(a, b) - 1.0)) <= 1e-14
+
+
 def test_project_stack_matches_rational_oracle_and_single_projections():
     bases, vectors, degenerate = [], [], []
     for b in range(STACK):
@@ -546,7 +562,7 @@ def test_stack_forms_equal_per_matrix_loops_bit_for_bit():
         assert_same_answer(basis[:, :r], loop_complement(s, w, EPS5, DEFAULT_TOL), True)
     gaps = gap_stack(withins[:, :, :2], subs)
     for a, b, g in zip(withins[:, :, :2], subs, gaps):
-        assert g == float(np.linalg.norm(a @ a.T - b @ b.T, ord=2))
+        assert g == float(np.max(np.abs(np.linalg.eigvalsh(a @ a.T - b @ b.T))))
     targets = withins[:, :, :2]
     vectors = RNG.normal(size=(STACK, 5, 3))
     proj = project_stack(targets, np.ones(5), vectors, DEFAULT_TOL)
