@@ -251,8 +251,8 @@ class ImmersionJet:
     def immersion_residual(self) -> float:
         """min over points of (n-th singular value / first); small means rank drop.
 
-        A point whose differential vanishes (first singular value 0) has
-        lost rank and counts as 0.
+        A point whose differential vanishes (first singular value 0) or is
+        not finite has lost rank and counts as 0.
 
         The eigenvalues of the Euclidean Gram d1 d1^T (`eigvalsh_stack`: in
         closed form on 2-D charts, one stacked `eigvalsh` otherwise) screen
@@ -269,8 +269,9 @@ class ImmersionJet:
         screen, so each decision is the one the SVD ratios of all points give.
         """
         if self._residual is None:
-            d1 = self.d1
-            lam = eigvalsh_stack(d1 @ d1.transpose(0, 2, 1))  # ascending, NaN if d1 is not finite
+            finite = np.isfinite(self.d1).all(axis=(1, 2))  # LAPACK fails on the others
+            d1 = self.d1[finite]
+            lam = eigvalsh_stack(d1 @ d1.transpose(0, 2, 1))  # ascending
             with np.errstate(all="ignore"):
                 ratio = np.sqrt(lam[:, 0] / lam[:, -1])
             screened = (lam[:, -1] > 0) & (ratio > IMMERSION_SCREEN)  # NaN compares False
@@ -278,7 +279,7 @@ class ImmersionJet:
                 sv = _svd(d1[~screened])  # (., n)
                 ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
                                              where=sv[:, 0] > 0)
-            self._residual = float(np.min(ratio))
+            self._residual = float(np.min(ratio)) if finite.all() else 0.0
         return self._residual
 
     def require_immersion(self):

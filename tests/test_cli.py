@@ -208,6 +208,23 @@ def test_main_reports_a_malformed_value_table(tmp_path, capsys):
     assert "immersion.table.values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axes", [2, 3])
+def test_expr_outside_its_domain_is_not_an_immersion(tmp_path, capsys, axes):
+    # the upper unit sphere as a graph, on a grid that leaves the unit ball:
+    # the outer points have NaN jets, which no LAPACK routine may see
+    xs = [f"x{i + 1}" for i in range(axes)]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "analysis": "single",
+        "immersion": {"expr": xs + ["sqrt(1 - " + " - ".join(f"{x} * {x}" for x in xs) + ")"],
+                      "chart_dim": axes},
+        "grid": {"shape": [5] * axes, "spacing": [0.2] * axes, "origin": [0.5] * axes},
+    }))
+    with np.errstate(invalid="ignore"):
+        assert main(["analyze", str(manifest), "--output", str(tmp_path / "out.json")]) == 1
+    assert "NotImmersion: differential drops rank on the chart grid" in capsys.readouterr().err
+
+
 def test_grid_cap_enforced():
     with pytest.raises(ManifestError) as err:
         run_manifest({

@@ -174,6 +174,23 @@ def test_not_immersion_raises():
             induced_metric(jet)
 
 
+def test_non_finite_points_lose_rank_before_the_screen(monkeypatch):
+    # a 3-D chart, whose screen is LAPACK's eigvalsh: a point with a NaN
+    # differential counts as rank lost and reaches neither the screen nor
+    # the SVD
+    grid = ChartGrid((3, 3, 3), (0.1,) * 3, (-0.1,) * 3)
+    jet = ImmersionJet.from_function(lambda xs: [xs[0] ** 2, xs[1], xs[2], xs[0]], grid, E4)
+    d1 = jet.d1.copy()
+    d1[5, 0, 0] = np.nan
+    broken = ImmersionJet(grid, E4, jet.values, d1, jet.d2)
+    seen = []
+    for name in ("eigvalsh_stack", "_svd"):
+        real = getattr(jets, name)
+        monkeypatch.setattr(jets, name, lambda a, *args, _real=real: seen.append(a) or _real(a, *args))
+    assert broken.immersion_residual() == 0.0 < jet.immersion_residual()
+    assert [len(a) for a in seen] == [26, 27] and all(np.isfinite(a).all() for a in seen)
+
+
 def test_coordinate_distribution_brackets_vanish():
     grid = ChartGrid((7, 7, 5), (0.05, 0.05, 0.05), (0.0, -0.1, -0.1))
     jet = ImmersionJet.from_function(cylinder3_fn, grid, E4)
