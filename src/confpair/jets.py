@@ -707,15 +707,12 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
             dxi = grid_derivative(normal_frame, jet.chart, i)  # (P, m, k)
             nconn[:, i] = _normal_coords(dxi.transpose(0, 2, 1), g_amb, normal_frame, eps)
 
+    skew = nconn * eps + np.swapaxes(nconn * eps, 2, 3)
     diagnostics = {
-        "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)))) if alpha.size else 0.0,
+        "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)), initial=0.0)),
         "frame_step": lam,
+        "metric_compatibility": float(np.max(np.abs(skew), initial=0.0)),
     }
-    if k:
-        skew = nconn * eps[None, None, None, :] + np.swapaxes(nconn * eps[None, None, None, :], 2, 3)
-        diagnostics["metric_compatibility"] = float(np.max(np.abs(skew)))
-    else:
-        diagnostics["metric_compatibility"] = 0.0
 
     return FundamentalData(
         jet=jet,
