@@ -92,6 +92,32 @@ def test_flat_extension_and_verification():
     assert report["tube_compatibility"]["transfer_preserves_sff"] < 1e-8
 
 
+def test_extension_without_fibres_or_transfer_bundle():
+    # flat-pair: one region with transfer bundle 0 and fibre rank 0, so the
+    # extension is the base itself, its tube bundle is empty, and every
+    # product of the check is a zero-width stack
+    doc = MANIFESTS["flat-pair"]
+    from confpair.cli import _build_grid
+
+    grid = _build_grid(doc["grid"])
+    jf, jg = (build_immersion(doc[side]).jet(grid) for side in ("left", "right"))
+    (region,) = analyze_pair(jf, jg, CFG).regions
+    obs = extension_obstruction(region, CFG)
+    assert (region.ell, obs.r) == (0, 0)
+    pair = ruled_extension(obs)
+    assert pair.left.chart.shape == grid.shape
+    report = verify_extension(pair, CFG)
+    assert report["zero_section_exact"] is True
+    assert report["fiber_straightness"] == 0.0
+    assert report["tube_bundle_rank"] == report["tube_bundle_rank_expected"] == 0
+    assert report["tube_bundle_rank_constant"] is True
+    compat = report["tube_compatibility"]
+    for key in ("transfer_isometry", "transfer_preserves_sff", "transfer_parallel",
+                "bundle_parallel_along_rulings"):
+        assert compat[key] == 0.0
+    assert report["kernel_identity_gap"] < 1e-12
+
+
 def test_corrupted_kernel_negative_control():
     jf, jg = flat_pair_with_shared_normal()
     data = shared_normal_transfer(jf, jg)
