@@ -77,9 +77,9 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame, cfg: PipelineC
     bz = np.einsum("pau,pabt->ptub", dist.basis, beta).reshape(p, k, -1)
     scale = max(float(np.max(np.abs(fund.alpha))), 1.0)
     ranks, bases = span_stack(bz, 10 * cfg.rank_tol, scale)
-    if ranks.size and ranks.min() != ranks.max():
+    if ranks.min() != ranks.max():
         raise RankJump(f"corrected-form span rank varies on the grid: {set(ranks.tolist())}")
-    ell = int(ranks[0]) if ranks.size else 0
+    ell = int(ranks[0])
     # the span's bases, so that the sweep sees the rank decided at `scale`
     frames, _, _ = align_frames(bases[:, :, :ell], np.diag(fund.normal_eps), fund.jet.chart.shape,
                                 cfg=cfg)
@@ -87,9 +87,9 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame, cfg: PipelineC
     # nullity of the corrected form projected off the span)
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)
     resid = 0.0
-    if ell < k and paired.size:
+    if ell < k:
         proj = frames @ np.linalg.pinv(frames)  # (P, k, k)
-        resid = float(np.max(np.abs(paired - paired @ np.swapaxes(proj, 1, 2)[:, None])))
+        resid = float(np.max(np.abs(paired - paired @ np.swapaxes(proj, 1, 2)[:, None]), initial=0.0))
     return ConformalSFF(dist, eta, beta, frames, ell, resid)
 
 

@@ -144,11 +144,9 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig) -> Obstructio
     d = data.rulings.shape[2]
     rul_emb = np.zeros((p, n + ell, d))
     rul_emb[:, :n, :] = data.rulings
-    rul_gap = 0.0
     r_dim = max(s_dim - d, 0)
     dq, rq = delta[pts], rul_emb[pts]
-    if d:
-        rul_gap = float(np.max(np.abs(rq - (dq @ np.linalg.pinv(dq)) @ rq)))
+    rul_gap = float(np.max(np.abs(rq - (dq @ np.linalg.pinv(dq)) @ rq), initial=0.0))
     fib_ranks, fib = complement_stack(rq, dq, mixed_eps, tol)
     fiber_spans = np.zeros((p, n + ell, r_dim))
     fiber_spans[pts] = np.where(np.arange(fib.shape[2]) < fib_ranks[:, None, None], fib, 0.0)[:, :, :r_dim]
@@ -156,8 +154,7 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig) -> Obstructio
     fibers, _, _ = align_frames(fiber_spans, np.diag(mixed_eps), chart.shape, mask=data.mask, cfg=cfg)
     residuals = {
         "rulings_inside_kernel": rul_gap,
-        "rulings_integrability":
-            float(np.max(bracket_residual(fl, DistributionFrame(data.rulings)))) if d else 0.0,
+        "rulings_integrability": float(np.max(bracket_residual(fl, DistributionFrame(data.rulings)))),
     }
     # intersection of the kernel with the tangent block must be the rulings
     null, coeffs = kernel_stack(dq[:, n:, :], tol, 1.0)  # bundle components must vanish
@@ -192,43 +189,28 @@ def _extended_jet(base: ImmersionJet, fields: np.ndarray, chart_ext: ChartGrid, 
     """Jets of (x, t) -> f(x) + sum_k t_k field_k(x) on the product grid."""
     chart = base.chart
     pb, n, m = chart.npoints, base.n, base.m
-    fiber_shape = chart_ext.shape[n:]
-    pf = int(np.prod(fiber_shape)) if r else 1
-    taxes = [chart_ext.axis(n + k) for k in range(r)]
-    tgrids = np.meshgrid(*taxes, indexing="ij") if r else []
-    tflat = np.stack([t.reshape(-1) for t in tgrids], axis=1) if r else np.zeros((1, 0))
-
-    dfields = np.stack([
-        np.stack([grid_derivative(fields[:, :, k], chart, i) for i in range(n)], axis=1)
-        for k in range(r)
-    ], axis=3) if r else np.zeros((pb, n, m, 0))  # (P, i, m, k)
+    pf = int(np.prod(chart_ext.shape[n:]))
+    # the fiber offsets (pf, r), C-ordered: the first pf points of the product grid
+    tflat = chart_ext.points()[:pf, n:]
+    dfields = np.stack([grid_derivative(fields, chart, i) for i in range(n)], axis=1)  # (P, i, m, k)
     d2fields = np.stack([
-        np.stack([
-            grid_derivative(dfields[:, i, :, :], chart, j) for j in range(n)
-        ], axis=1)
+        np.stack([grid_derivative(dfields[:, i], chart, j) for j in range(n)], axis=1)
         for i in range(n)
-    ], axis=1) if r else np.zeros((pb, n, n, m, 0))  # (P, i, j, m, k)
+    ], axis=1)  # (P, i, j, m, k)
 
+    # point p * pf + w is base point p at fiber offset w: fiber axes vary fastest
     ntot = n + r
-    ptot = pb * pf
-    values = np.zeros((ptot, m))
-    d1 = np.zeros((ptot, ntot, m))
-    d2 = np.zeros((ptot, ntot, ntot, m))
-    for w, tvec in enumerate(tflat):
-        sl = slice(w, ptot, pf)  # C-order: fiber axes vary fastest
-        if r and np.any(tvec != 0.0):
-            values[sl] = base.values + np.einsum("pmk,k->pm", fields, tvec)
-        else:
-            values[sl] = base.values.copy()
-        d1[sl, :n] = base.d1 + (np.einsum("pimk,k->pim", dfields, tvec) if r else 0.0)
-        for k in range(r):
-            d1[sl, n + k] = fields[:, :, k]
-        d2[sl, :n, :n] = base.d2 + (np.einsum("pijmk,k->pijm", d2fields, tvec) if r else 0.0)
-        for k in range(r):
-            d2[sl, :n, n + k] = dfields[:, :, :, k]
-            d2[sl, n + k, :n] = dfields[:, :, :, k]
-        # second derivatives in the fiber directions vanish identically
-    return ImmersionJet(chart_ext, base.ambient, values, d1, d2, source="assembled")
+    values = base.values[:, None] + np.einsum("pmk,wk->pwm", fields, tflat)
+    d1 = np.zeros((pb, pf, ntot, m))
+    d1[:, :, :n] = base.d1[:, None] + np.einsum("pimk,wk->pwim", dfields, tflat)
+    d1[:, :, n:] = np.swapaxes(fields, 1, 2)[:, None]
+    d2 = np.zeros((pb, pf, ntot, ntot, m))  # second derivatives along the fibers vanish
+    d2[:, :, :n, :n] = base.d2[:, None] + np.einsum("pijmk,wk->pwijm", d2fields, tflat)
+    d2[:, :, :n, n:] = dfields.transpose(0, 1, 3, 2)[:, None]
+    d2[:, :, n:, :n] = dfields.transpose(0, 3, 1, 2)[:, None]
+    ptot = chart_ext.npoints
+    return ImmersionJet(chart_ext, base.ambient, values.reshape(ptot, m), d1.reshape(ptot, ntot, m),
+                        d2.reshape(ptot, ntot, ntot, m), source="assembled")
 
 
 def ruled_extension(obstruction: ObstructionData) -> ExtensionPair:
@@ -279,7 +261,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     data = pair.obstruction.data
     n = data.left.metric.shape[1]
     r = pair.obstruction.r
-    pf = int(np.prod(pair.left.chart.shape[n:])) if r else 1
+    pf = int(np.prod(pair.left.chart.shape[n:]))
     out: dict = {"fiber_rank": r, "radius": pair.radius}
 
     # isometric extension: induced metrics agree on the tube
@@ -288,17 +270,11 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     out["metric_agreement"] = float(np.max(np.abs(gl - gr)))
 
     # zero section and straight fibers
-    mid = (pf - 1) // 2 if pf > 1 else 0
-    center = pair.obstruction.data.left.jet.values
-    zero_slice = pair.left.values[mid::pf] if pf > 1 else pair.left.values
-    out["zero_section_exact"] = bool(np.array_equal(zero_slice, center))
-    straight = 0.0
-    if r:
-        for k in range(r):
-            axis = n + k
-            second = grid_derivative(pair.left.values, pair.left.chart, axis, order=2)
-            straight = max(straight, float(np.max(np.abs(second))))
-    out["fiber_straightness"] = straight
+    zero_slice = pair.left.values[(pf - 1) // 2::pf]
+    out["zero_section_exact"] = bool(np.array_equal(zero_slice, data.left.jet.values))
+    out["fiber_straightness"] = max((
+        float(np.max(np.abs(grid_derivative(pair.left.values, pair.left.chart, n + k, order=2))))
+        for k in range(r)), default=0.0)
 
     fund_l, fund_r = fundamental_data(pair.left, cfg), fundamental_data(pair.right, cfg)
     gram_l = pair.left.ambient.gram
@@ -320,15 +296,11 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     # normal spaces, found as coefficient kernels against the tube tangents
     r_tube = max(ell - r, 0)
     out["tube_bundle_rank_expected"] = r_tube
-    amb_l = np.zeros((p_ext, pair.left.m, r_tube))
-    amb_r = np.zeros((p_ext, pair.right.m, r_tube))
-    rank_seen = {0}
-    if ell:
-        null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], 1e-7, 1.0)  # (n + r, ell)
-        rank_seen = set(null.tolist())
-        # the first min(null, r_tube) kernel directions at each point
-        dirs = coeffs[:, :, :r_tube] * (np.arange(r_tube) < null[:, None])[:, None, :]
-        amb_l, amb_r = lf_amb[base] @ dirs, lh_amb[base] @ dirs
+    null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], 1e-7, 1.0)  # (n + r, ell)
+    rank_seen = set(null.tolist())
+    # the first min(null, r_tube) kernel directions at each point
+    dirs = coeffs[:, :, :r_tube] * (np.arange(r_tube) < null[:, None])[:, None, :]
+    amb_l, amb_r = lf_amb[base] @ dirs, lh_amb[base] @ dirs
     out["tube_bundle_rank"] = max(rank_seen)
     out["tube_bundle_rank_constant"] = len(rank_seen) == 1
     out["transferred_bundle_tangency"] = float(np.max(np.abs(pair.right.d1 @ gram_r @ amb_r),
@@ -337,7 +309,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     lf_tube = np.zeros((p_ext, fund_l.normal_rank, 0))
     lh_tube = np.zeros((p_ext, fund_r.normal_rank, 0))
     pat_tube = ()
-    if r_tube and out["tube_bundle_rank"] == r_tube:
+    if out["tube_bundle_rank"] == r_tube:
         lf_tube, pat_tube, _ = align_frames(
             _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
             cfg=cfg,
@@ -345,8 +317,10 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The
         # tube points over one base point are a run of pf consecutive points.
-        amb = np.swapaxes(fund_l.normal_frame @ lf_tube, 1, 2).reshape(-1, pf * r_tube, pair.left.m)
-        base_nco = np.swapaxes(data.left.normal_coordinates(amb).reshape(p_ext, r_tube, -1), 1, 2)
+        amb = np.swapaxes(fund_l.normal_frame @ lf_tube, 1, 2).reshape(p_ext // pf, pf * r_tube,
+                                                                        pair.left.m)
+        base_nco = np.swapaxes(data.left.normal_coordinates(amb).reshape(p_ext, r_tube,
+                                                                         data.left.normal_rank), 1, 2)
         base_co = frame_coords(data.transfer_bundle[base], data.left.normal_eps,
                                data.transfer_pattern, base_nco)
         lh_tube = _normal_columns(fund_r, lh_amb[base] @ base_co)

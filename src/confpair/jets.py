@@ -805,7 +805,7 @@ def umbilic_residual(fund: FundamentalData, dist: DistributionFrame) -> float:
     eta = leaf_mean_curvature(fund, dist)
     alpha_dd = contract("pau,pbv,pabt->puvt", dist.basis, dist.basis, fund.alpha)
     umb = alpha_dd - np.eye(dist.dim)[None, :, :, None] * eta[:, None, None, :]
-    return float(np.max(np.abs(umb))) if umb.size else 0.0
+    return float(np.max(np.abs(umb), initial=0.0))
 
 
 def conformal_factor_of_metrics(gf: np.ndarray, gg: np.ndarray, tol: float):

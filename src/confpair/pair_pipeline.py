@@ -410,8 +410,6 @@ def _identify(reg: _Region):
     res = reg.residuals
     om, sh_l, sh_r = reg.at["omega"], reg.at["shared_left"], reg.at["shared_right"]
     ident = reg.arrays["identification"] = np.zeros((reg.p, kr, kl))
-    if not om.shape[2]:
-        return
     wl, wr = om[:, :kl], om[:, kl:]
     res["graph_gap"] = max_by_class(lambda idx, w: gap_stack(w, sh_l[idx]), *span_stack(wl, tol))
     j_mat = wr @ np.linalg.pinv(wl, rcond=1e-10)
@@ -420,7 +418,7 @@ def _identify(reg: _Region):
     gl = _t(sh_l) @ (sh_l * reg.eps_l[:, None])
     jr = j_mat @ sh_l
     gr = _t(jr) @ (jr * reg.eps_r[:, None])
-    res["identification_isometry"] = float(np.max(np.abs(gl - gr)))
+    res["identification_isometry"] = float(np.max(np.abs(gl - gr), initial=0.0))
     # identification must carry the projected forms into each other
     proj_l = project_stack(sh_l, reg.eps_l, _t(reg.al.reshape(b, -1, kl)), tol)
     proj_r = project_stack(sh_r, reg.eps_r, _t(reg.ar.reshape(b, -1, kr)), tol)
@@ -458,32 +456,27 @@ def _matched(reg: _Region) -> dict:
     """Stage 4: the connection-gap tensor on the shared span and its common
     kernel, the matched part."""
     fl, fr = reg.joint.left, reg.joint.right
-    p, n, b, kl = reg.p, reg.n, len(reg.pts), reg.kl
+    p, n, b = reg.p, reg.n, len(reg.pts)
     eps_l, eps_r = reg.eps_l, reg.eps_r
     s_frames = reg.arrays["shared_span"]
     r_s = s_frames.shape[2]
     s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
     gap_t = np.zeros((p, n, r_s, r_s))
     hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames)
-    if r_s:
-        for i in range(n):
-            dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
-            # coefficients of the two covariant derivatives on the span frames:
-            # gap_t[p, i, u, s] with u the frame component and s the section
-            gap_t[:, i] = (frame_coords(s_frames, eps_l, s_pat, dsl)
-                           - frame_coords(hat_frames, eps_r, s_pat, dsr))
+    for i in range(n):
+        dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
+        # coefficients of the two covariant derivatives on the span frames:
+        # gap_t[p, i, u, s] with u the frame component and s the section
+        gap_t[:, i] = (frame_coords(s_frames, eps_l, s_pat, dsl)
+                       - frame_coords(hat_frames, eps_r, s_pat, dsr))
     reg.hat_frames, reg.arrays["gap_tensor"] = hat_frames, gap_t
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
-    if r_s:
-        pairing = np.einsum("piws,w->pisw", gap_t, s_pat)  # <K(d_i) delta_s, delta_w>
-        reg.residuals["gap_skewness"] = float(np.max(np.abs(
-            (pairing + np.swapaxes(pairing, 2, 3))[reg.pts]
-        )))
-    else:
-        reg.residuals["gap_skewness"] = 0.0
-        return {"matched_span": (np.zeros(b, dtype=int), np.zeros((b, kl, 0)))}
+    pairing = np.einsum("piws,w->pisw", gap_t, s_pat)  # <K(d_i) delta_s, delta_w>
+    reg.residuals["gap_skewness"] = float(np.max(np.abs(
+        (pairing + np.swapaxes(pairing, 2, 3))[reg.pts]
+    ), initial=0.0))
     # matched part: common kernel of the gap tensor
-    null, coeffs = kernel_stack(gap_t[reg.pts].reshape(b, -1, r_s), reg.cfg.fd_tol, 1.0)
+    null, coeffs = kernel_stack(gap_t[reg.pts].reshape(b, n * r_s, r_s), reg.cfg.fd_tol, 1.0)
     return {"matched_span": image_stack(reg.at["shared_span"], null, coeffs, reg.cfg.rank_tol)}
 
 
@@ -501,22 +494,19 @@ def _transfer(reg: _Region) -> dict:
     fl, fr = reg.joint.left, reg.joint.right
     b, n = len(reg.pts), reg.n
     s0_frames = reg.arrays["matched_span"]
-    n_s0 = s0_frames.shape[2]
-    if not n_s0:
-        return {"transfer_bundle": (np.zeros(b, dtype=int), np.zeros((b, reg.kl, 0)))}
     s0_hat = np.einsum("pts,psu->ptu", reg.arrays["identification"], s0_frames)
     dl = np.stack([_nabla(s0_frames, fl, i) for i in range(n)], axis=1)[reg.pts]  # (B, i, kl, n_s0)
     dr = np.stack([_nabla(s0_hat, fr, i) for i in range(n)], axis=1)[reg.pts]
     theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, reg.arrays["theta"])[reg.pts]
-    sf, sh = reg.at["shared_span"], reg.hat_frames[reg.pts]
+    sf, sh = reg.at["shared_span"][:, None], reg.hat_frames[reg.pts][:, None]
     s_pat = reg.patterns["shared_span"]
-    blocks = []
-    for u in range(theta_coords.shape[2]):
-        yl = np.einsum("pi,piks->pks", theta_coords[:, :, u], dl)  # (B, kl, n_s0)
-        yr = np.einsum("pi,piks->pks", theta_coords[:, :, u], dr)
-        blocks += [yl - sf @ frame_coords(sf, reg.eps_l, s_pat, yl),
-                   yr - sh @ frame_coords(sh, reg.eps_r, s_pat, yr)]
-    rows = np.concatenate(blocks, axis=1) if blocks else np.zeros((b, 0, n_s0))
+    # the derivatives along each nullity direction u, off the shared span:
+    # rows ordered by u, the left block of each u before its right block
+    yl = np.einsum("piu,piks->puks", theta_coords, dl)  # (B, u, kl, n_s0)
+    yr = np.einsum("piu,piks->puks", theta_coords, dr)
+    off = np.concatenate([yl - sf @ frame_coords(sf, reg.eps_l, s_pat, yl),
+                          yr - sh @ frame_coords(sh, reg.eps_r, s_pat, yr)], axis=2)
+    rows = off.reshape(b, theta_coords.shape[2] * (reg.kl + reg.kr), s0_frames.shape[2])
     null, coeffs = kernel_stack(rows, reg.cfg.fd_tol, reg.a_scale)
     return {"transfer_bundle": image_stack(reg.at["matched_span"], null, coeffs, reg.cfg.rank_tol)}
 
@@ -539,15 +529,11 @@ def _tails(reg: _Region):
     reg.residuals["theta_identity_gap"] = max_by_class(lambda idx, k: gap_stack(k, theta[idx]), null, ker)
     b, n = len(reg.pts), reg.n
     parts = [
-        contract("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, -1)
+        contract("pabt,t,ptw->pabw", alpha, eps, private).reshape(b, n * n, private.shape[2])
         for alpha, eps, private in ((reg.al, reg.eps_l, reg.at["private_left"]),
                                     (reg.ar, reg.eps_r, reg.at["private_right"]))
-        if private.shape[2]
     ]
-    reg.ranks["beta_span"] = (
-        rank(_t(np.concatenate(parts, axis=2)), reg.cfg.rank_tol, reg.a_scale)
-        if parts else np.zeros(b, dtype=int)
-    )
+    reg.ranks["beta_span"] = rank(_t(np.concatenate(parts, axis=2)), reg.cfg.rank_tol, reg.a_scale)
 
 
 @dataclass(frozen=True)
@@ -657,19 +643,17 @@ def _structural_checks(reg: _Region) -> dict:
         # gap tensor must vanish along the private nullity
         theta_coords = np.einsum("pia,pau->piu", reg.joint.left.tangent_frame, arr["theta"])
         gz = np.einsum("piu,pivw->puvw", theta_coords, arr["gap_tensor"])
+        res_gz = float(np.max(np.abs(gz[pts]), initial=0.0))
         claims["gap_vanishes_on_private_nullity"] = {
-            "residual": float(np.max(np.abs(gz[pts]))) if gz.size else 0.0,
-            "passed": bool(np.max(np.abs(gz[pts])) < cfg.fd_tol * 100) if gz.size else True,
+            "residual": res_gz,
+            "passed": res_gz < cfg.fd_tol * 100,
         }
         # the mismatched part is spanned by the projected form over the nullity
         theta, alpha = arr["theta"][pts], reg.al
-        if r_s1:
-            vals = np.einsum("pau,pabt->pubt", theta, alpha).reshape(len(pts), -1, len(eps_l))
-            # the values projected onto the mismatched part
-            proj = project_stack(mism[pts], eps_l, _t(vals), cfg.rank_tol)
-            gamma_ranks = set(rank(proj, cfg.rank_tol, 1.0).tolist())
-        else:
-            gamma_ranks = {0}
+        vals = np.einsum("pau,pabt->pubt", theta, alpha).reshape(len(pts), d_theta * n, len(eps_l))
+        # the values projected onto the mismatched part
+        proj = project_stack(mism[pts], eps_l, _t(vals), cfg.rank_tol)
+        gamma_ranks = set(rank(proj, cfg.rank_tol, 1.0).tolist())
         claims["mismatched_spanned_by_nullity_form"] = {
             "ranks": sorted(gamma_ranks),
             "expected": r_s1,
@@ -683,7 +667,7 @@ def _structural_checks(reg: _Region) -> dict:
         }
         # position vector sits inside the transfer bundle
         lf, pos = arr["transfer_bundle"][pts], reg.pos_left[pts]
-        proj = ((lf @ np.linalg.pinv(lf)) @ pos[:, :, None])[:, :, 0] if lf.size else np.zeros_like(pos)
+        proj = ((lf @ np.linalg.pinv(lf)) @ pos[:, :, None])[:, :, 0]
         res_pos = float(np.max(_norm(pos - proj)))
         # <alpha(Z, Z), position> = -|Z|^2 on the private nullity
         res_th0 = 0.0
@@ -743,18 +727,9 @@ def verify_compatibility(data: TransferData) -> dict:
     pts = np.flatnonzero(data.mask)
 
     out = {"interior_points": int(ipts.size)}
-    if data.ell == 0:
-        out.update({
-            "transfer_isometry": 0.0,
-            "transfer_preserves_sff": 0.0,
-            "transfer_parallel": 0.0,
-            "bundle_parallel_along_rulings": 0.0,
-        })
-        return out
-
     lf, lh = data.transfer_bundle, data.transfer_bundle_right
     gap = _t(lh) @ (lh * eps_r[:, None]) - _t(lf) @ (lf * eps_l[:, None])
-    out["transfer_isometry"] = float(np.max(np.abs(gap[pts])))
+    out["transfer_isometry"] = float(np.max(np.abs(gap[pts]), initial=0.0))
     identification, rulings = data.identification, data.rulings
 
     def proj_onto(frames, eps, vecs):
@@ -766,7 +741,7 @@ def verify_compatibility(data: TransferData) -> dict:
     pl = proj_onto(lf, eps_l, al)
     pr = proj_onto(lh, eps_r, ar)
     moved = np.einsum("pts,ps...->pt...", identification, pl)
-    out["transfer_preserves_sff"] = float(np.max(np.abs((pr - moved)[pts])))
+    out["transfer_preserves_sff"] = float(np.max(np.abs((pr - moved)[pts]), initial=0.0))
 
     # parallel transfer: compare covariant derivatives of matched sections
     res_par = 0.0
@@ -777,7 +752,7 @@ def verify_compatibility(data: TransferData) -> dict:
         d_l, d_r = _nabla(lf, fund_l, i), _nabla(lh, fund_r, i)
         lhs = proj_onto(lh, eps_r, d_r)
         rhs = np.einsum("pts,psu->ptu", identification, proj_onto(lf, eps_l, d_l))
-        res_par = max(res_par, float(np.max(np.abs((lhs - rhs)[ipts]))))
+        res_par = max(res_par, float(np.max(np.abs((lhs - rhs)[ipts]), initial=0.0)))
         out_l_axes.append(d_l - proj_onto(lf, eps_l, d_l))
         out_r_axes.append(d_r - proj_onto(lh, eps_r, d_r))
     out["transfer_parallel"] = res_par
@@ -785,16 +760,10 @@ def verify_compatibility(data: TransferData) -> dict:
     # parallel along rulings: the derivative along each ruling field must
     # stay inside the bundle, so contract the per-axis leftovers with the
     # ruling coordinates before taking norms
-    res_rul = 0.0
-    if rulings.shape[2]:
-        stack_l = np.stack(out_l_axes, axis=1)  # (P, i, kl, ell)
-        stack_r = np.stack(out_r_axes, axis=1)
-        acc_l = np.einsum("pid,piku->pkud", rul_coords, stack_l)
-        acc_r = np.einsum("pid,piku->pkud", rul_coords, stack_r)
-        res_rul = max(
-            float(np.max(np.abs(acc_l[ipts]))), float(np.max(np.abs(acc_r[ipts])))
-        )
-    out["bundle_parallel_along_rulings"] = res_rul
+    acc = [np.einsum("pid,piku->pkud", rul_coords, np.stack(axes, axis=1))  # (P, k, ell, d)
+           for axes in (out_l_axes, out_r_axes)]
+    out["bundle_parallel_along_rulings"] = max(float(np.max(np.abs(a[ipts]), initial=0.0))
+                                               for a in acc)
     return out
 
 

@@ -334,7 +334,8 @@ def test_extend_manifest_verifies_at_the_run_align_floor(monkeypatch):
 def test_obstruction_sweeps_at_the_run_align_floor(monkeypatch):
     # the kernel and fiber fits of `extension_obstruction` (an empty fiber
     # included), reached from a pair report and from an extend manifest with
-    # hand-built transfer data, are gated at the run's alignment floor
+    # hand-built transfer data, and the fit of the extension's empty tube
+    # bundle are gated at the run's alignment floor
     floors = []
     real = jets.align_frames
 
@@ -346,7 +347,7 @@ def test_obstruction_sweeps_at_the_run_align_floor(monkeypatch):
     cfg = run_config(monkeypatch, "flat-pair")
     assert floors == [cfg.align_floor] * 2
     cfg = run_config(monkeypatch, "flat-extension")
-    assert floors == [cfg.align_floor] * 4
+    assert floors == [cfg.align_floor] * 5
 
 
 def recording_rank_tol(real, seen: list):

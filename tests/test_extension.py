@@ -11,10 +11,12 @@ from confpair.jets import (
     ImmersionMap,
     PipelineConfig,
     fundamental_data,
+    grid_derivative,
     induced_metric,
 )
 from confpair.extension import (
     _brackets,
+    _extended_jet,
     extension_obstruction,
     generate_conformal_pair,
     ruled_extension,
@@ -259,6 +261,57 @@ def test_tube_branch_transports_frames_along_a_fibre():
     report = verify_extension(pair, CFG)
     assert_tube_branch_holds(report, 1)
     assert report["kernel_identity_gap"] <= 1e-8
+
+
+def extended_jet_by_samples(base, fields, chart_ext, r):
+    """Reference for `_extended_jet`: the jets of (x, t) -> f(x) + sum_k t_k
+    field_k(x) assembled one fibre sample at a time, the zero sample a copy
+    of the base values."""
+    chart = base.chart
+    pb, n, m = chart.npoints, base.n, base.m
+    pf = int(np.prod(chart_ext.shape[n:])) if r else 1
+    taxes = [chart_ext.axis(n + k) for k in range(r)]
+    tgrids = np.meshgrid(*taxes, indexing="ij") if r else []
+    tflat = np.stack([t.reshape(-1) for t in tgrids], axis=1) if r else np.zeros((1, 0))
+    dfields = np.stack([
+        np.stack([grid_derivative(fields[:, :, k], chart, i) for i in range(n)], axis=1)
+        for k in range(r)
+    ], axis=3) if r else np.zeros((pb, n, m, 0))
+    d2fields = np.stack([
+        np.stack([grid_derivative(dfields[:, i, :, :], chart, j) for j in range(n)], axis=1)
+        for i in range(n)
+    ], axis=1) if r else np.zeros((pb, n, n, m, 0))
+    ntot, ptot = n + r, pb * pf
+    values, d1, d2 = np.zeros((ptot, m)), np.zeros((ptot, ntot, m)), np.zeros((ptot, ntot, ntot, m))
+    for w, tvec in enumerate(tflat):
+        sl = slice(w, ptot, pf)
+        if r and np.any(tvec != 0.0):
+            values[sl] = base.values + np.einsum("pmk,k->pm", fields, tvec)
+        else:
+            values[sl] = base.values.copy()
+        d1[sl, :n] = base.d1 + (np.einsum("pimk,k->pim", dfields, tvec) if r else 0.0)
+        for k in range(r):
+            d1[sl, n + k] = fields[:, :, k]
+        d2[sl, :n, :n] = base.d2 + (np.einsum("pijmk,k->pijm", d2fields, tvec) if r else 0.0)
+        for k in range(r):
+            d2[sl, :n, n + k] = dfields[:, :, :, k]
+            d2[sl, n + k, :n] = dfields[:, :, :, k]
+    return values, d1, d2
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_extended_jet_equals_the_sample_loop_bit_for_bit(r):
+    # the surface has no zero value on TUBE_GRID, so adding the zero fibre
+    # offset cannot flip the sign of a zero that the loop's copy keeps
+    base = ImmersionJet.from_function(codim3_surface, TUBE_GRID, E5)
+    x = TUBE_GRID.points()
+    fields = np.sin(x[:, :1, None] * np.arange(1, r + 1) + np.arange(5)[:, None] * x[:, 1:, None])
+    chart_ext = TUBE_GRID.with_extra_axes((3,) * r, (0.01,) * r, (-0.01,) * r)
+    got = _extended_jet(base, fields, chart_ext, r)
+    want = extended_jet_by_samples(base, fields, chart_ext, r)
+    assert got.chart == chart_ext
+    for a, b in zip((got.values, got.d1, got.d2), want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_tube_compatibility_sees_a_scrambled_right_transfer_frame():
