@@ -750,11 +750,11 @@ def verify_compatibility(data: TransferData) -> dict:
     out_r_axes = []
     for i in range(n):
         d_l, d_r = _nabla(lf, fund_l, i), _nabla(lh, fund_r, i)
-        lhs = proj_onto(lh, eps_r, d_r)
-        rhs = np.einsum("pts,psu->ptu", identification, proj_onto(lf, eps_l, d_l))
-        res_par = max(res_par, float(np.max(np.abs((lhs - rhs)[ipts]), initial=0.0)))
-        out_l_axes.append(d_l - proj_onto(lf, eps_l, d_l))
-        out_r_axes.append(d_r - proj_onto(lh, eps_r, d_r))
+        in_l, in_r = proj_onto(lf, eps_l, d_l), proj_onto(lh, eps_r, d_r)
+        rhs = np.einsum("pts,psu->ptu", identification, in_l)
+        res_par = max(res_par, float(np.max(np.abs((in_r - rhs)[ipts]), initial=0.0)))
+        out_l_axes.append(d_l - in_l)
+        out_r_axes.append(d_r - in_r)
     out["transfer_parallel"] = res_par
 
     # parallel along rulings: the derivative along each ruling field must
