@@ -494,9 +494,13 @@ def align_frames(
     The seed (default: the masked point nearest the mask's centre) gets the
     `_seed_frame` of its own span, which fixes the gauge of every frame.
     The ranks and bases of all masked spans come from one `span_stack`
-    call at `tol` (default 10 `cfg.rank_tol`); every masked fiber then takes
-    the G-projection of the seed frame and one `_polar_fit` over all points
-    turns it into a frame, gated at `cfg.align_floor`.  So each frame
+    call at `tol` (default 10 `cfg.rank_tol`) and floor 0, the relative
+    rule, so a span of pure roundoff counts as full rank: callers pass
+    bases whose rank was decided at the data's own scale (the columns of
+    `span_stack`, `kernel_stack` or `complement_stack`, or their images in
+    unit frames), never raw vectors that may vanish.  Every masked fiber
+    then takes the G-projection of the seed frame and one `_polar_fit` over
+    all points turns it into a frame, gated at `cfg.align_floor`.  So each frame
     depends on its fiber and the seed alone.  A seed fiber of rank 0 gives
     zero-width frames and the pattern (), once every fiber has rank 0.
     Returns (frames (P, m, k), pattern, smallest eigenvalue of the fit, 1.0
