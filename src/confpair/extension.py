@@ -54,7 +54,7 @@ from .jets import (
     induced_metric,
 )
 from .lightcone import LightConeModel, cone_projection
-from .pair_pipeline import TransferData, joint_nullity, verify_compatibility
+from .pair_pipeline import TransferData, _nabla, joint_nullity, verify_compatibility
 
 __all__ = [
     "ObstructionData",
@@ -96,38 +96,29 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig) -> Obstructio
     """Assemble the obstruction form on frame fields and take its kernel.
 
     The form is tensorial because the bundle component of the argument is
-    projected away; numerically it is built from grid derivatives of the
-    tangent and bundle frame fields on both sides.  The kernel is decided at
+    projected away.  On each side, the normal part of the derivative of the
+    tangent frame field E_a along d_i is alpha(d_i, E_a) = sum_b (C^-1)_bi
+    alpha(E_b, E_a) (the Gauss formula), and that of a bundle frame is its
+    normal covariant derivative (`_nabla`).  The kernel is decided at
     `cfg.fd_tol`, its meets and complements at `cfg.rank_tol`, and the
     kernel and fiber frames are aligned at the floor `cfg.align_floor`.
     """
     tol = cfg.rank_tol
-    fl, fr = data.left, data.right
+    fl = data.left
     chart = fl.jet.chart
     p, n = fl.metric.shape[0], fl.metric.shape[1]
     ell = data.ell
-    kl, kr = fl.normal_rank, fr.normal_rank
     pat = np.asarray(data.transfer_pattern, dtype=float)
 
-    # ambient realizations of the argument fields
-    e_l = fl.tangent_ambient                      # (P, ml, n)
-    e_r = fr.tangent_ambient
-    lf_amb, lh_amb = data.ambient_frames()
-    args_l = np.concatenate([e_l, lf_amb], axis=2)   # (P, ml, n + ell)
-    args_r = np.concatenate([e_r, lh_amb], axis=2)
+    def off_bundle(fund, frames):
+        """Normal-frame coordinates (P, n, k, n + ell) of the derivatives
+        along every chart axis of the argument fields, bundle part removed."""
+        tangent = np.einsum("pbi,pbat->pita", fund.tangent_frame_inv, fund.alpha)
+        nco = np.concatenate([tangent, _nabla(frames, fund)], axis=3)
+        return nco - frames[:, None] @ frame_coords(frames[:, None], fund.normal_eps, pat, nco)
 
-    def off_bundle(dfield, fund, frames):
-        """Normal-frame coordinates (P, k, n + ell) of ambient fields
-        (P, m, n + ell) with the bundle part removed."""
-        nco = _normal_columns(fund, dfield)
-        return nco - frames @ frame_coords(frames, fund.normal_eps, pat, nco)
-
-    rows_all = np.zeros((p, n, kl + kr, n + ell))
-    for i in range(n):
-        rows_all[:, i, :kl] = off_bundle(grid_derivative(args_l, chart, i), fl, data.transfer_bundle)
-        rows_all[:, i, kl:] = off_bundle(grid_derivative(args_r, chart, i), fr,
-                                         data.transfer_bundle_right)
-
+    rows_all = np.concatenate([off_bundle(fl, data.transfer_bundle),
+                               off_bundle(data.right, data.transfer_bundle_right)], axis=2)
     scale = max(float(np.max(np.abs(rows_all))), 1.0)
     pts = np.flatnonzero(data.mask)
     rows = rows_all[pts].reshape(len(pts), -1, n + ell)

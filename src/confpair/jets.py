@@ -15,7 +15,7 @@ gauge in O(p, q).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -569,8 +569,8 @@ class FundamentalData:
 
     alpha is stored in the orthonormal tangent frame with normal-frame
     components: alpha[p, a, b, t] so that alpha(E_a, E_b) = sum_t alpha[...t] xi_t.
-    nconn[p, i, t, s] are the normal connection coefficients along the
-    coordinate field d_i.
+    nconn[p, i, s, t] = eps_t <d_i xi_s, xi_t> is the normal connection
+    along the coordinate field d_i, computed from the 2-jet when first read.
     """
 
     jet: ImmersionJet
@@ -583,7 +583,6 @@ class FundamentalData:
     normal_pattern: tuple[int, ...]
     alpha: np.ndarray                  # (P, n, n, k) tangent-frame coords
     alpha_ambient: np.ndarray          # (P, n, n, m) coordinate tangent indices
-    nconn: np.ndarray                  # (P, n, k, k)
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -594,6 +593,34 @@ class FundamentalData:
     def normal_eps(self) -> np.ndarray:
         """The normal pattern as floats, the diagonal of the normal metric."""
         return np.asarray(self.normal_pattern, dtype=float)
+
+    @cached_property
+    def nconn(self) -> np.ndarray:
+        """The normal connection (P, n, k, k) from the 2-jet.
+
+        xi = y S^-1 with y the G-projection of the seed frame F0 (xi at the
+        seed, where S = I); y - F0 is tangent, so S = J y^T G xi = J F0^T G xi.
+        The Gauss formula gives the normal part of d_i y as
+        -sum_a eta_a <E_a, F0> alpha(d_i, E_a), where alpha(d_i, E_a) =
+        sum_b (C^-1)_bi alpha(E_b, E_a); that fixes B_i = xi^T G d_i y.
+        M_i = xi^T G d_i xi is skew and J d_i S symmetric, so B_i = M_i S + J d_i S
+        makes M_i the skew solution of S^T M + M S = B_i - B_i^T: one stacked
+        `solve` over its k(k-1)/2 entries above the diagonal.  nconn[:, i] = M_i^T J.
+        """
+        gram, xi, eps = self.jet.ambient.gram, self.normal_frame, self.normal_eps
+        frame0 = xi[_central_point(self.jet.chart.shape, np.arange(len(xi)))]
+        s = eps[:, None] * contract("mu,mb,pbv->puv", frame0, gram, xi)
+        f0_on_e = contract("pma,mb,bu->pau", self.tangent_ambient, gram, frame0)
+        eta = np.asarray(self.tangent_pattern, dtype=float)
+        b = -contract("pci,pcas,a,pau,s->pisu", self.tangent_frame_inv, self.alpha, eta, f0_on_e, eps)
+        eye = np.eye(xi.shape[2])
+        u, v = np.triu_indices(len(eye), 1)
+        basis = eye[u][:, :, None] * eye[v][:, None, :]
+        basis -= np.swapaxes(basis, 1, 2)  # E_c = e_u e_v^T - e_v e_u^T
+        images = (np.swapaxes(s, 1, 2)[:, None] @ basis + basis @ s[:, None])[:, :, u, v]
+        rhs = (b - np.swapaxes(b, 2, 3))[:, :, u, v]  # (P, n, c)
+        x = np.linalg.solve(np.swapaxes(images, 1, 2), np.swapaxes(rhs, 1, 2))  # (P, c, n)
+        return np.einsum("pci,ctu->piut", x, basis) * eps
 
     def normal_coordinates(self, vectors: np.ndarray) -> np.ndarray:
         """Frame coordinates of ambient vectors lying in the normal space.
@@ -666,7 +693,7 @@ def _tangent_frames(metric: np.ndarray):
 
 
 def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
-    """Metric, frames, second fundamental form and normal connection of a jet;
+    """Metric, frames and second fundamental form of a jet, which fix `nconn`;
     the normal frames are fitted at `cfg.rank_tol` and gated at `cfg.align_floor`."""
     g_amb = jet.ambient.gram
     metric = induced_metric(jet)
@@ -705,18 +732,9 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
     alpha_coord_comp = _normal_coords(alpha_ambient, g_amb, normal_frame, eps)
     alpha = contract("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp)
 
-    # normal connection from derivatives of the aligned frame field
-    nconn = np.zeros((p, n, k, k))
-    if k:
-        for i in range(n):
-            dxi = grid_derivative(normal_frame, jet.chart, i)  # (P, m, k)
-            nconn[:, i] = _normal_coords(dxi.transpose(0, 2, 1), g_amb, normal_frame, eps)
-
-    skew = nconn * eps + np.swapaxes(nconn * eps, 2, 3)
     diagnostics = {
         "alpha_symmetry": float(np.max(np.abs(alpha - np.swapaxes(alpha, 1, 2)), initial=0.0)),
         "frame_step": lam,
-        "metric_compatibility": float(np.max(np.abs(skew), initial=0.0)),
     }
 
     return FundamentalData(
@@ -730,7 +748,6 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
         normal_pattern=normal_pattern,
         alpha=alpha,
         alpha_ambient=alpha_ambient,
-        nconn=nconn,
         diagnostics=diagnostics,
     )
 

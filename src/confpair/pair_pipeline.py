@@ -137,12 +137,13 @@ def _norm(u: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(u, u))
 
 
-def _nabla(frames: np.ndarray, fund: FundamentalData, i: int) -> np.ndarray:
-    """Normal covariant derivative along chart axis i of frames (P, k, s) of
-    the normal bundle of `fund`."""
-    return grid_derivative(frames, fund.jet.chart, i) + np.einsum(
-        "ptk,pts->pks", fund.nconn[:, i], frames
-    )
+def _nabla(frames: np.ndarray, fund: FundamentalData) -> np.ndarray:
+    """Normal covariant derivatives (P, n, k, s) along every chart axis of
+    frames (P, k, s) of the normal bundle of `fund`: stencils of the frame
+    coordinates plus the normal connection acting on them."""
+    chart = fund.jet.chart
+    return (np.stack([grid_derivative(frames, chart, i) for i in range(chart.ndim)], axis=1)
+            + np.einsum("pitk,pts->piks", fund.nconn, frames))
 
 
 def _pairing_rows(sides) -> np.ndarray:
@@ -456,19 +457,15 @@ def _matched(reg: _Region) -> dict:
     """Stage 4: the connection-gap tensor on the shared span and its common
     kernel, the matched part."""
     fl, fr = reg.joint.left, reg.joint.right
-    p, n, b = reg.p, reg.n, len(reg.pts)
-    eps_l, eps_r = reg.eps_l, reg.eps_r
+    n, b = reg.n, len(reg.pts)
     s_frames = reg.arrays["shared_span"]
     r_s = s_frames.shape[2]
     s_pat = np.asarray(reg.patterns["shared_span"], dtype=float)
-    gap_t = np.zeros((p, n, r_s, r_s))
     hat_frames = np.einsum("pts,psu->ptu", reg.arrays["identification"], s_frames)
-    for i in range(n):
-        dsl, dsr = _nabla(s_frames, fl, i), _nabla(hat_frames, fr, i)
-        # coefficients of the two covariant derivatives on the span frames:
-        # gap_t[p, i, u, s] with u the frame component and s the section
-        gap_t[:, i] = (frame_coords(s_frames, eps_l, s_pat, dsl)
-                       - frame_coords(hat_frames, eps_r, s_pat, dsr))
+    # coefficients of the two covariant derivatives on the span frames:
+    # gap_t[p, i, u, s] with u the frame component and s the section
+    gap_t = (frame_coords(s_frames[:, None], reg.eps_l, s_pat, _nabla(s_frames, fl))
+             - frame_coords(hat_frames[:, None], reg.eps_r, s_pat, _nabla(hat_frames, fr)))
     reg.hat_frames, reg.arrays["gap_tensor"] = hat_frames, gap_t
     # skewness w.r.t. the span metric: <K eta, zeta> + <eta, K zeta> = 0
     pairing = np.einsum("piws,w->pisw", gap_t, s_pat)  # <K(d_i) delta_s, delta_w>
@@ -492,11 +489,11 @@ def _transfer(reg: _Region) -> dict:
     """Stage 5: the transfer bundle, matched sections whose derivatives along
     the private nullity stay inside the shared span on both sides."""
     fl, fr = reg.joint.left, reg.joint.right
-    b, n = len(reg.pts), reg.n
+    b = len(reg.pts)
     s0_frames = reg.arrays["matched_span"]
     s0_hat = np.einsum("pts,psu->ptu", reg.arrays["identification"], s0_frames)
-    dl = np.stack([_nabla(s0_frames, fl, i) for i in range(n)], axis=1)[reg.pts]  # (B, i, kl, n_s0)
-    dr = np.stack([_nabla(s0_hat, fr, i) for i in range(n)], axis=1)[reg.pts]
+    dl = _nabla(s0_frames, fl)[reg.pts]  # (B, i, kl, n_s0)
+    dr = _nabla(s0_hat, fr)[reg.pts]
     theta_coords = np.einsum("pia,pau->piu", fl.tangent_frame, reg.arrays["theta"])[reg.pts]
     sf, sh = reg.at["shared_span"][:, None], reg.hat_frames[reg.pts][:, None]
     s_pat = reg.patterns["shared_span"]
@@ -744,24 +741,17 @@ def verify_compatibility(data: TransferData) -> dict:
     out["transfer_preserves_sff"] = float(np.max(np.abs((pr - moved)[pts]), initial=0.0))
 
     # parallel transfer: compare covariant derivatives of matched sections
-    res_par = 0.0
-    rul_coords = np.einsum("pia,pau->piu", fund_l.tangent_frame, rulings)
-    out_l_axes = []
-    out_r_axes = []
-    for i in range(n):
-        d_l, d_r = _nabla(lf, fund_l, i), _nabla(lh, fund_r, i)
-        in_l, in_r = proj_onto(lf, eps_l, d_l), proj_onto(lh, eps_r, d_r)
-        rhs = np.einsum("pts,psu->ptu", identification, in_l)
-        res_par = max(res_par, float(np.max(np.abs((in_r - rhs)[ipts]), initial=0.0)))
-        out_l_axes.append(d_l - in_l)
-        out_r_axes.append(d_r - in_r)
-    out["transfer_parallel"] = res_par
+    d_l, d_r = _nabla(lf, fund_l), _nabla(lh, fund_r)  # (P, n, k, ell)
+    in_l, in_r = proj_onto(lf[:, None], eps_l, d_l), proj_onto(lh[:, None], eps_r, d_r)
+    rhs = np.einsum("pts,pisu->pitu", identification, in_l)
+    out["transfer_parallel"] = float(np.max(np.abs((in_r - rhs)[ipts]), initial=0.0))
 
     # parallel along rulings: the derivative along each ruling field must
     # stay inside the bundle, so contract the per-axis leftovers with the
     # ruling coordinates before taking norms
-    acc = [np.einsum("pid,piku->pkud", rul_coords, np.stack(axes, axis=1))  # (P, k, ell, d)
-           for axes in (out_l_axes, out_r_axes)]
+    rul_coords = np.einsum("pia,pau->piu", fund_l.tangent_frame, rulings)
+    acc = [np.einsum("pid,piku->pkud", rul_coords, d - d_in)  # (P, k, ell, d)
+           for d, d_in in ((d_l, in_l), (d_r, in_r))]
     out["bundle_parallel_along_rulings"] = max(float(np.max(np.abs(a[ipts]), initial=0.0))
                                                for a in acc)
     return out

@@ -42,8 +42,6 @@ def bent_pair_region(name: str, setting):
     return regions, extension_obstruction(regions[0], CFG)
 
 
-@pytest.mark.xfail(strict=True, reason="the obstruction's tangent block comes from stencils "
-                   "of the tangent frames, which depend on the chart")
 @pytest.mark.parametrize("setting", SETTINGS)
 def test_flat_pair_survives_a_chart_change(setting):
     regions, obs = bent_pair_region("flat-pair", setting)

@@ -1,11 +1,14 @@
+import json
 import sys
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confpair import conformal_calc, gallery, jet3, jets
+from confpair.cli import run_manifest
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
 from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, kernel_stack, span_stack
 from confpair.jets import (
@@ -105,6 +108,89 @@ def test_plane_has_identity_metric_and_zero_alpha():
     fund = fundamental_data(jet, CFG)
     assert np.max(np.abs(fund.alpha)) < 1e-12
     assert np.max(np.abs(fund.nconn)) < 1e-12
+
+
+def psi_torus_fund(n_pts, h):
+    """Fundamental data of psi-lift(torus) on an n_pts x n_pts grid of step h
+    from (0.3, 0.2); the odd sizes share their central point, the seed."""
+    grid = ChartGrid((n_pts, n_pts), (h, h), (0.3, 0.2))
+    return fundamental_data(gallery.psi_lift(gallery.torus()).jet(grid), CFG)
+
+
+def stencil_nconn(fund):
+    """The normal connection from stencils of the aligned frames,
+    eps_t <d_i xi_s, xi_t>: the reference for the 2-jet form."""
+    frames, chart = fund.normal_frame, fund.jet.chart
+    return np.stack([fund.normal_coordinates(np.swapaxes(grid_derivative(frames, chart, i), 1, 2))
+                     for i in range(chart.ndim)], axis=1)
+
+
+def test_nconn_is_pointwise_in_the_2_jet():
+    # each point's connection depends on its own 2-jet and the seed frame
+    # alone, so halving the step leaves it unchanged at the shared points
+    coarse, fine = psi_torus_fund(11, 0.01).nconn, psi_torus_fund(21, 0.005).nconn
+    shared = fine.reshape(21, 21, *fine.shape[1:])[::2, ::2].reshape(coarse.shape)
+    assert coarse.shape == (121, 2, 3, 3)
+    assert np.max(np.abs(coarse)) > 1e-4
+    assert np.array_equal(shared, coarse)
+
+
+def test_nconn_agrees_with_stencils_of_the_frames():
+    gaps = []
+    for n_pts, h in ((11, 0.01), (21, 0.005)):
+        fund = psi_torus_fund(n_pts, h)
+        gaps.append(np.max(np.abs(fund.nconn - stencil_nconn(fund))))
+    assert gaps[0] < 1e-9
+    assert gaps[0] / gaps[1] >= 16  # the stencils' fourth order
+
+
+def test_nconn_is_empty_in_codimension_0_and_zero_on_hypersurfaces():
+    grid = ChartGrid((7, 7), (0.04, 0.04), (0.9, 0.4))
+    flat = ImmersionJet.from_function(lambda xs: [xs[0], xs[1] + xs[0] * xs[0]], grid,
+                                      ScalarProduct.euclidean(2))
+    assert fundamental_data(flat, CFG).nconn.shape == (grid.npoints, 2, 0, 0)
+    sphere = fundamental_data(ImmersionJet.from_function(sphere_fn(2.0), grid, E3), CFG)
+    assert sphere.nconn.shape == (grid.npoints, 2, 1, 1)
+    assert not sphere.nconn.any()
+
+
+def test_fundamental_data_takes_no_stencils(monkeypatch):
+    calls = []
+    real = jets.grid_derivative
+    monkeypatch.setattr(jets, "grid_derivative", lambda *a, **k: calls.append(a) or real(*a, **k))
+    fund = psi_torus_fund(11, 0.01)
+    assert fund.nconn.shape == (121, 2, 3, 3)
+    assert calls == []
+
+
+def spy_nconn(monkeypatch) -> list:
+    """Record every FundamentalData whose connection is computed."""
+    real = jets.FundamentalData.__dict__["nconn"].func
+    computed = []
+
+    def counted(fund):
+        computed.append(fund)
+        return real(fund)
+
+    spy = cached_property(counted)
+    spy.__set_name__(jets.FundamentalData, "nconn")
+    monkeypatch.setattr(jets.FundamentalData, "nconn", spy)
+    return computed
+
+
+def test_single_analysis_never_computes_the_connection(monkeypatch):
+    computed = spy_nconn(monkeypatch)
+    report, code = run_manifest(json.loads(json.dumps(gallery.MANIFESTS["psi-invariants"])))
+    assert code == 0 and "metric_compatibility" not in report["results"]["diagnostics"]
+    assert computed == []
+
+
+@pytest.mark.parametrize("name", ["congruent-pair", "flat-extension"])
+def test_each_connection_is_computed_once(monkeypatch, name):
+    computed = spy_nconn(monkeypatch)
+    _, code = run_manifest(json.loads(json.dumps(gallery.MANIFESTS[name])))
+    assert code == 0 and computed
+    assert len({id(fund) for fund in computed}) == len(computed)
 
 
 def test_sphere_metric_in_spherical_coordinates():
