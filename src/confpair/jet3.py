@@ -13,6 +13,11 @@ array that broadcasts to the values) never becomes a constant jet: it
 scales or shifts the stored arrays directly, which gives the constant-jet
 result exactly, up to the sign of zero.  Jets share arrays (a shifted jet
 keeps its operand's derivative arrays), so no jet is ever written in place.
+
+Derivatives are stored point-last, the gradient as (n, ...) and the Hessian
+as (n, n, ...), so that every term of the arithmetic runs over contiguous
+rows of points; `g` and `h` read them point-first, (..., n) and
+(..., n, n), as views.  `Jet3(v, g, h)` takes point-first arrays.
 """
 
 from __future__ import annotations
@@ -23,26 +28,44 @@ __all__ = ["Jet3", "variables", "constant", "sin", "cos", "exp", "sqrt", "norm2"
 
 
 class Jet3:
-    __slots__ = ("v", "g", "h", "nvars")
+    __slots__ = ("v", "_g", "_h", "nvars")
 
     def __init__(self, v, g=None, h=None, nvars=None):
-        self.v = np.asarray(v, dtype=float)
-        self.g = g
-        self.h = h
+        """A jet from point-first derivatives: g (..., n) and h (..., n, n)."""
         if nvars is None:
             if g is None:
                 raise ValueError("nvars required when no gradient is stored")
             nvars = g.shape[-1]
+        self.v = np.asarray(v, dtype=float)
+        self._g = None if g is None else np.moveaxis(g, -1, 0)
+        self._h = None if h is None else np.moveaxis(h, (-2, -1), (0, 1))
         self.nvars = nvars
+
+    @classmethod
+    def _rows(cls, v, g, h, nvars):
+        """A jet from point-last derivatives: g (n, ...) and h (n, n, ...)."""
+        jet = object.__new__(cls)
+        jet.v, jet._g, jet._h, jet.nvars = np.asarray(v, dtype=float), g, h, nvars
+        return jet
+
+    @property
+    def g(self):
+        """The gradient (..., n), a point-first view of the stored rows."""
+        return None if self._g is None else np.moveaxis(self._g, 0, -1)
+
+    @property
+    def h(self):
+        """The Hessian (..., n, n), a point-first view of the stored rows."""
+        return None if self._h is None else np.moveaxis(self._h, (0, 1), (-2, -1))
 
     # -- construction -------------------------------------------------
 
     def _zero_like(self, value):
         value = np.broadcast_to(np.asarray(value, dtype=float), self.v.shape).copy()
         n = self.nvars
-        g = np.zeros(self.v.shape + (n,)) if self.g is not None else None
-        h = np.zeros(self.v.shape + (n, n)) if self.h is not None else None
-        return Jet3(value, g, h, nvars=n)
+        g = np.zeros((n,) + self.v.shape) if self._g is not None else None
+        h = np.zeros((n, n) + self.v.shape) if self._h is not None else None
+        return Jet3._rows(value, g, h, n)
 
     def _scalar(self, other) -> np.ndarray:
         """A non-jet operand as float values shaped like ``v`` (a view)."""
@@ -56,22 +79,22 @@ class Jet3:
 
     def __add__(self, other):
         if not isinstance(other, Jet3):
-            return Jet3(self.v + self._scalar(other), self.g, self.h, nvars=self.nvars)
-        return Jet3(
+            return Jet3._rows(self.v + self._scalar(other), self._g, self._h, self.nvars)
+        return Jet3._rows(
             self.v + other.v,
-            None if self.g is None else self.g + other.g,
-            None if self.h is None else self.h + other.h,
-            nvars=self.nvars,
+            None if self._g is None else self._g + other._g,
+            None if self._h is None else self._h + other._h,
+            self.nvars,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet3(
+        return Jet3._rows(
             -self.v,
-            None if self.g is None else -self.g,
-            None if self.h is None else -self.h,
-            nvars=self.nvars,
+            None if self._g is None else -self._g,
+            None if self._h is None else -self._h,
+            self.nvars,
         )
 
     def __sub__(self, other):
@@ -83,26 +106,21 @@ class Jet3:
     def __mul__(self, other):
         if not isinstance(other, Jet3):
             s = self._scalar(other)
-            return Jet3(
+            return Jet3._rows(
                 self.v * s,
-                None if self.g is None else self.g * s[..., None],
-                None if self.h is None else self.h * s[..., None, None],
-                nvars=self.nvars,
+                None if self._g is None else self._g * s,
+                None if self._h is None else self._h * s,
+                self.nvars,
             )
         a, b = self, other
         v = a.v * b.v
         g = h = None
-        if a.g is not None:
-            g = a.g * b.v[..., None] + b.g * a.v[..., None]
-        if a.h is not None:
-            cross = a.g[..., :, None] * b.g[..., None, :]
-            h = (
-                a.h * b.v[..., None, None]
-                + b.h * a.v[..., None, None]
-                + cross
-                + np.swapaxes(cross, -1, -2)
-            )
-        return Jet3(v, g, h, nvars=self.nvars)
+        if a._g is not None:
+            g = a._g * b.v + b._g * a.v
+        if a._h is not None:
+            cross = a._g[:, None] * b._g[None, :]
+            h = a._h * b.v + b._h * a.v + cross + np.swapaxes(cross, 0, 1)
+        return Jet3._rows(v, g, h, self.nvars)
 
     __rmul__ = __mul__
 
@@ -135,16 +153,15 @@ class Jet3:
 
     def apply_univariate(self, f0, f1, f2=None):
         """Chain rule for h = f(u) given derivative values of f at u."""
-        v = np.asarray(f0, dtype=float)
         g = h = None
-        if self.g is not None:
+        if self._g is not None:
             f1 = np.asarray(f1, dtype=float)
-            g = f1[..., None] * self.g
-        if self.h is not None:
+            g = f1 * self._g
+        if self._h is not None:
             f2 = np.asarray(f2, dtype=float)
-            gg = self.g[..., :, None] * self.g[..., None, :]
-            h = f2[..., None, None] * gg + f1[..., None, None] * self.h
-        return Jet3(v, g, h, nvars=self.nvars)
+            gg = self._g[:, None] * self._g[None, :]
+            h = f2 * gg + f1 * self._h
+        return Jet3._rows(f0, g, h, self.nvars)
 
 
 def variables(points: np.ndarray, order: int = 2) -> list[Jet3]:
@@ -158,11 +175,11 @@ def variables(points: np.ndarray, order: int = 2) -> list[Jet3]:
         g = None
         h = None
         if order >= 1:
-            g = np.zeros((p, n))
-            g[:, i] = 1.0
+            g = np.zeros((n, p))
+            g[i] = 1.0
         if order >= 2:
-            h = np.zeros((p, n, n))
-        out.append(Jet3(points[:, i].copy(), g, h, nvars=n))
+            h = np.zeros((n, n, p))
+        out.append(Jet3._rows(points[:, i].copy(), g, h, n))
     return out
 
 

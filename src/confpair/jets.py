@@ -360,8 +360,9 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-# `_polar_fit`'s Newton-Schulz iteration stops after the step taken at max |I - Z Y|
-# <= _ROOT_STOP (each step squares it; NaN of failing points aside) or after _ROOT_STEPS
+# each point of `_polar_fit`'s Newton-Schulz iteration stops after the step taken at its
+# own max |I - Z Y| <= _ROOT_STOP (each step squares it; at once where it is NaN) or after
+# _ROOT_STEPS, so its frame does not depend on the other points of the fit
 _ROOT_STOP, _ROOT_STEPS = 1e-8, 60
 
 
@@ -435,8 +436,10 @@ def _polar_fit(points: np.ndarray, y: np.ndarray, gram: np.ndarray, pattern: tup
 
     S is the principal root of A = J y^T G y (gram G (m, m) or (L, m, m),
     J = diag(pattern)); Newton-Schulz on A over its row-sum norm gives S^-1
-    when the spectrum of A lies in the right half-plane.  An ambient
-    isometry leaves that spectrum alone: for a definite fiber its
+    when the spectrum of A lies in the right half-plane.  Each point stops
+    after its own converged step (`_ROOT_STOP`), so a frame depends on its
+    fiber and the seed alone, bit for bit, whichever points share the fit.
+    An ambient isometry leaves that spectrum alone: for a definite fiber its
     eigenvalues are the cos^2 of the principal angles between the fiber and
     the seed fiber.  Checks, in order: the caller's (mask, message)
     `checks`, the polar fit (W finite, max |W^T G W - J| <= tol), and the
@@ -449,13 +452,22 @@ def _polar_fit(points: np.ndarray, y: np.ndarray, gram: np.ndarray, pattern: tup
     a = signs[:, None] * (y.transpose(0, 2, 1) @ gram @ y)
     lam = _smallest_eigenvalue(a)
     scale = np.sum(np.abs(a), axis=2).max(axis=1)[:, None, None]  # bounds the spectrum of a
-    root, inv_root, eye = a / scale, np.eye(k), np.eye(k)  # Y -> (a/scale)^1/2, Z -> its inverse
-    for _ in range(_ROOT_STEPS):
-        resid = eye - inv_root @ root
+    # Y -> (a/scale)^1/2 and Z -> its inverse on point-last (k, k, L') stacks of
+    # the L' points still running; each point's Z goes to `inv_root` after its last step
+    eye = np.eye(k)[:, :, None]
+    root = np.ascontiguousarray((a / scale).transpose(1, 2, 0))
+    z = np.repeat(eye, len(a), axis=2)
+    inv_root, running = np.empty_like(a), np.arange(len(a))
+    for step in range(1, _ROOT_STEPS + 1):
+        resid = eye - np.einsum("ijp,jkp->ikp", z, root)
         t = eye + 0.5 * resid
-        root, inv_root = root @ t, t @ inv_root
-        if np.fmax.reduce(np.abs(resid), axis=None, initial=0.0) <= _ROOT_STOP:
+        root, z = np.einsum("ijp,jkp->ikp", root, t), np.einsum("ijp,jkp->ikp", t, z)
+        keep = np.fmax.reduce(np.abs(resid), axis=(0, 1), initial=0.0) > _ROOT_STOP  # NaN stops
+        keep &= step < _ROOT_STEPS
+        inv_root[running[~keep]] = z[:, :, ~keep].transpose(2, 0, 1)
+        if not keep.any():
             break
+        running, root, z = running[keep], np.compress(keep, root, axis=2), np.compress(keep, z, axis=2)
     frames = y @ inv_root / np.sqrt(scale)
     gram_w = frames.transpose(0, 2, 1) @ gram @ frames
     defect = np.max(np.abs(gram_w - np.diag(signs)), axis=(1, 2))
@@ -700,7 +712,7 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
     p, n, m = jet.chart.npoints, jet.n, jet.m
 
     tangent_pattern, tangent_frame, tangent_frame_inv = _tangent_frames(metric)
-    tangent_ambient = np.einsum("pim,pia->pma", jet.d1, tangent_frame)
+    tangent_ambient = np.swapaxes(jet.d1, 1, 2) @ tangent_frame
 
     # normal frames: the normal space is the G-complement of the tangent
     # space, so the G-projection of the seed frame onto it is the seed frame

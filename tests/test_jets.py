@@ -605,7 +605,6 @@ def test_frames_do_not_depend_on_the_region_around_the_seed(imap):
         assert np.max(np.abs(part[mask] - full[mask])) <= 1e-13
 
 
-@pytest.mark.xfail(strict=True, reason="the Newton-Schulz loop runs every point to the slowest")
 def test_sub_mask_frames_equal_the_full_mask_frames_bit_for_bit(monkeypatch):
     # each point stops at its own convergence, so a fit over a 19 x 19 block
     # of the 10^4 normal projections of psi-lift(torus) (k = 3, five steps
