@@ -117,16 +117,19 @@ def ref_mul(a, b):
     return jet3.Jet3(v, g, h, nvars=a.nvars)
 
 
-def ref_reciprocal(a):
-    inv = 1.0 / a.v
-    f1, f2 = -(inv**2), 2 * inv**3
+def ref_apply_univariate(a, f0, f1, f2):
     g = h = None
     if a.g is not None:
         g = f1[..., None] * a.g
     if a.h is not None:
         gg = a.g[..., :, None] * a.g[..., None, :]
         h = f2[..., None, None] * gg + f1[..., None, None] * a.h
-    return jet3.Jet3(inv, g, h, nvars=a.nvars)
+    return jet3.Jet3(f0, g, h, nvars=a.nvars)
+
+
+def ref_reciprocal(a):
+    inv = 1.0 / a.v
+    return ref_apply_univariate(a, inv, -(inv**2), 2 * inv**3)
 
 
 def ref_div(a, b):
@@ -205,6 +208,39 @@ def test_jet_products_match_the_two_symmetrization_product():
         for got, want in ((a + b, ref_add(a, b)), (a - b, ref_add(a, ref_neg(b)))):
             for x, y in zip(_arrays(got), _arrays(want), strict=True):
                 np.testing.assert_array_equal(x, y)
+
+
+def ref_sin(a):
+    s, c = np.sin(a.v), np.cos(a.v)
+    return ref_apply_univariate(a, s, c, -s)
+
+
+def ref_sqrt(a):
+    r = np.sqrt(a.v)
+    return ref_apply_univariate(a, r, 0.5 / r, -0.25 / r**3)
+
+
+def ref_cube(a):
+    u = a.v
+    return ref_apply_univariate(a, u**3, 3 * u**2, 6 * u**1)
+
+
+def test_jet_arithmetic_matches_the_point_first_expressions_bit_for_bit():
+    # the derivatives are stored point-last; every Leibniz and chain-rule
+    # term keeps its operands' order, so the point-first expressions above
+    # give the same bits
+    for n, order in SHAPES:
+        rng = np.random.default_rng([20, n, order])
+        a, b = random_jet(rng, n, order), random_jet(rng, n, order)
+        positive = jet3.Jet3(np.abs(a.v), a.g, a.h, nvars=n)
+        cases = [(a * b, ref_mul(a, b)), (a / b, ref_div(a, b)), (jet3.sin(a), ref_sin(a)),
+                 (jet3.sqrt(positive), ref_sqrt(positive)), (a**3, ref_cube(a))]
+        for got, want in cases:
+            assert got.g is None or got.g.shape == (POINTS, n)
+            assert got.h is None or got.h.shape == (POINTS, n, n)
+            assert len(_arrays(got)) == order + 1
+            for x, y in zip(_arrays(got), _arrays(want), strict=True):
+                assert np.array_equal(x, y)
 
 
 def test_graph_jet_makes_no_constant_jets_beyond_jet3_constant(monkeypatch):
