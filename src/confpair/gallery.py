@@ -25,14 +25,16 @@ __all__ = ["GALLERY", "MANIFESTS", "build_immersion", "default_chart", "catalog"
 
 
 def plane(n: int = 2, p: int = 1, tilt: float = 0.0) -> ImmersionMap:
-    """Affine n-plane in R^{n+p}, optionally tilted into the first normal slot."""
+    """Affine n-plane in R^{n+p}, optionally tilted into the first normal slot
+    (there is none when p = 0)."""
+    if p < 0:
+        raise ValueError(f"plane needs codimension p >= 0, got {p}")
 
     def fn(xs):
+        if p == 0:
+            return list(xs)
         zero = jet3.constant(0.0, xs[0])
-        comps = list(xs)
-        comps.append(sum((float(tilt) * x for x in xs), zero))
-        comps.extend([zero] * (p - 1))
-        return comps
+        return [*xs, sum((float(tilt) * x for x in xs), zero), *[zero] * (p - 1)]
 
     return ImmersionMap("plane", n, ScalarProduct.euclidean(n + p), fn)
 
@@ -257,7 +259,7 @@ def build_immersion(spec: dict, where: str = "immersion") -> ImmersionMap:
             return GALLERY[name](inner, **params)
         try:
             return GALLERY[name](**params)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ManifestError(f"{where}.params", str(exc)) from exc
     if "expr" in spec:
         from .expr import compile_immersion

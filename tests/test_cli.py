@@ -83,6 +83,24 @@ def test_manifest_field_diagnostics():
     assert "builtin" in str(err.value)
 
 
+def plane_doc(p):
+    return {"analysis": "single", "immersion": {"builtin": "plane", "params": {"n": 2, "p": p}},
+            "grid": {"shape": [5, 5], "spacing": [0.1, 0.1], "origin": [0.0, 0.0]}}
+
+
+def test_plane_of_codimension_0_is_the_chart_itself():
+    report, code = run_manifest(plane_doc(0))
+    assert code == 0
+    assert report["results"]["codimension"] == 0
+
+
+def test_plane_of_negative_codimension_is_a_manifest_error():
+    with pytest.raises(ManifestError) as err:
+        run_manifest(plane_doc(-1))
+    assert err.value.path == "immersion.params"
+    assert "p >= 0" in str(err.value)
+
+
 def test_tolerance_range_enforced():
     doc = dict(MANIFESTS["cylinder-nullity"])
     with pytest.raises(ManifestError):
