@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jet3
 from .errors import (
     NoIntersection,
     NotImmersionAtRadius,
@@ -53,7 +54,7 @@ from .jets import (
     grid_derivative,
     induced_metric,
 )
-from .lightcone import LightConeModel, cone_projection
+from .lightcone import cone_projection
 from .pair_pipeline import TransferData, _nabla, joint_nullity, verify_compatibility
 
 __all__ = [
@@ -505,24 +506,13 @@ def generate_conformal_pair(
         + hess[:, axis, axis][:, None, None] * np.einsum("pi,pj->pij", t_u, t_u)
     ) / s_t[:, None, None]
 
-    n = n_plus - 1
-    incl_d1 = np.zeros((len(roots), n_plus, n))
-    incl_d2 = np.zeros((len(roots), n_plus, n, n))
-    for col, i in enumerate(others):
-        incl_d1[:, i, col] = 1.0
-    incl_d1[:, axis, :] = t_u
-    incl_d2[:, axis, :, :] = t_uu
+    # the slice's coordinate jets: the chart variables, the root function at `axis`
+    xs = jet3.variables(slice_pts)
+    xs.insert(axis, Jet3(roots, t_u, t_uu))
 
     def restrict(mapping: ImmersionMap) -> ImmersionJet:
-        comps = mapping.evaluate(full_points(roots), order=2)
-        values = np.stack([c.v for c in comps], axis=-1)
-        dfull = np.stack([c.g for c in comps], axis=-1)      # (P, n+1, m)
-        d2full = np.stack([c.h for c in comps], axis=-1)     # (P, n+1, n+1, m)
-        d1 = np.einsum("pAm,pAi->pim", dfull, incl_d1)
-        d2 = contract("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1) + np.einsum(
-            "pAm,pAij->pijm", dfull, incl_d2
-        )
-        return ImmersionJet(slice_chart, mapping.ambient, values, d1, d2, source="assembled")
+        return ImmersionJet.from_components(mapping.fn(xs), slice_chart, mapping.ambient,
+                                            "assembled")
 
     left_slice = restrict(left_map)
     lifted_slice = restrict(lorentz_map)
@@ -538,9 +528,8 @@ def generate_conformal_pair(
         )
 
     phi, conf_resid = conformal_factor_of_metrics(g_left, induced_metric(projected), cfg.conformal_tol)
-    model = LightConeModel.for_ambient(lorentz_map.ambient)
-    pair_e0 = lifted_slice.values @ (gram @ model.e0)
-    factor_gap = float(np.max(np.abs(phi - 1.0 / pair_e0)))
+    # <F, e0> is the component F^1 in the null-pair basis (G e0 = e1)
+    factor_gap = float(np.max(np.abs(phi - 1.0 / lifted_slice.values[:, 1])))
 
     return SliceData(
         slice_chart=slice_chart,

@@ -140,10 +140,7 @@ def psi_lift(of: ImmersionMap) -> ImmersionMap:
     model = LightConeModel(of.ambient.dim)
 
     def fn(xs):
-        comps = of.fn(xs)
-        q = jet3.norm2(*comps)
-        one = jet3.constant(1.0, comps[0] if isinstance(comps[0], jet3.Jet3) else xs[0])
-        return [-0.5 * q, one] + list(comps)
+        return model.chart(of.fn(xs))
 
     return ImmersionMap(f"psi-lift({of.name})", of.chart_dim, model.ambient, fn)
 

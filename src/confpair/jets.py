@@ -224,22 +224,26 @@ class ImmersionJet:
     @staticmethod
     def from_function(fn, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
         """Evaluate a Jet3-valued component function on the whole grid."""
-        xs = jet3.variables(chart.points())
-        comps = fn(xs)
+        return ImmersionJet.from_components(fn(jet3.variables(chart.points())), chart, ambient,
+                                            "closed-form")
+
+    @staticmethod
+    def from_components(comps, chart: ChartGrid, ambient: ScalarProduct,
+                        source: str) -> "ImmersionJet":
+        """The jet whose components are `comps`: Jet3s in the chart variables,
+        or numbers, which become constants."""
         p, n, m = chart.npoints, chart.ndim, ambient.dim
         if len(comps) != m:
             raise ValueError(f"function returned {len(comps)} components for ambient dim {m}")
-        values = np.zeros((p, m))
-        d1 = np.zeros((p, n, m))
-        d2 = np.zeros((p, n, n, m))
-        template = xs[0]
-        for c, comp in enumerate(comps):
-            if not isinstance(comp, jet3.Jet3):
-                comp = jet3.constant(comp, template)
-            values[:, c] = comp.v
-            d1[:, :, c] = comp.g
-            d2[:, :, :, c] = comp.h
-        return ImmersionJet(chart, ambient, values, d1, d2, source="closed-form")
+        zero_g, zero_h = np.zeros((p, n)), np.zeros((p, n, n))
+        comps = [c if isinstance(c, jet3.Jet3) else
+                 jet3.Jet3(np.broadcast_to(np.asarray(c, dtype=float), (p,)), zero_g, zero_h)
+                 for c in comps]
+        # into C-ordered arrays: stacking views of point-last rows would keep their strides
+        values, d1, d2 = (np.stack([getattr(c, part) for c in comps], axis=-1,
+                                   out=np.empty(shape + (m,)))
+                          for part, shape in (("v", (p,)), ("g", (p, n)), ("h", (p, n, n))))
+        return ImmersionJet(chart, ambient, values, d1, d2, source=source)
 
     @staticmethod
     def from_values(values: np.ndarray, chart: ChartGrid, ambient: ScalarProduct) -> "ImmersionJet":
@@ -247,6 +251,11 @@ class ImmersionJet:
         values = np.asarray(values, dtype=float).reshape(chart.npoints, ambient.dim)
         d1, d2 = scalar_fd_jets(values, chart)
         return ImmersionJet(chart, ambient, values, d1, d2, source="finite-difference")
+
+    def components(self) -> list[jet3.Jet3]:
+        """The components as Jet3s, views of this jet's arrays."""
+        return [jet3.Jet3(self.values[:, c], self.d1[:, :, c], self.d2[:, :, :, c])
+                for c in range(self.m)]
 
     def immersion_residual(self) -> float:
         """min over points of (n-th singular value / first); small means rank drop.
@@ -306,13 +315,7 @@ class ImmersionMap:
     def evaluate(self, points: np.ndarray, order: int = 2):
         """Component jets at a batch of points, (list of Jet3)."""
         xs = jet3.variables(np.asarray(points, dtype=float), order=order)
-        comps = self.fn(xs)
-        out = []
-        for comp in comps:
-            if not isinstance(comp, jet3.Jet3):
-                comp = jet3.constant(comp, xs[0])
-            out.append(comp)
-        return out
+        return [c if isinstance(c, jet3.Jet3) else jet3.constant(c, xs[0]) for c in self.fn(xs)]
 
     def values(self, points: np.ndarray) -> np.ndarray:
         comps = self.evaluate(points, order=0)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jet3
 from .errors import NotConformal, NotConformallyRuled, OnExceptionalRay
 from .indefinite_linalg import ScalarProduct, contract, inverse_stack
 from .jet3 import Jet3
@@ -41,7 +42,6 @@ from .jets import (
 __all__ = [
     "LightConeModel",
     "scalar_jet",
-    "scale_jet",
     "isometric_representative",
     "cone_projection",
     "position_identities",
@@ -101,28 +101,18 @@ class LightConeModel:
 
     # -- jet-level maps -------------------------------------------------
 
+    @staticmethod
+    def chart(xs: list) -> list:
+        """Components of the cone chart at the components `xs` of a point of R^N,
+        Jet3s or numbers."""
+        return [-0.5 * jet3.norm2(*xs), 1.0, *xs]
+
     def lift_jet(self, jet: ImmersionJet) -> ImmersionJet:
         """Compose an R^N-valued jet with the cone chart, exactly."""
         if jet.ambient.dim != self.n_euclidean or jet.ambient.index != 0:
             raise ValueError("jet must map into the Euclidean base of this model")
-        p, n = jet.chart.npoints, jet.n
-        f, d1, d2 = jet.values, jet.d1, jet.d2
-        # scalar q = |f|^2 / 2 with exact derivatives from the jet
-        q = 0.5 * np.einsum("pc,pc->p", f, f)
-        qg = np.einsum("pc,pic->pi", f, d1)
-        qh = np.einsum("pic,pjc->pij", d1, d1) + np.einsum("pc,pijc->pij", f, d2)
-        m = self.dim
-        values = np.zeros((p, m))
-        values[:, 0] = -q
-        values[:, 1] = 1.0
-        values[:, 2:] = f
-        nd1 = np.zeros((p, n, m))
-        nd1[:, :, 0] = -qg
-        nd1[:, :, 2:] = d1
-        nd2 = np.zeros((p, n, n, m))
-        nd2[:, :, :, 0] = -qh
-        nd2[:, :, :, 2:] = d2
-        return ImmersionJet(jet.chart, self.ambient, values, nd1, nd2, source=jet.source)
+        return ImmersionJet.from_components(self.chart(jet.components()), jet.chart,
+                                            self.ambient, jet.source)
 
 
 # ---------------------------------------------------------------------------
@@ -134,27 +124,6 @@ def scalar_jet(values: np.ndarray, chart: ChartGrid) -> Jet3:
     """Jets of a sampled scalar field, derivatives by grid stencils."""
     d1, d2 = scalar_fd_jets(np.asarray(values, dtype=float), chart)
     return Jet3(np.asarray(values, dtype=float), d1, d2, nvars=chart.ndim)
-
-
-def scale_jet(jet: ImmersionJet, s: Jet3) -> ImmersionJet:
-    """Jet of the pointwise product s(x) F(x) by the Leibniz rule."""
-    f, d1, d2 = jet.values, jet.d1, jet.d2
-    values = s.v[:, None] * f
-    nd1 = s.g[:, :, None] * f[:, None, :] + s.v[:, None, None] * d1
-    sym_sg = s.g[:, :, None, None] * d1[:, None, :, :]
-    nd2 = (
-        s.h[:, :, :, None] * f[:, None, None, :]
-        + sym_sg
-        + sym_sg.transpose(0, 2, 1, 3)
-        + s.v[:, None, None, None] * d2
-    )
-    return ImmersionJet(jet.chart, jet.ambient, values, nd1, nd2, source="assembled")
-
-
-def _pair_with(jet: ImmersionJet, vector: np.ndarray) -> Jet3:
-    """Jets of the scalar <F(x), w> for a constant ambient vector w."""
-    w = jet.ambient.gram @ np.asarray(vector, dtype=float)
-    return Jet3(jet.values @ w, jet.d1 @ w, jet.d2 @ w, nvars=jet.n)
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +153,9 @@ def isometric_representative(
         if float(np.max(np.abs(factor.v - phi))) > tol * float(np.max(np.abs(phi))):
             raise NotConformal("supplied factor jets disagree with the metric ratio")
     model = LightConeModel(jet.ambient.dim)
-    lifted = model.lift_jet(jet)
     mu = factor.reciprocal()
-    out = scale_jet(lifted, mu)
-    if jet.source == "closed-form":
-        out.source = "assembled"
-    return out, factor
+    comps = [mu * c for c in model.chart(jet.components())]
+    return ImmersionJet.from_components(comps, jet.chart, model.ambient, "assembled"), factor
 
 
 def cone_projection(jet: ImmersionJet) -> ImmersionJet:
@@ -197,21 +163,15 @@ def cone_projection(jet: ImmersionJet) -> ImmersionJet:
 
     The rescaling <g,e0>^{-1} g lands on the isometric copy of R^N inside
     the cone; reading off the orthonormal components gives the projection.
+    In the null-pair basis G e0 = e1, so <g,e0> is the component g^1.
     """
     model = LightConeModel.for_ambient(jet.ambient)
-    s = _pair_with(jet, model.e0)
-    if np.any(s.v <= RAY_TOL):
+    comps = jet.components()
+    if np.any(comps[1].v <= RAY_TOL):
         raise OnExceptionalRay("pairing with the null generator is not positive on the grid")
-    w = scale_jet(jet, s.reciprocal())
-    ambient = ScalarProduct.euclidean(model.n_euclidean)
-    return ImmersionJet(
-        jet.chart,
-        ambient,
-        w.values[:, 2:].copy(),
-        w.d1[:, :, 2:].copy(),
-        w.d2[:, :, :, 2:].copy(),
-        source="assembled",
-    )
+    inv = comps[1].reciprocal()
+    return ImmersionJet.from_components([inv * c for c in comps[2:]], jet.chart,
+                                        ScalarProduct.euclidean(model.n_euclidean), "assembled")
 
 
 def position_identities(fund: FundamentalData) -> dict:
