@@ -17,13 +17,14 @@ from confpair.jets import (
 from confpair.extension import (
     _brackets,
     _extended_jet,
+    _norm_sq_jet,
     extension_obstruction,
     generate_conformal_pair,
     ruled_extension,
     transversality_check,
     verify_extension,
 )
-from confpair.lightcone import LightConeModel
+from confpair.lightcone import LightConeModel, cone_projection
 from confpair.pair_pipeline import TransferData, analyze_pair
 
 E5 = ScalarProduct.euclidean(5)
@@ -512,6 +513,74 @@ def test_brackets_name_the_first_line_short_of_the_branch():
         brackets_by_line(s_lines, taxis, 1)
     with pytest.raises(NoIntersection, match="line 1: found 1 roots, branch 1 requested"):
         _brackets(s_lines, taxis, 1)
+
+
+def chain_rule_restriction(mapping, lorentz, data, axis):
+    """The slice jets of `mapping` with the chain rule written out through the
+    inclusion's jets: the reference for the slicer's Jet3 composition.  The
+    implicit-function jets of the root come from the squared norm as in the
+    slicer."""
+    pts = np.insert(data.slice_chart.points(), axis, data.roots, axis=1)
+    s = _norm_sq_jet(lorentz.evaluate(pts), lorentz.ambient.gram)
+    n_plus = pts.shape[1]
+    others = [i for i in range(n_plus) if i != axis]
+    s_t = s.g[:, axis]
+    t_u = -s.g[:, others] / s_t[:, None]
+    hess = s.h
+    t_uu = -(
+        hess[:, others][:, :, others]
+        + np.einsum("pi,pj->pij", hess[:, others][:, :, axis], t_u)
+        + np.einsum("pi,pj->pij", t_u, hess[:, others][:, :, axis])
+        + hess[:, axis, axis][:, None, None] * np.einsum("pi,pj->pij", t_u, t_u)
+    ) / s_t[:, None, None]
+    n = n_plus - 1
+    incl_d1 = np.zeros((len(pts), n_plus, n))
+    incl_d2 = np.zeros((len(pts), n_plus, n, n))
+    for col, i in enumerate(others):
+        incl_d1[:, i, col] = 1.0
+    incl_d1[:, axis, :] = t_u
+    incl_d2[:, axis, :, :] = t_uu
+    comps = mapping.evaluate(pts)
+    values = np.stack([c.v for c in comps], axis=-1)
+    dfull = np.stack([c.g for c in comps], axis=-1)
+    d2full = np.stack([c.h for c in comps], axis=-1)
+    d1 = np.einsum("pAm,pAi->pim", dfull, incl_d1)
+    d2 = np.einsum("pABm,pAi,pBj->pijm", d2full, incl_d1, incl_d1) + np.einsum(
+        "pAm,pAij->pijm", dfull, incl_d2)
+    return ImmersionJet(data.slice_chart, mapping.ambient, values, d1, d2, source="assembled"), t_uu
+
+
+# t = x1 is cut where w = x1 - q(x2, x3) vanishes or equals -2 x2, so both
+# branches of the slice are curved graphs with t_uu = Hess q (or -Hess q)
+CURVED_Q = "(0.3*x2*x2 + 0.2*x2*x3 - 0.4*x3*x3)"
+CURVED_LORENTZ = {"expr": ["-0.5*(x2*x2 + x3*x3)", "1", f"x2 + x1 - {CURVED_Q}", "x3"],
+                  "chart_dim": 3, "ambient": {"dim": 4, "lightcone": True}}
+CURVED_LEFT = {"expr": ["cos(x2)", "sin(x2)", "x3", f"x1 - {CURVED_Q} + 2*x2"], "chart_dim": 3}
+
+
+@pytest.mark.parametrize("name", ["curved", "degenerate-pair", "degenerate-extension"])
+def test_slice_jets_match_the_chain_rule_through_the_inclusion(name):
+    if name == "curved":
+        left, lorentz = build_immersion(CURVED_LEFT), build_immersion(CURVED_LORENTZ)
+        chart, axis = ChartGrid((9, 5, 5), (0.5, 0.05, 0.05), (-3.0, 0.8, -0.1)), 0
+    else:
+        gen, grid = MANIFESTS[name]["generator"], MANIFESTS[name]["grid"]
+        left, lorentz = build_immersion(gen["left"]), build_immersion(gen["lorentz"])
+        chart = ChartGrid(tuple(grid["shape"]), tuple(grid["spacing"]), tuple(grid["origin"]))
+        axis = gen["axis"]
+    data = generate_conformal_pair(left, lorentz, chart, axis=axis, branch=0, cfg=CFG)
+    want_left, t_uu = chain_rule_restriction(left, lorentz, data, axis)
+    want_lift, _ = chain_rule_restriction(lorentz, lorentz, data, axis)
+    if name == "curved":
+        assert float(np.min(np.abs(t_uu))) > 0.1  # the zero set is curved everywhere
+    want_projected = cone_projection(want_lift)
+    for got, want in ((data.left, want_left), (data.projected, want_projected)):
+        for part in ("values", "d1", "d2"):
+            a, b = getattr(got, part), getattr(want, part)
+            if name == "curved":  # the two sum the chain rule's terms in other orders
+                assert np.max(np.abs(a - b)) <= 2 * np.finfo(float).eps * np.max(np.abs(b)), part
+            else:
+                assert np.array_equal(a, b), part
 
 
 def test_generated_pair_feeds_degenerate_pipeline():

@@ -101,6 +101,50 @@ def test_stencil_jets_reuse_the_first_derivatives(monkeypatch):
     assert np.array_equal(jet.d2[:, 0, 1, 0], d2[:, 0, 1])
 
 
+def per_component_copy(fn, chart, ambient):
+    """`ImmersionJet.from_function` as a loop that copies one component at a
+    time into zeroed C-ordered arrays: the reference for `from_components`."""
+    xs = jet3.variables(chart.points())
+    p, n, m = chart.npoints, chart.ndim, ambient.dim
+    values, d1, d2 = np.zeros((p, m)), np.zeros((p, n, m)), np.zeros((p, n, n, m))
+    for c, comp in enumerate(fn(xs)):
+        if not isinstance(comp, jet3.Jet3):
+            comp = jet3.constant(comp, xs[0])
+        values[:, c], d1[:, :, c], d2[:, :, :, c] = comp.v, comp.g, comp.h
+    return values, d1, d2
+
+
+FUNCTIONS = {
+    "sphere3": (gallery.sphere(3), ChartGrid((5, 5, 5), (0.05,) * 3, (0.7, 0.4, 0.2))),
+    "pad(cylinder)": (gallery.pad(gallery.cylinder(3), extra=2), ChartGrid((5, 4, 3), (0.04,) * 3,
+                                                                          (0.1, -0.1, 0.0))),
+    "psi-lift(torus)": (gallery.psi_lift(gallery.torus()), ChartGrid((6, 5), (0.03, 0.03),
+                                                                    (0.3, 0.2))),
+    "constants": (jets.ImmersionMap("constants", 2, E3, lambda xs: [1.0, -0.0, 2.5]), grid2(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_from_function_matches_the_per_component_copy_byte_for_byte(name):
+    imap, chart = FUNCTIONS[name]
+    jet = ImmersionJet.from_function(imap.fn, chart, imap.ambient)
+    for got, want in zip((jet.values, jet.d1, jet.d2), per_component_copy(imap.fn, chart,
+                                                                           imap.ambient)):
+        assert got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_components_round_trip_through_from_components():
+    jet = gallery.sphere(3).jet(ChartGrid((5, 5, 5), (0.05,) * 3, (0.7, 0.4, 0.2)))
+    comps = jet.components()
+    assert len(comps) == jet.m and all(np.shares_memory(c.v, jet.values) for c in comps)
+    again = ImmersionJet.from_components(comps, jet.chart, jet.ambient, jet.source)
+    for part in ("values", "d1", "d2"):
+        assert getattr(again, part).tobytes() == getattr(jet, part).tobytes()
+    with pytest.raises(ValueError, match="returned 2 components for ambient dim 4"):
+        ImmersionJet.from_components(comps[:2], jet.chart, jet.ambient, jet.source)
+
+
 def test_plane_has_identity_metric_and_zero_alpha():
     jet = ImmersionJet.from_function(plane_fn, grid2(), E3)
     g = induced_metric(jet)

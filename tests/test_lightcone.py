@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
+from confpair import gallery, jet3
 from confpair.errors import OnExceptionalRay
 from confpair.indefinite_linalg import ScalarProduct
 from confpair.jets import (
@@ -91,6 +91,26 @@ def test_lift_jet_is_isometric_and_on_cone():
     g_before = induced_metric(jet)
     g_after = induced_metric(lifted)
     assert np.max(np.abs(g_before - g_after)) < 1e-13
+
+
+LIFTED_MAPS = {
+    "torus": gallery.torus(),
+    "sphere3": gallery.sphere(3),
+    "inversion(cylinder)": gallery.inversion(gallery.cylinder(2), center=[0.0, 0.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFTED_MAPS))
+def test_lift_jet_of_a_sampled_jet_is_the_psi_lift_jet_bit_for_bit(name):
+    # one cone-chart formula: lifting the sampled jet runs the same Jet3
+    # arithmetic as evaluating psi-lift of the closed form
+    imap = LIFTED_MAPS[name]
+    chart = gallery.default_chart(imap)
+    lifted = LightConeModel(imap.ambient.dim).lift_jet(imap.jet(chart))
+    want = gallery.psi_lift(imap).jet(chart)
+    assert lifted.ambient == want.ambient and lifted.source == want.source
+    for part in ("values", "d1", "d2"):
+        assert getattr(lifted, part).tobytes() == getattr(want, part).tobytes(), part
 
 
 def test_isometric_representative_with_trivial_factor():
