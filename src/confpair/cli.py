@@ -94,6 +94,15 @@ def _build_grid(spec: dict, where: str = "grid") -> ChartGrid:
                      tuple(float(o) for o in origin))
 
 
+def _chart_axes(axes, n: int, where: str) -> list[int]:
+    """`axes` if it is a list of distinct chart axes, ints (not bools) in [0, n)."""
+    if not (isinstance(axes, list)
+            and all(isinstance(a, int) and not isinstance(a, bool) and 0 <= a < n for a in axes)
+            and len(set(axes)) == len(axes)):
+        raise ManifestError(where, f"expected distinct chart axes in [0, {n}), got {axes!r}")
+    return axes
+
+
 def _jet_from_spec(spec: dict, grid: ChartGrid, where: str):
     """Immersion jet from a spec: closed form, or an inline value table."""
     if isinstance(spec, dict) and "table" in spec:
@@ -301,7 +310,10 @@ def _run_single(doc: dict, cfg: PipelineConfig):
     if "lightcone_identities" in chk_spec:
         opts = chk_spec["lightcone_identities"]
         dim = int(opts.get("dim", 4))
-        count = int(opts.get("points", 1000))
+        count = opts.get("points", 1000)
+        if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
+            raise ManifestError("checks.lightcone_identities.points",
+                                f"expected a positive number of sample points, got {count!r}")
         thr = float(opts.get("threshold", 1e-12))
         model = LightConeModel(dim)
         amb = model.ambient
@@ -358,11 +370,11 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         checks.append(_check("fd_agreement", res, thr))
 
     if "ruled" in doc:
-        axes = doc["ruled"].get("axes", [])
-        dist = coordinate_distribution(fund, list(axes))
+        axes = _chart_axes(doc["ruled"].get("axes", []), grid.ndim, "ruled.axes")
+        dist = coordinate_distribution(fund, axes)
         verdict = is_conformally_ruled(fund, dist)
         results["conformally_ruled"] = {
-            "axes": list(axes),
+            "axes": axes,
             "ruled": verdict.ruled,
             "umbilic_residual": verdict.umbilic_residual,
             "bracket_residual": verdict.bracket_residual_max,
@@ -384,6 +396,8 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             }
         results["nullity"] = table
         for s_str, expected in doc.get("expect", {}).get("nu", {}).items():
+            if s_str not in table:
+                raise ManifestError("expect.nu", f"s = {s_str} is not among nullity.s_values {svals}")
             checks.append(_expect(f"nullity.s{s_str}", table[s_str]["max"], expected))
 
     if doc.get("rigidity_q") is not None:
@@ -400,12 +414,16 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         if imap is None:
             raise ManifestError("transfer", "needs a closed-form immersion")
         opts = doc["transfer"]
-        base_map = build_immersion(opts["base"], where="transfer.base")
+        base_map = build_immersion(_require(opts, "base", dict, "transfer"), where="transfer.base")
+        axes = _chart_axes(opts.get("ruling_axes", [0]), grid.ndim, "transfer.ruling_axes")
         base_jet = base_map.jet(grid)
         factor = imap.factor_jets(grid.points())
-        data = sff_transfer_check(fund, base_jet, list(opts.get("ruling_axes", [0])), factor, cfg=cfg)
+        data = sff_transfer_check(fund, base_jet, axes, factor, cfg=cfg)
         results["transfer_dictionary"] = _jsonable(data.residuals)
         for key, thr in opts.get("thresholds", {}).items():
+            if key not in data.residuals:
+                raise ManifestError("transfer.thresholds", f"unknown residual {key!r}; the "
+                                    f"dictionary reports {sorted(data.residuals)}")
             checks.append(_check(f"transfer.{key}", data.residuals[key], float(thr)))
 
     return results, checks, None
@@ -433,10 +451,9 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
     lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
                                   where="generator.lorentz")
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-    data = generate_conformal_pair(
-        left_map, lorentz_map, grid,
-        axis=int(gen.get("axis", 0)), branch=int(gen.get("branch", 0)), cfg=cfg,
-    )
+    (axis,) = _chart_axes([gen.get("axis", 0)], grid.ndim, "generator.axis")
+    data = generate_conformal_pair(left_map, lorentz_map, grid, axis=axis,
+                                   branch=int(gen.get("branch", 0)), cfg=cfg)
     lift = isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
     results = {
         "left": left_map.name,
@@ -516,7 +533,7 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         p = fl.metric.shape[0]
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
-        axes = [int(a) for a in tspec.get("ruling_axes", [])]
+        axes = _chart_axes(tspec.get("ruling_axes", []), jf.n, "transfer.ruling_axes")
         rul = coordinate_distribution(fl, axes).basis
         data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
         inputs = {**names, "branch": "hand-built transfer"}

@@ -153,6 +153,8 @@ def congruence(of: ImmersionMap, seed: int = 1, shift=None) -> ImmersionMap:
     rng = np.random.default_rng(int(seed))
     q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     sh = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
+    if sh.shape != (m,):
+        raise ValueError(f"congruence shift needs {m} components, got shape {sh.shape}")
 
     def fn(xs):
         comps = of.fn(xs)
@@ -169,6 +171,8 @@ def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
     """Embed into a larger Euclidean ambient by appending zero components."""
     if of.ambient.index != 0:
         raise ManifestError("pad.of", "padding expects a Euclidean ambient")
+    if extra < 0:
+        raise ValueError(f"pad needs extra >= 0 components, got {extra}")
 
     def fn(xs):
         comps = of.fn(xs)
@@ -252,8 +256,7 @@ def build_immersion(spec: dict, where: str = "immersion") -> ImmersionMap:
             inner_spec = params.pop("of", None)
             if inner_spec is None:
                 raise ManifestError(f"{where}.params.of", f"wrapper {name!r} needs an inner immersion")
-            inner = build_immersion(inner_spec, where=f"{where}.params.of")
-            return GALLERY[name](inner, **params)
+            params["of"] = build_immersion(inner_spec, where=f"{where}.params.of")
         try:
             return GALLERY[name](**params)
         except (TypeError, ValueError) as exc:

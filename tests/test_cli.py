@@ -563,3 +563,71 @@ def test_shared_flat_normal_needs_one_ambient_on_both_sides(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["analyze", str(path), "--output", str(tmp_path / "out.json")]) == 1
     assert "manifest error: transfer.shared_flat_normal" in capsys.readouterr().err
+
+
+def _gallery_doc(name, **changes):
+    """A copy of gallery manifest `name` with (dotted path, value) changes."""
+    doc = json.loads(json.dumps(MANIFESTS[name]))
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = doc
+        for parent in parents:
+            node = node.setdefault(parent, {})
+        node[key] = value
+    return doc
+
+
+BAD_AXES = [[7], [-1], [1, 1], [True], [0.5], 1]
+
+
+@pytest.mark.parametrize("name, key, axes", [
+    *[("cylinder-nullity", "ruled.axes", axes) for axes in BAD_AXES],
+    *[("cylinder-inversion-transfer", "transfer.ruling_axes", axes)
+      for axes in ([5], [9], [-1], [1, 1], [False], "0")],
+    *[("flat-extension", "transfer.ruling_axes", axes) for axes in BAD_AXES],
+    *[("degenerate-extension", "generator.axis", axis) for axis in (9, 5, -1, True, 0.0)],
+])
+def test_chart_axes_outside_the_chart_are_manifest_errors(name, key, axes):
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_gallery_doc(name, **{key: axes}))
+    assert err.value.path == key
+    assert "distinct chart axes in [0, " in str(err.value)
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"builtin": "psi-lift", "params": {"of": {"builtin": "plane"}, "tilt": 1.0}}, "tilt"),
+    ({"builtin": "inversion", "params": {"of": {"builtin": "cylinder"}}}, "center"),
+    ({"builtin": "congruence", "params": {"of": {"builtin": "sphere"}, "shift": [1.0]}},
+     "shift needs 3 components"),
+    ({"builtin": "congruence", "params": {"of": {"builtin": "sphere"}, "seed": "a"}}, "'a'"),
+    ({"builtin": "pad", "params": {"of": {"builtin": "cylinder"}, "extra": -1}}, "extra >= 0"),
+])
+def test_wrapper_params_are_manifest_errors(spec, message):
+    with pytest.raises(ManifestError) as err:
+        run_manifest({"analysis": "single", "immersion": spec,
+                      "grid": {"shape": [5, 5], "spacing": [0.04, 0.04], "origin": [0.9, 0.7]}})
+    assert err.value.path == "immersion.params"
+    assert message in str(err.value)
+
+
+def test_pad_by_zero_is_its_argument():
+    report, code = run_manifest({
+        "analysis": "single",
+        "immersion": {"builtin": "pad", "params": {"of": {"builtin": "cylinder"}, "extra": 0}},
+        "grid": {"shape": [5, 5], "spacing": [0.04, 0.04], "origin": [0.1, -0.1]}})
+    assert code == 0 and report["results"]["codimension"] == 1
+
+
+@pytest.mark.parametrize("name, key, value, path", [
+    ("cylinder-nullity", "expect.nu", {"1": 2, "2": 1}, "expect.nu"),
+    ("cylinder-inversion-transfer", "transfer", {"ruling_axes": [1]}, "transfer.base"),
+    ("cylinder-inversion-transfer", "transfer.thresholds", {"sff": 1e-7}, "transfer.thresholds"),
+    ("psi-invariants", "checks.lightcone_identities.points", 0,
+     "checks.lightcone_identities.points"),
+    ("psi-invariants", "checks.lightcone_identities.points", True,
+     "checks.lightcone_identities.points"),
+])
+def test_missing_or_unknown_keys_are_manifest_errors(name, key, value, path):
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_gallery_doc(name, **{key: value}))
+    assert err.value.path == path
