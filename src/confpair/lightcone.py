@@ -12,6 +12,12 @@ cone-valued immersion back recovers a Euclidean representative of its
 conformal class.  This module implements those maps on whole 2-jets, plus
 the residual checks that tie the second fundamental forms of the two
 pictures together.
+
+Every jet-level map is `Jet3` arithmetic on the components of the jet
+(`ImmersionJet.components`): the lift applies `LightConeModel.chart`, the
+one spelling of the cone chart, the rescaling multiplies each component by
+the factor's jet, and the projection divides by the component <F, e0>.  The
+Leibniz and chain rules live in `jet3` alone.
 """
 
 from __future__ import annotations
