@@ -88,7 +88,8 @@ def conformal_sff(fund: FundamentalData, dist: DistributionFrame, cfg: PipelineC
     paired = np.einsum("pau,pabt->pubt", dist.basis, beta)  # (P, d, n, k)
     resid = 0.0
     if ell < k:
-        proj = frames @ np.linalg.pinv(frames)  # (P, k, k)
+        span = bases[:, :, :ell]  # orthonormal, with the span of `frames`
+        proj = span @ np.swapaxes(span, 1, 2)  # (P, k, k)
         resid = float(np.max(np.abs(paired - paired @ np.swapaxes(proj, 1, 2)[:, None]), initial=0.0))
     return ConformalSFF(dist, eta, beta, frames, ell, resid)
 

@@ -138,7 +138,9 @@ def extension_obstruction(data: TransferData, cfg: PipelineConfig) -> Obstructio
     rul_emb[:, :n, :] = data.rulings
     r_dim = max(s_dim - d, 0)
     dq, rq = delta[pts], rul_emb[pts]
-    rul_gap = float(np.max(np.abs(rq - (dq @ np.linalg.pinv(dq)) @ rq), initial=0.0))
+    # the kernel's orthonormal basis spans what its aligned frames span
+    kq = kers[:, :, :s_dim]
+    rul_gap = float(np.max(np.abs(rq - kq @ (kq.transpose(0, 2, 1) @ rq)), initial=0.0))
     fib_ranks, fib = complement_stack(rq, dq, mixed_eps, tol)
     fiber_spans = np.zeros((p, n + ell, r_dim))
     fiber_spans[pts] = np.where(np.arange(fib.shape[2]) < fib_ranks[:, None, None], fib, 0.0)[:, :, :r_dim]
@@ -257,9 +259,8 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     out: dict = {"fiber_rank": r, "radius": pair.radius}
 
     # isometric extension: induced metrics agree on the tube
-    gl = induced_metric(pair.left)
-    gr = induced_metric(pair.right)
-    out["metric_agreement"] = float(np.max(np.abs(gl - gr)))
+    fund_l, fund_r = fundamental_data(pair.left, cfg), fundamental_data(pair.right, cfg)
+    out["metric_agreement"] = float(np.max(np.abs(fund_l.metric - fund_r.metric)))
 
     # zero section and straight fibers
     zero_slice = pair.left.values[(pf - 1) // 2::pf]
@@ -268,7 +269,6 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
         float(np.max(np.abs(grid_derivative(pair.left.values, pair.left.chart, n + k, order=2))))
         for k in range(r)), default=0.0)
 
-    fund_l, fund_r = fundamental_data(pair.left, cfg), fundamental_data(pair.right, cfg)
     gram_l = pair.left.ambient.gram
     gram_r = pair.right.ambient.gram
 
@@ -302,10 +302,12 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     lh_tube = np.zeros((p_ext, fund_r.normal_rank, 0))
     pat_tube = ()
     if out["tube_bundle_rank"] == r_tube:
-        lf_tube, pat_tube, _ = align_frames(
-            _normal_columns(fund_l, amb_l), np.diag(fund_l.normal_eps), pair.left.chart.shape, tol=1e-7,
-            cfg=cfg,
-        )
+        # ranked at 1e-7 with each point's columns beyond its rank zeroed, so
+        # that a rank drop fails the sweep's constant-rank check
+        ranks, basis = span_stack(_normal_columns(fund_l, amb_l), 1e-7)
+        basis = np.where(np.arange(r_tube) < ranks[:, None, None], basis[:, :, :r_tube], 0.0)
+        lf_tube, pat_tube, _ = align_frames(basis, np.diag(fund_l.normal_eps), pair.left.chart.shape,
+                                            tol=1e-7, cfg=cfg)
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The
         # tube points over one base point are a run of pf consecutive points.
@@ -320,15 +322,15 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     out["tube_compatibility"] = verify_compatibility(tube)
 
     # kernel identity: the lifted kernel equals the joint nullity against the
-    # complements of the tube bundles
+    # complements of the tube bundles, whose first `null` columns are right
+    # singular vectors, orthonormal as they come
     null, ker = joint_nullity([(fund_l.alpha, fund_l.normal_eps, lf_tube),
                                (fund_r.alpha, fund_r.normal_eps, lh_tube)], cfg, 1.0)
-    ker_ranks, ker = by_class(lambda k: span_stack(k, cfg.rank_tol), [(null, ker)])
     # compare in frame coordinates of the tube
     lift_ranks, lift_span = span_stack(lift_frame, cfg.rank_tol)
     out["kernel_identity_gap"] = max(
         float(np.max(gap_stack(ker[idx][:, :, :a], lift_span[idx][:, :, :b])))
-        for (a, b), idx in rank_classes(ker_ranks, lift_ranks)
+        for (a, b), idx in rank_classes(null, lift_ranks)
     )
 
     # ruledness: the second fundamental forms of the tube vanish on the kernel

@@ -367,6 +367,9 @@ def christoffel(jet: ImmersionJet, metric: np.ndarray | None = None) -> np.ndarr
 # own max |I - Z Y| <= _ROOT_STOP (each step squares it; at once where it is NaN) or after
 # _ROOT_STEPS, so its frame does not depend on the other points of the fit
 _ROOT_STOP, _ROOT_STEPS = 1e-8, 60
+# `align_frames` takes a fiber's columns as orthonormal-or-zero when max |B^T B - I_r (+) 0| is
+# at most this; an SVD or QR basis meets it to roundoff, a raw vector almost never
+_ORTHONORMAL_TOL = 1e-10
 
 
 def _seed_frame(span: np.ndarray, gram: np.ndarray, tol: float, seed: int):
@@ -504,20 +507,22 @@ def align_frames(
 ):
     """Seed-anchored pseudo-orthonormal frames of a pointwise subbundle.
 
-    spans: (P, m, s) spanning vectors per point (columns; s >= rank).
+    spans: (P, m, s) bases per point, orthonormal-or-zero: at each masked
+    point the first columns are dot-orthonormal and the rest are zero, so
+    the caller's rank decision is the count of unit columns.  The bases of
+    `span_stack`, `kernel_stack`, `complement_stack` and `image_stack`, cut
+    to their width and zeroed beyond each point's rank, are such; raw
+    vectors are not.  One stacked B^T B checks the contract at every
+    masked point (`_ORTHONORMAL_TOL`) and raises ValueError where it fails.
     gram: (m, m) or (P, m, m) ambient Gram.
     The seed (default: the masked point nearest the mask's centre) gets the
-    `_seed_frame` of its own span, which fixes the gauge of every frame.
-    The ranks and bases of all masked spans come from one `span_stack`
-    call at `tol` (default 10 `cfg.rank_tol`) and floor 0, the relative
-    rule, so a span of pure roundoff counts as full rank: callers pass
-    bases whose rank was decided at the data's own scale (the columns of
-    `span_stack`, `kernel_stack` or `complement_stack`, or their images in
-    unit frames), never raw vectors that may vanish.  Every masked fiber
-    then takes the G-projection of the seed frame and one `_polar_fit` over
-    all points turns it into a frame, gated at `cfg.align_floor`.  So each frame
-    depends on its fiber and the seed alone.  A seed fiber of rank 0 gives
-    zero-width frames and the pattern (), once every fiber has rank 0.
+    `_seed_frame` of its own span at `tol` (default 10 `cfg.rank_tol`),
+    which fixes the gauge of every frame.  Every masked fiber then takes the
+    G-projection of the seed frame, which does not depend on the basis of
+    the fiber, and one `_polar_fit` over all points turns it into a frame,
+    gated at `cfg.align_floor`.  So each frame depends on its fiber and the
+    seed alone.  A seed fiber of rank 0 gives zero-width frames and the
+    pattern (), once every fiber has rank 0.
     Returns (frames (P, m, k), pattern, smallest eigenvalue of the fit, 1.0
     for rank 0) with frames zero off-mask.
     """
@@ -531,7 +536,16 @@ def align_frames(
     if not mask[seed]:
         raise ValueError(f"seed {seed} lies outside the mask")
     tol = 10 * cfg.rank_tol if tol is None else tol
-    ranks, bases = span_stack(spans[mask], tol)
+    bases = spans[mask]
+    cross = bases.transpose(0, 2, 1) @ bases
+    unit = np.diagonal(cross, axis1=1, axis2=2) > 0.5
+    ranks = unit.sum(axis=1)
+    leading = np.arange(bases.shape[2]) < ranks[:, None]
+    broken = np.max(np.abs(cross - leading[:, :, None] * np.eye(bases.shape[2])), axis=(1, 2),
+                    initial=0.0) > _ORTHONORMAL_TOL
+    if broken.any():
+        raise ValueError(f"align_frames needs orthonormal-or-zero columns; grid point "
+                         f"{points[np.argmax(broken)]} has others")
     gram = np.asarray(gram)
     if gram.ndim == 3:
         gram_seed, gram = gram[seed], gram[points]

@@ -1,7 +1,10 @@
 import json
+import sys
 
+import numpy as np
 import pytest
 
+from confpair import cli, extension, pair_pipeline
 from confpair.cli import run_manifest
 from confpair.gallery import MANIFESTS
 
@@ -19,3 +22,58 @@ def gallery_reports():
         out[name] = {"report": report, "code": code, "blob": blob, "blob2": blob2,
                      "code2": code2}
     return out
+
+
+def _recorder(log: list, real):
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        log.append((args, kwargs, out))
+        return out
+    return recorded
+
+
+@pytest.fixture(scope="session")
+def degenerate_pair_region():
+    """The region builder (`pair_pipeline._Region`) of the degenerate-pair
+    manifest's one region, with every stage product it kept."""
+    regions = []
+    real = pair_pipeline._Region.state
+
+    def state(reg, notes):
+        regions.append(reg)
+        return real(reg, notes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pair_pipeline._Region, "state", state)
+        run_manifest(json.loads(json.dumps(MANIFESTS["degenerate-pair"])))
+    (reg,) = regions
+    return reg
+
+
+@pytest.fixture(scope="session")
+def degenerate_extension_run():
+    """One degenerate-extension run, recorded: (args, kwargs, result) of each
+    call of the obstruction, the extension and its check, of the `kernel_stack`,
+    `joint_nullity` and `align_frames` calls made in `extension`, and of the
+    `align_frames` calls of the pipeline's stages; under "pinv", the function
+    that made each `np.linalg.pinv` call."""
+    log = {name: [] for name in ("extension_obstruction", "ruled_extension", "verify_extension",
+                                 "kernel_stack", "joint_nullity", "align_frames",
+                                 "pipeline_align_frames", "pinv")}
+    real_pinv = np.linalg.pinv
+
+    def pinv(*args, **kwargs):
+        log["pinv"].append(sys._getframe(1).f_code.co_name)
+        return real_pinv(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("extension_obstruction", "ruled_extension", "verify_extension"):
+            mp.setattr(cli, name, _recorder(log[name], getattr(cli, name)))
+        for name in ("kernel_stack", "joint_nullity", "align_frames"):
+            mp.setattr(extension, name, _recorder(log[name], getattr(extension, name)))
+        mp.setattr(pair_pipeline, "align_frames",
+                   _recorder(log["pipeline_align_frames"], pair_pipeline.align_frames))
+        mp.setattr(np.linalg, "pinv", pinv)
+        log["report"], log["code"] = run_manifest(
+            json.loads(json.dumps(MANIFESTS["degenerate-extension"])))
+    return log

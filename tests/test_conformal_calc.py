@@ -120,6 +120,30 @@ def test_conformal_sff_on_cone_rulings():
     assert csff.ell == 0
 
 
+def test_conformal_sff_containment_projects_with_the_span_basis(monkeypatch, degenerate_pair_region):
+    # on the degenerate pair's left side, the span's orthonormal basis gives
+    # the projector that the pseudo-inverse of its swept frames gives
+    fund = degenerate_pair_region.joint.left
+    spans = []
+    real = conformal_calc.span_stack
+
+    def recorded(*args):
+        spans.append(real(*args))
+        return spans[-1]
+
+    monkeypatch.setattr(conformal_calc, "span_stack", recorded)
+    dist = coordinate_distribution(fund, [0, 1])
+    csff = conformal_sff(fund, dist, CFG)
+    assert (csff.ell, fund.normal_rank) == (1, 4)
+    ((_, bases),) = spans
+    span = bases[:, :, :1]
+    proj = csff.span_frames @ np.linalg.pinv(csff.span_frames)
+    assert np.max(np.abs(span @ np.swapaxes(span, 1, 2) - proj)) <= 1e-13
+    paired = np.einsum("pau,pabt->pubt", dist.basis, csff.beta)
+    containment = np.max(np.abs(paired - paired @ np.swapaxes(proj, 1, 2)[:, None]))
+    assert csff.nullity_containment == pytest.approx(containment, abs=1e-13)
+
+
 def test_is_conformally_ruled_verdicts():
     cyl = cylinder3_jet()
     fund = fundamental_data(cyl, CFG)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from confpair import jet3
-from confpair.errors import NoIntersection, NotTransversal
+from confpair import extension, jet3
+from confpair.errors import FrameAlignmentFailure, NoIntersection, NotTransversal
 from confpair.gallery import MANIFESTS, build_immersion
-from confpair.indefinite_linalg import ScalarProduct
+from confpair.indefinite_linalg import ScalarProduct, by_class, gap_stack, rank_classes, span_stack
 from confpair.jets import (
     ChartGrid,
     ImmersionJet,
@@ -620,3 +620,62 @@ def test_transversality_fails_at_a_tangency_point():
     others = np.ones(grid.npoints, dtype=bool)
     others[origin] = False
     assert rep["transversal"][others].all()
+
+
+# -- the bases in hand: degenerate-extension, recorded once ------------------
+
+
+def test_rulings_inside_kernel_projects_with_the_kernel_basis(degenerate_extension_run):
+    # the kernel's right singular vectors span what its swept frames span
+    (_, _, obs), = degenerate_extension_run["extension_obstruction"]
+    _, _, (dims, kers) = degenerate_extension_run["kernel_stack"][0]
+    pts = np.flatnonzero(obs.data.mask)
+    assert kers.shape[0] == len(pts) and set(dims.tolist()) == {obs.s} == {4}
+    basis, frames = kers[:, :, :obs.s], obs.delta[pts]
+    proj = frames @ np.linalg.pinv(frames)
+    assert np.max(np.abs(basis @ np.swapaxes(basis, 1, 2) - proj)) <= 1e-13
+    n = obs.data.left.metric.shape[1]
+    rulings = np.zeros((len(pts), frames.shape[1], obs.data.rulings.shape[2]))
+    rulings[:, :n] = obs.data.rulings[pts]
+    gap = np.max(np.abs(rulings - proj @ rulings))
+    assert obs.residuals["rulings_inside_kernel"] == pytest.approx(gap, abs=1e-13)
+
+
+def test_kernel_identity_takes_the_joint_nullity_basis_as_it_comes(degenerate_extension_run):
+    # re-spanning the kernel's orthonormal columns finds the same ranks and spans
+    _, _, (null, ker) = degenerate_extension_run["joint_nullity"][-1]
+    ranks, respanned = by_class(lambda k: span_stack(k, CFG.rank_tol), [(null, ker)])
+    assert np.array_equal(ranks, null) and set(null.tolist()) == {4}
+    for (a,), idx in rank_classes(null):
+        assert np.max(gap_stack(ker[idx][:, :, :a], respanned[idx][:, :, :a])) <= 1e-13
+
+
+def test_tube_metric_agreement_reads_the_tube_fundamental_data(degenerate_extension_run):
+    (_, _, pair), = degenerate_extension_run["ruled_extension"]
+    (_, _, report), = degenerate_extension_run["verify_extension"]
+    gap = float(np.max(np.abs(induced_metric(pair.left) - induced_metric(pair.right))))
+    assert report["metric_agreement"] == gap
+
+
+def test_degenerate_extension_takes_a_pseudo_inverse_only_to_identify(degenerate_extension_run):
+    assert degenerate_extension_run["code"] == 0
+    assert set(degenerate_extension_run["pinv"]) == {"_identify"}
+
+
+def test_tube_bundle_rank_drop_fails_the_sweep(monkeypatch):
+    # the tube bundle's columns beyond each point's rank are zeroed before the
+    # sweep, so a point where the bundle loses a direction fails its rank check
+    _, data = padded_surface_transfer()
+    pair = ruled_extension(extension_obstruction(data, CFG))
+    real = extension.kernel_stack
+
+    def dropped(rows, tol, floor):
+        null, coeffs = real(rows, tol, floor)
+        if tol == 1e-7:  # the tube bundle's coefficient kernel
+            null[7] -= 1
+        return null, coeffs
+
+    monkeypatch.setattr(extension, "kernel_stack", dropped)
+    with pytest.raises(FrameAlignmentFailure,
+                       match="^fiber rank 0 != 1 inside a constant-rank region at grid point 7$"):
+        verify_extension(pair, CFG)

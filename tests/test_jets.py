@@ -690,7 +690,9 @@ def test_swept_frames_commute_with_ambient_isometries():
     assert np.max(np.abs(iso.T @ gram @ iso - gram)) <= 1e-14
     assert 1.5 <= np.max(np.abs(iso)) <= 2.0
     frames, pattern, lam = align_frames(spans, gram, chart.shape, cfg=CFG)
-    moved, moved_pattern, moved_lam = align_frames(iso @ spans, gram, chart.shape, cfg=CFG)
+    # like every caller, hand the sweep an orthonormal basis of each moved fiber
+    moved_spans = span_stack(iso @ spans, 10 * CFG.rank_tol)[1]
+    moved, moved_pattern, moved_lam = align_frames(moved_spans, gram, chart.shape, cfg=CFG)
     assert moved_pattern == pattern
     # the gate reads the spectrum of A, which L leaves alone
     assert moved_lam == pytest.approx(lam, abs=1e-12)
@@ -825,7 +827,7 @@ def test_fundamental_data_fits_every_frame_in_one_call(monkeypatch, imap):
     assert count[0] <= 7
 
 
-def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
+def test_align_frames_spans_only_the_seed_fiber(monkeypatch):
     chart = ChartGrid((100, 100), (0.005, 0.005), (-0.25, -0.25))
     jet = gallery.psi_lift(gallery.plane(2, 1)).jet(chart)
     calls = []
@@ -837,9 +839,71 @@ def test_align_frames_ranks_all_fibers_in_one_span_stack_call(monkeypatch):
     monkeypatch.setattr(jets, "span_stack", counted)
     fits = count_fits(monkeypatch)
     align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
-    # one stacked call for every fiber; the seed frame's own span is the only other
-    assert calls == [(chart.npoints, jet.m, jet.codim), (jet.m, jet.codim)]
+    # the fibers come ranked: the seed frame's own span is the only call
+    assert calls == [(jet.m, jet.codim)]
     assert fits == [chart.npoints]
+
+
+def parent_align(spans, gram, shape, mask=None, seed=None, tol=None, *, cfg):
+    """The sweep that ranks every masked fiber in one stacked `span_stack`
+    and fits the seed frame's G-projection onto its bases: the reference
+    for `align_frames`, which takes the caller's bases as they come."""
+    mask = np.ones(spans.shape[0], dtype=bool) if mask is None else mask
+    points = np.flatnonzero(mask)
+    seed = central_point(shape, mask) if seed is None else seed
+    tol = 10 * cfg.rank_tol if tol is None else tol
+    ranks, bases = span_stack(spans[mask], tol)
+    gram = np.asarray(gram)
+    gram_seed, gram = (gram[seed], gram[points]) if gram.ndim == 3 else (gram, gram)
+    frame0, pattern = _seed_frame(spans[seed], gram_seed, tol, seed)
+    k = frame0.shape[1]
+    assert (ranks == k).all()
+    if k == 0:
+        return np.zeros((len(mask), spans.shape[1], 0)), (), 1.0
+    fiber = bases[:, :, :k]
+    fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
+    y = fiber @ np.linalg.solve(fiber_t_gram @ fiber, fiber_t_gram @ frame0)
+    frames = np.zeros((len(mask), spans.shape[1], k))
+    frames[points], lam = jets._polar_fit(points, y, gram, pattern, tol, cfg.align_floor)
+    return frames, pattern, lam
+
+
+def test_align_frames_matches_the_stacked_span_sweep_on_caller_bases(degenerate_extension_run):
+    # on the orthonormal bases that the pipeline's stages, the kernel, the
+    # fiber complement and the tube bundle hand over, taking the columns as
+    # given moves a frame by roundoff only, and keeps its pattern
+    calls = degenerate_extension_run["pipeline_align_frames"] + degenerate_extension_run["align_frames"]
+    # the shared span, matched part, transfer bundle and rulings; the kernel,
+    # its fiber part and the tube's empty bundle
+    assert [args[0].shape[2] for args, _, _ in calls] == [2, 2, 2, 2, 4, 2, 0]
+    for args, kw, (frames, pattern, lam) in calls:
+        ref_frames, ref_pattern, ref_lam = parent_align(*args, **kw)
+        assert pattern == ref_pattern
+        assert np.max(np.abs(frames - ref_frames), initial=0.0) <= 1e-13
+        assert lam == pytest.approx(ref_lam, abs=1e-13)
+
+
+def test_align_frames_matches_the_stacked_span_sweep_on_normal_spans():
+    chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
+    for imap in (gallery.pad(gallery.sphere(2), extra=2), gallery.psi_lift(gallery.sphere(2))):
+        jet = imap.jet(chart)
+        frames, pattern, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
+        ref_frames, ref_pattern, _ = parent_align(normal_spans(jet), jet.ambient.gram, chart.shape,
+                                                  cfg=CFG)
+        assert pattern == ref_pattern
+        assert np.max(np.abs(frames - ref_frames)) <= 1e-13
+
+
+@pytest.mark.parametrize("spans", [
+    np.array([[[1.0], [1.0], [0.0]]]),                 # a column of norm sqrt 2
+    np.array([[[1.0, 0.6], [0.0, 0.8], [0.0, 0.0]]]),  # unit columns at 53 degrees
+    np.array([[[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]]]),  # a zero column before a unit one
+    np.array([[[0.5], [0.0], [0.0]]]),                 # neither unit nor zero
+])
+def test_align_frames_refuses_columns_that_are_not_orthonormal_or_zero(spans):
+    with pytest.raises(ValueError, match="^align_frames needs orthonormal-or-zero columns; "
+                                         "grid point 0 has others$"):
+        align_frames(spans, np.eye(3), (1,), cfg=CFG)
 
 
 def stacked_svd_inputs(monkeypatch):
