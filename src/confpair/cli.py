@@ -94,6 +94,20 @@ def _build_grid(spec: dict, where: str = "grid") -> ChartGrid:
                      tuple(float(o) for o in origin))
 
 
+def _non_negative_int(value, where: str) -> int:
+    """`value` if it is a non-negative int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ManifestError(where, f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _tolerance(value, where: str) -> float:
+    """`value` as a float if it is a number (not a bool) in (0, 1e-3]; NaN is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1e-3:
+        raise ManifestError(where, f"{where} must lie in (0, 1e-3], got {value!r}")
+    return float(value)
+
+
 def _chart_axes(axes, n: int, where: str) -> list[int]:
     """`axes` if it is a list of distinct chart axes, ints (not bools) in [0, n)."""
     if not (isinstance(axes, list)
@@ -452,8 +466,8 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
                                   where="generator.lorentz")
     grid = _build_grid(_require(doc, "grid", dict, "manifest"))
     (axis,) = _chart_axes([gen.get("axis", 0)], grid.ndim, "generator.axis")
-    data = generate_conformal_pair(left_map, lorentz_map, grid, axis=axis,
-                                   branch=int(gen.get("branch", 0)), cfg=cfg)
+    branch = _non_negative_int(gen.get("branch", 0), "generator.branch")
+    data = generate_conformal_pair(left_map, lorentz_map, grid, axis=axis, branch=branch, cfg=cfg)
     lift = isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
     results = {
         "left": left_map.name,
@@ -583,11 +597,12 @@ def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = N
     kind = _require(doc, "analysis", str, "manifest")
     if kind not in _RUNNERS:
         raise ManifestError("analysis", f"unknown analysis kind {kind!r}")
-    tol = float(tolerance if tolerance is not None else doc.get("tolerance", PipelineConfig.rank_tol))
-    if not (0.0 < tol <= 1e-3):
-        raise ManifestError("tolerance", "tolerance must lie in (0, 1e-3]")
-    cfg = PipelineConfig(rank_tol=tol, fd_tol=float(doc.get("fd_tolerance", PipelineConfig.fd_tol)),
-                         seed=int(seed if seed is not None else doc.get("seed", PipelineConfig.seed)))
+    tol = tolerance if tolerance is not None else doc.get("tolerance", PipelineConfig.rank_tol)
+    cfg = PipelineConfig(
+        rank_tol=_tolerance(tol, "tolerance"),
+        fd_tol=_tolerance(doc.get("fd_tolerance", PipelineConfig.fd_tol), "fd_tolerance"),
+        seed=_non_negative_int(doc.get("seed", PipelineConfig.seed) if seed is None else seed, "seed"),
+    )
 
     canonical = json.dumps(doc, sort_keys=True).encode()
     results, checks, csv_rows = _RUNNERS[kind](doc, cfg)  # csv_rows: None, or builds the rows

@@ -631,3 +631,37 @@ def test_missing_or_unknown_keys_are_manifest_errors(name, key, value, path):
     with pytest.raises(ManifestError) as err:
         run_manifest(_gallery_doc(name, **{key: value}))
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("seed", "a", "expected a non-negative integer, got 'a'"),
+    ("seed", True, "expected a non-negative integer, got True"),
+    ("seed", 1.0, "expected a non-negative integer, got 1.0"),
+    ("seed", -1, "expected a non-negative integer, got -1"),
+    ("tolerance", "x", "tolerance must lie in (0, 1e-3], got 'x'"),
+    ("tolerance", True, "tolerance must lie in (0, 1e-3], got True"),
+    ("fd_tolerance", "x", "fd_tolerance must lie in (0, 1e-3], got 'x'"),
+    *[("fd_tolerance", value, f"fd_tolerance must lie in (0, 1e-3], got {value!r}")
+      for value in (-1, 0, 1, float("nan"), 0.01)],
+])
+def test_run_keys_of_the_wrong_type_or_range_are_manifest_errors(key, value, message):
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_gallery_doc("flat-pair", **{key: value}))
+    assert err.value.path == key
+    assert message in str(err.value)
+
+
+def test_run_keys_in_range_are_recorded():
+    report, code = run_manifest(_gallery_doc("cylinder-nullity", seed=7, tolerance=1e-3,
+                                             fd_tolerance=1e-3))
+    assert code == 0
+    assert {key: report["provenance"][key] for key in ("seed", "tolerance", "fd_tolerance")} == {
+        "seed": 7, "tolerance": 1e-3, "fd_tolerance": 1e-3}
+
+
+@pytest.mark.parametrize("branch", [-1, 1.5, "a", True])
+def test_generator_branch_must_be_a_non_negative_int(branch):
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_gallery_doc("degenerate-extension", **{"generator.branch": branch}))
+    assert err.value.path == "generator.branch"
+    assert f"expected a non-negative integer, got {branch!r}" in str(err.value)
