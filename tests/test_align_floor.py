@@ -7,7 +7,7 @@ them."""
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "confpair"
+from sources import PACKAGE, parse, walk
 
 
 def _name(call: ast.Call):
@@ -34,7 +34,7 @@ def defaulted_configs(trees) -> list[str]:
     """Names of the public functions whose `cfg` has a default."""
     found = []
     for tree in trees:
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             args = node.args
@@ -50,11 +50,11 @@ def calls_without_config(sources: dict[str, str]) -> list[str]:
     """`file:line` of each call, by name or as an attribute, of a function
     that takes `cfg` and is not given it, and `file:name` of each public
     function whose `cfg` has a default."""
-    trees = {name: ast.parse(text, filename=name) for name, text in sources.items()}
+    trees = {name: parse(text, name) for name, text in sources.items()}
     takers = config_positions(trees.values())
     found = []
     for filename, tree in trees.items():
-        for node in ast.walk(tree):
+        for node in walk(tree):
             if not isinstance(node, ast.Call) or _name(node) not in takers:
                 continue
             index = takers[_name(node)]

@@ -12,12 +12,12 @@ indices at once; with `optimize=True` it contracts pairwise (Smith & Gray,
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "confpair"
+from sources import PACKAGE, parse, walk
 
 
 def _einsum_calls(source: str, filename: str):
     """`np.einsum`/`numpy.einsum` calls of a source text."""
-    for node in ast.walk(ast.parse(source, filename=filename)):
+    for node in walk(parse(source, filename)):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         func = node.func

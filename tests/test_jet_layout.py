@@ -5,14 +5,14 @@ confpair reads a jet's stored rows (`_g`, `_h`) or builds a jet from rows
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from sources import PACKAGE, parse, walk
+
 PRIVATE = {"_g", "_h", "_rows"}
 
 
 def layout_reads(source: str, filename: str = "<source>") -> list[str]:
     """`file:line:attr` of each attribute access to a private jet slot."""
-    tree = ast.parse(source, filename=filename)
-    nodes = [node for node in ast.walk(tree)
+    nodes = [node for node in walk(parse(source, filename))
              if isinstance(node, ast.Attribute) and node.attr in PRIVATE]
     nodes.sort(key=lambda node: (node.lineno, node.col_offset))
     return [f"{Path(filename).name}:{node.lineno}:{node.attr}" for node in nodes]
@@ -20,7 +20,7 @@ def layout_reads(source: str, filename: str = "<source>") -> list[str]:
 
 def test_only_jet3_reads_the_point_last_layout():
     found = []
-    for path in sorted((ROOT / "src" / "confpair").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         if path.name != "jet3.py":
             found += layout_reads(path.read_text(), str(path))
     assert found == []

@@ -6,8 +6,7 @@ points are referenced from tests alone."""
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = ROOT / "src" / "confpair"
+from sources import PACKAGE, ROOT, parse_file, walk
 
 
 def _references(tree: ast.AST, modules: set[str]):
@@ -15,7 +14,7 @@ def _references(tree: ast.AST, modules: set[str]):
     package module (`jets.x`) and every import alias in a module.  A
     dataclass field or an attribute of some other object that shares a
     public function's name is not a reference to it."""
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -30,20 +29,26 @@ def public_name_callers(package: Path, tests: Path) -> dict[str, set[Path]]:
     """Every public top-level function and class of the package, with the
     files that reference it outside its own body."""
     files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
     modules = {path.stem for path in package.glob("*.py")}
-    refs = {path: list(_references(tree, modules)) for path, tree in trees.items()}
+    refs = _by_name((path, ref) for path in files for ref in _references(parse_file(path), modules))
     callers = {}
     for path in sorted(package.glob("*.py")):
-        for node in trees[path].body:
+        for node in parse_file(path).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
             own = range(node.lineno, node.end_lineno + 1)
             callers[f"{path.stem}.{node.name}"] = {
-                other for other, found in refs.items()
-                if any(name == node.name and (other != path or line not in own) for name, line in found)
+                other for other, line in refs.get(node.name, []) if other != path or line not in own
             }
     return callers
+
+
+def _by_name(found) -> dict[str, list[tuple[Path, int]]]:
+    """(file, line) of each (file, (name, line)) found, grouped by name."""
+    out: dict[str, list[tuple[Path, int]]] = {}
+    for path, (name, line) in found:
+        out.setdefault(name, []).append((path, line))
+    return out
 
 
 def unreferenced_public_names(package: Path, tests: Path) -> list[str]:
@@ -98,13 +103,11 @@ def public_member_callers(package: Path, tests: Path) -> dict[str, set[Path]]:
     matched by name, so an attribute of another object with the same name
     counts as a reference."""
     files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in files}
-    reads = {path: [(node.attr, node.lineno) for node in ast.walk(tree)
-                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
-             for path, tree in trees.items()}
+    reads = _by_name((path, (node.attr, node.lineno)) for path in files for node in walk(parse_file(path))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     callers = {}
     for path in sorted(package.glob("*.py")):
-        for cls in ast.walk(trees[path]):
+        for cls in walk(parse_file(path)):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for node in cls.body:
@@ -112,9 +115,7 @@ def public_member_callers(package: Path, tests: Path) -> dict[str, set[Path]]:
                     continue
                 own = range(node.lineno, node.end_lineno + 1)
                 callers[f"{path.stem}.{cls.name}.{node.name}"] = {
-                    other for other, found in reads.items()
-                    if any(name == node.name and (other != path or line not in own)
-                           for name, line in found)
+                    other for other, line in reads.get(node.name, []) if other != path or line not in own
                 }
     return callers
 
@@ -167,7 +168,7 @@ def unset_defaults(package: Path, tests: Path, skip: tuple[str, ...] = ()) -> li
     files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
     calls: dict[str, list[ast.Call]] = {}
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for node in walk(parse_file(path)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
@@ -176,7 +177,7 @@ def unset_defaults(package: Path, tests: Path, skip: tuple[str, ...] = ()) -> li
     for path in sorted(package.glob("*.py")):
         if path.stem in skip:
             continue
-        for node in ast.parse(path.read_text()).body:
+        for node in parse_file(path).body:
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             args = node.args
@@ -220,11 +221,11 @@ def unread_fields(package: Path, tests: Path, skip: tuple[str, ...] = ()) -> lis
     names.  Reads inside the field's own class count; passing the field as
     a keyword when constructing the class does not."""
     files = sorted(package.glob("*.py")) + sorted(tests.glob("*.py"))
-    read = {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+    read = {node.attr for path in files for node in walk(parse_file(path))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     found = []
     for path in sorted(package.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+        for node in parse_file(path).body:
             if not (isinstance(node, ast.ClassDef) and node.name not in skip and any(
                     "dataclass" in ast.unparse(d) for d in node.decorator_list)):
                 continue

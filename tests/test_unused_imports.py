@@ -4,23 +4,23 @@ imports is read in that module or listed in its `__all__`."""
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from sources import PACKAGE, TESTS, parse, walk
 
 
 def unused_imports(source: str, filename: str = "<source>") -> list[str]:
     """`file:name` of each imported name that the module never loads (as a
     name or as the root of an attribute chain) and does not list in
     `__all__`.  `from __future__ import ...` binds no name and is skipped."""
-    tree = ast.parse(source, filename=filename)
+    tree = parse(source, filename)
     imported = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             # `import a.b` binds `a`; `from m import x as y` binds `y`
             imported += [alias.asname or alias.name.split(".")[0]
                          for alias in node.names if alias.name != "*"]
-    read = {node.id for node in ast.walk(tree)
+    read = {node.id for node in walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     for node in tree.body:
         if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
@@ -31,7 +31,7 @@ def unused_imports(source: str, filename: str = "<source>") -> list[str]:
 
 def test_no_module_imports_a_name_it_never_reads():
     found = []
-    for path in sorted((ROOT / "src" / "confpair").glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         found += unused_imports(path.read_text(), str(path))
     assert found == []
 

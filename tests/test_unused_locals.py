@@ -4,7 +4,8 @@ somewhere in that function or in a function nested inside it."""
 import ast
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from sources import PACKAGE, parse, walk
+
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
 
 
@@ -25,9 +26,9 @@ def unused_locals(source: str, filename: str = "<source>") -> list[str]:
     nor a function nested in it ever loads.  Names starting with an
     underscore, and names the function declares `global` or `nonlocal`, are
     exempt."""
-    tree = ast.parse(source, filename=filename)
+    tree = parse(source, filename)
     found = []
-    for func in ast.walk(tree):
+    for func in walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         own = list(_own_scope(func))
@@ -45,7 +46,7 @@ def unused_locals(source: str, filename: str = "<source>") -> list[str]:
 
 def test_no_function_assigns_a_local_it_never_reads():
     found = []
-    for path in sorted((ROOT / "src" / "confpair").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         found += unused_locals(path.read_text(), str(path))
     assert found == []
 
