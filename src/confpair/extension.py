@@ -74,6 +74,9 @@ FIBER_RADIUS_SHARE, MAX_SHRINK, FIBER_SAMPLES = 0.1, 6, 3
 # light-cone slicer: bisection width; slice-metric gap and squared-norm
 # gradient floor, both relative (`transversality_check` shares the floor)
 ROOT_TOL, SLICE_ISOMETRY_TOL, TRANSVERSALITY_TOL = 1e-12, 1e-6, 1e-6
+# the extension check's tube bundle: its coefficient kernel, the rank of
+# its columns and the seed of their sweep
+TUBE_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +291,7 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     # normal spaces, found as coefficient kernels against the tube tangents
     r_tube = max(ell - r, 0)
     out["tube_bundle_rank_expected"] = r_tube
-    null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], 1e-7, 1.0)  # (n + r, ell)
+    null, coeffs = kernel_stack(pair.left.d1 @ gram_l @ lf_amb[base], TUBE_TOL, 1.0)  # (n + r, ell)
     rank_seen = set(null.tolist())
     # the first min(null, r_tube) kernel directions at each point
     dirs = coeffs[:, :, :r_tube] * (np.arange(r_tube) < null[:, None])[:, None, :]
@@ -302,12 +305,12 @@ def verify_extension(pair: ExtensionPair, cfg: PipelineConfig) -> dict:
     lh_tube = np.zeros((p_ext, fund_r.normal_rank, 0))
     pat_tube = ()
     if out["tube_bundle_rank"] == r_tube:
-        # ranked at 1e-7 with each point's columns beyond its rank zeroed, so
-        # that a rank drop fails the sweep's constant-rank check
-        ranks, basis = span_stack(_normal_columns(fund_l, amb_l), 1e-7)
+        # ranked with each point's columns beyond its rank zeroed, so that
+        # a rank drop fails the sweep's constant-rank check
+        ranks, basis = span_stack(_normal_columns(fund_l, amb_l), TUBE_TOL)
         basis = np.where(np.arange(r_tube) < ranks[:, None, None], basis[:, :, :r_tube], 0.0)
         lf_tube, pat_tube, _ = align_frames(basis, np.diag(fund_l.normal_eps), pair.left.chart.shape,
-                                            tol=1e-7, cfg=cfg)
+                                            tol=TUBE_TOL, cfg=cfg)
         # transport the aligned left frames with the base identification: their
         # coordinates in the base transfer frames, realised on the right.  The
         # tube points over one base point are a run of pf consecutive points.

@@ -538,10 +538,9 @@ def align_frames(
     tol = 10 * cfg.rank_tol if tol is None else tol
     bases = spans[mask]
     cross = bases.transpose(0, 2, 1) @ bases
-    unit = np.diagonal(cross, axis1=1, axis2=2) > 0.5
-    ranks = unit.sum(axis=1)
-    leading = np.arange(bases.shape[2]) < ranks[:, None]
-    broken = np.max(np.abs(cross - leading[:, :, None] * np.eye(bases.shape[2])), axis=(1, 2),
+    ranks = (np.diagonal(cross, axis1=1, axis2=2) > 0.5).sum(axis=1)
+    leading = np.arange(bases.shape[2]) < ranks[:, None]  # B^T B = I_r (+) 0
+    broken = np.max(np.abs(cross - leading[:, None] * np.eye(bases.shape[2])), axis=(1, 2),
                     initial=0.0) > _ORTHONORMAL_TOL
     if broken.any():
         raise ValueError(f"align_frames needs orthonormal-or-zero columns; grid point "
@@ -560,6 +559,7 @@ def align_frames(
     fiber = bases[:, :, :k]
     fiber_t_gram = fiber.transpose(0, 2, 1) @ gram
     gf, rhs = fiber_t_gram @ fiber, fiber_t_gram @ frame0
+    gf[ranks < k] = np.eye(k)  # zero columns: the rank check reports these points first
     singular = np.zeros(len(points), dtype=bool)
     try:
         coeff = np.linalg.solve(gf, rhs)

@@ -671,7 +671,7 @@ def test_tube_bundle_rank_drop_fails_the_sweep(monkeypatch):
 
     def dropped(rows, tol, floor):
         null, coeffs = real(rows, tol, floor)
-        if tol == 1e-7:  # the tube bundle's coefficient kernel
+        if tol == extension.TUBE_TOL:  # the tube bundle's coefficient kernel
             null[7] -= 1
         return null, coeffs
 

@@ -883,17 +883,6 @@ def test_align_frames_matches_the_stacked_span_sweep_on_caller_bases(degenerate_
         assert lam == pytest.approx(ref_lam, abs=1e-13)
 
 
-def test_align_frames_matches_the_stacked_span_sweep_on_normal_spans():
-    chart = ChartGrid((9, 8), (0.04, 0.04), (0.9, 0.4))
-    for imap in (gallery.pad(gallery.sphere(2), extra=2), gallery.psi_lift(gallery.sphere(2))):
-        jet = imap.jet(chart)
-        frames, pattern, _ = align_frames(normal_spans(jet), jet.ambient.gram, chart.shape, cfg=CFG)
-        ref_frames, ref_pattern, _ = parent_align(normal_spans(jet), jet.ambient.gram, chart.shape,
-                                                  cfg=CFG)
-        assert pattern == ref_pattern
-        assert np.max(np.abs(frames - ref_frames)) <= 1e-13
-
-
 @pytest.mark.parametrize("spans", [
     np.array([[[1.0], [1.0], [0.0]]]),                 # a column of norm sqrt 2
     np.array([[[1.0, 0.6], [0.0, 0.8], [0.0, 0.0]]]),  # unit columns at 53 degrees
