@@ -318,7 +318,6 @@ class _Region:
         self.ranks: dict[str, np.ndarray] = {}     # product -> (B,) ranks
         self.arrays: dict[str, np.ndarray] = {}    # product -> (P, ...), zero off the region
         self.at: dict[str, np.ndarray] = {}        # product -> (B, m, rank) on the region
-        self.bases: dict[str, np.ndarray] = {}     # product -> its orthonormal (B, m, rank) basis
         self.patterns: dict[str, tuple] = {}
         self.residuals: dict[str, float] = {
             "metric_agreement": joint.metric_residual,
@@ -332,7 +331,7 @@ class _Region:
         """Keep a product of constant rank, swept by `align_frames` when asked."""
         k = int(ranks[0])
         full = np.zeros((self.p, padded.shape[1], k))
-        full[self.pts] = self.bases[product] = padded[:, :, :k]
+        full[self.pts] = padded[:, :, :k]
         pattern = ()
         if align:
             gram = np.diag(self.eps_l) if align == "normal" else np.eye(self.n)
@@ -444,9 +443,10 @@ def _shared_span(reg: _Region) -> dict:
 
 def _containment(reg: _Region):
     """Containment of the shared span in the shared part (structure check)."""
-    s_frames, sh_l = reg.at["shared_span"], reg.bases["shared_left"]
+    s_frames, sh_l = reg.at["shared_span"], reg.at["shared_left"]
     gap_s = 0.0
     if s_frames.shape[2] and sh_l.shape[2]:
+        # the parts stage does not align: sh_l is orthonormal, its projector sh_l sh_l^T
         gap_s = float(np.max(np.abs(s_frames - sh_l @ (_t(sh_l) @ s_frames))))
     elif s_frames.shape[2]:
         gap_s = 1.0
@@ -663,8 +663,8 @@ def _structural_checks(reg: _Region) -> dict:
             "passed": ruling_dim > 0 and sig_l[1] == 1 and sig_l[2] == 0,
         }
         # position vector sits inside the transfer bundle
-        lf, pos = reg.bases["transfer_bundle"], reg.pos_left[pts]
-        proj = (lf @ (_t(lf) @ pos[:, :, None]))[:, :, 0]
+        lf, pos = arr["transfer_bundle"][pts], reg.pos_left[pts]
+        proj = (lf @ np.linalg.solve(_t(lf) @ lf, _t(lf) @ pos[:, :, None]))[:, :, 0]
         res_pos = float(np.max(_norm(pos - proj)))
         # <alpha(Z, Z), position> = -|Z|^2 on the private nullity
         res_th0 = 0.0

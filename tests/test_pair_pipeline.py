@@ -375,20 +375,20 @@ def pinv_projector(frames):
     return frames @ np.linalg.pinv(frames)
 
 
-def test_region_projectors_are_their_orthonormal_bases_squared(degenerate_pair_region):
-    # the shared part and the transfer bundle keep the orthonormal bases of
-    # their stages, so Q Q^T is the projector that the pseudo-inverse of the
-    # bases, or of the swept frames, gives
+def test_region_projectors_match_the_pseudo_inverse(degenerate_pair_region):
+    # the parts stage keeps orthonormal bases, so the shared part's projector
+    # is Q Q^T; the swept transfer frames project through their Gram matrix
     reg = degenerate_pair_region
-    sh_l, s_frames = reg.bases["shared_left"], reg.at["shared_span"]
+    sh_l, s_frames = reg.at["shared_left"], reg.at["shared_span"]
     assert sh_l.shape[2] == s_frames.shape[2] == 2
     assert np.max(np.abs(sh_l @ np.swapaxes(sh_l, 1, 2) - pinv_projector(sh_l))) <= 1e-13
     containment = np.max(np.abs(s_frames - pinv_projector(sh_l) @ s_frames))
     assert reg.residuals["shared_span_containment"] == pytest.approx(containment, abs=1e-13)
-    lf = reg.bases["transfer_bundle"]
+    lf = reg.at["transfer_bundle"]
     assert lf.shape[2] == 2
-    proj = pinv_projector(reg.at["transfer_bundle"])
-    assert np.max(np.abs(lf @ np.swapaxes(lf, 1, 2) - proj)) <= 1e-13
+    lf_t = np.swapaxes(lf, 1, 2)
+    proj = pinv_projector(lf)
+    assert np.max(np.abs(lf @ np.linalg.solve(lf_t @ lf, lf_t) - proj)) <= 1e-13
     pos = reg.pos_left[reg.pts]
     position = np.max(np.linalg.norm(pos - (proj @ pos[:, :, None])[:, :, 0], axis=1))
     claim = pair_pipeline._structural_checks(reg)["position_in_transfer_bundle"]
