@@ -5,7 +5,8 @@ generate, extend), the immersions involved (gallery builtins, wrappers,
 closed-form expression lists or inline value tables), a chart grid,
 tolerances and a seed.  The pair-shaped kinds read their two sides through
 one stage: `left`/`right` specs, or a `generator` section that slices a
-Lorentz map with the light cone and lifts the projected side to the cone.
+Lorentz map with the light cone and takes the sliced map, which lies in the
+cone, as the right side.
 `pair` also lifts a conformal `right` side; `extend` does not, so its
 `left`/`right` pair must be isometric.
 The runner dispatches to the library, collects every residual next to its
@@ -67,8 +68,15 @@ __all__ = ["run_manifest", "main"]
 # ---------------------------------------------------------------------------
 
 
-def _require(doc: dict, key: str, types, where: str):
+_REQUIRED = object()
+
+
+def _require(doc: dict, key: str, types, where: str, default=_REQUIRED):
+    """doc[key] if it has one of `types`; `default` where the key is absent,
+    if one is given."""
     if key not in doc:
+        if default is not _REQUIRED:
+            return default
         raise ManifestError(f"{where}.{key}", "missing required field")
     val = doc[key]
     if not isinstance(val, types):
@@ -106,6 +114,11 @@ def _tolerance(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1e-3:
         raise ManifestError(where, f"{where} must lie in (0, 1e-3], got {value!r}")
     return float(value)
+
+
+def _threshold(opts: dict, where: str, default: float) -> float:
+    """The number under `opts["threshold"]`, or `default`."""
+    return float(_require(opts, "threshold", (int, float), where, default))
 
 
 def _chart_axes(axes, n: int, where: str) -> list[int]:
@@ -322,13 +335,14 @@ def _run_single(doc: dict, cfg: PipelineConfig):
     chk_spec = doc.get("checks", {})
 
     if "lightcone_identities" in chk_spec:
-        opts = chk_spec["lightcone_identities"]
-        dim = int(opts.get("dim", 4))
+        where = "checks.lightcone_identities"
+        opts = _require(chk_spec, "lightcone_identities", dict, "checks")
+        dim = _non_negative_int(opts.get("dim", 4), f"{where}.dim")
         count = opts.get("points", 1000)
         if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
             raise ManifestError("checks.lightcone_identities.points",
                                 f"expected a positive number of sample points, got {count!r}")
-        thr = float(opts.get("threshold", 1e-12))
+        thr = _threshold(opts, where, 1e-12)
         model = LightConeModel(dim)
         amb = model.ambient
         rng = np.random.default_rng(cfg.seed)
@@ -352,7 +366,8 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             checks.append(_check(f"lightcone.{key}", val, thr))
 
     if "position_identities" in chk_spec:
-        thr = float(chk_spec["position_identities"].get("threshold", 1e-8))
+        thr = _threshold(_require(chk_spec, "position_identities", dict, "checks"),
+                         "checks.position_identities", 1e-8)
         if not jet.ambient.pseudo_pair:
             raise ManifestError("checks.position_identities", "immersion is not cone-valued")
         res = position_identities(fund)
@@ -362,7 +377,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         checks.append(_check("position.shape_of_null_generator", res["shape_of_field"], thr))
 
     if "roundtrip" in chk_spec:
-        thr = float(chk_spec["roundtrip"].get("threshold", 1e-10))
+        thr = _threshold(_require(chk_spec, "roundtrip", dict, "checks"), "checks.roundtrip", 1e-10)
         if jet.ambient.pseudo_pair:
             back = cone_projection(jet)
             again, _ = isometric_representative(back, induced_metric(jet), cfg=cfg)
@@ -377,14 +392,16 @@ def _run_single(doc: dict, cfg: PipelineConfig):
     if "fd_agreement" in chk_spec:
         if imap is None:
             raise ManifestError("checks.fd_agreement", "needs a closed-form immersion")
-        thr = float(chk_spec["fd_agreement"].get("threshold", 1e-4))
+        thr = _threshold(_require(chk_spec, "fd_agreement", dict, "checks"),
+                         "checks.fd_agreement", 1e-4)
         fd_jet = imap.jet_fd(grid)
         res = float(np.max(np.abs(fd_jet.d2 - jet.d2)))
         results["fd_agreement"] = res
         checks.append(_check("fd_agreement", res, thr))
 
     if "ruled" in doc:
-        axes = _chart_axes(doc["ruled"].get("axes", []), grid.ndim, "ruled.axes")
+        ruled = _require(doc, "ruled", dict, "manifest")
+        axes = _chart_axes(ruled.get("axes", []), grid.ndim, "ruled.axes")
         dist = coordinate_distribution(fund, axes)
         verdict = is_conformally_ruled(fund, dist)
         results["conformally_ruled"] = {
@@ -393,12 +410,13 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             "umbilic_residual": verdict.umbilic_residual,
             "bracket_residual": verdict.bracket_residual_max,
         }
-        if "expect_ruled" in doc["ruled"]:
-            checks.append(_expect("conformally_ruled", verdict.ruled, doc["ruled"]["expect_ruled"]))
+        if "expect_ruled" in ruled:
+            checks.append(_expect("conformally_ruled", verdict.ruled, ruled["expect_ruled"]))
 
     if "nullity" in doc:
-        opts = doc["nullity"]
-        svals = [int(s) for s in opts.get("s_values", [1])]
+        opts = _require(doc, "nullity", dict, "manifest")
+        svals = [_non_negative_int(s, "nullity.s_values")
+                 for s in _require(opts, "s_values", list, "nullity", [1])]
         points = _nullity_points(opts.get("points", "center"), grid)
         table = {}
         for s in svals:
@@ -415,7 +433,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             checks.append(_expect(f"nullity.s{s_str}", table[s_str]["max"], expected))
 
     if doc.get("rigidity_q") is not None:
-        rep = rigidity_criterion(fund, int(doc["rigidity_q"]), cfg=cfg)
+        rep = rigidity_criterion(fund, _non_negative_int(doc["rigidity_q"], "rigidity_q"), cfg=cfg)
         results["rigidity"] = {
             "q": rep.q,
             "thresholds": _jsonable(rep.thresholds),
@@ -434,11 +452,13 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         factor = imap.factor_jets(grid.points())
         data = sff_transfer_check(fund, base_jet, axes, factor, cfg=cfg)
         results["transfer_dictionary"] = _jsonable(data.residuals)
-        for key, thr in opts.get("thresholds", {}).items():
+        thresholds = _require(opts, "thresholds", dict, "transfer", {})
+        for key in thresholds:
             if key not in data.residuals:
                 raise ManifestError("transfer.thresholds", f"unknown residual {key!r}; the "
                                     f"dictionary reports {sorted(data.residuals)}")
-            checks.append(_check(f"transfer.{key}", data.residuals[key], float(thr)))
+            checks.append(_check(f"transfer.{key}", data.residuals[key],
+                                 _require(thresholds, key, (int, float), "transfer.thresholds")))
 
     return results, checks, None
 
@@ -449,9 +469,10 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
 
     `left` and `right` specs go through `_jet_from_spec`: closed forms, `expr`
     lists and value tables, and the results name the sides.  A `generator`
-    section gives the light-cone slice pair, whose right side is the cone
-    lift of the projected side; the results then also describe the slice,
-    and the checks are its gates.
+    section gives the light-cone slice pair, whose right side is the
+    slicer's own restriction of the Lorentz map, the isometric cone lift of
+    the projected side; the results then also describe the slice, and the
+    checks are its gates.
     """
     if "generator" not in doc and doc["analysis"] != "generate":
         grid = _build_grid(_require(doc, "grid", dict, "manifest"))
@@ -468,7 +489,6 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
     (axis,) = _chart_axes([gen.get("axis", 0)], grid.ndim, "generator.axis")
     branch = _non_negative_int(gen.get("branch", 0), "generator.branch")
     data = generate_conformal_pair(left_map, lorentz_map, grid, axis=axis, branch=branch, cfg=cfg)
-    lift = isometric_representative(data.projected, induced_metric(data.left), cfg=cfg)[0]
     results = {
         "left": left_map.name,
         "lorentz": lorentz_map.name,
@@ -479,7 +499,7 @@ def _pair_inputs(doc: dict, cfg: PipelineConfig):
     }
     checks = [_check(key, data.diagnostics[key], 1e-6) for key in
               ("slice_metric_gap", "conformal_residual", "factor_vs_null_pairing")]
-    return results, checks, data.left, lift, None
+    return results, checks, data.left, data.lifted, None
 
 
 def _run_pair(doc: dict, cfg: PipelineConfig):

@@ -364,7 +364,7 @@ class SliceData:
     slice_chart: ChartGrid
     roots: np.ndarray            # (P_slice,) root parameter per slice point
     left: ImmersionJet           # the Euclidean immersion restricted to the slice
-    projected: ImmersionJet      # the cone projection of the sliced Lorentz map
+    lifted: ImmersionJet         # the Lorentz map restricted to the slice, in the cone
     conformal_factor: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
@@ -438,7 +438,10 @@ def generate_conformal_pair(
     what makes the projected pair conformal.  Full-chart isometry of the
     inputs is not required (the slice is where the construction lives), but
     the residual is reported.  The projected pair's conformality is gated
-    at `cfg.conformal_tol`.
+    at `cfg.conformal_tol`.  The result carries the restricted Lorentz map
+    itself as `lifted`: it lies in the cone and is isometric to the left
+    restriction, so it is the isometric cone lift of the projected side,
+    with the slicer's exact jets and no stencil of the conformal factor.
     """
     if not lorentz_map.ambient.pseudo_pair:
         raise ValueError("the second map must take values in a Lorentz ambient")
@@ -540,7 +543,7 @@ def generate_conformal_pair(
         slice_chart=slice_chart,
         roots=roots,
         left=left_slice,
-        projected=projected,
+        lifted=lifted_slice,
         conformal_factor=phi,
         diagnostics={
             "slice_metric_gap": slice_gap,

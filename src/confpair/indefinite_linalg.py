@@ -36,11 +36,17 @@ through its transpose) and forms no Gram matrix, because squaring would put
 a decision at a relative 1e-9 below roundoff.
 
 The metric kernels serve stacks of small symmetric matrices (the induced
-metric has n = 2 to 5) without LAPACK's cost per matrix: `cholesky_stack`
-gives L, L^-1 and a mask of positive pivots by loops over the matrix
-entries, each step over all points; `inverse_stack` builds L^-T L^-1 from
-them; `eigvalsh_stack` takes n = 1 and n = 2 in closed form, bit for bit
-LAPACK's own 2x2 rule, and n >= 3 through one stacked `eigvalsh`.
+metric has n = 2 to 5) without LAPACK's cost per matrix.  One point-last
+kernel, the unpivoted signed Cholesky factor R diag(signs) R^T = a (the
+LDL^T factor with R = L |D|^(1/2)), loops over the matrix entries, each step
+over all points: `signed_cholesky_stack` gives R, R^-1, the pivots' signs
+and a mask of nonzero finite pivots, for indefinite metrics too, and
+`cholesky_stack` is its all-positive case, bit for bit the Cholesky factor.
+Without pivoting an indefinite factor can grow, so its callers judge it by
+||R||_F^2, which bounds its backward error (Higham, ch. 10-11).
+`inverse_stack` builds L^-T L^-1 from the factor; `eigvalsh_stack` takes
+n = 1 and n = 2 in closed form, bit for bit LAPACK's own 2x2 rule, and
+n >= 3 through one stacked `eigvalsh`.
 
 Two helpers serve the whole package: `contract`, the one `np.einsum` of
 three or more operands, whose pairwise path is planned once per
@@ -436,23 +442,59 @@ def _point_first(t: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(t, -1, 0)).reshape(shape)
 
 
-def _cholesky_point_last(a: np.ndarray):
-    """`cholesky_stack` on a point-last (n, n, B) array: (L, L^-1, ok)."""
+def _signed_cholesky_point_last(a: np.ndarray):
+    """`signed_cholesky_stack` on a point-last (n, n, B) array: (R, R^-1,
+    signs (n, B), ok)."""
     n = a.shape[0]
     chol, inv = np.zeros_like(a), np.zeros_like(a)
+    signs = np.ones_like(a[0])
     ok = np.ones(a.shape[2:], dtype=bool)
     with np.errstate(all="ignore"):  # a failing entry is reported by ok
         for j in range(n):
-            pivot = a[j, j] - np.sum(chol[j, :j] ** 2, axis=0)
-            ok &= (pivot > 0) & (pivot < np.inf)  # NaN compares False
-            chol[j, j] = np.sqrt(np.where(ok, pivot, 1.0))
+            scaled = chol[j, :j] * signs[:j]  # R_jk s_k: R_jk itself where the signs are +1
+            pivot = a[j, j] - np.sum(chol[j, :j] * scaled, axis=0)
+            size = np.abs(pivot)
+            ok &= (size > 0) & (size < np.inf)  # NaN compares False
+            signs[j] = np.sign(pivot)
+            chol[j, j] = np.sqrt(np.where(ok, size, 1.0))
+            diag = chol[j, j] * signs[j]
             for i in range(j + 1, n):
-                chol[i, j] = (a[i, j] - np.sum(chol[i, :j] * chol[j, :j], axis=0)) / chol[j, j]
+                chol[i, j] = (a[i, j] - np.sum(chol[i, :j] * scaled, axis=0)) / diag
         for i in range(n):
             inv[i, i] = 1.0 / chol[i, i]
             for j in range(i):
                 inv[i, j] = -np.sum(chol[i, j:i] * inv[j:i, j], axis=0) / chol[i, i]
-    return chol, inv, ok
+    return chol, inv, signs, ok
+
+
+def signed_cholesky_stack(a: np.ndarray):
+    """Signed Cholesky factors of a (..., n, n) stack of symmetric matrices,
+    read from the lower triangle, with their inverses.
+
+    Returns (R, R^-1, signs (..., n), ok): lower-triangular R with
+    R diag(signs) R^T = a, which is the unpivoted LDL^T with
+    R = L |D|^(1/2) and signs = sign(D), its inverse by forward
+    substitution, and ok (...) where every pivot is nonzero and finite; R,
+    R^-1 and signs mean nothing where ok is False.  Without pivoting the
+    factor can grow: its backward error is bounded by gamma_{n+1} |R| |R^T|
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    ch. 10-11), whose norm is at most gamma_{n+1} ||R||_F^2, so a caller
+    judges the factor by ||R||_F^2, not by ||a||.  Where every sign is +1
+    this is the unblocked Cholesky column algorithm, and `cholesky_stack`
+    is that case bit for bit: multiplying by a sign of 1.0 is exact.  The
+    loops run over the matrix entries, each step over all points at once,
+    on a point-last copy so that every entry is one contiguous row.
+    """
+    a = np.asarray(a, dtype=float)
+    chol, inv, signs, ok = _signed_cholesky_point_last(_point_last(a))
+    batch = a.shape[:-2]
+    return (_point_first(chol, a.shape), _point_first(inv, a.shape),
+            np.ascontiguousarray(signs.T).reshape(batch + signs.shape[:1]), ok.reshape(batch))
+
+
+def _positive(signs: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Where a point-last signed factor is a Cholesky factor: every pivot positive."""
+    return ok & np.all(signs > 0, axis=0)
 
 
 def cholesky_stack(a: np.ndarray):
@@ -461,15 +503,14 @@ def cholesky_stack(a: np.ndarray):
 
     Returns (L, L^-1, ok): lower-triangular L with L L^T = a, its inverse
     by forward substitution, and ok (...) where every pivot is positive and
-    finite; L and L^-1 mean nothing where ok is False.  The factor is the
-    unblocked column algorithm, backward stable (Higham, "Accuracy and
-    Stability of Numerical Algorithms", ch. 10).  The loops run over the
-    matrix entries, each step over all points at once, on a point-last copy
-    so that every entry is one contiguous row.
+    finite; L and L^-1 mean nothing where ok is False.  This is the
+    all-positive case of `signed_cholesky_stack`, the unblocked column
+    algorithm, backward stable (Higham, ch. 10).
     """
     a = np.asarray(a, dtype=float)
-    chol, inv, ok = _cholesky_point_last(_point_last(a))
-    return _point_first(chol, a.shape), _point_first(inv, a.shape), ok.reshape(a.shape[:-2])
+    chol, inv, signs, ok = _signed_cholesky_point_last(_point_last(a))
+    return (_point_first(chol, a.shape), _point_first(inv, a.shape),
+            _positive(signs, ok).reshape(a.shape[:-2]))
 
 
 def inverse_stack(a: np.ndarray) -> np.ndarray:
@@ -478,7 +519,8 @@ def inverse_stack(a: np.ndarray) -> np.ndarray:
     other entries (indefinite ones)."""
     a = np.asarray(a, dtype=float)
     n = a.shape[-1]
-    _, inv, ok = _cholesky_point_last(_point_last(a))
+    _, inv, signs, ok = _signed_cholesky_point_last(_point_last(a))
+    ok = _positive(signs, ok)
     out = np.empty_like(inv)
     for i in range(n):
         for j in range(i + 1):  # (L^-T L^-1)_ij = sum over k >= i of L^-1_ki L^-1_kj

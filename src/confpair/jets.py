@@ -30,6 +30,7 @@ from .indefinite_linalg import (
     eigvalsh_stack,
     inverse_stack,
     kernel_stack,
+    signed_cholesky_stack,
     span_stack,
 )
 
@@ -188,9 +189,62 @@ def scalar_fd_jets(values: np.ndarray, grid: ChartGrid):
 
 
 # an immersion keeps its residual (sigma_n / sigma_1) above IMMERSION_TOL;
-# points whose Gram-eigenvalue ratio exceeds IMMERSION_SCREEN skip the SVD of
-# the residual, see `ImmersionJet.immersion_residual`
+# points that the Gram of d1 certifies above IMMERSION_SCREEN skip the SVD of
+# the residual, see `_immersion_ratios`
 IMMERSION_TOL, IMMERSION_SCREEN = 1e-7, 1e-3
+
+
+def _immersion_ratios(d1: np.ndarray) -> np.ndarray:
+    """Per point of a finite (P, n, m) differential: sigma_n / sigma_1, or a
+    lower bound of it that exceeds IMMERSION_SCREEN; 0 where sigma_1 = 0.
+
+    The Euclidean Gram A = d1 d1^T screens the points.  On 2-D charts its
+    eigenvalues come in closed form (`eigvalsh_stack`), within c u sigma_1^2
+    of sigma_i^2 (Weyl's inequality plus the backward stability of the
+    product and of the eigensolver; u is the unit roundoff and c a small
+    multiple of m n), so a ratio sqrt(lam_min / lam_max) above
+    IMMERSION_SCREEN = 1e-3 certifies sigma_2 / sigma_1 > 1e-3 sqrt(1 -
+    1e6 c u), above 1e-3 (1 - 1e-6) even for c u = 1e-12, and that ratio is
+    the point's value.
+
+    For n >= 3, `cholesky_stack` of A gives a bound instead.  Let t = tr A
+    as computed and s = 2 _METRIC_ROUNDOFF t.  The computed Gram is A + F
+    with ||F||_2 <= gamma_m t, and the factor has L L^T = A + F + E with
+    ||E||_2 <= gamma_{n+1} ||L||_F^2, about gamma_{n+1} t (Higham, ch. 10),
+    so lambda_min(A) >= 1 / ||L^-1||_2^2 - s/2 >= 1 / ||L^-1||_F^2 - s/2.
+    The computed L^-1 errs by about n u cond(L) relative (Higham, ch. 14),
+    and cond(L)^2 <= t ||L^-1||_2^2, so 1 / ||L^-1||_F^2 moves by at most
+    about 2 sqrt(n) u t, which the other half of s covers.  With
+    lambda_max(A) <= tr A (t to within gamma_m),
+    sqrt((1 / ||L^-1||_F^2 - s) / t) is a lower bound of
+    sqrt(lambda_min / lambda_max) = sigma_n / sigma_1; for n >= 3,
+    tr(A) tr(A^-1) >= cond(A) + 3 keeps it below by a relative 1 / cond(A)
+    or more, so the rounding of its last steps cannot lift it above.  Where
+    the bound exceeds IMMERSION_SCREEN it is the point's value: not the
+    ratio itself, but above the screen, and so above IMMERSION_TOL exactly
+    where the ratio is.
+
+    Every other point (at or below the screen, lam_max <= 0, or a pivot
+    that is not positive) gets its exact SVD ratio from `_svd`.
+    """
+    n = d1.shape[1]
+    gram = d1 @ d1.transpose(0, 2, 1)
+    with np.errstate(all="ignore"):
+        if n <= 2:
+            lam = eigvalsh_stack(gram)  # ascending
+            ratio = np.sqrt(lam[:, 0] / lam[:, -1])
+            screened = lam[:, -1] > 0
+        else:
+            _, inv, screened = cholesky_stack(gram)
+            trace = np.trace(gram, axis1=1, axis2=2)
+            lower = 1.0 / np.sum(inv * inv, axis=(1, 2)) - 2 * _METRIC_ROUNDOFF * trace
+            ratio = np.sqrt(lower / trace)
+    screened &= ratio > IMMERSION_SCREEN  # NaN compares False
+    if not screened.all():
+        sv = _svd(d1[~screened])  # (., n)
+        ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
+                                     where=sv[:, 0] > 0)
+    return ratio
 
 
 @dataclass
@@ -258,38 +312,19 @@ class ImmersionJet:
                 for c in range(self.m)]
 
     def immersion_residual(self) -> float:
-        """min over points of (n-th singular value / first); small means rank drop.
+        """min over points of (n-th singular value / first), or a certified
+        lower bound of it above IMMERSION_SCREEN (`_immersion_ratios`); small
+        means rank drop.
 
         A point whose differential vanishes (first singular value 0) or is
-        not finite has lost rank and counts as 0.
-
-        The eigenvalues of the Euclidean Gram d1 d1^T (`eigvalsh_stack`: in
-        closed form on 2-D charts, one stacked `eigvalsh` otherwise) screen
-        the points.  Computed eigenvalues lie within c u sigma_1^2 of
-        sigma_i^2 (Weyl's inequality plus the backward stability of the
-        product and of the eigensolver; u is the unit roundoff and c a small
-        multiple of m n).  A ratio sqrt(lam_min / lam_max) above
-        IMMERSION_SCREEN = 1e-3 therefore certifies
-        sigma_n / sigma_1 > 1e-3 sqrt(1 - 1e6 c u), above 1e-3 (1 - 1e-6)
-        even for c u = 1e-12, and that ratio is the point's residual.  Every
-        other point (ratio at or below the screen, not finite, or
-        lam_max <= 0) gets its exact SVD ratio from `_svd`.  The residual is
-        compared only with IMMERSION_TOL = 1e-7, four decades below the
-        screen, so each decision is the one the SVD ratios of all points give.
+        not finite has lost rank and counts as 0.  The residual is compared
+        only with IMMERSION_TOL = 1e-7, four decades below the screen, so each
+        decision is the one the SVD ratios of all points give.
         """
         if self._residual is None and not np.isfinite(self.d1).all():
             self._residual = 0.0  # kept from LAPACK, which fails on non-finite points
         if self._residual is None:
-            d1 = self.d1
-            lam = eigvalsh_stack(d1 @ d1.transpose(0, 2, 1))  # ascending
-            with np.errstate(all="ignore"):
-                ratio = np.sqrt(lam[:, 0] / lam[:, -1])
-            screened = (lam[:, -1] > 0) & (ratio > IMMERSION_SCREEN)  # NaN compares False
-            if not screened.all():
-                sv = _svd(d1[~screened])  # (., n)
-                ratio[~screened] = np.divide(sv[:, -1], sv[:, 0], out=np.zeros(len(sv)),
-                                             where=sv[:, 0] > 0)
-            self._residual = float(np.min(ratio))
+            self._residual = float(np.min(_immersion_ratios(self.d1)))
         return self._residual
 
     def require_immersion(self):
@@ -665,44 +700,64 @@ class FundamentalData:
 
 
 # the induced metric degenerates at a point where some eigenvalue (by
-# `eigvalsh`) has modulus below METRIC_DEGENERATE.  _METRIC_ROUNDOFF ||g||_F
-# bounds both the backward error of the unblocked Cholesky factor
-# (gamma_{n+1} n ||g||_2, Higham, ch. 10) and the error of each eigenvalue
-# that `eigvalsh` or `eigh` computes (a small multiple of n u ||g||_2), for
-# n up to about 10: generous for the n <= 5 of any chart.
+# `eigvalsh`) has modulus below METRIC_DEGENERATE.  _METRIC_ROUNDOFF ||R||_F^2
+# bounds the backward error of the unpivoted signed Cholesky factor
+# R diag(signs) R^T of g (gamma_{n+1} || |R| |R^T| ||_2, Higham, ch. 10-11),
+# and _METRIC_ROUNDOFF ||g||_F the error of each eigenvalue that `eigvalsh` or
+# `eigh` computes (a small multiple of n u ||g||_2), for n up to about 10:
+# generous for the n <= 5 of any chart.
 METRIC_DEGENERATE, _METRIC_ROUNDOFF = 1e-12, 1e3 * np.finfo(float).eps
 
 
 def _tangent_frames(metric: np.ndarray):
     """(pattern, frames C (P, n, n), inverses C^-1) of the induced metric g:
-    C^T g C = diag(pattern).  Raises NotImmersion where `eigvalsh` finds the
-    signature changing over the chart or some |lambda| below
-    METRIC_DEGENERATE, and only there.
+    C^T g C = diag(pattern), negative entries first.  Raises NotImmersion
+    where `eigvalsh` finds the signature changing over the chart or some
+    |lambda| below METRIC_DEGENERATE, and only there.
 
-    Definite charts take C = L^-T and C^-1 = L^T from `cholesky_stack`
-    (g = L L^T), with this certificate.  Let s = 2 _METRIC_ROUNDOFF ||g||_F.
-    Cholesky's backward error gives lambda_min(g) >= 1 / ||L^-1||_2^2 - s/2
-    >= 1 / ||L^-1||_F^2 - s/2, and `eigvalsh` lands within s/2 of
-    lambda_min(g).  So where every pivot is positive and
-    1 / ||L^-1||_F^2 >= 2 (METRIC_DEGENERATE + s), `eigvalsh` finds no
-    eigenvalue below METRIC_DEGENERATE; the factor 2 covers the error of the
-    computed L^-1, which is below 1e-8 relative there (c n u cond(L), with
-    cond(L)^2 < 1 / (4 _METRIC_ROUNDOFF)).  The points without that margin
-    are decided by `eigvalsh` itself.  A failed pivot, or a decision other
-    than "definite", sends the chart to one `eigh`: its frames are the
-    eigenvectors over sqrt|lambda| (signs fixed by their largest component),
-    and the points with an eigenvalue within s of 0 or of
+    A chart takes C = R^-T P and C^-1 = P^T R^T from `signed_cholesky_stack`
+    (g = R S R^T, S = diag(signs)), with P the permutation that puts the
+    negative signs first, where every pivot is nonzero, S is the same at
+    every point and this certificate holds.  Let s = 2 _METRIC_ROUNDOFF
+    ||R||_F^2.  The factor is exact for g + E with ||E||_2 <= s/2, and every
+    eigenvalue of R S R^T has modulus at least sigma_min(R)^2 = 1 /
+    ||R^-1||_2^2 >= 1 / ||R^-1||_F^2.  By Weyl's inequality every
+    eigenvalue of g lies within s/2 of one of R S R^T, so where
+    1 / ||R^-1||_F^2 > s/2 none crosses 0 between g + E and g, and g has
+    the inertia of S (Sylvester); ||g||_2 <= ||R||_F^2 + s/2, so `eigvalsh`
+    lands within about s/2 of each eigenvalue of g.  So where
+    1 / ||R^-1||_F^2 >= 2 (METRIC_DEGENERATE + s), `eigvalsh` finds no
+    |lambda| below METRIC_DEGENERATE and the signs of S; the factor 2 covers
+    the error of the computed R^-1, which is below 1e-8 relative there
+    (c n u cond(R), with cond(R)^2 <= ||R||_F^2 ||R^-1||_F^2 < 1 / (4
+    _METRIC_ROUNDOFF)).  The pattern is then eigh's, whose ascending
+    eigenvalues put the negative ones first too.
+
+    A definite factor is the Cholesky factor L, and ||L||_F^2 = tr g bounds
+    its backward error whatever the margin, so points of a definite chart
+    without the margin are decided by `eigvalsh` itself.  An indefinite
+    factor's growth ||R||_F^2 / ||g||_2 has no bound, so there a point
+    without the margin sends the chart to `eigh`, as does a failed pivot or
+    a pattern S that varies: its frames are the eigenvectors over
+    sqrt|lambda| (signs fixed by their largest component), and the points
+    with an eigenvalue within 2 _METRIC_ROUNDOFF ||g||_F of 0 or of
     +-METRIC_DEGENERATE are decided again by `eigvalsh`.
     """
-    n = metric.shape[1]
-    slack = 2 * _METRIC_ROUNDOFF * np.sqrt(np.sum(metric * metric, axis=(1, 2)))
-    chol, chol_inv, ok = cholesky_stack(metric)
-    if ok.all():
+    chol, chol_inv, signs, ok = signed_cholesky_stack(metric)
+    if ok.all() and np.all(signs == signs[:1]):
         with np.errstate(divide="ignore"):
             lower = 1.0 / np.sum(chol_inv * chol_inv, axis=(1, 2))
-        unsure = ~(lower >= 2 * (METRIC_DEGENERATE + slack))
-        if not unsure.any() or np.all(np.linalg.eigvalsh(metric[unsure]) >= METRIC_DEGENERATE):
-            return (1,) * n, chol_inv.transpose(0, 2, 1), chol.transpose(0, 2, 1)
+        growth = 2 * _METRIC_ROUNDOFF * np.sum(chol * chol, axis=(1, 2))
+        unsure = ~(lower >= 2 * (METRIC_DEGENERATE + growth))
+        definite = bool(np.all(signs > 0))
+        if not unsure.any() or (definite and np.all(np.linalg.eigvalsh(metric[unsure])
+                                                    >= METRIC_DEGENERATE)):
+            frame, inverse = chol_inv.transpose(0, 2, 1), chol.transpose(0, 2, 1)
+            if not definite:  # negative signs first
+                order = np.argsort(signs[0], kind="stable")
+                frame, inverse = frame[:, :, order], inverse[:, order, :]
+            return tuple(int(v) for v in np.sort(signs[0])), frame, inverse
+    slack = 2 * _METRIC_ROUNDOFF * np.sqrt(np.sum(metric * metric, axis=(1, 2)))
     lams, frames = np.linalg.eigh(metric)  # ascending eigenvalues
     vals = lams.copy()
     near = np.any((np.abs(lams) <= slack[:, None])

@@ -32,6 +32,24 @@ def _recorder(log: list, real):
     return recorded
 
 
+def record_jets_eigen(mp: pytest.MonkeyPatch, log: list):
+    """Append (solver, jets function) to `log` for each stacked `np.linalg.eigh`
+    or `eigvalsh` call made under a function of `confpair.jets`."""
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def recorded(a, *args, _real=real, _name=name, **kwargs):
+            if np.ndim(a) > 2:
+                frame = sys._getframe(1)
+                while frame is not None and frame.f_globals.get("__name__") != "confpair.jets":
+                    frame = frame.f_back
+                if frame is not None:
+                    log.append((_name, frame.f_code.co_name))
+            return _real(a, *args, **kwargs)
+
+        mp.setattr(np.linalg, name, recorded)
+
+
 @pytest.fixture(scope="session")
 def degenerate_pair_region():
     """The region builder (`pair_pipeline._Region`) of the degenerate-pair
@@ -56,10 +74,12 @@ def degenerate_extension_run():
     call of the obstruction, the extension and its check, of the `kernel_stack`,
     `joint_nullity` and `align_frames` calls made in `extension`, and of the
     `align_frames` calls of the pipeline's stages; under "pinv", the function
-    that made each `np.linalg.pinv` call."""
+    that made each `np.linalg.pinv` call; under "jets_eigen", (solver, jets
+    function) of each stacked `eigh` or `eigvalsh` call made under a
+    function of `jets`."""
     log = {name: [] for name in ("extension_obstruction", "ruled_extension", "verify_extension",
                                  "kernel_stack", "joint_nullity", "align_frames",
-                                 "pipeline_align_frames", "pinv")}
+                                 "pipeline_align_frames", "pinv", "jets_eigen")}
     real_pinv = np.linalg.pinv
 
     def pinv(*args, **kwargs):
@@ -74,6 +94,7 @@ def degenerate_extension_run():
         mp.setattr(pair_pipeline, "align_frames",
                    _recorder(log["pipeline_align_frames"], pair_pipeline.align_frames))
         mp.setattr(np.linalg, "pinv", pinv)
+        record_jets_eigen(mp, log["jets_eigen"])
         log["report"], log["code"] = run_manifest(
             json.loads(json.dumps(MANIFESTS["degenerate-extension"])))
     return log

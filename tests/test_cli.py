@@ -651,6 +651,28 @@ def test_run_keys_of_the_wrong_type_or_range_are_manifest_errors(key, value, mes
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("name, key, value, path, message", [
+    ("cylinder-nullity", "nullity.s_values", ["a"], "nullity.s_values",
+     "expected a non-negative integer, got 'a'"),
+    ("cylinder-nullity", "nullity.s_values", 1, "nullity.s_values", "got int"),
+    ("psi-invariants", "checks.lightcone_identities.dim", "a",
+     "checks.lightcone_identities.dim", "expected a non-negative integer, got 'a'"),
+    ("psi-invariants", "checks.roundtrip.threshold", "tiny", "checks.roundtrip.threshold",
+     "got str"),
+    ("cylinder-inversion-transfer", "transfer.thresholds.sff_dictionary", "tiny",
+     "transfer.thresholds.sff_dictionary", "got str"),
+    ("cylinder-nullity", "ruled", [1], "manifest.ruled", "got list"),
+    ("cylinder-nullity", "rigidity_q", 1.5, "rigidity_q", "expected a non-negative integer"),
+])
+def test_single_analysis_values_of_the_wrong_type_are_manifest_errors(name, key, value, path,
+                                                                      message):
+    # each once died as a bare ValueError or AttributeError of int(), float() or .get
+    with pytest.raises(ManifestError) as err:
+        run_manifest(_gallery_doc(name, **{key: value}))
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
 def test_run_keys_in_range_are_recorded():
     report, code = run_manifest(_gallery_doc("cylinder-nullity", seed=7, tolerance=1e-3,
                                              fd_tolerance=1e-3))

@@ -573,8 +573,7 @@ def test_slice_jets_match_the_chain_rule_through_the_inclusion(name):
     want_lift, _ = chain_rule_restriction(lorentz, lorentz, data, axis)
     if name == "curved":
         assert float(np.min(np.abs(t_uu))) > 0.1  # the zero set is curved everywhere
-    want_projected = cone_projection(want_lift)
-    for got, want in ((data.left, want_left), (data.projected, want_projected)):
+    for got, want in ((data.left, want_left), (data.lifted, want_lift)):
         for part in ("values", "d1", "d2"):
             a, b = getattr(got, part), getattr(want, part)
             if name == "curved":  # the two sum the chain rule's terms in other orders
@@ -589,8 +588,12 @@ def test_generated_pair_feeds_degenerate_pipeline():
                                    generator_chart(n), axis=0, branch=0, cfg=CFG)
     from confpair.lightcone import isometric_representative
 
-    jhat, _ = isometric_representative(data.projected, induced_metric(data.left), cfg=CFG)
-    analysis = analyze_pair(data.left, jhat, CFG)
+    # the slicer's lifted slice is the isometric cone lift of the projected side
+    jhat, _ = isometric_representative(cone_projection(data.lifted), induced_metric(data.left),
+                                       cfg=CFG)
+    assert data.lifted.ambient == jhat.ambient
+    assert np.max(np.abs(data.lifted.d2 - jhat.d2)) <= 1e-11 * np.max(np.abs(jhat.d2))
+    analysis = analyze_pair(data.left, data.lifted, CFG)
     assert len(analysis.regions) == 1
     st = analysis.regions[0]
     assert st.branch == "degenerate"
@@ -660,6 +663,13 @@ def test_tube_metric_agreement_reads_the_tube_fundamental_data(degenerate_extens
 def test_degenerate_extension_takes_a_pseudo_inverse_only_to_identify(degenerate_extension_run):
     assert degenerate_extension_run["code"] == 0
     assert set(degenerate_extension_run["pinv"]) == {"_identify"}
+
+
+def test_degenerate_extension_sends_no_stacked_eigen_solve_from_jets(degenerate_extension_run):
+    # the Lorentzian tube's tangent frames come from the signed Cholesky
+    # factor, and every immersion screen with n >= 3 from a Cholesky factor
+    assert degenerate_extension_run["code"] == 0
+    assert degenerate_extension_run["jets_eigen"] == []
 
 
 def test_tube_bundle_rank_drop_fails_the_sweep(monkeypatch):

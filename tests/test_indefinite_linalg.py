@@ -23,6 +23,7 @@ from confpair.indefinite_linalg import (
     rank_classes,
     row_classes,
     signature,
+    signed_cholesky_stack,
     span_stack,
 )
 
@@ -700,6 +701,55 @@ def test_cholesky_stack_flags_the_entries_without_positive_pivots():
     assert ok.tolist() == [True, False, True, False, False, True]
     indefinite = a[[0, 1, 2]]
     assert np.allclose(inverse_stack(indefinite) @ indefinite, np.eye(3), atol=1e-12)
+
+
+# the metric gate's threshold and roundoff unit (`jets.METRIC_DEGENERATE`, `jets._METRIC_ROUNDOFF`)
+METRIC_DEGENERATE, METRIC_ROUNDOFF = 1e-12, 1e3 * np.finfo(float).eps
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), exponent=st.integers(-6, 6),
+       spread=st.sampled_from([1.0, 1e3, 1e6, 1e9]), offdiag=st.sampled_from([0.3, 3.0, 30.0]))
+def test_signed_cholesky_is_certified_where_its_margin_holds(n, seed, exponent, spread, offdiag):
+    # g = R0 S R0^T for random signs S and lower-triangular R0 whose
+    # diagonal spans `spread` and whose off-diagonal entries reach `offdiag`
+    # (growth); the unpivoted factor recovers R0 S R0^T = g
+    rng = np.random.default_rng(seed)
+    size = 60
+    r0 = np.tril(rng.uniform(-offdiag, offdiag, size=(size, n, n)), -1)
+    r0 += spread ** rng.uniform(-0.5, 0.5, size=(size, n))[:, :, None] * np.eye(n)
+    signs0 = rng.choice([-1.0, 1.0], size=(size, n))
+    g = 10.0 ** exponent * (r0 * signs0[:, None, :]) @ r0.transpose(0, 2, 1)
+    chol, inv, signs, ok = signed_cholesky_stack(g)
+    assert np.array_equal(chol, np.tril(chol))
+    fro2 = np.sum(chol * chol, axis=(1, 2))
+    # the stated backward error: R S R^T reproduces g within _METRIC_ROUNDOFF ||R||_F^2
+    rebuilt = (chol * signs[:, None, :]) @ chol.transpose(0, 2, 1)
+    gap = np.max(np.abs(rebuilt - g), axis=(1, 2))
+    assert np.all(gap[ok] <= METRIC_ROUNDOFF * fro2[ok])
+    assert np.max(np.abs(inv @ chol - np.eye(n))[ok]) <= 1e-6
+    # where the certificate holds, the inertia is eigvalsh's, and no
+    # eigenvalue lies below the degenerate threshold
+    with np.errstate(divide="ignore"):
+        lower = 1.0 / np.sum(inv * inv, axis=(1, 2))
+    certified = ok & (lower >= 2 * (METRIC_DEGENERATE + 2 * METRIC_ROUNDOFF * fro2))
+    vals = np.linalg.eigvalsh(g[certified])
+    assert np.array_equal(np.sum(vals < 0, axis=1), np.sum(signs[certified] < 0, axis=1))
+    assert np.all(np.abs(vals) >= METRIC_DEGENERATE)
+
+
+def test_cholesky_stack_is_the_all_positive_signed_factor():
+    a = spd_stack(3, 4, 30, 1.0, 1e4)
+    a[:5] -= 2e4 * np.eye(4)  # negative pivots: the signed factor goes on
+    a[5] = np.diag([1.0, 0.0, 1.0, 1.0])
+    chol, inv, ok = cholesky_stack(a)
+    schol, sinv, signs, sok = signed_cholesky_stack(a)
+    positive = sok & np.all(signs > 0, axis=1)
+    assert np.array_equal(ok, positive) and ok.sum() == 24
+    assert np.array_equal(chol[ok], schol[ok]) and np.array_equal(inv[ok], sinv[ok])
+    assert sok[:5].all() and not sok[5]
+    assert np.allclose((schol[:5] * signs[:5, None, :]) @ schol[:5].transpose(0, 2, 1), a[:5],
+                       rtol=0, atol=1e-10 * np.max(np.abs(a[:5])))
 
 
 def test_eigvalsh_stack_of_a_2x2_with_a_non_finite_entry_is_nan():

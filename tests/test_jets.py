@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confpair import conformal_calc, gallery, jet3, jets
+from confpair import conformal_calc, gallery, indefinite_linalg, jet3, jets
 from confpair.cli import run_manifest
 from confpair.errors import FrameAlignmentFailure, NotConformal, NotImmersion
 from confpair.indefinite_linalg import DEFAULT_TOL, ScalarProduct, kernel_stack, span_stack
@@ -305,16 +305,16 @@ def test_not_immersion_raises():
 
 
 def test_non_finite_points_lose_rank_before_the_screen(monkeypatch):
-    # a 3-D chart, whose screen is LAPACK's eigvalsh: a point with a NaN
-    # differential counts as rank lost and reaches neither the screen nor
-    # the SVD
+    # a 3-D chart, whose screen is the Cholesky factor of the Gram: a point
+    # with a NaN differential counts as rank lost and reaches neither the
+    # screen nor the SVD
     grid = ChartGrid((3, 3, 3), (0.1,) * 3, (-0.1,) * 3)
     jet = ImmersionJet.from_function(lambda xs: [xs[0] ** 2, xs[1], xs[2], xs[0]], grid, E4)
     d1 = jet.d1.copy()
     d1[5, 0, 0] = np.nan
     broken = ImmersionJet(grid, E4, jet.values, d1, jet.d2)
     seen = []
-    for name in ("eigvalsh_stack", "_svd"):
+    for name in ("cholesky_stack", "eigvalsh_stack", "_svd"):
         real = getattr(jets, name)
         monkeypatch.setattr(jets, name, lambda a, *args, _real=real: seen.append(a) or _real(a, *args))
     assert broken.immersion_residual() == 0.0 < jet.immersion_residual()
@@ -934,13 +934,13 @@ def callers_of(monkeypatch, name):
 
 def test_immersion_residual_runs_once_per_jet(monkeypatch):
     jet = ImmersionJet.from_function(sphere_fn(1.5), grid2(h=0.04, origin=(0.9, 0.2)), E3)
-    eigenvalue_calls = callers_of(monkeypatch, "eigvalsh_stack")
+    screen_calls = callers_of(monkeypatch, "_immersion_ratios")
     svd_calls = callers_of(monkeypatch, "_svd")
     induced_metric(jet)
     induced_metric(jet)
     fundamental_data(jet, CFG)
-    assert eigenvalue_calls.count("immersion_residual") == 1
-    assert "immersion_residual" not in svd_calls  # every point passes the screen
+    assert screen_calls.count("immersion_residual") == 1
+    assert "_immersion_ratios" not in svd_calls  # every point passes the screen
 
 
 def metric_stack(pattern, lam_min, size=40, seed=5):
@@ -1007,8 +1007,77 @@ def eigen_calls(monkeypatch):
     return calls
 
 
-def test_an_indefinite_metric_takes_one_eigh(monkeypatch):
-    metric = metric_stack((-1, 1, 1), 0.3)
+def signed_metric_stack(signs, size=40, seed=5):
+    """(size, n, n) metrics R diag(signs) R^T with well-conditioned random
+    lower-triangular R: every point has the signed Cholesky pattern `signs`."""
+    rng = np.random.default_rng(seed)
+    n = len(signs)
+    r = np.tril(rng.uniform(-0.3, 0.3, size=(size, n, n)), -1) + np.eye(n)
+    return (r * np.asarray(signs, dtype=float)) @ r.transpose(0, 2, 1)
+
+
+def test_an_indefinite_metric_takes_its_frames_from_the_signed_factor(monkeypatch):
+    # the pivots' pattern (+, -, +) is the same at every point: no eigen
+    # solver runs, and the negative column comes first, as in eigh's pattern
+    metric = signed_metric_stack((1, -1, 1))
+    calls = eigen_calls(monkeypatch)
+    eta, frame, inverse = jets._tangent_frames(metric)
+    assert calls == []
+    assert eta == (-1, 1, 1)
+    assert np.allclose(frame.transpose(0, 2, 1) @ metric @ frame, np.diag(eta), atol=1e-12)
+    assert np.allclose(inverse @ frame, np.eye(3), atol=1e-12)
+
+
+def test_an_indefinite_metric_whose_pivot_pattern_varies_takes_one_eigh(monkeypatch):
+    metric = signed_metric_stack((1, -1, 1))
+    metric[7] = signed_metric_stack((-1, 1, 1), size=1)[0]  # the same inertia, other pivots
+    calls = eigen_calls(monkeypatch)
+    eta, frame, inverse = jets._tangent_frames(metric)
+    assert calls == [("eigh", len(metric))]
+    assert eta == (-1, 1, 1)
+    assert np.allclose(frame.transpose(0, 2, 1) @ metric @ frame, np.diag(eta), atol=1e-12)
+    assert np.allclose(inverse @ frame, np.eye(3), atol=1e-12)
+
+
+def lorentz_metrics(corner: np.ndarray, size=12):
+    """(size, 3, 3) Lorentzian metrics diag(-1, 1, 1) turned in their
+    spacelike plane, whose point 3 has `corner` (2, 2) as its spacelike block
+    before the turn; the pivots keep the pattern (-, +, +) wherever they
+    are nonzero."""
+    metric = np.broadcast_to(np.diag([-1.0, 1.0, 1.0]), (size, 3, 3)).copy()
+    metric[3, 1:, 1:] = corner
+    angle = np.linspace(0.1, 1.2, size)
+    turn = np.broadcast_to(np.eye(3), (size, 3, 3)).copy()
+    turn[:, 1, 1] = turn[:, 2, 2] = np.cos(angle)
+    turn[:, 2, 1], turn[:, 1, 2] = np.sin(angle), -np.sin(angle)
+    return turn @ metric @ turn.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("offset", [-0.5, 0.5])
+def test_a_lorentz_metric_near_the_degenerate_threshold_takes_eigh(monkeypatch, offset):
+    # an eigenvalue within the slack 2 _METRIC_ROUNDOFF ||g||_F of
+    # METRIC_DEGENERATE, on either side: the factor has no margin there
+    slack = 2 * jets._METRIC_ROUNDOFF * np.sqrt(3.0)
+    lam = jets.METRIC_DEGENERATE + offset * slack
+    metric = lorentz_metrics(np.diag([lam, 1.0]))
+    raises = eigvalsh_rule_raises(metric)
+    assert raises == (offset < 0)
+    calls = eigen_calls(monkeypatch)
+    try:
+        eta, frame, _ = jets._tangent_frames(metric)
+    except NotImmersion:
+        assert raises
+    else:
+        assert not raises
+        assert eta == (-1, 1, 1)
+    assert calls[0] == ("eigh", len(metric))
+
+
+def test_a_zero_leading_minor_takes_eigh(monkeypatch):
+    # g_00 = 0 at point 3: the unpivoted factor's first pivot vanishes
+    metric = lorentz_metrics(np.eye(2))
+    metric[3] = [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert not eigvalsh_rule_raises(metric)
     calls = eigen_calls(monkeypatch)
     eta, frame, inverse = jets._tangent_frames(metric)
     assert calls == [("eigh", len(metric))]
@@ -1035,6 +1104,19 @@ def test_fundamental_data_of_a_definite_chart_sends_no_metric_stack_to_lapack(mo
     assert fund.tangent_pattern == (1, 1)
     frame = fund.tangent_frame
     assert np.allclose(frame.transpose(0, 2, 1) @ fund.metric @ frame, np.eye(2), atol=1e-12)
+
+
+def test_a_10k_point_graph4_chart_sends_no_stacked_eigen_solve_from_jets(monkeypatch):
+    from conftest import record_jets_eigen
+
+    doc = {"analysis": "single", "immersion": {"builtin": "graph", "params": {"n": 4}},
+           "grid": {"shape": [10] * 4, "spacing": [0.02] * 4, "origin": [-0.09] * 4},
+           "nullity": {"s_values": [1], "points": "center"}}
+    calls = []
+    record_jets_eigen(monkeypatch, calls)
+    report, code = run_manifest(doc)
+    assert code == 0
+    assert calls == []
 
 
 def test_one_column_distribution_is_lapacks_qr():
@@ -1092,16 +1174,62 @@ def test_immersion_gate_runs_the_svd_only_below_its_screen(monkeypatch):
 @pytest.mark.parametrize("imap", [gallery.sphere(2), gallery.graph(n=4),
                                   gallery.psi_lift(gallery.torus())],
                          ids=["sphere", "graph4", "psi-torus"])
-def test_screened_immersion_residual_matches_the_svd_ratio(monkeypatch, imap):
+def test_screened_immersion_ratios_bound_the_svd_ratio(monkeypatch, imap):
     jet = imap.jet(gallery.default_chart(imap))
     shapes = stacked_svd_inputs(monkeypatch)
-    residual = jet.immersion_residual()
+    ratios = jets._immersion_ratios(jet.d1)
     assert shapes == []  # every point certified by the screen
     monkeypatch.undo()
     sv = np.linalg.svd(jet.d1, compute_uv=False)
-    exact = float(np.min(sv[:, -1] / sv[:, 0]))
-    assert residual > jets.IMMERSION_SCREEN
-    assert abs(residual - exact) <= 1e-9 * exact
+    exact = sv[:, -1] / sv[:, 0]
+    assert np.all(ratios > jets.IMMERSION_SCREEN)
+    if jet.n == 2:  # the closed-form eigenvalue ratio, within roundoff of the SVD's
+        assert np.max(np.abs(ratios - exact) / exact) <= 1e-9
+    else:  # a lower bound
+        assert np.all(ratios <= exact)
+    residual = jet.immersion_residual()
+    assert residual == np.min(ratios)
+    assert (residual > jets.IMMERSION_TOL) == (np.min(exact) > jets.IMMERSION_TOL)
+
+
+def jet_with_spectra(ratios, n, seed=11):
+    """A jet into R^(n+1) over a (len(ratios), 1, ..., 1) chart whose
+    differential at point q has singular values 1, ratios[q] and n - 2
+    between them, turned by random rotations."""
+    rng = np.random.default_rng(seed)
+    p = len(ratios)
+    sv = np.empty((p, n))
+    sv[:, 0], sv[:, -1] = 1.0, ratios
+    sv[:, 1:-1] = np.asarray(ratios)[:, None] ** rng.uniform(0, 1, size=(p, n - 2))
+    left = np.linalg.qr(rng.normal(size=(p, n, n)))[0]
+    right = np.linalg.qr(rng.normal(size=(p, n + 1, n + 1)))[0][..., :n]
+    d1 = (left * sv[:, None, :]) @ right.transpose(0, 2, 1)
+    chart = ChartGrid((p,) + (1,) * (n - 1), (0.1,) * n, (0.0,) * n)
+    ambient = ScalarProduct.euclidean(n + 1)
+    return ImmersionJet(chart, ambient, np.zeros((p, n + 1)), d1, np.zeros((p, n, n, n + 1)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_immersion_screen_decides_as_the_svd(n):
+    tol, screen = jets.IMMERSION_TOL, jets.IMMERSION_SCREEN
+    near = np.array([1 - 1e-6, 1 - 1e-9, 1 + 1e-9, 1 + 1e-6])
+    ratios = np.concatenate([np.geomspace(1e-9, 1.0, 37), tol * near, screen * near,
+                             [3e-3, 1e-2, 3e-2]])
+    jet = jet_with_spectra(ratios, n)
+    sv = indefinite_linalg._svd(jet.d1)  # the rank decisions' SVD: closed form for n = 2
+    exact = sv[:, -1] / sv[:, 0]
+    got = jets._immersion_ratios(jet.d1)
+    assert np.array_equal(got > tol, exact > tol)  # each point's decision
+    certified = got > screen
+    if n == 2:
+        assert np.max(np.abs(got - exact) / exact) <= 1e-9
+    else:
+        assert np.all(got[certified] <= exact[certified])
+    # the points left uncertified get the SVD ratio
+    assert np.array_equal(got[~certified], exact[~certified])
+    for lo, hi in ((0, 37), (37, 41), (41, 45)):  # the chart's residual decides as the SVD's
+        part = ImmersionJet(jet.chart, jet.ambient, jet.values, jet.d1[lo:hi], jet.d2)
+        assert (part.immersion_residual() > tol) == (np.min(exact[lo:hi]) > tol)
 
 
 def test_closed_form_jet_of_a_10k_point_graph_stays_small():
