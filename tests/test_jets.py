@@ -1064,7 +1064,7 @@ def test_a_lorentz_metric_near_the_degenerate_threshold_takes_eigh(monkeypatch, 
     assert raises == (offset < 0)
     calls = eigen_calls(monkeypatch)
     try:
-        eta, frame, _ = jets._tangent_frames(metric)
+        eta = jets._tangent_frames(metric)[0]
     except NotImmersion:
         assert raises
     else:
@@ -1114,8 +1114,7 @@ def test_a_10k_point_graph4_chart_sends_no_stacked_eigen_solve_from_jets(monkeyp
            "nullity": {"s_values": [1], "points": "center"}}
     calls = []
     record_jets_eigen(monkeypatch, calls)
-    report, code = run_manifest(doc)
-    assert code == 0
+    assert run_manifest(doc)[1] == 0
     assert calls == []
 
 
