@@ -12,7 +12,8 @@ cone, as the right side.
 The runner dispatches to the library, collects every residual next to its
 threshold, and writes one self-describing JSON report (plus optional
 per-point CSV).  Identical manifests produce byte-identical reports: all
-randomness is seeded and no clocks are recorded.
+randomness is seeded and no clocks are recorded.  Before any of that, the
+manifest is walked against one table of its keys (`_SCHEMA`).
 
 Exit codes: 0 all checks passed, 1 errors, 2 check failures.
 """
@@ -22,7 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,139 +33,281 @@ import numpy as np
 from . import __version__
 from .conformal_calc import conformal_s_nullity, is_conformally_ruled, rigidity_criterion
 from .errors import GeometryError, HypothesisOutOfRange, ManifestError, RankJump
-from .extension import (
-    extension_obstruction,
-    generate_conformal_pair,
-    ruled_extension,
-    verify_extension,
-)
-from .gallery import MANIFESTS, build_immersion, catalog
+from .extension import (extension_obstruction, generate_conformal_pair, ruled_extension,
+                        verify_extension)
+from .gallery import GALLERY, MANIFESTS, build_immersion, catalog
 from .indefinite_linalg import ScalarProduct
-from .jets import (
-    ChartGrid,
-    ImmersionJet,
-    PipelineConfig,
-    coordinate_distribution,
-    fundamental_data,
-    induced_metric,
-)
-from .lightcone import (
-    LightConeModel,
-    cone_projection,
-    isometric_representative,
-    position_identities,
-    sff_transfer_check,
-)
-from .pair_pipeline import (
-    TransferData,
-    analyze_pair,
-    ruling_dimension_bound,
-    verify_compatibility,
-)
+from .jets import (ChartGrid, ImmersionJet, ImmersionMap, PipelineConfig, coordinate_distribution,
+                   fundamental_data, induced_metric)
+from .lightcone import (LightConeModel, cone_projection, isometric_representative,
+                        position_identities, sff_transfer_check)
+from .pair_pipeline import TransferData, analyze_pair, ruling_dimension_bound, verify_compatibility
 
-__all__ = ["run_manifest", "main"]
+__all__ = ["run_manifest", "parse_manifest", "main"]
 
 
 # ---------------------------------------------------------------------------
-# manifest plumbing
+# the manifest table and its walk
 # ---------------------------------------------------------------------------
 
 
-_REQUIRED = object()
+def _need(ok: bool, path: str, message: str):
+    if not ok:
+        raise ManifestError(path, message)
 
 
-def _require(doc: dict, key: str, types, where: str, default=_REQUIRED):
-    """doc[key] if it has one of `types`; `default` where the key is absent,
-    if one is given."""
-    if key not in doc:
-        if default is not _REQUIRED:
-            return default
-        raise ManifestError(f"{where}.{key}", "missing required field")
-    val = doc[key]
-    if not isinstance(val, types):
-        raise ManifestError(f"{where}.{key}", f"expected {types}, got {type(val).__name__}")
-    return val
+def _got(value) -> str:
+    return type(value).__name__ if isinstance(value, (list, dict)) else repr(value)
 
 
-def _build_grid(spec: dict, where: str = "grid") -> ChartGrid:
-    shape = _require(spec, "shape", list, where)
-    spacing = _require(spec, "spacing", list, where)
-    origin = _require(spec, "origin", list, where)
-    if not (len(shape) == len(spacing) == len(origin)):
-        raise ManifestError(where, "shape, spacing and origin lengths differ")
-    if any((not isinstance(s, int)) or s < 1 for s in shape):
-        raise ManifestError(f"{where}.shape", "entries must be positive integers")
-    if len(shape) > 9:
-        raise ManifestError(f"{where}.shape", "charts are limited to 9 axes")
-    npoints = int(np.prod(shape))
-    if npoints > 10_000:
-        raise ManifestError(f"{where}.shape",
-                            f"{npoints} points exceed the desk-scale cap of 10000")
-    return ChartGrid(tuple(shape), tuple(float(h) for h in spacing),
-                     tuple(float(o) for o in origin))
+def _number(what: str, low=-math.inf, high=math.inf, integer=False, open_low=False):
+    """A leaf: a number in [low, high] ((low, high] where `open_low`), an int
+    where `integer`, else a float; never a bool, NaN or an infinity."""
+    def parse(value, path):
+        _need(not isinstance(value, bool) and isinstance(value, int if integer else (int, float))
+              and abs(value) <= sys.float_info.max and value <= high
+              and (low < value if open_low else low <= value), path, f"expected {what}, got {_got(value)}")
+        return value if integer else float(value)
+    return parse
 
 
-def _non_negative_int(value, where: str) -> int:
-    """`value` if it is a non-negative int (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ManifestError(where, f"expected a non-negative integer, got {value!r}")
+def _rows(value, path):
+    """A leaf: an inline value table, equal-length rows of finite numbers."""
+    try:
+        values = np.array(value)
+    except ValueError:  # ragged rows
+        values = np.array([])
+    # numbers only: numpy would parse numeric strings and booleans as floats
+    _need(values.dtype.kind in "iuf" and values.ndim == 2 and values.shape[1] >= 1
+          and np.all(np.isfinite(values)) and not any(type(x) is bool for row in value for x in row),
+          path, "expected a list of equal-length rows of finite numbers")
+    return values.astype(float)
+
+
+def _axes(value, path):
+    """A leaf: distinct chart axes; `_cross_checks` holds them below n."""
+    _need(isinstance(value, list) and all(type(a) is int and a >= 0 for a in value)
+          and len(set(value)) == len(value), path,
+          f"expected distinct chart axes in [0, n), got {_got(value)}")
     return value
 
 
-def _tolerance(value, where: str) -> float:
-    """`value` as a float if it is a number (not a bool) in (0, 1e-3]; NaN is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1e-3:
-        raise ManifestError(where, f"{where} must lie in (0, 1e-3], got {value!r}")
-    return float(value)
+def _nu(value, path):
+    """A leaf: expected nullities, keyed by s as a decimal string."""
+    _need(isinstance(value, dict), path, f"expected an object, got {_got(value)}")
+    for key in value:
+        _need(isinstance(key, str) and key.isdecimal() and str(int(key)) == key, f"{path}.{key}",
+              "expected an integer s as the key")
+    return {key: _COUNT(entry, f"{path}.{key}") for key, entry in value.items()}
 
 
-def _threshold(opts: dict, where: str, default: float) -> float:
-    """The number under `opts["threshold"]`, or `default`."""
-    return float(_require(opts, "threshold", (int, float), where, default))
+def _spec(variants: dict, build: bool):
+    """A leaf: an immersion spec, told apart by its first key among
+    `variants`; a builtin's params are typed by its factory's signature.
+    The spec, its map where `build`, or a value table's array."""
+    def parse(value, path):
+        key = next((k for k in variants if k in value), None) if isinstance(value, dict) else None
+        _need(key is not None, path, f"expected an object with a {' or '.join(map(repr, variants))} "
+              f"key, got {_got(value)}")
+        spec = _parse(variants[key], value, path)
+        if key == "table":
+            return spec["table"]["values"]
+        if key == "builtin":
+            params = inspect.signature(GALLERY[spec["builtin"]]).parameters.values()
+            spec["params"] = _parse({p.name: (_PARAMS[p.annotation.removesuffix(" | None")],
+                                              ... if p.default is p.empty else p.default)
+                                     for p in params}, spec["params"], f"{path}.params")
+        else:
+            _need(spec["ambient"].keys() == {"lightcone"} or spec["ambient"]["dim"] == len(spec["expr"]),
+                  f"{path}.ambient.dim", "dimension must match the component count")
+            _need(len(spec["expr"]) >= 2 or not spec["ambient"]["lightcone"], f"{path}.ambient.lightcone",
+                  "a cone ambient needs at least 2 components")
+        return build_immersion(spec, path) if build else spec
+    parse.variants = variants
+    return parse
 
 
-def _chart_axes(axes, n: int, where: str) -> list[int]:
-    """`axes` if it is a list of distinct chart axes, ints (not bools) in [0, n)."""
-    if not (isinstance(axes, list)
-            and all(isinstance(a, int) and not isinstance(a, bool) and 0 <= a < n for a in axes)
-            and len(set(axes)) == len(axes)):
-        raise ManifestError(where, f"expected distinct chart axes in [0, {n}), got {axes!r}")
-    return axes
+_TYPES = {str: "a nonempty string", bool: "a boolean", dict: "an object"}
 
 
-def _jet_from_spec(spec: dict, grid: ChartGrid, where: str):
-    """Immersion jet from a spec: closed form, or an inline value table."""
-    if isinstance(spec, dict) and "table" in spec:
-        table = spec["table"]
-        raw = _require(table, "values", list, f"{where}.table")
-        try:
-            values = np.array(raw)
-        except ValueError:  # ragged rows
-            values = np.array([])
-        # numbers only: numpy would parse numeric strings and booleans as floats
-        if (values.dtype.kind not in "iuf" or values.ndim != 2 or values.shape[1] < 1
-                or not np.all(np.isfinite(values))):
-            raise ManifestError(f"{where}.table.values",
-                                "expected a list of equal-length rows of finite numbers")
-        values = values.astype(float)
-        if values.shape[0] != grid.npoints:
-            raise ManifestError(f"{where}.table.values",
-                                f"expected {grid.npoints} rows, got {values.shape[0]}")
-        ambient = ScalarProduct.euclidean(values.shape[1])
-        return None, ImmersionJet.from_values(values, grid, ambient)
-    imap = build_immersion(spec, where=where)
-    if grid.ndim != imap.chart_dim:
-        raise ManifestError("grid", f"{where} expects a {imap.chart_dim}-dimensional chart")
-    return imap, imap.jet(grid)
+def _parse(node, value, path: str):
+    """`value` at `path` checked against the table node `node`, defaults
+    filled in.  A node is an object table {key: (node, default)}, where the
+    default `...` marks a required key and None an optional one; a list
+    [item] or [item, min_len]; a tuple of string choices, whose last entry
+    may be the node for any other JSON type; a JSON type of `_TYPES`; or a
+    leaf function."""
+    if isinstance(node, dict):
+        _need(isinstance(value, dict), path, f"expected an object, got {_got(value)}")
+        out = {}
+        for key, entry in value.items():
+            where = f"{path}.{key}" if path else key
+            _need(key in node, where, f"unknown key; expected one of {list(node)}")
+            out[key] = _parse(node[key][0], entry, where)
+        for key, (child, default) in node.items():
+            _need(key in out or default is not ..., f"{path}.{key}" if path else key,
+                  "missing required field")
+            if key not in out and default is not None:
+                out[key] = _parse(child, default, path)
+        return out
+    if isinstance(node, list):
+        _need(isinstance(value, list) and len(value) >= len(node) - 1, path,
+              f"expected {'a nonempty list' if len(node) > 1 else 'a list'}, got {_got(value)}")
+        return [_parse(node[0], entry, path) for entry in value]
+    if isinstance(node, tuple):
+        if not isinstance(value, str) and not isinstance(node[-1], str):
+            return _parse(node[-1], value, path)
+        _need(value in node and isinstance(value, str), path, "expected one of "
+              + ", ".join(repr(c) for c in node if isinstance(c, str)) + f", got {_got(value)}")
+        return value
+    if node in _TYPES:
+        _need(isinstance(value, node) and value != "", path, f"expected {_TYPES[node]}, got {_got(value)}")
+        return value
+    return node(value, path)
+
+
+_COUNT = _number("a non-negative integer", 0, integer=True)
+_POSITIVE = _number("a positive integer", 1, integer=True)
+_TOLERANCE = _number("a number in (0, 1e-3]", 0, 1e-3, open_low=True)
+_THRESHOLD = _number("a number >= 0", 0)
+_FINITE = _number("a finite number")
+_IMMERSION = {
+    "builtin": {"builtin": (tuple(GALLERY), ...), "params": (dict, {})},
+    "expr": {"expr": ([str, 1], ...), "chart_dim": (_POSITIVE, ...),
+             "ambient": ({"dim": (_POSITIVE, None), "lightcone": (bool, False)}, {})},
+}
+# a builtin's params, by the annotations of its factory's signature
+_PARAMS = {"int": _number("an integer", integer=True), "float": _FINITE, "list[float]": [_FINITE],
+           "ImmersionMap": _spec(_IMMERSION, build=False)}
+_MAP = _spec(_IMMERSION, build=True)
+_SIDE = _spec({**_IMMERSION, "table": {"table": ({"values": (_rows, ...)}, ...)}}, build=True)
+_KIND = ("single", "pair", "generate", "extend")
+_RUN = {
+    "analysis": (_KIND, ...),
+    "tolerance": (_TOLERANCE, PipelineConfig.rank_tol),
+    "fd_tolerance": (_TOLERANCE, PipelineConfig.fd_tol),
+    "seed": (_COUNT, PipelineConfig.seed),
+    "output": (str, "report.json"),
+    "grid": ({"shape": ([_POSITIVE, 1], ...),
+              "spacing": ([_number("a number > 0", 0, open_low=True)], ...),
+              "origin": ([_FINITE], ...)}, ...),
+}
+_SIDES = {"left": (_SIDE, None), "right": (_SIDE, None)}
+_GENERATOR = {"left": (_MAP, ...), "lorentz": (_MAP, ...), "branch": (_COUNT, 0),
+              "axis": (_number("a chart axis in [0, n)", 0, integer=True), 0)}
+_PAIR = {
+    "generator": ({**_GENERATOR, "analyze_pair": (bool, False)}, None),
+    "expect": ({"branch": (("nondegenerate", "degenerate"), None), "rulings": (_COUNT, None),
+                "transfer_bundle": (_COUNT, None), "witness_pairing": (_FINITE, None)}, {}),
+    # claims_threshold is typed but read by nothing: each claim carries its own verdict
+    "checks": ({"compatibility_threshold": (_THRESHOLD, None),
+                "claims_threshold": (_THRESHOLD, None)}, {}),
+}
+_SCHEMA = {
+    "single": {
+        **_RUN,
+        "immersion": (_SIDE, ...),
+        "checks": ({"lightcone_identities": ({"points": (_POSITIVE, 1000), "dim": (_COUNT, 4),
+                                              "threshold": (_THRESHOLD, 1e-12)}, None),
+                    "position_identities": ({"threshold": (_THRESHOLD, 1e-8)}, None),
+                    "roundtrip": ({"threshold": (_THRESHOLD, 1e-10)}, None),
+                    "fd_agreement": ({"threshold": (_THRESHOLD, 1e-4)}, None)}, {}),
+        "ruled": ({"axes": (_axes, []), "expect_ruled": (bool, None)}, None),
+        "nullity": ({"s_values": ([_COUNT], [1]),
+                     "points": (("center", "all", [_COUNT, 1]), "center")}, None),
+        "expect": ({"nu": (_nu, {})}, {}),
+        "rigidity_q": (_COUNT, None),
+        "transfer": ({"base": (_MAP, ...), "ruling_axes": (_axes, [0]),
+                      "thresholds": ({key: (_THRESHOLD, None) for key in (
+                          "umbilic", "sff_dictionary", "mean_curvature_dictionary",
+                          "corrected_sff_dictionary", "hess_proportionality")}, {})}, None),
+    },
+    "pair": {**_RUN, **_SIDES, **_PAIR},
+    "generate": {**_RUN, **_PAIR, "generator": (_PAIR["generator"][0], ...)},
+    "extend": {
+        **_RUN, **_SIDES,
+        "generator": (_GENERATOR, None),
+        "transfer": (("pipeline", {"shared_flat_normal": ([_FINITE], ...), "ruling_axes": (_axes, [])}),
+                     "pipeline"),
+        "checks": ({"metric_threshold": (_THRESHOLD, 1e-6),
+                    "kernel_identity_threshold": (_THRESHOLD, 1e-6)}, {}),
+    },
+}
+
+
+def _build_grid(spec: dict, where: str = "grid") -> ChartGrid:
+    shape = spec["shape"]
+    _need(len(shape) == len(spec["spacing"]) == len(spec["origin"]), where,
+          "shape, spacing and origin lengths differ")
+    _need(len(shape) <= 9, f"{where}.shape", "charts are limited to 9 axes")
+    _need(math.prod(shape) <= 10_000, f"{where}.shape",
+          f"{math.prod(shape)} points exceed the desk-scale cap of 10000")
+    return ChartGrid(tuple(shape), tuple(spec["spacing"]), tuple(spec["origin"]))
+
+
+def _cross_checks(doc: dict):
+    """The rules between keys: each map's chart, table rows, chart axes and
+    flat indices against the grid, both sides or a generator, the closed-form
+    or cone-valued immersion a check needs, and `expect.nu` against
+    `nullity.s_values`."""
+    grid, single = doc["grid"], doc["analysis"] == "single"
+    for where, value in [*doc.items(), *((f"{key}.{sub}", entry) for key, section in doc.items()
+                                         if isinstance(section, dict) for sub, entry in section.items())]:
+        if isinstance(value, ImmersionMap):
+            _need(value.chart_dim == grid.ndim, "grid", f"{where} expects a {value.chart_dim}-dimensional chart")
+        if isinstance(value, np.ndarray):
+            _need(len(value) == grid.npoints, f"{where}.table.values",
+                  f"expected {grid.npoints} rows, got {len(value)}")
+    for where in ("ruled.axes", "transfer.ruling_axes"):
+        parent, key = where.split(".")
+        axes = doc[parent][key] if parent in doc and doc[parent] != "pipeline" else []
+        _need(all(a < grid.ndim for a in axes), where,
+              f"expected distinct chart axes in [0, {grid.ndim}), got {axes!r}")
+    axis = doc["generator"]["axis"] if "generator" in doc else 0
+    _need(axis < grid.ndim, "generator.axis", f"expected a chart axis in [0, {grid.ndim}), got {axis!r}")
+    for side in ("left", "right") if doc["analysis"] in ("pair", "extend") else ():
+        _need(("generator" in doc) != (side in doc), side,
+              "not read beside a generator section" if side in doc else "missing required field")
+    table = single and isinstance(doc["immersion"], np.ndarray)
+    _need(not (table and "transfer" in doc), "transfer", "needs a closed-form immersion")
+    _need(not (table and "fd_agreement" in doc["checks"]), "checks.fd_agreement",
+          "needs a closed-form immersion")
+    if "position_identities" in doc["checks"]:  # a key of single analyses only
+        _need(not table and doc["immersion"].ambient.pseudo_pair, "checks.position_identities",
+              "immersion is not cone-valued")
+    nullity = doc["nullity"] if "nullity" in doc else {"s_values": [], "points": "all"}
+    _need(nullity["points"] in ("center", "all") or max(nullity["points"]) < grid.npoints,
+          "nullity.points", f"expected flat indices in [0, {grid.npoints}), got {nullity['points']!r}")
+    for s_str in doc["expect"]["nu"] if single else ():
+        _need(int(s_str) in nullity["s_values"], "expect.nu",
+              f"s = {s_str} is not among nullity.s_values {nullity['s_values']}")
+
+
+def parse_manifest(doc) -> dict:
+    """`doc` walked against the table of its analysis kind, then the rules
+    between keys; each refusal is a ManifestError at the offending path,
+    raised before any jet is built.  The result has every default filled in,
+    the grid as a `ChartGrid`, each immersion as its map and each value
+    table as an array."""
+    _need(isinstance(doc, dict), "manifest", f"expected an object, got {_got(doc)}")
+    _need("analysis" in doc, "analysis", "missing required field")
+    doc = _parse(_SCHEMA[_parse(_KIND, doc["analysis"], "analysis")], doc, "")
+    doc["grid"] = _build_grid(doc["grid"])
+    _cross_checks(doc)
+    return doc
+
+
+def _jet_from_spec(side, grid: ChartGrid):
+    """(map, jet) of a parsed side: a closed form, or (None, its stencil jet)
+    for a value table."""
+    if isinstance(side, np.ndarray):
+        return None, ImmersionJet.from_values(side, grid, ScalarProduct.euclidean(side.shape[1]))
+    return side, side.jet(grid)
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
-    return {
-        "name": name,
-        "value": float(value),
-        "threshold": float(threshold),
-        "passed": bool(value <= threshold),
-    }
+    return {"name": name, "value": float(value), "threshold": float(threshold),
+            "passed": bool(value <= threshold)}
 
 
 def _expect(name: str, actual, expected) -> dict:
@@ -171,19 +316,13 @@ def _expect(name: str, actual, expected) -> dict:
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is a subclass of int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    return obj
+    return obj.item() if isinstance(obj, np.generic) else obj
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +340,7 @@ def _lift_if_needed(left_jet: ImmersionJet, right_map, right_jet: ImmersionJet, 
     """
     if right_jet.ambient.pseudo_pair:
         return right_jet
-    gl = induced_metric(left_jet)
-    gr = induced_metric(right_jet)
+    gl, gr = induced_metric(left_jet), induced_metric(right_jet)
     scale = max(float(np.max(np.abs(gl))), 1e-300)
     stencil = "finite-difference" in (left_jet.source, right_jet.source)
     if float(np.max(np.abs(gl - gr))) / scale < (cfg.fd_tol if stencil else 1e-8):
@@ -226,31 +364,20 @@ def _euclidean_codims(jf: ImmersionJet, jhat: ImmersionJet, branch: str):
 
 
 def _region_report(state, jf, jhat, cfg) -> dict:
-    rep = {
-        "branch": state.branch,
-        "points": int(state.points.size),
-        "ranks": dict(state.ranks),
-        "residuals": {k: float(v) for k, v in state.residuals.items()},
-        "claims": _jsonable(state.claims),
-        "notes": list(state.notes),
-    }
-    compat = verify_compatibility(state)
-    rep["compatibility"] = _jsonable(compat)
+    rep = {"branch": state.branch, "points": int(state.points.size), "ranks": dict(state.ranks),
+           "residuals": {k: float(v) for k, v in state.residuals.items()},
+           "claims": _jsonable(state.claims), "notes": list(state.notes),
+           "compatibility": _jsonable(verify_compatibility(state))}
     bound_rep = {}
     try:
         obs = extension_obstruction(state, cfg)
-        rep["obstruction"] = {
-            "kernel_dim": obs.s,
-            "fiber_rank": obs.r,
-            "residuals": _jsonable(obs.residuals),
-        }
+        rep["obstruction"] = {"kernel_dim": obs.s, "fiber_rank": obs.r,
+                              "residuals": _jsonable(obs.residuals)}
         n = state.left.metric.shape[1]
         p, q, a, b = _euclidean_codims(jf, jhat, state.branch)
         try:
-            chk = ruling_dimension_bound(
-                state.branch, n=n, p=p, q=q, a=a, b=b,
-                ell=state.ell, d=state.ruling_dim, r=obs.r,
-            )
+            chk = ruling_dimension_bound(state.branch, n=n, p=p, q=q, a=a, b=b,
+                                         ell=state.ell, d=state.ruling_dim, r=obs.r)
             bound_rep = {
                 "name": chk.name, "lhs": chk.lhs, "rhs": chk.rhs,
                 "slack": chk.slack, "passed": chk.passed,
@@ -268,88 +395,49 @@ def _region_report(state, jf, jhat, cfg) -> dict:
 
 def _pair_checks(regions_rep: list[dict], doc: dict) -> list[dict]:
     checks = []
-    expect = doc.get("expect", {})
-    thr = doc.get("checks", {})
-    compat_thr = thr.get("compatibility_threshold")
+    expect = doc["expect"]
     for i, rep in enumerate(regions_rep):
         tag = f"region{i}"
-        if "branch" in expect:
-            checks.append(_expect(f"{tag}.branch", rep["branch"], expect["branch"]))
-        if "rulings" in expect:
-            checks.append(_expect(f"{tag}.rulings", rep["ranks"]["rulings"], expect["rulings"]))
-        if "transfer_bundle" in expect:
-            checks.append(_expect(f"{tag}.transfer_bundle", rep["ranks"]["transfer_bundle"],
-                                  expect["transfer_bundle"]))
+        for key in ("branch", "rulings", "transfer_bundle"):
+            if key in expect:
+                actual = rep["branch"] if key == "branch" else rep["ranks"][key]
+                checks.append(_expect(f"{tag}.{key}", actual, expect[key]))
         for cname, claim in rep.get("claims", {}).items():
             if "passed" not in claim:
                 continue  # informational record, not a gated claim
-            checks.append({
-                "name": f"{tag}.claim.{cname}",
-                "passed": bool(claim["passed"]),
-                "detail": claim,
-            })
-        if compat_thr is not None:
+            checks.append({"name": f"{tag}.claim.{cname}", "passed": bool(claim["passed"]),
+                           "detail": claim})
+        if "compatibility_threshold" in doc["checks"]:
             for key in ("transfer_preserves_sff", "transfer_parallel",
                         "bundle_parallel_along_rulings"):
-                checks.append(_check(f"{tag}.{key}", rep["compatibility"][key], compat_thr))
+                checks.append(_check(f"{tag}.{key}", rep["compatibility"][key],
+                                     doc["checks"]["compatibility_threshold"]))
         bound = rep.get("dimension_bound", {})
         if bound.get("hypotheses_ok"):
-            checks.append({
-                "name": f"{tag}.dimension_bound",
-                "passed": bool(bound.get("passed")),
-                "detail": {k: bound[k] for k in ("lhs", "rhs", "slack") if k in bound},
-            })
+            checks.append({"name": f"{tag}.dimension_bound", "passed": bool(bound.get("passed")),
+                           "detail": {k: bound[k] for k in ("lhs", "rhs", "slack") if k in bound}})
         elif bound.get("passed") is False:
             checks.append({"name": f"{tag}.dimension_bound", "passed": False,
                            "detail": bound.get("notes", "")})
     return checks
 
 
-def _nullity_points(spec, grid: ChartGrid) -> list[int] | None:
-    """Flat point indices from "center" or a list of indices; None for "all",
-    which leaves the choice to `conformal_s_nullity`."""
-    if spec == "center":
-        return [grid.center_index()]
-    if spec == "all":
-        return None
-    if (isinstance(spec, list) and spec
-            and all(isinstance(q, int) and not isinstance(q, bool) for q in spec)
-            and all(0 <= q < grid.npoints for q in spec)):
-        return spec
-    raise ManifestError("nullity.points", f'expected "center", "all" or a nonempty list '
-                        f"of flat indices in [0, {grid.npoints}), got {spec!r}")
-
-
 def _run_single(doc: dict, cfg: PipelineConfig):
-    grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-    imap, jet = _jet_from_spec(_require(doc, "immersion", dict, "manifest"), grid, "immersion")
+    grid = doc["grid"]
+    imap, jet = _jet_from_spec(doc["immersion"], grid)
     fund = fundamental_data(jet, cfg)
-    results: dict = {
-        "immersion": imap.name if imap is not None else "table",
-        "source": jet.source,
-        "chart_points": grid.npoints,
-        "codimension": jet.codim,
-        "diagnostics": _jsonable(fund.diagnostics),
-    }
+    results: dict = {"immersion": imap.name if imap is not None else "table", "source": jet.source,
+                     "chart_points": grid.npoints, "codimension": jet.codim,
+                     "diagnostics": _jsonable(fund.diagnostics)}
     checks: list[dict] = []
-    chk_spec = doc.get("checks", {})
+    chk_spec = doc["checks"]
 
     if "lightcone_identities" in chk_spec:
-        where = "checks.lightcone_identities"
-        opts = _require(chk_spec, "lightcone_identities", dict, "checks")
-        dim = _non_negative_int(opts.get("dim", 4), f"{where}.dim")
-        count = opts.get("points", 1000)
-        if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
-            raise ManifestError("checks.lightcone_identities.points",
-                                f"expected a positive number of sample points, got {count!r}")
-        thr = _threshold(opts, where, 1e-12)
+        opts = chk_spec["lightcone_identities"]
+        dim, count, thr = opts["dim"], opts["points"], opts["threshold"]
         model = LightConeModel(dim)
         amb = model.ambient
-        rng = np.random.default_rng(cfg.seed)
-        xs = rng.normal(size=(count, dim))
-        ys = rng.normal(size=(count, dim))
-        vs = rng.normal(size=(count, dim))
-        ws = rng.normal(size=(count, dim))
+        xs, ys, vs, ws = np.random.default_rng(cfg.seed).normal(size=(4, count, dim))
         px, py = model.embed(xs), model.embed(ys)
         res = {
             "null_values": float(np.max(np.abs(amb.norm_sq(px)))),
@@ -366,10 +454,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
             checks.append(_check(f"lightcone.{key}", val, thr))
 
     if "position_identities" in chk_spec:
-        thr = _threshold(_require(chk_spec, "position_identities", dict, "checks"),
-                         "checks.position_identities", 1e-8)
-        if not jet.ambient.pseudo_pair:
-            raise ManifestError("checks.position_identities", "immersion is not cone-valued")
+        thr = chk_spec["position_identities"]["threshold"]
         res = position_identities(fund)
         results["position_identities"] = _jsonable(res)
         checks.append(_check("position.shape_plus_identity",
@@ -377,7 +462,7 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         checks.append(_check("position.shape_of_null_generator", res["shape_of_field"], thr))
 
     if "roundtrip" in chk_spec:
-        thr = _threshold(_require(chk_spec, "roundtrip", dict, "checks"), "checks.roundtrip", 1e-10)
+        thr = chk_spec["roundtrip"]["threshold"]
         if jet.ambient.pseudo_pair:
             back = cone_projection(jet)
             again, _ = isometric_representative(back, induced_metric(jet), cfg=cfg)
@@ -390,36 +475,31 @@ def _run_single(doc: dict, cfg: PipelineConfig):
         checks.append(_check("roundtrip", res, thr))
 
     if "fd_agreement" in chk_spec:
-        if imap is None:
-            raise ManifestError("checks.fd_agreement", "needs a closed-form immersion")
-        thr = _threshold(_require(chk_spec, "fd_agreement", dict, "checks"),
-                         "checks.fd_agreement", 1e-4)
+        thr = chk_spec["fd_agreement"]["threshold"]
         fd_jet = imap.jet_fd(grid)
         res = float(np.max(np.abs(fd_jet.d2 - jet.d2)))
         results["fd_agreement"] = res
         checks.append(_check("fd_agreement", res, thr))
 
     if "ruled" in doc:
-        ruled = _require(doc, "ruled", dict, "manifest")
-        axes = _chart_axes(ruled.get("axes", []), grid.ndim, "ruled.axes")
+        ruled = doc["ruled"]
+        axes = ruled["axes"]
         dist = coordinate_distribution(fund, axes)
         verdict = is_conformally_ruled(fund, dist)
-        results["conformally_ruled"] = {
-            "axes": axes,
-            "ruled": verdict.ruled,
-            "umbilic_residual": verdict.umbilic_residual,
-            "bracket_residual": verdict.bracket_residual_max,
-        }
+        results["conformally_ruled"] = {"axes": axes, "ruled": verdict.ruled,
+                                        "umbilic_residual": verdict.umbilic_residual,
+                                        "bracket_residual": verdict.bracket_residual_max}
         if "expect_ruled" in ruled:
             checks.append(_expect("conformally_ruled", verdict.ruled, ruled["expect_ruled"]))
 
     if "nullity" in doc:
-        opts = _require(doc, "nullity", dict, "manifest")
-        svals = [_non_negative_int(s, "nullity.s_values")
-                 for s in _require(opts, "s_values", list, "nullity", [1])]
-        points = _nullity_points(opts.get("points", "center"), grid)
+        points = doc["nullity"]["points"]
+        if points == "center":
+            points = [grid.center_index()]
+        elif points == "all":
+            points = None  # leaves the choice to `conformal_s_nullity`
         table = {}
-        for s in svals:
+        for s in doc["nullity"]["s_values"]:
             reports = conformal_s_nullity(fund, s, points=points, cfg=cfg)
             table[str(s)] = {
                 "max": max(rep.value for _, rep in reports),
@@ -427,76 +507,51 @@ def _run_single(doc: dict, cfg: PipelineConfig):
                 "per_point": [[idx, rep.value] for idx, rep in reports],
             }
         results["nullity"] = table
-        for s_str, expected in doc.get("expect", {}).get("nu", {}).items():
-            if s_str not in table:
-                raise ManifestError("expect.nu", f"s = {s_str} is not among nullity.s_values {svals}")
+        for s_str, expected in doc["expect"]["nu"].items():
             checks.append(_expect(f"nullity.s{s_str}", table[s_str]["max"], expected))
 
-    if doc.get("rigidity_q") is not None:
-        rep = rigidity_criterion(fund, _non_negative_int(doc["rigidity_q"], "rigidity_q"), cfg=cfg)
-        results["rigidity"] = {
-            "q": rep.q,
-            "thresholds": _jsonable(rep.thresholds),
-            "nu_lower_bounds": _jsonable(rep.nu_lower_bounds),
-            "satisfied": rep.satisfied,
-            "conclusive_violation": rep.conclusive_violation,
-        }
+    if "rigidity_q" in doc:
+        rep = rigidity_criterion(fund, doc["rigidity_q"], cfg=cfg)
+        results["rigidity"] = {"q": rep.q, "thresholds": _jsonable(rep.thresholds),
+                               "nu_lower_bounds": _jsonable(rep.nu_lower_bounds),
+                               "satisfied": rep.satisfied,
+                               "conclusive_violation": rep.conclusive_violation}
 
     if "transfer" in doc:
-        if imap is None:
-            raise ManifestError("transfer", "needs a closed-form immersion")
         opts = doc["transfer"]
-        base_map = build_immersion(_require(opts, "base", dict, "transfer"), where="transfer.base")
-        axes = _chart_axes(opts.get("ruling_axes", [0]), grid.ndim, "transfer.ruling_axes")
-        base_jet = base_map.jet(grid)
+        axes = opts["ruling_axes"]
+        base_jet = opts["base"].jet(grid)
         factor = imap.factor_jets(grid.points())
         data = sff_transfer_check(fund, base_jet, axes, factor, cfg=cfg)
         results["transfer_dictionary"] = _jsonable(data.residuals)
-        thresholds = _require(opts, "thresholds", dict, "transfer", {})
-        for key in thresholds:
-            if key not in data.residuals:
-                raise ManifestError("transfer.thresholds", f"unknown residual {key!r}; the "
-                                    f"dictionary reports {sorted(data.residuals)}")
-            checks.append(_check(f"transfer.{key}", data.residuals[key],
-                                 _require(thresholds, key, (int, float), "transfer.thresholds")))
+        for key, thr in opts["thresholds"].items():
+            checks.append(_check(f"transfer.{key}", data.residuals[key], thr))
 
     return results, checks, None
 
 
 def _pair_inputs(doc: dict, cfg: PipelineConfig):
     """(results, checks, left jet, right jet, right map) of a `pair`,
-    `generate` or `extend` manifest; the pair's grid is the left jet's chart.
-
-    `left` and `right` specs go through `_jet_from_spec`: closed forms, `expr`
-    lists and value tables, and the results name the sides.  A `generator`
-    section gives the light-cone slice pair, whose right side is the
-    slicer's own restriction of the Lorentz map, the isometric cone lift of
-    the projected side; the results then also describe the slice, and the
-    checks are its gates.
-    """
-    if "generator" not in doc and doc["analysis"] != "generate":
-        grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-        left_map, jf = _jet_from_spec(_require(doc, "left", dict, "manifest"), grid, "left")
-        right_map, jr = _jet_from_spec(_require(doc, "right", dict, "manifest"), grid, "right")
+    `generate` or `extend` manifest: its `left` and `right` sides, named in
+    the results, or a `generator` section's light-cone slice pair, whose
+    right side is the slicer's own restriction of the Lorentz map (the
+    isometric cone lift of the projected side); the results then describe
+    the slice, and the checks are its gates."""
+    grid = doc["grid"]
+    if "generator" not in doc:
+        left_map, jf = _jet_from_spec(doc["left"], grid)
+        right_map, jr = _jet_from_spec(doc["right"], grid)
         names = {side: imap.name if imap is not None else "table"
                  for side, imap in (("left", left_map), ("right", right_map))}
         return names, [], jf, jr, right_map
-    gen = _require(doc, "generator", dict, "manifest")
-    left_map = build_immersion(_require(gen, "left", dict, "generator"), where="generator.left")
-    lorentz_map = build_immersion(_require(gen, "lorentz", dict, "generator"),
-                                  where="generator.lorentz")
-    grid = _build_grid(_require(doc, "grid", dict, "manifest"))
-    (axis,) = _chart_axes([gen.get("axis", 0)], grid.ndim, "generator.axis")
-    branch = _non_negative_int(gen.get("branch", 0), "generator.branch")
-    data = generate_conformal_pair(left_map, lorentz_map, grid, axis=axis, branch=branch, cfg=cfg)
-    results = {
-        "left": left_map.name,
-        "lorentz": lorentz_map.name,
-        "slice_points": data.slice_chart.npoints,
-        "diagnostics": _jsonable(data.diagnostics),
-        "conformal_factor_range": [float(np.min(data.conformal_factor)),
-                                   float(np.max(data.conformal_factor))],
-    }
+    gen = doc["generator"]
+    left_map, lorentz_map = gen["left"], gen["lorentz"]
+    data = generate_conformal_pair(left_map, lorentz_map, grid, axis=gen["axis"],
+                                   branch=gen["branch"], cfg=cfg)
+    results = {"left": left_map.name, "lorentz": lorentz_map.name,
+               "slice_points": data.slice_chart.npoints, "diagnostics": _jsonable(data.diagnostics),
+               "conformal_factor_range": [float(np.min(data.conformal_factor)),
+                                          float(np.max(data.conformal_factor))]}
     checks = [_check(key, data.diagnostics[key], 1e-6) for key in
               ("slice_metric_gap", "conformal_residual", "factor_vs_null_pairing")]
     return results, checks, data.left, data.lifted, None
@@ -507,7 +562,7 @@ def _run_pair(doc: dict, cfg: PipelineConfig):
     analysis of the sides, the right one lifted to the cone if it is not
     isometric to the left."""
     results, checks, jf, jr, right_map = _pair_inputs(doc, cfg)
-    if "generator" in doc and not doc["generator"].get("analyze_pair", False):
+    if "generator" in doc and not doc["generator"]["analyze_pair"]:
         return results, checks, None
     notes: list[str] = []
     jhat = _lift_if_needed(jf, right_map, jr, notes, cfg)
@@ -521,10 +576,9 @@ def _run_pair(doc: dict, cfg: PipelineConfig):
     results["notes"] = notes
     results["regions"] = regions_rep
     checks += _pair_checks(regions_rep, doc)
-    expect = doc.get("expect", {})
-    if "witness_pairing" in expect and pairing_min is not None:
+    if "witness_pairing" in doc["expect"] and pairing_min is not None:
         checks.append(_check("witness_pairing_gap",
-                             abs(pairing_min - expect["witness_pairing"]), 1e-9))
+                             abs(pairing_min - doc["expect"]["witness_pairing"]), 1e-9))
     return results, checks, lambda: _csv_rows(analysis, jf.chart)  # built only for --csv-dump
 
 
@@ -551,13 +605,13 @@ def _one_region(analysis):
 
 
 def _run_extend(doc: dict, cfg: PipelineConfig):
-    thr = doc.get("checks", {})
+    thr = doc["checks"]
     names, checks, jf, jg, _ = _pair_inputs(doc, cfg)  # not lifted: left/right must be isometric
-    tspec = doc.get("transfer", "pipeline")
+    tspec = doc["transfer"]
     if tspec == "pipeline":
         data = _one_region(analyze_pair(jf, jg, cfg))
         inputs = {**names, "branch": data.branch}
-    elif isinstance(tspec, dict) and "shared_flat_normal" in tspec:
+    else:
         direction = np.asarray(tspec["shared_flat_normal"], dtype=float)
         if {len(direction)} != {jf.m, jg.m}:
             raise ManifestError("transfer.shared_flat_normal",
@@ -567,31 +621,21 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
         p = fl.metric.shape[0]
         lf = fl.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
         lh = fr.normal_coordinates(np.broadcast_to(direction, (p, jf.m)))[:, :, None]
-        axes = _chart_axes(tspec.get("ruling_axes", []), jf.n, "transfer.ruling_axes")
-        rul = coordinate_distribution(fl, axes).basis
+        rul = coordinate_distribution(fl, tspec["ruling_axes"]).basis
         data = TransferData.from_frames(fl, fr, lf, lh, (1,), rul)
         inputs = {**names, "branch": "hand-built transfer"}
-    else:
-        raise ManifestError("transfer", "expected 'pipeline' or a shared_flat_normal object")
 
     obs = extension_obstruction(data, cfg)
     pair = ruled_extension(obs)
     report = verify_extension(pair, cfg)
-    results = {
-        "inputs": inputs,
-        "kernel_dim": obs.s,
-        "fiber_rank": obs.r,
-        "radius": pair.radius,
-        "obstruction_residuals": _jsonable(obs.residuals),
-        "verification": _jsonable(report),
-    }
+    results = {"inputs": inputs, "kernel_dim": obs.s, "fiber_rank": obs.r, "radius": pair.radius,
+               "obstruction_residuals": _jsonable(obs.residuals), "verification": _jsonable(report)}
     checks += [
         {"name": "zero_section_exact", "passed": bool(report["zero_section_exact"])},
         _check("fiber_straightness", report["fiber_straightness"], 1e-12),
-        _check("metric_agreement", report["metric_agreement"],
-               float(thr.get("metric_threshold", 1e-6))),
+        _check("metric_agreement", report["metric_agreement"], thr["metric_threshold"]),
         _check("kernel_identity_gap", report["kernel_identity_gap"],
-               float(thr.get("kernel_identity_threshold", 1e-6))),
+               thr["kernel_identity_threshold"]),
         _check("rulings_inside_kernel", obs.residuals["rulings_inside_kernel"], 1e-6),
         _check("ruled_leaves", report["ruled_leaves"], 1e-6),
     ]
@@ -603,55 +647,40 @@ def _run_extend(doc: dict, cfg: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-_RUNNERS = {
-    "single": _run_single,
-    "pair": _run_pair,
-    "generate": _run_pair,
-    "extend": _run_extend,
-}
+_RUNNERS = {"single": _run_single, "pair": _run_pair, "generate": _run_pair, "extend": _run_extend}
 
 
 def run_manifest(doc: dict, tolerance: float | None = None, seed: int | None = None,
                  csv_dump: str | None = None, region: int | None = None):
     """Execute one manifest document; returns (report dict, exit code)."""
-    kind = _require(doc, "analysis", str, "manifest")
-    if kind not in _RUNNERS:
-        raise ManifestError("analysis", f"unknown analysis kind {kind!r}")
-    tol = tolerance if tolerance is not None else doc.get("tolerance", PipelineConfig.rank_tol)
+    parsed = parse_manifest(doc)
+    kind = parsed["analysis"]
     cfg = PipelineConfig(
-        rank_tol=_tolerance(tol, "tolerance"),
-        fd_tol=_tolerance(doc.get("fd_tolerance", PipelineConfig.fd_tol), "fd_tolerance"),
-        seed=_non_negative_int(doc.get("seed", PipelineConfig.seed) if seed is None else seed, "seed"),
+        rank_tol=parsed["tolerance"] if tolerance is None else _TOLERANCE(tolerance, "tolerance"),
+        fd_tol=parsed["fd_tolerance"],
+        seed=parsed["seed"] if seed is None else _COUNT(seed, "seed"),
     )
 
     canonical = json.dumps(doc, sort_keys=True).encode()
-    results, checks, csv_rows = _RUNNERS[kind](doc, cfg)  # csv_rows: None, or builds the rows
+    results, checks, csv_rows = _RUNNERS[kind](parsed, cfg)  # csv_rows: None, or builds the rows
     passed = all(c.get("passed", False) for c in checks) if checks else True
     report = {
-        "provenance": {
-            "version": __version__,
-            "manifest_sha256": hashlib.sha256(canonical).hexdigest(),
-            "tolerance": cfg.rank_tol,
-            "fd_tolerance": cfg.fd_tol,
-            "align_floor": cfg.align_floor,
-            "conformal_tolerance": cfg.conformal_tol,
-            "seed": cfg.seed,
-        },
+        "provenance": {"version": __version__, "manifest_sha256": hashlib.sha256(canonical).hexdigest(),
+                       "tolerance": cfg.rank_tol, "fd_tolerance": cfg.fd_tol,
+                       "align_floor": cfg.align_floor, "conformal_tolerance": cfg.conformal_tol,
+                       "seed": cfg.seed},
         "analysis": kind,
         "results": _jsonable(results),
         "checks": _jsonable(checks),
         "passed": bool(passed),
     }
-    if region is not None and isinstance(report["results"], dict):
-        regs = report["results"].get("regions")
-        if regs is not None:
-            if not 0 <= region < len(regs):
-                raise ManifestError("--region", f"region {region} out of range (0..{len(regs) - 1})")
-            report["results"]["regions"] = [regs[region]]
+    if region is not None and "regions" in report["results"]:
+        regs = report["results"]["regions"]
+        _need(0 <= region < len(regs), "--region", f"region {region} out of range (0..{len(regs) - 1})")
+        report["results"]["regions"] = [regs[region]]
     if csv_dump and csv_rows is not None:
         with open(csv_dump, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(csv_rows())
+            csv.writer(fh).writerows(csv_rows())
     return report, (0 if passed else 2)
 
 
@@ -662,10 +691,8 @@ def _write_report(report: dict, path: str):
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="confpair",
-        description="Conformal/isometric pair analysis on chart grids",
-    )
+    parser = argparse.ArgumentParser(prog="confpair",
+                                     description="Conformal/isometric pair analysis on chart grids")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="run a manifest file")
@@ -706,11 +733,9 @@ def main(argv=None) -> int:
                     doc = json.load(fh)
                 except json.JSONDecodeError as exc:
                     raise ManifestError("manifest", f"invalid JSON at line {exc.lineno}: {exc.msg}")
-            out_path = args.output or doc.get("output", "report.json")
-        report, code = run_manifest(
-            doc, tolerance=args.tolerance, seed=args.seed,
-            csv_dump=args.csv_dump, region=args.region,
-        )
+            out_path = args.output or parse_manifest(doc)["output"]
+        report, code = run_manifest(doc, tolerance=args.tolerance, seed=args.seed,
+                                    csv_dump=args.csv_dump, region=args.region)
         _write_report(report, out_path)
         status = "all checks passed" if code == 0 else "check failures"
         print(f"{out_path}: {status} ({len(report['checks'])} checks)")

@@ -56,6 +56,8 @@ def sphere(n: int = 2, radius: float = 1.0) -> ImmersionMap:
 
 def cylinder(n: int = 2, radius: float = 1.0) -> ImmersionMap:
     """S^1 x R^{n-1} in R^{n+1}, curled along the first chart axis."""
+    if radius <= 0:
+        raise ValueError(f"cylinder needs radius > 0, got {radius}")
 
     def fn(xs):
         r = float(radius)
@@ -96,10 +98,12 @@ def torus(major: float = 2.0, minor: float = 0.5) -> ImmersionMap:
     return ImmersionMap("torus", 2, ScalarProduct.euclidean(3), fn)
 
 
-def graph(n: int = 3, curvatures=None, cubic: float = 0.3) -> ImmersionMap:
+def graph(n: int = 3, curvatures: list[float] | None = None, cubic: float = 0.3) -> ImmersionMap:
     """Graph hypersurface with prescribed distinct principal curvatures at 0."""
     if curvatures is None:
         curvatures = tuple(1.0 + 1.2 * i for i in range(n))
+    if len(curvatures) != n:
+        raise ValueError(f"graph needs n = {n} curvatures, got {len(curvatures)}")
     curvatures = tuple(float(c) for c in curvatures)
 
     def fn(xs):
@@ -112,11 +116,11 @@ def graph(n: int = 3, curvatures=None, cubic: float = 0.3) -> ImmersionMap:
     return ImmersionMap("graph", n, ScalarProduct.euclidean(n + 1), fn)
 
 
-def inversion(of: ImmersionMap, center, radius: float = 1.0) -> ImmersionMap:
+def inversion(of: ImmersionMap, center: list[float], radius: float = 1.0) -> ImmersionMap:
     """Composition with a sphere inversion; carries its conformal factor."""
     c = np.asarray(center, dtype=float)
     if len(c) != of.ambient.dim:
-        raise ManifestError("inversion.center", f"expected {of.ambient.dim} components")
+        raise ValueError(f"inversion center needs {of.ambient.dim} components, got {len(c)}")
 
     def fn(xs):
         comps = of.fn(xs)
@@ -136,7 +140,7 @@ def inversion(of: ImmersionMap, center, radius: float = 1.0) -> ImmersionMap:
 def psi_lift(of: ImmersionMap) -> ImmersionMap:
     """Composition with the isometric cone chart of the Euclidean ambient."""
     if of.ambient.index != 0:
-        raise ManifestError("psi_lift.of", "cone lift needs a Euclidean-valued immersion")
+        raise ValueError("cone lift needs a Euclidean-valued immersion")
     model = LightConeModel(of.ambient.dim)
 
     def fn(xs):
@@ -145,11 +149,11 @@ def psi_lift(of: ImmersionMap) -> ImmersionMap:
     return ImmersionMap(f"psi-lift({of.name})", of.chart_dim, model.ambient, fn)
 
 
-def congruence(of: ImmersionMap, seed: int = 1, shift=None) -> ImmersionMap:
+def congruence(of: ImmersionMap, seed: int = 1, shift: list[float] | None = None) -> ImmersionMap:
     """Composition with a seeded rotation and translation of the ambient."""
     m = of.ambient.dim
     if of.ambient.index != 0:
-        raise ManifestError("congruence.of", "congruence wrapper expects a Euclidean ambient")
+        raise ValueError("congruence wrapper expects a Euclidean ambient")
     rng = np.random.default_rng(int(seed))
     q, _ = np.linalg.qr(rng.normal(size=(m, m)))
     sh = np.zeros(m) if shift is None else np.asarray(shift, dtype=float)
@@ -170,7 +174,7 @@ def congruence(of: ImmersionMap, seed: int = 1, shift=None) -> ImmersionMap:
 def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
     """Embed into a larger Euclidean ambient by appending zero components."""
     if of.ambient.index != 0:
-        raise ManifestError("pad.of", "padding expects a Euclidean ambient")
+        raise ValueError("padding expects a Euclidean ambient")
     if extra < 0:
         raise ValueError(f"pad needs extra >= 0 components, got {extra}")
 
@@ -225,62 +229,32 @@ def adapted_cylinder(n: int = 3) -> ImmersionMap:
     return ImmersionMap("adapted-cylinder", n + 1, ScalarProduct.euclidean(n + 2), fn)
 
 
-GALLERY = {
-    "plane": plane,
-    "sphere": sphere,
-    "cylinder": cylinder,
-    "cone-over-sphere": cone_over_sphere,
-    "torus": torus,
-    "graph": graph,
-    "inversion": inversion,
-    "psi-lift": psi_lift,
-    "congruence": congruence,
-    "pad": pad,
-    "lorentz-slice": lorentz_slice,
-    "adapted-cylinder": adapted_cylinder,
-}
+# a builtin's name is its factory's, with dashes
+GALLERY = {factory.__name__.replace("_", "-"): factory for factory in (
+    plane, sphere, cylinder, cone_over_sphere, torus, graph, inversion, psi_lift, congruence, pad,
+    lorentz_slice, adapted_cylinder)}
 
 _WRAPPERS = {"inversion", "psi-lift", "congruence", "pad"}
 
 
 def build_immersion(spec: dict, where: str = "immersion") -> ImmersionMap:
-    """Resolve a manifest immersion spec (builtin name or expression list)."""
-    if not isinstance(spec, dict):
-        raise ManifestError(where, "immersion spec must be an object")
+    """The immersion of a builtin or expression spec as `cli.parse_manifest`
+    leaves it: every key typed, defaults filled in.  A factory's refusal of
+    its params is a ManifestError at `<where>.params`."""
     if "builtin" in spec:
-        name = spec["builtin"]
-        if name not in GALLERY:
-            raise ManifestError(f"{where}.builtin", f"unknown builtin {name!r}")
-        params = dict(spec.get("params", {}))
-        if name in _WRAPPERS:
-            inner_spec = params.pop("of", None)
-            if inner_spec is None:
-                raise ManifestError(f"{where}.params.of", f"wrapper {name!r} needs an inner immersion")
-            params["of"] = build_immersion(inner_spec, where=f"{where}.params.of")
+        params = spec["params"]
+        if "of" in params:
+            params = {**params, "of": build_immersion(params["of"], f"{where}.params.of")}
         try:
-            return GALLERY[name](**params)
-        except (TypeError, ValueError) as exc:
+            return GALLERY[spec["builtin"]](**params)
+        except ValueError as exc:
             raise ManifestError(f"{where}.params", str(exc)) from exc
-    if "expr" in spec:
-        from .expr import compile_immersion
+    from .expr import compile_immersion
 
-        comps = spec["expr"]
-        nvars = spec.get("chart_dim")
-        if not isinstance(nvars, int) or nvars < 1:
-            raise ManifestError(f"{where}.chart_dim", "expression immersions need a chart_dim")
-        amb = spec.get("ambient", {})
-        dim = amb.get("dim", len(comps))
-        if dim != len(comps):
-            raise ManifestError(f"{where}.ambient.dim", "dimension must match the component count")
-        if amb.get("lightcone", False):
-            ambient = ScalarProduct.lightcone(dim - 2)
-        elif amb.get("index", 0):
-            raise ManifestError(f"{where}.ambient.index", "only Euclidean or cone ambients here")
-        else:
-            ambient = ScalarProduct.euclidean(dim)
-        fn = compile_immersion(comps, nvars, where=f"{where}.expr")
-        return ImmersionMap("expr", nvars, ambient, fn)
-    raise ManifestError(where, "immersion spec needs a 'builtin' or 'expr' key")
+    comps, nvars = spec["expr"], spec["chart_dim"]
+    ambient = (ScalarProduct.lightcone(len(comps) - 2) if spec["ambient"]["lightcone"]
+               else ScalarProduct.euclidean(len(comps)))
+    return ImmersionMap("expr", nvars, ambient, compile_immersion(comps, nvars, where=f"{where}.expr"))
 
 
 def default_chart(imap: ImmersionMap) -> ChartGrid:
@@ -302,11 +276,8 @@ def default_chart(imap: ImmersionMap) -> ChartGrid:
 
 
 def catalog() -> list[dict]:
-    entries = []
-    for name, factory in sorted(GALLERY.items()):
-        doc = (factory.__doc__ or "").strip().splitlines()[0]
-        entries.append({"name": name, "summary": doc, "wrapper": name in _WRAPPERS})
-    return entries
+    return [{"name": name, "summary": (factory.__doc__ or "").strip().splitlines()[0],
+             "wrapper": name in _WRAPPERS} for name, factory in sorted(GALLERY.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_2_roundtrips():
     worst_metric = max(worst_metric, float(np.max(np.abs(induced_metric(lift) - base))))
     # cone-valued direction: project a lift and re-lift it
     lifted_map = build_immersion({"builtin": "psi-lift",
-                                   "params": {"of": {"builtin": "torus"}}})
+                                   "params": {"of": {"builtin": "torus", "params": {}}}})
     jet = lifted_map.jet(default_chart(GALLERY["torus"]()))
     back = cone_projection(jet)
     again, _ = isometric_representative(back, induced_metric(jet), cfg=CFG)

@@ -69,7 +69,7 @@ def test_manifest_field_diagnostics():
             "left": {"builtin": "plane"},
             "grid": {"shape": [3, 3], "spacing": [0.1, 0.1], "origin": [0, 0]},
         })
-    assert "manifest.right" in str(err.value)
+    assert err.value.path == "right"
     with pytest.raises(ManifestError) as err:
         run_manifest({
             "analysis": "generate",
@@ -407,6 +407,7 @@ def test_slicer_gates_conformality_at_the_run_config(monkeypatch):
     # gate on the projected pair must get the run's value
     doc = json.loads(json.dumps(MANIFESTS["degenerate-extension"]))
     doc["analysis"] = "generate"
+    del doc["checks"]  # the extension's thresholds are no generate keys
     real_runner = cli._RUNNERS["generate"]
     monkeypatch.setitem(cli._RUNNERS, "generate",
                         lambda doc, cfg: real_runner(doc, dataclasses.replace(cfg, conformal_tol=3e-6)))
@@ -591,22 +592,29 @@ def test_chart_axes_outside_the_chart_are_manifest_errors(name, key, axes):
     with pytest.raises(ManifestError) as err:
         run_manifest(_gallery_doc(name, **{key: axes}))
     assert err.value.path == key
-    assert "distinct chart axes in [0, " in str(err.value)
+    assert re.search(r"expected (distinct chart axes|a chart axis) in \[0, ", str(err.value))
 
 
-@pytest.mark.parametrize("spec, message", [
-    ({"builtin": "psi-lift", "params": {"of": {"builtin": "plane"}, "tilt": 1.0}}, "tilt"),
-    ({"builtin": "inversion", "params": {"of": {"builtin": "cylinder"}}}, "center"),
+@pytest.mark.parametrize("spec, path, message", [
+    ({"builtin": "psi-lift", "params": {"of": {"builtin": "plane"}, "tilt": 1.0}},
+     "immersion.params.tilt", "unknown key"),
+    ({"builtin": "inversion", "params": {"of": {"builtin": "cylinder"}}},
+     "immersion.params.center", "missing required field"),
     ({"builtin": "congruence", "params": {"of": {"builtin": "sphere"}, "shift": [1.0]}},
-     "shift needs 3 components"),
-    ({"builtin": "congruence", "params": {"of": {"builtin": "sphere"}, "seed": "a"}}, "'a'"),
-    ({"builtin": "pad", "params": {"of": {"builtin": "cylinder"}, "extra": -1}}, "extra >= 0"),
+     "immersion.params", "shift needs 3 components"),
+    ({"builtin": "congruence", "params": {"of": {"builtin": "sphere"}, "seed": "a"}},
+     "immersion.params.seed", "'a'"),
+    ({"builtin": "pad", "params": {"of": {"builtin": "cylinder"}, "extra": -1}},
+     "immersion.params", "extra >= 0"),
+    ({"builtin": "cylinder", "params": {"radius": 0}}, "immersion.params", "radius > 0"),
+    ({"builtin": "graph", "params": {"n": 3, "curvatures": [1.0]}}, "immersion.params",
+     "graph needs n = 3 curvatures, got 1"),
 ])
-def test_wrapper_params_are_manifest_errors(spec, message):
+def test_wrapper_params_are_manifest_errors(spec, path, message):
     with pytest.raises(ManifestError) as err:
         run_manifest({"analysis": "single", "immersion": spec,
                       "grid": {"shape": [5, 5], "spacing": [0.04, 0.04], "origin": [0.9, 0.7]}})
-    assert err.value.path == "immersion.params"
+    assert err.value.path == path
     assert message in str(err.value)
 
 
@@ -621,7 +629,8 @@ def test_pad_by_zero_is_its_argument():
 @pytest.mark.parametrize("name, key, value, path", [
     ("cylinder-nullity", "expect.nu", {"1": 2, "2": 1}, "expect.nu"),
     ("cylinder-inversion-transfer", "transfer", {"ruling_axes": [1]}, "transfer.base"),
-    ("cylinder-inversion-transfer", "transfer.thresholds", {"sff": 1e-7}, "transfer.thresholds"),
+    ("cylinder-inversion-transfer", "transfer.thresholds", {"sff": 1e-7},
+     "transfer.thresholds.sff"),
     ("psi-invariants", "checks.lightcone_identities.points", 0,
      "checks.lightcone_identities.points"),
     ("psi-invariants", "checks.lightcone_identities.points", True,
@@ -638,10 +647,10 @@ def test_missing_or_unknown_keys_are_manifest_errors(name, key, value, path):
     ("seed", True, "expected a non-negative integer, got True"),
     ("seed", 1.0, "expected a non-negative integer, got 1.0"),
     ("seed", -1, "expected a non-negative integer, got -1"),
-    ("tolerance", "x", "tolerance must lie in (0, 1e-3], got 'x'"),
-    ("tolerance", True, "tolerance must lie in (0, 1e-3], got True"),
-    ("fd_tolerance", "x", "fd_tolerance must lie in (0, 1e-3], got 'x'"),
-    *[("fd_tolerance", value, f"fd_tolerance must lie in (0, 1e-3], got {value!r}")
+    ("tolerance", "x", "expected a number in (0, 1e-3], got 'x'"),
+    ("tolerance", True, "expected a number in (0, 1e-3], got True"),
+    ("fd_tolerance", "x", "expected a number in (0, 1e-3], got 'x'"),
+    *[("fd_tolerance", value, f"expected a number in (0, 1e-3], got {value!r}")
       for value in (-1, 0, 1, float("nan"), 0.01)],
 ])
 def test_run_keys_of_the_wrong_type_or_range_are_manifest_errors(key, value, message):
@@ -654,14 +663,14 @@ def test_run_keys_of_the_wrong_type_or_range_are_manifest_errors(key, value, mes
 @pytest.mark.parametrize("name, key, value, path, message", [
     ("cylinder-nullity", "nullity.s_values", ["a"], "nullity.s_values",
      "expected a non-negative integer, got 'a'"),
-    ("cylinder-nullity", "nullity.s_values", 1, "nullity.s_values", "got int"),
+    ("cylinder-nullity", "nullity.s_values", 1, "nullity.s_values", "expected a list, got 1"),
     ("psi-invariants", "checks.lightcone_identities.dim", "a",
      "checks.lightcone_identities.dim", "expected a non-negative integer, got 'a'"),
     ("psi-invariants", "checks.roundtrip.threshold", "tiny", "checks.roundtrip.threshold",
-     "got str"),
+     "got 'tiny'"),
     ("cylinder-inversion-transfer", "transfer.thresholds.sff_dictionary", "tiny",
-     "transfer.thresholds.sff_dictionary", "got str"),
-    ("cylinder-nullity", "ruled", [1], "manifest.ruled", "got list"),
+     "transfer.thresholds.sff_dictionary", "got 'tiny'"),
+    ("cylinder-nullity", "ruled", [1], "ruled", "got list"),
     ("cylinder-nullity", "rigidity_q", 1.5, "rigidity_q", "expected a non-negative integer"),
 ])
 def test_single_analysis_values_of_the_wrong_type_are_manifest_errors(name, key, value, path,
@@ -687,3 +696,44 @@ def test_generator_branch_must_be_a_non_negative_int(branch):
         run_manifest(_gallery_doc("degenerate-extension", **{"generator.branch": branch}))
     assert err.value.path == "generator.branch"
     assert f"expected a non-negative integer, got {branch!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("spec, path, message", [
+    ({"expr": "x1", "chart_dim": 2}, "immersion.expr", "expected a nonempty list, got 'x1'"),
+    ({"expr": [1, 2], "chart_dim": 2}, "immersion.expr", "expected a nonempty string, got 1"),
+    ({"expr": ["x1", "x2", "0"], "chart_dim": 2, "ambient": "zz"}, "immersion.ambient",
+     "expected an object, got 'zz'"),
+    ({"expr": ["x1", "x2", "0"], "chart_dim": True}, "immersion.chart_dim",
+     "expected a positive integer, got True"),
+    ({"builtin": "plane", "params": {"p": 1.5}}, "immersion.params.p", "expected an integer, got 1.5"),
+])
+def test_immersion_specs_of_the_wrong_type_are_manifest_errors(spec, path, message):
+    # once "x1" was read character by character, [1, 2] died in a TypeError,
+    # "zz" in an AttributeError, true was taken for a chart dimension and
+    # p = 1.5 reached numpy
+    with pytest.raises(ManifestError) as err:
+        run_manifest({"analysis": "single", "immersion": spec,
+                      "grid": {"shape": [5, 5], "spacing": [0.04, 0.04], "origin": [0.1, -0.1]}})
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
+def _cylinder_nullity_with(**changes):
+    return {**MANIFESTS["cylinder-nullity"], **changes}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([_cylinder_nullity_with()], "manifest: expected an object, got list"),
+    (_cylinder_nullity_with(output=1), "output: expected a nonempty string, got 1"),
+    (_cylinder_nullity_with(output=7), "output: expected a nonempty string, got 7"),
+    (_cylinder_nullity_with(output=["report.json"]), "output: expected a nonempty string, got list"),
+])
+def test_main_refuses_a_manifest_that_is_no_object_or_whose_output_is_no_path(
+        tmp_path, monkeypatch, capsys, doc, message):
+    # a list once died in an AttributeError; output 1 wrote the report to
+    # stdout and closed it, 7 was a bad file descriptor and a list a TypeError
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert main(["analyze", "m.json"]) == 1
+    assert capsys.readouterr() == ("", f"manifest error: {message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["m.json"]

@@ -555,7 +555,8 @@ def chain_rule_restriction(mapping, lorentz, data, axis):
 CURVED_Q = "(0.3*x2*x2 + 0.2*x2*x3 - 0.4*x3*x3)"
 CURVED_LORENTZ = {"expr": ["-0.5*(x2*x2 + x3*x3)", "1", f"x2 + x1 - {CURVED_Q}", "x3"],
                   "chart_dim": 3, "ambient": {"dim": 4, "lightcone": True}}
-CURVED_LEFT = {"expr": ["cos(x2)", "sin(x2)", "x3", f"x1 - {CURVED_Q} + 2*x2"], "chart_dim": 3}
+CURVED_LEFT = {"expr": ["cos(x2)", "sin(x2)", "x3", f"x1 - {CURVED_Q} + 2*x2"], "chart_dim": 3,
+               "ambient": {"lightcone": False}}
 
 
 @pytest.mark.parametrize("name", ["curved", "degenerate-pair", "degenerate-extension"])
