@@ -166,19 +166,34 @@ def _parse(node, value, path: str):
     return node(value, path)
 
 
+# desk scale: a chart has at most _MAX_POINTS points on at most _MAX_AXES axes,
+# and a builtin's dimension params (`gallery.Dim`) are at most _MAX_DIM in size
+_MAX_POINTS, _MAX_AXES, _MAX_DIM = 10_000, 9, 16
 _COUNT = _number("a non-negative integer", 0, integer=True)
 _POSITIVE = _number("a positive integer", 1, integer=True)
 _TOLERANCE = _number("a number in (0, 1e-3]", 0, 1e-3, open_low=True)
 _THRESHOLD = _number("a number >= 0", 0)
 _FINITE = _number("a finite number")
+_INTEGER = _number("an integer", integer=True)
+
+
+def _capped(leaf, cap: int):
+    """A leaf: a value of `leaf` of size at most `cap`."""
+    def parse(value, path):
+        _need(abs(leaf(value, path)) <= cap, path, f"expected a size of at most {cap}, got {value}")
+        return value
+    return parse
+
+
 _IMMERSION = {
     "builtin": {"builtin": (tuple(GALLERY), ...), "params": (dict, {})},
-    "expr": {"expr": ([str, 1], ...), "chart_dim": (_POSITIVE, ...),
+    "expr": {"expr": ([str, 1], ...), "chart_dim": (_capped(_POSITIVE, _MAX_AXES), ...),
              "ambient": ({"dim": (_POSITIVE, None), "lightcone": (bool, False)}, {})},
 }
 # a builtin's params, by the annotations of its factory's signature
-_PARAMS = {"int": _number("an integer", integer=True), "float": _FINITE, "list[float]": [_FINITE],
-           "ImmersionMap": _spec(_IMMERSION, build=False)}
+# (a factory refuses the negative dimensions it cannot take)
+_PARAMS = {"int": _INTEGER, "Dim": _capped(_INTEGER, _MAX_DIM), "float": _FINITE,
+           "list[float]": [_FINITE], "ImmersionMap": _spec(_IMMERSION, build=False)}
 _MAP = _spec(_IMMERSION, build=True)
 _SIDE = _spec({**_IMMERSION, "table": {"table": ({"values": (_rows, ...)}, ...)}}, build=True)
 _KIND = ("single", "pair", "generate", "extend")
@@ -239,9 +254,9 @@ def _build_grid(spec: dict, where: str = "grid") -> ChartGrid:
     shape = spec["shape"]
     _need(len(shape) == len(spec["spacing"]) == len(spec["origin"]), where,
           "shape, spacing and origin lengths differ")
-    _need(len(shape) <= 9, f"{where}.shape", "charts are limited to 9 axes")
-    _need(math.prod(shape) <= 10_000, f"{where}.shape",
-          f"{math.prod(shape)} points exceed the desk-scale cap of 10000")
+    _need(len(shape) <= _MAX_AXES, f"{where}.shape", f"charts are limited to {_MAX_AXES} axes")
+    _need(math.prod(shape) <= _MAX_POINTS, f"{where}.shape",
+          f"{math.prod(shape)} points exceed the desk-scale cap of {_MAX_POINTS}")
     return ChartGrid(tuple(shape), tuple(spec["spacing"]), tuple(spec["origin"]))
 
 

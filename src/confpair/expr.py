@@ -59,20 +59,11 @@ def compile_component(source: str, nvars: int, where: str = "expr"):
             val = run(node.operand, xs)
             return -val if isinstance(node.op, ast.USub) else val
         if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                base = run(node.left, xs)
-                expo = run(node.right, xs)
-                if not isinstance(expo, float):
-                    raise ManifestError(where, "exponents must be numeric constants")
-                if isinstance(base, float):
-                    return base**expo
-                if float(expo).is_integer():
-                    return base ** int(expo)
-                return base**expo
-            for op_type, fn in _BINOPS.items():
-                if isinstance(node.op, op_type):
-                    return fn(run(node.left, xs), run(node.right, xs))
-            raise ManifestError(where, f"unsupported operator {type(node.op).__name__}")
+            left, right = run(node.left, xs), run(node.right, xs)
+            try:
+                return binop(node.op, left, right)
+            except ArithmeticError as exc:  # 1/0, 10**400 or (-8)**0.5 between constants
+                raise ManifestError(where, f"{ast.unparse(node)}: {exc}") from exc
         if isinstance(node, ast.Call):
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
                 raise ManifestError(where, "only sin, cos, exp, sqrt, norm, norm2 may be called")
@@ -89,6 +80,28 @@ def compile_component(source: str, nvars: int, where: str = "expr"):
                 jets.append(a)
             return _FUNCTIONS[node.func.id](*jets)
         raise ManifestError(where, f"unsupported syntax {type(node).__name__}")
+
+    def binop(op, left, right):
+        if isinstance(op, ast.Pow):
+            if not isinstance(right, float):
+                raise ManifestError(where, "exponents must be numeric constants")
+            if not isinstance(left, float) and right.is_integer():
+                return left ** int(right)
+            out = left**right
+            if isinstance(out, complex):
+                raise ArithmeticError("a negative number to a fractional power")
+            return out
+        for op_type, fn in _BINOPS.items():
+            if isinstance(op, op_type):
+                return fn(left, right)
+        raise ManifestError(where, f"unsupported operator {type(op).__name__}")
+
+    # constant arithmetic runs here once, so that a manifest with 1/0 is
+    # refused before any jet is built
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and not any(
+                isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node)):
+            run(node, [])
 
     def component(xs):
         out = run(tree, xs)

@@ -18,13 +18,17 @@ from .lightcone import LightConeModel
 
 __all__ = ["GALLERY", "MANIFESTS", "build_immersion", "default_chart", "catalog"]
 
+# the annotation of a factory's dimension params (chart dimension, codimension,
+# padding), which the manifest table holds below its dimension cap
+Dim = int
+
 
 # ---------------------------------------------------------------------------
 # builtin immersions
 # ---------------------------------------------------------------------------
 
 
-def plane(n: int = 2, p: int = 1, tilt: float = 0.0) -> ImmersionMap:
+def plane(n: Dim = 2, p: Dim = 1, tilt: float = 0.0) -> ImmersionMap:
     """Affine n-plane in R^{n+p}, optionally tilted into the first normal slot
     (there is none when p = 0)."""
     if p < 0:
@@ -39,7 +43,7 @@ def plane(n: int = 2, p: int = 1, tilt: float = 0.0) -> ImmersionMap:
     return ImmersionMap("plane", n, ScalarProduct.euclidean(n + p), fn)
 
 
-def sphere(n: int = 2, radius: float = 1.0) -> ImmersionMap:
+def sphere(n: Dim = 2, radius: float = 1.0) -> ImmersionMap:
     """Round n-sphere of the given radius in spherical coordinates."""
 
     def fn(xs):
@@ -54,7 +58,7 @@ def sphere(n: int = 2, radius: float = 1.0) -> ImmersionMap:
     return ImmersionMap("sphere", n, ScalarProduct.euclidean(n + 1), fn)
 
 
-def cylinder(n: int = 2, radius: float = 1.0) -> ImmersionMap:
+def cylinder(n: Dim = 2, radius: float = 1.0) -> ImmersionMap:
     """S^1 x R^{n-1} in R^{n+1}, curled along the first chart axis."""
     if radius <= 0:
         raise ValueError(f"cylinder needs radius > 0, got {radius}")
@@ -68,7 +72,7 @@ def cylinder(n: int = 2, radius: float = 1.0) -> ImmersionMap:
     return ImmersionMap("cylinder", n, ScalarProduct.euclidean(n + 1), fn)
 
 
-def cone_over_sphere(n: int = 2, aperture: float = 0.6) -> ImmersionMap:
+def cone_over_sphere(n: Dim = 2, aperture: float = 0.6) -> ImmersionMap:
     """Rays over a small sphere: t u(w) with |u| = 1; first axis is radial."""
 
     def fn(xs):
@@ -98,7 +102,7 @@ def torus(major: float = 2.0, minor: float = 0.5) -> ImmersionMap:
     return ImmersionMap("torus", 2, ScalarProduct.euclidean(3), fn)
 
 
-def graph(n: int = 3, curvatures: list[float] | None = None, cubic: float = 0.3) -> ImmersionMap:
+def graph(n: Dim = 3, curvatures: list[float] | None = None, cubic: float = 0.3) -> ImmersionMap:
     """Graph hypersurface with prescribed distinct principal curvatures at 0."""
     if curvatures is None:
         curvatures = tuple(1.0 + 1.2 * i for i in range(n))
@@ -171,7 +175,7 @@ def congruence(of: ImmersionMap, seed: int = 1, shift: list[float] | None = None
     return ImmersionMap(f"congruence({of.name})", of.chart_dim, of.ambient, fn)
 
 
-def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
+def pad(of: ImmersionMap, extra: Dim = 1) -> ImmersionMap:
     """Embed into a larger Euclidean ambient by appending zero components."""
     if of.ambient.index != 0:
         raise ValueError("padding expects a Euclidean ambient")
@@ -187,7 +191,7 @@ def pad(of: ImmersionMap, extra: int = 1) -> ImmersionMap:
                         ScalarProduct.euclidean(of.ambient.dim + int(extra)), fn)
 
 
-def lorentz_slice(n: int = 3, q: int = 1) -> ImmersionMap:
+def lorentz_slice(n: Dim = 3, q: Dim = 1) -> ImmersionMap:
     """The flat family Psi(x, 0) + t e2 on the (t, x) chart, off the cone.
 
     Its zero set against the cone has the two branches t = 0 and
@@ -210,7 +214,7 @@ def lorentz_slice(n: int = 3, q: int = 1) -> ImmersionMap:
     return ImmersionMap("lorentz-slice", n + 1, model.ambient, fn)
 
 
-def adapted_cylinder(n: int = 3) -> ImmersionMap:
+def adapted_cylinder(n: Dim = 3) -> ImmersionMap:
     """A chart map restricting to the standard cylinder on the t = -2 x1 slice.
 
     The extra coordinate absorbs t + 2 x1, so the restriction to that branch

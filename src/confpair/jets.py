@@ -808,10 +808,15 @@ def fundamental_data(jet: ImmersionJet, cfg: PipelineConfig) -> FundamentalData:
             normal_frame, lam = _polar_fit(points, frame0 - tangent_part, g_amb, normal_pattern,
                                            cfg.rank_tol, cfg.align_floor)
 
-    # second fundamental form: normal component of the coordinate second partials
-    d2_dot_e = contract("pija,ab,pbc->pijc", jet.d2, g_amb, tangent_ambient)
-    tang_part = contract("pijc,c,pmc->pijm", d2_dot_e, eta, tangent_ambient)
-    alpha_ambient = jet.d2 - tang_part
+    # second fundamental form: normal component of the coordinate second
+    # partials, d2 minus its tangent part (d2 G E eta) E^T, formed in the
+    # buffer that becomes alpha_ambient, so no other (P, n, n, m) array lives
+    d2_dot_e = jet.d2.reshape(p, n * n, m) @ (g_amb @ tangent_ambient)
+    d2_dot_e *= eta  # exact, eta is +-1
+    alpha_ambient = np.empty_like(jet.d2)
+    np.matmul(d2_dot_e, tangent_ambient.transpose(0, 2, 1), out=alpha_ambient.reshape(p, n * n, m))
+    del d2_dot_e
+    np.subtract(jet.d2, alpha_ambient, out=alpha_ambient)
     eps = np.asarray(normal_pattern, dtype=float)
     alpha_coord_comp = _normal_coords(alpha_ambient, g_amb, normal_frame, eps)
     alpha = contract("pia,pjb,pijt->pabt", tangent_frame, tangent_frame, alpha_coord_comp)

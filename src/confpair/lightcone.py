@@ -230,6 +230,12 @@ class SffTransferData:
     residuals: dict = field(default_factory=dict)
 
 
+def _max_gap(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """max |lhs - rhs|, formed in rhs's buffer, which it overwrites."""
+    np.subtract(lhs, rhs, out=rhs)
+    return float(np.max(np.abs(rhs, out=rhs)))
+
+
 def sff_transfer_check(
     fund: FundamentalData,
     base: ImmersionJet,
@@ -279,16 +285,16 @@ def sff_transfer_check(
     df_grad = np.einsum("pim,pi->pm", jet.d1, grad)
     xi = inv_phi[:, None] * model.e0[None, :] - model.embed_differential(f_vals, df_grad)
 
-    # left side: second fundamental form of the lift, ambient coordinates
-    lhs = fund_lift.alpha_ambient  # (P, n, n, N+2)
+    # Each side of a dictionary below is one (P, n, n, N+2) buffer, updated
+    # in place; `_max_gap` reads the residual into the right side's buffer.
+    # left side: second fundamental form of the lift, ambient coordinates;
     # right side: dPsi(phi alpha_f) - g'_ij xi + phi^{-1} Hess_ij f'
-    alpha_f = fund.alpha_ambient  # (P, n, n, n+p)
-    rhs = model.embed_differential(
-        f_vals[:, None, None, :], phi[:, None, None, None] * alpha_f
-    )
+    rhs = model.embed_differential(f_vals[:, None, None, :],
+                                   phi[:, None, None, None] * fund.alpha_ambient)
     rhs -= base_metric[:, :, :, None] * xi[:, None, None, :]
     rhs += (inv_phi[:, None, None] * hess)[:, :, :, None] * lift.values[:, None, None, :]
-    res_sff = float(np.max(np.abs(lhs - rhs)))
+    res_sff = _max_gap(fund_lift.alpha_ambient, rhs)
+    del rhs
 
     # proportionality scalar on the rulings: Hess phi = lam <,>' there
     span_coord = np.einsum("pia,pau->piu", fund_lift.tangent_frame, dist_lift.basis)
@@ -307,13 +313,17 @@ def sff_transfer_check(
     )
     res_eta = float(np.max(np.abs(eta_lift_amb - predicted)))
 
-    # umbilic-corrected forms on both sides
-    beta_f = alpha_f - fund.metric[:, :, :, None] * eta_amb[:, None, None, :]
-    beta_lift = fund_lift.alpha_ambient - base_metric[:, :, :, None] * eta_lift_amb[:, None, None, :]
+    # umbilic-corrected forms on both sides, beta = alpha - <,> eta; the
+    # right side first, so that the left side's buffer lives only beside it
     corr = hess - lam[:, None, None] * base_metric
-    beta_rhs = model.embed_differential(f_vals[:, None, None, :], phi[:, None, None, None] * beta_f)
+    beta_rhs = model.embed_differential(
+        f_vals[:, None, None, :],
+        phi[:, None, None, None] * (fund.alpha_ambient
+                                    - fund.metric[:, :, :, None] * eta_amb[:, None, None, :]))
     beta_rhs += (inv_phi[:, None, None] * corr)[:, :, :, None] * lift.values[:, None, None, :]
-    res_beta = float(np.max(np.abs(beta_lift - beta_rhs)))
+    beta_lift = base_metric[:, :, :, None] * eta_lift_amb[:, None, None, :]
+    np.subtract(fund_lift.alpha_ambient, beta_lift, out=beta_lift)
+    res_beta = _max_gap(beta_lift, beta_rhs)
 
     return SffTransferData(
         phi=phi,

@@ -243,6 +243,25 @@ def test_expr_outside_its_domain_is_not_an_immersion(tmp_path, capsys, axes):
     assert "NotImmersion: differential drops rank on the chart grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("component, message", [
+    ("1/0", "1 / 0: float division by zero"),
+    ("x1 + 2 * 10**400", "10 ** 400: "),
+    ("x1 * (-8)**0.5", "(-8) ** 0.5: a negative number to a fractional power"),
+])
+def test_constant_arithmetic_error_in_an_expr_is_a_manifest_error(tmp_path, capsys, component,
+                                                                    message):
+    # 1/0 once died in a ZeroDivisionError past main's handlers, 10**400 in an
+    # OverflowError and (-8)**0.5 in a TypeError on its complex value
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "analysis": "single", "immersion": {"expr": ["x1", "x2", component], "chart_dim": 2},
+        "grid": {"shape": [5, 5], "spacing": [0.1, 0.1], "origin": [0.1, 0.1]}}))
+    assert main(["analyze", str(manifest), "--output", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"manifest error: immersion.expr[2]: {message}")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_grid_cap_enforced():
     with pytest.raises(ManifestError) as err:
         run_manifest({

@@ -27,6 +27,7 @@ from confpair.jets import (
     induced_metric,
     leaf_mean_curvature,
 )
+from confpair.lightcone import sff_transfer_check
 
 E3 = ScalarProduct.euclidean(3)
 E4 = ScalarProduct.euclidean(4)
@@ -1242,3 +1243,38 @@ def test_closed_form_jet_of_a_10k_point_graph_stays_small():
     finally:
         tracemalloc.stop()
     assert peak <= 24e6
+
+
+def _traced_peak(call) -> float:
+    """Peak bytes that `call()` allocates above what is live when it starts."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_fundamental_data_of_a_10k_point_graph_keeps_one_full_size_temporary():
+    # graph4 at 10^4 points: d2 and alpha_ambient are (P, n, n, m) = 6.4 MB,
+    # and the result holds 13.5 MB (alpha_ambient, alpha, frames, metric).
+    # 17.9 MB is the result plus the (P, n^2, n) tangent part (5.1 MB); 22 MB
+    # leaves 4 MB for growth, but no room for a second (P, n, n, m) array,
+    # which the tangent part and d2 G E once were (29.4 MB)
+    jet = gallery.graph(n=4).jet(ChartGrid((10,) * 4, (0.02,) * 4, (-0.09,) * 4))
+    assert _traced_peak(lambda: fundamental_data(jet, CFG)) <= 22e6
+
+
+def test_transfer_dictionary_of_a_10k_point_chart_builds_one_side_at_a_time():
+    # the cylinder-inversion chart of 10^4 points: each (P, n, n, N+2) side
+    # of a dictionary is 1.6 MB.  17.3 MB is the lift, its fundamental data
+    # and one dictionary at a time with its temporaries; 19 MB leaves room
+    # for one more such buffer, not for the sides of both dictionaries kept
+    # alive together (22.4 MB)
+    chart = ChartGrid((100, 100), (0.002, 0.002), (0.1, -0.1))
+    imap = gallery.inversion(gallery.cylinder(n=2), center=[0.0, 0.0, 2.0])
+    fund = fundamental_data(imap.jet(chart), CFG)
+    base = gallery.cylinder(n=2).jet(chart)
+    factor = imap.factor_jets(chart.points())
+    assert _traced_peak(lambda: sff_transfer_check(fund, base, [1], factor, cfg=CFG)) <= 19e6

@@ -2,6 +2,8 @@
 parses, every mutation of one is refused at its own path before any jet is
 built, and README's key table lists the table's paths."""
 
+import contextlib
+import functools
 import json
 import re
 
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from sources import ROOT
 from test_closed_forms import load_benchmark_workloads
 
-from confpair import cli, jets
+from confpair import cli, expr, jets
 from confpair.cli import parse_manifest, run_manifest
 from confpair.errors import ManifestError
 from confpair.gallery import MANIFESTS
@@ -36,6 +38,8 @@ def out_of_range(path: str):
     stated here apart from the table; None where the leaf has no range."""
     if path.endswith("threshold") or path.startswith("transfer.thresholds."):
         return -1e-9
+    if path.endswith((".params.n", ".params.p", ".params.q", ".params.extra")):
+        return 17  # a builtin's dimensions are at most 16 in size
     return {"grid.shape": 0, "grid.spacing": 0.0, "generator.axis": -1, "generator.branch": -1,
             "expect.rulings": -1, "expect.transfer_bundle": -1, "expect.nu.1": -1,
             "nullity.s_values": -1, "transfer.ruling_axes": -1,
@@ -63,6 +67,16 @@ def no_jets(*args, **kwargs):
     raise AssertionError("a jet was built before the manifest was refused")
 
 
+@contextlib.contextmanager
+def jets_barred():
+    """Every jet builder raises while this holds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets.ImmersionMap, "jet", no_jets)
+        for builder in ("from_values", "from_function"):
+            mp.setattr(jets.ImmersionJet, builder, staticmethod(no_jets))
+        yield mp
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_every_mutation_of_a_gallery_manifest_is_refused_at_its_path_before_any_jet(data):
@@ -81,13 +95,38 @@ def test_every_mutation_of_a_gallery_manifest_is_refused_at_its_path_before_any_
             [wrong for wrong in WRONG_TYPES if not (wrong is True and isinstance(value, bool))]))
     else:
         parent[path[-1]] = float("nan") if change == "nan" else out_of_range(dotted(path))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jets.ImmersionMap, "jet", no_jets)
-        for builder in ("from_values", "from_function"):
-            mp.setattr(jets.ImmersionJet, builder, staticmethod(no_jets))
-        with pytest.raises(ManifestError) as err:
-            run_manifest(doc)
+    with jets_barred(), pytest.raises(ManifestError) as err:
+        run_manifest(doc)
     assert err.value.path == dotted(path) or err.value.path.startswith(dotted(path) + ".")
+
+
+@pytest.mark.parametrize("spec, path, cap", [
+    ({"builtin": "plane", "params": {"n": 2, "p": 10**30}}, "immersion.params.p", cli._MAX_DIM),
+    ({"builtin": "pad", "params": {"of": {"builtin": "cylinder"}, "extra": 10**12}},
+     "immersion.params.extra", cli._MAX_DIM),
+    ({"builtin": "pad", "params": {"of": {"builtin": "sphere", "params": {"n": -10**30}}}},
+     "immersion.params.of.params.n", cli._MAX_DIM),
+    ({"expr": ["x1", "x2", "0"], "chart_dim": 10**9}, "immersion.chart_dim", cli._MAX_AXES),
+])
+def test_a_huge_dimension_is_refused_before_any_factory_runs(spec, path, cap):
+    # p = 10**30 once ended in an OverflowError, extra = 10**12 in a
+    # MemoryError, and chart_dim = 10**9 named a billion chart variables; a
+    # factory that runs here fails the test before it allocates
+    def barred(factory):
+        @functools.wraps(factory)
+        def run(*args, **kwargs):
+            raise AssertionError(f"{factory.__name__} ran with {args} {kwargs}")
+        return run
+
+    doc = {"analysis": "single", "immersion": spec,
+           "grid": {"shape": [5, 5], "spacing": [0.04, 0.04], "origin": [0.1, -0.1]}}
+    with jets_barred() as mp, pytest.raises(ManifestError) as err:
+        for name, factory in cli.GALLERY.items():
+            mp.setitem(cli.GALLERY, name, barred(factory))
+        mp.setattr(expr, "compile_immersion", barred(expr.compile_immersion))
+        parse_manifest(doc)
+    assert err.value.path == path
+    assert f"expected a size of at most {cap}" in str(err.value)
 
 
 def test_gallery_and_benchmark_manifests_parse(monkeypatch):
